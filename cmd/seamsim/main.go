@@ -37,9 +37,7 @@ import (
 	"time"
 
 	"sfccube/internal/core"
-	"sfccube/internal/graph"
 	"sfccube/internal/mesh"
-	"sfccube/internal/metis"
 	"sfccube/internal/obs"
 	"sfccube/internal/partition"
 	"sfccube/internal/resilience"
@@ -52,7 +50,7 @@ func main() {
 	degree := flag.Int("degree", 7, "polynomial degree (np = degree+1 GLL points)")
 	ranks := flag.Int("ranks", 4, "number of in-process ranks (goroutines)")
 	steps := flag.Int("steps", 20, "number of RK4 time steps")
-	method := flag.String("method", "sfc", "partitioner: sfc, rb, kway, tv, block")
+	method := flag.String("method", "sfc", "partitioner: sfc, serpentine, rb, kway, tv, block")
 	seed := flag.Int64("seed", 1, "seed for the METIS-style partitioners")
 	ckDir := flag.String("checkpoint", "", "directory for CRC-checksummed checkpoints; resumes from the newest valid one")
 	ckEvery := flag.Int("checkpoint-every", 8, "checkpoint cadence in steps (with -checkpoint)")
@@ -283,30 +281,11 @@ func runSupervised(cfg runConfig, sw *seam.ShallowWater, assign []int32, dt floa
 	return nil
 }
 
+// assignment partitions the Ne mesh over the ranks with a method-table entry;
+// "block" (element id order cut into equal blocks) is not a partitioner and
+// stays a local special case.
 func assignment(method string, ne, ranks int, seed int64, reg *obs.Registry) ([]int32, error) {
-	switch method {
-	case "sfc":
-		res, err := core.PartitionCubedSphere(core.Config{Ne: ne, NProcs: ranks})
-		if err != nil {
-			return nil, err
-		}
-		return res.Partition.Assignment(), nil
-	case "rb", "kway", "tv":
-		m, err := mesh.New(ne)
-		if err != nil {
-			return nil, err
-		}
-		gr, err := graph.FromMesh(m, graph.DefaultOptions())
-		if err != nil {
-			return nil, err
-		}
-		mm := map[string]metis.Method{"rb": metis.RB, "kway": metis.KWay, "tv": metis.KWayVol}[method]
-		p, err := metis.Partition(gr, ranks, metis.Options{Method: mm, Seed: seed, Obs: reg})
-		if err != nil {
-			return nil, err
-		}
-		return p.Assignment(), nil
-	case "block":
+	if method == "block" {
 		k := 6 * ne * ne
 		a := make([]int32, k)
 		for i := range a {
@@ -314,7 +293,15 @@ func assignment(method string, ne, ranks int, seed int64, reg *obs.Registry) ([]
 		}
 		return a, nil
 	}
-	return nil, fmt.Errorf("unknown method %q", method)
+	prob, err := core.NewProblem(ne)
+	if err != nil {
+		return nil, err
+	}
+	p, err := core.Run(context.Background(), method, prob, ranks, seed, reg)
+	if err != nil {
+		return nil, err
+	}
+	return p.Assignment(), nil
 }
 
 func minInt(s []int) int {

@@ -12,15 +12,14 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 
 	"sfccube/internal/core"
-	"sfccube/internal/graph"
 	"sfccube/internal/machine"
 	"sfccube/internal/mesh"
-	"sfccube/internal/metis"
 	"sfccube/internal/partition"
 	"sfccube/internal/sfc"
 )
@@ -28,7 +27,7 @@ import (
 func main() {
 	ne := flag.Int("ne", 8, "elements per cube-face edge (2^n * 3^m for SFC)")
 	nproc := flag.Int("nproc", 4, "number of processors")
-	method := flag.String("method", "sfc", "partitioner: sfc, rb, kway, tv")
+	method := flag.String("method", "sfc", "partitioner: sfc, serpentine, rb, kway, tv")
 	order := flag.String("order", "peano-first", "Hilbert-Peano refinement order: peano-first, hilbert-first, interleaved")
 	seed := flag.Int64("seed", 1, "seed for the METIS-style partitioners")
 	dumpAssign := flag.Bool("assign", false, "print the element -> processor assignment")
@@ -42,51 +41,44 @@ func main() {
 }
 
 func run(ne, nproc int, method, orderName string, seed int64, dumpAssign bool, save string) error {
-	m, err := mesh.New(ne)
+	order, ok := map[string]sfc.Order{
+		"peano-first": sfc.PeanoFirst, "hilbert-first": sfc.HilbertFirst, "interleaved": sfc.Interleaved,
+	}[orderName]
+	if !ok {
+		return fmt.Errorf("unknown order %q", orderName)
+	}
+	meth, ok := core.LookupMethod(method)
+	if !ok {
+		return fmt.Errorf("unknown method %q", method)
+	}
+	prob, err := core.NewProblem(ne)
 	if err != nil {
 		return err
 	}
-	g, err := graph.FromMesh(m, graph.DefaultOptions())
+	prob.Order = order
+	p, err := meth.Run(context.Background(), prob, nproc, seed, nil)
 	if err != nil {
 		return err
 	}
-
-	var p *partition.Partition
-	switch method {
-	case "sfc":
-		var order sfc.Order
-		switch orderName {
-		case "peano-first":
-			order = sfc.PeanoFirst
-		case "hilbert-first":
-			order = sfc.HilbertFirst
-		case "interleaved":
-			order = sfc.Interleaved
-		default:
-			return fmt.Errorf("unknown order %q", orderName)
-		}
-		res, err := core.PartitionCubedSphere(core.Config{Ne: ne, NProcs: nproc, Order: order})
+	if meth.Name == "sfc" {
+		curve, err := prob.Curve()
 		if err != nil {
 			return err
 		}
-		p = res.Partition
 		fmt.Printf("SFC schedule: %v over the %d faces (curve length %d)\n",
-			res.Schedule, mesh.NumFaces, res.Curve.Len())
-	case "rb", "kway", "tv":
-		mm := map[string]metis.Method{"rb": metis.RB, "kway": metis.KWay, "tv": metis.KWayVol}[method]
-		p, err = metis.Partition(g, nproc, metis.Options{Method: mm, Seed: seed})
-		if err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("unknown method %q (want sfc, rb, kway, tv)", method)
+			curve.Schedule(), mesh.NumFaces, curve.Len())
+	}
+	m := prob.Mesh()
+	g, err := prob.Graph()
+	if err != nil {
+		return err
 	}
 
 	st, err := partition.ComputeStats(g, p)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("K=%d elements on %d processors (%s)\n", m.NumElems(), nproc, method)
+	fmt.Printf("K=%d elements on %d processors (%s)\n", m.NumElems(), nproc, meth.Name)
 	fmt.Printf("  nelemd:      %d .. %d per processor\n", st.MinNelemd, st.MaxNelemd)
 	fmt.Printf("  LB(nelemd):  %.4f\n", st.LBNelemd)
 	fmt.Printf("  LB(spcv):    %.4f\n", st.LBSpcv)

@@ -1,0 +1,68 @@
+package main
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"sfccube/internal/partition"
+)
+
+// TestRunReproducesPinnedAssignments: for every method name, the partition
+// run saves hashes to the value recorded on the pre-method-table commit (the
+// uniform Ne=8, 24-part rows of internal/core/testdata/assignments.json; see
+// core.TestPinnedAssignments for the format).
+func TestRunReproducesPinnedAssignments(t *testing.T) {
+	b, err := os.ReadFile("../../internal/core/testdata/assignments.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pinned []struct {
+		Ne, NParts              int
+		Seed                    int64
+		Weights, Method, SHA256 string
+	}
+	if err := json.Unmarshal(b, &pinned); err != nil {
+		t.Fatal(err)
+	}
+	ran := 0
+	for _, c := range pinned {
+		if c.Ne != 8 || c.Weights != "uniform" {
+			continue
+		}
+		ran++
+		path := filepath.Join(t.TempDir(), c.Method+".part")
+		if err := run(c.Ne, c.NParts, c.Method, "peano-first", c.Seed, false, path); err != nil {
+			t.Fatalf("%s: %v", c.Method, err)
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := partition.ReadFrom(f)
+		f.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", c.Method, err)
+		}
+		raw := make([]byte, 4*p.NumVertices())
+		for i, v := range p.Assignment() {
+			binary.LittleEndian.PutUint32(raw[4*i:], uint32(v))
+		}
+		if h := sha256.Sum256(raw); hex.EncodeToString(h[:]) != c.SHA256 {
+			t.Errorf("%s: saved partition hashes to %x, want %s", c.Method, h, c.SHA256)
+		}
+	}
+	if ran != 5 {
+		t.Fatalf("ran %d pinned cases, want 5", ran)
+	}
+	if err := run(8, 24, "bogus", "peano-first", 1, false, ""); err == nil {
+		t.Error("unknown method accepted")
+	}
+	if err := run(8, 24, "sfc", "bogus", 1, false, ""); err == nil {
+		t.Error("unknown order accepted")
+	}
+}

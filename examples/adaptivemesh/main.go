@@ -55,16 +55,7 @@ func main() {
 		fmt.Printf("  level %d: %d leaves\n", lv, levels[lv])
 	}
 
-	order, err := forest.Order(sfc.PeanoFirst)
-	if err != nil {
-		log.Fatal(err)
-	}
-	n := forest.NumLeaves()
-	assign := make([]int32, n)
-	for r, leaf := range order {
-		assign[leaf] = int32(r * nproc / n)
-	}
-	p, err := partition.FromAssignment(assign, nproc)
+	p, err := forest.PartitionCurve(sfc.PeanoFirst, nproc, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -13,14 +13,12 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"sfccube/internal/core"
-	"sfccube/internal/graph"
 	"sfccube/internal/machine"
-	"sfccube/internal/mesh"
-	"sfccube/internal/metis"
 )
 
 func main() {
@@ -32,18 +30,22 @@ func main() {
 }
 
 func study(ne int) error {
-	m, err := mesh.New(ne)
-	if err != nil {
-		return err
-	}
-	g, err := graph.FromMesh(m, graph.DefaultOptions())
+	prob, err := core.NewProblem(ne)
 	if err != nil {
 		return err
 	}
 	w := machine.DefaultWorkload()
 	mod := machine.NCARP690()
+	stepTime := func(method string, nproc int) (float64, error) {
+		p, err := core.Run(context.Background(), method, prob, nproc, 0, nil)
+		if err != nil {
+			return 0, err
+		}
+		rep, err := machine.SimulateStep(prob.Mesh(), p, w, mod, nil)
+		return rep.StepTime, err
+	}
 
-	k := m.NumElems()
+	k := prob.Mesh().NumElems()
 	fmt.Printf("\nK=%d (Ne=%d)\n", k, ne)
 	fmt.Printf("%6s %10s %12s %12s %10s\n", "Nproc", "elem/proc", "SFC us/step", "best METIS", "SFC gain")
 
@@ -52,31 +54,23 @@ func study(ne int) error {
 		if nproc == 1 || nproc > 768 {
 			continue
 		}
-		res, err := core.PartitionCubedSphere(core.Config{Ne: ne, NProcs: nproc})
-		if err != nil {
-			return err
-		}
-		sfcRep, err := machine.SimulateStep(m, res.Partition, w, mod, nil)
+		sfcTime, err := stepTime("sfc", nproc)
 		if err != nil {
 			return err
 		}
 		best := 0.0
-		for _, method := range []metis.Method{metis.RB, metis.KWay, metis.KWayVol} {
-			p, err := metis.Partition(g, nproc, metis.Options{Method: method})
+		for _, method := range []string{"rb", "kway", "tv"} {
+			t, err := stepTime(method, nproc)
 			if err != nil {
 				return err
 			}
-			rep, err := machine.SimulateStep(m, p, w, mod, nil)
-			if err != nil {
-				return err
-			}
-			if best == 0 || rep.StepTime < best {
-				best = rep.StepTime
+			if best == 0 || t < best {
+				best = t
 			}
 		}
-		gain := best/sfcRep.StepTime - 1
+		gain := best/sfcTime - 1
 		fmt.Printf("%6d %10d %12.0f %12.0f %9.1f%%\n",
-			nproc, k/nproc, sfcRep.StepTime*1e6, best*1e6, gain*100)
+			nproc, k/nproc, sfcTime*1e6, best*1e6, gain*100)
 		if crossover < 0 && gain > 0.02 {
 			crossover = nproc
 		}

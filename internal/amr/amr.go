@@ -233,6 +233,10 @@ func faceFrame(f mesh.Face) struct{ c, u, v [3]int } {
 // argsorted. The finest curve uses the base mesh's schedule extended by one
 // Hilbert level per refinement level, so descendants of any cell are
 // contiguous and the resulting leaf order is itself a space-filling order.
+//
+// It builds the Ne<<maxLevel mesh and its full curve on every call, so it is
+// kept only as the brute-force reference FuzzForestOrder compares CurveOrder
+// against; partitioning goes through CurveOrder / PartitionCurve.
 func (f *Forest) Order(order sfc.Order) ([]int, error) {
 	ne := f.base.Ne()
 	baseSched, err := sfc.ScheduleFor(ne, order)

@@ -128,41 +128,13 @@ func (f *Forest) LeafWeights(spec weights.Spec) []int64 {
 // because the curve order already interleaves refined children within their
 // parent's rank interval.
 func (f *Forest) PartitionCurve(order sfc.Order, nparts int, w []int64) (*partition.Partition, error) {
-	n := f.NumLeaves()
-	if nparts < 1 || nparts > n {
-		return nil, fmt.Errorf("amr: nparts=%d out of range [1,%d]", nparts, n)
-	}
 	idx, err := f.CurveOrder(order)
 	if err != nil {
 		return nil, err
 	}
-	cw := make([]int64, n)
-	if w == nil {
-		for i := range cw {
-			cw[i] = 1
-		}
-	} else {
-		if len(w) != n {
-			return nil, fmt.Errorf("amr: %d weights for %d leaves", len(w), n)
-		}
-		if err := partition.ValidateWeights(w); err != nil {
-			return nil, err
-		}
-		par.ForChunks(n, 1<<14, func(lo, hi int) {
-			for rank := lo; rank < hi; rank++ {
-				cw[rank] = w[idx[rank]]
-			}
-		})
-	}
-	segAssign, err := partition.SplitContiguous(cw, nparts)
+	assign, err := partition.SplitAlong(idx, nparts, w)
 	if err != nil {
 		return nil, err
 	}
-	assign := make([]int32, n)
-	par.ForChunks(n, 1<<14, func(lo, hi int) {
-		for rank := lo; rank < hi; rank++ {
-			assign[idx[rank]] = segAssign[rank]
-		}
-	})
 	return partition.FromAssignment(assign, nparts)
 }

@@ -1,11 +1,8 @@
 package amr
 
 import (
-	"fmt"
-
 	"sfccube/internal/core"
 	"sfccube/internal/mesh"
-	"sfccube/internal/partition"
 	"sfccube/internal/sfc"
 )
 
@@ -41,36 +38,11 @@ func NewRepartitioner(order sfc.Order) *Repartitioner {
 // the per-leaf assignment together with the finest-grid migration cost
 // relative to the previous update.
 func (r *Repartitioner) Update(f *Forest, nprocs int, weights []int64, bytesPerElem int64) ([]int32, core.Migration, error) {
-	n := f.NumLeaves()
-	if nprocs < 1 || nprocs > n {
-		return nil, core.Migration{}, fmt.Errorf("amr: nprocs=%d out of range [1,%d]", nprocs, n)
-	}
-	if weights != nil && len(weights) != n {
-		return nil, core.Migration{}, fmt.Errorf("amr: %d weights for %d leaves", len(weights), n)
-	}
-	idx, err := f.Order(r.order)
+	p, err := f.PartitionCurve(r.order, nprocs, weights)
 	if err != nil {
 		return nil, core.Migration{}, err
 	}
-	// Permute weights into curve order and cut.
-	w := make([]int64, n)
-	if weights == nil {
-		for i := range w {
-			w[i] = 1
-		}
-	} else {
-		for pos, leaf := range idx {
-			w[pos] = weights[leaf]
-		}
-	}
-	seg, err := partition.SplitContiguous(w, nprocs)
-	if err != nil {
-		return nil, core.Migration{}, err
-	}
-	assign := make([]int32, n)
-	for pos, leaf := range idx {
-		assign[leaf] = seg[pos]
-	}
+	assign := p.Assignment()
 
 	// Expand to the finest uniform grid: every leaf covers scale x scale
 	// finest cells on its face.

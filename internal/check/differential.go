@@ -1,15 +1,13 @@
 package check
 
 import (
+	"context"
 	"fmt"
 	"math"
 
 	"sfccube/internal/core"
 	"sfccube/internal/graph"
-	"sfccube/internal/mesh"
-	"sfccube/internal/metis"
 	"sfccube/internal/partition"
-	"sfccube/internal/weights"
 )
 
 // Methods is the fixed strategy set of the differential harness, matching
@@ -64,27 +62,6 @@ func (t Tolerances) withDefaults() Tolerances {
 	return t
 }
 
-// partitionFor runs one method on the shared mesh/graph of a case. w is the
-// generated weight vector of the case (nil for uniform); the METIS methods
-// read it from the graph's vertex weights instead.
-func partitionFor(method string, m *mesh.Mesh, g *graph.Graph, c Case, w []int64) (*partition.Partition, error) {
-	switch method {
-	case "SFC":
-		res, err := core.PartitionCubedSphere(core.Config{Ne: c.Ne, NProcs: c.NProcs, Weights: w})
-		if err != nil {
-			return nil, err
-		}
-		return res.Partition, nil
-	case "RB":
-		return metis.Partition(g, c.NProcs, metis.Options{Method: metis.RB, Seed: c.Seed})
-	case "KWAY":
-		return metis.Partition(g, c.NProcs, metis.Options{Method: metis.KWay, Seed: c.Seed})
-	case "TV":
-		return metis.Partition(g, c.NProcs, metis.Options{Method: metis.KWayVol, Seed: c.Seed})
-	}
-	return nil, fmt.Errorf("check: unknown method %q", method)
-}
-
 // RunDifferential partitions one case with every method, validates each
 // partition structurally, cross-checks partition.ComputeStats against the
 // independent metric recomputation, audits every partition's boundary
@@ -92,29 +69,23 @@ func partitionFor(method string, m *mesh.Mesh, g *graph.Graph, c Case, w []int64
 // compactness ceiling for the compact methods), and returns the metrics per
 // method.
 func RunDifferential(c Case) (*Result, error) {
-	m, err := mesh.New(c.Ne)
+	prob, err := core.NewProblem(c.Ne)
 	if err != nil {
 		return nil, err
 	}
-	spec, err := weights.Parse(c.Weights)
-	if err != nil {
+	if err := prob.SetWeightSpec(c.Weights); err != nil {
 		return nil, fmt.Errorf("check: case %+v: %w", c, err)
 	}
-	w := spec.Generate(m)
-	opt := graph.DefaultOptions()
-	if opt.VertexWeights, err = weights.Int32(w); err != nil {
-		return nil, fmt.Errorf("check: case %+v: %w", c, err)
-	}
-	g, err := graph.FromMesh(m, opt)
+	g, err := prob.Graph()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("check: case %+v: %w", c, err)
 	}
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("check: case %+v: %w", c, err)
 	}
 	res := &Result{Case: c, Metrics: make(map[string]Metrics, len(Methods))}
 	for _, method := range Methods {
-		p, err := partitionFor(method, m, g, c, w)
+		p, err := core.Run(context.Background(), method, prob, c.NProcs, c.Seed, nil)
 		if err != nil {
 			return nil, fmt.Errorf("check: case %+v method %s: %w", c, method, err)
 		}

@@ -12,10 +12,9 @@
 package core
 
 import (
-	"fmt"
+	"context"
 
 	"sfccube/internal/mesh"
-	"sfccube/internal/par"
 	"sfccube/internal/partition"
 	"sfccube/internal/sfc"
 )
@@ -47,85 +46,37 @@ type Result struct {
 	Partition *partition.Partition
 }
 
-// PartitionCubedSphere runs the complete SFC partitioning algorithm:
-// build the mesh, select the refinement schedule from the factorisation of
-// Ne, generate the continuous cubed-sphere curve, and split it into NProcs
-// contiguous segments.
+// PartitionCubedSphere runs the complete SFC partitioning algorithm — build
+// the mesh, select the refinement schedule from the factorisation of Ne,
+// generate the continuous cubed-sphere curve, split it into NProcs contiguous
+// segments — as "new Problem, run sfc".
 func PartitionCubedSphere(cfg Config) (*Result, error) {
-	// NewAuto defers adjacency materialisation above ~10^5 elements: the SFC
-	// algorithm itself never queries element neighbours, so the big regime
-	// (Ne >= 384) pays only the O(Ne) cube-edge index.
-	m, err := mesh.NewAuto(cfg.Ne)
+	p, err := NewProblem(cfg.Ne)
 	if err != nil {
 		return nil, err
 	}
-	sched, err := sfc.ScheduleFor(cfg.Ne, cfg.Order)
-	if err != nil {
-		return nil, fmt.Errorf("core: Ne=%d: %w", cfg.Ne, err)
+	p.Order = cfg.Order
+	if err := p.SetWeights(cfg.Weights); err != nil {
+		return nil, err
 	}
-	curve, err := sfc.NewCubeCurve(m, sched)
+	part, err := Run(context.Background(), "sfc", p, cfg.NProcs, 0, nil)
 	if err != nil {
 		return nil, err
 	}
-	p, err := PartitionCurve(curve, cfg.NProcs, cfg.Weights)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Mesh: m, Curve: curve, Schedule: sched, Partition: p}, nil
+	curve, _ := p.Curve() // memoised by the run above
+	return &Result{Mesh: p.Mesh(), Curve: curve, Schedule: curve.Schedule(), Partition: part}, nil
 }
 
 // PartitionCurve splits an existing cubed-sphere curve into nprocs contiguous
 // segments of near-equal weight and returns the element-to-processor
 // assignment. weights may be nil for uniform element cost; otherwise it is
-// indexed by mesh.ElemID. Zero weights mark inactive elements and are
-// allowed; a negative weight fails with *partition.WeightError and an
-// all-zero vector with *partition.ZeroTotalWeightError (both reported in
-// element-id space, before the curve permutation), never a degenerate split.
-//
-// The weight permutation into curve order and the scatter back to element
-// ids are pure gather/scatter loops over the curve bijection and fan out
-// across goroutines; the cut points themselves come from the sequential
-// greedy walk inside SplitContiguous, so the assignment is byte-identical
-// at any GOMAXPROCS.
+// indexed by mesh.ElemID, with the zero-weight and typed-error semantics of
+// partition.SplitAlong.
 func PartitionCurve(curve *sfc.CubeCurve, nprocs int, weights []int64) (*partition.Partition, error) {
-	k := curve.Len()
-	if nprocs < 1 || nprocs > k {
-		return nil, fmt.Errorf("core: NProcs=%d out of range [1,%d]", nprocs, k)
-	}
-	// Permute weights into curve order.
-	w := make([]int64, k)
-	if weights == nil {
-		for i := range w {
-			w[i] = 1
-		}
-	} else {
-		if len(weights) != k {
-			return nil, fmt.Errorf("core: %d weights for %d elements", len(weights), k)
-		}
-		// Validate in element-id space so a typed error points at the
-		// element, not its curve rank (SplitContiguous would re-discover the
-		// problem, but only after the permutation scrambles the index).
-		if err := partition.ValidateWeights(weights); err != nil {
-			return nil, err
-		}
-		par.ForChunks(k, 1<<15, func(lo, hi int) {
-			for rank := lo; rank < hi; rank++ {
-				w[rank] = weights[curve.At(rank)]
-			}
-		})
-	}
-	segAssign, err := partition.SplitContiguous(w, nprocs)
+	assign, err := partition.SplitAlong(curve.Order(), nprocs, weights)
 	if err != nil {
 		return nil, err
 	}
-	// Scatter back from curve order to element ids; the curve is a
-	// bijection, so writes are disjoint.
-	assign := make([]int32, k)
-	par.ForChunks(k, 1<<15, func(lo, hi int) {
-		for rank := lo; rank < hi; rank++ {
-			assign[curve.At(rank)] = segAssign[rank]
-		}
-	})
 	return partition.FromAssignment(assign, nprocs)
 }
 

@@ -40,10 +40,6 @@ func AMRPartition(seed int64) (*Table, error) {
 	if _, err := forest.Balance(); err != nil {
 		return nil, err
 	}
-	order, err := forest.Order(sfc.PeanoFirst)
-	if err != nil {
-		return nil, err
-	}
 	g, err := forest.Graph(8, 1)
 	if err != nil {
 		return nil, err
@@ -54,11 +50,7 @@ func AMRPartition(seed int64) (*Table, error) {
 
 	for _, nproc := range []int{16, 64, 128} {
 		// SFC: contiguous split of the leaf order.
-		assign := make([]int32, n)
-		for r, leaf := range order {
-			assign[leaf] = int32(r * nproc / n)
-		}
-		sfcPart, err := partition.FromAssignment(assign, nproc)
+		sfcPart, err := forest.PartitionCurve(sfc.PeanoFirst, nproc, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -1,13 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
 	"sfccube/internal/core"
-	"sfccube/internal/graph"
 	"sfccube/internal/mesh"
-	"sfccube/internal/metis"
 	"sfccube/internal/partition"
 	"sfccube/internal/sfc"
 )
@@ -64,16 +63,16 @@ func DynamicRepartition(seed int64) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		w32 := make([]int32, len(weights))
-		for i, w := range weights {
-			w32[i] = int32(w)
-		}
-		// Rebuild the graph with the step's weights for KWAY.
-		wg, err := weightedMeshGraph(s.Mesh, w32)
+		// KWAY from scratch on the step's load model: a fresh problem (and
+		// weighted graph) over the shared mesh.
+		prob, err := core.ProblemFrom(ne, s.Mesh, nil)
 		if err != nil {
 			return nil, err
 		}
-		kwayPart, err := metis.Partition(wg, nproc, metis.Options{Method: metis.KWay, Seed: seed})
+		if err := prob.SetWeights(weights); err != nil {
+			return nil, err
+		}
+		kwayPart, err := core.Run(context.Background(), "kway", prob, nproc, seed, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -87,7 +86,7 @@ func DynamicRepartition(seed int64) (*Table, error) {
 		lastKway = kwayPart
 
 		lbOf := func(p *partition.Partition) float64 {
-			return partition.LoadBalanceInt64(p.WeightedCounts(func(v int) int32 { return w32[v] }))
+			return partition.LoadBalanceInt64(p.WeightedCounts(func(v int) int32 { return int32(weights[v]) }))
 		}
 		if step > 0 {
 			sfcMovedTotal += mig.MovedFraction
@@ -105,11 +104,4 @@ func DynamicRepartition(seed int64) (*Table, error) {
 		"mean migration per repartition: SFC %.1f%%, KWAY-from-scratch %.1f%%",
 		sfcMovedTotal/float64(steps-1)*100, kwayMovedTotal/float64(steps-1)*100))
 	return t, nil
-}
-
-// weightedMeshGraph builds the partitioning graph with per-element weights.
-func weightedMeshGraph(m *mesh.Mesh, w []int32) (*graph.Graph, error) {
-	opt := graph.DefaultOptions()
-	opt.VertexWeights = w
-	return graph.FromMesh(m, opt)
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"runtime"
@@ -12,7 +13,6 @@ import (
 	"sfccube/internal/graph"
 	"sfccube/internal/machine"
 	"sfccube/internal/mesh"
-	"sfccube/internal/metis"
 	"sfccube/internal/obs"
 	"sfccube/internal/partition"
 	"sfccube/internal/sfc"
@@ -22,34 +22,10 @@ import (
 // order (SFC, RB, KWAY, TV) also fixes the series colors of every figure.
 var methodNames = []string{"SFC", "RB", "KWAY", "TV"}
 
-// partitionWith runs one of the four strategies on the given mesh/graph.
-func partitionWith(method string, m *mesh.Mesh, g *graph.Graph, nproc int, seed int64) (*partition.Partition, error) {
-	return partitionWithObs(method, m, g, nproc, seed, nil)
-}
-
-// partitionWithObs is partitionWith with an optional metrics registry: the
-// METIS-style partitioners record their multilevel metrics into reg (SFC
-// is a closed-form construction with nothing to meter).
-func partitionWithObs(method string, m *mesh.Mesh, g *graph.Graph, nproc int, seed int64, reg *obs.Registry) (*partition.Partition, error) {
-	switch method {
-	case "SFC":
-		res, err := core.PartitionCubedSphere(core.Config{Ne: m.Ne(), NProcs: nproc})
-		if err != nil {
-			return nil, err
-		}
-		return res.Partition, nil
-	case "RB":
-		return metis.Partition(g, nproc, metis.Options{Method: metis.RB, Seed: seed, Obs: reg})
-	case "KWAY":
-		return metis.Partition(g, nproc, metis.Options{Method: metis.KWay, Seed: seed, Obs: reg})
-	case "TV":
-		return metis.Partition(g, nproc, metis.Options{Method: metis.KWayVol, Seed: seed, Obs: reg})
-	}
-	return nil, fmt.Errorf("experiments: unknown method %q", method)
-}
-
-// Setup bundles the reusable pieces of one resolution's experiments.
+// Setup bundles the reusable pieces of one resolution's experiments. Mesh and
+// Graph are Problem's, surfaced for the many readers that need nothing else.
 type Setup struct {
+	Problem  *core.Problem
 	Mesh     *mesh.Mesh
 	Graph    *graph.Graph
 	Workload machine.Workload
@@ -57,27 +33,42 @@ type Setup struct {
 	Serial   machine.StepReport
 }
 
-// NewSetup prepares the mesh, graph, workload and machine model for a
-// resolution. The mesh keeps its adjacency deferred above ~10^5 elements
-// (mesh.NewAuto) and the dual graph streams through the exact-size CSR
-// build, so the sweep scales to the million-element regime without holding
-// any intermediate edge list.
-func NewSetup(ne int) (*Setup, error) {
-	m, err := mesh.NewAuto(ne)
+// NewSetup prepares the unit-cost problem, workload and machine model for a
+// resolution.
+func NewSetup(ne int) (*Setup, error) { return NewWeightedSetup(ne, "") }
+
+// NewWeightedSetup is NewSetup under a weight spec (package weights grammar):
+// the generated vector becomes the problem's load model, so the curve split
+// and the graph's vertex weights agree by construction. The mesh keeps its
+// adjacency deferred above ~10^5 elements and the dual graph streams through
+// the exact-size CSR build (see core.Problem), so the sweep scales to the
+// million-element regime without holding any intermediate edge list.
+func NewWeightedSetup(ne int, spec string) (*Setup, error) {
+	prob, err := core.NewProblem(ne)
 	if err != nil {
 		return nil, err
 	}
-	g, err := graph.FromMesh(m, graph.DefaultOptions())
+	if err := prob.SetWeightSpec(spec); err != nil {
+		return nil, err
+	}
+	g, err := prob.Graph()
 	if err != nil {
 		return nil, err
 	}
 	w := machine.DefaultWorkload()
 	mod := machine.NCARP690()
-	serial, err := machine.SerialStep(m, w, mod, nil)
+	serial, err := machine.SerialStep(prob.Mesh(), w, mod, nil)
 	if err != nil {
 		return nil, err
 	}
-	return &Setup{Mesh: m, Graph: g, Workload: w, Model: mod, Serial: serial}, nil
+	return &Setup{Problem: prob, Mesh: prob.Mesh(), Graph: g, Workload: w, Model: mod, Serial: serial}, nil
+}
+
+// Partition runs one method-table entry on the setup's problem; the
+// METIS-style partitioners record their multilevel metrics into reg (nil =
+// unmetered).
+func (s *Setup) Partition(method string, nproc int, seed int64, reg *obs.Registry) (*partition.Partition, error) {
+	return core.Run(context.Background(), method, s.Problem, nproc, seed, reg)
 }
 
 // Table1 reproduces Table 1 of the paper: the SEAM test resolutions with
@@ -173,7 +164,7 @@ func table2(seed int64, collect bool) (*Table, Telemetry, error) {
 		go func(i int, method string) {
 			defer wg.Done()
 			reg := regs[i]
-			p, err := partitionWithObs(method, s.Mesh, s.Graph, nproc, seed, reg)
+			p, err := s.Partition(method, nproc, seed, reg)
 			if err != nil {
 				errs[i] = err
 				return
@@ -313,7 +304,7 @@ func sweepProcs(ne int, procs []int, seed int64, pick func(machine.StepReport, m
 			}
 			rep := s.Serial
 			if c.np != 1 {
-				p, err := partitionWith(c.method, s.Mesh, s.Graph, c.np, seed)
+				p, err := s.Partition(c.method, c.np, seed, nil)
 				if err != nil {
 					fail(err)
 					return
@@ -432,7 +423,7 @@ func K1944(seed int64) (*Table, error) {
 		bestMetis := 0.0
 		first := true
 		for _, method := range methodNames {
-			p, err := partitionWith(method, s.Mesh, s.Graph, c.nproc, seed)
+			p, err := s.Partition(method, c.nproc, seed, nil)
 			if err != nil {
 				return nil, err
 			}

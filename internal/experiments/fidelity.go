@@ -23,7 +23,7 @@ func ModelFidelity(seed int64) (*Table, error) {
 		return nil, err
 	}
 	for _, method := range []string{"SFC", "RB", "KWAY", "TV"} {
-		p, err := partitionWith(method, s.Mesh, s.Graph, nproc, seed)
+		p, err := s.Partition(method, nproc, seed, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -4,10 +4,7 @@ import (
 	"fmt"
 
 	"sfccube/internal/core"
-	"sfccube/internal/graph"
-	"sfccube/internal/mesh"
 	"sfccube/internal/partition"
-	"sfccube/internal/weights"
 )
 
 // Weighted regime: the paper's experiments assume unit element cost, but
@@ -23,56 +20,17 @@ import (
 // default 8x cost ratio.
 const DefaultWeightSpec = "cfl"
 
-// weightedSetup is NewSetup plus a generated weight vector installed as the
-// graph's vertex weights. A uniform spec yields nil weights (and leaves the
-// graph untouched).
-func weightedSetup(ne int, spec string) (*Setup, []int64, error) {
-	s, err := NewSetup(ne)
-	if err != nil {
-		return nil, nil, err
-	}
-	ws, err := weights.Parse(spec)
-	if err != nil {
-		return nil, nil, err
-	}
-	w := ws.Generate(s.Mesh)
-	if w != nil {
-		w32, err := weights.Int32(w)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := s.Graph.SetVertexWeights(w32); err != nil {
-			return nil, nil, err
-		}
-	}
-	return s, w, nil
-}
-
-// partitionWithWeights is partitionWith under an element weight vector: the
-// SFC strategy cuts the curve into near-equal-weight segments, the METIS
-// strategies read the same weights from the graph's vertex weights (the
-// caller installs them — weightedSetup does).
-func partitionWithWeights(method string, m *mesh.Mesh, g *graph.Graph, w []int64, nproc int, seed int64) (*partition.Partition, error) {
-	if method == "SFC" {
-		res, err := core.PartitionCubedSphere(core.Config{Ne: m.Ne(), NProcs: nproc, Weights: w})
-		if err != nil {
-			return nil, err
-		}
-		return res.Partition, nil
-	}
-	return partitionWith(method, m, g, nproc, seed)
-}
-
 // Table2Weighted is the weighted variant of Table 2: partition statistics
 // for K=1536 on 768 processors under a physics-proxy weight spec. The
 // headline row is LB(weight), equation (1) over per-part weight totals —
 // the balance each method was actually asked to optimise.
 func Table2Weighted(seed int64, spec string) (*Table, error) {
 	const ne, nproc = 16, 768
-	s, w, err := weightedSetup(ne, spec)
+	s, err := NewWeightedSetup(ne, spec)
 	if err != nil {
 		return nil, err
 	}
+	w := s.Problem.Weights()
 	if w == nil {
 		return nil, fmt.Errorf("experiments: weighted table needs a non-uniform spec, got %q", spec)
 	}
@@ -89,7 +47,7 @@ func Table2Weighted(seed int64, spec string) (*Table, error) {
 	}
 	cols := make(map[string]col, len(order))
 	for _, method := range order {
-		p, err := partitionWithWeights(method, s.Mesh, s.Graph, w, nproc, seed)
+		p, err := s.Partition(method, nproc, seed, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -127,12 +85,18 @@ func Table2Weighted(seed int64, spec string) (*Table, error) {
 // generation, curve split, stats) runs the same parallel kernels as the
 // production paths, and the output is byte-identical at any GOMAXPROCS.
 func WeightedSweep(ne, maxProc int, seed int64, spec string) (*Figure, error) {
-	s, w, err := weightedSetup(ne, spec)
+	s, err := NewWeightedSetup(ne, spec)
 	if err != nil {
 		return nil, err
 	}
+	w := s.Problem.Weights()
 	if w == nil {
 		return nil, fmt.Errorf("experiments: weighted sweep needs a non-uniform spec, got %q", spec)
+	}
+	// The SFC-UNW baseline cuts the same memoised curve with unit weights.
+	curve, err := s.Problem.Curve()
+	if err != nil {
+		return nil, err
 	}
 	procs := procSweep(ne, maxProc)
 	labels := append(append([]string{}, methodNames...), "SFC-UNW")
@@ -149,9 +113,9 @@ func WeightedSweep(ne, maxProc int, seed int64, spec string) (*Figure, error) {
 			var p *partition.Partition
 			var err error
 			if label == "SFC-UNW" {
-				p, err = partitionWith("SFC", s.Mesh, s.Graph, np, seed)
+				p, err = core.PartitionCurve(curve, np, nil)
 			} else {
-				p, err = partitionWithWeights(label, s.Mesh, s.Graph, w, np, seed)
+				p, err = s.Partition(label, np, seed, nil)
 			}
 			if err != nil {
 				return nil, fmt.Errorf("experiments: weighted sweep %s nproc=%d: %w", label, np, err)

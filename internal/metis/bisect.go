@@ -3,6 +3,8 @@ package metis
 import (
 	"runtime"
 	"sync"
+
+	"sfccube/internal/prng"
 )
 
 // bisect computes a 2-way split of g with target weight tw0 for side 0,
@@ -10,7 +12,7 @@ import (
 // bisection, then FM refinement during uncoarsening. It returns the side
 // (0 or 1) of every vertex in a workspace-owned buffer; the caller releases
 // it with ws.putSide once the subgraphs are built.
-func bisect(g *wgraph, tw0, band float64, rng *prng, opt Options, ws *workspace, stop *stopper) []int8 {
+func bisect(g *wgraph, tw0, band float64, rng *prng.Stream, opt Options, ws *workspace, stop *stopper) []int8 {
 	levels, coarsest := coarsen(g, opt.CoarsenTo, rng, ws, stop)
 	side := initialBisection(coarsest, tw0, band, rng, opt, ws, stop)
 	fmRefine(coarsest, side, tw0, band, opt.RefineIters, ws, stop)
@@ -32,7 +34,7 @@ func bisect(g *wgraph, tw0, band float64, rng *prng, opt Options, ws *workspace,
 
 // initialBisection runs several greedy-graph-growing attempts from random
 // seeds and keeps the one with the smallest cut after balancing.
-func initialBisection(g *wgraph, tw0, band float64, rng *prng, opt Options, ws *workspace, stop *stopper) []int8 {
+func initialBisection(g *wgraph, tw0, band float64, rng *prng.Stream, opt Options, ws *workspace, stop *stopper) []int8 {
 	n := g.n()
 	best := ws.side(n)
 	if n == 1 {
@@ -71,7 +73,7 @@ func initialBisection(g *wgraph, tw0, band float64, rng *prng, opt Options, ws *
 // frontier vertex with the highest gain (external minus internal degree,
 // i.e. the vertex whose absorption reduces the future cut the most), until
 // side 0 reaches the target weight. The result is written into side.
-func growRegion(g *wgraph, tw0 float64, rng *prng, ws *workspace, side []int8) {
+func growRegion(g *wgraph, tw0 float64, rng *prng.Stream, ws *workspace, side []int8) {
 	n := g.n()
 	for i := range side {
 		side[i] = 1
@@ -223,7 +225,7 @@ func maxRBWorkers() int {
 func runRB(g *wgraph, verts []int32, firstPart, nparts int, assign []int32, seed uint64, opt Options, stop *stopper) {
 	c := &rbCtx{assign: assign, opt: opt, sem: make(chan struct{}, maxRBWorkers()), stop: stop}
 	ws := getWS()
-	c.recurse(g, verts, firstPart, nparts, splitmix64(seed), ws)
+	c.recurse(g, verts, firstPart, nparts, prng.Mix(seed), ws)
 	putWS(ws)
 	c.wg.Wait()
 }
@@ -242,7 +244,7 @@ func (c *rbCtx) recurse(g *wgraph, origVerts []int32, firstPart, nparts int, see
 		return
 	}
 	c.stop.obs().observeBisection()
-	rng := newPRNG(seed)
+	rng := prng.New(seed)
 	nLeft := (nparts + 1) / 2
 	nRight := nparts - nLeft
 	total := g.totalVWgt()

@@ -1,5 +1,7 @@
 package metis
 
+import "sfccube/internal/prng"
+
 // coarseLevel records one level of the multilevel hierarchy: the coarse
 // graph and the mapping from fine vertices to coarse vertices.
 type coarseLevel struct {
@@ -14,7 +16,7 @@ type coarseLevel struct {
 // levels[len-1].coarse (or g itself when no contraction happened).
 // Cancellation is polled once per level; an early stop simply leaves the
 // hierarchy shallower (the caller aborts before using the result).
-func coarsen(g *wgraph, coarsenTo int, rng *prng, ws *workspace, stop *stopper) ([]coarseLevel, *wgraph) {
+func coarsen(g *wgraph, coarsenTo int, rng *prng.Stream, ws *workspace, stop *stopper) ([]coarseLevel, *wgraph) {
 	var levels []coarseLevel
 	cur := g
 	for cur.n() > coarsenTo {
@@ -29,7 +31,7 @@ func coarsen(g *wgraph, coarsenTo int, rng *prng, ws *workspace, stop *stopper) 
 		var cmap []int32
 		var nc int
 		if cur.n() >= parCoarsenMinVertices {
-			cmap, nc = heavyEdgeMatchBlocked(cur, rng.next(), ws)
+			cmap, nc = heavyEdgeMatchBlocked(cur, rng.Uint64(), ws)
 		} else {
 			cmap, nc = heavyEdgeMatch(cur, rng, ws)
 		}
@@ -50,7 +52,7 @@ func coarsen(g *wgraph, coarsenTo int, rng *prng, ws *workspace, stop *stopper) 
 // map and the number of coarse vertices. The visit order comes from the
 // workspace's reused index buffer, re-shuffled in place (no per-level
 // rng.Perm allocation).
-func heavyEdgeMatch(g *wgraph, rng *prng, ws *workspace) (cmap []int32, nc int) {
+func heavyEdgeMatch(g *wgraph, rng *prng.Stream, ws *workspace) (cmap []int32, nc int) {
 	n := g.n()
 	match := growI32(ws.match, n)
 	ws.match = match

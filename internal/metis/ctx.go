@@ -6,6 +6,7 @@ import (
 
 	"sfccube/internal/graph"
 	"sfccube/internal/partition"
+	"sfccube/internal/prng"
 )
 
 // stopper adapts a context to the cheap polling the multilevel hot loops
@@ -67,7 +68,7 @@ func PartitionCtx(ctx context.Context, gr *graph.Graph, nparts int, opt Options)
 		}
 		runRB(wg, verts, 0, nparts, assign, uint64(opt.Seed), opt, stop)
 	case KWay, KWayVol:
-		rng := newPRNG(splitmix64(uint64(opt.Seed)))
+		rng := prng.New(prng.Mix(uint64(opt.Seed)))
 		assign = kwayPartition(wg, nparts, rng, opt, stop)
 	default:
 		return nil, fmt.Errorf("metis: unknown method %d", opt.Method)

@@ -1,11 +1,13 @@
 package metis
 
+import "sfccube/internal/prng"
+
 // kwayPartition implements multilevel K-way partitioning: coarsen the whole
 // graph, compute an initial K-way partition of the coarsest graph by
 // (parallel) recursive bisection, then project back while running greedy
 // K-way refinement at every level. The refinement objective is the edgecut
 // for Method KWay and the total communication volume for Method KWayVol.
-func kwayPartition(g *wgraph, nparts int, rng *prng, opt Options, stop *stopper) []int32 {
+func kwayPartition(g *wgraph, nparts int, rng *prng.Stream, opt Options, stop *stopper) []int32 {
 	ws := getWS()
 	defer putWS(ws)
 	// Keep enough coarse vertices to seed every part.
@@ -199,7 +201,7 @@ func boundaryQueue(g *wgraph, assign []int32, ws *workspace, dst []int32) []int3
 // re-enqueued for the next pass. Per-vertex connectivity is accumulated in
 // an O(nparts) scratch array reset through a touched list, so one pass costs
 // O(boundary + moved·deg) instead of the former full-graph rescan.
-func kwayRefineCut(g *wgraph, assign []int32, nparts int, maxPart int64, iters int, rng *prng, ws *workspace, stop *stopper) {
+func kwayRefineCut(g *wgraph, assign []int32, nparts int, maxPart int64, iters int, rng *prng.Stream, ws *workspace, stop *stopper) {
 	n := g.n()
 	pwgt := growI64(ws.pwgt, nparts)
 	ws.pwgt = pwgt
@@ -332,7 +334,7 @@ func kwayRefineCut(g *wgraph, assign []int32, nparts int, maxPart int64, iters i
 // maps, and the visit order is boundary-driven like kwayRefineCut — with a
 // two-hop re-enqueue, because a move changes the exact volume evaluation of
 // everything within distance two.
-func kwayRefineVol(g *wgraph, assign []int32, nparts int, maxPart int64, iters int, rng *prng, ws *workspace, stop *stopper) {
+func kwayRefineVol(g *wgraph, assign []int32, nparts int, maxPart int64, iters int, rng *prng.Stream, ws *workspace, stop *stopper) {
 	n := g.n()
 	pwgt := growI64(ws.pwgt, nparts)
 	ws.pwgt = pwgt

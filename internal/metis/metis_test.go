@@ -8,6 +8,7 @@ import (
 	"sfccube/internal/graph"
 	"sfccube/internal/mesh"
 	"sfccube/internal/partition"
+	"sfccube/internal/prng"
 )
 
 func meshGraph(t testing.TB, ne int) *graph.Graph {
@@ -216,7 +217,7 @@ func TestWeightedVertices(t *testing.T) {
 
 func TestCoarsenPreservesTotals(t *testing.T) {
 	g := fromGraph(gridGraph(10, 10))
-	rng := newPRNG(3)
+	rng := prng.New(3)
 	levels, coarsest := coarsen(g, 10, rng, getWS(), nil)
 	if len(levels) == 0 {
 		t.Fatal("no coarsening happened on a 100-vertex grid")
@@ -280,7 +281,7 @@ func checkSymmetric(t *testing.T, g *wgraph) {
 // only by removing matched internal edges.
 func TestContractEdgeWeightConservation(t *testing.T) {
 	g := fromGraph(gridGraph(6, 6))
-	rng := newPRNG(5)
+	rng := prng.New(5)
 	ws := getWS()
 	cmap, nc := heavyEdgeMatch(g, rng, ws)
 	coarse := contract(g, cmap, nc, ws)

@@ -2,6 +2,7 @@ package metis
 
 import (
 	"sfccube/internal/par"
+	"sfccube/internal/prng"
 )
 
 // Parallel coarsening for the million-element regime. Matching fans out
@@ -53,7 +54,7 @@ func heavyEdgeMatchBlocked(g *wgraph, seed uint64, ws *workspace) (cmap []int32,
 			match[i] = -1
 			perm[i] = int32(i)
 		}
-		rng := newPRNG(childSeed(seed, uint64(b)))
+		rng := prng.New(childSeed(seed, uint64(b)))
 		blk := perm[lo:hi]
 		rng.Shuffle(len(blk), func(i, j int) { blk[i], blk[j] = blk[j], blk[i] })
 		for _, v := range blk {

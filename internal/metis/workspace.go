@@ -1,6 +1,10 @@
 package metis
 
-import "sync"
+import (
+	"sync"
+
+	"sfccube/internal/prng"
+)
 
 // workspace bundles the reusable scratch memory of one partitioning
 // goroutine. The multilevel V-cycle used to allocate its working arrays at
@@ -111,22 +115,10 @@ func (ws *workspace) nextEpoch(nparts int) int64 {
 	return ws.epoch
 }
 
-// splitmix64 is the SplitMix64 finaliser, used to derive independent,
-// deterministic RNG streams for the recursive-bisection subtrees.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
 // childSeed derives the RNG seed of the child-th subtree of a bisection node
 // from the node's own seed. The derivation depends only on the position of
 // the subtree in the bisection tree (never on scheduling), which makes the
 // parallel recursive bisection bit-identical for any GOMAXPROCS.
 func childSeed(seed uint64, child uint64) uint64 {
-	return splitmix64(seed ^ (0xa0761d6478bd642f * (child + 1)))
+	return prng.Mix(seed ^ (0xa0761d6478bd642f * (child + 1)))
 }

@@ -230,6 +230,51 @@ func SplitContiguous(weights []int64, nparts int) ([]int32, error) {
 	return assign, nil
 }
 
+// SplitAlong cuts a visit order into nparts contiguous segments of near-equal
+// weight and returns the assignment indexed by item id: order[rank] is the id
+// of the rank-th item visited (a bijection onto [0, len(order))), weights is
+// indexed by id, nil meaning uniform cost. It is the whole "split the curve"
+// step for the cubed-sphere curve and the AMR leaf order alike: permute the
+// weights into visit order, SplitContiguous, scatter back.
+//
+// Weights are validated in id space, before the permutation scrambles the
+// index, so a typed *WeightError points at the offending item. The gather
+// and scatter loops fan out across goroutines over disjoint ranks; the cut
+// points come from SplitContiguous' sequential walk, so the assignment is
+// byte-identical at any GOMAXPROCS.
+func SplitAlong[I ~int](order []I, nparts int, weights []int64) ([]int32, error) {
+	n := len(order)
+	w := make([]int64, n)
+	if weights == nil {
+		for i := range w {
+			w[i] = 1
+		}
+	} else {
+		if len(weights) != n {
+			return nil, fmt.Errorf("partition: %d weights for %d items", len(weights), n)
+		}
+		if err := ValidateWeights(weights); err != nil {
+			return nil, err
+		}
+		par.ForChunks(n, splitFillChunk, func(lo, hi int) {
+			for rank := lo; rank < hi; rank++ {
+				w[rank] = weights[order[rank]]
+			}
+		})
+	}
+	seg, err := SplitContiguous(w, nparts)
+	if err != nil {
+		return nil, err
+	}
+	assign := make([]int32, n)
+	par.ForChunks(n, splitFillChunk, func(lo, hi int) {
+		for rank := lo; rank < hi; rank++ {
+			assign[order[rank]] = seg[rank]
+		}
+	})
+	return assign, nil
+}
+
 // splitFillChunk is the minimum chunk size for parallel assignment fills;
 // below this the loop is memory-bandwidth trivial and goroutines cost more
 // than they save.

@@ -421,3 +421,47 @@ func mustMesh(tb testing.TB, ne int) *mesh.Mesh {
 	}
 	return m
 }
+
+// TestSplitAlong: the id-indexed assignment is SplitContiguous' segment
+// labels scattered through the visit order, with weights read and validated
+// in id space.
+func TestSplitAlong(t *testing.T) {
+	order := []int{3, 0, 4, 1, 5, 2} // rank -> id
+	weights := []int64{1, 1, 1, 4, 1, 1}
+	got, err := SplitAlong(order, 2, weights)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inOrder := make([]int64, len(order))
+	for rank, id := range order {
+		inOrder[rank] = weights[id]
+	}
+	seg, err := SplitContiguous(inOrder, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rank, id := range order {
+		if got[id] != seg[rank] {
+			t.Errorf("id %d (rank %d) in part %d, want %d", id, rank, got[id], seg[rank])
+		}
+	}
+	uniform, err := SplitAlong(order, 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rank, id := range order {
+		if want := int32(rank * 3 / len(order)); uniform[id] != want {
+			t.Errorf("uniform: id %d in part %d, want %d", id, uniform[id], want)
+		}
+	}
+	var we *WeightError
+	if _, err := SplitAlong(order, 2, []int64{1, 1, 1, 1, -2, 1}); !errors.As(err, &we) || we.Index != 4 {
+		t.Errorf("negative weight at id 4: %v", err)
+	}
+	if _, err := SplitAlong(order, 2, []int64{1, 2}); err == nil {
+		t.Error("short weight vector accepted")
+	}
+	if _, err := SplitAlong(order, 7, nil); err == nil {
+		t.Error("more parts than items accepted")
+	}
+}

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+
+	"sfccube/internal/prng"
 )
 
 // ChaosKind enumerates the service-level injectable fault classes — the
@@ -113,9 +115,9 @@ func (p *ChaosPlan) DecideAt(n uint64) (ChaosSpec, bool) {
 	if p == nil {
 		return ChaosSpec{}, false
 	}
-	base := splitmix64(p.seed ^ splitmix64(n+1))
+	base := prng.Mix(p.seed ^ prng.Mix(n+1))
 	for i, sp := range p.specs {
-		u := float64(splitmix64(base+uint64(i))>>11) / (1 << 53)
+		u := float64(prng.Mix(base+uint64(i))>>11) / (1 << 53)
 		if u < sp.Rate {
 			return sp, true
 		}
@@ -140,44 +142,28 @@ func (p *ChaosPlan) Next() (ChaosSpec, bool) {
 // duration of the timed kinds (default 50ms) and is rejected on the
 // untimed ones.
 func ParseChaosPlan(spec string, seed uint64) (*ChaosPlan, error) {
-	byName := make(map[string]ChaosKind, len(chaosNames))
-	for k, n := range chaosNames {
-		byName[n] = k
-	}
 	var out []ChaosSpec
-	for _, item := range strings.Split(spec, ",") {
-		item = strings.TrimSpace(item)
-		if item == "" {
-			continue
-		}
-		name, rest, ok := strings.Cut(item, "@")
-		if !ok {
-			return nil, fmt.Errorf("resilience: chaos entry %q: want kind@rate[:param]", item)
-		}
-		kind, ok := byName[strings.ToLower(strings.TrimSpace(name))]
-		if !ok {
-			return nil, fmt.Errorf("resilience: unknown chaos kind %q (want one of slowresp, droppedconn, computestall, errinject)", name)
-		}
-		rateStr, paramStr, hasParam := strings.Cut(rest, ":")
+	err := splitPlan(spec, "chaos", "chaos entry", "kind@rate[:param]", chaosNames, func(item string, kind ChaosKind, rateStr, paramStr string, hasParam bool) error {
 		rate, err := strconv.ParseFloat(strings.TrimSpace(rateStr), 64)
 		if err != nil || rate < 0 || rate > 1 {
-			return nil, fmt.Errorf("resilience: chaos entry %q: bad rate %q (want [0,1])", item, rateStr)
+			return fmt.Errorf("resilience: chaos entry %q: bad rate %q (want [0,1])", item, rateStr)
 		}
 		sp := ChaosSpec{Kind: kind, Rate: rate, Param: DefaultChaosParam}
 		if hasParam {
 			if kind != ChaosSlowResp && kind != ChaosComputeStall {
-				return nil, fmt.Errorf("resilience: chaos entry %q: %s takes no duration parameter", item, kind)
+				return fmt.Errorf("resilience: chaos entry %q: %s takes no duration parameter", item, kind)
 			}
 			d, err := time.ParseDuration(strings.TrimSpace(paramStr))
 			if err != nil || d <= 0 {
-				return nil, fmt.Errorf("resilience: chaos entry %q: bad duration %q", item, paramStr)
+				return fmt.Errorf("resilience: chaos entry %q: bad duration %q", item, paramStr)
 			}
 			sp.Param = d
 		}
 		out = append(out, sp)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("resilience: empty chaos specification %q", spec)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return NewChaosPlan(seed, out...), nil
 }

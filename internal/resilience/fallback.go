@@ -10,10 +10,8 @@ import (
 	"sfccube/internal/core"
 	"sfccube/internal/graph"
 	"sfccube/internal/mesh"
-	"sfccube/internal/metis"
 	"sfccube/internal/partition"
-	"sfccube/internal/sfc"
-	"sfccube/internal/weights"
+	"sfccube/internal/prng"
 )
 
 // Strategy names one link of the partition fallback chain.
@@ -88,9 +86,7 @@ func (e *ExhaustedError) Error() string {
 	return "resilience: partition fallback chain exhausted: " + strings.Join(parts, "; ")
 }
 
-// Defaults applied by NewFallbackSpec — and, for backwards compatibility,
-// by PartitionWithFallback to the corresponding zero-valued fields of specs
-// built as plain struct literals (see FallbackSpec).
+// Defaults filled in by NewFallbackSpec.
 const (
 	// DefaultMaxLB is the accepted LB(nelemd) when the caller expresses no
 	// preference.
@@ -102,33 +98,25 @@ const (
 	DefaultSeed int64 = 1
 )
 
-// FallbackSpec configures PartitionWithFallback.
-//
-// Build specs with NewFallbackSpec: it fills Seed, MaxLB and SeedRetries with
-// the Default* constants and marks the spec explicit, after which every field
-// is taken at face value — so SeedRetries = 0 (no reseeded retries),
-// MaxLB = 0 (strict perfect-balance gate) and Seed = 0 are all expressible.
-//
-// A spec built as a plain struct literal keeps the legacy zero-means-default
-// reading of those three fields (0 → DefaultSeedRetries/DefaultMaxLB/
-// DefaultSeed), so existing callers are unaffected; such specs cannot
-// express the zero values above.
+// FallbackSpec configures PartitionWithFallback. Every field is taken at
+// face value — SeedRetries = 0 is no reseeded retries, MaxLB = 0 the strict
+// perfect-balance gate, Seed = 0 the seed zero — so build specs with
+// NewFallbackSpec, which fills in the Default* constants, and overwrite what
+// differs.
 type FallbackSpec struct {
 	Ne     int
 	NProcs int
 	// Seed seeds the METIS-style strategies; reseeded retries derive fresh
-	// seeds from it. In a literal spec, zero means DefaultSeed.
+	// seeds from it.
 	Seed int64
 	// Chain overrides DefaultChain.
 	Chain []Strategy
 	// MaxLB is the accepted LB(nelemd) (equation (1) of the paper; 0 is
-	// perfect balance). Negative means "accept anything". In an explicit
-	// spec zero is the strict perfect-balance gate; in a literal spec zero
-	// means DefaultMaxLB.
+	// perfect balance). Negative means "accept anything".
 	MaxLB float64
 	// SeedRetries is how many reseeded retries each METIS strategy gets
-	// after a balance violation before the chain moves on. In a literal
-	// spec, zero means DefaultSeedRetries; negative is clamped to zero.
+	// after a balance violation before the chain moves on; negative is
+	// clamped to zero.
 	SeedRetries int
 	// Backoff is the base wait between reseeded retries (honouring ctx).
 	// The actual waits carry decorrelated jitter drawn from a stream
@@ -137,8 +125,8 @@ type FallbackSpec struct {
 	// any single spec's sleep sequence stays replayable. The zero value
 	// means no wait, which is what tests use.
 	Backoff time.Duration
-	// Graph and Mesh are optional pre-built inputs for the METIS
-	// strategies; when nil they are built from Ne on first use.
+	// Graph and Mesh are optional pre-built inputs, reused instead of
+	// rebuilt; whatever is nil is built from Ne on first use.
 	Graph *graph.Graph
 	Mesh  *mesh.Mesh
 	// Weights optionally assigns a computation weight to every element
@@ -151,16 +139,11 @@ type FallbackSpec struct {
 	// weighted balance. Nil means uniform cost. Negative or all-zero
 	// weights fail the chain with the partition layer's typed errors.
 	Weights []int64
-
-	// explicit marks a spec produced by NewFallbackSpec: its Seed, MaxLB
-	// and SeedRetries are deliberate values, never rewritten.
-	explicit bool
 }
 
-// NewFallbackSpec returns an explicit spec for splitting the Ne cubed-sphere
-// mesh into nprocs parts, with Seed, MaxLB and SeedRetries set to the
-// Default* constants. Overwrite any field afterwards and it is honoured
-// exactly as written:
+// NewFallbackSpec returns the spec for splitting the Ne cubed-sphere mesh
+// into nprocs parts, with Seed, MaxLB and SeedRetries set to the Default*
+// constants:
 //
 //	spec := resilience.NewFallbackSpec(ne, nprocs)
 //	spec.SeedRetries = 0 // no reseeded retries
@@ -172,7 +155,6 @@ func NewFallbackSpec(ne, nprocs int) FallbackSpec {
 		Seed:        DefaultSeed,
 		MaxLB:       DefaultMaxLB,
 		SeedRetries: DefaultSeedRetries,
-		explicit:    true,
 	}
 }
 
@@ -197,15 +179,33 @@ func (r *FallbackResult) String() string {
 	return strings.Join(parts, "→") + "→" + string(r.Strategy)
 }
 
-// PartitionWithFallback walks the fallback chain until a strategy yields a
-// partition passing the balance acceptance check:
+// PartitionWithFallback builds the core.Problem the spec describes (its Ne,
+// Weights and any pre-built Mesh/Graph) and walks the chain over it; see
+// PartitionProblem.
+func PartitionWithFallback(ctx context.Context, spec FallbackSpec) (*FallbackResult, error) {
+	prob, err := core.ProblemFrom(spec.Ne, spec.Mesh, spec.Graph)
+	if err != nil {
+		return nil, err
+	}
+	// Fail fast with the partition layer's typed errors before any strategy
+	// runs: a malformed weight vector dooms every link alike.
+	if err := prob.SetWeights(spec.Weights); err != nil {
+		return nil, err
+	}
+	return PartitionProblem(ctx, prob, spec)
+}
+
+// PartitionProblem walks the spec's fallback chain over prob — one loop over
+// core's method table entries — until a strategy yields a partition passing
+// the balance acceptance check. The substrate (mesh, weights, graph, curves)
+// is prob's; the spec's Ne, Weights, Mesh and Graph are not consulted.
 //
-//   - A METIS strategy whose result violates the balance tolerance is
-//     retried with a reseeded RNG (and optional backoff) up to SeedRetries
+//   - A seeded (METIS) strategy whose result violates the balance tolerance
+//     is retried with a reseeded RNG (and optional backoff) up to SeedRetries
 //     times before the chain moves on — a different seed often escapes the
 //     bad local optimum (KWAY trades balance for edgecut by design).
 //   - A METIS strategy cancelled by ctx (deadline overrun) is recorded and
-//     the chain falls through to the SFC strategies, which are O(K) and
+//     the chain falls through to the curve strategies, which are O(K) and
 //     deliberately ignore the expired deadline: a partition is always
 //     better than none.
 //   - StrategySFC fails on unsupported Ne with *UnsupportedNeError, falling
@@ -213,114 +213,61 @@ func (r *FallbackResult) String() string {
 //
 // Every abandoned attempt appears in the result's Attempts with a typed
 // error; if every link fails the returned error is *ExhaustedError.
-func PartitionWithFallback(ctx context.Context, spec FallbackSpec) (*FallbackResult, error) {
-	k := 6 * spec.Ne * spec.Ne
-	if spec.Ne < 1 || spec.NProcs < 1 || spec.NProcs > k {
-		return nil, fmt.Errorf("resilience: cannot split Ne=%d (%d elements) into %d parts", spec.Ne, k, spec.NProcs)
-	}
-	if spec.Weights != nil {
-		// Fail fast with the partition layer's typed errors before any
-		// strategy runs: a malformed weight vector dooms every link alike.
-		if len(spec.Weights) != k {
-			return nil, fmt.Errorf("resilience: %d weights for %d elements", len(spec.Weights), k)
-		}
-		if err := partition.ValidateWeights(spec.Weights); err != nil {
-			return nil, err
-		}
+func PartitionProblem(ctx context.Context, prob *core.Problem, spec FallbackSpec) (*FallbackResult, error) {
+	if k := prob.Mesh().NumElems(); spec.NProcs < 1 || spec.NProcs > k {
+		return nil, fmt.Errorf("resilience: cannot split Ne=%d (%d elements) into %d parts", prob.Ne(), k, spec.NProcs)
 	}
 	chain := spec.Chain
 	if chain == nil {
 		chain = DefaultChain
 	}
-	maxLB, retries, seed := spec.MaxLB, spec.SeedRetries, spec.Seed
-	if !spec.explicit {
-		// Legacy struct-literal spec: zero values mean "unset". Specs from
-		// NewFallbackSpec skip this and take every field at face value.
-		if maxLB == 0 {
-			maxLB = DefaultMaxLB
-		}
-		if retries == 0 {
-			retries = DefaultSeedRetries
-		}
-		if seed == 0 {
-			seed = DefaultSeed
-		}
-	}
-	if retries < 0 {
-		retries = 0
-	}
 	// One jitter stream per chain walk: every reseeded retry, whichever
 	// strategy it belongs to, consumes the next draw, so the full sleep
 	// sequence is a pure function of (Seed, Backoff).
-	backoff := NewJitter(uint64(seed), spec.Backoff, 0)
+	backoff := NewJitter(uint64(spec.Seed), spec.Backoff, 0)
 
 	var attempts []Attempt
-	accept := func(strat Strategy, s int64, p *partition.Partition, err error) *FallbackResult {
-		if err == nil {
-			err = checkBalance(strat, p, maxLB, spec.Weights)
-		}
-		if err == nil {
-			return &FallbackResult{Partition: p, Strategy: strat, Seed: s, Attempts: attempts}
-		}
-		attempts = append(attempts, Attempt{Strategy: strat, Seed: s, Err: err})
-		return nil
-	}
-
 	for _, strat := range chain {
-		switch strat {
-		case StrategyKWay, StrategyRB:
-			g, err := spec.metisGraph()
-			if err != nil {
-				attempts = append(attempts, Attempt{Strategy: strat, Seed: seed, Err: err})
-				continue
-			}
-			method := metis.KWay
-			if strat == StrategyRB {
-				method = metis.RB
-			}
-			s := seed
-			for try := 0; try <= retries; try++ {
-				if try > 0 {
-					// Reseeded retry with jittered backoff: a fresh RNG stream,
-					// and a decorrelated breather so a transiently loaded
-					// machine is not hammered by lockstepped retries.
-					s = int64(splitmix64(uint64(s)) | 1)
-					if !sleepBetweenRetries(ctx, backoff.Next()) {
-						break
-					}
-				}
-				p, err := metis.PartitionCtx(ctx, g, spec.NProcs, metis.Options{Method: method, Seed: s})
-				if res := accept(strat, s, p, err); res != nil {
-					return res, nil
-				}
-				if ctx.Err() != nil {
-					break // deadline overran: no point reseeding, fall through
-				}
-				var be *BalanceError
-				if !errors.As(attempts[len(attempts)-1].Err, &be) {
-					break // hard failure; reseeding will not change it
-				}
-			}
-		case StrategySFC:
-			res, err := core.PartitionCubedSphere(core.Config{Ne: spec.Ne, NProcs: spec.NProcs, Weights: spec.Weights})
-			if err != nil {
-				if _, _, ferr := sfc.Factor(spec.Ne); ferr != nil {
-					err = &UnsupportedNeError{Ne: spec.Ne, Cause: ferr}
-				}
-				attempts = append(attempts, Attempt{Strategy: strat, Seed: seed, Err: err})
-				continue
-			}
-			if r := accept(strat, seed, res.Partition, nil); r != nil {
-				return r, nil
-			}
-		case StrategySerpentine:
-			p, err := serpentinePartition(spec)
-			if r := accept(strat, seed, p, err); r != nil {
-				return r, nil
-			}
-		default:
-			attempts = append(attempts, Attempt{Strategy: strat, Seed: seed,
+		m, ok := core.LookupMethod(string(strat))
+		if !ok {
+			attempts = append(attempts, Attempt{Strategy: strat, Seed: spec.Seed,
 				Err: fmt.Errorf("resilience: unknown strategy %q", strat)})
+			continue
+		}
+		tries := 1
+		if m.Seeded && spec.SeedRetries > 0 {
+			tries += spec.SeedRetries
+		}
+		s := spec.Seed
+		for try := 0; try < tries; try++ {
+			if try > 0 {
+				// Reseeded retry with jittered backoff: a fresh RNG stream,
+				// and a decorrelated breather so a transiently loaded
+				// machine is not hammered by lockstepped retries.
+				s = int64(prng.Mix(uint64(s)) | 1)
+				if !sleepBetweenRetries(ctx, backoff.Next()) {
+					break
+				}
+			}
+			p, err := m.Run(ctx, prob, spec.NProcs, s, nil)
+			if err == nil {
+				err = checkBalance(strat, p, spec.MaxLB, prob.Weights())
+			}
+			if err == nil {
+				return &FallbackResult{Partition: p, Strategy: strat, Seed: s, Attempts: attempts}, nil
+			}
+			var ne *core.NeError
+			if errors.As(err, &ne) {
+				err = &UnsupportedNeError{Ne: ne.Ne, Cause: ne.Err}
+			}
+			attempts = append(attempts, Attempt{Strategy: strat, Seed: s, Err: err})
+			if ctx.Err() != nil {
+				break // deadline overran: no point reseeding, fall through
+			}
+			var be *BalanceError
+			if !errors.As(err, &be) {
+				break // hard failure; reseeding will not change it
+			}
 		}
 	}
 	return nil, &ExhaustedError{Attempts: attempts}
@@ -358,57 +305,6 @@ func checkBalance(strat Strategy, p *partition.Partition, maxLB float64, weights
 		return &BalanceError{Strategy: strat, LB: lb, Limit: maxLB}
 	}
 	return nil
-}
-
-// metisGraph lazily builds (and caches) the dual graph for the METIS
-// strategies. A weighted spec installs its weights as the graph's vertex
-// weights — including on a caller-provided Graph — so the multilevel
-// partitioners balance the same load model the curve strategies split on.
-func (spec *FallbackSpec) metisGraph() (*graph.Graph, error) {
-	g := spec.Graph
-	if g == nil {
-		m := spec.Mesh
-		if m == nil {
-			var err error
-			m, err = mesh.New(spec.Ne)
-			if err != nil {
-				return nil, err
-			}
-			spec.Mesh = m
-		}
-		var err error
-		g, err = graph.FromMesh(m, graph.DefaultOptions())
-		if err != nil {
-			return nil, err
-		}
-		spec.Graph = g
-	}
-	if spec.Weights != nil {
-		w32, err := weights.Int32(spec.Weights)
-		if err != nil {
-			return nil, err
-		}
-		if err := g.SetVertexWeights(w32); err != nil {
-			return nil, err
-		}
-	}
-	return g, nil
-}
-
-func serpentinePartition(spec FallbackSpec) (*partition.Partition, error) {
-	m := spec.Mesh
-	if m == nil {
-		var err error
-		m, err = mesh.New(spec.Ne)
-		if err != nil {
-			return nil, err
-		}
-	}
-	cc, err := sfc.NewCubeCurveFromBase(m, sfc.GenerateSerpentine(spec.Ne), "serpentine")
-	if err != nil {
-		return nil, err
-	}
-	return core.PartitionCurve(cc, spec.NProcs, spec.Weights)
 }
 
 // sleepBetweenRetries is sleepCtx, indirected so the backoff-determinism

@@ -8,7 +8,7 @@ import (
 )
 
 func TestFallbackFirstLinkWins(t *testing.T) {
-	res, err := PartitionWithFallback(context.Background(), FallbackSpec{Ne: 4, NProcs: 6, Seed: 1})
+	res, err := PartitionWithFallback(context.Background(), NewFallbackSpec(4, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestFallbackFirstLinkWins(t *testing.T) {
 func TestFallbackExpiredDeadline(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Unix(0, 0))
 	defer cancel()
-	res, err := PartitionWithFallback(ctx, FallbackSpec{Ne: 4, NProcs: 8, Seed: 1})
+	res, err := PartitionWithFallback(ctx, NewFallbackSpec(4, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,9 +53,9 @@ func TestFallbackExpiredDeadline(t *testing.T) {
 // link must fail with a typed *UnsupportedNeError and the serpentine
 // ordering (any Ne) must take over.
 func TestFallbackUnsupportedNe(t *testing.T) {
-	res, err := PartitionWithFallback(context.Background(), FallbackSpec{
-		Ne: 5, NProcs: 10, Seed: 1, Chain: RepartitionChain,
-	})
+	spec := NewFallbackSpec(5, 10)
+	spec.Chain = RepartitionChain
+	res, err := PartitionWithFallback(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,9 +82,9 @@ func TestFallbackUnsupportedNe(t *testing.T) {
 func TestFallbackExhausted(t *testing.T) {
 	// 24 elements into 5 parts cannot balance perfectly, and MaxLB below
 	// the unavoidable imbalance rejects everything.
-	_, err := PartitionWithFallback(context.Background(), FallbackSpec{
-		Ne: 2, NProcs: 5, Seed: 1, MaxLB: 1e-12, SeedRetries: 2,
-	})
+	spec := NewFallbackSpec(2, 5)
+	spec.MaxLB = 1e-12
+	_, err := PartitionWithFallback(context.Background(), spec)
 	var ex *ExhaustedError
 	if !errors.As(err, &ex) {
 		t.Fatalf("got %v, want *ExhaustedError", err)
@@ -107,9 +107,9 @@ func TestFallbackExhausted(t *testing.T) {
 
 func TestFallbackAcceptAnyBalance(t *testing.T) {
 	// MaxLB < 0 accepts the first partition that is merely non-degenerate.
-	res, err := PartitionWithFallback(context.Background(), FallbackSpec{
-		Ne: 2, NProcs: 5, Seed: 1, MaxLB: -1,
-	})
+	spec := NewFallbackSpec(2, 5)
+	spec.MaxLB = -1
+	res, err := PartitionWithFallback(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,12 +119,13 @@ func TestFallbackAcceptAnyBalance(t *testing.T) {
 }
 
 func TestFallbackDeterministic(t *testing.T) {
-	spec := FallbackSpec{Ne: 4, NProcs: 7, Seed: 42}
+	spec := NewFallbackSpec(4, 7)
+	spec.Seed = 42
 	a, err := PartitionWithFallback(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := PartitionWithFallback(context.Background(), FallbackSpec{Ne: 4, NProcs: 7, Seed: 42})
+	b, err := PartitionWithFallback(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestFallbackExplicitZeroRetries(t *testing.T) {
 	}
 }
 
-// TestFallbackExplicitStrictBalance: MaxLB = 0 on an explicit spec is a
+// TestFallbackExplicitStrictBalance: MaxLB = 0 is a
 // strict perfect-balance gate, not DefaultMaxLB. 24 elements over 5 parts
 // cannot balance perfectly, so every link must be rejected; 96 over 6 can,
 // so the SFC split must pass the gate.
@@ -190,8 +191,8 @@ func TestFallbackExplicitStrictBalance(t *testing.T) {
 	}
 }
 
-// TestFallbackExplicitSeedZero: Seed = 0 on an explicit spec is recorded as
-// seed 0, while a literal spec still defaults it to DefaultSeed.
+// TestFallbackExplicitSeedZero: Seed = 0 is recorded as seed 0, not rewritten
+// to DefaultSeed.
 func TestFallbackExplicitSeedZero(t *testing.T) {
 	spec := NewFallbackSpec(4, 6)
 	spec.Seed = 0
@@ -201,29 +202,6 @@ func TestFallbackExplicitSeedZero(t *testing.T) {
 	}
 	if res.Seed != 0 {
 		t.Errorf("explicit Seed=0 recorded as %d", res.Seed)
-	}
-	legacy, err := PartitionWithFallback(context.Background(), FallbackSpec{Ne: 4, NProcs: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.Seed != DefaultSeed {
-		t.Errorf("literal spec Seed=0 recorded as %d, want DefaultSeed=%d", legacy.Seed, DefaultSeed)
-	}
-}
-
-// TestFallbackLegacyZeroDefaults pins the backwards-compatible reading of a
-// plain struct literal: SeedRetries 0 still means DefaultSeedRetries there.
-func TestFallbackLegacyZeroDefaults(t *testing.T) {
-	_, err := PartitionWithFallback(context.Background(), FallbackSpec{
-		Ne: 2, NProcs: 5, Seed: 1, MaxLB: 1e-12, // SeedRetries deliberately omitted
-	})
-	var ex *ExhaustedError
-	if !errors.As(err, &ex) {
-		t.Fatalf("got %v, want *ExhaustedError", err)
-	}
-	// KWAY×(1+DefaultSeedRetries) + RB×3 + SFC + SERPENTINE = 8 attempts.
-	if len(ex.Attempts) != 8 {
-		t.Fatalf("got %d attempts, want 8 (legacy default retries)", len(ex.Attempts))
 	}
 }
 
@@ -235,7 +213,7 @@ func TestFallbackLegacyZeroDefaults(t *testing.T) {
 func TestFallbackExpiredDeadlineSerpentine(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Unix(0, 0))
 	defer cancel()
-	res, err := PartitionWithFallback(ctx, FallbackSpec{Ne: 5, NProcs: 10, Seed: 1})
+	res, err := PartitionWithFallback(ctx, NewFallbackSpec(5, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,15 +333,15 @@ func TestFallbackBackoffJitterDeterministic(t *testing.T) {
 }
 
 func TestFallbackBadArgs(t *testing.T) {
-	if _, err := PartitionWithFallback(context.Background(), FallbackSpec{Ne: 0, NProcs: 1}); err == nil {
+	if _, err := PartitionWithFallback(context.Background(), NewFallbackSpec(0, 1)); err == nil {
 		t.Error("Ne=0 accepted")
 	}
-	if _, err := PartitionWithFallback(context.Background(), FallbackSpec{Ne: 2, NProcs: 25}); err == nil {
+	if _, err := PartitionWithFallback(context.Background(), NewFallbackSpec(2, 25)); err == nil {
 		t.Error("NProcs > K accepted")
 	}
-	res, err := PartitionWithFallback(context.Background(), FallbackSpec{
-		Ne: 2, NProcs: 2, Chain: []Strategy{"BOGUS", StrategySFC},
-	})
+	spec := NewFallbackSpec(2, 2)
+	spec.Chain = []Strategy{"BOGUS", StrategySFC}
+	res, err := PartitionWithFallback(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"sfccube/internal/prng"
 )
 
 // FaultKind enumerates the injectable fault classes.
@@ -70,15 +72,6 @@ func (d RankDeath) String() string {
 	return fmt.Sprintf("injected death of rank %d at step %d", d.Rank, d.Step)
 }
 
-// splitmix64 is the canonical 64-bit mix (Steele et al.); one step of it per
-// draw makes every derived fault parameter a pure function of the seed.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // Injector holds a seeded fault plan. All unspecified fault parameters
 // (target ranks, corrupted bit positions, stall lengths) are derived from
 // the single seed, so two runs built from the same (seed, plan) observe
@@ -127,7 +120,7 @@ func (in *Injector) arm(nranks int) {
 	s := in.Seed
 	for i := range in.faults {
 		f := &in.faults[i]
-		s = splitmix64(s)
+		s = prng.Mix(s)
 		switch f.Kind {
 		case FaultNaN, FaultRankDeath, FaultStall:
 			if f.Rank < 0 {
@@ -188,7 +181,7 @@ func (in *Injector) firedAt(kind FaultKind, step int) *Fault {
 // derivedBit returns a deterministic bit position for checkpoint corruption,
 // keyed on the fault's step so distinct corruption faults flip distinct bits.
 func (in *Injector) derivedBit(step int) int {
-	return int(splitmix64(in.Seed^uint64(step)) % (1 << 20))
+	return int(prng.Mix(in.Seed^uint64(step)) % (1 << 20))
 }
 
 // ParseFaults parses the cmd/seamsim -inject specification: a comma-
@@ -198,11 +191,42 @@ func (in *Injector) derivedBit(step int) int {
 //
 // Omitted ranks are derived from the injector seed.
 func ParseFaults(spec string) ([]Fault, error) {
-	byName := make(map[string]FaultKind, len(faultNames))
-	for k, n := range faultNames {
-		byName[n] = k
-	}
 	var out []Fault
+	err := splitPlan(spec, "fault", "fault", "kind@step[:rank]", faultNames, func(item string, kind FaultKind, stepStr, rankStr string, hasRank bool) error {
+		step, err := strconv.Atoi(strings.TrimSpace(stepStr))
+		if err != nil || step < 0 {
+			return fmt.Errorf("resilience: fault %q: bad step %q", item, stepStr)
+		}
+		rank := -1
+		if hasRank {
+			rank, err = strconv.Atoi(strings.TrimSpace(rankStr))
+			if err != nil || rank < 0 {
+				return fmt.Errorf("resilience: fault %q: bad rank %q", item, rankStr)
+			}
+		}
+		out = append(out, Fault{Kind: kind, Step: step, Rank: rank})
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// splitPlan is the shared front half of ParseFaults and ParseChaosPlan: it
+// splits a comma-separated plan into trimmed kind@value[:param] items,
+// resolves each kind name (case-insensitively) against names, and hands the
+// raw value and param strings to add. An item without '@', an unknown kind
+// and a plan with no items are errors; noun ("fault", "chaos"), entry (what
+// one item is called) and usage word those errors.
+func splitPlan[K ~int](spec, noun, entry, usage string, names map[K]string, add func(item string, kind K, value, param string, hasParam bool) error) error {
+	byName := make(map[string]K, len(names))
+	kinds := make([]string, len(names)) // in kind order, for the unknown-kind error
+	for k, n := range names {
+		byName[n] = k
+		kinds[k] = n
+	}
+	items := 0
 	for _, item := range strings.Split(spec, ",") {
 		item = strings.TrimSpace(item)
 		if item == "" {
@@ -210,28 +234,20 @@ func ParseFaults(spec string) ([]Fault, error) {
 		}
 		name, rest, ok := strings.Cut(item, "@")
 		if !ok {
-			return nil, fmt.Errorf("resilience: fault %q: want kind@step[:rank]", item)
+			return fmt.Errorf("resilience: %s %q: want %s", entry, item, usage)
 		}
 		kind, ok := byName[strings.ToLower(strings.TrimSpace(name))]
 		if !ok {
-			return nil, fmt.Errorf("resilience: unknown fault kind %q (want one of nan, rankdeath, stall, corruptckpt, parttimeout)", name)
+			return fmt.Errorf("resilience: unknown %s kind %q (want one of %s)", noun, name, strings.Join(kinds, ", "))
 		}
-		stepStr, rankStr, hasRank := strings.Cut(rest, ":")
-		step, err := strconv.Atoi(strings.TrimSpace(stepStr))
-		if err != nil || step < 0 {
-			return nil, fmt.Errorf("resilience: fault %q: bad step %q", item, stepStr)
+		value, param, hasParam := strings.Cut(rest, ":")
+		if err := add(item, kind, value, param, hasParam); err != nil {
+			return err
 		}
-		rank := -1
-		if hasRank {
-			rank, err = strconv.Atoi(strings.TrimSpace(rankStr))
-			if err != nil || rank < 0 {
-				return nil, fmt.Errorf("resilience: fault %q: bad rank %q", item, rankStr)
-			}
-		}
-		out = append(out, Fault{Kind: kind, Step: step, Rank: rank})
+		items++
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("resilience: empty fault specification %q", spec)
+	if items == 0 {
+		return fmt.Errorf("resilience: empty %s specification %q", noun, spec)
 	}
-	return out, nil
+	return nil
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"time"
+
+	"sfccube/internal/prng"
 )
 
 // Jitter is a seeded decorrelated-jitter backoff stream: each draw is
@@ -32,7 +34,7 @@ func (j *Jitter) Next() time.Duration {
 	if j == nil || j.base <= 0 {
 		return 0
 	}
-	j.state = splitmix64(j.state)
+	j.state = prng.Mix(j.state)
 	d := j.base
 	if span := 3*j.prev - j.base; span > 0 {
 		d += time.Duration(j.state % uint64(span))

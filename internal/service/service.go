@@ -10,10 +10,10 @@ import (
 	"math"
 	"runtime"
 	"strconv"
+	"strings"
 	"time"
 
-	"sfccube/internal/graph"
-	"sfccube/internal/mesh"
+	"sfccube/internal/core"
 	"sfccube/internal/obs"
 	"sfccube/internal/partition"
 	"sfccube/internal/resilience"
@@ -30,8 +30,9 @@ type Request struct {
 	// NParts is the number of partitions, in [1, 6*Ne*Ne].
 	NParts int `json:"nparts"`
 	// Method is the partitioner: "auto" (quality-first fallback chain,
-	// the default), "kway", "rb", "sfc" or "serpentine". Aliases: "" =
-	// auto, "metis" = kway, "serp" = serpentine.
+	// the default), "kway", "rb", "sfc" or "serpentine", case-insensitively.
+	// Aliases: "" = auto, "metis" = kway, "serp" = serpentine, "tv" = kway
+	// (the chain has no communication-volume link).
 	Method string `json:"method,omitempty"`
 	// Seed seeds the METIS-style methods (absent = resilience.DefaultSeed).
 	// Ignored — and canonicalized away — for the deterministic seedless
@@ -80,23 +81,23 @@ func (c canonicalRequest) key() string {
 	return hex.EncodeToString(h[:])
 }
 
-// methodChains maps each canonical method to its degradation ladder: the
-// requested strategy first, then progressively cheaper strategies ending in
-// one that cannot fail. "auto" uses resilience.DefaultChain.
-var methodChains = map[string][]resilience.Strategy{
-	"auto":       resilience.DefaultChain,
-	"kway":       {resilience.StrategyKWay, resilience.StrategyRB, resilience.StrategySFC, resilience.StrategySerpentine},
-	"rb":         {resilience.StrategyRB, resilience.StrategySFC, resilience.StrategySerpentine},
-	"sfc":        {resilience.StrategySFC, resilience.StrategySerpentine},
-	"serpentine": {resilience.StrategySerpentine},
-}
+// ladders maps each canonical method the service accepts to its degradation
+// ladder: the requested strategy first, then progressively cheaper strategies
+// ending in one that cannot fail — the suffix of resilience.DefaultChain
+// starting at that method. "auto" walks the whole chain.
+var ladders = func() map[string][]resilience.Strategy {
+	out := map[string][]resilience.Strategy{"auto": resilience.DefaultChain}
+	for i, st := range resilience.DefaultChain {
+		m, _ := core.LookupMethod(string(st))
+		out[m.Name] = resilience.DefaultChain[i:]
+	}
+	return out
+}()
 
-// seedless reports whether the method ignores Seed (deterministic SFC
-// constructions); their canonical seed is 0 so requests differing only in
-// seed share one cache entry.
-func seedless(method string) bool { return method == "sfc" || method == "serpentine" }
-
-var methodAliases = map[string]string{"": "auto", "metis": "kway", "serp": "serpentine", "tv": "kway"}
+// wireAliases are the spellings only the wire protocol knows, resolved before
+// core's method table (which owns metis = kway and serp = serpentine): an
+// absent method is auto, and tv is served by kway — the chain has no TV link.
+var wireAliases = map[string]string{"": "auto", "tv": "kway"}
 
 // BadRequestError reports a request rejected by validation; the HTTP layer
 // maps it to 400.
@@ -284,7 +285,7 @@ func NewService(cfg Config) *Service {
 		cache: NewCache(cfg.CacheBytes, cfg.CacheEntries),
 		adm: newAdmitter(cfg.Workers, queueDepth, cfg.RetryAfter,
 			reg.Gauge("partsrv_queue_depth"), reg.Histogram("partsrv_queue_wait_ns")),
-		estimates:     make(map[string]*latEstimator, len(methodChains)),
+		estimates:     make(map[string]*latEstimator, len(ladders)),
 		reqs:          reg.Counter("partsrv_requests_total"),
 		computations:  reg.Counter("partsrv_computations_total"),
 		cacheHits:     reg.Counter("partsrv_cache_hits_total"),
@@ -300,7 +301,7 @@ func NewService(cfg Config) *Service {
 		cacheBytes:    reg.Gauge("partsrv_cache_bytes"),
 		cacheEntries:  reg.Gauge("partsrv_cache_entries"),
 	}
-	for method := range methodChains {
+	for method := range ladders {
 		s.estimates[method] = &latEstimator{}
 	}
 	if breakerFailures > 0 {
@@ -329,11 +330,15 @@ func (s *Service) Registry() *obs.Registry { return s.cfg.Registry }
 // canonicalize validates req against the service bounds and resolves the
 // absent-vs-zero fields into the canonical form.
 func (s *Service) canonicalize(req Request) (canonicalRequest, error) {
-	method := req.Method
-	if a, ok := methodAliases[method]; ok {
+	method := strings.ToLower(req.Method)
+	if a, ok := wireAliases[method]; ok {
 		method = a
 	}
-	if _, ok := methodChains[method]; !ok {
+	seeded := true // auto may land on a seeded link
+	if m, ok := core.LookupMethod(method); ok {
+		method, seeded = m.Name, m.Seeded
+	}
+	if _, ok := ladders[method]; !ok {
 		return canonicalRequest{}, &BadRequestError{Reason: fmt.Sprintf("unknown method %q", req.Method)}
 	}
 	if req.Ne < 1 {
@@ -350,7 +355,7 @@ func (s *Service) canonicalize(req Request) (canonicalRequest, error) {
 	if req.Seed != nil {
 		seed = *req.Seed
 	}
-	if seedless(method) {
+	if !seeded {
 		seed = 0 // sfc/serpentine are deterministic: all seeds share one entry
 	}
 	maxLB := resilience.DefaultMaxLB
@@ -504,36 +509,24 @@ func (s *Service) compute(ctx context.Context, canon canonicalRequest, key strin
 	}
 
 	t0 := time.Now()
-	m, err := mesh.NewAuto(canon.Ne)
+	prob, err := core.NewProblem(canon.Ne)
 	if err != nil {
 		return computed{}, err
 	}
-	g, err := graph.FromMesh(m, graph.DefaultOptions())
-	if err != nil {
+	// The canonical spelling always re-parses; the generated vector is a pure
+	// function of (mesh, spec), so it belongs in the cached content.
+	if err := prob.SetWeightSpec(canon.Weights); err != nil {
 		return computed{}, err
 	}
-	var w []int64
-	if canon.Weights != "" {
-		// The canonical spelling always re-parses; the generated vector is a
-		// pure function of (mesh, spec), so it belongs in the cached content.
-		wspec, err := weights.Parse(canon.Weights)
-		if err != nil {
-			return computed{}, err
-		}
-		w = wspec.Generate(m)
-		w32, err := weights.Int32(w)
-		if err != nil {
-			return computed{}, err
-		}
-		if err := g.SetVertexWeights(w32); err != nil {
-			return computed{}, err
-		}
+	// Every response carries stats, so every method needs the graph.
+	g, err := prob.Graph()
+	if err != nil {
+		return computed{}, err
 	}
 	spec := resilience.NewFallbackSpec(canon.Ne, canon.NParts)
 	spec.Seed = canon.Seed
 	spec.MaxLB = canon.MaxLB
-	spec.Weights = w
-	chain := methodChains[canon.Method]
+	chain := ladders[canon.Method]
 	if large {
 		s.large.Inc()
 		if canon.Method == "auto" {
@@ -542,15 +535,14 @@ func (s *Service) compute(ctx context.Context, canon canonicalRequest, key strin
 	}
 	chain, skipped, probing := s.filterChain(chain)
 	spec.Chain = chain
-	spec.Mesh, spec.Graph = m, g
-	res, err := resilience.PartitionWithFallback(cctx, spec)
+	res, err := resilience.PartitionProblem(cctx, prob, spec)
 	elapsed := time.Since(t0)
 	if err != nil {
 		s.recordBreakers(probing, nil, elapsed, err)
 		return computed{}, err
 	}
 	s.recordBreakers(probing, res, elapsed, nil)
-	st, err := partition.ComputeStatsWeighted(g, res.Partition, w)
+	st, err := partition.ComputeStatsWeighted(g, res.Partition, prob.Weights())
 	if err != nil {
 		return computed{}, err
 	}

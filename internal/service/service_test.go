@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -423,5 +424,36 @@ func TestLargeRegimeDisabled(t *testing.T) {
 	}
 	if got := counter(t, s, "partsrv_large_total"); got != 0 {
 		t.Errorf("partsrv_large_total = %v with regime disabled", got)
+	}
+}
+
+// TestLaddersMatchLiteralChains: the degradation ladders the service derives
+// from resilience.DefaultChain and core's method table equal, method for
+// method, the literal map they replaced — and every accepted spelling lands
+// on one of them.
+func TestLaddersMatchLiteralChains(t *testing.T) {
+	kway, rb, sfc, serp := resilience.StrategyKWay, resilience.StrategyRB, resilience.StrategySFC, resilience.StrategySerpentine
+	want := map[string][]resilience.Strategy{
+		"auto":       {kway, rb, sfc, serp},
+		"kway":       {kway, rb, sfc, serp},
+		"rb":         {rb, sfc, serp},
+		"sfc":        {sfc, serp},
+		"serpentine": {serp},
+	}
+	if !reflect.DeepEqual(ladders, want) {
+		t.Errorf("ladders = %v, want %v", ladders, want)
+	}
+	s := newTestService(t, Config{})
+	for spelling, method := range map[string]string{
+		"": "auto", "auto": "auto", "kway": "kway", "metis": "kway", "tv": "kway", "KWAY": "kway",
+		"rb": "rb", "sfc": "sfc", "serp": "serpentine", "serpentine": "serpentine",
+	} {
+		canon, err := s.canonicalize(Request{Ne: 4, NParts: 4, Method: spelling})
+		if err != nil || canon.Method != method {
+			t.Errorf("method %q canonicalized to %q, %v; want %q", spelling, canon.Method, err, method)
+		}
+		if seedless := method == "sfc" || method == "serpentine"; seedless != (canon.Seed == 0) {
+			t.Errorf("method %q: canonical seed %d", spelling, canon.Seed)
+		}
 	}
 }
