@@ -1,6 +1,6 @@
 // Command benchgate compares `go test -bench` output against the recorded
-// baselines in BENCH_seam.json / BENCH_metis.json and fails when a gated
-// benchmark regresses past the tolerance.
+// baselines in BENCH_seam.json / BENCH_metis.json / BENCH_service.json and
+// fails when a gated benchmark regresses past the tolerance.
 //
 // It reads benchmark output (one or more -count repetitions) from stdin or
 // -input, takes the median ns/op per benchmark, maps benchmark names onto
@@ -65,6 +65,12 @@ var keyOf = map[string]string{
 	"BenchmarkRunnerStepP2":  "runner_step_p2_ns_per_op",
 	"BenchmarkRunnerStepP4":  "runner_step_p4_ns_per_op",
 	"BenchmarkDiffAlphaBeta": "diff_alpha_beta_ns_per_op",
+	// Partition-service cache misses (BENCH_service.json): socket-free
+	// Service.Partition, sub-benchmark names as go test prints them.
+	"BenchmarkServiceMiss/sfc/Ne32":   "service_miss_sfc_ne32_ns_per_op",
+	"BenchmarkServiceMiss/sfc/Ne128":  "service_miss_sfc_ne128_ns_per_op",
+	"BenchmarkServiceMiss/kway/Ne32":  "service_miss_kway_ne32_ns_per_op",
+	"BenchmarkServiceMiss/kway/Ne128": "service_miss_kway_ne128_ns_per_op",
 }
 
 // Result is one benchmark's comparison in the delta artifact.

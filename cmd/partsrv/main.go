@@ -50,7 +50,7 @@ func main() {
 	cacheMB := flag.Int64("cache-mb", 64, "response cache payload bound in MiB")
 	cacheEntries := flag.Int("cache-entries", 4096, "response cache entry bound")
 	defaultDeadline := flag.Duration("default-deadline", 0, "compute budget for requests that carry none (0 = unbounded)")
-	largeNe := flag.Int("large-ne", 0, "Ne threshold for the large-problem regime: deferred mesh, SFC-first auto chain (0 = default 256, negative = disable)")
+	largeNe := flag.Int("large-ne", 0, "Ne threshold for the large-problem regime: SFC-first auto chain, -large-deadline budget (0 = default 256, negative = disable)")
 	largeDeadline := flag.Duration("large-deadline", 30*time.Second, "compute budget for large-regime requests that carry none (0 = default-deadline)")
 	shutdownTimeout := flag.Duration("shutdown-timeout", 10*time.Second, "graceful drain budget on SIGINT/SIGTERM")
 	queueDepth := flag.Int("queue-depth", 0, "max computations waiting for a worker before 429 sheds (0 = default 64, negative = no waiting)")

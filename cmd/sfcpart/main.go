@@ -20,7 +20,6 @@ import (
 	"sfccube/internal/core"
 	"sfccube/internal/machine"
 	"sfccube/internal/mesh"
-	"sfccube/internal/partition"
 	"sfccube/internal/sfc"
 )
 
@@ -69,12 +68,7 @@ func run(ne, nproc int, method, orderName string, seed int64, dumpAssign bool, s
 			curve.Schedule(), mesh.NumFaces, curve.Len())
 	}
 	m := prob.Mesh()
-	g, err := prob.Graph()
-	if err != nil {
-		return err
-	}
-
-	st, err := partition.ComputeStats(g, p)
+	st, err := prob.Stats(p)
 	if err != nil {
 		return err
 	}

@@ -12,7 +12,6 @@ import (
 	"log"
 
 	"sfccube/internal/core"
-	"sfccube/internal/graph"
 	"sfccube/internal/partition"
 )
 
@@ -36,12 +35,14 @@ func main() {
 		counts[0], partition.LoadBalanceInts(counts))
 
 	// Evaluate communication metrics on the element graph (vertices =
-	// elements, edges = shared boundaries and corner points).
-	g, err := graph.FromMesh(res.Mesh, graph.DefaultOptions())
+	// elements, edges = shared boundaries and corner points). A Problem reads
+	// the graph's rows straight off the mesh; nothing is built to measure a
+	// curve cut.
+	prob, err := core.ProblemFrom(res.Mesh.Ne(), res.Mesh, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	stats, err := partition.ComputeStats(g, res.Partition)
+	stats, err := prob.Stats(res.Partition)
 	if err != nil {
 		log.Fatal(err)
 	}

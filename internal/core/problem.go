@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"sfccube/internal/graph"
 	"sfccube/internal/mesh"
@@ -16,12 +17,14 @@ import (
 )
 
 // Problem is the one substrate every partitioning method runs on: the Ne
-// cubed-sphere mesh, the optional element weights (the load model every
-// method balances), and the derived structures — dual graph, Hilbert–Peano
-// curve, serpentine curve — each built on first request and memoised, so a
-// method pays only for what it reads and nothing is ever built twice.
-// Vertex weights are installed on the graph exactly once, when it is first
-// requested.
+// cubed-sphere mesh (adjacency deferred: nothing here reads neighbour tables,
+// the graph build and the stats resolve rows analytically), the optional
+// element weights (the load model every method balances), and the derived
+// structures — dual graph, Hilbert–Peano curve, serpentine curve — each
+// built on first request and memoised, so a method pays only for what it
+// reads and nothing is ever built twice. Only the multilevel methods request
+// the graph; the curve methods and Stats never force it. Vertex weights are
+// installed on the graph exactly once, when it is first requested.
 //
 // Configure a Problem (SetWeights, Order) before its first use; after that
 // it is read-only and safe for concurrent readers.
@@ -39,22 +42,27 @@ type Problem struct {
 	serpentine lazy[*sfc.CubeCurve]
 }
 
-// lazy memoises one fallible construction.
+// lazy memoises one fallible construction; built reports, without blocking,
+// whether it has already run.
 type lazy[T any] struct {
-	once sync.Once
-	v    T
-	err  error
+	once  sync.Once
+	built atomic.Bool
+	v     T
+	err   error
 }
 
 func (l *lazy[T]) get(build func() (T, error)) (T, error) {
-	l.once.Do(func() { l.v, l.err = build() })
+	l.once.Do(func() {
+		l.v, l.err = build()
+		l.built.Store(true)
+	})
 	return l.v, l.err
 }
 
-// NewProblem builds the problem for the Ne mesh. mesh.NewAuto defers adjacency
-// materialisation above ~10^5 elements: the curve methods never query element
-// neighbours and the graph build streams rows on the fly, so the big regime
-// pays only the O(Ne) cube-edge index.
+// NewProblem builds the problem for the Ne mesh. The mesh is always deferred
+// (mesh.NewDeferred): the curve methods never query element neighbours, and
+// the graph build and the stats view resolve rows on the fly, so no size pays
+// for more than the O(Ne) cube-edge index.
 func NewProblem(ne int) (*Problem, error) { return ProblemFrom(ne, nil, nil) }
 
 // ProblemFrom is NewProblem over pre-built inputs: a nil mesh is built from
@@ -64,7 +72,7 @@ func NewProblem(ne int) (*Problem, error) { return ProblemFrom(ne, nil, nil) }
 func ProblemFrom(ne int, m *mesh.Mesh, g *graph.Graph) (*Problem, error) {
 	if m == nil {
 		var err error
-		if m, err = mesh.NewAuto(ne); err != nil {
+		if m, err = mesh.NewDeferred(ne); err != nil {
 			return nil, err
 		}
 	}
@@ -119,17 +127,48 @@ func (p *Problem) Graph() (*graph.Graph, error) {
 				return nil, err
 			}
 		}
-		if p.weights != nil {
-			w32, err := weights.Int32(p.weights)
-			if err != nil {
-				return nil, err
-			}
-			if err := g.SetVertexWeights(w32); err != nil {
-				return nil, err
-			}
+		if err := p.installWeights(g); err != nil {
+			return nil, err
 		}
 		return g, nil
 	})
+}
+
+// installWeights makes the problem's weights, when it has any, the vertex
+// weights of its dual graph or graph view.
+func (p *Problem) installWeights(dst interface{ SetVertexWeights([]int32) error }) error {
+	if p.weights == nil {
+		return nil
+	}
+	w32, err := weights.Int32(p.weights)
+	if err != nil {
+		return err
+	}
+	return dst.SetVertexWeights(w32)
+}
+
+// Stats returns the paper's quality metrics of part on the problem's dual
+// graph, PartWeights and LBWeighted under the problem's weights. It reads
+// the CSR graph when one exists — a multilevel method built it, or the
+// caller supplied it (ProblemFrom), whose vertex weights then count — and
+// otherwise resolves each row from the mesh (graph.MeshView, same edge and
+// vertex weights), so measuring a curve cut never builds the graph.
+func (p *Problem) Stats(part *partition.Partition) (partition.Stats, error) {
+	if p.given != nil || p.graph.built.Load() {
+		g, err := p.Graph()
+		if err != nil {
+			return partition.Stats{}, err
+		}
+		return partition.StatsOver(g, part, p.weights)
+	}
+	view, err := graph.NewMeshView(p.mesh, graph.DefaultOptions())
+	if err == nil {
+		err = p.installWeights(view)
+	}
+	if err != nil {
+		return partition.Stats{}, err
+	}
+	return partition.StatsOver(view, part, p.weights)
 }
 
 // NeError reports a face size the Hilbert–Peano construction cannot refine

@@ -1,0 +1,155 @@
+package core_test
+
+import (
+	"context"
+	"fmt"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"sfccube/internal/check"
+	"sfccube/internal/core"
+	"sfccube/internal/graph"
+	"sfccube/internal/mesh"
+	"sfccube/internal/partition"
+)
+
+// weightCases are the load models of the stats tests: the two physics
+// proxies, unit cost, and a raw vector in which every third element is
+// inactive (weight zero).
+var weightCases = map[string]func(t *testing.T, p *core.Problem){
+	"uniform": func(*testing.T, *core.Problem) {},
+	"cfl":     func(t *testing.T, p *core.Problem) { setSpec(t, p, "cfl") },
+	"hv":      func(t *testing.T, p *core.Problem) { setSpec(t, p, "hv:amp=16,m=6") },
+	"zeros": func(t *testing.T, p *core.Problem) {
+		w := make([]int64, p.Mesh().NumElems())
+		for e := range w {
+			w[e] = int64(e % 3)
+		}
+		if err := p.SetWeights(w); err != nil {
+			t.Fatal(err)
+		}
+	},
+}
+
+func setSpec(t *testing.T, p *core.Problem, spec string) {
+	t.Helper()
+	if err := p.SetWeightSpec(spec); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStatsViewMatchesGraph: the stats a Problem computes over the on-demand
+// mesh view (no graph built) equal, field for field, the ones it computes
+// over the CSR graph, and the independent oracle agrees with both.
+func TestStatsViewMatchesGraph(t *testing.T) {
+	for _, ne := range []int{1, 2, 3, 4, 6, 8, 12, 16} {
+		for _, method := range []string{"sfc", "serpentine", "kway"} {
+			for wname, setWeights := range weightCases {
+				t.Run(fmt.Sprintf("ne%d/%s/%s", ne, method, wname), func(t *testing.T) {
+					viewed, err := core.NewProblem(ne) // never asked for its graph
+					if err != nil {
+						t.Fatal(err)
+					}
+					setWeights(t, viewed)
+					csr, _ := core.NewProblem(ne)
+					setWeights(t, csr)
+					g, err := csr.Graph()
+					if err != nil {
+						t.Fatal(err)
+					}
+					nparts := max(2, 6*ne*ne/8)
+					part, err := core.Run(context.Background(), method, csr, nparts, 1, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					fromView, err := viewed.Stats(part)
+					if err != nil {
+						t.Fatal(err)
+					}
+					fromGraph, err := csr.Stats(part)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(fromView, fromGraph) {
+						t.Errorf("view stats  %+v\ngraph stats %+v", fromView, fromGraph)
+					}
+					want, err := partition.ComputeStatsWeighted(g, part, csr.Weights())
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(fromGraph, want) {
+						t.Errorf("Problem.Stats %+v\nComputeStatsWeighted %+v", fromGraph, want)
+					}
+					if err := check.CrossCheckStats(g, part); err != nil {
+						t.Error(err)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestStatsUsesCallerGraph: a graph handed to ProblemFrom is the one Stats
+// reads even when no method asked for it, so its (non-unit) vertex weights
+// count exactly as they did when every caller passed the graph explicitly.
+func TestStatsUsesCallerGraph(t *testing.T) {
+	m, err := mesh.NewDeferred(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vw := make([]int32, m.NumElems())
+	for v := range vw {
+		vw[v] = int32(1 + v%5)
+	}
+	opt := graph.DefaultOptions()
+	opt.VertexWeights = vw
+	g, err := graph.FromMesh(m, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prob, err := core.ProblemFrom(8, m, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := core.Run(context.Background(), "sfc", prob, 24, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := prob.Stats(part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := partition.ComputeStats(g, part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Stats %+v\nwant  %+v", got, want)
+	}
+	if got.LBNelemd == 0 {
+		t.Error("LBNelemd is 0: the caller graph's vertex weights were ignored (the cut is count-balanced)")
+	}
+}
+
+// TestStatsViewDeterministic: on-demand-view stats do not depend on
+// GOMAXPROCS (the weight generators and curve builds underneath are
+// parallel). Part of the -race list.
+func TestStatsViewDeterministic(t *testing.T) {
+	run := func(procs int) partition.Stats {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		prob := newProblem(t, 24, "hv:amp=16,m=6")
+		part, err := core.Run(context.Background(), "sfc", prob, 96, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := prob.Stats(part)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	if one, four := run(1), run(4); !reflect.DeepEqual(one, four) {
+		t.Errorf("GOMAXPROCS=1 %+v\nGOMAXPROCS=4 %+v", one, four)
+	}
+}

@@ -168,6 +168,11 @@ func (g *Graph) VertexWeight(v int) int32 { return g.vwgt[v] }
 // VertexSize returns the communication volume contributed by v when cut.
 func (g *Graph) VertexSize(v int) int32 { return g.vsize[v] }
 
+// Row returns Adj(v) and AdjWeights(v). The buffers are ignored: a CSR graph
+// answers from its own storage. It exists so a Graph and a MeshView can be
+// read through one interface (partition.Adjacency).
+func (g *Graph) Row(v int, _, _ []int32) (adj, wts []int32) { return g.Adj(v), g.AdjWeights(v) }
+
 // SetVertexWeights replaces every vertex weight. Used to attach non-uniform
 // computation costs to graphs built from adjacency streams (e.g. AMR
 // forests), which FromAdjacency creates with unit weights.
@@ -267,68 +272,22 @@ func DefaultOptions() Options {
 }
 
 // FromMesh builds the partitioning graph of a cubed-sphere mesh by streaming
-// element adjacency straight into exactly-sized CSR arrays (FromAdjacency):
-// no intermediate edge list is materialised, so the peak footprint is the
-// final graph plus O(1) per-worker neighbour buffers. Works with both
-// materialised and deferred meshes; with a deferred mesh the dual graph is
-// never held twice in any form.
+// the rows of its MeshView straight into exactly-sized CSR arrays
+// (FromAdjacency): no intermediate edge list is materialised, so the peak
+// footprint is the final graph plus O(1) per-worker row buffers. Works with
+// both materialised and deferred meshes; with a deferred mesh the dual graph
+// is never held twice in any form.
 func FromMesh(m *mesh.Mesh, opt Options) (*Graph, error) {
-	if opt.EdgeWeight == 0 {
-		opt.EdgeWeight = 1
+	view, err := NewMeshView(m, opt)
+	if err != nil {
+		return nil, err
 	}
-	if opt.CornerWeight == 0 {
-		opt.CornerWeight = 1
-	}
-	k := m.NumElems()
-	if opt.VertexWeights != nil {
-		if len(opt.VertexWeights) != k {
-			return nil, fmt.Errorf("graph: %d vertex weights for %d elements", len(opt.VertexWeights), k)
-		}
-		for v, w := range opt.VertexWeights {
-			if w <= 0 {
-				return nil, fmt.Errorf("graph: non-positive vertex weight %d on element %d", w, v)
-			}
-		}
-	}
-	if opt.VertexSizes != nil {
-		if len(opt.VertexSizes) != k {
-			return nil, fmt.Errorf("graph: %d vertex sizes for %d elements", len(opt.VertexSizes), k)
-		}
-		for v, s := range opt.VertexSizes {
-			if s <= 0 {
-				return nil, fmt.Errorf("graph: non-positive vertex size %d on element %d", s, v)
-			}
-		}
-	}
-	g, err := FromAdjacency(k, func() RowFunc {
-		// Per-worker neighbour buffers; NeighborsInto keeps queries
-		// allocation-free once they reach steady-state capacity.
-		var ebuf, cbuf []mesh.ElemID
+	g, err := FromAdjacency(view.NumVertices(), func() RowFunc {
+		adj, wts := make([]int32, 0, 8), make([]int32, 0, 8) // per-worker row buffers
 		return func(v int, emit func(int, int32)) {
-			ebuf, cbuf = m.NeighborsInto(mesh.ElemID(v), ebuf[:0], cbuf[:0])
-			if !opt.IncludeCorners {
-				for _, u := range ebuf {
-					emit(int(u), opt.EdgeWeight)
-				}
-				return
-			}
-			// Edge and corner neighbour sets are disjoint and each sorted;
-			// a two-way merge emits the full row in ascending order.
-			ie, ic := 0, 0
-			for ie < len(ebuf) && ic < len(cbuf) {
-				if ebuf[ie] < cbuf[ic] {
-					emit(int(ebuf[ie]), opt.EdgeWeight)
-					ie++
-				} else {
-					emit(int(cbuf[ic]), opt.CornerWeight)
-					ic++
-				}
-			}
-			for ; ie < len(ebuf); ie++ {
-				emit(int(ebuf[ie]), opt.EdgeWeight)
-			}
-			for ; ic < len(cbuf); ic++ {
-				emit(int(cbuf[ic]), opt.CornerWeight)
+			adj, wts = view.Row(v, adj, wts)
+			for i, u := range adj {
+				emit(int(u), wts[i])
 			}
 		}
 	})

@@ -269,3 +269,45 @@ func BenchmarkFromMeshNe48(b *testing.B) {
 		}
 	}
 }
+
+// TestMeshViewRowsAllocFree: on a deferred mesh the on-demand view answers
+// every row — interior, face boundary, cube corner — without allocating, and
+// with the rows the CSR build froze.
+func TestMeshViewRowsAllocFree(t *testing.T) {
+	md, err := mesh.NewDeferred(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := FromMesh(md, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, err := NewMeshView(md, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	adj, wts := make([]int32, 0, 8), make([]int32, 0, 8)
+	allocs := testing.AllocsPerRun(10, func() {
+		for v := 0; v < view.NumVertices(); v++ {
+			adj, wts = view.Row(v, adj, wts)
+			a, w := g.Row(v, nil, nil)
+			if len(adj) != len(a) {
+				t.Fatalf("vertex %d: view row %v, CSR row %v", v, adj, a)
+			}
+			for i := range a {
+				if adj[i] != a[i] || wts[i] != w[i] {
+					t.Fatalf("vertex %d: view row %v/%v, CSR row %v/%v", v, adj, wts, a, w)
+				}
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("MeshView.Row allocated %.0f times per sweep, want 0", allocs)
+	}
+	if view.VertexWeight(3) != 1 || view.VertexSize(3) != 1 {
+		t.Error("default vertex weight/size is not 1")
+	}
+	if err := view.SetVertexWeights([]int32{1}); err == nil {
+		t.Error("short weight vector accepted")
+	}
+}

@@ -190,16 +190,17 @@ func SimulateStep(m *mesh.Mesh, p *partition.Partition, w Workload, mod Model, w
 	// Message volume per ordered processor pair.
 	type pair struct{ from, to int32 }
 	vol := make(map[pair]int64)
+	var edge, corner []mesh.ElemID // reused: a deferred mesh resolves rows per call
 	for e := 0; e < k; e++ {
 		pe := int32(p.Part(e))
-		id := mesh.ElemID(e)
-		for _, nb := range m.EdgeNeighbors(id) {
+		edge, corner = m.NeighborsInto(mesh.ElemID(e), edge[:0], corner[:0])
+		for _, nb := range edge {
 			pn := int32(p.Part(int(nb)))
 			if pn != pe {
 				vol[pair{pe, pn}] += w.BytesPerEdge
 			}
 		}
-		for _, nb := range m.CornerNeighbors(id) {
+		for _, nb := range corner {
 			pn := int32(p.Part(int(nb)))
 			if pn != pe {
 				vol[pair{pe, pn}] += w.BytesPerCorner

@@ -23,6 +23,7 @@ package mesh
 
 import (
 	"fmt"
+	"slices"
 
 	"sfccube/internal/par"
 )
@@ -83,12 +84,13 @@ type Elem struct {
 type Mesh struct {
 	ne int
 
-	// cubeEdgeNodes maps every corner node lying on one of the twelve cube
-	// edges (at least two coordinates at +-ne) to the elements touching it.
-	// It has O(Ne) entries and is the only lookup structure cross-face
-	// adjacency needs: two elements on different faces can only share nodes
-	// on the cube edge where their faces meet.
-	cubeEdgeNodes map[nodeKey][]ElemID
+	// cubeEdgeNodes lists, for every corner node lying on one of the twelve
+	// cube edges (at least two coordinates at +-ne), the up to four elements
+	// touching it, -1 padded and indexed by cubeEdgeSlot. It has O(Ne)
+	// entries and is the only lookup structure cross-face adjacency needs:
+	// two elements on different faces can only share nodes on the cube edge
+	// where their faces meet.
+	cubeEdgeNodes [][4]ElemID
 
 	// edgeNbrs[e] lists the elements sharing an edge (two corner nodes)
 	// with element e; cornerNbrs[e] lists the elements sharing exactly one
@@ -269,36 +271,54 @@ func (m *Mesh) cornerNode(f Face, i, j int) nodeKey {
 	}
 }
 
-// onCubeEdge reports whether a corner node lies on one of the twelve cube
-// edges: at least two of its coordinates sit on the cube surface at +-ne.
-// (Exactly one coordinate at +-ne means a node interior to a face, which is
-// only ever shared between elements of that face.)
-func (m *Mesh) onCubeEdge(k nodeKey) bool {
-	n := 0
-	if k.x == m.ne || k.x == -m.ne {
-		n++
+// cubeEdgeSlot returns the index in cubeEdgeNodes of a corner node lying on
+// one of the twelve cube edges, or -1 for any other node: at least two of its
+// coordinates must sit on the cube surface at +-ne. (Exactly one coordinate
+// at +-ne means a node interior to a face, which is only ever shared between
+// elements of that face.) A cube edge is named by the axis it runs along and
+// the signs of the other two coordinates, a node on it by its position along
+// that axis; the eight cube corners count as end points of the x-axis edges.
+func (m *Mesh) cubeEdgeSlot(k nodeKey) int {
+	c := [3]int{k.x, k.y, k.z}
+	along, nfree := 0, 0
+	for a := 2; a >= 0; a-- {
+		if c[a] != m.ne && c[a] != -m.ne {
+			along = a
+			nfree++
+		}
 	}
-	if k.y == m.ne || k.y == -m.ne {
-		n++
+	if nfree > 1 {
+		return -1
 	}
-	if k.z == m.ne || k.z == -m.ne {
-		n++
+	edge := along
+	for a := 0; a < 3; a++ {
+		if a != along {
+			edge *= 2
+			if c[a] > 0 {
+				edge++
+			}
+		}
 	}
-	return n >= 2
+	return edge*(m.ne+1) + (c[along]+m.ne)/2
 }
 
-// buildCubeEdgeIndex maps every corner node on a cube edge to the elements
-// touching it. Only boundary-ring elements (i or j in {0, ne-1}) can touch
-// such a node, so the index is built from the O(Ne) perimeter of each face.
+// buildCubeEdgeIndex records for every corner node on a cube edge the
+// elements touching it (at most four: two on each face along an edge, one
+// per face at a cube corner). Only boundary-ring elements (i or j in
+// {0, ne-1}) can touch such a node, so the index is built from the O(Ne)
+// perimeter of each face, in one allocation.
 func (m *Mesh) buildCubeEdgeIndex() {
 	ne := m.ne
-	m.cubeEdgeNodes = make(map[nodeKey][]ElemID, 12*ne+8)
+	m.cubeEdgeNodes = make([][4]ElemID, 12*(ne+1))
+	for i := range m.cubeEdgeNodes {
+		m.cubeEdgeNodes[i] = [4]ElemID{-1, -1, -1, -1}
+	}
 	visit := func(f Face, i, j int) {
 		id := m.ID(f, i, j)
 		for _, c := range [4][2]int{{i, j}, {i + 1, j}, {i, j + 1}, {i + 1, j + 1}} {
-			key := m.cornerNode(f, c[0], c[1])
-			if m.onCubeEdge(key) {
-				m.cubeEdgeNodes[key] = append(m.cubeEdgeNodes[key], id)
+			if slot := m.cubeEdgeSlot(m.cornerNode(f, c[0], c[1])); slot >= 0 {
+				elems := &m.cubeEdgeNodes[slot]
+				elems[slices.Index(elems[:], -1)] = id
 			}
 		}
 	}
@@ -361,11 +381,14 @@ func (m *Mesh) appendBoundaryNeighbors(f Face, i, j int, edgeDst, cornerDst []El
 	var cnt [8]int8
 	ncand := 0
 	for _, c := range [4][2]int{{i, j}, {i + 1, j}, {i, j + 1}, {i + 1, j + 1}} {
-		key := m.cornerNode(f, c[0], c[1])
-		if !m.onCubeEdge(key) {
+		slot := m.cubeEdgeSlot(m.cornerNode(f, c[0], c[1]))
+		if slot < 0 {
 			continue
 		}
-		for _, o := range m.cubeEdgeNodes[key] {
+		for _, o := range m.cubeEdgeNodes[slot] {
+			if o < 0 {
+				break
+			}
 			if int(o) >= base && int(o) < base+ne*ne {
 				continue // same-face neighbours are handled arithmetically
 			}

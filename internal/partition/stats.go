@@ -2,6 +2,7 @@ package partition
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"sfccube/internal/graph"
@@ -68,7 +69,36 @@ type Stats struct {
 	EmptyParts int
 }
 
+// Adjacency is what the statistics read of a dual graph: vertex count,
+// weights, and one row at a time. *graph.Graph answers Row by aliasing its
+// CSR storage; *graph.MeshView resolves it from the mesh into the caller's
+// buffers, so a cubed-sphere partition can be measured without the graph
+// ever being built. A returned row is read-only and valid until the next Row
+// call with the same buffers.
+type Adjacency interface {
+	NumVertices() int
+	Row(v int, adjBuf, wtBuf []int32) (adj, wts []int32)
+	VertexWeight(v int) int32
+	VertexSize(v int) int32
+}
+
 // ComputeStats evaluates all quality metrics of partition p on graph g.
+func ComputeStats(g *graph.Graph, p *Partition) (Stats, error) { return StatsOver(g, p, nil) }
+
+// ComputeStatsWeighted is ComputeStats under an explicit element weight
+// vector; see StatsOver.
+func ComputeStatsWeighted(g *graph.Graph, p *Partition, weights []int64) (Stats, error) {
+	return StatsOver(g, p, weights)
+}
+
+// StatsOver evaluates all quality metrics of partition p over the adjacency
+// a. weights, when non-nil, is an explicit element weight vector (indexed
+// like the vertices): PartWeights receives the total weight per part and
+// LBWeighted the equation-(1) balance over it, replacing the
+// vertex-weight default. Negative weights fail with *WeightError and an
+// all-zero vector with *ZeroTotalWeightError — the same validation the
+// weighted curve split applies, so a partition and its stats can never
+// disagree about weight legality.
 //
 // Edge accounting: the loop below visits every directed adjacency entry, so
 // each undirected cut edge {u, v} is seen exactly twice (once from u, once
@@ -80,39 +110,62 @@ type Stats struct {
 // internal/check.CrossCheckStats, which the differential, fuzz and mutation
 // suites run over every method, mesh and part count they touch; the audit
 // found the totals in exact agreement (no discrepancy to correct).
-func ComputeStats(g *graph.Graph, p *Partition) (Stats, error) {
-	n := g.NumVertices()
+func StatsOver(a Adjacency, p *Partition, weights []int64) (Stats, error) {
+	n := a.NumVertices()
 	if p.NumVertices() != n {
 		return Stats{}, fmt.Errorf("partition: %d vertices but graph has %d", p.NumVertices(), n)
 	}
 	st := Stats{NParts: p.NumParts()}
 	st.Nelemd = p.Counts()
-	weighted := p.WeightedCounts(g.VertexWeight)
-	st.LBNelemd = LoadBalanceInt64(weighted)
+	st.LBNelemd = LoadBalanceInt64(p.WeightedCounts(a.VertexWeight))
 	st.LBWeighted = st.LBNelemd
+	if weights != nil {
+		if len(weights) != n {
+			return Stats{}, fmt.Errorf("partition: %d weights for %d vertices", len(weights), n)
+		}
+		if _, _, err := validateWeights(weights); err != nil {
+			return Stats{}, err
+		}
+		st.PartWeights = make([]int64, p.NumParts())
+		for v, w := range weights {
+			st.PartWeights[p.Part(v)] += w
+		}
+		st.LBWeighted = LoadBalanceInt64(st.PartWeights)
+	}
 
+	// One sweep over the rows: cut accounting per vertex, and a union-find
+	// over same-part edges (each undirected edge once, from its higher end)
+	// whose roots are the connected components of the parts.
 	st.Spcv = make([]int64, p.NumParts())
-	distinct := make(map[int32]bool, 8)
+	parent := make([]int32, n)
+	for v := range parent {
+		parent[v] = int32(v)
+	}
+	var adjBuf, wtBuf, remote [8]int32
 	for v := 0; v < n; v++ {
 		pv := p.Part(v)
-		adj, wts := g.Adj(v), g.AdjWeights(v)
-		cut := false
-		for k := range distinct {
-			delete(distinct, k)
-		}
+		adj, wts := a.Row(v, adjBuf[:0], wtBuf[:0])
+		distinct := remote[:0] // remote parts adjacent to v; a row is short
 		for i, u := range adj {
-			pu := p.Part(int(u))
-			if pu != pv {
-				cut = true
-				st.Spcv[pv] += int64(wts[i])
-				st.EdgeCut += int64(wts[i]) // counted once per direction; halved below
-				st.EdgeCutUnweighted++
-				distinct[int32(pu)] = true
+			pu := int32(p.Part(int(u)))
+			if int(pu) == pv {
+				if int(u) < v {
+					if ru, rv := find(parent, u), find(parent, int32(v)); ru != rv {
+						parent[rv] = ru
+					}
+				}
+				continue
+			}
+			st.Spcv[pv] += int64(wts[i])
+			st.EdgeCut += int64(wts[i]) // counted once per direction; halved below
+			st.EdgeCutUnweighted++
+			if !slices.Contains(distinct, pu) {
+				distinct = append(distinct, pu)
 			}
 		}
-		if cut {
+		if len(distinct) > 0 {
 			st.CutVertices++
-			st.TotalCommVolume += int64(g.VertexSize(v)) * int64(len(distinct))
+			st.TotalCommVolume += int64(a.VertexSize(v)) * int64(len(distinct))
 		}
 	}
 	st.EdgeCut /= 2
@@ -129,11 +182,15 @@ func ComputeStats(g *graph.Graph, p *Partition) (Stats, error) {
 		}
 	}
 
-	// Connected components per part: BFS over same-part edges. Empty parts
-	// have zero components and are counted separately — MaxComponents
-	// starts at 1, so a part that received no vertices would otherwise be
-	// invisible in the report.
-	comp := componentsPerPart(g, p)
+	// Connected components per part. Empty parts have zero components and
+	// are counted separately — MaxComponents starts at 1, so a part that
+	// received no vertices would otherwise be invisible in the report.
+	comp := make([]int, p.NumParts())
+	for v, r := range parent {
+		if int(r) == v {
+			comp[p.Part(v)]++
+		}
+	}
 	st.MaxComponents = 1
 	for _, c := range comp {
 		if c == 0 {
@@ -149,64 +206,13 @@ func ComputeStats(g *graph.Graph, p *Partition) (Stats, error) {
 	return st, nil
 }
 
-// ComputeStatsWeighted is ComputeStats under an explicit element weight
-// vector (indexed like the graph's vertices): PartWeights receives the total
-// weight per part and LBWeighted the equation-(1) balance over it, replacing
-// the graph-vertex-weight default. weights may be nil, in which case the
-// result is identical to ComputeStats. Negative weights fail with
-// *WeightError and an all-zero vector with *ZeroTotalWeightError — the same
-// validation the weighted curve split applies, so a partition and its stats
-// can never disagree about weight legality.
-func ComputeStatsWeighted(g *graph.Graph, p *Partition, weights []int64) (Stats, error) {
-	st, err := ComputeStats(g, p)
-	if err != nil {
-		return Stats{}, err
+// find returns the root of x's union-find tree, halving the path as it goes.
+func find(parent []int32, x int32) int32 {
+	for parent[x] != x {
+		parent[x] = parent[parent[x]]
+		x = parent[x]
 	}
-	if weights == nil {
-		return st, nil
-	}
-	if len(weights) != p.NumVertices() {
-		return Stats{}, fmt.Errorf("partition: %d weights for %d vertices", len(weights), p.NumVertices())
-	}
-	if _, _, err := validateWeights(weights); err != nil {
-		return Stats{}, err
-	}
-	st.PartWeights = make([]int64, p.NumParts())
-	for v, w := range weights {
-		st.PartWeights[p.Part(v)] += w
-	}
-	st.LBWeighted = LoadBalanceInt64(st.PartWeights)
-	return st, nil
-}
-
-// componentsPerPart returns, for every part, the number of connected
-// components its vertex set induces in g. Empty parts count as zero
-// components.
-func componentsPerPart(g *graph.Graph, p *Partition) []int {
-	n := g.NumVertices()
-	comp := make([]int, p.NumParts())
-	visited := make([]bool, n)
-	queue := make([]int32, 0, 64)
-	for v := 0; v < n; v++ {
-		if visited[v] {
-			continue
-		}
-		pv := p.Part(v)
-		comp[pv]++
-		visited[v] = true
-		queue = append(queue[:0], int32(v))
-		for len(queue) > 0 {
-			u := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
-			for _, w := range g.Adj(int(u)) {
-				if !visited[w] && p.Part(int(w)) == pv {
-					visited[w] = true
-					queue = append(queue, w)
-				}
-			}
-		}
-	}
-	return comp
+	return x
 }
 
 // String renders the Table-2 style summary of the statistics, including the

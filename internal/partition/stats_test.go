@@ -127,3 +127,56 @@ func TestComputeStatsWeightedErrors(t *testing.T) {
 		t.Errorf("all-zero weights: got %v, want *ZeroTotalWeightError", err)
 	}
 }
+
+// TestComponentsMatchFloodFill holds the union-find component count of
+// StatsOver to an independent per-part flood fill on scattered partitions,
+// where parts fragment into many pieces, and on a contiguous block split.
+func TestComponentsMatchFloodFill(t *testing.T) {
+	g := buildMeshGraph(t, 6)
+	n := g.NumVertices()
+	for seed := uint64(0); seed < 8; seed++ {
+		nparts := 2 + int(seed)*3
+		p := New(n, nparts)
+		for v, r := range lcgWeights(n, seed) {
+			if seed == 0 {
+				p.SetPart(v, v*nparts/n)
+			} else {
+				p.SetPart(v, int(r)%nparts)
+			}
+		}
+		comp := make([]int, nparts)
+		seen := make([]bool, n)
+		for v := 0; v < n; v++ {
+			if seen[v] {
+				continue
+			}
+			comp[p.Part(v)]++
+			seen[v] = true
+			for stack := []int32{int32(v)}; len(stack) > 0; {
+				u := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				for _, w := range g.Adj(int(u)) {
+					if !seen[w] && p.Part(int(w)) == p.Part(v) {
+						seen[w] = true
+						stack = append(stack, w)
+					}
+				}
+			}
+		}
+		wantMax, wantDisc := 1, 0
+		for _, c := range comp {
+			wantMax = max(wantMax, c)
+			if c > 1 {
+				wantDisc++
+			}
+		}
+		st, err := ComputeStats(g, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.MaxComponents != wantMax || st.DisconnectedParts != wantDisc {
+			t.Errorf("seed %d: MaxComponents=%d DisconnectedParts=%d, flood fill says %d and %d",
+				seed, st.MaxComponents, st.DisconnectedParts, wantMax, wantDisc)
+		}
+	}
+}

@@ -167,10 +167,10 @@ type Config struct {
 	// carries none; 0 means unbounded.
 	DefaultDeadline time.Duration
 	// LargeNe is the threshold at or above which a request enters the
-	// large-problem regime: the mesh keeps its adjacency deferred (O(Ne)
-	// index instead of O(Ne^2) neighbour tables), "auto" resolves to the
-	// SFC-first chain (linear-time cuts instead of multilevel refinement)
-	// and LargeDeadline applies. Default 256 (393k elements); negative
+	// large-problem regime: "auto" resolves to the SFC-first chain
+	// (linear-time cuts instead of multilevel refinement) and LargeDeadline
+	// applies. (The mesh keeps its adjacency deferred at every size; that is
+	// not a property of this regime.) Default 256 (393k elements); negative
 	// disables the regime entirely.
 	LargeNe int
 	// LargeDeadline is the compute budget for large-regime requests that
@@ -269,7 +269,7 @@ func NewService(cfg Config) *Service {
 	reg.Help("partsrv_singleflight_shared_total", "Requests that joined another caller's in-flight computation.")
 	reg.Help("partsrv_degraded_total", "Responses produced under deadline pressure (fallback past the requested method).")
 	reg.Help("partsrv_failures_total", "Requests that failed after validation (exhausted chains, internal errors).")
-	reg.Help("partsrv_large_total", "Computations routed through the large-problem regime (deferred mesh, SFC-first auto chain).")
+	reg.Help("partsrv_large_total", "Computations routed through the large-problem regime (SFC-first auto chain, LargeDeadline).")
 	reg.Help("partsrv_compute_ns", "Wall time of executed partition computations.")
 	reg.Help("partsrv_cache_bytes", "Current response-cache payload size.")
 	reg.Help("partsrv_cache_entries", "Current response-cache entry count.")
@@ -466,12 +466,11 @@ func (s *Service) isLarge(ne int) bool { return s.cfg.LargeNe > 0 && ne >= s.cfg
 // deadlineMS < 0 starts with the budget already spent — the degradation
 // ladder's fast path.
 //
-// Requests at or above Config.LargeNe take the large-problem path: the mesh
-// defers its neighbour tables (the SFC strategies never read them, and the
-// graph build streams rows on the fly), "auto" starts at SFC instead of the
-// multilevel methods, and LargeDeadline bounds the work. The routing depends
-// only on (Ne, server config), so cached answers stay deterministic; it is
-// not deadline degradation and does not mark the response Degraded.
+// Requests at or above Config.LargeNe take the large-problem path: "auto"
+// starts at SFC instead of the multilevel methods, and LargeDeadline bounds
+// the work. The routing depends only on (Ne, server config), so cached
+// answers stay deterministic; it is not deadline degradation and does not
+// mark the response Degraded.
 func (s *Service) compute(ctx context.Context, canon canonicalRequest, key string, deadlineMS int64) (computed, error) {
 	if err := s.admit(ctx, canon.Method); err != nil {
 		return computed{}, err
@@ -518,11 +517,6 @@ func (s *Service) compute(ctx context.Context, canon canonicalRequest, key strin
 	if err := prob.SetWeightSpec(canon.Weights); err != nil {
 		return computed{}, err
 	}
-	// Every response carries stats, so every method needs the graph.
-	g, err := prob.Graph()
-	if err != nil {
-		return computed{}, err
-	}
 	spec := resilience.NewFallbackSpec(canon.Ne, canon.NParts)
 	spec.Seed = canon.Seed
 	spec.MaxLB = canon.MaxLB
@@ -542,7 +536,9 @@ func (s *Service) compute(ctx context.Context, canon canonicalRequest, key strin
 		return computed{}, err
 	}
 	s.recordBreakers(probing, res, elapsed, nil)
-	st, err := partition.ComputeStatsWeighted(g, res.Partition, prob.Weights())
+	// Every response carries stats; Problem.Stats reads the CSR graph only
+	// if a chain link already built it.
+	st, err := prob.Stats(res.Partition)
 	if err != nil {
 		return computed{}, err
 	}

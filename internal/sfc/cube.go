@@ -2,6 +2,7 @@ package sfc
 
 import (
 	"fmt"
+	"slices"
 
 	"sfccube/internal/mesh"
 	"sfccube/internal/par"
@@ -17,23 +18,22 @@ var defaultFacePath = [mesh.NumFaces]mesh.Face{
 	mesh.FaceNY, mesh.FacePZ, mesh.FacePY, mesh.FacePX, mesh.FaceNZ, mesh.FaceNX,
 }
 
-// facesAdjacent reports whether two cube faces share an edge (all pairs
-// except opposites).
+// facesAdjacent reports whether two cube faces share an edge: all pairs
+// except a face with itself or its opposite. The lateral ring 0..3 puts
+// opposites two apart; the poles 4 and 5 oppose each other.
 func facesAdjacent(a, b mesh.Face) bool {
 	if a == b {
 		return false
 	}
-	opposite := map[mesh.Face]mesh.Face{
-		mesh.FacePX: mesh.FaceNX, mesh.FaceNX: mesh.FacePX,
-		mesh.FacePY: mesh.FaceNY, mesh.FaceNY: mesh.FacePY,
-		mesh.FacePZ: mesh.FaceNZ, mesh.FaceNZ: mesh.FacePZ,
+	if a < mesh.FacePZ {
+		return b != (a+2)%4
 	}
-	return opposite[a] != b
+	return b < mesh.FacePZ
 }
 
-// hamiltonianFacePaths enumerates every visiting order of the six faces in
-// which consecutive faces are adjacent, starting with the default path.
-func hamiltonianFacePaths() [][mesh.NumFaces]mesh.Face {
+// faceHamiltonianPaths is every visiting order of the six faces in which
+// consecutive faces are adjacent, the default path first. Immutable.
+var faceHamiltonianPaths = func() [][mesh.NumFaces]mesh.Face {
 	paths := [][mesh.NumFaces]mesh.Face{defaultFacePath}
 	var cur [mesh.NumFaces]mesh.Face
 	used := [mesh.NumFaces]bool{}
@@ -60,7 +60,7 @@ func hamiltonianFacePaths() [][mesh.NumFaces]mesh.Face {
 	}
 	rec(0)
 	return paths
-}
+}()
 
 // CubeCurve is a single continuous space-filling curve traversing every
 // element of a cubed-sphere mesh (paper Figure 6): the per-face curves are
@@ -165,13 +165,12 @@ func entryExit(base *Curve, t XF) (entry, exit Point) {
 // an Eulerian path in K4 (faces are the edges between same-parity cube
 // corners, every corner has odd degree 3), which does not exist.
 func (cc *CubeCurve) solveOrientations(base *Curve) bool {
-	edgeAdj := isEdgeNeighborOf(cc.m)
+	edgeAdj := func(a, b mesh.ElemID) bool { return isEdgeNeighbor(cc.m, a, b) }
 	connected := func(a, b mesh.ElemID) bool {
 		return isEdgeNeighbor(cc.m, a, b) || isCornerNeighbor(cc.m, a, b)
 	}
-	paths := hamiltonianFacePaths()
 	try := func(accept func(a, b mesh.ElemID) bool, breaks int) bool {
-		for _, path := range paths {
+		for _, path := range faceHamiltonianPaths {
 			var rec func(step, budget int, prevExit mesh.ElemID) bool
 			rec = func(step, budget int, prevExit mesh.ElemID) bool {
 				if step == mesh.NumFaces {
@@ -213,26 +212,19 @@ func (cc *CubeCurve) solveOrientations(base *Curve) bool {
 	return false
 }
 
-func isEdgeNeighborOf(m *mesh.Mesh) func(a, b mesh.ElemID) bool {
-	return func(a, b mesh.ElemID) bool { return isEdgeNeighbor(m, a, b) }
+// isEdgeNeighbor and isCornerNeighbor resolve a's neighbours into stack
+// buffers, so the orientation search and the continuity checks do not
+// allocate on a deferred mesh.
+func isEdgeNeighbor(m *mesh.Mesh, a, b mesh.ElemID) bool {
+	var eb, cb [4]mesh.ElemID
+	edge, _ := m.NeighborsInto(a, eb[:0], cb[:0])
+	return slices.Contains(edge, b)
 }
 
 func isCornerNeighbor(m *mesh.Mesh, a, b mesh.ElemID) bool {
-	for _, n := range m.CornerNeighbors(a) {
-		if n == b {
-			return true
-		}
-	}
-	return false
-}
-
-func isEdgeNeighbor(m *mesh.Mesh, a, b mesh.ElemID) bool {
-	for _, n := range m.EdgeNeighbors(a) {
-		if n == b {
-			return true
-		}
-	}
-	return false
+	var eb, cb [4]mesh.ElemID
+	_, corner := m.NeighborsInto(a, eb[:0], cb[:0])
+	return slices.Contains(corner, b)
 }
 
 // build materialises the global visit order. The six faces occupy fixed

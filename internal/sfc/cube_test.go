@@ -180,3 +180,22 @@ func TestNe1OrientationsMatchRefinement(t *testing.T) {
 		}
 	}
 }
+
+// TestFacesAdjacentMatchesMesh holds the arithmetic face-adjacency test to
+// the mesh itself: at Ne=1 an element is a face, and two faces share a cube
+// edge exactly when their elements are edge neighbours. The table-free
+// enumeration must also still find the octahedron's 240 Hamiltonian paths,
+// default path first.
+func TestFacesAdjacentMatchesMesh(t *testing.T) {
+	m := mustMesh(t, 1)
+	for a := mesh.Face(0); a < mesh.NumFaces; a++ {
+		for b := mesh.Face(0); b < mesh.NumFaces; b++ {
+			if got, want := facesAdjacent(a, b), isEdgeNeighbor(m, m.ID(a, 0, 0), m.ID(b, 0, 0)); got != want {
+				t.Errorf("facesAdjacent(%v, %v) = %v, mesh says %v", a, b, got, want)
+			}
+		}
+	}
+	if n := len(faceHamiltonianPaths); n != 240 || faceHamiltonianPaths[0] != defaultFacePath {
+		t.Errorf("%d Hamiltonian face paths starting %v, want 240 starting with the default path", n, faceHamiltonianPaths[0])
+	}
+}

@@ -304,15 +304,16 @@ func SimulateObs(ctx context.Context, computeTime []float64, msgs []Message, mod
 func StepMessages(m *mesh.Mesh, p *partition.Partition, w machine.Workload) []Message {
 	type pair struct{ from, to int32 }
 	vol := map[pair]int64{}
+	var edge, corner []mesh.ElemID // reused: a deferred mesh resolves rows per call
 	for e := 0; e < m.NumElems(); e++ {
 		pe := int32(p.Part(e))
-		id := mesh.ElemID(e)
-		for _, nb := range m.EdgeNeighbors(id) {
+		edge, corner = m.NeighborsInto(mesh.ElemID(e), edge[:0], corner[:0])
+		for _, nb := range edge {
 			if pn := int32(p.Part(int(nb))); pn != pe {
 				vol[pair{pe, pn}] += w.BytesPerEdge
 			}
 		}
-		for _, nb := range m.CornerNeighbors(id) {
+		for _, nb := range corner {
 			if pn := int32(p.Part(int(nb))); pn != pe {
 				vol[pair{pe, pn}] += w.BytesPerCorner
 			}
