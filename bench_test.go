@@ -294,8 +294,8 @@ func BenchmarkDSSApply(b *testing.B) {
 // BenchmarkRunnerStep measures one full RK4 step of the parallel runner in
 // the paper's most oversubscribed configuration: K=384 elements on 384
 // ranks (one element per rank), under the dependency-driven epoch scheduler
-// (or its zero-synchronisation serial fast path when only one worker is
-// available). The acceptance bar for the raw-speed-ceiling rework was >= 2x
+// (blocks of ranks over the available workers; one block on the caller when
+// there is one). The acceptance bar for the raw-speed-ceiling rework was >= 2x
 // over the previous baseline at this configuration; see BENCH_seam.json for
 // the recorded trajectory.
 func BenchmarkRunnerStep(b *testing.B) {
@@ -342,9 +342,9 @@ func BenchmarkRunnerStepObs(b *testing.B) {
 // GOMAXPROCS and Runner.Workers both set to p, so the recorded curve
 // (BENCH_seam.json runner_step_p{1,2,4}_ns_per_op) is the scheduler's
 // scaling behaviour, not whatever the host machine happens to expose. P1
-// exercises the serial fast path; P2/P4 the epoch scheduler. On a
-// single-core host P2/P4 measure scheduler overhead under time-slicing
-// rather than speedup — the curve is recorded either way.
+// is one block run inline on the caller; P2/P4 schedule 16/32 blocks. With
+// fewer cores than p the extra workers are time-sliced and measure scheduler
+// overhead rather than speedup — the curve is recorded either way.
 func benchRunnerStepP(b *testing.B, p int) {
 	prev := runtime.GOMAXPROCS(p)
 	defer runtime.GOMAXPROCS(prev)

@@ -11,10 +11,10 @@
 //
 // Usage (what the CI bench-gate job runs):
 //
-//	go test -run '^$' -bench 'BenchmarkRunnerStep$' -benchtime 30x -count 3 . > seam.txt
+//	go test -run '^$' -bench 'BenchmarkRunnerStep(P2)?$' -benchtime 30x -count 3 . > seam.txt
 //	go test ./internal/metis -run '^$' -bench 'K384P96$' -benchtime 10x -count 3 >> seam.txt
 //	benchgate -input seam.txt -baseline BENCH_seam.json -baseline BENCH_metis.json \
-//	    -gate BenchmarkRunnerStep,BenchmarkRBK384P96 -tolerance 0.20 -out bench-delta.json
+//	    -gate BenchmarkRunnerStep,BenchmarkRunnerStepP2,BenchmarkRBK384P96 -tolerance 0.20 -out bench-delta.json
 //
 // See TESTING.md ("Benchmark gate") for the tolerance and baseline-refresh
 // policy.
@@ -59,7 +59,8 @@ var keyOf = map[string]string{
 	// near-equal-weight segments under the cfl physics proxy.
 	"BenchmarkWeightedSFCNe384": "weighted_sfc_ne384_ns_per_op",
 	// Raw-speed ceiling (PR 8): the pinned-parallelism scaling curve of the
-	// epoch scheduler (P1 = serial fast path, P2/P4 = dataflow workers) and
+	// epoch scheduler (P1 = one block on the caller, P2/P4 = blocks over 2/4
+	// workers; P2 is gated since block scheduling made it a speed-up) and
 	// the zero-alloc differentiation micro-kernel.
 	"BenchmarkRunnerStepP1":  "runner_step_p1_ns_per_op",
 	"BenchmarkRunnerStepP2":  "runner_step_p2_ns_per_op",
@@ -105,7 +106,7 @@ func main() {
 	flag.Var(&baselines, "baseline", "baseline JSON file (repeatable); the newest entries[] element is the reference")
 	input := flag.String("input", "-", "go test -bench output to read ('-' = stdin)")
 	tol := flag.Float64("tolerance", 0.20, "allowed slowdown fraction for gated benchmarks")
-	gate := flag.String("gate", "BenchmarkRunnerStep,BenchmarkRBK384P96", "comma-separated benchmark names that fail the run on regression")
+	gate := flag.String("gate", "BenchmarkRunnerStep,BenchmarkRunnerStepP2,BenchmarkRBK384P96", "comma-separated benchmark names that fail the run on regression")
 	out := flag.String("out", "", "write the JSON delta report here (optional)")
 	flag.Parse()
 

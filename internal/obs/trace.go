@@ -21,11 +21,11 @@ const (
 	// EvDSS is one rank's DSS assembly span of one RK stage
 	// (Arg: bytes the rank exchanges in that stage).
 	EvDSS
-	// EvWait is one worker's scheduling wait — parked until a rank's
-	// dependencies committed under the epoch scheduler (formerly the
-	// phase-barrier wait). Step/Stage/Rank name the task the wait delayed;
-	// Arg is the worker id. Wait events are schedule-shaped, so they are
-	// only recorded outside deterministic mode.
+	// EvWait is one worker's scheduling wait — parked until a block's
+	// dependencies committed under the epoch scheduler. Step/Stage name the
+	// block-task the wait delayed, Rank the first rank of that block; Arg is
+	// the worker id. Wait events are schedule-shaped, so they are only
+	// recorded outside deterministic mode.
 	EvWait
 	// EvCheckpoint is a checkpoint write (Arg: encoded bytes).
 	EvCheckpoint

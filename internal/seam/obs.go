@@ -26,9 +26,9 @@ type runnerMetrics struct {
 // stage-compute histograms and the DSS-assembly histogram. Batching keeps
 // the hot loop free of contended atomics: 384 ranks x 4 stages x 2 phases
 // of Observes per step collapse into a handful of atomic adds when each
-// worker flushes before parking and at step completion (see Runner.runSteps).
-// Nil-safe: on a
-// nil receiver every returned batch is nil and its methods no-op.
+// worker flushes before parking and at step completion (see
+// dfExec.runWorker). Nil-safe: on a nil receiver every returned batch is nil
+// and its methods no-op.
 func (m *runnerMetrics) workerBatches() (stage [4]*obs.HistogramBatch, dss *obs.HistogramBatch) {
 	if m == nil {
 		return stage, nil
@@ -40,8 +40,8 @@ func (m *runnerMetrics) workerBatches() (stage [4]*obs.HistogramBatch, dss *obs.
 }
 
 // observeWait records one worker's epoch wait: the time it spent parked on
-// the wake queue before the popped task's dependencies let it run. With one
-// worker (the serial path) there are no waits and nothing is recorded.
+// the wake queue before the popped block's dependencies let it run. With one
+// worker there is one block, no waits, and nothing is recorded.
 func (m *runnerMetrics) observeWait(d time.Duration) {
 	if m == nil {
 		return
@@ -62,8 +62,8 @@ func (m *runnerMetrics) observeWait(d time.Duration) {
 //	seam_dss_bytes_total          counter  bytes crossing rank boundaries
 //	seam_stage_compute_ns{stage}  histogram per-rank compute span per stage
 //	seam_dss_assembly_ns          histogram per-rank DSS assembly span
-//	seam_epoch_wait_ns            histogram per-worker epoch (dependency)
-//	                                       wait under the dataflow scheduler
+//	seam_epoch_wait_ns            histogram per-worker wait for block
+//	                                       dependencies to commit
 //	seam_rank_busy_ns{rank}       gauge    per-rank busy ns at the last
 //	                                       completed step boundary
 func (r *Runner) Instrument(reg *obs.Registry, tr *obs.RunTrace) {
@@ -77,7 +77,7 @@ func (r *Runner) Instrument(reg *obs.Registry, tr *obs.RunTrace) {
 	reg.Help("seam_dss_bytes_total", "bytes that would cross rank boundaries in DSS exchanges")
 	reg.Help("seam_stage_compute_ns", "per-rank compute time of one RK stage, nanoseconds")
 	reg.Help("seam_dss_assembly_ns", "per-rank DSS assembly time of one RK stage, nanoseconds")
-	reg.Help("seam_epoch_wait_ns", "per-worker wait for rank dependencies to commit, nanoseconds")
+	reg.Help("seam_epoch_wait_ns", "per-worker wait for block dependencies to commit, nanoseconds")
 	reg.Help("seam_rank_busy_ns", "per-rank busy time at the last completed step boundary, nanoseconds")
 	m := &runnerMetrics{
 		steps:    reg.Counter("seam_steps_total"),
@@ -104,11 +104,11 @@ type RunnerSnapshot struct {
 	StepsDone int64
 	// BusyNs[rk] is rank rk's cumulative busy time within the current
 	// (or most recent) Run call, as of the rank's last completed step. It
-	// is published atomically by whichever worker commits the rank's
-	// final task of a step, so concurrent readers never see a torn or
-	// mid-stage value. Under the dataflow scheduler step boundaries are
-	// per rank — ranks may be steps apart mid-run — while the serial path
-	// publishes all ranks together at each global step end.
+	// is published atomically by whichever worker commits the final task
+	// of a step for the rank's block, so concurrent readers never see a
+	// torn or mid-stage value. Step boundaries are per block — blocks may
+	// be steps apart mid-run; with one worker the one block publishes all
+	// ranks together at each global step end.
 	BusyNs []int64
 }
 
@@ -130,8 +130,8 @@ func (r *Runner) Snapshot() RunnerSnapshot {
 
 // publishBusy atomically publishes the current BusyTime values into the
 // Snapshot-visible copies (and the obs gauges when instrumented). It
-// must only run while no worker is mutating BusyTime: at a serial-path
-// step end or after every worker has joined.
+// must only run while no worker is mutating BusyTime: after every worker
+// has joined.
 func (r *Runner) publishBusy() {
 	m := r.metrics
 	for rk := range r.BusyTime {
@@ -143,10 +143,10 @@ func (r *Runner) publishBusy() {
 	}
 }
 
-// publishRank publishes rank rk's busy meter. Under the dataflow scheduler
-// it runs on whichever worker commits the rank's last task of a step: that
-// worker made every BusyTime[rk] write of the step (rank tasks are
-// serialized by the scheduler), so the value is a complete per-step figure.
+// publishRank publishes rank rk's busy meter. It runs on whichever worker
+// commits the last task of a step for rk's block: every BusyTime[rk] write
+// of the step happened before that commit (a block's tasks are serialized
+// by the scheduler), so the value is a complete per-step figure.
 func (r *Runner) publishRank(rk int32) {
 	ns := int64(r.BusyTime[rk])
 	r.published[rk].Store(ns)
@@ -156,12 +156,11 @@ func (r *Runner) publishRank(rk int32) {
 }
 
 // publishStepShared publishes the step-scoped shared meters, exactly once
-// per step: on the serial path at each step end, on the dataflow path by
-// whichever worker commits the step's last rank task. Steps complete in
-// order even under the dataflow scheduler — a rank cannot commit step s
-// before every dependency committed step s-1 around it, and the per-step
-// countdown only reaches zero after all ranks pass — so StepsDone is
-// monotone and EvStep events appear in step order.
+// per step, by whichever worker commits the step's last block-task. Steps
+// complete in order — a block cannot commit step s before every dependency
+// committed step s-1 around it, and the per-step countdown only reaches
+// zero after all blocks pass — so StepsDone is monotone and EvStep events
+// appear in step order.
 func (r *Runner) publishStepShared(stepInRun int) {
 	r.stepsDone.Add(1)
 	if m := r.metrics; m != nil {

@@ -22,15 +22,35 @@ func TestRunnerMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	r.Instrument(reg, nil)
+	tr := obs.NewRunTrace(1 << 10)
+	r.Instrument(reg, tr)
 	flops0 := sw.Flops
 	r.Run(steps, dt)
 
 	if got := reg.Counter("seam_steps_total").Value(); got != steps {
 		t.Errorf("seam_steps_total = %d, want %d", got, steps)
 	}
-	if got, want := reg.Counter("seam_flops_total").Value(), sw.Flops-flops0; got != want {
+	// One flop figure, three meters: the solver's own counter, the registry
+	// counter and the step events must agree with each other and with what
+	// the sequential Step meters for the same work.
+	twin, _ := w2Solver(t, 2, 4)
+	twin0 := twin.Flops
+	twin.Step(dt)
+	want := steps * (twin.Flops - twin0)
+	if got := sw.Flops - flops0; got != want {
+		t.Errorf("runner added %d to sw.Flops, want %d", got, want)
+	}
+	if got := reg.Counter("seam_flops_total").Value(); got != want {
 		t.Errorf("seam_flops_total = %d, want %d (the runner's own flop meter)", got, want)
+	}
+	var evFlops int64
+	for _, ev := range tr.Events() {
+		if ev.Kind == obs.EvStep {
+			evFlops += ev.Arg
+		}
+	}
+	if evFlops != want {
+		t.Errorf("EvStep.Arg sums to %d, want %d", evFlops, want)
 	}
 	var wantBytes int64
 	for _, b := range r.BytesPerStep() {
@@ -50,11 +70,10 @@ func TestRunnerMetrics(t *testing.T) {
 	if got := reg.Histogram("seam_dss_assembly_ns").Count(); got != 4*ranks*steps {
 		t.Errorf("dss samples = %d, want %d", got, 4*ranks*steps)
 	}
-	// Epoch waits only occur when a dataflow worker actually parks; a
-	// serial or uncontended run legitimately records none. Presence of
-	// wait samples under contention is asserted by
-	// TestBusyTimeExcludesWait; here we only require the histogram to be
-	// registered and untouched by the serial path.
+	// Epoch waits only occur when a worker actually parks; a one-worker or
+	// uncontended run legitimately records none. Presence of wait samples
+	// under contention is asserted by TestBusyTimeExcludesWait; here we
+	// only require the histogram to be registered.
 	if got := reg.Histogram("seam_epoch_wait_ns").Count(); got < 0 {
 		t.Errorf("seam_epoch_wait_ns count = %d", got)
 	}

@@ -25,18 +25,23 @@ import (
 // rank's elements) and a "phase B" task (DSS assembly of the shared nodes the
 // rank owns), plus one epilogue task committing the final step. Instead of
 // fencing all ranks at global barriers between phases, the runner schedules
-// by dependency: a rank's next task launches as soon as the specific
-// neighbour ranks it exchanges DSS-plan nodes with have committed their
-// side of the exchange (see runDataflow for the epoch protocol). With one
-// worker there is nothing to overlap, so the runner degrades to a plain
-// inline loop in phase order with zero synchronisation (runSerial).
+// by dependency, and the unit it schedules is a block: a run of consecutive
+// rank ids — curve-contiguous, hence a compact patch, for an SFC assignment —
+// cut so blocks hold near-equal element counts, blocksPerWorker per worker
+// (one block when there is one worker). A block's next task — that phase of
+// all its ranks, back to back on one worker — launches as soon as the
+// specific neighbour blocks it exchanges DSS-plan nodes with have committed
+// their side of the exchange (see dfExec for the epoch protocol), so
+// synchronisation is paid per block boundary, not per rank. With one worker
+// there is one block with no dependencies, and the same loop runs inline on
+// the calling goroutine in plain phase order.
 //
 // The results remain bitwise identical to sequential ShallowWater.Step at
-// any worker count: all paths run the same batched kernels (stageElems,
-// finishElems, applyNodeFlat) over the same per-rank element lists, and the
-// dependency protocol admits exactly the inter-rank orderings in which every
-// read of a neighbour's slab observes the same committed values as the
-// sequential schedule.
+// any rank, worker and block count: every path runs the same batched kernels
+// (stageElems, finishElems, applyNodeFlat) over the same per-rank element
+// lists, and the dependency protocol admits exactly the inter-rank orderings
+// in which every read of a neighbour's slab observes the same committed
+// values as the sequential schedule.
 type Runner struct {
 	SW     *ShallowWater
 	Assign []int32 // element -> rank
@@ -62,8 +67,10 @@ type Runner struct {
 	// phase-B tasks wait on: the member ranks of the nodes o owns (they
 	// write the tendencies o assembles). revDeps is the reverse union — the
 	// ranks to re-examine after one of rk's tasks commits. Self-edges are
-	// excluded: a rank's own tasks are ordered by its task sequence.
+	// excluded: a rank's own tasks are ordered by its task sequence. The
+	// scheduler runs on their projection onto blocks (plan).
 	depsA, depsB, revDeps [][]int32
+	plan                  *blockPlan // of the most recent run's worker count
 
 	// BusyTime holds per-rank compute time of the most recent Run call only:
 	// Run resets it on entry, so busy/wall efficiency ratios are
@@ -84,11 +91,11 @@ type Runner struct {
 	// reads the atomically published step-boundary copies instead.
 	BusyTime []time.Duration
 
-	// testOnTask, when non-nil, is invoked by the dataflow scheduler
-	// immediately before each task executes, with the task's rank, its
-	// position in the rank's task sequence, and the dependency check
-	// recomputed at call time — the probe the epoch-counter stress test
-	// uses to prove no task ever runs before its dependencies committed.
+	// testOnTask, when non-nil, is invoked by the scheduler immediately
+	// before each rank's task body, with the rank, its position in the task
+	// sequence, and the rank-level dependency check recomputed at call time
+	// (dfExec.rankReady) — the probe the epoch-counter stress test uses to
+	// prove the block graph loses no dependency of the rank graph.
 	// Test-only; must not mutate runner state.
 	testOnTask func(rk int32, pos int64, depsMet bool)
 
@@ -133,14 +140,7 @@ func NewRunner(sw *ShallowWater, assign []int32, nranks int) (*Runner, error) {
 		return nil, &EmptyRankError{Ranks: empty, NRanks: nranks}
 	}
 	npts := sw.G.PointsPerElem()
-	depsA := make([]map[int32]bool, nranks)
-	depsB := make([]map[int32]bool, nranks)
-	addDep := func(sets []map[int32]bool, from, to int32) {
-		if sets[from] == nil {
-			sets[from] = make(map[int32]bool)
-		}
-		sets[from][to] = true
-	}
+	depsA, depsB, rev := make([][]int32, nranks), make([][]int32, nranks), make([][]int32, nranks)
 	for i, sn := range sw.Dss.shared {
 		owner := assign[int(sn.pts[0])/npts]
 		r.ownedShared[owner] = append(r.ownedShared[owner], int32(i))
@@ -153,30 +153,19 @@ func NewRunner(sw *ShallowWater, assign []int32, nranks int) (*Runner, error) {
 				r.sentPerApply[owner] += 8
 				// The same exchange is the dependency edge pair of the
 				// epoch scheduler.
-				addDep(depsB, owner, member)
-				addDep(depsA, member, owner)
+				depsB[owner] = append(depsB[owner], member)
+				depsA[member] = append(depsA[member], owner)
 			}
 		}
 	}
-	rev := make([]map[int32]bool, nranks)
-	for _, sets := range [][]map[int32]bool{depsA, depsB} {
-		for m, set := range sets {
-			for n := range set {
-				addDep(rev, n, int32(m))
+	for _, deps := range [][][]int32{depsA, depsB} {
+		for m, ns := range deps {
+			for _, n := range ns {
+				rev[n] = append(rev[n], int32(m))
 			}
 		}
 	}
-	flatten := func(sets []map[int32]bool) [][]int32 {
-		out := make([][]int32, nranks)
-		for rk, set := range sets {
-			for n := range set {
-				out[rk] = append(out[rk], n)
-			}
-			slices.Sort(out[rk])
-		}
-		return out
-	}
-	r.depsA, r.depsB, r.revDeps = flatten(depsA), flatten(depsB), flatten(rev)
+	r.depsA, r.depsB, r.revDeps = sortUnique(depsA), sortUnique(depsB), sortUnique(rev)
 	// Precompute the per-step meter increments so step-boundary
 	// publication is pure atomic arithmetic.
 	r.published = make([]atomic.Int64, nranks)
@@ -185,6 +174,17 @@ func NewRunner(sw *ShallowWater, assign []int32, nranks int) (*Runner, error) {
 		r.totalBytesPerStep += b * 4 * 3
 	}
 	return r, nil
+}
+
+// sortUnique replaces every list by a right-sized sorted copy without
+// duplicates (the appended-to originals carry spare capacity worth keeping
+// out of the live heap).
+func sortUnique(lists [][]int32) [][]int32 {
+	for i, l := range lists {
+		slices.Sort(l)
+		lists[i] = slices.Clone(slices.Compact(l))
+	}
+	return lists
 }
 
 // NumOwned returns the number of elements owned by each rank.
@@ -209,27 +209,6 @@ func (r *Runner) BytesPerStep() []int64 {
 		out[rk] = b * 4 * 3
 	}
 	return out
-}
-
-// applyRank performs rank rk's portion of a DSS application on the field
-// slab q: assembling the shared nodes it owns through the precomputed
-// exchange plan. The epoch scheduler (or the serial phase order) guarantees
-// all member tendencies are written before and no member reads the node
-// until after.
-func (r *Runner) applyRank(q []float64, rk int) {
-	d := r.SW.Dss
-	for _, s := range r.ownedShared[rk] {
-		d.applyNodeFlat(q, s)
-	}
-}
-
-// applyVectorRank performs rank rk's portion of a covariant-vector DSS
-// application (see DSS.ApplyVector) for the shared nodes it owns.
-func (r *Runner) applyVectorRank(v1, v2 []float64, rk int) {
-	d := r.SW.Dss
-	for _, s := range r.ownedShared[rk] {
-		d.applyVectorNodeFlat(v1, v2, s)
-	}
 }
 
 // Run advances the model by the given number of RK4 steps of size dt with
@@ -296,8 +275,6 @@ type runControl struct {
 	cur     []RankPos      // per-worker last claimed position (panic attribution)
 }
 
-func (c *runControl) stopped() bool { return c != nil && c.stop.Load() }
-
 // fail records the first error and flags the run as stopping. It returns
 // true for the caller that won the race (and should release the scheduler).
 func (c *runControl) fail(err error) bool {
@@ -339,80 +316,92 @@ func (c *runControl) inFlight() []RankPos {
 	return out
 }
 
-// Task positions. A rank's run is the fixed sequence
+// Task positions. A block's run is the fixed sequence
 //
 //	p = step*8 + stage*2 + phase   (phase A = 0, phase B = 1)
 //
 // for step in [0, steps) and stage in [0, 4), plus the epilogue at
-// p = steps*8. commit[rk] counts rank rk's completed tasks, so it IS the
-// rank's next task position.
+// p = steps*8. commit[b] counts block b's completed tasks, so it IS the
+// block's next task position.
 func posStep(p int64) int  { return int(p >> 3) }
 func posStage(p int64) int { return int(p>>1) & 3 }
 
-// taskStage is one rank's phase-A task of (step s, stage st): the optional
-// fault-injection hook, then — inside the busy span — the previous step's
-// epilogue when entering stage 0 (folding it into the next touch of the
-// same slabs), and the fused stage prologue + RHS (stageElems) on the
-// rank's own element blocks.
-func (r *Runner) taskStage(ctl *runControl, w, s, st int, rk int32, dt float64, scr *rhsScratch, stageB *[4]*obs.HistogramBatch) {
-	if ctl != nil {
-		ctl.cur[w] = RankPos{Rank: int(rk), Step: s, Stage: st}
-		ctl.working[w].Store(packPos(s, st, int(rk)))
-		if ctl.hooks != nil && ctl.hooks.BeforeRankStage != nil {
-			ctl.hooks.BeforeRankStage(s, st, int(rk))
+// blocksPerWorker is the one constant of the block-count rule: nw > 1
+// workers schedule min(NRanks, blocksPerWorker*nw) blocks — enough that a
+// stalled worker leaves the others work and the last block of a step runs
+// alone only briefly, few enough that commits, wake-ups and dependency scans
+// are noise next to the kernels. {4, 8, 12} measured alike at 2 workers (see
+// BENCH_seam.json's newest entry).
+const blocksPerWorker = 8
+
+// blockPlan is what the scheduler needs for one (worker, block) count, built
+// once and kept on the Runner: the blocks, the dependency lists projected
+// onto them, and the storage every run reuses.
+type blockPlan struct {
+	// Block b holds ranks [start[b], start[b+1]), cut so blocks hold
+	// near-equal element counts; blockOf inverts it.
+	start, blockOf []int32
+	// Runner.depsA/depsB/revDeps with every rank replaced by its block,
+	// self-edges dropped: an edge inside one block is met by program order.
+	depsA, depsB, revDeps [][]int32
+	commit                []atomic.Int64 // per block: tasks completed (its epoch)
+	state                 []atomic.Int32 // per block: 0 idle, 1 enqueued or running
+	scr                   []*rhsScratch  // per worker
+}
+
+// blockPlan returns the plan for nw workers, rebuilding it only when the
+// worker count changed since the last run.
+func (r *Runner) blockPlan(nw int) *blockPlan {
+	nb := 1
+	if nw > 1 {
+		nb = min(r.NRanks, blocksPerWorker*nw)
+	}
+	if pl := r.plan; pl != nil && len(pl.commit) == nb && len(pl.scr) == nw {
+		return pl
+	}
+	pl := &blockPlan{
+		start:   make([]int32, 1, nb+1),
+		blockOf: make([]int32, r.NRanks),
+		commit:  make([]atomic.Int64, nb),
+		state:   make([]atomic.Int32, nb),
+		scr:     make([]*rhsScratch, nw),
+	}
+	for w := range pl.scr {
+		pl.scr[w] = newRHSScratch(r.SW.G.PointsPerElem())
+	}
+	// Close block b at the first rank that brings the running element count
+	// to b+1 shares of the total, or earlier when every remaining rank is
+	// needed to keep the later blocks non-empty.
+	total, cum := len(r.Assign), 0
+	for rk := 0; rk < r.NRanks; rk++ {
+		b := len(pl.start) - 1
+		pl.blockOf[rk] = int32(b)
+		cum += len(r.elemsOf[rk])
+		if b < nb-1 && (cum*nb >= (b+1)*total || r.NRanks-rk-1 == nb-b-1) {
+			pl.start = append(pl.start, int32(rk+1))
 		}
 	}
-	sw := r.SW
-	busy := time.Now()
-	if st == 0 && s > 0 {
-		sw.finishElems(r.elemsOf[rk], dt)
+	pl.start = append(pl.start, int32(r.NRanks))
+	project := func(rankDeps [][]int32) [][]int32 {
+		out := make([][]int32, nb)
+		for rk, deps := range rankDeps {
+			b := pl.blockOf[rk]
+			for _, n := range deps {
+				if bn := pl.blockOf[n]; bn != b {
+					out[b] = append(out[b], bn)
+				}
+			}
+		}
+		return sortUnique(out)
 	}
-	sw.stageElems(r.elemsOf[rk], st, dt, scr)
-	d := time.Since(busy)
-	r.BusyTime[rk] += d
-	stageB[st].Observe(d.Nanoseconds())
-	if r.trace != nil {
-		r.trace.Record(obs.Event{Kind: obs.EvStage, Step: int32(s), Stage: int8(st), Rank: rk, Dur: d.Nanoseconds()})
-	}
-	if ctl != nil {
-		ctl.working[w].Store(-1)
-	}
-}
-
-// taskDSS is one rank's phase-B task of (step s, stage st): DSS assembly of
-// the shared nodes the rank owns, on the three tendency slabs.
-func (r *Runner) taskDSS(ctl *runControl, w, s, st int, rk int32, dssB *obs.HistogramBatch) {
-	if ctl != nil {
-		ctl.cur[w] = RankPos{Rank: int(rk), Step: s, Stage: st}
-	}
-	sw := r.SW
-	busy := time.Now()
-	r.applyVectorRank(sw.k1v1F, sw.k1v2F, int(rk))
-	r.applyRank(sw.k1pF, int(rk))
-	d := time.Since(busy)
-	r.BusyTime[rk] += d
-	dssB.Observe(d.Nanoseconds())
-	if r.trace != nil {
-		r.trace.Record(obs.Event{Kind: obs.EvDSS, Step: int32(s), Stage: int8(st), Rank: rk, Dur: d.Nanoseconds(), Arg: r.sentPerApply[rk] * 3})
-	}
-}
-
-// taskFinish is rank rk's epilogue task: committing the final step's
-// accumulated state to the prognostic slabs.
-func (r *Runner) taskFinish(ctl *runControl, w, steps int, dt float64, rk int32) {
-	if ctl != nil {
-		ctl.cur[w] = RankPos{Rank: int(rk), Step: steps - 1, Stage: 3}
-	}
-	busy := time.Now()
-	r.SW.finishElems(r.elemsOf[rk], dt)
-	r.BusyTime[rk] += time.Since(busy)
+	pl.depsA, pl.depsB, pl.revDeps = project(r.depsA), project(r.depsB), project(r.revDeps)
+	r.plan = pl
+	return pl
 }
 
 // runSteps is the shared body of Run and RunCtx; ctl is nil on the plain
 // Run path.
 func (r *Runner) runSteps(ctl *runControl, steps int, dt float64) (time.Duration, error) {
-	sw := r.SW
-	g := sw.G
 	for i := range r.BusyTime {
 		r.BusyTime[i] = 0
 	}
@@ -424,9 +413,7 @@ func (r *Runner) runSteps(ctl *runControl, steps int, dt float64) (time.Duration
 	if nw <= 0 {
 		nw = runtime.GOMAXPROCS(0)
 	}
-	if nw > r.NRanks {
-		nw = r.NRanks
-	}
+	nw = min(nw, r.NRanks)
 	if ctl != nil {
 		ctl.working = make([]atomic.Int64, nw)
 		for i := range ctl.working {
@@ -436,12 +423,7 @@ func (r *Runner) runSteps(ctl *runControl, steps int, dt float64) (time.Duration
 	}
 
 	start := time.Now()
-	var err error
-	if nw == 1 {
-		err = r.runSerial(ctl, steps, dt)
-	} else {
-		err = r.runDataflow(ctl, nw, steps, dt)
-	}
+	err := r.runDataflow(ctl, nw, steps, dt)
 	elapsed := time.Since(start)
 	// The epilogue added busy time after the last step boundary; publish
 	// the completed figures (single-threaded here).
@@ -454,145 +436,63 @@ func (r *Runner) runSteps(ctl *runControl, steps int, dt float64) (time.Duration
 	}
 	// Meter the work exactly as the sequential Step does (the runner
 	// performs the same arithmetic, just distributed).
-	sw.Flops += int64(steps) * (4*rhsFlopsShallowWater(g.NumElems(), g.Np) +
-		int64(g.NumElems())*int64(g.PointsPerElem())*3*4*4)
+	r.SW.Flops += int64(steps) * r.flopsPerStep
 	return elapsed, nil
 }
 
-// runSerial executes every rank inline on the calling goroutine in the
-// fixed phase order — all ranks' phase A, then all ranks' phase B, for each
-// stage of each step. With one worker there is nothing to overlap, so the
-// run carries zero scheduling overhead beyond per-task spans: no barriers,
-// no queues, no extra goroutines (the cancellation watchdog aside). The
-// task bodies are shared with the dataflow path, so the arithmetic is
-// identical by construction.
-func (r *Runner) runSerial(ctl *runControl, steps int, dt float64) error {
-	var watchDone chan struct{}
-	if ctl != nil {
-		watchDone = make(chan struct{})
-		defer close(watchDone)
-		go func() {
-			select {
-			case <-ctl.ctx.Done():
-				// The inline loop cannot be interrupted mid-task (a stalled
-				// hook keeps its task); it notices ctl.stopped() at the next
-				// task boundary.
-				ctl.fail(&TimeoutError{InFlight: ctl.inFlight(), Cause: ctl.ctx.Err()})
-			case <-watchDone:
-			}
-		}()
-	}
-	stageB, dssB := r.metrics.workerBatches()
-	flush := func() {
-		for _, b := range stageB {
-			b.Flush()
-		}
-		dssB.Flush()
-	}
-	defer flush()
-	scr := newRHSScratch(r.SW.G.PointsPerElem())
-	nRanks := int32(r.NRanks)
-	body := func() error {
-		for s := 0; s < steps; s++ {
-			for st := 0; st < 4; st++ {
-				for rk := int32(0); rk < nRanks; rk++ {
-					if ctl.stopped() {
-						return ctl.firstErr()
-					}
-					r.taskStage(ctl, 0, s, st, rk, dt, scr, &stageB)
-				}
-				for rk := int32(0); rk < nRanks; rk++ {
-					if ctl.stopped() {
-						return ctl.firstErr()
-					}
-					r.taskDSS(ctl, 0, s, st, rk, dssB)
-				}
-			}
-			// Step boundary: fold the local histogram spans and publish the
-			// per-rank meters so step-boundary scrapes see complete figures.
-			flush()
-			r.publishBusy()
-			r.publishStepShared(s)
-		}
-		for rk := int32(0); rk < nRanks; rk++ {
-			if ctl.stopped() {
-				return ctl.firstErr()
-			}
-			r.taskFinish(ctl, 0, steps, dt, rk)
-		}
-		return nil
-	}
-	if ctl == nil {
-		return body()
-	}
-	return r.guardSerial(ctl, body)
-}
-
-// guardSerial runs the serial loop with the same panic recovery the
-// dataflow workers have: a panic inside a rank's task (including an
-// injected hook) is recovered into a RankPanicError attributed to the last
-// claimed position.
-func (r *Runner) guardSerial(ctl *runControl, body func() error) (err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			cur := ctl.cur[0]
-			ctl.fail(&RankPanicError{Step: cur.Step, Stage: cur.Stage, Rank: cur.Rank, Value: v})
-			ctl.working[0].Store(-1)
-			err = ctl.firstErr()
-		}
-	}()
-	if e := body(); e != nil {
-		return e
-	}
-	return ctl.firstErr()
-}
-
-// dfExec is the state of one dataflow (epoch-scheduled) run.
+// dfExec is the state of one epoch-scheduled run. The scheduled unit is the
+// block (see blockPlan): a run of consecutive ranks that one worker executes
+// back to back, with no synchronisation between them.
 //
-// Epoch protocol. commit[rk] is the number of tasks rank rk has completed —
-// its epoch. A task at position p is ready iff every dependency rank n
+// Epoch protocol. commit[b] is the number of tasks block b has completed —
+// its epoch. A task at position p is ready iff every dependency block n
 // (depsA for phase A and the epilogue, depsB for phase B) has commit[n] >= p,
 // i.e. has finished its own task at position p-1. Stores to commit are the
 // release side and loads in ready() the acquire side of the protocol (Go's
 // sync/atomic is sequentially consistent, which is stronger): a worker that
 // observes commit[n] >= p also observes every slab write of n's first p
-// tasks, so no stage ever reads a neighbour slab before its commit.
+// tasks, so no stage ever reads a neighbour slab before its commit. The
+// block graph is the rank graph with ranks merged, so every rank-level
+// dependency is either such a block edge or lies inside one block, where the
+// block's own phase order (all of its ranks' phase A, commit, all of their
+// phase B, commit) satisfies it; tasks of one position never depend on each
+// other, so the rank order inside a block-task is free.
 //
-// Wakeups. state[rk] is 0 (idle) or 1 (enqueued or running); at most one
-// queue entry or executing worker per rank exists at any time. Whoever
+// Wakeups. state[b] is 0 (idle) or 1 (enqueued or running); at most one
+// queue entry or executing worker per block exists at any time. Whoever
 // commits a task re-examines the reverse dependencies: tryEnqueue loads the
 // dependant's epoch, checks readiness, and CASes state 0->1 before pushing.
-// A worker that finds its rank's next task not ready releases it Dekker
+// A worker that finds its block's next task not ready releases it Dekker
 // style — store state 0, re-check readiness, re-enqueue on success — so the
 // symmetric race (neighbour commits between the worker's last check and its
 // release; worker parks between the neighbour's failed CAS and the store)
 // cannot lose the wakeup: under sequential consistency one of the two
 // re-checks must observe the other side's store. Stale epoch reads can still
-// enqueue a rank spuriously, so the popping worker revalidates readiness
+// enqueue a block spuriously, so the popping worker revalidates readiness
 // before executing.
 //
-// Deadlock freedom. Let pmin be the minimum epoch over all ranks. Any rank
+// Deadlock freedom. Let pmin be the minimum epoch over all blocks. Any block
 // at pmin is ready (all its dependencies have epoch >= pmin), so a runnable
 // task always exists until the run completes; the wakeup argument above
-// guarantees some worker learns of it.
+// guarantees some worker learns of it. With one block (one worker) the
+// protocol degenerates to "run every task in phase order on the caller".
 type dfExec struct {
-	r         *Runner
-	ctl       *runControl
-	steps     int
-	dt        float64
-	lastPos   int64 // steps*8, the epilogue position
-	total     int64 // NRanks * (steps*8 + 1) tasks overall
-	commit    []atomic.Int64
-	state     []atomic.Int32
-	ranksLeft []atomic.Int32 // per step: ranks that have not committed it
-	done      atomic.Int64
-	q         *par.WakeQueue
+	r   *Runner
+	ctl *runControl
+	*blockPlan
+	steps      int
+	dt         float64
+	origin     time.Time      // clock origin of the run's busy spans
+	lastPos    int64          // steps*8, the epilogue position
+	blocksLeft []atomic.Int32 // per step: blocks that have not committed it
+	done       atomic.Int64   // block-tasks completed, of nblocks*(lastPos+1)
+	q          *par.WakeQueue
 }
 
-func (d *dfExec) ready(rk int32, p int64) bool {
-	deps := d.r.depsA[rk]
+func (d *dfExec) ready(b int32, p int64) bool {
+	deps := d.depsA[b]
 	if p&1 == 1 {
-		deps = d.r.depsB[rk]
+		deps = d.depsB[b]
 	}
 	for _, n := range deps {
 		if d.commit[n].Load() < p {
@@ -602,48 +502,142 @@ func (d *dfExec) ready(rk int32, p int64) bool {
 	return true
 }
 
-// tryEnqueue wakes rank rk if its next task is ready and the rank is not
+// tryEnqueue wakes block b if its next task is ready and the block is not
 // already enqueued or running.
-func (d *dfExec) tryEnqueue(rk int32) {
-	p := d.commit[rk].Load()
-	if p > d.lastPos || !d.ready(rk, p) {
+func (d *dfExec) tryEnqueue(b int32) {
+	p := d.commit[b].Load()
+	if p > d.lastPos || !d.ready(b, p) {
 		return
 	}
-	if d.state[rk].CompareAndSwap(0, 1) {
-		d.q.Push(rk)
+	if d.state[b].CompareAndSwap(0, 1) {
+		d.q.Push(b)
 	}
 }
 
-// release marks rank rk idle at position p and re-checks readiness (the
+// release marks block b idle at position p and re-checks readiness (the
 // Dekker re-check described on dfExec): a dependency may have committed
 // concurrently and lost its tryEnqueue CAS against our still-held state.
-func (d *dfExec) release(rk int32, p int64) {
-	d.state[rk].Store(0)
-	if d.ready(rk, p) && d.state[rk].CompareAndSwap(0, 1) {
-		d.q.Push(rk)
+func (d *dfExec) release(b int32, p int64) {
+	d.state[b].Store(0)
+	if d.ready(b, p) && d.state[b].CompareAndSwap(0, 1) {
+		d.q.Push(b)
 	}
 }
 
-// exec dispatches the task at position p of rank rk.
-func (d *dfExec) exec(w int, rk int32, p int64, scr *rhsScratch, stageB *[4]*obs.HistogramBatch, dssB *obs.HistogramBatch) {
-	r := d.r
-	if p == d.lastPos {
-		r.taskFinish(d.ctl, w, d.steps, d.dt, rk)
-		return
+// rankReady recomputes, for the testOnTask probe, whether rank rk of block b
+// may run its task at position p, from the un-coarsened rank-level lists:
+// a dependency in another block must sit behind that block's commit counter,
+// one in the same block is met by program order.
+func (d *dfExec) rankReady(rk, b int32, p int64) bool {
+	deps := d.r.depsA[rk]
+	if p&1 == 1 {
+		deps = d.r.depsB[rk]
 	}
-	s, st := posStep(p), posStage(p)
-	if p&1 == 0 {
-		r.taskStage(d.ctl, w, s, st, rk, d.dt, scr, stageB)
-	} else {
-		r.taskDSS(d.ctl, w, s, st, rk, dssB)
+	for _, n := range deps {
+		if bn := d.blockOf[n]; bn != b && d.commit[bn].Load() < p {
+			return false
+		}
 	}
+	return true
 }
 
-// runWorker drains ready ranks from the wake queue, running each popped
-// rank's tasks consecutively for as long as they stay ready (the common
-// case: a rank's phase B usually unblocks its own next phase A), and parks
-// when no rank is ready. Parked time is the epoch wait: it is recorded
-// against the task that ends the wait, with real step/stage attribution.
+// worker is one worker's private state: its RHS scratch and its local
+// histogram batches.
+type worker struct {
+	scr    *rhsScratch
+	stageB [4]*obs.HistogramBatch
+	dssB   *obs.HistogramBatch
+}
+
+func (ws *worker) flush() {
+	for _, b := range ws.stageB {
+		b.Flush()
+	}
+	ws.dssB.Flush()
+}
+
+// runTask executes block b's task at position p on worker w: the block's
+// ranks back to back in rank order, each through its phase body. Phase A is
+// the optional fault-injection hook, then the previous step's epilogue when
+// entering stage 0 (folding it into the next touch of the same slabs) and
+// the fused stage prologue + RHS on the rank's own element blocks; phase B
+// the DSS assembly on the three tendency slabs; the epilogue the final
+// step's commit to the prognostic slabs. Consecutive ranks share one clock
+// read (n+1 per block-task), except behind a hook or probe, where the rank
+// re-reads the clock so stalls stay outside BusyTime. It returns false,
+// leaving the task uncommitted, if the run was stopped part-way.
+func (d *dfExec) runTask(w int, b int32, p int64, ws *worker) bool {
+	r, ctl, sw := d.r, d.ctl, d.r.SW
+	s, st, final := posStep(p), posStage(p), p == d.lastPos
+	if final {
+		s, st = d.steps-1, 3
+	}
+	var hook func(step, stage, rank int)
+	if ctl != nil && ctl.hooks != nil && p&1 == 0 && !final {
+		hook = ctl.hooks.BeforeRankStage
+	}
+	t0 := time.Since(d.origin)
+	for rk := d.start[b]; rk < d.start[b+1]; rk++ {
+		if ctl != nil {
+			if ctl.stop.Load() {
+				return false
+			}
+			ctl.cur[w] = RankPos{Rank: int(rk), Step: s, Stage: st}
+			ctl.working[w].Store(packPos(s, st, int(rk)))
+		}
+		if r.testOnTask != nil {
+			r.testOnTask(rk, p, d.rankReady(rk, b, p))
+			t0 = time.Since(d.origin)
+		}
+		var hist *obs.HistogramBatch
+		ev := obs.Event{Step: int32(s), Stage: int8(st), Rank: rk}
+		switch {
+		case final:
+			sw.finishElems(r.elemsOf[rk], d.dt)
+		case p&1 == 0:
+			if hook != nil {
+				hook(s, st, int(rk))
+				t0 = time.Since(d.origin)
+			}
+			if st == 0 && s > 0 {
+				sw.finishElems(r.elemsOf[rk], d.dt)
+			}
+			sw.stageElems(r.elemsOf[rk], st, d.dt, ws.scr)
+			hist, ev.Kind = ws.stageB[st], obs.EvStage
+		default:
+			// The rank's portion of one vector and one scalar DSS application:
+			// assembling the shared nodes it owns through the exchange plan.
+			for _, n := range r.ownedShared[rk] {
+				sw.Dss.applyVectorNodeFlat(sw.k1v1F, sw.k1v2F, n)
+			}
+			for _, n := range r.ownedShared[rk] {
+				sw.Dss.applyNodeFlat(sw.k1pF, n)
+			}
+			hist, ev.Kind, ev.Arg = ws.dssB, obs.EvDSS, r.sentPerApply[rk]*3
+		}
+		t1 := time.Since(d.origin)
+		r.BusyTime[rk] += t1 - t0
+		if !final {
+			hist.Observe(int64(t1 - t0))
+			if r.trace != nil {
+				ev.Dur = int64(t1 - t0)
+				r.trace.Record(ev)
+			}
+		}
+		t0 = t1
+	}
+	if ctl != nil {
+		ctl.working[w].Store(-1)
+	}
+	return true
+}
+
+// runWorker drains ready blocks from the wake queue, running each popped
+// block's tasks consecutively for as long as they stay ready (the common
+// case: a block's phase B usually unblocks its own next phase A), and parks
+// when no block is ready. Parked time is the epoch wait: it is recorded
+// against the task that ends the wait, with real step/stage attribution and
+// the first rank of the block that ended it.
 func (d *dfExec) runWorker(w int) {
 	r := d.r
 	ctl := d.ctl
@@ -658,25 +652,20 @@ func (d *dfExec) runWorker(w int) {
 			}
 		}()
 	}
-	stageB, dssB := r.metrics.workerBatches()
-	flush := func() {
-		for _, b := range stageB {
-			b.Flush()
-		}
-		dssB.Flush()
-	}
-	defer flush()
-	scr := newRHSScratch(r.SW.G.PointsPerElem())
+	ws := &worker{scr: d.scr[w]}
+	ws.stageB, ws.dssB = r.metrics.workerBatches()
+	defer ws.flush()
 	measure := r.obsActive()
+	total := int64(len(d.commit)) * (d.lastPos + 1)
 	for {
 		// Fold local histogram spans before (possibly) parking so scrapes
 		// during an idle spell see this worker's completed spans.
-		flush()
-		rk, wait, ok := d.q.Pop(measure)
+		ws.flush()
+		b, wait, ok := d.q.Pop(measure)
 		if !ok {
 			return
 		}
-		p := d.commit[rk].Load()
+		p := d.commit[b].Load()
 		if measure && wait > 0 {
 			r.metrics.observeWait(wait)
 			if tr := r.trace; tr != nil && !tr.Deterministic {
@@ -686,80 +675,80 @@ func (d *dfExec) runWorker(w int) {
 				if p >= d.lastPos {
 					step, stage = d.steps-1, 3
 				}
-				tr.Record(obs.Event{Kind: obs.EvWait, Step: int32(step), Stage: int8(stage), Rank: rk, Dur: wait.Nanoseconds(), Arg: int64(w)})
+				tr.Record(obs.Event{Kind: obs.EvWait, Step: int32(step), Stage: int8(stage), Rank: d.start[b], Dur: wait.Nanoseconds(), Arg: int64(w)})
 			}
 		}
-		// Revalidate: a stale epoch read in tryEnqueue can wake a rank
+		// Revalidate: a stale epoch read in tryEnqueue can wake a block
 		// whose dependencies have not actually committed yet.
-		if !d.ready(rk, p) {
-			d.release(rk, p)
+		if !d.ready(b, p) {
+			d.release(b, p)
 			continue
 		}
 		for {
-			if ctl.stopped() {
+			if !d.runTask(w, b, p, ws) {
 				return
 			}
-			if r.testOnTask != nil {
-				r.testOnTask(rk, p, d.ready(rk, p))
-			}
-			d.exec(w, rk, p, scr, &stageB, dssB)
-			d.commit[rk].Store(p + 1)
+			d.commit[b].Store(p + 1)
 			if p&7 == 7 {
-				// Rank rk finished step p>>3: publish its meters and, when
-				// it is the last rank through, the step-shared ones.
-				r.publishRank(rk)
-				if s := int(p >> 3); d.ranksLeft[s].Add(-1) == 0 {
-					flush()
+				// Block b finished step p>>3: publish its ranks' meters and,
+				// when it is the last block through, the step-shared ones.
+				for rk := d.start[b]; rk < d.start[b+1]; rk++ {
+					r.publishRank(rk)
+				}
+				if s := int(p >> 3); d.blocksLeft[s].Add(-1) == 0 {
+					ws.flush()
 					r.publishStepShared(s)
 				}
 			}
-			if d.done.Add(1) == d.total {
+			if d.done.Add(1) == total {
 				d.q.Close()
 				return
 			}
-			for _, n := range r.revDeps[rk] {
+			for _, n := range d.revDeps[b] {
 				d.tryEnqueue(n)
 			}
 			p++
 			if p > d.lastPos {
-				// Rank finished; state stays 1 so it is never re-enqueued.
+				// Block finished; state stays 1 so it is never re-enqueued.
 				break
 			}
-			if !d.ready(rk, p) {
-				d.release(rk, p)
+			if !d.ready(b, p) {
+				d.release(b, p)
 				break
 			}
 		}
 	}
 }
 
-// runDataflow executes the run under the epoch scheduler with nw workers.
+// runDataflow executes the run under the epoch scheduler with nw workers:
+// nw-1 goroutines plus the calling goroutine, which runs worker 0's loop
+// inline — so one worker means no goroutine, no parking and one block, i.e.
+// every task in phase order on the caller.
 func (r *Runner) runDataflow(ctl *runControl, nw, steps int, dt float64) error {
 	d := &dfExec{
-		r: r, ctl: ctl, steps: steps, dt: dt,
-		lastPos:   int64(steps) * 8,
-		total:     int64(r.NRanks) * (int64(steps)*8 + 1),
-		commit:    make([]atomic.Int64, r.NRanks),
-		state:     make([]atomic.Int32, r.NRanks),
-		ranksLeft: make([]atomic.Int32, steps),
-		q:         par.NewWakeQueue(r.NRanks),
+		r: r, ctl: ctl, blockPlan: r.blockPlan(nw), steps: steps, dt: dt, origin: time.Now(),
+		lastPos:    int64(steps) * 8,
+		blocksLeft: make([]atomic.Int32, steps),
 	}
-	for s := range d.ranksLeft {
-		d.ranksLeft[s].Store(int32(r.NRanks))
+	nb := len(d.commit)
+	d.q = par.NewWakeQueue(nb)
+	for s := range d.blocksLeft {
+		d.blocksLeft[s].Store(int32(nb))
 	}
-	// Seed: every rank's position-0 task (phase A of step 0) has no
-	// uncommitted dependencies, so all ranks start enqueued.
-	for rk := 0; rk < r.NRanks; rk++ {
-		d.state[rk].Store(1)
-		d.q.Push(int32(rk))
+	// Seed: every block's position-0 task (phase A of step 0) has no
+	// uncommitted dependencies, so all blocks start enqueued.
+	for b := 0; b < nb; b++ {
+		d.commit[b].Store(0)
+		d.state[b].Store(1)
+		d.q.Push(int32(b))
 	}
 	// Cancellation watchdog: parked workers cannot poll the context, so a
 	// dedicated goroutine converts ctx expiry into a queue close, which
-	// releases every parked worker; running workers notice ctl.stopped()
-	// at their next task boundary.
-	var watchDone chan struct{}
+	// releases every parked worker; running workers notice the stop flag at
+	// their next rank boundary (a stalled hook keeps its rank until then).
 	if ctl != nil {
-		watchDone = make(chan struct{})
+		watchDone := make(chan struct{})
+		defer close(watchDone)
 		go func() {
 			select {
 			case <-ctl.ctx.Done():
@@ -770,17 +759,15 @@ func (r *Runner) runDataflow(ctl *runControl, nw, steps int, dt float64) error {
 		}()
 	}
 	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
+	for w := 1; w < nw; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			d.runWorker(w)
 		}(w)
 	}
+	d.runWorker(0)
 	wg.Wait()
-	if watchDone != nil {
-		close(watchDone)
-	}
 	if ctl != nil {
 		return ctl.firstErr()
 	}

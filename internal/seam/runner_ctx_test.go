@@ -3,6 +3,7 @@ package seam
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -173,5 +174,40 @@ func TestRunnerReusableAfterError(t *testing.T) {
 	}
 	if _, err := r.RunCtx(context.Background(), 2, dt, nil); err != nil {
 		t.Fatalf("runner unusable after recovered panic: %v", err)
+	}
+}
+
+// TestRunCtxTimeoutInEpilogue: a context that expires while a rank sits in
+// the final-step epilogue must list that rank in TimeoutError.InFlight. The
+// probe cancels the context from inside the stalled rank's epilogue task, so
+// the expiry lands there by construction, at one worker (one block on the
+// caller) and at two.
+func TestRunCtxTimeoutInEpilogue(t *testing.T) {
+	const ranks, steps, stalled = 6, 2, 4
+	for _, workers := range []int{1, 2} {
+		sw, dt := w2Solver(t, 2, 3)
+		r, err := NewRunner(sw, blockAssign(sw.G.NumElems(), ranks), ranks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Workers = workers
+		ctx, cancel := context.WithCancel(context.Background())
+		r.testOnTask = func(rk int32, pos int64, _ bool) {
+			if pos == steps*8 && rk == stalled {
+				cancel()
+				// Hold the claim while the watchdog snapshots InFlight.
+				time.Sleep(200 * time.Millisecond)
+			}
+		}
+		_, err = r.RunCtx(ctx, steps, dt, nil)
+		cancel()
+		var te *TimeoutError
+		if !errors.As(err, &te) {
+			t.Fatalf("workers=%d: got %v, want *TimeoutError", workers, err)
+		}
+		want := RankPos{Rank: stalled, Step: steps - 1, Stage: 3}
+		if !slices.Contains(te.InFlight, want) {
+			t.Errorf("workers=%d: InFlight = %v, want it to list %+v", workers, te.InFlight, want)
+		}
 	}
 }

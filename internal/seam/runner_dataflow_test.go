@@ -2,7 +2,9 @@ package seam
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,10 +13,10 @@ import (
 )
 
 // TestRunnerBitwiseAcrossGOMAXPROCS locks the dataflow scheduler's core
-// contract: at every worker count — serial fast path (1) and epoch-scheduled
-// (2, 4) — the runner's results are bitwise identical to the sequential
-// ShallowWater.Step integration, with GOMAXPROCS pinned to the worker count
-// so the schedule really executes at that parallelism.
+// contract: at every worker count — one block inline on the caller (1) and
+// epoch-scheduled blocks (2, 4) — the runner's results are bitwise identical
+// to the sequential ShallowWater.Step integration, with GOMAXPROCS pinned to
+// the worker count so the schedule really executes at that parallelism.
 func TestRunnerBitwiseAcrossGOMAXPROCS(t *testing.T) {
 	const steps = 3
 	seqSW, dt := w2Solver(t, 2, 4)
@@ -36,6 +38,49 @@ func TestRunnerBitwiseAcrossGOMAXPROCS(t *testing.T) {
 	}
 }
 
+// TestRunnerBitwiseBlockMatrix extends the contract to multi-rank blocks:
+// curve-cut ranks of the K=384 mesh at every rank x worker x GOMAXPROCS
+// combination, as one Run and split in two, must reproduce the sequential
+// integration bit for bit. One runner per rank count serves the whole sweep
+// (state slabs restored in between), so the block plan is also rebuilt and
+// reused across worker-count changes the way a long-lived runner sees them.
+func TestRunnerBitwiseBlockMatrix(t *testing.T) {
+	const ne, steps = 8, 3
+	seqSW, dt := w2Solver(t, ne, 2)
+	for s := 0; s < steps; s++ {
+		seqSW.Step(dt)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, ranks := range []int{24, 96, 384} {
+		parSW, _ := w2Solver(t, ne, 2)
+		state := [][]float64{parSW.v1F, parSW.v2F, parSW.phiF}
+		var initial [3][]float64
+		for i, f := range state {
+			initial[i] = slices.Clone(f)
+		}
+		r, err := NewRunner(parSW, methodAssign(t, "sfc", ne, ranks), ranks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			for workers := 1; workers <= 4; workers++ {
+				for _, split := range [][]int{{steps}, {1, steps - 1}} {
+					for i, f := range state {
+						copy(f, initial[i])
+					}
+					r.Workers = workers
+					for _, n := range split {
+						r.Run(n, dt)
+					}
+					requireBitwiseEqual(t, seqSW, parSW, fmt.Sprintf(
+						"ranks=%d GOMAXPROCS=%d workers=%d runs=%v", ranks, procs, workers, split))
+				}
+			}
+		}
+	}
+}
+
 // stressHash is a deterministic (step, stage, rank) mixer for the scheduler
 // stress test: the same runs perturb the same tasks on every execution.
 func stressHash(step, stage, rank int) uint32 {
@@ -48,53 +93,59 @@ func stressHash(step, stage, rank int) uint32 {
 
 // TestEpochSchedulerStress drives the epoch scheduler through 1000 steps
 // with randomized per-stage sleeps injected into ~2% of (step, stage, rank)
-// triples, forcing ranks steps apart and exercising every park/wake path.
-// The testOnTask probe recomputes the dependency check immediately before
-// every task body: a single task observed with unmet dependencies would mean
-// a stage read a neighbour slab before its commit. The end state must still
-// be bitwise identical to the sequential integration.
+// triples, forcing blocks steps apart and exercising every park/wake path —
+// once with single-rank blocks (6 ranks, 4 workers) and once with several
+// ranks per block (48 ranks, 2 workers: 16 blocks of 3). The testOnTask probe
+// recomputes the rank-level dependency check immediately before every rank's
+// task body, against the block commit counters: a single task observed with
+// unmet dependencies would mean a stage read a neighbour slab before its
+// commit, i.e. the coarsened graph dropped an edge of the un-coarsened one.
+// The end state must still be bitwise identical to the sequential
+// integration.
 func TestEpochSchedulerStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1k-step scheduler stress is a long test")
 	}
 	const steps = 1000
-	seqSW, dt := w2Solver(t, 2, 3)
-	for s := 0; s < steps; s++ {
-		seqSW.Step(dt)
-	}
-
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
-	parSW, _ := w2Solver(t, 2, 3)
-	const ranks = 6
-	r, err := NewRunner(parSW, blockAssign(parSW.G.NumElems(), ranks), ranks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Workers = 4
-	var violations, tasks atomic.Int64
-	r.testOnTask = func(rk int32, pos int64, depsMet bool) {
-		tasks.Add(1)
-		if !depsMet {
-			violations.Add(1)
-		}
-	}
-	hooks := &StepHooks{BeforeRankStage: func(step, stage, rank int) {
-		if h := stressHash(step, stage, rank); h%50 == 0 {
-			time.Sleep(time.Duration(h%5+1) * 20 * time.Microsecond)
-		}
-	}}
-	if _, err := r.RunCtx(context.Background(), steps, dt, hooks); err != nil {
-		t.Fatal(err)
-	}
+	for _, c := range []struct{ ne, ranks, workers int }{{2, 6, 4}, {4, 48, 2}} {
+		t.Run(fmt.Sprintf("ne=%d/ranks=%d/workers=%d", c.ne, c.ranks, c.workers), func(t *testing.T) {
+			seqSW, dt := w2Solver(t, c.ne, 3)
+			for s := 0; s < steps; s++ {
+				seqSW.Step(dt)
+			}
+			parSW, _ := w2Solver(t, c.ne, 3)
+			r, err := NewRunner(parSW, blockAssign(parSW.G.NumElems(), c.ranks), c.ranks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Workers = c.workers
+			var violations, tasks atomic.Int64
+			r.testOnTask = func(rk int32, pos int64, depsMet bool) {
+				tasks.Add(1)
+				if !depsMet {
+					violations.Add(1)
+				}
+			}
+			hooks := &StepHooks{BeforeRankStage: func(step, stage, rank int) {
+				if h := stressHash(step, stage, rank); h%50 == 0 {
+					time.Sleep(time.Duration(h%5+1) * 20 * time.Microsecond)
+				}
+			}}
+			if _, err := r.RunCtx(context.Background(), steps, dt, hooks); err != nil {
+				t.Fatal(err)
+			}
 
-	if v := violations.Load(); v != 0 {
-		t.Errorf("%d tasks ran with unmet dependencies", v)
+			if v := violations.Load(); v != 0 {
+				t.Errorf("%d tasks ran with unmet dependencies", v)
+			}
+			if want := int64(c.ranks) * (steps*8 + 1); tasks.Load() != want {
+				t.Errorf("probe saw %d tasks, want %d", tasks.Load(), want)
+			}
+			requireBitwiseEqual(t, seqSW, parSW, "epoch scheduler stress")
+		})
 	}
-	if want := int64(ranks) * (steps*8 + 1); tasks.Load() != want {
-		t.Errorf("probe saw %d tasks, want %d", tasks.Load(), want)
-	}
-	requireBitwiseEqual(t, seqSW, parSW, "epoch scheduler stress")
 }
 
 // TestBusyTimeExcludesWait locks the BusyTime contract: time a worker spends
