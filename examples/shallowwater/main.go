@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"log"
 	"math"
+	"slices"
 
 	"sfccube/internal/core"
 	"sfccube/internal/seam"
@@ -69,16 +70,7 @@ func main() {
 	fmt.Printf("mass drift:         %.3e (relative)\n",
 		math.Abs(par.TotalMass()-mass0)/mass0)
 
-	identical := true
-	for e := 0; e < grid.NumElems() && identical; e++ {
-		for i := 0; i < grid.PointsPerElem(); i++ {
-			if par.Phi[e][i] != seq.Phi[e][i] {
-				identical = false
-				break
-			}
-		}
-	}
-	fmt.Printf("parallel == sequential (bitwise): %v\n", identical)
+	fmt.Printf("parallel == sequential (bitwise): %v\n", slices.Equal(par.Phi, seq.Phi))
 
 	bytes := runner.BytesPerStep()
 	var total int64

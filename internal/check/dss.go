@@ -48,11 +48,11 @@ func ValidateDSS(g *seam.Grid, d *seam.DSS, seed int64) error {
 			continue
 		}
 		sharedGroups++
-		p0 := g.PosF[pts[0]]
+		p0 := g.Pos[pts[0]]
 		for _, p := range pts[1:] {
-			if g.PosF[p].Sub(p0).Norm() > tol {
+			if g.Pos[p].Sub(p0).Norm() > tol {
 				return fmt.Errorf("check: global node %d members %d and %d are %.3g m apart",
-					gid, pts[0], p, g.PosF[p].Sub(p0).Norm())
+					gid, pts[0], p, g.Pos[p].Sub(p0).Norm())
 			}
 		}
 	}
@@ -62,13 +62,13 @@ func ValidateDSS(g *seam.Grid, d *seam.DSS, seed int64) error {
 	}
 	// Numerical properties on a deterministic random field.
 	rng := rand.New(rand.NewSource(seed))
-	flat, q := g.FieldSlab()
+	flat := g.Field()
 	for i := range flat {
 		flat[i] = rng.Float64()*2 - 1
 	}
 	massBefore := massIntegral(g, flat)
-	d.Apply(q)
-	if disc := d.MaxDiscontinuity(q); disc != 0 {
+	d.Apply(flat)
+	if disc := d.MaxDiscontinuity(flat); disc != 0 {
 		return fmt.Errorf("check: discontinuity %g after Apply, want exactly 0", disc)
 	}
 	massAfter := massIntegral(g, flat)
@@ -84,7 +84,7 @@ func ValidateDSS(g *seam.Grid, d *seam.DSS, seed int64) error {
 	}
 	// Idempotence: a second application must be a no-op beyond roundoff.
 	before := append([]float64(nil), flat...)
-	d.Apply(q)
+	d.Apply(flat)
 	for i := range flat {
 		if math.Abs(flat[i]-before[i]) > 1e-12 {
 			return fmt.Errorf("check: Apply not idempotent at point %d: %g -> %g", i, before[i], flat[i])
@@ -97,7 +97,7 @@ func ValidateDSS(g *seam.Grid, d *seam.DSS, seed int64) error {
 // integral the DSS projection must conserve.
 func massIntegral(g *seam.Grid, flat []float64) float64 {
 	var s float64
-	for i, m := range g.MassF {
+	for i, m := range g.Mass {
 		s += m * flat[i]
 	}
 	return s
@@ -108,7 +108,7 @@ func massIntegral(g *seam.Grid, flat []float64) float64 {
 // zero on sign-mixed fields, which would misrepresent roundoff as drift).
 func massScale(g *seam.Grid, flat []float64) float64 {
 	var s float64
-	for i, m := range g.MassF {
+	for i, m := range g.Mass {
 		s += m * math.Abs(flat[i])
 	}
 	return s

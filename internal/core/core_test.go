@@ -182,7 +182,7 @@ func BenchmarkSFCPartitionK1536P768(b *testing.B) {
 }
 
 // BenchmarkSFCParallelNe384 is the million-element regime benchmark: the
-// full pipeline (deferred mesh, parallel per-face curve build, contiguous
+// full pipeline (mesh, parallel per-face curve build, contiguous
 // cut) at Ne=384 — 884,736 elements onto 9,216 processors, 100x the paper's
 // largest tabulated case. Tracked in BENCH_metis.json and gated in CI
 // (cmd/benchgate, +/-20%).
@@ -201,7 +201,7 @@ func BenchmarkSFCParallelNe384(b *testing.B) {
 // BENCH_metis.json and gated in CI (cmd/benchgate, +/-20%); the gap to
 // BenchmarkSFCParallelNe384 is the price of weighted splitting.
 func BenchmarkWeightedSFCNe384(b *testing.B) {
-	m, err := mesh.NewAuto(384)
+	m, err := mesh.New(384)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -17,8 +17,8 @@ import (
 )
 
 // Problem is the one substrate every partitioning method runs on: the Ne
-// cubed-sphere mesh (adjacency deferred: nothing here reads neighbour tables,
-// the graph build and the stats resolve rows analytically), the optional
+// cubed-sphere mesh (which stores no neighbour tables: the graph build and
+// the stats resolve rows analytically), the optional
 // element weights (the load model every method balances), and the derived
 // structures — dual graph, Hilbert–Peano curve, serpentine curve — each
 // built on first request and memoised, so a method pays only for what it
@@ -59,10 +59,10 @@ func (l *lazy[T]) get(build func() (T, error)) (T, error) {
 	return l.v, l.err
 }
 
-// NewProblem builds the problem for the Ne mesh. The mesh is always deferred
-// (mesh.NewDeferred): the curve methods never query element neighbours, and
-// the graph build and the stats view resolve rows on the fly, so no size pays
-// for more than the O(Ne) cube-edge index.
+// NewProblem builds the problem for the Ne mesh (mesh.New): the curve methods
+// never query element neighbours, and the graph build and the stats view
+// resolve rows on the fly, so no size pays for more than the O(Ne) cube-edge
+// index.
 func NewProblem(ne int) (*Problem, error) { return ProblemFrom(ne, nil, nil) }
 
 // ProblemFrom is NewProblem over pre-built inputs: a nil mesh is built from
@@ -72,7 +72,7 @@ func NewProblem(ne int) (*Problem, error) { return ProblemFrom(ne, nil, nil) }
 func ProblemFrom(ne int, m *mesh.Mesh, g *graph.Graph) (*Problem, error) {
 	if m == nil {
 		var err error
-		if m, err = mesh.NewDeferred(ne); err != nil {
+		if m, err = mesh.New(ne); err != nil {
 			return nil, err
 		}
 	}

@@ -71,12 +71,6 @@ func NewRepartitioner(ne int, order sfc.Order) (*Repartitioner, error) {
 	return &Repartitioner{curve: res.Curve}, nil
 }
 
-// NewRepartitionerFromCurve wraps an already-built curve (e.g. one shared
-// with a running partitioning service) without rebuilding it.
-func NewRepartitionerFromCurve(curve *sfc.CubeCurve) *Repartitioner {
-	return &Repartitioner{curve: curve}
-}
-
 // Curve returns the underlying cubed-sphere curve.
 func (r *Repartitioner) Curve() *sfc.CubeCurve { return r.curve }
 

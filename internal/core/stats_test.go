@@ -94,7 +94,7 @@ func TestStatsViewMatchesGraph(t *testing.T) {
 // reads even when no method asked for it, so its (non-unit) vertex weights
 // count exactly as they did when every caller passed the graph explicitly.
 func TestStatsUsesCallerGraph(t *testing.T) {
-	m, err := mesh.NewDeferred(8)
+	m, err := mesh.New(8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,8 +39,8 @@ func NewSetup(ne int) (*Setup, error) { return NewWeightedSetup(ne, "") }
 
 // NewWeightedSetup is NewSetup under a weight spec (package weights grammar):
 // the generated vector becomes the problem's load model, so the curve split
-// and the graph's vertex weights agree by construction. The mesh keeps its
-// adjacency deferred above ~10^5 elements and the dual graph streams through
+// and the graph's vertex weights agree by construction. The mesh resolves
+// adjacency on demand and the dual graph streams through
 // the exact-size CSR build (see core.Problem), so the sweep scales to the
 // million-element regime without holding any intermediate edge list.
 func NewWeightedSetup(ne int, spec string) (*Setup, error) {

@@ -274,9 +274,9 @@ func DefaultOptions() Options {
 // FromMesh builds the partitioning graph of a cubed-sphere mesh by streaming
 // the rows of its MeshView straight into exactly-sized CSR arrays
 // (FromAdjacency): no intermediate edge list is materialised, so the peak
-// footprint is the final graph plus O(1) per-worker row buffers. Works with
-// both materialised and deferred meshes; with a deferred mesh the dual graph
-// is never held twice in any form.
+// footprint is the final graph plus O(1) per-worker row buffers. The mesh
+// stores no adjacency of its own, so the dual graph is never held twice in
+// any form.
 func FromMesh(m *mesh.Mesh, opt Options) (*Graph, error) {
 	view, err := NewMeshView(m, opt)
 	if err != nil {

@@ -63,33 +63,10 @@ func TestFromAdjacencyMatchesBuilder(t *testing.T) {
 	}
 }
 
-// TestFromMeshDeferredMatchesMaterialized checks that building from a
-// deferred mesh yields the identical graph as from a materialised one.
-func TestFromMeshDeferredMatchesMaterialized(t *testing.T) {
-	for _, ne := range []int{3, 8, 12} {
-		mm := mustMesh(t, ne)
-		md, err := mesh.NewDeferred(ne)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, err := FromMesh(mm, DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := FromMesh(md, DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !graphsEqual(a, b) {
-			t.Fatalf("ne=%d: deferred-mesh graph differs from materialised-mesh graph", ne)
-		}
-	}
-}
-
 // TestFromMeshGOMAXPROCSInvariant pins the byte-identical contract of the
 // parallel CSR passes: chunked construction at GOMAXPROCS=4 equals serial.
 func TestFromMeshGOMAXPROCSInvariant(t *testing.T) {
-	md, err := mesh.NewDeferred(12)
+	md, err := mesh.New(12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,12 +199,12 @@ func TestValidateCatchesCorruptedRowPointer(t *testing.T) {
 }
 
 // TestFromMeshMemoryCeiling asserts the streaming build cannot silently
-// regress to O(edges) temporaries: total allocation during FromMesh on a
-// deferred mesh must stay within a small factor of the final CSR payload.
+// regress to O(edges) temporaries: total allocation during FromMesh must
+// stay within a small factor of the final CSR payload.
 // The retired edge-list path allocated >3x the CSR in half-edge arrays
 // alone, so a 2x ceiling fails loudly on any such regression.
 func TestFromMeshMemoryCeiling(t *testing.T) {
-	md, err := mesh.NewDeferred(48)
+	md, err := mesh.New(48)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +235,7 @@ func TestFromMeshMemoryCeiling(t *testing.T) {
 }
 
 func BenchmarkFromMeshNe48(b *testing.B) {
-	md, err := mesh.NewDeferred(48)
+	md, err := mesh.New(48)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -270,11 +247,11 @@ func BenchmarkFromMeshNe48(b *testing.B) {
 	}
 }
 
-// TestMeshViewRowsAllocFree: on a deferred mesh the on-demand view answers
+// TestMeshViewRowsAllocFree: the on-demand view answers
 // every row — interior, face boundary, cube corner — without allocating, and
 // with the rows the CSR build froze.
 func TestMeshViewRowsAllocFree(t *testing.T) {
-	md, err := mesh.NewDeferred(6)
+	md, err := mesh.New(6)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -190,7 +190,7 @@ func SimulateStep(m *mesh.Mesh, p *partition.Partition, w Workload, mod Model, w
 	// Message volume per ordered processor pair.
 	type pair struct{ from, to int32 }
 	vol := make(map[pair]int64)
-	var edge, corner []mesh.ElemID // reused: a deferred mesh resolves rows per call
+	var edge, corner []mesh.ElemID // reused: the mesh resolves rows per call
 	for e := 0; e < k; e++ {
 		pe := int32(p.Part(e))
 		edge, corner = m.NeighborsInto(mesh.ElemID(e), edge[:0], corner[:0])

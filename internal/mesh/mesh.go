@@ -15,8 +15,7 @@
 // Adjacency is resolved analytically: an interior element's eight neighbours
 // follow from index arithmetic alone, and only the O(Ne) boundary-ring
 // elements consult a prebuilt index of the nodes on the twelve cube edges.
-// New materialises per-element neighbour lists (cheap up to ~10^5 elements);
-// NewDeferred keeps only the O(Ne) cube-edge index and resolves neighbours on
+// The mesh holds only that O(Ne) cube-edge index and resolves neighbours on
 // demand, which is what lets the million-element regime (Ne >= 384) stream
 // the dual graph without ever holding a second copy of the adjacency.
 package mesh
@@ -24,18 +23,10 @@ package mesh
 import (
 	"fmt"
 	"slices"
-
-	"sfccube/internal/par"
 )
 
 // NumFaces is the number of faces of the cube.
 const NumFaces = 6
-
-// DeferAdjacencyThreshold is the element count at and above which NewAuto
-// switches from materialised neighbour lists to deferred on-demand
-// resolution. 2^17 elements keeps every mesh through Ne=128 materialised
-// (the interactive regime) and defers from roughly Ne=148 up.
-const DeferAdjacencyThreshold = 1 << 17
 
 // Face identifies one of the six cube faces.
 type Face int
@@ -80,7 +71,7 @@ type Elem struct {
 }
 
 // Mesh is a cubed-sphere mesh with Ne x Ne elements per face.
-// The zero value is not usable; construct with New, NewDeferred or NewAuto.
+// The zero value is not usable; construct with New.
 type Mesh struct {
 	ne int
 
@@ -91,32 +82,12 @@ type Mesh struct {
 	// two elements on different faces can only share nodes on the cube edge
 	// where their faces meet.
 	cubeEdgeNodes [][4]ElemID
-
-	// edgeNbrs[e] lists the elements sharing an edge (two corner nodes)
-	// with element e; cornerNbrs[e] lists the elements sharing exactly one
-	// corner node. Both are sorted by element id. Nil for deferred meshes,
-	// which resolve neighbours on demand instead.
-	edgeNbrs   [][]ElemID
-	cornerNbrs [][]ElemID
 }
 
-// New constructs the cubed-sphere mesh with ne x ne elements per face and
-// materialises the per-element neighbour lists. ne must be >= 1.
+// New constructs the cubed-sphere mesh with ne x ne elements per face. Only
+// the O(Ne) cube-edge node index is built; adjacency queries are answered
+// analytically per call. ne must be >= 1.
 func New(ne int) (*Mesh, error) {
-	m, err := NewDeferred(ne)
-	if err != nil {
-		return nil, err
-	}
-	m.materialize()
-	return m, nil
-}
-
-// NewDeferred constructs the mesh without materialising neighbour lists:
-// only the O(Ne) cube-edge node index is built, and adjacency queries are
-// answered analytically per call. Use it for large meshes (Ne >= 384) where
-// the materialised lists would rival the dual graph itself in memory.
-// ne must be >= 1.
-func NewDeferred(ne int) (*Mesh, error) {
 	if ne < 1 {
 		return nil, fmt.Errorf("mesh: Ne must be >= 1, got %d", ne)
 	}
@@ -125,19 +96,10 @@ func NewDeferred(ne int) (*Mesh, error) {
 	return m, nil
 }
 
-// NewAuto constructs the mesh, materialising neighbour lists for small
-// meshes and deferring them once the element count reaches
-// DeferAdjacencyThreshold.
-func NewAuto(ne int) (*Mesh, error) {
-	if ne >= 1 && NumFaces*ne*ne >= DeferAdjacencyThreshold {
-		return NewDeferred(ne)
-	}
-	return New(ne)
-}
-
-// Deferred reports whether the mesh resolves adjacency on demand rather
-// than from materialised neighbour lists.
-func (m *Mesh) Deferred() bool { return m.edgeNbrs == nil }
+// NewAuto is New.
+//
+// Deprecated: kept only because the frozen benchmark module calls it.
+func NewAuto(ne int) (*Mesh, error) { return New(ne) }
 
 // Ne returns the number of elements along one edge of a cube face.
 func (m *Mesh) Ne() int { return m.ne }
@@ -164,25 +126,15 @@ func (m *Mesh) Valid(id ElemID) bool {
 }
 
 // EdgeNeighbors returns the elements sharing an edge with e, sorted by id.
-// For a materialised mesh the returned slice is owned by the mesh and must
-// not be modified; a deferred mesh returns a freshly allocated slice.
 func (m *Mesh) EdgeNeighbors(e ElemID) []ElemID {
-	if m.edgeNbrs != nil {
-		return m.edgeNbrs[e]
-	}
-	en, _ := m.appendNeighbors(e, nil, nil)
+	en, _ := m.NeighborsInto(e, nil, nil)
 	return en
 }
 
 // CornerNeighbors returns the elements sharing exactly one corner point with
-// e, sorted by id. For a materialised mesh the returned slice is owned by
-// the mesh and must not be modified; a deferred mesh returns a freshly
-// allocated slice.
+// e, sorted by id.
 func (m *Mesh) CornerNeighbors(e ElemID) []ElemID {
-	if m.cornerNbrs != nil {
-		return m.cornerNbrs[e]
-	}
-	_, cn := m.appendNeighbors(e, nil, nil)
+	_, cn := m.NeighborsInto(e, nil, nil)
 	return cn
 }
 
@@ -193,10 +145,22 @@ func (m *Mesh) CornerNeighbors(e ElemID) []ElemID {
 // It is safe for concurrent use: the mesh is never mutated after
 // construction.
 func (m *Mesh) NeighborsInto(e ElemID, edgeDst, cornerDst []ElemID) (edge, corner []ElemID) {
-	if m.edgeNbrs != nil {
-		return append(edgeDst, m.edgeNbrs[e]...), append(cornerDst, m.cornerNbrs[e]...)
+	ne := m.ne
+	n2 := ne * ne
+	id := int(e)
+	f := id / n2
+	r := id % n2
+	i, j := r%ne, r/ne
+	if i > 0 && i < ne-1 && j > 0 && j < ne-1 {
+		// Interior element: all eight neighbours exist on the same face and
+		// follow from index arithmetic; emitting rows (j-1, j, j+1) in order
+		// keeps both lists ascending.
+		below, above := id-ne, id+ne
+		edgeDst = append(edgeDst, ElemID(below), ElemID(id-1), ElemID(id+1), ElemID(above))
+		cornerDst = append(cornerDst, ElemID(below-1), ElemID(below+1), ElemID(above-1), ElemID(above+1))
+		return edgeDst, cornerDst
 	}
-	return m.appendNeighbors(e, edgeDst, cornerDst)
+	return m.appendBoundaryNeighbors(Face(f), i, j, edgeDst, cornerDst)
 }
 
 // Neighbors returns the union of edge and corner neighbours of e, sorted by
@@ -345,27 +309,6 @@ var (
 	sameFaceCornerOffsets = [4][2]int{{-1, -1}, {1, -1}, {-1, 1}, {1, 1}}
 )
 
-// appendNeighbors resolves the neighbours of e analytically and appends them
-// to the destination slices in ascending id order.
-func (m *Mesh) appendNeighbors(e ElemID, edgeDst, cornerDst []ElemID) ([]ElemID, []ElemID) {
-	ne := m.ne
-	n2 := ne * ne
-	id := int(e)
-	f := id / n2
-	r := id % n2
-	i, j := r%ne, r/ne
-	if i > 0 && i < ne-1 && j > 0 && j < ne-1 {
-		// Interior element: all eight neighbours exist on the same face and
-		// follow from index arithmetic; emitting rows (j-1, j, j+1) in order
-		// keeps both lists ascending.
-		below, above := id-ne, id+ne
-		edgeDst = append(edgeDst, ElemID(below), ElemID(id-1), ElemID(id+1), ElemID(above))
-		cornerDst = append(cornerDst, ElemID(below-1), ElemID(below+1), ElemID(above-1), ElemID(above+1))
-		return edgeDst, cornerDst
-	}
-	return m.appendBoundaryNeighbors(Face(f), i, j, edgeDst, cornerDst)
-}
-
 // appendBoundaryNeighbors handles elements on the boundary ring of a face:
 // same-face neighbours are still arithmetic, and cross-face neighbours are
 // found through the cube-edge node index by counting shared nodes (two or
@@ -465,40 +408,4 @@ func mergeSorted(dst, a, b []ElemID) []ElemID {
 	}
 	dst = append(dst, a[ia:]...)
 	return append(dst, b[ib:]...)
-}
-
-// materialize builds the per-element neighbour lists over two shared backing
-// arrays (one for edge lists, one for corner lists): a counting pass sizes
-// the rows exactly, a fill pass writes them in place. Both passes run over
-// element-id chunks in parallel; the result is identical at any GOMAXPROCS
-// because appendNeighbors is a pure function of the element id.
-func (m *Mesh) materialize() {
-	k := m.NumElems()
-	offE := make([]int32, k+1)
-	offC := make([]int32, k+1)
-	par.ForChunks(k, 2048, func(lo, hi int) {
-		var ebuf, cbuf []ElemID
-		for e := lo; e < hi; e++ {
-			ebuf, cbuf = m.appendNeighbors(ElemID(e), ebuf[:0], cbuf[:0])
-			offE[e+1] = int32(len(ebuf))
-			offC[e+1] = int32(len(cbuf))
-		}
-	})
-	for e := 0; e < k; e++ {
-		offE[e+1] += offE[e]
-		offC[e+1] += offC[e]
-	}
-	flatE := make([]ElemID, offE[k])
-	flatC := make([]ElemID, offC[k])
-	edge := make([][]ElemID, k)
-	corner := make([][]ElemID, k)
-	par.ForChunks(k, 2048, func(lo, hi int) {
-		for e := lo; e < hi; e++ {
-			es := flatE[offE[e]:offE[e]:offE[e+1]]
-			cs := flatC[offC[e]:offC[e]:offC[e+1]]
-			edge[e], corner[e] = m.appendNeighbors(ElemID(e), es, cs)
-		}
-	})
-	m.edgeNbrs = edge
-	m.cornerNbrs = corner
 }

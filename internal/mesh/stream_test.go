@@ -73,20 +73,12 @@ func elemSlicesEqual(a, b []ElemID) bool {
 	return true
 }
 
-// TestAnalyticAdjacencyMatchesOracle checks the analytic resolver (both the
-// materialised lists built from it and the deferred per-call path) against
-// the retired map-based construction, for every element at a spread of mesh
+// TestAnalyticAdjacencyMatchesOracle checks the analytic resolver against the
+// retired map-based construction, for every element at a spread of mesh
 // sizes including the degenerate ne=1 cube and the even/odd boundary cases.
 func TestAnalyticAdjacencyMatchesOracle(t *testing.T) {
 	for _, ne := range []int{1, 2, 3, 4, 5, 8, 9, 12, 16} {
 		m := mustMesh(t, ne)
-		md, err := NewDeferred(ne)
-		if err != nil {
-			t.Fatalf("NewDeferred(%d): %v", ne, err)
-		}
-		if !md.Deferred() || m.Deferred() {
-			t.Fatalf("ne=%d: Deferred flags wrong (materialised=%v deferred=%v)", ne, m.Deferred(), md.Deferred())
-		}
 		wantE, wantC := oracleTopology(m)
 		var ebuf, cbuf []ElemID
 		for e := 0; e < m.NumElems(); e++ {
@@ -97,13 +89,7 @@ func TestAnalyticAdjacencyMatchesOracle(t *testing.T) {
 			if got := m.CornerNeighbors(id); !elemSlicesEqual(got, wantC[e]) {
 				t.Fatalf("ne=%d elem %d: CornerNeighbors=%v, oracle %v", ne, e, got, wantC[e])
 			}
-			if got := md.EdgeNeighbors(id); !elemSlicesEqual(got, wantE[e]) {
-				t.Fatalf("ne=%d elem %d: deferred EdgeNeighbors=%v, oracle %v", ne, e, got, wantE[e])
-			}
-			if got := md.CornerNeighbors(id); !elemSlicesEqual(got, wantC[e]) {
-				t.Fatalf("ne=%d elem %d: deferred CornerNeighbors=%v, oracle %v", ne, e, got, wantC[e])
-			}
-			ebuf, cbuf = md.NeighborsInto(id, ebuf[:0], cbuf[:0])
+			ebuf, cbuf = m.NeighborsInto(id, ebuf[:0], cbuf[:0])
 			if !elemSlicesEqual(ebuf, wantE[e]) || !elemSlicesEqual(cbuf, wantC[e]) {
 				t.Fatalf("ne=%d elem %d: NeighborsInto=(%v,%v), oracle (%v,%v)",
 					ne, e, ebuf, cbuf, wantE[e], wantC[e])
@@ -112,48 +98,24 @@ func TestAnalyticAdjacencyMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestNeighborsDeferredMatchesMaterialized checks the merged Neighbors view
-// agrees between the two construction modes.
-func TestNeighborsDeferredMatchesMaterialized(t *testing.T) {
+// TestNeighborsMatchesOracleUnion checks the merged Neighbors view against
+// the sorted union of the oracle's edge and corner lists.
+func TestNeighborsMatchesOracleUnion(t *testing.T) {
 	m := mustMesh(t, 6)
-	md, err := NewDeferred(6)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wantE, wantC := oracleTopology(m)
 	for e := 0; e < m.NumElems(); e++ {
-		if got, want := md.Neighbors(ElemID(e)), m.Neighbors(ElemID(e)); !elemSlicesEqual(got, want) {
-			t.Fatalf("elem %d: deferred Neighbors=%v, materialised %v", e, got, want)
+		want := append(append([]ElemID(nil), wantE[e]...), wantC[e]...)
+		sort.Slice(want, func(a, b int) bool { return want[a] < want[b] })
+		if got := m.Neighbors(ElemID(e)); !elemSlicesEqual(got, want) {
+			t.Fatalf("elem %d: Neighbors=%v, oracle union %v", e, got, want)
 		}
 	}
 }
 
-// TestNewAutoDefersLargeMeshes pins the NewAuto switchover: below the
-// threshold the mesh is materialised, at or above it adjacency is deferred.
-func TestNewAutoDefersLargeMeshes(t *testing.T) {
-	small, err := NewAuto(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if small.Deferred() {
-		t.Errorf("NewAuto(8): want materialised, got deferred")
-	}
-	// Smallest ne with 6*ne^2 >= 2^17 is 148.
-	large, err := NewAuto(148)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !large.Deferred() {
-		t.Errorf("NewAuto(148): want deferred, got materialised")
-	}
-	if NumFaces*147*147 >= DeferAdjacencyThreshold {
-		t.Errorf("threshold drifted: ne=147 should stay below DeferAdjacencyThreshold")
-	}
-}
-
 // TestNeighborsIntoAllocFree checks the streaming contract: once the caller
-// reuses buffers, deferred adjacency queries allocate nothing.
+// reuses buffers, adjacency queries allocate nothing.
 func TestNeighborsIntoAllocFree(t *testing.T) {
-	md, err := NewDeferred(16)
+	md, err := New(16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,8 +140,8 @@ func BenchmarkNewNe48(b *testing.B) {
 	}
 }
 
-func BenchmarkDeferredAdjacencySweepNe48(b *testing.B) {
-	md, err := NewDeferred(48)
+func BenchmarkAdjacencySweepNe48(b *testing.B) {
+	md, err := New(48)
 	if err != nil {
 		b.Fatal(err)
 	}

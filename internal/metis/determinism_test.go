@@ -87,7 +87,7 @@ func TestSeedChangesAssignment(t *testing.T) {
 // the path) and returns the raw assignment.
 func largeAssignmentOf(t *testing.T, m Method, nparts int, seed int64) []int {
 	t.Helper()
-	msh, err := mesh.NewDeferred(96)
+	msh, err := mesh.New(96)
 	if err != nil {
 		t.Fatalf("mesh: %v", err)
 	}
@@ -144,7 +144,7 @@ func TestParallelCoarseningDeterministicAcrossGOMAXPROCS(t *testing.T) {
 // the sequential one on the same matching: contractParallel and
 // contractSerial must produce bitwise-identical coarse graphs.
 func TestParallelContractMatchesSerial(t *testing.T) {
-	msh, err := mesh.NewDeferred(96)
+	msh, err := mesh.New(96)
 	if err != nil {
 		t.Fatalf("mesh: %v", err)
 	}

@@ -427,7 +427,7 @@ func BenchmarkRBK1536P12288(b *testing.B) {
 	if os.Getenv("SCALE_BENCH") == "" {
 		b.Skip("set SCALE_BENCH=1 to run the 14M-element benchmark")
 	}
-	m, err := mesh.NewDeferred(1536)
+	m, err := mesh.New(1536)
 	if err != nil {
 		b.Fatal(err)
 	}

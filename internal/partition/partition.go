@@ -189,7 +189,7 @@ func validateWeights(weights []int64) (total int64, uniform bool, err error) {
 // weights fail with *WeightError and an all-zero vector with
 // *ZeroTotalWeightError.
 //
-// The cut points are decided by a sequential O(n) walk (SplitPoints); only
+// The cut points are decided by a sequential O(n) walk (splitPoints); only
 // the assignment fill fans out across goroutines, so the result is
 // byte-identical at any GOMAXPROCS.
 func SplitContiguous(weights []int64, nparts int) ([]int32, error) {
@@ -279,25 +279,6 @@ func SplitAlong[I ~int](order []I, nparts int, weights []int64) ([]int32, error)
 // below this the loop is memory-bandwidth trivial and goroutines cost more
 // than they save.
 const splitFillChunk = 1 << 15
-
-// SplitPoints returns the starting position of every part's segment for the
-// weighted contiguous split of SplitContiguous (starts[0] is always 0).
-// Weights must be non-negative with a positive total, and
-// 1 <= nparts <= len(weights).
-func SplitPoints(weights []int64, nparts int) ([]int, error) {
-	n := len(weights)
-	if nparts < 1 {
-		return nil, fmt.Errorf("partition: nparts must be >= 1, got %d", nparts)
-	}
-	if nparts > n {
-		return nil, fmt.Errorf("partition: cannot split %d items into %d non-empty parts", n, nparts)
-	}
-	total, _, err := validateWeights(weights)
-	if err != nil {
-		return nil, err
-	}
-	return splitPoints(weights, nparts, total), nil
-}
 
 // splitPoints runs the greedy prefix walk: for each part, extend the segment
 // while the running weight is closer to the remaining average than stopping,

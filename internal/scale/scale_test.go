@@ -15,7 +15,7 @@ import (
 // TestNe384EndToEnd is the million-element acceptance run: Ne=384 (884,736
 // elements, 100x the paper's largest tabulated case) partitioned onto 9,216
 // processors — the part size is exactly 96 elements, so any imbalance at all
-// is a bug. The full pipeline runs: deferred mesh, streaming CSR dual graph,
+// is a bug. The full pipeline runs: mesh, streaming CSR dual graph,
 // parallel curve build, contiguous cut, then the independent oracle
 // (ValidatePartition + CrossCheckStats) over the whole graph.
 func TestNe384EndToEnd(t *testing.T) {
@@ -30,9 +30,6 @@ func TestNe384EndToEnd(t *testing.T) {
 	res, err := core.PartitionCubedSphere(core.Config{Ne: ne, NProcs: nprocs})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !res.Mesh.Deferred() {
-		t.Error("Ne=384 mesh materialised its adjacency; NewAuto should defer")
 	}
 	p := res.Partition
 	if p.NumVertices() != k || p.NumParts() != nprocs {
@@ -129,7 +126,7 @@ func TestCurveBuildDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	for _, ne := range []int{32, 48} { // 2^5 and 2^4*3: both schedule kinds
 		t.Run(fmt.Sprintf("ne=%d", ne), func(t *testing.T) {
 			build := func() *sfc.CubeCurve {
-				m, err := mesh.NewDeferred(ne)
+				m, err := mesh.New(ne)
 				if err != nil {
 					t.Fatal(err)
 				}

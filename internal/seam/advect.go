@@ -19,16 +19,16 @@ type Advection struct {
 	Dss *DSS
 
 	// Ua, Ub are the contravariant wind components at every GLL point.
-	Ua, Ub [][]float64
+	Ua, Ub []float64
 
 	// Q is the advected tracer.
-	Q [][]float64
+	Q []float64
 
 	// Flops counts floating point operations performed so far.
 	Flops int64
 
 	// scratch
-	k1, k2, k3, k4, tmp, da, db [][]float64
+	k1, k2, k3, k4, tmp, da, db []float64
 }
 
 // RotationWind returns the 3D velocity of solid-body rotation with angular
@@ -46,42 +46,37 @@ func NewAdvection(g *Grid, w mesh.Vec3) (*Advection, error) {
 		G: g, Dss: dss,
 		Ua: g.Field(), Ub: g.Field(), Q: g.Field(),
 		k1: g.Field(), k2: g.Field(), k3: g.Field(), k4: g.Field(),
-		tmp: g.Field(), da: g.Field(), db: g.Field(),
+		tmp: g.Field(), da: make([]float64, g.PointsPerElem()), db: make([]float64, g.PointsPerElem()),
 	}
 	// Project the 3D wind onto contravariant components:
 	// [g11 g12; g12 g22] [ua; ub] = [V.Ea; V.Eb]  =>  u = gInv * (V.E).
-	for e := 0; e < g.NumElems(); e++ {
-		for i := 0; i < g.PointsPerElem(); i++ {
-			v := RotationWind(w, g.Pos[e][i])
-			va := v.Dot(g.Ea[e][i])
-			vb := v.Dot(g.Eb[e][i])
-			a.Ua[e][i] = g.GI11[e][i]*va + g.GI12[e][i]*vb
-			a.Ub[e][i] = g.GI12[e][i]*va + g.GI22[e][i]*vb
-		}
+	for i, p := range g.Pos {
+		v := RotationWind(w, p)
+		va := v.Dot(g.Ea[i])
+		vb := v.Dot(g.Eb[i])
+		a.Ua[i] = g.GI11[i]*va + g.GI12[i]*vb
+		a.Ub[i] = g.GI12[i]*va + g.GI22[i]*vb
 	}
 	return a, nil
 }
 
 // SetTracer initialises the tracer from a pointwise function of position.
 func (a *Advection) SetTracer(f func(p mesh.Vec3) float64) {
-	g := a.G
-	for e := 0; e < g.NumElems(); e++ {
-		for i := 0; i < g.PointsPerElem(); i++ {
-			a.Q[e][i] = f(g.Pos[e][i])
-		}
+	for i, p := range a.G.Pos {
+		a.Q[i] = f(p)
 	}
 	a.Dss.Apply(a.Q)
 }
 
 // rhs evaluates dq/dt = -(ua dq/dalpha + ub dq/dbeta) into out, with the
 // fused derivative kernel streaming each element block through cache once.
-func (a *Advection) rhs(q, out [][]float64) {
+func (a *Advection) rhs(q, out []float64) {
 	g := a.G
 	npts := g.PointsPerElem()
-	for e := 0; e < g.NumElems(); e++ {
-		da, db := a.da[e], a.db[e]
-		g.DiffAlphaBeta(q[e], da, db)
-		ua, ub, oute := a.Ua[e], a.Ub[e], out[e]
+	da, db := a.da, a.db
+	for base := 0; base < len(q); base += npts {
+		g.DiffAlphaBeta(q[base:base+npts], da, db)
+		ua, ub, oute := a.Ua[base:base+npts], a.Ub[base:base+npts], out[base:base+npts]
 		for i := 0; i < npts; i++ {
 			oute[i] = -(ua[i]*da[i] + ub[i]*db[i])
 		}
@@ -92,13 +87,9 @@ func (a *Advection) rhs(q, out [][]float64) {
 
 // Step advances the tracer by one RK4 step of size dt seconds.
 func (a *Advection) Step(dt float64) {
-	g := a.G
-	npts := g.PointsPerElem()
-	axpy := func(dst, x [][]float64, c float64, y [][]float64) {
-		for e := 0; e < g.NumElems(); e++ {
-			for i := 0; i < npts; i++ {
-				dst[e][i] = x[e][i] + c*y[e][i]
-			}
+	axpy := func(dst, x []float64, c float64, y []float64) {
+		for i := range dst {
+			dst[i] = x[i] + c*y[i]
 		}
 	}
 	a.rhs(a.Q, a.k1)
@@ -108,12 +99,10 @@ func (a *Advection) Step(dt float64) {
 	a.rhs(a.tmp, a.k3)
 	axpy(a.tmp, a.Q, dt, a.k3)
 	a.rhs(a.tmp, a.k4)
-	for e := 0; e < g.NumElems(); e++ {
-		for i := 0; i < npts; i++ {
-			a.Q[e][i] += dt / 6 * (a.k1[e][i] + 2*a.k2[e][i] + 2*a.k3[e][i] + a.k4[e][i])
-		}
+	for i := range a.Q {
+		a.Q[i] += dt / 6 * (a.k1[i] + 2*a.k2[i] + 2*a.k3[i] + a.k4[i])
 	}
-	a.Flops += int64(g.NumElems()) * int64(npts) * (3*2 + 7)
+	a.Flops += int64(len(a.Q)) * (3*2 + 7)
 }
 
 // MaxStableDt estimates a stable RK4 time step from the CFL condition using
@@ -122,14 +111,12 @@ func (a *Advection) MaxStableDt(cfl float64) float64 {
 	g := a.G
 	minSpacing := (g.GLL.Points[1] - g.GLL.Points[0]) / 2 * g.DAlpha * g.Radius
 	var vmax float64
-	for e := 0; e < g.NumElems(); e++ {
-		for i := 0; i < g.PointsPerElem(); i++ {
-			// Physical speed: |u| with covariant metric.
-			ua, ub := a.Ua[e][i], a.Ub[e][i]
-			v2 := g.G11[e][i]*ua*ua + 2*g.G12[e][i]*ua*ub + g.G22[e][i]*ub*ub
-			if v := math.Sqrt(v2); v > vmax {
-				vmax = v
-			}
+	for i, ua := range a.Ua {
+		// Physical speed: |u| with covariant metric.
+		ub := a.Ub[i]
+		v2 := g.G11[i]*ua*ua + 2*g.G12[i]*ua*ub + g.G22[i]*ub*ub
+		if v := math.Sqrt(v2); v > vmax {
+			vmax = v
 		}
 	}
 	if vmax == 0 {
@@ -143,18 +130,11 @@ func (a *Advection) MaxStableDt(cfl float64) float64 {
 func (a *Advection) L2Error(ref func(p mesh.Vec3) float64) float64 {
 	g := a.G
 	var num, den float64
-	for e := 0; e < g.NumElems(); e++ {
-		np := g.Np
-		for b := 0; b < np; b++ {
-			for aIdx := 0; aIdx < np; aIdx++ {
-				i := b*np + aIdx
-				w := g.MassWeight(e, aIdx, b)
-				r := ref(g.Pos[e][i])
-				d := a.Q[e][i] - r
-				num += w * d * d
-				den += w * r * r
-			}
-		}
+	for i, w := range g.Mass {
+		r := ref(g.Pos[i])
+		d := a.Q[i] - r
+		num += w * d * d
+		den += w * r * r
 	}
 	if den == 0 {
 		return math.Sqrt(num)

@@ -14,20 +14,13 @@ import (
 // drift is the standard stability diagnostic for vector-invariant cores.
 func (sw *ShallowWater) TotalEnergy() float64 {
 	g := sw.G
-	np := g.Np
 	var sum float64
-	for e := 0; e < g.NumElems(); e++ {
-		for b := 0; b < np; b++ {
-			for a := 0; a < np; a++ {
-				i := b*np + a
-				v1, v2 := sw.V1[e][i], sw.V2[e][i]
-				u1 := g.GI11[e][i]*v1 + g.GI12[e][i]*v2
-				u2 := g.GI12[e][i]*v1 + g.GI22[e][i]*v2
-				ke := 0.5 * (u1*v1 + u2*v2)
-				phi := sw.Phi[e][i]
-				sum += (phi*ke + 0.5*phi*phi) * g.MassWeight(e, a, b)
-			}
-		}
+	for i, phi := range sw.Phi {
+		v1, v2 := sw.V1[i], sw.V2[i]
+		u1 := g.GI11[i]*v1 + g.GI12[i]*v2
+		u2 := g.GI12[i]*v1 + g.GI22[i]*v2
+		ke := 0.5 * (u1*v1 + u2*v2)
+		sum += (phi*ke + 0.5*phi*phi) * g.Mass[i]
 	}
 	return sum
 }
@@ -36,22 +29,18 @@ func (sw *ShallowWater) TotalEnergy() float64 {
 // second conserved quadratic invariant of the shallow-water system.
 func (sw *ShallowWater) PotentialEnstrophy() float64 {
 	g := sw.G
-	np := g.Np
-	npts := np * np
+	npts := g.PointsPerElem()
 	da := make([]float64, npts)
 	db := make([]float64, npts)
 	var sum float64
-	for e := 0; e < g.NumElems(); e++ {
-		g.DiffAlpha(sw.V2[e], da)
-		g.DiffBeta(sw.V1[e], db)
-		for b := 0; b < np; b++ {
-			for a := 0; a < np; a++ {
-				i := b*np + a
-				zeta := (da[i] - db[i]) / g.SqrtG[e][i]
-				q := zeta + g.Cor[e][i]
-				if sw.Phi[e][i] > 0 {
-					sum += q * q / (2 * sw.Phi[e][i]) * g.MassWeight(e, a, b)
-				}
+	for base := 0; base < len(sw.Phi); base += npts {
+		g.DiffAlpha(sw.V2[base:base+npts], da)
+		g.DiffBeta(sw.V1[base:base+npts], db)
+		for i := 0; i < npts; i++ {
+			zeta := (da[i] - db[i]) / g.SqrtG[base+i]
+			q := zeta + g.Cor[base+i]
+			if phi := sw.Phi[base+i]; phi > 0 {
+				sum += q * q / (2 * phi) * g.Mass[base+i]
 			}
 		}
 	}

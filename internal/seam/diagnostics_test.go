@@ -95,12 +95,10 @@ func TestSetRotationAxis(t *testing.T) {
 	if err := g.SetRotationAxis(mesh.Vec3{X: 0, Y: 0, Z: 5}); err != nil { // unnormalised +Z
 		t.Fatal(err)
 	}
-	for e := 0; e < g.NumElems(); e++ {
-		for i := 0; i < g.PointsPerElem(); i++ {
-			want := 2 * g.Omega * g.Pos[e][i].Z / g.Radius
-			if math.Abs(g.Cor[e][i]-want) > 1e-15+1e-12*math.Abs(want) {
-				t.Fatalf("Cor wrong after +Z reset")
-			}
+	for i, p := range g.Pos {
+		want := 2 * g.Omega * p.Z / g.Radius
+		if math.Abs(g.Cor[i]-want) > 1e-15+1e-12*math.Abs(want) {
+			t.Fatalf("Cor wrong after +Z reset")
 		}
 	}
 	if err := g.SetRotationAxis(mesh.Vec3{X: 1, Y: 0, Z: 0}); err != nil {
@@ -108,13 +106,11 @@ func TestSetRotationAxis(t *testing.T) {
 	}
 	// Coriolis must now vanish on the great circle x=0.
 	found := false
-	for e := 0; e < g.NumElems(); e++ {
-		for i := 0; i < g.PointsPerElem(); i++ {
-			if math.Abs(g.Pos[e][i].X) < 1e-6*g.Radius {
-				found = true
-				if math.Abs(g.Cor[e][i]) > 1e-15 {
-					t.Fatalf("Cor %v nonzero on the x=0 circle", g.Cor[e][i])
-				}
+	for i, p := range g.Pos {
+		if math.Abs(p.X) < 1e-6*g.Radius {
+			found = true
+			if math.Abs(g.Cor[i]) > 1e-15 {
+				t.Fatalf("Cor %v nonzero on the x=0 circle", g.Cor[i])
 			}
 		}
 	}

@@ -21,32 +21,27 @@ type DSS struct {
 
 	// nodeOf maps (elem*npts + idx) to a global node id.
 	nodeOf []int32
-	// shared lists, for every global node touched by more than one
-	// element, the element points that meet there and their mass weights.
-	shared []sharedNode
 	// numNodes is the number of distinct global GLL nodes (the size of the
 	// assembled continuous basis). Per-rank byte accounting is a property
 	// of a partition, not of the assembly topology, so it lives in Runner.
 	numNodes int
 
-	// Exchange plan: the shared-node lists above flattened into CSR form so
-	// the hot apply paths do a pure gather/scatter with no per-point div/mod
-	// or slice-header chasing. Shared node s has members
-	// pts[ptr[s]:ptr[s+1]]; pts entries are flat element-major offsets
-	// (elem*npts + idx) that index field slabs directly.
+	// Exchange plan: the global nodes touched by more than one element, in
+	// CSR form, so the apply paths do a pure gather/scatter with no per-point
+	// div/mod. Shared node s has members pts[ptr[s]:ptr[s+1]]; pts entries
+	// are flat element-major offsets (elem*npts + idx) that index field slabs
+	// directly, ascending within a node.
 	ptr  []int32
 	pts  []int32
 	mass []float64 // quadrature mass per member, aligned with pts
-	den  []float64 // per node: sum of member masses, accumulated in member
-	// order so num/den reproduces the on-the-fly average bitwise
-	rden []float64 // per node: 1/den, used by the vector apply paths to
+	den  []float64 // per node: sum of member masses, accumulated in member order
+	rden []float64 // per node: 1/den, used by the vector apply path to
 	// replace three divisions per node with one precomputed reciprocal. The
-	// scalar paths keep the exact division num/den: when every member holds
+	// scalar path keeps the exact division num/den: when every member holds
 	// the same value the division returns it exactly, which is what makes
 	// Apply preserve integrals of already-continuous fields to roundoff
 	// (TestDSSPreservesContinuousFields); the extra rounding of num*(1/den)
-	// loses that. The vector fallback computes 1/den on the fly — the same
-	// operation — keeping plan and fallback bitwise equal.
+	// loses that.
 	vgeo []vecGeom // per member: metric + basis for the vector projection
 }
 
@@ -55,11 +50,6 @@ type DSS struct {
 type vecGeom struct {
 	gi11, gi12, gi22 float64
 	ea, eb           mesh.Vec3
-}
-
-type sharedNode struct {
-	pts  []int32 // elem*npts + idx
-	mass []float64
 }
 
 // NewDSS builds the assembly structure for grid g.
@@ -142,10 +132,12 @@ func NewDSS(g *Grid) (*DSS, error) {
 	// in matching order; for each corner-adjacent pair, unify the shared
 	// corner point.
 	m := g.M
+	var edgeBuf, cornerBuf [4]mesh.ElemID // reused: the mesh resolves rows per call
 	for e := 0; e < k; e++ {
 		id := mesh.ElemID(e)
 		cn := m.CornerNodes(id)
-		for _, nb := range m.EdgeNeighbors(id) {
+		edgeNbrs, cornerNbrs := m.NeighborsInto(id, edgeBuf[:0], cornerBuf[:0])
+		for _, nb := range edgeNbrs {
 			if nb <= id {
 				continue // each pair once
 			}
@@ -175,7 +167,7 @@ func NewDSS(g *Grid) (*DSS, error) {
 				union(myEdge[t], theirEdge[t])
 			}
 		}
-		for _, nb := range m.CornerNeighbors(id) {
+		for _, nb := range cornerNbrs {
 			if nb <= id {
 				continue
 			}
@@ -190,7 +182,8 @@ func NewDSS(g *Grid) (*DSS, error) {
 		}
 	}
 
-	// Number the roots densely and build shared-node lists.
+	// Number the roots densely, then append every global node with two or
+	// more members to the exchange plan.
 	d := &DSS{g: g, nodeOf: make([]int32, total)}
 	rootID := make(map[int32]int32, total)
 	for i := int32(0); i < int32(total); i++ {
@@ -208,77 +201,62 @@ func NewDSS(g *Grid) (*DSS, error) {
 		gid := d.nodeOf[i]
 		members[gid] = append(members[gid], i)
 	}
+	nShared, nMembers := 0, 0
+	for _, pts := range members {
+		if len(pts) >= 2 {
+			nShared++
+			nMembers += len(pts)
+		}
+	}
+	d.ptr = make([]int32, 1, nShared+1)
+	d.pts = make([]int32, 0, nMembers)
+	d.mass = make([]float64, 0, nMembers)
+	d.vgeo = make([]vecGeom, 0, nMembers)
+	d.den = make([]float64, 0, nShared)
+	d.rden = make([]float64, 0, nShared)
 	for _, pts := range members {
 		if len(pts) < 2 {
 			continue
 		}
-		sn := sharedNode{pts: pts, mass: make([]float64, len(pts))}
-		for i, p := range pts {
-			e := int(p) / npts
-			idx := int(p) % npts
-			sn.mass[i] = g.MassWeight(e, idx%np, idx/np)
-		}
-		d.shared = append(d.shared, sn)
-	}
-	d.buildPlan()
-	return d, nil
-}
-
-// buildPlan flattens the shared-node lists into the CSR exchange plan and
-// gathers the per-member geometric factors, so the apply hot paths run
-// without any (elem, idx) arithmetic.
-func (d *DSS) buildPlan() {
-	g := d.g
-	npts := g.PointsPerElem()
-	nMembers := 0
-	for _, sn := range d.shared {
-		nMembers += len(sn.pts)
-	}
-	d.ptr = make([]int32, len(d.shared)+1)
-	d.pts = make([]int32, 0, nMembers)
-	d.mass = make([]float64, 0, nMembers)
-	d.den = make([]float64, len(d.shared))
-	d.rden = make([]float64, len(d.shared))
-	d.vgeo = make([]vecGeom, 0, nMembers)
-	for s, sn := range d.shared {
-		d.ptr[s] = int32(len(d.pts))
 		var den float64
-		for i, p := range sn.pts {
-			e, idx := int(p)/npts, int(p)%npts
+		for _, p := range pts {
 			d.pts = append(d.pts, p)
-			d.mass = append(d.mass, sn.mass[i])
-			den += sn.mass[i]
+			d.mass = append(d.mass, g.Mass[p])
+			den += g.Mass[p]
 			d.vgeo = append(d.vgeo, vecGeom{
-				gi11: g.GI11[e][idx], gi12: g.GI12[e][idx], gi22: g.GI22[e][idx],
-				ea: g.Ea[e][idx], eb: g.Eb[e][idx],
+				gi11: g.GI11[p], gi12: g.GI12[p], gi22: g.GI22[p],
+				ea: g.Ea[p], eb: g.Eb[p],
 			})
 		}
-		d.den[s] = den
-		d.rden[s] = 1 / den
+		d.ptr = append(d.ptr, int32(len(d.pts)))
+		d.den = append(d.den, den)
+		d.rden = append(d.rden, 1/den)
 	}
-	d.ptr[len(d.shared)] = int32(len(d.pts))
+	return d, nil
 }
 
 // NumGlobalNodes returns the number of distinct global GLL points.
 func (d *DSS) NumGlobalNodes() int { return d.numNodes }
 
-// Validate checks the internal consistency of the assembly structure and the
-// flattened exchange plan, so fuzzers and the oracle subsystem (package
-// check) can verify any DSS instance:
+// Validate checks the assembly structure, so fuzzers and the oracle subsystem
+// (package check) can verify any DSS instance. The exchange plan is checked
+// against nodeOf, the map it was derived from, never against itself:
 //
 //   - nodeOf maps every element point to a global node in [0, numNodes) and
 //     every global node has at least one member;
 //   - the number of distinct global nodes matches the Euler-characteristic
 //     count for a conforming cubed-sphere GLL grid, 6*(Ne*N)^2 + 2;
-//   - the shared-node lists partition exactly the points whose global node
-//     has multiplicity >= 2, with no point appearing twice;
-//   - the CSR plan (ptr/pts/mass/den) mirrors the shared-node lists: ptr is
-//     monotone, members and masses agree entry for entry, every den is the
-//     sum of its members' masses, and all masses are positive.
+//   - ptr is a monotone row pointer over pts, and mass, vgeo, den and rden
+//     have one entry per member respectively per node;
+//   - the plan lists exactly the global nodes of multiplicity >= 2, each
+//     once with all of its points: members are in range, no point appears
+//     twice, a plan node's members share one global node and number its
+//     multiplicity;
+//   - every member mass is positive and equals Grid.Mass at that point,
+//     every den is the sum of its members' masses and every rden is 1/den.
 func (d *DSS) Validate() error {
 	g := d.g
-	npts := g.PointsPerElem()
-	total := g.NumElems() * npts
+	total := g.NumElems() * g.PointsPerElem()
 	if len(d.nodeOf) != total {
 		return fmt.Errorf("seam: nodeOf covers %d points, want %d", len(d.nodeOf), total)
 	}
@@ -302,63 +280,44 @@ func (d *DSS) Validate() error {
 	if want := 6*(g.M.Ne()*n)*(g.M.Ne()*n) + 2; d.numNodes != want {
 		return fmt.Errorf("seam: %d global nodes, want 6*(Ne*N)^2+2 = %d", d.numNodes, want)
 	}
-	if len(d.shared) != wantShared {
-		return fmt.Errorf("seam: %d shared nodes, want %d (multiplicity >= 2)", len(d.shared), wantShared)
+	ns := d.NumSharedNodes()
+	if ns != wantShared {
+		return fmt.Errorf("seam: %d shared nodes, want %d (multiplicity >= 2)", ns, wantShared)
+	}
+	if len(d.ptr) != ns+1 || d.ptr[0] != 0 || int(d.ptr[ns]) != len(d.pts) ||
+		len(d.mass) != len(d.pts) || len(d.vgeo) != len(d.pts) || len(d.rden) != ns {
+		return fmt.Errorf("seam: plan arrays disagree: %d nodes, ptr %d, pts %d, mass %d, vgeo %d, rden %d",
+			ns, len(d.ptr), len(d.pts), len(d.mass), len(d.vgeo), len(d.rden))
 	}
 	seen := make([]bool, total)
-	for s, sn := range d.shared {
-		if len(sn.pts) < 2 {
-			return fmt.Errorf("seam: shared node %d has %d members, want >= 2", s, len(sn.pts))
+	for s := 0; s < ns; s++ {
+		lo, hi := d.ptr[s], d.ptr[s+1]
+		if lo < 0 || hi < lo+2 || int(hi) > len(d.pts) {
+			return fmt.Errorf("seam: plan node %d spans [%d,%d), want >= 2 members inside [0,%d]", s, lo, hi, len(d.pts))
 		}
-		if len(sn.mass) != len(sn.pts) {
-			return fmt.Errorf("seam: shared node %d: %d masses for %d members", s, len(sn.mass), len(sn.pts))
-		}
-		gid := d.nodeOf[sn.pts[0]]
-		for i, p := range sn.pts {
+		gid := int32(-1)
+		var den float64
+		for m := lo; m < hi; m++ {
+			p := d.pts[m]
 			if p < 0 || int(p) >= total {
-				return fmt.Errorf("seam: shared node %d member %d out of range", s, p)
+				return fmt.Errorf("seam: plan node %d member %d out of range", s, p)
 			}
 			if seen[p] {
-				return fmt.Errorf("seam: point %d appears in more than one shared node", p)
+				return fmt.Errorf("seam: point %d appears in more than one plan node", p)
 			}
 			seen[p] = true
-			if d.nodeOf[p] != gid {
-				return fmt.Errorf("seam: shared node %d mixes global nodes %d and %d", s, gid, d.nodeOf[p])
+			if m == lo {
+				gid = d.nodeOf[p]
+			} else if d.nodeOf[p] != gid {
+				return fmt.Errorf("seam: plan node %d mixes global nodes %d and %d", s, gid, d.nodeOf[p])
 			}
-			if sn.mass[i] <= 0 {
-				return fmt.Errorf("seam: shared node %d member %d has non-positive mass %g", s, i, sn.mass[i])
+			if d.mass[m] <= 0 || d.mass[m] != g.Mass[p] {
+				return fmt.Errorf("seam: plan node %d member %d mass %g, want Grid.Mass %g > 0", s, m-lo, d.mass[m], g.Mass[p])
 			}
-			e, idx := int(p)/npts, int(p)%npts
-			if want := g.MassWeight(e, idx%g.Np, idx/g.Np); sn.mass[i] != want {
-				return fmt.Errorf("seam: shared node %d member %d mass %g, want %g", s, i, sn.mass[i], want)
-			}
+			den += d.mass[m]
 		}
-		if int(mult[gid]) != len(sn.pts) {
-			return fmt.Errorf("seam: shared node %d lists %d members but global node %d has %d",
-				s, len(sn.pts), gid, mult[gid])
-		}
-	}
-	// CSR plan mirror.
-	if len(d.ptr) != len(d.shared)+1 || d.ptr[0] != 0 {
-		return fmt.Errorf("seam: plan ptr has bad structure")
-	}
-	for s, sn := range d.shared {
-		lo, hi := d.ptr[s], d.ptr[s+1]
-		if hi < lo || int(hi-lo) != len(sn.pts) {
-			return fmt.Errorf("seam: plan node %d spans [%d,%d) but shared list has %d members",
-				s, lo, hi, len(sn.pts))
-		}
-		var den float64
-		for i := lo; i < hi; i++ {
-			if d.pts[i] != sn.pts[i-lo] {
-				return fmt.Errorf("seam: plan node %d member %d is point %d, want %d",
-					s, i-lo, d.pts[i], sn.pts[i-lo])
-			}
-			if d.mass[i] != sn.mass[i-lo] {
-				return fmt.Errorf("seam: plan node %d member %d mass %g, want %g",
-					s, i-lo, d.mass[i], sn.mass[i-lo])
-			}
-			den += d.mass[i]
+		if mult[gid] != hi-lo {
+			return fmt.Errorf("seam: plan node %d lists %d members but global node %d has %d", s, hi-lo, gid, mult[gid])
 		}
 		if d.den[s] != den {
 			return fmt.Errorf("seam: plan node %d den %g, want member sum %g", s, d.den[s], den)
@@ -367,16 +326,12 @@ func (d *DSS) Validate() error {
 			return fmt.Errorf("seam: plan node %d rden %g, want 1/den %g", s, d.rden[s], 1/den)
 		}
 	}
-	if int(d.ptr[len(d.shared)]) != len(d.pts) || len(d.mass) != len(d.pts) || len(d.vgeo) != len(d.pts) {
-		return fmt.Errorf("seam: plan arrays disagree: ptr end %d, pts %d, mass %d, vgeo %d",
-			d.ptr[len(d.shared)], len(d.pts), len(d.mass), len(d.vgeo))
-	}
 	return nil
 }
 
 // NumSharedNodes returns the number of global points touched by more than
 // one element.
-func (d *DSS) NumSharedNodes() int { return len(d.shared) }
+func (d *DSS) NumSharedNodes() int { return len(d.den) }
 
 // GlobalNode returns the global node id of point idx of element e.
 func (d *DSS) GlobalNode(e, idx int) int32 {
@@ -384,33 +339,10 @@ func (d *DSS) GlobalNode(e, idx int) int32 {
 }
 
 // Apply projects field q onto the continuous basis: every shared point is
-// replaced by the mass-weighted average of the element-local values. Fields
-// backed by one contiguous slab (anything from Grid.Field) take the
-// precomputed gather/scatter plan; others fall back to the indexed path.
-func (d *DSS) Apply(q [][]float64) {
-	if flat := d.g.Slab(q); flat != nil {
-		d.applyFlat(flat)
-		return
-	}
-	npts := d.g.PointsPerElem()
-	for _, sn := range d.shared {
-		var num, den float64
-		for i, p := range sn.pts {
-			num += sn.mass[i] * q[int(p)/npts][int(p)%npts]
-			den += sn.mass[i]
-		}
-		avg := num / den
-		for _, p := range sn.pts {
-			q[int(p)/npts][int(p)%npts] = avg
-		}
-	}
-}
-
-// applyFlat is Apply on a contiguous field slab via the exchange plan:
-// gather member values, average with the precomputed weight sum, scatter
-// back. applyNodesFlat does the work for a node-index range so the parallel
-// Runner can reuse it per rank.
-func (d *DSS) applyFlat(q []float64) {
+// replaced by the mass-weighted average of the element-local values — gather
+// the member values through the exchange plan, average with the precomputed
+// weight sum, scatter back.
+func (d *DSS) Apply(q []float64) {
 	for s := range d.den {
 		d.applyNodeFlat(q, int32(s))
 	}
@@ -430,7 +362,7 @@ func (d *DSS) applyNodeFlat(q []float64, s int32) {
 }
 
 // ApplyAll applies the projection to several scalar fields.
-func (d *DSS) ApplyAll(fields ...[][]float64) {
+func (d *DSS) ApplyAll(fields ...[]float64) {
 	for _, f := range fields {
 		d.Apply(f)
 	}
@@ -444,43 +376,9 @@ func (d *DSS) ApplyAll(fields ...[][]float64) {
 // V = u^1 Ea + u^2 Eb at every member point, mass-averages the 3-D vectors,
 // and projects the average back onto each element's own basis -- the
 // component-rotation treatment SEAM applies at cube edges. Within a face the
-// bases agree and this reduces to the scalar average.
-func (d *DSS) ApplyVector(v1, v2 [][]float64) {
-	g := d.g
-	f1, f2 := g.Slab(v1), g.Slab(v2)
-	if f1 != nil && f2 != nil {
-		d.applyVectorFlat(f1, f2)
-		return
-	}
-	npts := g.PointsPerElem()
-	for _, sn := range d.shared {
-		var sx, sy, sz, den float64
-		for i, p := range sn.pts {
-			e, idx := int(p)/npts, int(p)%npts
-			u1 := g.GI11[e][idx]*v1[e][idx] + g.GI12[e][idx]*v2[e][idx]
-			u2 := g.GI12[e][idx]*v1[e][idx] + g.GI22[e][idx]*v2[e][idx]
-			ea, eb := g.Ea[e][idx], g.Eb[e][idx]
-			m := sn.mass[i]
-			sx += m * (u1*ea.X + u2*eb.X)
-			sy += m * (u1*ea.Y + u2*eb.Y)
-			sz += m * (u1*ea.Z + u2*eb.Z)
-			den += m
-		}
-		rd := 1 / den
-		sx, sy, sz = sx*rd, sy*rd, sz*rd
-		for _, p := range sn.pts {
-			e, idx := int(p)/npts, int(p)%npts
-			ea, eb := g.Ea[e][idx], g.Eb[e][idx]
-			v1[e][idx] = sx*ea.X + sy*ea.Y + sz*ea.Z
-			v2[e][idx] = sx*eb.X + sy*eb.Y + sz*eb.Z
-		}
-	}
-}
-
-// applyVectorFlat is ApplyVector on contiguous slabs via the exchange plan:
-// the per-member metric and basis vectors come from the plan's vgeo cache
-// instead of random lookups through the per-element views.
-func (d *DSS) applyVectorFlat(v1, v2 []float64) {
+// bases agree and this reduces to the scalar average. The per-member metric
+// and basis vectors come from the plan's vgeo cache.
+func (d *DSS) ApplyVector(v1, v2 []float64) {
 	for s := range d.den {
 		d.applyVectorNodeFlat(v1, v2, int32(s))
 	}
@@ -514,13 +412,12 @@ func (d *DSS) applyVectorNodeFlat(v1, v2 []float64, s int32) {
 // MaxDiscontinuity returns the largest absolute difference between the
 // element-local values meeting at any shared point: a continuity diagnostic
 // that is zero (to roundoff) after Apply.
-func (d *DSS) MaxDiscontinuity(q [][]float64) float64 {
-	npts := d.g.PointsPerElem()
+func (d *DSS) MaxDiscontinuity(q []float64) float64 {
 	var worst float64
-	for _, sn := range d.shared {
+	for s := range d.den {
 		lo, hi := +1e308, -1e308
-		for _, p := range sn.pts {
-			v := q[int(p)/npts][int(p)%npts]
+		for _, p := range d.pts[d.ptr[s]:d.ptr[s+1]] {
+			v := q[p]
 			if v < lo {
 				lo = v
 			}

@@ -26,11 +26,9 @@ const Gravity = 9.80616
 // coordinate 2 is beta.
 //
 // Memory layout: every per-point array is one contiguous element-major slab
-// ([]T of length K*Np*Np); the exported [][]T fields are per-element
-// subslice views into that slab, kept for API compatibility. Point (e, idx)
-// lives at slab offset e*Np*Np + idx, so a flat element-point id doubles as
-// a direct slab offset — the hot paths (batched RHS kernels, DSS exchange
-// plans) index the slabs and never chase the per-element slice headers.
+// ([]T of length K*Np*Np). Point (e, idx) lives at slab offset e*Np*Np + idx,
+// so a flat element-point id — the form the DSS exchange plan stores — is the
+// slab offset itself.
 type Grid struct {
 	M      *mesh.Mesh
 	GLL    *GLL
@@ -39,33 +37,27 @@ type Grid struct {
 
 	Np int // GLL points per element edge
 
-	// Per element (indexed by mesh.ElemID), per GLL point views:
-	Pos   [][]mesh.Vec3 // position on the sphere of radius Radius
-	Ea    [][]mesh.Vec3 // covariant basis vector d(Pos)/d(alpha)
-	Eb    [][]mesh.Vec3 // covariant basis vector d(Pos)/d(beta)
-	SqrtG [][]float64   // area Jacobian sqrt(det g)
-	G11   [][]float64   // covariant metric g_11 = Ea.Ea
-	G12   [][]float64   // covariant metric g_12 = Ea.Eb
-	G22   [][]float64   // covariant metric g_22 = Eb.Eb
-	GI11  [][]float64   // contravariant metric (inverse of g)
-	GI12  [][]float64
-	GI22  [][]float64
-	Cor   [][]float64 // Coriolis parameter f = 2*Omega*z/Radius
+	Pos   []mesh.Vec3 // position on the sphere of radius Radius
+	Ea    []mesh.Vec3 // covariant basis vector d(Pos)/d(alpha)
+	Eb    []mesh.Vec3 // covariant basis vector d(Pos)/d(beta)
+	SqrtG []float64   // area Jacobian sqrt(det g)
+	G11   []float64   // covariant metric g_11 = Ea.Ea
+	G12   []float64   // covariant metric g_12 = Ea.Eb
+	G22   []float64   // covariant metric g_22 = Eb.Eb
+	GI11  []float64   // contravariant metric (inverse of g)
+	GI12  []float64
+	GI22  []float64
+	Cor   []float64 // Coriolis parameter f = 2*Omega*z/Radius
 
-	// Contiguous element-major slabs backing the views above (same memory).
-	PosF, EaF, EbF            []mesh.Vec3
-	SqrtGF, G11F, G12F, G22F  []float64
-	GI11F, GI12F, GI22F, CorF []float64
+	// RSqrtG is the precomputed reciprocal 1/SqrtG. The RHS hot loops
+	// multiply by it instead of dividing by the Jacobian (a ~14 cycle divide
+	// per point otherwise); both the sequential and parallel paths use it, so
+	// they stay bitwise identical to each other.
+	RSqrtG []float64
 
-	// RSqrtGF is the precomputed reciprocal 1/SqrtGF, element-major. The RHS
-	// hot loops multiply by it instead of dividing by the Jacobian (a ~14
-	// cycle divide per point otherwise); both the sequential and parallel
-	// paths use it, so they stay bitwise identical to each other.
-	RSqrtGF []float64
-
-	// MassF is the precomputed quadrature mass of every point:
-	// w_a * w_b * sqrtG * (DAlpha/2)^2, element-major. MassWeight reads it.
-	MassF []float64
+	// Mass is the precomputed quadrature mass of every point:
+	// w_a * w_b * sqrtG * (DAlpha/2)^2. MassWeight reads it.
+	Mass []float64
 
 	// DAlpha is the angular width of one element, pi/2 / Ne. The GLL
 	// reference derivative d/dxi converts to d/dalpha via 2/DAlpha.
@@ -137,83 +129,38 @@ func (g *Grid) pointAndBasis(f mesh.Face, alpha, beta float64) (p, ea, eb mesh.V
 	return p, proj(dca), proj(dcb)
 }
 
-// viewsOver carves per-element subslice views over the flat slab. The views
-// keep the slab's full capacity so Slab can recover the contiguous backing
-// from the first view.
-func viewsOver(flat []float64, k, npts int) [][]float64 {
-	out := make([][]float64, k)
-	for e := range out {
-		out[e] = flat[e*npts : (e+1)*npts]
-	}
-	return out
-}
-
-func viewsOverV(flat []mesh.Vec3, k, npts int) [][]mesh.Vec3 {
-	out := make([][]mesh.Vec3, k)
-	for e := range out {
-		out[e] = flat[e*npts : (e+1)*npts]
-	}
-	return out
-}
-
 // buildGeometry fills every per-point geometric array.
 func (g *Grid) buildGeometry() {
-	k := g.NumElems()
-	npts := g.PointsPerElem()
-	alloc := func(slab *[]float64) [][]float64 {
-		*slab = make([]float64, k*npts)
-		return viewsOver(*slab, k, npts)
+	np := g.Np
+	npts := np * np
+	for _, f := range []*[]float64{
+		&g.SqrtG, &g.RSqrtG, &g.G11, &g.G12, &g.G22, &g.GI11, &g.GI12, &g.GI22, &g.Cor, &g.Mass,
+	} {
+		*f = g.Field()
 	}
-	allocV := func(slab *[]mesh.Vec3) [][]mesh.Vec3 {
-		*slab = make([]mesh.Vec3, k*npts)
-		return viewsOverV(*slab, k, npts)
-	}
-	g.Pos, g.Ea, g.Eb = allocV(&g.PosF), allocV(&g.EaF), allocV(&g.EbF)
-	g.SqrtG, g.G11, g.G12, g.G22 = alloc(&g.SqrtGF), alloc(&g.G11F), alloc(&g.G12F), alloc(&g.G22F)
-	g.GI11, g.GI12, g.GI22 = alloc(&g.GI11F), alloc(&g.GI12F), alloc(&g.GI22F)
-	g.Cor = alloc(&g.CorF)
-	g.RSqrtGF = make([]float64, k*npts)
-
-	for e := 0; e < k; e++ {
+	n := len(g.Mass)
+	g.Pos, g.Ea, g.Eb = make([]mesh.Vec3, n), make([]mesh.Vec3, n), make([]mesh.Vec3, n)
+	for e := 0; e < g.NumElems(); e++ {
 		id := mesh.ElemID(e)
 		f := g.M.Elem(id).Face
-		for b := 0; b < g.Np; b++ {
-			for a := 0; a < g.Np; a++ {
-				idx := b*g.Np + a
+		for b := 0; b < np; b++ {
+			for a := 0; a < np; a++ {
+				i := e*npts + b*np + a
 				alpha, beta := g.elemAngles(id, a, b)
 				p, ea, eb := g.pointAndBasis(f, alpha, beta)
-				g.Pos[e][idx] = p
-				g.Ea[e][idx] = ea
-				g.Eb[e][idx] = eb
+				g.Pos[i], g.Ea[i], g.Eb[i] = p, ea, eb
 				g11 := ea.Dot(ea)
 				g12 := ea.Dot(eb)
 				g22 := eb.Dot(eb)
 				det := g11*g22 - g12*g12
-				g.G11[e][idx], g.G12[e][idx], g.G22[e][idx] = g11, g12, g22
-				g.SqrtG[e][idx] = math.Sqrt(det)
-				g.RSqrtGF[e*npts+idx] = 1 / g.SqrtG[e][idx]
-				g.GI11[e][idx] = g22 / det
-				g.GI12[e][idx] = -g12 / det
-				g.GI22[e][idx] = g11 / det
-				g.Cor[e][idx] = 2 * g.Omega * p.Z / g.Radius // rotation about +Z
-			}
-		}
-	}
-	g.buildMass()
-}
-
-// buildMass precomputes the quadrature mass of every GLL point into MassF
-// (exactly the expression MassWeight evaluates, so values are bitwise
-// identical to computing it on the fly).
-func (g *Grid) buildMass() {
-	np := g.Np
-	npts := np * np
-	g.MassF = make([]float64, g.NumElems()*npts)
-	for e := 0; e < g.NumElems(); e++ {
-		for b := 0; b < np; b++ {
-			for a := 0; a < np; a++ {
-				g.MassF[e*npts+b*np+a] =
-					g.GLL.Wts[a] * g.GLL.Wts[b] * g.SqrtG[e][b*np+a] * (g.DAlpha / 2) * (g.DAlpha / 2)
+				g.G11[i], g.G12[i], g.G22[i] = g11, g12, g22
+				g.SqrtG[i] = math.Sqrt(det)
+				g.RSqrtG[i] = 1 / g.SqrtG[i]
+				g.GI11[i] = g22 / det
+				g.GI12[i] = -g12 / det
+				g.GI22[i] = g11 / det
+				g.Cor[i] = 2 * g.Omega * p.Z / g.Radius // rotation about +Z
+				g.Mass[i] = g.GLL.Wts[a] * g.GLL.Wts[b] * g.SqrtG[i] * (g.DAlpha / 2) * (g.DAlpha / 2)
 			}
 		}
 	}
@@ -228,50 +175,16 @@ func (g *Grid) SetRotationAxis(axis mesh.Vec3) error {
 	if err != nil {
 		return fmt.Errorf("seam: rotation axis: %w", err)
 	}
-	for e := 0; e < g.NumElems(); e++ {
-		for i := 0; i < g.PointsPerElem(); i++ {
-			g.Cor[e][i] = 2 * g.Omega * g.Pos[e][i].Dot(n) / g.Radius
-		}
+	for i, p := range g.Pos {
+		g.Cor[i] = 2 * g.Omega * p.Dot(n) / g.Radius
 	}
 	return nil
 }
 
 // Field allocates a scalar field on the grid: one value per GLL point per
-// element, stored as [K][Np*Np] views over one contiguous element-major
-// slab (use Slab to recover the backing).
-func (g *Grid) Field() [][]float64 {
-	_, views := g.FieldSlab()
-	return views
-}
-
-// FieldSlab allocates a scalar field and returns both the contiguous
-// element-major backing slab (length K*Np*Np; point (e, idx) at offset
-// e*Np*Np+idx) and the per-element subslice views over it.
-func (g *Grid) FieldSlab() (flat []float64, views [][]float64) {
-	k := g.NumElems()
-	npts := g.PointsPerElem()
-	flat = make([]float64, k*npts)
-	return flat, viewsOver(flat, k, npts)
-}
-
-// Slab returns the contiguous element-major backing of a field whose
-// per-element views all alias one flat allocation (as produced by Field or
-// FieldSlab), or nil if the views are not a single contiguous block. Hot
-// paths use the slab directly; callers that handed in independently
-// allocated rows fall back to the view-based paths.
-func (g *Grid) Slab(q [][]float64) []float64 {
-	k := g.NumElems()
-	npts := g.PointsPerElem()
-	if len(q) != k || k == 0 || len(q[0]) != npts || cap(q[0]) < k*npts {
-		return nil
-	}
-	flat := q[0][:k*npts]
-	for e := 1; e < k; e++ {
-		if len(q[e]) != npts || &q[e][0] != &flat[e*npts] {
-			return nil
-		}
-	}
-	return flat
+// element, as one element-major slab of length K*Np*Np.
+func (g *Grid) Field() []float64 {
+	return make([]float64, g.NumElems()*g.PointsPerElem())
 }
 
 // DiffAlpha computes the alpha-derivative of the element field u (length
@@ -342,28 +255,17 @@ func (g *Grid) DiffBatch(elems []int32, u, dua, dub []float64) {
 
 // MassWeight returns the quadrature mass of GLL point (a, b) of element e:
 // w_a * w_b * sqrtG (the local contribution to the global mass matrix),
-// read from the precomputed MassF slab.
+// read from the precomputed Mass slab.
 func (g *Grid) MassWeight(e int, a, b int) float64 {
-	return g.MassF[e*g.Np*g.Np+b*g.Np+a]
+	return g.Mass[e*g.Np*g.Np+b*g.Np+a]
 }
 
 // Integrate returns the integral of field q over the whole sphere using GLL
 // quadrature.
-func (g *Grid) Integrate(q [][]float64) float64 {
+func (g *Grid) Integrate(q []float64) float64 {
 	var sum float64
-	npts := g.PointsPerElem()
-	if flat := g.Slab(q); flat != nil {
-		for i, v := range flat {
-			sum += v * g.MassF[i]
-		}
-		return sum
-	}
-	for e := 0; e < g.NumElems(); e++ {
-		qe := q[e]
-		me := g.MassF[e*npts : (e+1)*npts]
-		for i := 0; i < npts; i++ {
-			sum += qe[i] * me[i]
-		}
+	for i, v := range q {
+		sum += v * g.Mass[i]
 	}
 	return sum
 }

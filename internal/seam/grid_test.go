@@ -30,12 +30,9 @@ func TestNewGridErrors(t *testing.T) {
 
 func TestGridPointsOnSphere(t *testing.T) {
 	g := testGrid(t, 3, 4)
-	for e := 0; e < g.NumElems(); e++ {
-		for i := 0; i < g.PointsPerElem(); i++ {
-			r := g.Pos[e][i].Norm()
-			if math.Abs(r-EarthRadius) > 1e-6 {
-				t.Fatalf("elem %d point %d radius %v", e, i, r)
-			}
+	for i, p := range g.Pos {
+		if r := p.Norm(); math.Abs(r-EarthRadius) > 1e-6 {
+			t.Fatalf("point %d radius %v", i, r)
 		}
 	}
 }
@@ -44,13 +41,14 @@ func TestGridPointsOnSphere(t *testing.T) {
 // finite-difference derivatives of the position.
 func TestGridBasisVectors(t *testing.T) {
 	g := testGrid(t, 2, 5)
+	npts := g.PointsPerElem()
 	for _, e := range []int{0, 7, 13, 23} {
 		for _, i := range []int{0, 17, g.PointsPerElem() - 1} {
-			p := g.Pos[e][i]
-			if math.Abs(g.Ea[e][i].Dot(p))/EarthRadius/EarthRadius > 1e-10 {
+			p := g.Pos[e*npts+i]
+			if math.Abs(g.Ea[e*npts+i].Dot(p))/EarthRadius/EarthRadius > 1e-10 {
 				t.Errorf("Ea not tangent at elem %d point %d", e, i)
 			}
-			if math.Abs(g.Eb[e][i].Dot(p))/EarthRadius/EarthRadius > 1e-10 {
+			if math.Abs(g.Eb[e*npts+i].Dot(p))/EarthRadius/EarthRadius > 1e-10 {
 				t.Errorf("Eb not tangent at elem %d point %d", e, i)
 			}
 		}
@@ -82,10 +80,8 @@ func TestGridAreaIntegral(t *testing.T) {
 	for _, cfg := range cases {
 		g := testGrid(t, cfg.ne, cfg.n)
 		one := g.Field()
-		for e := range one {
-			for i := range one[e] {
-				one[e][i] = 1
-			}
+		for i := range one {
+			one[i] = 1
 		}
 		got := g.Integrate(one)
 		want := 4 * math.Pi * EarthRadius * EarthRadius
@@ -104,11 +100,12 @@ func TestGridAreaIntegral(t *testing.T) {
 // The contravariant metric must invert the covariant one.
 func TestGridMetricInverse(t *testing.T) {
 	g := testGrid(t, 2, 4)
+	npts := g.PointsPerElem()
 	for e := 0; e < g.NumElems(); e += 5 {
 		for i := 0; i < g.PointsPerElem(); i += 3 {
-			a11 := g.G11[e][i]*g.GI11[e][i] + g.G12[e][i]*g.GI12[e][i]
-			a12 := g.G11[e][i]*g.GI12[e][i] + g.G12[e][i]*g.GI22[e][i]
-			a22 := g.G12[e][i]*g.GI12[e][i] + g.G22[e][i]*g.GI22[e][i]
+			a11 := g.G11[e*npts+i]*g.GI11[e*npts+i] + g.G12[e*npts+i]*g.GI12[e*npts+i]
+			a12 := g.G11[e*npts+i]*g.GI12[e*npts+i] + g.G12[e*npts+i]*g.GI22[e*npts+i]
+			a22 := g.G12[e*npts+i]*g.GI12[e*npts+i] + g.G22[e*npts+i]*g.GI22[e*npts+i]
 			if math.Abs(a11-1) > 1e-10 || math.Abs(a12) > 1e-10 || math.Abs(a22-1) > 1e-10 {
 				t.Fatalf("metric inverse wrong at elem %d point %d: %v %v %v", e, i, a11, a12, a22)
 			}
@@ -119,11 +116,12 @@ func TestGridMetricInverse(t *testing.T) {
 // Coriolis parameter: 2*Omega at the north pole, 0 on the equator.
 func TestGridCoriolis(t *testing.T) {
 	g := testGrid(t, 3, 4)
+	npts := g.PointsPerElem()
 	var foundPole, foundEq bool
 	for e := 0; e < g.NumElems(); e++ {
 		for i := 0; i < g.PointsPerElem(); i++ {
-			z := g.Pos[e][i].Z / EarthRadius
-			f := g.Cor[e][i]
+			z := g.Pos[e*npts+i].Z / EarthRadius
+			f := g.Cor[e*npts+i]
 			if math.Abs(f-2*EarthOmega*z) > 1e-16+1e-12*math.Abs(f) {
 				t.Fatalf("Coriolis wrong at elem %d point %d", e, i)
 			}

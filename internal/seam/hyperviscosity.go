@@ -8,25 +8,24 @@ import "math"
 // DSS-projected spectral Laplacians per field; del^4 damps the grid-scale
 // modes strongly while leaving resolved scales nearly untouched.
 
-// laplacian evaluates the covariant scalar Laplacian of q,
+// Laplacian evaluates the covariant scalar Laplacian of q,
 //
 //	del^2 q = (1/sqrtG) [ d_a( sqrtG (g^11 q_a + g^12 q_b) )
 //	                    + d_b( sqrtG (g^12 q_a + g^22 q_b) ) ],
 //
-// into out, followed by a DSS projection.
-func (sw *ShallowWater) laplacian(q, out [][]float64) {
+// into out, followed by a DSS projection; q is not modified.
+func (sw *ShallowWater) Laplacian(q, out []float64) {
 	g := sw.G
 	npts := g.PointsPerElem()
 	scr := sw.scr
 	da, db, f1, f2 := scr.da1, scr.db1, scr.f1, scr.f2
-	for e := 0; e < g.NumElems(); e++ {
-		base := e * npts
-		sq := g.SqrtGF[base : base+npts]
-		rsq := g.RSqrtGF[base : base+npts]
-		gi11 := g.GI11F[base : base+npts]
-		gi12 := g.GI12F[base : base+npts]
-		gi22 := g.GI22F[base : base+npts]
-		g.DiffAlphaBeta(q[e], da, db)
+	for base := 0; base < len(q); base += npts {
+		sq := g.SqrtG[base : base+npts]
+		rsq := g.RSqrtG[base : base+npts]
+		gi11 := g.GI11[base : base+npts]
+		gi12 := g.GI12[base : base+npts]
+		gi22 := g.GI22[base : base+npts]
+		g.DiffAlphaBeta(q[base:base+npts], da, db)
 		for i := 0; i < npts; i++ {
 			qa, qb := da[i], db[i]
 			f1[i] = sq[i] * (gi11[i]*qa + gi12[i]*qb)
@@ -34,7 +33,7 @@ func (sw *ShallowWater) laplacian(q, out [][]float64) {
 		}
 		g.DiffAlpha(f1, da)
 		g.DiffBeta(f2, db)
-		oute := out[e]
+		oute := out[base : base+npts]
 		for i := 0; i < npts; i++ {
 			oute[i] = (da[i] + db[i]) * rsq[i]
 		}
@@ -43,10 +42,6 @@ func (sw *ShallowWater) laplacian(q, out [][]float64) {
 	sw.Dss.Apply(out)
 }
 
-// Laplacian exposes the DSS-projected scalar Laplacian for diagnostics and
-// tests; q is not modified.
-func (sw *ShallowWater) Laplacian(q, out [][]float64) { sw.laplacian(q, out) }
-
 // ApplyHyperviscosity advances every prognostic field by one forward-Euler
 // hyperviscosity step: q <- q - dt * nu * del^4 q (nu in m^4/s). Following
 // SEAM practice it is applied as a separate pass after the dynamics step,
@@ -54,21 +49,17 @@ func (sw *ShallowWater) Laplacian(q, out [][]float64) { sw.laplacian(q, out) }
 // (adequate because the covariant components are smooth within faces and
 // the vector DSS restores cross-face consistency).
 func (sw *ShallowWater) ApplyHyperviscosity(dt, nu float64) {
-	g := sw.G
-	npts := g.PointsPerElem()
-	for _, q := range [][][]float64{sw.V1, sw.V2, sw.Phi} {
-		sw.laplacian(q, sw.k1p)     // del^2 q
-		sw.laplacian(sw.k1p, sw.sp) // del^4 q
-		c := dt * nu
-		for e := 0; e < g.NumElems(); e++ {
-			for i := 0; i < npts; i++ {
-				q[e][i] -= c * sw.sp[e][i]
-			}
+	c := dt * nu
+	for _, q := range [][]float64{sw.V1, sw.V2, sw.Phi} {
+		sw.Laplacian(q, sw.k1pF)      // del^2 q
+		sw.Laplacian(sw.k1pF, sw.spF) // del^4 q
+		for i := range q {
+			q[i] -= c * sw.spF[i]
 		}
 	}
 	sw.Dss.ApplyVector(sw.V1, sw.V2)
 	sw.Dss.Apply(sw.Phi)
-	sw.Flops += int64(g.NumElems()) * int64(npts) * 3 * 2
+	sw.Flops += int64(len(sw.Phi)) * 3 * 2
 }
 
 // StableHyperviscosity returns a forward-Euler-stable nu for the given time

@@ -2,6 +2,7 @@ package seam
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"sfccube/internal/mesh"
@@ -18,34 +19,26 @@ func TestLaplacianEigenfunction(t *testing.T) {
 	q := g.Field()
 	out := g.Field()
 	// Constant.
-	for e := range q {
-		for i := range q[e] {
-			q[e][i] = 5
-		}
+	for i := range q {
+		q[i] = 5
 	}
 	sw.Laplacian(q, out)
-	for e := range out {
-		for i := range out[e] {
-			if math.Abs(out[e][i]) > 1e-14 {
-				t.Fatalf("Laplacian of constant = %v", out[e][i])
-			}
+	for _, v := range out {
+		if math.Abs(v) > 1e-14 {
+			t.Fatalf("Laplacian of constant = %v", v)
 		}
 	}
 	// Y_1 = z/R: eigenvalue -l(l+1)/R^2 = -2/R^2.
-	for e := range q {
-		for i := range q[e] {
-			q[e][i] = g.Pos[e][i].Z / g.Radius
-		}
+	for i, p := range g.Pos {
+		q[i] = p.Z / g.Radius
 	}
 	sw.Laplacian(q, out)
 	want := -2.0 / (g.Radius * g.Radius)
 	var worst float64
-	for e := range out {
-		for i := range out[e] {
-			rel := math.Abs(out[e][i]-want*q[e][i]) / math.Abs(want)
-			if rel > worst {
-				worst = rel
-			}
+	for i := range out {
+		rel := math.Abs(out[i]-want*q[i]) / math.Abs(want)
+		if rel > worst {
+			worst = rel
 		}
 	}
 	if worst > 1e-4 {
@@ -71,18 +64,16 @@ func TestHyperviscosityScaleSelective(t *testing.T) {
 	smooth.SetState(func(mesh.Vec3) mesh.Vec3 { return mesh.Vec3{} }, base)
 	noisy.SetState(func(mesh.Vec3) mesh.Vec3 { return mesh.Vec3{} }, base)
 	s := uint64(99)
-	for e := range noisy.Phi {
-		for i := range noisy.Phi[e] {
-			s = s*6364136223846793005 + 1442695040888963407
-			noisy.Phi[e][i] += float64(int64(s>>33)%100-50) / 50.0
-		}
+	for i := range noisy.Phi {
+		s = s*6364136223846793005 + 1442695040888963407
+		noisy.Phi[i] += float64(int64(s>>33)%100-50) / 50.0
 	}
 	noisy.Dss.Apply(noisy.Phi)
 	noiseBefore := diffNorm(g, noisy.Phi, smooth.Phi)
 
 	dt := 100.0
 	nu := noisy.StableHyperviscosity(dt)
-	smoothBefore := cloneField(g, smooth.Phi)
+	smoothBefore := slices.Clone(smooth.Phi)
 	for it := 0; it < 50; it++ {
 		noisy.ApplyHyperviscosity(dt, nu)
 		smooth.ApplyHyperviscosity(dt, nu)
@@ -124,25 +115,11 @@ func TestHyperviscosityKeepsWilliamson2Steady(t *testing.T) {
 	}
 }
 
-func diffNorm(g *Grid, a, b [][]float64) float64 {
+func diffNorm(g *Grid, a, b []float64) float64 {
 	var sum float64
-	np := g.Np
-	for e := range a {
-		for bb := 0; bb < np; bb++ {
-			for aa := 0; aa < np; aa++ {
-				i := bb*np + aa
-				d := a[e][i] - b[e][i]
-				sum += d * d * g.MassWeight(e, aa, bb)
-			}
-		}
+	for i, w := range g.Mass {
+		d := a[i] - b[i]
+		sum += d * d * w
 	}
 	return math.Sqrt(sum)
-}
-
-func cloneField(g *Grid, q [][]float64) [][]float64 {
-	out := g.Field()
-	for e := range q {
-		copy(out[e], q[e])
-	}
-	return out
 }

@@ -87,7 +87,7 @@ func (g *GLL) lagrangeWeights(x float64, w []float64) {
 }
 
 // Eval interpolates the scalar field q at the unit-direction point p.
-func (g *Grid) Eval(q [][]float64, p mesh.Vec3) (float64, error) {
+func (g *Grid) Eval(q []float64, p mesh.Vec3) (float64, error) {
 	e, xi, eta, err := g.Locate(p)
 	if err != nil {
 		return 0, err
@@ -97,11 +97,12 @@ func (g *Grid) Eval(q [][]float64, p mesh.Vec3) (float64, error) {
 	wy := make([]float64, np)
 	g.GLL.lagrangeWeights(xi, wx)
 	g.GLL.lagrangeWeights(eta, wy)
+	qe := q[int(e)*np*np:]
 	var sum float64
 	for b := 0; b < np; b++ {
 		var row float64
 		for a := 0; a < np; a++ {
-			row += wx[a] * q[e][b*np+a]
+			row += wx[a] * qe[b*np+a]
 		}
 		sum += wy[b] * row
 	}
@@ -111,7 +112,7 @@ func (g *Grid) Eval(q [][]float64, p mesh.Vec3) (float64, error) {
 // LatLonGrid samples the scalar field q on a regular nlat x nlon grid
 // (latitude from -90 to 90 degrees inclusive at cell centres, longitude from
 // 0 to 360 exclusive) and returns out[j][i] = q(lat_j, lon_i).
-func (g *Grid) LatLonGrid(q [][]float64, nlat, nlon int) ([][]float64, error) {
+func (g *Grid) LatLonGrid(q []float64, nlat, nlon int) ([][]float64, error) {
 	if nlat < 1 || nlon < 1 {
 		return nil, fmt.Errorf("seam: grid dimensions must be positive")
 	}

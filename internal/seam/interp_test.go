@@ -18,7 +18,7 @@ func TestLocateRoundTrip(t *testing.T) {
 		// Interior points only (boundary points belong to two elements).
 		np := g.Np
 		for _, idx := range []int{np + 1, 2*np + 3, (np-2)*np + (np - 2)} {
-			p := g.Pos[e][idx]
+			p := g.Pos[e*np*np+idx]
 			le, xi, eta, err := g.Locate(p)
 			if err != nil {
 				t.Fatal(err)
@@ -46,20 +46,19 @@ func TestEvalReproducesNodalValues(t *testing.T) {
 	g := testGrid(t, 2, 5)
 	q := g.Field()
 	f := func(p mesh.Vec3) float64 { return p.X/g.Radius + 2*p.Y/g.Radius*p.Z/g.Radius }
-	for e := range q {
-		for i := range q[e] {
-			q[e][i] = f(g.Pos[e][i])
-		}
+	for i, p := range g.Pos {
+		q[i] = f(p)
 	}
 	np := g.Np
+	npts := np * np
 	for e := 0; e < g.NumElems(); e += 5 {
 		idx := 2*np + 2 // interior node
-		got, err := g.Eval(q, g.Pos[e][idx])
+		got, err := g.Eval(q, g.Pos[e*npts+idx])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(got-q[e][idx]) > 1e-10 {
-			t.Fatalf("nodal value not reproduced: %v vs %v", got, q[e][idx])
+		if math.Abs(got-q[e*npts+idx]) > 1e-10 {
+			t.Fatalf("nodal value not reproduced: %v vs %v", got, q[e*npts+idx])
 		}
 	}
 }
@@ -73,10 +72,8 @@ func TestEvalSpectralAccuracyProperty(t *testing.T) {
 		return math.Sin(2*x) + math.Cos(y+z)
 	}
 	q := g.Field()
-	for e := range q {
-		for i := range q[e] {
-			q[e][i] = f(g.Pos[e][i])
-		}
+	for i, p := range g.Pos {
+		q[i] = f(p)
 	}
 	check := func(rawA, rawB uint16) bool {
 		lat := math.Pi * (float64(rawA)/65535.0 - 0.5) * 0.998
@@ -101,10 +98,8 @@ func TestLatLonGrid(t *testing.T) {
 	g := testGrid(t, 2, 6)
 	q := g.Field()
 	// q = sin(lat): latitude bands.
-	for e := range q {
-		for i := range q[e] {
-			q[e][i] = g.Pos[e][i].Z / g.Radius
-		}
+	for i, p := range g.Pos {
+		q[i] = p.Z / g.Radius
 	}
 	out, err := g.LatLonGrid(q, 10, 20)
 	if err != nil {

@@ -71,3 +71,45 @@ func TestDiffKernelsZeroAlloc(t *testing.T) {
 		}
 	}
 }
+
+// The fused derivative kernel must be bitwise identical to the separate
+// DiffAlpha / DiffBeta calls it replaces on the hot path.
+func TestDiffAlphaBetaMatchesSeparate(t *testing.T) {
+	g := testGrid(t, 2, 6)
+	npts := g.PointsPerElem()
+	rng := rand.New(rand.NewSource(3))
+	u := make([]float64, npts)
+	for i := range u {
+		u[i] = rng.NormFloat64()
+	}
+	daS, dbS := make([]float64, npts), make([]float64, npts)
+	daF, dbF := make([]float64, npts), make([]float64, npts)
+	g.DiffAlpha(u, daS)
+	g.DiffBeta(u, dbS)
+	g.DiffAlphaBeta(u, daF, dbF)
+	for i := 0; i < npts; i++ {
+		if daS[i] != daF[i] || dbS[i] != dbF[i] {
+			t.Fatalf("fused derivative differs at point %d: (%v,%v) vs (%v,%v)",
+				i, daF[i], dbF[i], daS[i], dbS[i])
+		}
+	}
+	// DiffBatch over a subset must write exactly those element blocks of the
+	// slabs.
+	flat := g.Field()
+	for i := range flat {
+		flat[i] = rng.NormFloat64()
+	}
+	dua, dub := g.Field(), g.Field()
+	elems := []int32{1, 4, 9}
+	g.DiffBatch(elems, flat, dua, dub)
+	for _, e := range elems {
+		base := int(e) * npts
+		g.DiffAlpha(flat[base:base+npts], daS)
+		g.DiffBeta(flat[base:base+npts], dbS)
+		for i := 0; i < npts; i++ {
+			if dua[base+i] != daS[i] || dub[base+i] != dbS[i] {
+				t.Fatalf("DiffBatch differs at elem %d point %d", e, i)
+			}
+		}
+	}
+}

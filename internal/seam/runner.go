@@ -141,10 +141,12 @@ func NewRunner(sw *ShallowWater, assign []int32, nranks int) (*Runner, error) {
 	}
 	npts := sw.G.PointsPerElem()
 	depsA, depsB, rev := make([][]int32, nranks), make([][]int32, nranks), make([][]int32, nranks)
-	for i, sn := range sw.Dss.shared {
-		owner := assign[int(sn.pts[0])/npts]
-		r.ownedShared[owner] = append(r.ownedShared[owner], int32(i))
-		for _, p := range sn.pts {
+	dss := sw.Dss
+	for s := range dss.den {
+		members := dss.pts[dss.ptr[s]:dss.ptr[s+1]]
+		owner := assign[int(members[0])/npts]
+		r.ownedShared[owner] = append(r.ownedShared[owner], int32(s))
+		for _, p := range members {
 			member := assign[int(p)/npts]
 			if member != owner {
 				// The member sends its contribution to the owner and the

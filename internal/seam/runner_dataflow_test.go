@@ -53,7 +53,7 @@ func TestRunnerBitwiseBlockMatrix(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, ranks := range []int{24, 96, 384} {
 		parSW, _ := w2Solver(t, ne, 2)
-		state := [][]float64{parSW.v1F, parSW.v2F, parSW.phiF}
+		state := [][]float64{parSW.V1, parSW.V2, parSW.Phi}
 		var initial [3][]float64
 		for i, f := range state {
 			initial[i] = slices.Clone(f)

@@ -48,13 +48,14 @@ func TestNewRunnerErrors(t *testing.T) {
 // differs in any bit (compared as float64 values).
 func requireBitwiseEqual(t *testing.T, seqSW, parSW *ShallowWater, label string) {
 	t.Helper()
+	npts := seqSW.G.PointsPerElem()
 	for e := 0; e < seqSW.G.NumElems(); e++ {
-		for i := 0; i < seqSW.G.PointsPerElem(); i++ {
-			if seqSW.Phi[e][i] != parSW.Phi[e][i] {
+		for i := 0; i < npts; i++ {
+			if seqSW.Phi[e*npts+i] != parSW.Phi[e*npts+i] {
 				t.Fatalf("%s: Phi differs at elem %d point %d: %v vs %v",
-					label, e, i, seqSW.Phi[e][i], parSW.Phi[e][i])
+					label, e, i, seqSW.Phi[e*npts+i], parSW.Phi[e*npts+i])
 			}
-			if seqSW.V1[e][i] != parSW.V1[e][i] || seqSW.V2[e][i] != parSW.V2[e][i] {
+			if seqSW.V1[e*npts+i] != parSW.V1[e*npts+i] || seqSW.V2[e*npts+i] != parSW.V2[e*npts+i] {
 				t.Fatalf("%s: velocity differs at elem %d point %d", label, e, i)
 			}
 		}
@@ -189,13 +190,7 @@ func TestRunnerSingleRankMatchesSequential(t *testing.T) {
 	}
 	r, _ := NewRunner(parSW, blockAssign(parSW.G.NumElems(), 1), 1)
 	r.Run(3, dt)
-	for e := 0; e < seqSW.G.NumElems(); e++ {
-		for i := 0; i < seqSW.G.PointsPerElem(); i++ {
-			if seqSW.Phi[e][i] != parSW.Phi[e][i] {
-				t.Fatalf("Phi differs at elem %d point %d", e, i)
-			}
-		}
-	}
+	requireBitwiseEqual(t, seqSW, parSW, "1 rank")
 }
 
 func TestRunnerOwnership(t *testing.T) {

@@ -26,16 +26,12 @@ type ShallowWater struct {
 	G   *Grid
 	Dss *DSS
 
-	// Prognostic state: covariant velocity components and geopotential,
-	// exposed as per-element views over the contiguous slabs below.
-	V1, V2, Phi [][]float64
+	// Prognostic state: covariant velocity components and geopotential, one
+	// element-major slab each (point (e, i) at offset e*Np*Np+i).
+	V1, V2, Phi []float64
 
 	// Flops counts floating point operations performed so far.
 	Flops int64
-
-	// Contiguous element-major slabs backing the prognostic views (same
-	// memory; point (e, i) at offset e*Np*Np+i).
-	v1F, v2F, phiF []float64
 
 	// Tendency, RK stage-state and accumulator slabs, shared by the
 	// sequential Step and the parallel Runner (ranks touch disjoint
@@ -43,9 +39,6 @@ type ShallowWater struct {
 	k1v1F, k1v2F, k1pF []float64
 	sv1F, sv2F, spF    []float64
 	av1F, av2F, apF    []float64
-	// Per-element views of the tendency/stage slabs kept for the
-	// view-based helpers (hyperviscosity, diagnostics).
-	k1p, sp [][]float64
 
 	// allElems lists every element id, the "rank" of the sequential solver
 	// for the batched kernels.
@@ -80,18 +73,12 @@ func NewShallowWater(g *Grid) (*ShallowWater, error) {
 		return nil, err
 	}
 	sw := &ShallowWater{G: g, Dss: dss}
-	sw.v1F, sw.V1 = g.FieldSlab()
-	sw.v2F, sw.V2 = g.FieldSlab()
-	sw.phiF, sw.Phi = g.FieldSlab()
-	sw.k1v1F, _ = g.FieldSlab()
-	sw.k1v2F, _ = g.FieldSlab()
-	sw.k1pF, sw.k1p = g.FieldSlab()
-	sw.sv1F, _ = g.FieldSlab()
-	sw.sv2F, _ = g.FieldSlab()
-	sw.spF, sw.sp = g.FieldSlab()
-	sw.av1F, _ = g.FieldSlab()
-	sw.av2F, _ = g.FieldSlab()
-	sw.apF, _ = g.FieldSlab()
+	for _, f := range []*[]float64{
+		&sw.V1, &sw.V2, &sw.Phi, &sw.k1v1F, &sw.k1v2F, &sw.k1pF,
+		&sw.sv1F, &sw.sv2F, &sw.spF, &sw.av1F, &sw.av2F, &sw.apF,
+	} {
+		*f = g.Field()
+	}
 	sw.allElems = make([]int32, g.NumElems())
 	for e := range sw.allElems {
 		sw.allElems[e] = int32(e)
@@ -100,16 +87,14 @@ func NewShallowWater(g *Grid) (*ShallowWater, error) {
 	return sw, nil
 }
 
-// StateSlabs returns the contiguous element-major slabs backing the
-// prognostic fields V1, V2 and Phi (the same memory as the per-element
-// views; point (e, i) lives at offset e*Np*Np + i). Writing through the
-// returned slices mutates the model state. The prognostic slabs plus a step
-// counter are the complete restart state of the integrator: every other
+// StateSlabs returns the prognostic fields V1, V2 and Phi. Writing through
+// the returned slices mutates the model state. The prognostic slabs plus a
+// step counter are the complete restart state of the integrator: every other
 // internal slab (tendencies, RK stage states, accumulators) is
 // re-initialised at the start of each step, which is what makes
 // checkpoint/restart (internal/resilience) bitwise-exact.
 func (sw *ShallowWater) StateSlabs() (v1, v2, phi []float64) {
-	return sw.v1F, sw.v2F, sw.phiF
+	return sw.V1, sw.V2, sw.Phi
 }
 
 // SetState initialises the prognostic fields from a 3D velocity field (m/s,
@@ -117,13 +102,11 @@ func (sw *ShallowWater) StateSlabs() (v1, v2, phi []float64) {
 // of position.
 func (sw *ShallowWater) SetState(wind func(p mesh.Vec3) mesh.Vec3, phi func(p mesh.Vec3) float64) {
 	g := sw.G
-	for e := 0; e < g.NumElems(); e++ {
-		for i := 0; i < g.PointsPerElem(); i++ {
-			v := wind(g.Pos[e][i])
-			sw.V1[e][i] = v.Dot(g.Ea[e][i])
-			sw.V2[e][i] = v.Dot(g.Eb[e][i])
-			sw.Phi[e][i] = phi(g.Pos[e][i])
-		}
+	for i, p := range g.Pos {
+		v := wind(p)
+		sw.V1[i] = v.Dot(g.Ea[i])
+		sw.V2[i] = v.Dot(g.Eb[i])
+		sw.Phi[i] = phi(p)
 	}
 	sw.Dss.ApplyVector(sw.V1, sw.V2)
 	sw.Dss.Apply(sw.Phi)
@@ -144,7 +127,7 @@ func (sw *ShallowWater) rhsElems(elems []int32, scr *rhsScratch, v1, v2, phi, tv
 
 // rhsElem evaluates the tendencies of the single element whose slab offset is
 // base. The pointwise loops multiply by the precomputed reciprocal Jacobian
-// RSqrtGF instead of dividing, and hoist the shared products (sqrtG*Phi,
+// RSqrtG instead of dividing, and hoist the shared products (sqrtG*Phi,
 // pv*sqrtG) out of the flux and momentum expressions.
 func (sw *ShallowWater) rhsElem(base int, scr *rhsScratch, v1, v2, phi, tv1, tv2, tphi []float64) {
 	g := sw.G
@@ -157,12 +140,12 @@ func (sw *ShallowWater) rhsElem(base int, scr *rhsScratch, v1, v2, phi, tv1, tv2
 	tv1e := tv1[base : base+npts]
 	tv2e := tv2[base : base+npts]
 	tpe := tphi[base : base+npts]
-	gi11 := g.GI11F[base : base+npts]
-	gi12 := g.GI12F[base : base+npts]
-	gi22 := g.GI22F[base : base+npts]
-	sq := g.SqrtGF[base : base+npts]
-	rsq := g.RSqrtGF[base : base+npts]
-	cor := g.CorF[base : base+npts]
+	gi11 := g.GI11[base : base+npts]
+	gi12 := g.GI12[base : base+npts]
+	gi22 := g.GI22[base : base+npts]
+	sq := g.SqrtG[base : base+npts]
+	rsq := g.RSqrtG[base : base+npts]
+	cor := g.Cor[base : base+npts]
 
 	// Contravariant velocity, energy and mass fluxes, fused in one pass.
 	for i := 0; i < npts; i++ {
@@ -208,10 +191,10 @@ func (sw *ShallowWater) stageElems(elems []int32, st int, dt float64, scr *rhsSc
 	if st == 0 {
 		for _, e32 := range elems {
 			base := int(e32) * npts
-			copy(sw.av1F[base:base+npts], sw.v1F[base:base+npts])
-			copy(sw.av2F[base:base+npts], sw.v2F[base:base+npts])
-			copy(sw.apF[base:base+npts], sw.phiF[base:base+npts])
-			sw.rhsElem(base, scr, sw.v1F, sw.v2F, sw.phiF, sw.k1v1F, sw.k1v2F, sw.k1pF)
+			copy(sw.av1F[base:base+npts], sw.V1[base:base+npts])
+			copy(sw.av2F[base:base+npts], sw.V2[base:base+npts])
+			copy(sw.apF[base:base+npts], sw.Phi[base:base+npts])
+			sw.rhsElem(base, scr, sw.V1, sw.V2, sw.Phi, sw.k1v1F, sw.k1v2F, sw.k1pF)
 		}
 		return
 	}
@@ -226,9 +209,9 @@ func (sw *ShallowWater) stageElems(elems []int32, st int, dt float64, scr *rhsSc
 		av1 := sw.av1F[base : base+npts]
 		av2 := sw.av2F[base : base+npts]
 		ap := sw.apF[base : base+npts]
-		v1 := sw.v1F[base : base+npts]
-		v2 := sw.v2F[base : base+npts]
-		p := sw.phiF[base : base+npts]
+		v1 := sw.V1[base : base+npts]
+		v2 := sw.V2[base : base+npts]
+		p := sw.Phi[base : base+npts]
 		sv1 := sw.sv1F[base : base+npts]
 		sv2 := sw.sv2F[base : base+npts]
 		sp := sw.spF[base : base+npts]
@@ -263,9 +246,9 @@ func (sw *ShallowWater) finishElems(elems []int32, dt float64) {
 			av2[i] += c * k1v2[i]
 			ap[i] += c * k1p[i]
 		}
-		copy(sw.v1F[base:base+npts], av1)
-		copy(sw.v2F[base:base+npts], av2)
-		copy(sw.phiF[base:base+npts], ap)
+		copy(sw.V1[base:base+npts], av1)
+		copy(sw.V2[base:base+npts], av2)
+		copy(sw.Phi[base:base+npts], ap)
 	}
 }
 
@@ -275,8 +258,8 @@ func (sw *ShallowWater) rhs(v1, v2, phi, tv1, tv2, tphi []float64) {
 	g := sw.G
 	sw.rhsElems(sw.allElems, sw.scr, v1, v2, phi, tv1, tv2, tphi)
 	sw.Flops += rhsFlopsShallowWater(g.NumElems(), g.Np)
-	sw.Dss.applyVectorFlat(tv1, tv2)
-	sw.Dss.applyFlat(tphi)
+	sw.Dss.ApplyVector(tv1, tv2)
+	sw.Dss.Apply(tphi)
 }
 
 // RHS evaluates one RK stage's tendencies of the current prognostic state
@@ -284,7 +267,7 @@ func (sw *ShallowWater) rhs(v1, v2, phi, tv1, tv2, tphi []float64) {
 // compute + exchange unit the partitioner must balance. Exported for the
 // BenchmarkRHS micro-benchmark and for diagnostics.
 func (sw *ShallowWater) RHS() {
-	sw.rhs(sw.v1F, sw.v2F, sw.phiF, sw.k1v1F, sw.k1v2F, sw.k1pF)
+	sw.rhs(sw.V1, sw.V2, sw.Phi, sw.k1v1F, sw.k1v2F, sw.k1pF)
 }
 
 // Step advances the state by one RK4 step of size dt seconds. Each stage is
@@ -300,8 +283,8 @@ func (sw *ShallowWater) Step(dt float64) {
 	for st := 0; st < 4; st++ {
 		sw.stageElems(sw.allElems, st, dt, sw.scr)
 		sw.Flops += rhsFlopsShallowWater(k, g.Np)
-		sw.Dss.applyVectorFlat(sw.k1v1F, sw.k1v2F)
-		sw.Dss.applyFlat(sw.k1pF)
+		sw.Dss.ApplyVector(sw.k1v1F, sw.k1v2F)
+		sw.Dss.Apply(sw.k1pF)
 	}
 	sw.finishElems(sw.allElems, dt)
 	sw.Flops += int64(k) * int64(npts) * 3 * 4 * 4
@@ -313,18 +296,15 @@ func (sw *ShallowWater) MaxStableDt(cfl float64) float64 {
 	g := sw.G
 	minSpacing := (g.GLL.Points[1] - g.GLL.Points[0]) / 2 * g.DAlpha * g.Radius
 	var vmax, pmax float64
-	for e := 0; e < g.NumElems(); e++ {
-		for i := 0; i < g.PointsPerElem(); i++ {
-			u1, u2 := 0.0, 0.0
-			u1 = g.GI11[e][i]*sw.V1[e][i] + g.GI12[e][i]*sw.V2[e][i]
-			u2 = g.GI12[e][i]*sw.V1[e][i] + g.GI22[e][i]*sw.V2[e][i]
-			v2 := g.G11[e][i]*u1*u1 + 2*g.G12[e][i]*u1*u2 + g.G22[e][i]*u2*u2
-			if v := math.Sqrt(v2); v > vmax {
-				vmax = v
-			}
-			if sw.Phi[e][i] > pmax {
-				pmax = sw.Phi[e][i]
-			}
+	for i, phi := range sw.Phi {
+		u1 := g.GI11[i]*sw.V1[i] + g.GI12[i]*sw.V2[i]
+		u2 := g.GI12[i]*sw.V1[i] + g.GI22[i]*sw.V2[i]
+		v2 := g.G11[i]*u1*u1 + 2*g.G12[i]*u1*u2 + g.G22[i]*u2*u2
+		if v := math.Sqrt(v2); v > vmax {
+			vmax = v
+		}
+		if phi > pmax {
+			pmax = phi
 		}
 	}
 	speed := vmax + math.Sqrt(math.Max(pmax, 0))
@@ -343,18 +323,11 @@ func (sw *ShallowWater) TotalMass() float64 { return sw.G.Integrate(sw.Phi) }
 func (sw *ShallowWater) PhiL2Error(ref func(p mesh.Vec3) float64) float64 {
 	g := sw.G
 	var num, den float64
-	np := g.Np
-	for e := 0; e < g.NumElems(); e++ {
-		for b := 0; b < np; b++ {
-			for a := 0; a < np; a++ {
-				i := b*np + a
-				w := g.MassWeight(e, a, b)
-				r := ref(g.Pos[e][i])
-				d := sw.Phi[e][i] - r
-				num += w * d * d
-				den += w * r * r
-			}
-		}
+	for i, w := range g.Mass {
+		r := ref(g.Pos[i])
+		d := sw.Phi[i] - r
+		num += w * d * d
+		den += w * r * r
 	}
 	return math.Sqrt(num / den)
 }

@@ -76,11 +76,9 @@ func TestAdvectionPreservesConstant(t *testing.T) {
 	for s := 0; s < 5; s++ {
 		adv.Step(100)
 	}
-	for e := 0; e < g.NumElems(); e++ {
-		for i := 0; i < g.PointsPerElem(); i++ {
-			if math.Abs(adv.Q[e][i]-3.25) > 1e-10 {
-				t.Fatalf("constant tracer drifted to %v", adv.Q[e][i])
-			}
+	for _, q := range adv.Q {
+		if math.Abs(q-3.25) > 1e-10 {
+			t.Fatalf("constant tracer drifted to %v", q)
 		}
 	}
 }
@@ -164,14 +162,12 @@ func TestShallowWaterStateOfRest(t *testing.T) {
 	for s := 0; s < 20; s++ {
 		sw.Step(dt)
 	}
-	for e := 0; e < g.NumElems(); e++ {
-		for i := 0; i < g.PointsPerElem(); i++ {
-			if math.Abs(sw.Phi[e][i]-1e4) > 1e-6 {
-				t.Fatalf("rest state Phi drifted to %v", sw.Phi[e][i])
-			}
-			if math.Abs(sw.V1[e][i]) > 1e-6*g.Radius || math.Abs(sw.V2[e][i]) > 1e-6*g.Radius {
-				t.Fatalf("rest state velocity grew to %v, %v", sw.V1[e][i], sw.V2[e][i])
-			}
+	for i, phi := range sw.Phi {
+		if math.Abs(phi-1e4) > 1e-6 {
+			t.Fatalf("rest state Phi drifted to %v", phi)
+		}
+		if math.Abs(sw.V1[i]) > 1e-6*g.Radius || math.Abs(sw.V2[i]) > 1e-6*g.Radius {
+			t.Fatalf("rest state velocity grew to %v, %v", sw.V1[i], sw.V2[i])
 		}
 	}
 }

@@ -20,11 +20,9 @@ func TestWilliamson6Conservation(t *testing.T) {
 
 	// Sanity of the initial state: positive geopotential everywhere and
 	// winds below 150 m/s.
-	for e := 0; e < g.NumElems(); e++ {
-		for i := 0; i < g.PointsPerElem(); i++ {
-			if sw.Phi[e][i] <= 0 {
-				t.Fatalf("non-positive Phi %v", sw.Phi[e][i])
-			}
+	for _, phi := range sw.Phi {
+		if phi <= 0 {
+			t.Fatalf("non-positive Phi %v", phi)
 		}
 	}
 
@@ -45,11 +43,9 @@ func TestWilliamson6Conservation(t *testing.T) {
 		t.Errorf("TC6 enstrophy drift %v", rel)
 	}
 	// No NaNs anywhere.
-	for e := 0; e < g.NumElems(); e++ {
-		for i := 0; i < g.PointsPerElem(); i++ {
-			if math.IsNaN(sw.Phi[e][i]) || math.IsNaN(sw.V1[e][i]) {
-				t.Fatal("NaN in TC6 state")
-			}
+	for i, phi := range sw.Phi {
+		if math.IsNaN(phi) || math.IsNaN(sw.V1[i]) {
+			t.Fatal("NaN in TC6 state")
 		}
 	}
 }

@@ -169,7 +169,7 @@ type Config struct {
 	// LargeNe is the threshold at or above which a request enters the
 	// large-problem regime: "auto" resolves to the SFC-first chain
 	// (linear-time cuts instead of multilevel refinement) and LargeDeadline
-	// applies. (The mesh keeps its adjacency deferred at every size; that is
+	// applies. (The mesh resolves adjacency on demand at every size; that is
 	// not a property of this regime.) Default 256 (393k elements); negative
 	// disables the regime entirely.
 	LargeNe int

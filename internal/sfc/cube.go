@@ -214,7 +214,7 @@ func (cc *CubeCurve) solveOrientations(base *Curve) bool {
 
 // isEdgeNeighbor and isCornerNeighbor resolve a's neighbours into stack
 // buffers, so the orientation search and the continuity checks do not
-// allocate on a deferred mesh.
+// allocate.
 func isEdgeNeighbor(m *mesh.Mesh, a, b mesh.ElemID) bool {
 	var eb, cb [4]mesh.ElemID
 	edge, _ := m.NeighborsInto(a, eb[:0], cb[:0])

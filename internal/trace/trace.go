@@ -304,7 +304,7 @@ func SimulateObs(ctx context.Context, computeTime []float64, msgs []Message, mod
 func StepMessages(m *mesh.Mesh, p *partition.Partition, w machine.Workload) []Message {
 	type pair struct{ from, to int32 }
 	vol := map[pair]int64{}
-	var edge, corner []mesh.ElemID // reused: a deferred mesh resolves rows per call
+	var edge, corner []mesh.ElemID // reused: the mesh resolves rows per call
 	for e := 0; e < m.NumElems(); e++ {
 		pe := int32(p.Part(e))
 		edge, corner = m.NeighborsInto(mesh.ElemID(e), edge[:0], corner[:0])
