@@ -72,6 +72,8 @@ var keyOf = map[string]string{
 	"BenchmarkServiceMiss/sfc/Ne128":  "service_miss_sfc_ne128_ns_per_op",
 	"BenchmarkServiceMiss/kway/Ne32":  "service_miss_kway_ne32_ns_per_op",
 	"BenchmarkServiceMiss/kway/Ne128": "service_miss_kway_ne128_ns_per_op",
+	// The stats stage of an sfc miss on its own (report-only).
+	"BenchmarkProblemStats/view/Ne128": "problem_stats_view_ne128_ns_per_op",
 }
 
 // Result is one benchmark's comparison in the delta artifact.

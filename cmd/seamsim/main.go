@@ -206,7 +206,7 @@ func run(cfg runConfig) error {
 
 	owned := runner.NumOwned()
 	bytes := runner.BytesPerStep()
-	lb := partition.LoadBalanceInts(owned)
+	lb := partition.LoadBalance(owned)
 	var minB, maxB int64 = math.MaxInt64, 0
 	for _, b := range bytes {
 		if b < minB {
@@ -218,7 +218,7 @@ func run(cfg runConfig) error {
 	}
 	fmt.Printf("elements/rank: %d..%d, LB(nelemd)=%.4f\n", minInt(owned), maxInt(owned), lb)
 	fmt.Printf("comm bytes/rank/step: %d..%d, LB(spcv)=%.4f\n",
-		minB, maxB, partition.LoadBalanceInt64(bytes))
+		minB, maxB, partition.LoadBalance(bytes))
 	for rk := 0; rk < ranks && rk < 8; rk++ {
 		fmt.Printf("  rank %d: %d elements, %d bytes/step, busy %v\n",
 			rk, owned[rk], bytes[rk], runner.BusyTime[rk].Round(1000))

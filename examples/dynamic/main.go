@@ -59,7 +59,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		lb := partition.LoadBalanceInt64(p.WeightedCounts(func(v int) int32 { return int32(w[v]) }))
+		lb := partition.LoadBalance(p.WeightedCounts(func(v int) int32 { return int32(w[v]) }))
 		fmt.Printf("%4d %12.3f %8d (%4.1f%%) %11.2f\n",
 			s, lb, mig.Moved, mig.MovedFraction*100, float64(mig.BytesMoved)/1e6)
 	}

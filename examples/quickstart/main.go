@@ -32,7 +32,7 @@ func main() {
 	// equation (1) is identically zero.
 	counts := res.Partition.Counts()
 	fmt.Printf("elements per processor: %d (all equal: LB=%.3f)\n",
-		counts[0], partition.LoadBalanceInts(counts))
+		counts[0], partition.LoadBalance(counts))
 
 	// Evaluate communication metrics on the element graph (vertices =
 	// elements, edges = shared boundaries and corner points). A Problem reads

@@ -69,8 +69,8 @@ func main() {
 		}
 		fmt.Printf("%-9s LB(count)=%.3f  LB(weighted)=%.3f  modelled step %.0f us\n",
 			name,
-			partition.LoadBalanceInts(p.Counts()),
-			partition.LoadBalanceInt64(wc),
+			partition.LoadBalance(p.Counts()),
+			partition.LoadBalance(wc),
 			rep.StepTime*1e6)
 	}
 	report("uniform", uniform.Partition)

@@ -338,25 +338,12 @@ func (f *Forest) Graph(edgeW, cornerW int32) (*graph.Graph, error) {
 	// The per-leaf neighbour lists are already sorted and disjoint, so the
 	// dual graph streams straight into exactly-sized CSR arrays (two-way
 	// merge per row) with no intermediate edge list.
-	return graph.FromAdjacency(f.NumLeaves(), func() graph.RowFunc {
-		return func(v int, emit func(int, int32)) {
-			en, cn := f.edgeNbrs[v], f.cornerNbrs[v]
-			ie, ic := 0, 0
-			for ie < len(en) && ic < len(cn) {
-				if en[ie] < cn[ic] {
-					emit(int(en[ie]), edgeW)
-					ie++
-				} else {
-					emit(int(cn[ic]), cornerW)
-					ic++
-				}
-			}
-			for ; ie < len(en); ie++ {
-				emit(int(en[ie]), edgeW)
-			}
-			for ; ic < len(cn); ic++ {
-				emit(int(cn[ic]), cornerW)
-			}
+	return graph.FromAdjacency(f.NumLeaves(), func(lo, hi int, ptr, adj, wts []int32) ([]int32, []int32, []int32) {
+		ptr, adj, wts = append(ptr[:0], 0), adj[:0], wts[:0]
+		for v := lo; v < hi; v++ {
+			adj, wts = graph.AppendMerged(adj, wts, f.edgeNbrs[v], f.cornerNbrs[v], edgeW, cornerW)
+			ptr = append(ptr, int32(len(adj)))
 		}
+		return ptr, adj, wts
 	})
 }

@@ -145,7 +145,7 @@ func TestPartitionCurveWeighted(t *testing.T) {
 		for i, q := range p.Assignment() {
 			sums[q] += w[i]
 		}
-		return partition.LoadBalanceInt64(sums)
+		return partition.LoadBalance(sums)
 	}
 	if lbW, lbU := lbOf(p), lbOf(pu); lbW >= lbU {
 		t.Fatalf("weighted LB %.4f not better than unweighted LB %.4f", lbW, lbU)

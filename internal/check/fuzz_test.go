@@ -213,7 +213,7 @@ func FuzzWeightedSplit(f *testing.F) {
 				t.Fatalf("part %d: PartWeights=%d, recomputed %d", q, st.PartWeights[q], want)
 			}
 		}
-		if lb := partition.LoadBalanceInt64(totals); st.LBWeighted != lb {
+		if lb := partition.LoadBalance(totals); st.LBWeighted != lb {
 			t.Fatalf("LBWeighted=%g, recomputed %g", st.LBWeighted, lb)
 		}
 		for q, n := range st.Nelemd {

@@ -142,8 +142,8 @@ func ComputeMetrics(g *graph.Graph, p *partition.Partition) (Metrics, error) {
 			m.TotalCommVolume += int64(g.VertexSize(v)) * int64(len(remote[v]))
 		}
 	}
-	m.LBNelemd = partition.LoadBalanceInt64(m.Weighted)
-	m.LBSpcv = partition.LoadBalanceInt64(m.Spcv)
+	m.LBNelemd = partition.LoadBalance(m.Weighted)
+	m.LBSpcv = partition.LoadBalance(m.Spcv)
 	nonEmpty := 0
 	for q := 0; q < m.NParts; q++ {
 		if m.Counts[q] == 0 {

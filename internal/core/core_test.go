@@ -34,7 +34,7 @@ func TestPartitionCubedSphereBasics(t *testing.T) {
 			}
 		}
 		// Perfect load balance: equation (1) gives exactly zero.
-		if lb := partition.LoadBalanceInts(counts); lb != 0 {
+		if lb := partition.LoadBalance(counts); lb != 0 {
 			t.Errorf("ne=%d nproc=%d: LB=%v, want 0", c.ne, c.nproc, lb)
 		}
 	}
@@ -93,7 +93,7 @@ func TestWeightedPartitioning(t *testing.T) {
 	}
 	// Weighted balance must be decent.
 	wc := res.Partition.WeightedCounts(func(v int) int32 { return int32(weights[v]) })
-	if lb := partition.LoadBalanceInt64(wc); lb > 0.35 {
+	if lb := partition.LoadBalance(wc); lb > 0.35 {
 		t.Errorf("weighted LB = %v, want < 0.35", lb)
 	}
 }
@@ -110,7 +110,7 @@ func TestRefinementOrdersAllWork(t *testing.T) {
 		if err != nil {
 			t.Fatalf("order %v: %v", o, err)
 		}
-		if lb := partition.LoadBalanceInts(res.Partition.Counts()); lb != 0 {
+		if lb := partition.LoadBalance(res.Partition.Counts()); lb != 0 {
 			t.Errorf("order %v: LB=%v", o, lb)
 		}
 	}

@@ -37,6 +37,7 @@ type Problem struct {
 	weights []int64
 	given   *graph.Graph // caller-provided dual graph, adopted by Graph
 
+	weights32  lazy[[]int32] // weights as graph vertex weights
 	graph      lazy[*graph.Graph]
 	curve      lazy[*sfc.CubeCurve]
 	serpentine lazy[*sfc.CubeCurve]
@@ -135,12 +136,12 @@ func (p *Problem) Graph() (*graph.Graph, error) {
 }
 
 // installWeights makes the problem's weights, when it has any, the vertex
-// weights of its dual graph or graph view.
+// weights of its dual graph or graph view; they are converted once.
 func (p *Problem) installWeights(dst interface{ SetVertexWeights([]int32) error }) error {
 	if p.weights == nil {
 		return nil
 	}
-	w32, err := weights.Int32(p.weights)
+	w32, err := p.weights32.get(func() ([]int32, error) { return weights.Int32(p.weights) })
 	if err != nil {
 		return err
 	}

@@ -84,7 +84,7 @@ func TestWeightedPartitionBoundProperty(t *testing.T) {
 				return false
 			}
 		}
-		return partition.LoadBalanceInt64(wc) < 1
+		return partition.LoadBalance(wc) < 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

@@ -105,7 +105,7 @@ func TestRepartitionerTracksMovingLoad(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lb := partition.LoadBalanceInt64(p.WeightedCounts(func(v int) int32 { return int32(w[v]) }))
+		lb := partition.LoadBalance(p.WeightedCounts(func(v int) int32 { return int32(w[v]) }))
 		if lb > worstLB {
 			worstLB = lb
 		}
@@ -249,8 +249,8 @@ func TestRemapPreservesLoadBalance(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	lbFresh := partition.LoadBalanceInt64(pFresh.WeightedCounts(wf))
-	lbIncr := partition.LoadBalanceInt64(pIncr.WeightedCounts(wf))
+	lbFresh := partition.LoadBalance(pFresh.WeightedCounts(wf))
+	lbIncr := partition.LoadBalance(pIncr.WeightedCounts(wf))
 	if lbFresh != lbIncr {
 		t.Errorf("remapped LB %v differs from fresh-cut LB %v: relabel changed part contents", lbIncr, lbFresh)
 	}

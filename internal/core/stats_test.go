@@ -3,6 +3,7 @@ package core_test
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
@@ -41,12 +42,48 @@ func setSpec(t *testing.T, p *core.Problem, spec string) {
 
 // TestStatsViewMatchesGraph: the stats a Problem computes over the on-demand
 // mesh view (no graph built) equal, field for field, the ones it computes
-// over the CSR graph, and the independent oracle agrees with both.
+// over the CSR graph, and the independent oracle agrees with both — on the
+// cuts the methods produce, and on scattered assignments no method would
+// (every row cut, empty parts, parts in many pieces), which reach the
+// accounting branches a curve cut leaves cold.
 func TestStatsViewMatchesGraph(t *testing.T) {
 	for _, ne := range []int{1, 2, 3, 4, 6, 8, 12, 16} {
+		k := 6 * ne * ne
+		cases := map[string]func(t *testing.T, csr *core.Problem) *partition.Partition{}
 		for _, method := range []string{"sfc", "serpentine", "kway"} {
+			cases[method] = func(t *testing.T, csr *core.Problem) *partition.Partition {
+				part, err := core.Run(context.Background(), method, csr, max(2, k/8), 1, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return part
+			}
+		}
+		scattered := func(nparts int, assign func(rng *rand.Rand, e int) int) func(*testing.T, *core.Problem) *partition.Partition {
+			return func(t *testing.T, _ *core.Problem) *partition.Partition {
+				rng := rand.New(rand.NewSource(int64(ne)<<20 | int64(nparts)))
+				part := partition.New(k, nparts)
+				for e := 0; e < k; e++ {
+					part.SetPart(e, assign(rng, e))
+				}
+				return part
+			}
+		}
+		for _, nparts := range []int{1, 2, k} {
+			cases[fmt.Sprintf("scattered/p%d", nparts)] = scattered(nparts, func(rng *rand.Rand, _ int) int { return rng.Intn(nparts) })
+		}
+		cases["scattered/empty"] = scattered(5, func(rng *rand.Rand, _ int) int { return rng.Intn(4) }) // part 4 gets nothing
+		// Part 0 is the middle element of faces 0, 1 and 2 and nothing else:
+		// from Ne=3 on these are face-interior and pairwise non-adjacent.
+		cases["scattered/split"] = scattered(3, func(rng *rand.Rand, e int) int {
+			if e < 3*ne*ne && e%(ne*ne) == (ne/2)*ne+ne/2 {
+				return 0
+			}
+			return 1 + rng.Intn(2)
+		})
+		for cname, makePart := range cases {
 			for wname, setWeights := range weightCases {
-				t.Run(fmt.Sprintf("ne%d/%s/%s", ne, method, wname), func(t *testing.T) {
+				t.Run(fmt.Sprintf("ne%d/%s/%s", ne, cname, wname), func(t *testing.T) {
 					viewed, err := core.NewProblem(ne) // never asked for its graph
 					if err != nil {
 						t.Fatal(err)
@@ -58,11 +95,7 @@ func TestStatsViewMatchesGraph(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					nparts := max(2, 6*ne*ne/8)
-					part, err := core.Run(context.Background(), method, csr, nparts, 1, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
+					part := makePart(t, csr)
 					fromView, err := viewed.Stats(part)
 					if err != nil {
 						t.Fatal(err)
@@ -83,6 +116,12 @@ func TestStatsViewMatchesGraph(t *testing.T) {
 					}
 					if err := check.CrossCheckStats(g, part); err != nil {
 						t.Error(err)
+					}
+					if cname == "scattered/empty" && fromView.EmptyParts < 1 {
+						t.Errorf("EmptyParts = %d with a part that got nothing", fromView.EmptyParts)
+					}
+					if cname == "scattered/split" && ne >= 3 && fromView.MaxComponents < 3 {
+						t.Errorf("MaxComponents = %d with a part in three pieces", fromView.MaxComponents)
 					}
 				})
 			}

@@ -86,7 +86,7 @@ func DynamicRepartition(seed int64) (*Table, error) {
 		lastKway = kwayPart
 
 		lbOf := func(p *partition.Partition) float64 {
-			return partition.LoadBalanceInt64(p.WeightedCounts(func(v int) int32 { return int32(weights[v]) }))
+			return partition.LoadBalance(p.WeightedCounts(func(v int) int32 { return int32(weights[v]) }))
 		}
 		if step > 0 {
 			sfcMovedTotal += mig.MovedFraction

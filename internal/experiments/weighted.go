@@ -56,7 +56,7 @@ func Table2Weighted(seed int64, spec string) (*Table, error) {
 			return nil, err
 		}
 		cols[method] = col{
-			lbW: st.LBWeighted, lbN: partition.LoadBalanceInts(st.Nelemd), lbS: st.LBSpcv,
+			lbW: st.LBWeighted, lbN: partition.LoadBalance(st.Nelemd), lbS: st.LBSpcv,
 			edgecut: st.EdgeCutUnweighted, tcv: st.TotalCommVolume,
 		}
 	}

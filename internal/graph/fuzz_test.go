@@ -75,13 +75,11 @@ func FuzzGraphCSR(f *testing.F) {
 			}
 			sort.Ints(rowIDs[v])
 		}
-		got, err := FromAdjacency(n, func() RowFunc {
-			return func(v int, emit func(int, int32)) {
-				for _, u := range rowIDs[v] {
-					emit(u, acc[v][u])
-				}
+		got, err := FromAdjacency(n, blockRows(func(v int, emit func(int, int32)) {
+			for _, u := range rowIDs[v] {
+				emit(u, acc[v][u])
 			}
-		})
+		}))
 		if err != nil {
 			t.Fatalf("FromAdjacency: %v", err)
 		}

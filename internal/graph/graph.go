@@ -168,10 +168,19 @@ func (g *Graph) VertexWeight(v int) int32 { return g.vwgt[v] }
 // VertexSize returns the communication volume contributed by v when cut.
 func (g *Graph) VertexSize(v int) int32 { return g.vsize[v] }
 
-// Row returns Adj(v) and AdjWeights(v). The buffers are ignored: a CSR graph
-// answers from its own storage. It exists so a Graph and a MeshView can be
-// read through one interface (partition.Adjacency).
-func (g *Graph) Row(v int, _, _ []int32) (adj, wts []int32) { return g.Adj(v), g.AdjWeights(v) }
+// Rows returns rows [lo, hi) straight from CSR storage: row v is
+// adj[ptr[v-lo]:ptr[v-lo+1]] with wts parallel. The buffers are ignored; the
+// result aliases the graph and is read-only. It exists so a Graph and a
+// MeshView can be read through one interface (partition.Adjacency).
+func (g *Graph) Rows(lo, hi int, _, _, _ []int32) (ptr, adj, wts []int32) {
+	return g.xadj[lo : hi+1], g.adjncy, g.adjwgt
+}
+
+// VertexWeights returns every vertex weight; the slice aliases graph storage.
+func (g *Graph) VertexWeights() []int32 { return g.vwgt }
+
+// VertexSizes returns every vertex size; the slice aliases graph storage.
+func (g *Graph) VertexSizes() []int32 { return g.vsize }
 
 // SetVertexWeights replaces every vertex weight. Used to attach non-uniform
 // computation costs to graphs built from adjacency streams (e.g. AMR
@@ -272,7 +281,7 @@ func DefaultOptions() Options {
 }
 
 // FromMesh builds the partitioning graph of a cubed-sphere mesh by streaming
-// the rows of its MeshView straight into exactly-sized CSR arrays
+// the row blocks of its MeshView straight into exactly-sized CSR arrays
 // (FromAdjacency): no intermediate edge list is materialised, so the peak
 // footprint is the final graph plus O(1) per-worker row buffers. The mesh
 // stores no adjacency of its own, so the dual graph is never held twice in
@@ -282,15 +291,7 @@ func FromMesh(m *mesh.Mesh, opt Options) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	g, err := FromAdjacency(view.NumVertices(), func() RowFunc {
-		adj, wts := make([]int32, 0, 8), make([]int32, 0, 8) // per-worker row buffers
-		return func(v int, emit func(int, int32)) {
-			adj, wts = view.Row(v, adj, wts)
-			for i, u := range adj {
-				emit(int(u), wts[i])
-			}
-		}
-	})
+	g, err := FromAdjacency(view.NumVertices(), view.Rows)
 	if err != nil {
 		return nil, err
 	}

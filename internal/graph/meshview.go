@@ -7,11 +7,11 @@ import (
 )
 
 // MeshView is the partitioning graph of a cubed-sphere mesh read without
-// being stored: every row is resolved on demand from the mesh's analytic
-// adjacency and weighted by the Options. It holds O(1) state beyond the mesh
-// and the optional weight vectors, and its rows are exactly the rows FromMesh
-// freezes into CSR form — FromMesh is "stream this view into a Graph".
-// Safe for concurrent readers.
+// being stored: rows are resolved on demand, a block at a time, from the
+// mesh's analytic adjacency and weighted by the Options. It holds O(1) state
+// beyond the mesh and the optional weight vectors, and its rows are exactly
+// the rows FromMesh freezes into CSR form — FromMesh is "stream this view
+// into a Graph". Safe for concurrent readers.
 type MeshView struct {
 	m   *mesh.Mesh
 	opt Options
@@ -52,46 +52,78 @@ func checkPositive(what string, w []int32, k int) error {
 // NumVertices returns the number of elements of the mesh.
 func (mv *MeshView) NumVertices() int { return mv.m.NumElems() }
 
-// Row writes the neighbours of v, ascending, and the parallel edge weights
-// into adjBuf and wtBuf (from length 0, growing them if needed) and returns
-// them. Edge and corner neighbour sets are disjoint and each sorted, so a
-// two-way merge yields the full row in order. With buffers of capacity 8 the
-// call does not allocate.
-func (mv *MeshView) Row(v int, adjBuf, wtBuf []int32) (adj, wts []int32) {
+// Rows writes rows [lo, hi) into the buffers (from length 0, growing them if
+// needed) and returns them: row v is adj[ptr[v-lo]:ptr[v-lo+1]], ascending,
+// with wts parallel. (i, j) is walked incrementally and a face-interior row
+// is eight index-arithmetic stores; only the O(Ne) face-boundary ring asks
+// the mesh (NeighborsInto). With adjacency buffers of capacity 8*(hi-lo) and
+// a pointer buffer of hi-lo+1 the call does not allocate.
+func (mv *MeshView) Rows(lo, hi int, ptrBuf, adjBuf, wtBuf []int32) (ptr, adj, wts []int32) {
+	ne := mv.m.Ne()
+	ew, cw, corners := mv.opt.EdgeWeight, mv.opt.CornerWeight, mv.opt.IncludeCorners
+	ptr, adj, wts = append(ptrBuf[:0], 0), adjBuf[:0], wtBuf[:0]
+	r := lo % (ne * ne)
+	i, j := r%ne, r/ne
 	var eb, cb [4]mesh.ElemID
-	e, c := mv.m.NeighborsInto(mesh.ElemID(v), eb[:0], cb[:0])
-	if !mv.opt.IncludeCorners {
-		c = nil
+	for v := lo; v < hi; {
+		end := v + 1
+		if i == 0 || i == ne-1 || j == 0 || j == ne-1 {
+			e, c := mv.m.NeighborsInto(mesh.ElemID(v), eb[:0], cb[:0])
+			if !corners {
+				c = nil
+			}
+			adj, wts = AppendMerged(adj, wts, e, c, ew, cw)
+			ptr = append(ptr, int32(len(adj)))
+		} else {
+			// The rest of an interior mesh row, up to its last column; mesh
+			// rows j-1, j, j+1 in that order keep each CSR row ascending.
+			end = min(hi, v+ne-1-i)
+			for x := v; x < end; x++ {
+				b, c, a := int32(x-ne), int32(x), int32(x+ne)
+				if corners {
+					adj = append(adj, b-1, b, b+1, c-1, c+1, a-1, a, a+1)
+					wts = append(wts, cw, ew, cw, ew, ew, cw, ew, cw)
+				} else {
+					adj = append(adj, b, c-1, c+1, a)
+					wts = append(wts, ew, ew, ew, ew)
+				}
+				ptr = append(ptr, int32(len(adj)))
+			}
+		}
+		i, v = i+end-v, end
+		if i == ne {
+			i = 0
+			if j++; j == ne {
+				j = 0
+			}
+		}
 	}
-	adj, wts = adjBuf[:0], wtBuf[:0]
+	return ptr, adj, wts
+}
+
+// AppendMerged appends the merge of two ascending, disjoint neighbour lists
+// to adj, and weight ew per entry of e and cw per entry of c to wts: one CSR
+// row from its edge and corner neighbours.
+func AppendMerged[T ~int | ~int32](adj, wts []int32, e, c []T, ew, cw int32) ([]int32, []int32) {
 	for len(e) > 0 || len(c) > 0 {
 		if len(c) == 0 || (len(e) > 0 && e[0] < c[0]) {
-			adj, wts = append(adj, int32(e[0])), append(wts, mv.opt.EdgeWeight)
+			adj, wts = append(adj, int32(e[0])), append(wts, ew)
 			e = e[1:]
 		} else {
-			adj, wts = append(adj, int32(c[0])), append(wts, mv.opt.CornerWeight)
+			adj, wts = append(adj, int32(c[0])), append(wts, cw)
 			c = c[1:]
 		}
 	}
 	return adj, wts
 }
 
-// VertexWeight returns the computation weight of element v (1 when the view
-// carries no weight vector).
-func (mv *MeshView) VertexWeight(v int) int32 {
-	if mv.opt.VertexWeights == nil {
-		return 1
-	}
-	return mv.opt.VertexWeights[v]
-}
+// VertexWeights returns the per-element computation weights, nil when every
+// element weighs 1. The slice is the view's own and read-only.
+func (mv *MeshView) VertexWeights() []int32 { return mv.opt.VertexWeights }
 
-// VertexSize returns the communication volume contributed by v when cut.
-func (mv *MeshView) VertexSize(v int) int32 {
-	if mv.opt.VertexSizes == nil {
-		return 1
-	}
-	return mv.opt.VertexSizes[v]
-}
+// VertexSizes returns the per-element communication volumes, nil when every
+// element has size 1.
+func (mv *MeshView) VertexSizes() []int32 { return mv.opt.VertexSizes }
 
 // SetVertexWeights replaces the vertex weights, like Graph.SetVertexWeights
 // (zeros allowed); the view keeps w, which must not be modified afterwards.

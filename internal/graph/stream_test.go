@@ -2,6 +2,7 @@ package graph
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"sfccube/internal/mesh"
@@ -23,6 +24,31 @@ func graphsEqual(a, b *Graph) bool {
 		eq32(a.adjwgt, b.adjwgt) && eq32(a.vwgt, b.vwgt) && eq32(a.vsize, b.vsize)
 }
 
+// builderOracle is the mesh graph built the slow way: the accumulating
+// Builder fed one edge at a time from the mesh's neighbour lists (which go
+// through NeighborsInto, never through MeshView.Rows' interior fast path).
+func builderOracle(t *testing.T, m *mesh.Mesh, opt Options) *Graph {
+	t.Helper()
+	k := m.NumElems()
+	b := NewBuilder(k)
+	add := func(e int, nbrs []mesh.ElemID, w int32) {
+		for _, n := range nbrs {
+			if int(n) > e {
+				if err := b.AddEdge(e, int(n), w); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	for e := 0; e < k; e++ {
+		add(e, m.EdgeNeighbors(mesh.ElemID(e)), opt.EdgeWeight)
+		if opt.IncludeCorners {
+			add(e, m.CornerNeighbors(mesh.ElemID(e)), opt.CornerWeight)
+		}
+	}
+	return b.Build()
+}
+
 // TestFromAdjacencyMatchesBuilder checks the exact-size streaming build
 // reproduces the accumulating Builder bit-for-bit on mesh graphs.
 func TestFromAdjacencyMatchesBuilder(t *testing.T) {
@@ -33,28 +59,7 @@ func TestFromAdjacencyMatchesBuilder(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ne=%d: FromMesh: %v", ne, err)
 		}
-		// Oracle: the old Builder-based construction.
-		k := m.NumElems()
-		b := NewBuilder(k)
-		for e := 0; e < k; e++ {
-			id := mesh.ElemID(e)
-			for _, n := range m.EdgeNeighbors(id) {
-				if n > id {
-					if err := b.AddEdge(e, int(n), opt.EdgeWeight); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			for _, n := range m.CornerNeighbors(id) {
-				if n > id {
-					if err := b.AddEdge(e, int(n), opt.CornerWeight); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-		}
-		want := b.Build()
-		if !graphsEqual(got, want) {
+		if !graphsEqual(got, builderOracle(t, m, opt)) {
 			t.Fatalf("ne=%d: streaming FromMesh differs from Builder oracle", ne)
 		}
 		if err := got.Validate(); err != nil {
@@ -87,35 +92,80 @@ func TestFromMeshGOMAXPROCSInvariant(t *testing.T) {
 	}
 }
 
-// TestFromAdjacencyRejectsBadRows covers every per-row validation branch.
-func TestFromAdjacencyRejectsBadRows(t *testing.T) {
-	mk := func(rows RowFunc) func() RowFunc {
-		return func() RowFunc { return rows }
+// rowsFunc is the producer signature of FromAdjacency.
+type rowsFunc = func(lo, hi int, ptrBuf, adjBuf, wtBuf []int32) (ptr, adj, wts []int32)
+
+// blockRows turns a per-row description into a block-filling producer: it
+// appends what row emits for each vertex of the block to the buffers handed
+// in, the way MeshView.Rows does.
+func blockRows(row func(v int, emit func(u int, w int32))) rowsFunc {
+	return func(lo, hi int, ptr, adj, wts []int32) ([]int32, []int32, []int32) {
+		ptr, adj, wts = append(ptr[:0], 0), adj[:0], wts[:0]
+		for v := lo; v < hi; v++ {
+			row(v, func(u int, w int32) { adj, wts = append(adj, int32(u)), append(wts, w) })
+			ptr = append(ptr, int32(len(adj)))
+		}
+		return ptr, adj, wts
 	}
+}
+
+// TestFromAdjacencyRejectsBadRows covers every per-row and per-block
+// validation branch.
+func TestFromAdjacencyRejectsBadRows(t *testing.T) {
+	pair := blockRows(func(v int, emit func(int, int32)) { emit(1-v, 1) }) // the valid graph 0 -- 1
 	cases := []struct {
 		name string
 		n    int
-		rows RowFunc
+		rows rowsFunc
 	}{
-		{"out-of-range", 2, func(v int, emit func(int, int32)) { emit(5, 1) }},
-		{"negative-neighbour", 2, func(v int, emit func(int, int32)) { emit(-1, 1) }},
-		{"self-loop", 2, func(v int, emit func(int, int32)) { emit(v, 1) }},
-		{"unsorted", 3, func(v int, emit func(int, int32)) {
+		{"out-of-range", 2, blockRows(func(v int, emit func(int, int32)) { emit(5, 1) })},
+		{"negative-neighbour", 2, blockRows(func(v int, emit func(int, int32)) { emit(-1, 1) })},
+		{"self-loop", 2, blockRows(func(v int, emit func(int, int32)) { emit(v, 1) })},
+		{"unsorted", 3, blockRows(func(v int, emit func(int, int32)) {
 			if v == 0 {
 				emit(2, 1)
 				emit(1, 1)
 			}
-		}},
-		{"duplicate", 3, func(v int, emit func(int, int32)) {
+		})},
+		{"duplicate", 3, blockRows(func(v int, emit func(int, int32)) {
 			if v == 0 {
 				emit(1, 1)
 				emit(1, 1)
 			}
+		})},
+		{"non-positive-weight", 2, blockRows(func(v int, emit func(int, int32)) { emit(1-v, 0) })},
+		// In place or not at all: a producer that returns correct rows in
+		// slices of its own, instead of the buffers it was handed.
+		{"reallocated-adj", 2, func(lo, hi int, ptr, _, wts []int32) ([]int32, []int32, []int32) {
+			ptr, _, wts = pair(lo, hi, ptr, nil, wts)
+			return ptr, []int32{1, 0}, wts
 		}},
-		{"non-positive-weight", 2, func(v int, emit func(int, int32)) { emit(1-v, 0) }},
+		{"reallocated-wts", 2, func(lo, hi int, ptr, adj, _ []int32) ([]int32, []int32, []int32) {
+			ptr, adj, _ = pair(lo, hi, ptr, adj, nil)
+			return ptr, adj, []int32{1, 1}
+		}},
+		{"short-ptr", 2, func(lo, hi int, ptr, adj, wts []int32) ([]int32, []int32, []int32) {
+			ptr, adj, wts = pair(lo, hi, ptr, adj, wts)
+			return ptr[:len(ptr)-1], adj, wts
+		}},
+		{"ptr-not-from-zero", 2, func(lo, hi int, ptr, adj, wts []int32) ([]int32, []int32, []int32) {
+			ptr, adj, wts = pair(lo, hi, ptr, adj, wts)
+			for i := range ptr {
+				ptr[i]++
+			}
+			return ptr, adj, wts
+		}},
+		{"ptr-not-monotone", 2, func(lo, hi int, ptr, adj, wts []int32) ([]int32, []int32, []int32) {
+			ptr, adj, wts = pair(lo, hi, ptr, adj, wts)
+			ptr[1] = 3
+			return ptr, adj, wts
+		}},
+	}
+	if _, err := FromAdjacency(2, pair); err != nil {
+		t.Fatalf("valid producer rejected: %v", err)
 	}
 	for _, c := range cases {
-		if _, err := FromAdjacency(c.n, mk(c.rows)); err == nil {
+		if _, err := FromAdjacency(c.n, c.rows); err == nil {
 			t.Errorf("%s: want error, got nil", c.name)
 		}
 	}
@@ -124,35 +174,30 @@ func TestFromAdjacencyRejectsBadRows(t *testing.T) {
 	}
 }
 
-// TestFromAdjacencyDegreeMismatch checks that a RowFunc violating the
-// replayability contract (different emissions between the degree and fill
+// TestFromAdjacencyDegreeMismatch checks that a producer violating the
+// replayability contract (different rows between the degree and fill
 // passes) is detected in both directions.
 func TestFromAdjacencyDegreeMismatch(t *testing.T) {
-	grow := func() RowFunc {
-		pass := 0
-		return func(v int, emit func(int, int32)) {
-			pass++
-			emit((v+1)%2, 1)
-			if pass > 2 { // second pass emits an extra neighbour
-				emit(v, 1)
-			}
+	// One shared closure per case, so its row counter spans both passes.
+	pass := 0
+	grow := blockRows(func(v int, emit func(int, int32)) {
+		pass++
+		emit((v+1)%2, 1)
+		if pass > 2 { // second pass emits an extra neighbour
+			emit(v, 1)
 		}
-	}
-	// Single shared instance so the pass counter spans both passes.
-	shared := grow()
-	if _, err := FromAdjacency(2, func() RowFunc { return shared }); err == nil {
+	})
+	if _, err := FromAdjacency(2, grow); err == nil {
 		t.Error("over-emitting fill pass: want error, got nil")
 	}
-	shrinkShared := func() RowFunc {
-		pass := 0
-		return func(v int, emit func(int, int32)) {
-			pass++
-			if pass <= 2 {
-				emit((v+1)%2, 1)
-			}
+	pass = 0
+	shrink := blockRows(func(v int, emit func(int, int32)) {
+		pass++
+		if pass <= 2 {
+			emit((v+1)%2, 1)
 		}
-	}()
-	if _, err := FromAdjacency(2, func() RowFunc { return shrinkShared }); err == nil {
+	})
+	if _, err := FromAdjacency(2, shrink); err == nil {
 		t.Error("under-emitting fill pass: want error, got nil")
 	}
 }
@@ -247,44 +292,59 @@ func BenchmarkFromMeshNe48(b *testing.B) {
 	}
 }
 
-// TestMeshViewRowsAllocFree: the on-demand view answers
-// every row — interior, face boundary, cube corner — without allocating, and
-// with the rows the CSR build froze.
-func TestMeshViewRowsAllocFree(t *testing.T) {
-	md, err := mesh.New(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := FromMesh(md, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	view, err := NewMeshView(md, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	adj, wts := make([]int32, 0, 8), make([]int32, 0, 8)
-	allocs := testing.AllocsPerRun(10, func() {
-		for v := 0; v < view.NumVertices(); v++ {
-			adj, wts = view.Row(v, adj, wts)
-			a, w := g.Row(v, nil, nil)
-			if len(adj) != len(a) {
-				t.Fatalf("vertex %d: view row %v, CSR row %v", v, adj, a)
+// TestMeshViewRowsMatchOracle: whatever window of rows the on-demand view is
+// asked for — the whole mesh, one vertex, one starting and ending mid-row,
+// one straddling a face boundary — it returns the Builder oracle's rows, and
+// with buffers of capacity 8 per row it does not allocate. The oracle never
+// touches the index arithmetic of the view's face-interior fast path.
+func TestMeshViewRowsMatchOracle(t *testing.T) {
+	for _, ne := range []int{1, 2, 3, 4, 6, 9} {
+		for _, corners := range []bool{true, false} {
+			m := mustMesh(t, ne)
+			opt := DefaultOptions()
+			opt.IncludeCorners = corners
+			want := builderOracle(t, m, opt)
+			view, err := NewMeshView(m, opt)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for i := range a {
-				if adj[i] != a[i] || wts[i] != w[i] {
-					t.Fatalf("vertex %d: view row %v/%v, CSR row %v/%v", v, adj, wts, a, w)
+			k, n2 := view.NumVertices(), ne*ne
+			windows := [][2]int{
+				{0, k},
+				{n2 + ne/2, min(k, n2+ne/2+2*ne+1)},        // starts and ends mid-row
+				{max(0, n2-ne/2-1), n2 + ne/2 + 1},         // straddles faces 0 | 1
+				{5*n2 - 1, k},                              // last face and a bit
+				{max(0, 3*n2-ne-2), min(k, 3*n2+2*ne+140)}, // long, across faces 2 | 3
+			}
+			for v := 0; v < k; v++ {
+				windows = append(windows, [2]int{v, v + 1})
+			}
+			ptr, adj, wts := make([]int32, 0, k+1), make([]int32, 0, 8*k), make([]int32, 0, 8*k)
+			sweep := func() {
+				for _, w := range windows {
+					lo, hi := w[0], w[1]
+					ptr, adj, wts := view.Rows(lo, hi, ptr[:0:hi-lo+1], adj[:0:8*(hi-lo)], wts[:0:8*(hi-lo)])
+					if len(ptr) != hi-lo+1 || ptr[0] != 0 {
+						t.Fatalf("ne=%d corners=%v [%d,%d): row pointers %v", ne, corners, lo, hi, ptr)
+					}
+					for v := lo; v < hi; v++ {
+						a, w := adj[ptr[v-lo]:ptr[v-lo+1]], wts[ptr[v-lo]:ptr[v-lo+1]]
+						if !slices.Equal(a, want.Adj(v)) || !slices.Equal(w, want.AdjWeights(v)) {
+							t.Fatalf("ne=%d corners=%v [%d,%d) vertex %d: view row %v/%v, oracle row %v/%v",
+								ne, corners, lo, hi, v, a, w, want.Adj(v), want.AdjWeights(v))
+						}
+					}
 				}
 			}
+			if allocs := testing.AllocsPerRun(3, sweep); allocs != 0 {
+				t.Errorf("ne=%d corners=%v: MeshView.Rows allocated %.0f times per sweep, want 0", ne, corners, allocs)
+			}
+			if view.VertexWeights() != nil || view.VertexSizes() != nil {
+				t.Error("default vertex weights/sizes are not nil (unit)")
+			}
+			if err := view.SetVertexWeights([]int32{1}); err == nil {
+				t.Error("short weight vector accepted")
+			}
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("MeshView.Row allocated %.0f times per sweep, want 0", allocs)
-	}
-	if view.VertexWeight(3) != 1 || view.VertexSize(3) != 1 {
-		t.Error("default vertex weight/size is not 1")
-	}
-	if err := view.SetVertexWeights([]int32{1}); err == nil {
-		t.Error("short weight vector accepted")
 	}
 }

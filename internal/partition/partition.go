@@ -81,13 +81,16 @@ func (p *Partition) Clone() *Partition {
 //	LB(S) = (max{S} - avg{S}) / max{S}
 //
 // A perfectly balanced set has LB = 0; larger values mean worse balance. An
-// empty or all-zero set has LB = 0 by convention.
-func LoadBalance(s []float64) float64 {
+// empty or all-zero set has LB = 0 by convention. Integer observations are
+// converted one at a time, so the sum is the same left-to-right float64 sum
+// whatever the element type.
+func LoadBalance[T int | int64 | float64](s []T) float64 {
 	if len(s) == 0 {
 		return 0
 	}
-	max, sum := s[0], 0.0
-	for _, v := range s {
+	max, sum := float64(s[0]), 0.0
+	for _, x := range s {
+		v := float64(x)
 		if v > max {
 			max = v
 		}
@@ -98,24 +101,6 @@ func LoadBalance(s []float64) float64 {
 	}
 	avg := sum / float64(len(s))
 	return (max - avg) / max
-}
-
-// LoadBalanceInt64 is LoadBalance over integer observations.
-func LoadBalanceInt64(s []int64) float64 {
-	f := make([]float64, len(s))
-	for i, v := range s {
-		f[i] = float64(v)
-	}
-	return LoadBalance(f)
-}
-
-// LoadBalanceInts is LoadBalance over int observations.
-func LoadBalanceInts(s []int) float64 {
-	f := make([]float64, len(s))
-	for i, v := range s {
-		f[i] = float64(v)
-	}
-	return LoadBalance(f)
 }
 
 // WeightError reports a negative element weight handed to a weighted split

@@ -31,11 +31,11 @@ func TestLoadBalance(t *testing.T) {
 }
 
 func TestLoadBalanceIntVariants(t *testing.T) {
-	if LoadBalanceInts([]int{4, 2, 2}) != LoadBalance([]float64{4, 2, 2}) {
-		t.Error("LoadBalanceInts mismatch")
+	if LoadBalance([]int{4, 2, 2}) != LoadBalance([]float64{4, 2, 2}) {
+		t.Error("LoadBalance over []int mismatch")
 	}
-	if LoadBalanceInt64([]int64{4, 2, 2}) != LoadBalance([]float64{4, 2, 2}) {
-		t.Error("LoadBalanceInt64 mismatch")
+	if LoadBalance([]int64{4, 2, 2}) != LoadBalance([]float64{4, 2, 2}) {
+		t.Error("LoadBalance over []int64 mismatch")
 	}
 }
 

@@ -2,7 +2,6 @@ package partition
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 
 	"sfccube/internal/graph"
@@ -69,18 +68,25 @@ type Stats struct {
 	EmptyParts int
 }
 
-// Adjacency is what the statistics read of a dual graph: vertex count,
-// weights, and one row at a time. *graph.Graph answers Row by aliasing its
-// CSR storage; *graph.MeshView resolves it from the mesh into the caller's
-// buffers, so a cubed-sphere partition can be measured without the graph
-// ever being built. A returned row is read-only and valid until the next Row
-// call with the same buffers.
+// Adjacency is what the statistics read of a dual graph: the vertex count,
+// the weight vectors, and the rows a block at a time. Rows returns rows
+// [lo, hi): row v is adj[ptr[v-lo]:ptr[v-lo+1]], ascending, with wts
+// parallel. *graph.Graph ignores the buffers and aliases its CSR storage;
+// *graph.MeshView fills them (from length 0) from the mesh, so a cubed-sphere
+// partition can be measured without the graph ever being built. What Rows
+// returns is read-only and valid until the next call with the same buffers.
+// A nil VertexWeights or VertexSizes means every vertex has weight or size 1.
 type Adjacency interface {
 	NumVertices() int
-	Row(v int, adjBuf, wtBuf []int32) (adj, wts []int32)
-	VertexWeight(v int) int32
-	VertexSize(v int) int32
+	Rows(lo, hi int, ptrBuf, adjBuf, wtBuf []int32) (ptr, adj, wts []int32)
+	VertexWeights() []int32
+	VertexSizes() []int32
 }
+
+// statsBlock is how many rows StatsOver reads per Rows call: the one
+// interface call and the buffers (8 neighbours a row on the cubed sphere)
+// amortise over it while the block stays in L1.
+const statsBlock = 128
 
 // ComputeStats evaluates all quality metrics of partition p on graph g.
 func ComputeStats(g *graph.Graph, p *Partition) (Stats, error) { return StatsOver(g, p, nil) }
@@ -111,13 +117,21 @@ func ComputeStatsWeighted(g *graph.Graph, p *Partition, weights []int64) (Stats,
 // suites run over every method, mesh and part count they touch; the audit
 // found the totals in exact agreement (no discrepancy to correct).
 func StatsOver(a Adjacency, p *Partition, weights []int64) (Stats, error) {
-	n := a.NumVertices()
-	if p.NumVertices() != n {
-		return Stats{}, fmt.Errorf("partition: %d vertices but graph has %d", p.NumVertices(), n)
+	n, nparts, assign := a.NumVertices(), p.NumParts(), p.Assignment()
+	if len(assign) != n {
+		return Stats{}, fmt.Errorf("partition: %d vertices but graph has %d", len(assign), n)
 	}
-	st := Stats{NParts: p.NumParts()}
+	st := Stats{NParts: nparts}
 	st.Nelemd = p.Counts()
-	st.LBNelemd = LoadBalanceInt64(p.WeightedCounts(a.VertexWeight))
+	if vw := a.VertexWeights(); vw == nil {
+		st.LBNelemd = LoadBalance(st.Nelemd)
+	} else {
+		wc := make([]int64, nparts)
+		for v, q := range assign {
+			wc[q] += int64(vw[v])
+		}
+		st.LBNelemd = LoadBalance(wc)
+	}
 	st.LBWeighted = st.LBNelemd
 	if weights != nil {
 		if len(weights) != n {
@@ -126,51 +140,64 @@ func StatsOver(a Adjacency, p *Partition, weights []int64) (Stats, error) {
 		if _, _, err := validateWeights(weights); err != nil {
 			return Stats{}, err
 		}
-		st.PartWeights = make([]int64, p.NumParts())
+		st.PartWeights = make([]int64, nparts)
 		for v, w := range weights {
-			st.PartWeights[p.Part(v)] += w
+			st.PartWeights[assign[v]] += w
 		}
-		st.LBWeighted = LoadBalanceInt64(st.PartWeights)
+		st.LBWeighted = LoadBalance(st.PartWeights)
 	}
 
-	// One sweep over the rows: cut accounting per vertex, and a union-find
-	// over same-part edges (each undirected edge once, from its higher end)
-	// whose roots are the connected components of the parts.
-	st.Spcv = make([]int64, p.NumParts())
+	// One sweep over the rows, a block at a time: cut accounting per vertex,
+	// and a union-find over same-part edges (each undirected edge once, from
+	// its higher end) whose roots are the connected components of the parts.
+	// stamp[q] is 1 + the last vertex that counted q among its remote parts.
+	st.Spcv = make([]int64, nparts)
+	stamp := make([]int32, nparts)
 	parent := make([]int32, n)
 	for v := range parent {
 		parent[v] = int32(v)
 	}
-	var adjBuf, wtBuf, remote [8]int32
-	for v := 0; v < n; v++ {
-		pv := p.Part(v)
-		adj, wts := a.Row(v, adjBuf[:0], wtBuf[:0])
-		distinct := remote[:0] // remote parts adjacent to v; a row is short
-		for i, u := range adj {
-			pu := int32(p.Part(int(u)))
-			if int(pu) == pv {
-				if int(u) < v {
+	vsize := a.VertexSizes()
+	ptrBuf, adjBuf, wtBuf := make([]int32, 0, statsBlock+1), make([]int32, 0, 8*statsBlock), make([]int32, 0, 8*statsBlock)
+	for lo := 0; lo < n; lo += statsBlock {
+		hi := min(lo+statsBlock, n)
+		ptr, adj, wts := a.Rows(lo, hi, ptrBuf, adjBuf, wtBuf)
+		start := ptr[0]
+		for k, end := range ptr[1:] {
+			v := lo + k
+			pv, row, wrow := assign[v], adj[start:end], wts[start:end]
+			start = end
+			var cutW, cutN, remote int64
+			for i, u := range row {
+				if pu := assign[u]; pu != pv {
+					cutW += int64(wrow[i])
+					cutN++
+					if stamp[pu] != int32(v)+1 {
+						stamp[pu] = int32(v) + 1
+						remote++
+					}
+				} else if int(u) < v && parent[u] != parent[v] {
 					if ru, rv := find(parent, u), find(parent, int32(v)); ru != rv {
 						parent[rv] = ru
 					}
 				}
+			}
+			if cutN == 0 {
 				continue
 			}
-			st.Spcv[pv] += int64(wts[i])
-			st.EdgeCut += int64(wts[i]) // counted once per direction; halved below
-			st.EdgeCutUnweighted++
-			if !slices.Contains(distinct, pu) {
-				distinct = append(distinct, pu)
-			}
-		}
-		if len(distinct) > 0 {
+			st.Spcv[pv] += cutW
+			st.EdgeCut += cutW // counted once per direction; halved below
+			st.EdgeCutUnweighted += cutN
 			st.CutVertices++
-			st.TotalCommVolume += int64(a.VertexSize(v)) * int64(len(distinct))
+			if vsize != nil {
+				remote *= int64(vsize[v])
+			}
+			st.TotalCommVolume += remote
 		}
 	}
 	st.EdgeCut /= 2
 	st.EdgeCutUnweighted /= 2
-	st.LBSpcv = LoadBalanceInt64(st.Spcv)
+	st.LBSpcv = LoadBalance(st.Spcv)
 
 	st.MaxNelemd, st.MinNelemd = st.Nelemd[0], st.Nelemd[0]
 	for _, c := range st.Nelemd {
@@ -182,25 +209,26 @@ func StatsOver(a Adjacency, p *Partition, weights []int64) (Stats, error) {
 		}
 	}
 
-	// Connected components per part. Empty parts have zero components and
-	// are counted separately — MaxComponents starts at 1, so a part that
-	// received no vertices would otherwise be invisible in the report.
-	comp := make([]int, p.NumParts())
+	// Connected components per part, counted in the stamp array. Empty parts
+	// have zero components and are counted separately — MaxComponents starts
+	// at 1, so a part that received no vertices would otherwise be invisible
+	// in the report.
+	clear(stamp)
 	for v, r := range parent {
 		if int(r) == v {
-			comp[p.Part(v)]++
+			stamp[assign[v]]++
 		}
 	}
 	st.MaxComponents = 1
-	for _, c := range comp {
+	for _, c := range stamp {
 		if c == 0 {
 			st.EmptyParts++
 		}
 		if c > 1 {
 			st.DisconnectedParts++
 		}
-		if c > st.MaxComponents {
-			st.MaxComponents = c
+		if int(c) > st.MaxComponents {
+			st.MaxComponents = int(c)
 		}
 	}
 	return st, nil

@@ -46,7 +46,7 @@ func TestComputeStatsWeightedIndependentRecount(t *testing.T) {
 			t.Errorf("part %d: PartWeights=%d, recount %d", q, st.PartWeights[q], want)
 		}
 	}
-	if lb := LoadBalanceInt64(totals); st.LBWeighted != lb {
+	if lb := LoadBalance(totals); st.LBWeighted != lb {
 		t.Errorf("LBWeighted=%g, recount %g", st.LBWeighted, lb)
 	}
 	// The unweighted fields must be untouched by the weight vector.

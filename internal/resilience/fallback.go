@@ -297,9 +297,9 @@ func checkBalance(strat Strategy, p *partition.Partition, maxLB float64, weights
 		for v := 0; v < p.NumVertices(); v++ {
 			partWeights[p.Part(v)] += weights[v]
 		}
-		lb = partition.LoadBalanceInt64(partWeights)
+		lb = partition.LoadBalance(partWeights)
 	} else {
-		lb = partition.LoadBalanceInts(counts)
+		lb = partition.LoadBalance(counts)
 	}
 	if lb > maxLB {
 		return &BalanceError{Strategy: strat, LB: lb, Limit: maxLB}

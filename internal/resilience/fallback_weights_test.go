@@ -29,7 +29,7 @@ func weightedLB(p *partition.Partition, w []int64) float64 {
 	for v := 0; v < p.NumVertices(); v++ {
 		totals[p.Part(v)] += w[v]
 	}
-	return partition.LoadBalanceInt64(totals)
+	return partition.LoadBalance(totals)
 }
 
 // TestFallbackWeightedChain runs every chain strategy under an element

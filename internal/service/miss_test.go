@@ -10,7 +10,10 @@ import (
 // TestSFCMissAllocationBudget is the alarm for "someone forced the graph
 // again": one Ne=64 method=sfc miss must stay a curve build, a cut, streamed
 // stats and one JSON encode. With the mesh neighbour tables and the CSR dual
-// graph materialised it allocated 6.6 MB; without them about 1.5 MB.
+// graph materialised it allocated 6.6 MB; without them 1.45 MB, and 1.17 MB
+// once the stats sweep stopped copying its per-part vectors — 1.70 MB under
+// -race whenever sync.Pool drops the JSON encoder's buffer, which it then
+// does at random, so the budget is that figure + 25 %.
 func TestSFCMissAllocationBudget(t *testing.T) {
 	s := newTestService(t, Config{})
 	anyLB := -1.0
@@ -24,7 +27,7 @@ func TestSFCMissAllocationBudget(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	miss(1001)
 	runtime.ReadMemStats(&after)
-	const budget = 5 << 19 // 2.5 MiB
+	const budget = 1_700_584 * 5 / 4
 	if got := after.TotalAlloc - before.TotalAlloc; got > budget {
 		t.Errorf("Ne=64 sfc miss allocated %d bytes, budget %d", got, budget)
 	}

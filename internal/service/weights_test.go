@@ -94,7 +94,7 @@ func TestWeightedPartitionResponse(t *testing.T) {
 			t.Fatalf("part %d weight %d, independent recomputation %d", q, got, partWeights[q])
 		}
 	}
-	if want := partition.LoadBalanceInt64(partWeights); resp.Stats.LBWeighted != want {
+	if want := partition.LoadBalance(partWeights); resp.Stats.LBWeighted != want {
 		t.Errorf("LBWeighted = %g, recomputed %g", resp.Stats.LBWeighted, want)
 	}
 }
