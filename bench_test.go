@@ -36,7 +36,7 @@ func BenchmarkTable1Configs(b *testing.B) {
 // metric is the SFC time advantage over the best METIS partition.
 func BenchmarkTable2PartitionStats(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.Table2(1)
+		t, _, err := experiments.Table2(1)
 		if err != nil {
 			b.Fatal(err)
 		}

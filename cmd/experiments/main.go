@@ -58,24 +58,17 @@ func runAll(run, out string, seed int64, tvSeeds int, weightSpec string) error {
 	exps := []experiment{
 		{"table1", func() (any, error) { return experiments.Table1(), nil }},
 		{"table2", func() (any, error) {
-			if out == "" {
-				return experiments.Table2(seed)
-			}
-			// With an artifact directory, run each cell under its own
-			// metrics registry and dump the per-cell telemetry next to
-			// the CSV.
-			t, tel, err := experiments.Table2Telemetry(seed)
-			if err != nil {
-				return nil, err
+			// With an artifact directory, the per-cell partitioner
+			// telemetry is dumped next to the CSV.
+			t, tel, err := experiments.Table2(seed)
+			if err != nil || out == "" {
+				return t, err
 			}
 			b, err := tel.JSON()
 			if err != nil {
 				return nil, err
 			}
-			if err := writeFile(out, "table2-telemetry.json", string(b)+"\n"); err != nil {
-				return nil, err
-			}
-			return t, nil
+			return t, writeFile(out, "table2-telemetry.json", string(b)+"\n")
 		}},
 		{"table2-weighted", func() (any, error) { return experiments.Table2Weighted(seed, weightSpec) }},
 		{"weighted-sweep", func() (any, error) { return experiments.WeightedSweep(8, 384, seed, weightSpec) }},
@@ -92,8 +85,14 @@ func runAll(run, out string, seed int64, tvSeeds int, weightSpec string) error {
 		{"dynamic", func() (any, error) { return experiments.DynamicRepartition(seed) }},
 		{"fidelity", func() (any, error) { return experiments.ModelFidelity(seed) }},
 		{"amr", func() (any, error) { return experiments.AMRPartition(seed) }},
-		{"golden", func() (any, error) { return check.ComputeGoldenSuite(check.DefaultGoldenCases()) }},
-		{"golden-amr", func() (any, error) { return check.ComputeAMRGoldenSuite(check.DefaultAMRGoldenCases()) }},
+		{"golden", func() (any, error) {
+			s, err := check.ComputeGoldenSuite(check.DefaultGoldenCases())
+			return jsonArtifact{s, "golden-metrics.json"}, err
+		}},
+		{"golden-amr", func() (any, error) {
+			s, err := check.ComputeAMRGoldenSuite(check.DefaultAMRGoldenCases())
+			return jsonArtifact{s, "golden-amr.json"}, err
+		}},
 	}
 	found := false
 	for _, ex := range exps {
@@ -113,6 +112,12 @@ func runAll(run, out string, seed int64, tvSeeds int, weightSpec string) error {
 		return fmt.Errorf("unknown experiment %q", run)
 	}
 	return nil
+}
+
+// jsonArtifact is a golden suite and the file -out writes it to.
+type jsonArtifact struct {
+	suite interface{ JSON() ([]byte, error) }
+	file  string
 }
 
 func emit(result any, out string) error {
@@ -136,25 +141,14 @@ func emit(result any, out string) error {
 				return err
 			}
 		}
-	case *check.GoldenSuite:
-		b, err := r.JSON()
+	case jsonArtifact:
+		b, err := r.suite.JSON()
 		if err != nil {
 			return err
 		}
 		fmt.Print(string(b))
 		if out != "" {
-			if err := writeFile(out, "golden-metrics.json", string(b)); err != nil {
-				return err
-			}
-		}
-	case *check.AMRGoldenSuite:
-		b, err := r.JSON()
-		if err != nil {
-			return err
-		}
-		fmt.Print(string(b))
-		if out != "" {
-			if err := writeFile(out, "golden-amr.json", string(b)); err != nil {
+			if err := writeFile(out, r.file, string(b)); err != nil {
 				return err
 			}
 		}

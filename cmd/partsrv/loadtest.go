@@ -8,7 +8,7 @@ import (
 	"net/http"
 	"os"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -219,23 +219,10 @@ func runLoadTest(cfg loadTestConfig) error {
 	rep.Cache.Floor = cfg.hitFloor
 	rep.Cache.OK = rep.Cache.Ratio >= cfg.hitFloor
 
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	pct := func(q float64) float64 {
-		if len(lats) == 0 {
-			return 0
-		}
-		i := int(q*float64(len(lats))+0.5) - 1
-		if i < 0 {
-			i = 0
-		}
-		if i >= len(lats) {
-			i = len(lats) - 1
-		}
-		return float64(lats[i]) / 1e6
-	}
-	rep.LatencyMS.P50 = pct(0.50)
-	rep.LatencyMS.P95 = pct(0.95)
-	rep.LatencyMS.P99 = pct(0.99)
+	slices.Sort(lats)
+	rep.LatencyMS.P50 = percentileMS(lats, 0.50)
+	rep.LatencyMS.P95 = percentileMS(lats, 0.95)
+	rep.LatencyMS.P99 = percentileMS(lats, 0.99)
 	rep.LatencyMS.Max = float64(lats[len(lats)-1]) / 1e6
 	rep.SLO.P99MS = rep.LatencyMS.P99
 	rep.SLO.LimitMS = float64(cfg.p99SLO) / 1e6
@@ -455,17 +442,9 @@ func runChaosPhase(cfg loadTestConfig) (*chaosReport, error) {
 			rep.TerminalOK = false
 		}
 	}
-	sort.Slice(accepted, func(i, j int) bool { return accepted[i] < accepted[j] })
-	if n := len(accepted); n > 0 {
-		i := int(0.99*float64(n)+0.5) - 1
-		if i < 0 {
-			i = 0
-		}
-		if i >= n {
-			i = n - 1
-		}
-		rep.AcceptedP99MS = float64(accepted[i]) / 1e6
-	} else {
+	slices.Sort(accepted)
+	rep.AcceptedP99MS = percentileMS(accepted, 0.99)
+	if len(accepted) == 0 {
 		// A soak where nothing was accepted is a collapse, however clean
 		// the sheds look.
 		rep.TerminalOK = false
@@ -474,4 +453,14 @@ func runChaosPhase(cfg loadTestConfig) (*chaosReport, error) {
 	rep.GoroutinesOK = after <= baseline+2
 	rep.OK = rep.TerminalOK && rep.LatencyOK && rep.GoroutinesOK
 	return rep, nil
+}
+
+// percentileMS is the nearest-rank q-quantile of sorted latencies, in
+// milliseconds; 0 when there are none.
+func percentileMS(sorted []time.Duration, q float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	i := int(q*float64(len(sorted))+0.5) - 1
+	return float64(sorted[min(max(i, 0), len(sorted)-1)]) / 1e6
 }

@@ -34,6 +34,7 @@ import (
 	"math"
 	"net/http"
 	"os"
+	"slices"
 	"time"
 
 	"sfccube/internal/core"
@@ -207,18 +208,9 @@ func run(cfg runConfig) error {
 	owned := runner.NumOwned()
 	bytes := runner.BytesPerStep()
 	lb := partition.LoadBalance(owned)
-	var minB, maxB int64 = math.MaxInt64, 0
-	for _, b := range bytes {
-		if b < minB {
-			minB = b
-		}
-		if b > maxB {
-			maxB = b
-		}
-	}
-	fmt.Printf("elements/rank: %d..%d, LB(nelemd)=%.4f\n", minInt(owned), maxInt(owned), lb)
+	fmt.Printf("elements/rank: %d..%d, LB(nelemd)=%.4f\n", slices.Min(owned), slices.Max(owned), lb)
 	fmt.Printf("comm bytes/rank/step: %d..%d, LB(spcv)=%.4f\n",
-		minB, maxB, partition.LoadBalance(bytes))
+		slices.Min(bytes), slices.Max(bytes), partition.LoadBalance(bytes))
 	for rk := 0; rk < ranks && rk < 8; rk++ {
 		fmt.Printf("  rank %d: %d elements, %d bytes/step, busy %v\n",
 			rk, owned[rk], bytes[rk], runner.BusyTime[rk].Round(1000))
@@ -302,24 +294,4 @@ func assignment(method string, ne, ranks int, seed int64, reg *obs.Registry) ([]
 		return nil, err
 	}
 	return p.Assignment(), nil
-}
-
-func minInt(s []int) int {
-	m := s[0]
-	for _, v := range s {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-func maxInt(s []int) int {
-	m := s[0]
-	for _, v := range s {
-		if v > m {
-			m = v
-		}
-	}
-	return m
 }

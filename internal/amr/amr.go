@@ -88,9 +88,6 @@ func (l Leaf) children() [4]Leaf {
 	}
 }
 
-// Base returns the underlying uniform base mesh.
-func (f *Forest) Base() *mesh.Mesh { return f.base }
-
 // MaxLevel returns the deepest refinement level allowed.
 func (f *Forest) MaxLevel() int { return f.maxLevel }
 
@@ -99,13 +96,6 @@ func (f *Forest) NumLeaves() int { return len(f.leaves) }
 
 // Leaves returns the cells; the slice is owned by the forest.
 func (f *Forest) Leaves() []Leaf { return f.leaves }
-
-// EdgeNeighbors returns the leaves sharing (part of) an edge with leaf i.
-func (f *Forest) EdgeNeighbors(i int) []int32 { return f.edgeNbrs[i] }
-
-// CornerNeighbors returns the leaves sharing exactly one corner point with
-// leaf i.
-func (f *Forest) CornerNeighbors(i int) []int32 { return f.cornerNbrs[i] }
 
 // buildAdjacency computes exact leaf adjacency by tiling every leaf edge
 // with finest-level edge segments and every leaf corner with finest-level

@@ -25,13 +25,13 @@ func TestNoRefinementMatchesBaseMesh(t *testing.T) {
 				t.Fatalf("unrefined leaf at level %d", l.Level)
 			}
 			id := m.ID(l.Face, l.X, l.Y)
-			if len(f.EdgeNeighbors(i)) != len(m.EdgeNeighbors(id)) {
+			if len(f.edgeNbrs[i]) != len(m.EdgeNeighbors(id)) {
 				t.Fatalf("ne=%d leaf %d: %d edge nbrs, mesh has %d",
-					ne, i, len(f.EdgeNeighbors(i)), len(m.EdgeNeighbors(id)))
+					ne, i, len(f.edgeNbrs[i]), len(m.EdgeNeighbors(id)))
 			}
-			if len(f.CornerNeighbors(i)) != len(m.CornerNeighbors(id)) {
+			if len(f.cornerNbrs[i]) != len(m.CornerNeighbors(id)) {
 				t.Fatalf("ne=%d leaf %d: corner nbrs %d vs %d",
-					ne, i, len(f.CornerNeighbors(i)), len(m.CornerNeighbors(id)))
+					ne, i, len(f.cornerNbrs[i]), len(m.CornerNeighbors(id)))
 			}
 		}
 	}
@@ -50,8 +50,8 @@ func TestUniformRefinementMatchesFinerMesh(t *testing.T) {
 	// Histogram of neighbour counts must match the uniform fine mesh.
 	countNbrs := func() (edges, corners int) {
 		for i := range f.Leaves() {
-			edges += len(f.EdgeNeighbors(i))
-			corners += len(f.CornerNeighbors(i))
+			edges += len(f.edgeNbrs[i])
+			corners += len(f.cornerNbrs[i])
 		}
 		return
 	}
@@ -126,7 +126,7 @@ func TestHangingNodeAdjacency(t *testing.T) {
 		return false
 	}
 	for _, fr := range fineRight {
-		if !has(f.EdgeNeighbors(coarse), fr) {
+		if !has(f.edgeNbrs[coarse], fr) {
 			t.Errorf("coarse leaf not edge-adjacent to fine leaf %d", fr)
 		}
 	}
@@ -227,7 +227,7 @@ func TestFaceFrameConsistentWithMesh(t *testing.T) {
 		for _, n := range m.EdgeNeighbors(id) {
 			want[int32(n)] = true
 		}
-		for _, j := range f.EdgeNeighbors(i) {
+		for _, j := range f.edgeNbrs[i] {
 			jl := f.Leaves()[j]
 			jid := m.ID(jl.Face, jl.X, jl.Y)
 			if !want[int32(jid)] {

@@ -83,7 +83,7 @@ func TestLeafWeightsLevelScaling(t *testing.T) {
 	}
 	wc := f.LeafWeights(spec)
 	for i, l := range f.Leaves() {
-		base := spec.Weight(l.Center(f.Base().Ne()))
+		base := spec.Weight(l.Center(2))
 		if want := base << uint(l.Level); wc[i] != want {
 			t.Fatalf("leaf %d: weight %d, want %d", i, wc[i], want)
 		}

@@ -99,7 +99,7 @@ func TestValidateCubeCurveBaselines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serp4, err := sfc.NewCubeCurveFromBase(m4, sfc.GenerateSerpentine(4), "serpentine")
+	serp4, err := sfc.NewCubeCurveFromBase(m4, sfc.GenerateSerpentine(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestValidateCubeCurveBaselines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serp5, err := sfc.NewCubeCurveFromBase(m5, sfc.GenerateSerpentine(5), "serpentine")
+	serp5, err := sfc.NewCubeCurveFromBase(m5, sfc.GenerateSerpentine(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestValidateCubeCurveBaselines(t *testing.T) {
 	if err := ValidateCubeCurve(serp5, false); err != nil {
 		t.Errorf("odd serpentine rejected by relaxed oracle: %v", err)
 	}
-	morton, err := sfc.NewCubeCurveFromBase(m4, sfc.GenerateMorton(2), "morton") // 2 levels = 4x4
+	morton, err := sfc.NewCubeCurveFromBase(m4, sfc.GenerateMorton(2)) // 2 levels = 4x4
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package check
 
 import (
 	"fmt"
+	"math"
 
 	"sfccube/internal/mesh"
 	"sfccube/internal/sfc"
@@ -103,15 +104,16 @@ func sharedCorners(m *mesh.Mesh, a, b mesh.ElemID) int {
 //     break-free face chain would be an Eulerian path in K4, which does not
 //     exist.
 func ValidateCubeCurve(cc *sfc.CubeCurve, requireContinuous bool) error {
-	m := cc.Mesh()
-	k := m.NumElems()
-	if cc.Len() != k {
-		return fmt.Errorf("check: cube curve covers %d elements, want %d", cc.Len(), k)
+	// The mesh is rebuilt from the element count, not taken from the curve.
+	k := cc.Len()
+	m, err := mesh.New(int(math.Round(math.Sqrt(float64(k) / 6))))
+	if err != nil || m.NumElems() != k {
+		return fmt.Errorf("check: cube curve covers %d elements, which is no 6*Ne^2", k)
 	}
 	visited := make([]int, k)
 	for r := 0; r < k; r++ {
 		e := cc.At(r)
-		if !m.Valid(e) {
+		if e < 0 || int(e) >= k {
 			return fmt.Errorf("check: rank %d maps to invalid element %d", r, e)
 		}
 		visited[e]++

@@ -6,6 +6,7 @@ import (
 	"sfccube/internal/core"
 	"sfccube/internal/graph"
 	"sfccube/internal/mesh"
+	"sfccube/internal/partition"
 )
 
 // TestMutationOracleNotVacuous proves the quality oracle actually
@@ -70,9 +71,16 @@ func TestMutationOracleNotVacuous(t *testing.T) {
 		return -1
 	}
 	a, b := interiorOf(0), interiorOf(nprocs-1)
+	mutant := func() *partition.Partition {
+		q, err := partition.FromAssignment(append([]int32(nil), p.Assignment()...), nprocs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
 
 	// Mutation 1: swap across parts.
-	swapped := p.Clone()
+	swapped := mutant()
 	swapped.SetPart(a, nprocs-1)
 	swapped.SetPart(b, 0)
 	if err := ValidatePartition(g, swapped); err != nil {
@@ -96,7 +104,7 @@ func TestMutationOracleNotVacuous(t *testing.T) {
 	}
 
 	// Mutation 2: move one element (breaks the balance).
-	moved := p.Clone()
+	moved := mutant()
 	moved.SetPart(a, nprocs-1)
 	if err := ValidatePartition(g, moved); err != nil {
 		t.Fatalf("move mutant should stay structurally valid: %v", err)

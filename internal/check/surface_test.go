@@ -86,7 +86,7 @@ func TestSurfaceAuditCatchesStrips(t *testing.T) {
 	// 1 x 32 column strip.
 	const ne, nprocs = 32, 192
 	m, g := meshAndGraph(t, ne)
-	serp, err := sfc.NewCubeCurveFromBase(m, sfc.GenerateSerpentine(ne), "serpentine")
+	serp, err := sfc.NewCubeCurveFromBase(m, sfc.GenerateSerpentine(ne))
 	if err != nil {
 		t.Fatal(err)
 	}

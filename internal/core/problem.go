@@ -198,7 +198,7 @@ func (p *Problem) Curve() (*sfc.CubeCurve, error) {
 // every Ne.
 func (p *Problem) Serpentine() (*sfc.CubeCurve, error) {
 	return p.serpentine.get(func() (*sfc.CubeCurve, error) {
-		return sfc.NewCubeCurveFromBase(p.mesh, sfc.GenerateSerpentine(p.Ne()), "serpentine")
+		return sfc.NewCubeCurveFromBase(p.mesh, sfc.GenerateSerpentine(p.Ne()))
 	})
 }
 

@@ -3,9 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
-	"time"
 
-	"sfccube/internal/obs"
 	"sfccube/internal/partition"
 	"sfccube/internal/sfc"
 )
@@ -51,14 +49,6 @@ func MigrationBetween(old, new *partition.Partition, bytesPerElem int64) (Migrat
 type Repartitioner struct {
 	curve *sfc.CubeCurve
 	last  *partition.Partition
-
-	// obs metrics; nil until Instrument is called (every obs type is
-	// nil-safe, so uninstrumented updates pay only a nil check).
-	updates     *obs.Counter
-	movedElems  *obs.Counter
-	movedBytes  *obs.Counter
-	movedPPM    *obs.Gauge
-	updateNanos *obs.Histogram
 }
 
 // NewRepartitioner builds the curve for the given face size and refinement
@@ -69,32 +59,6 @@ func NewRepartitioner(ne int, order sfc.Order) (*Repartitioner, error) {
 		return nil, err
 	}
 	return &Repartitioner{curve: res.Curve}, nil
-}
-
-// Curve returns the underlying cubed-sphere curve.
-func (r *Repartitioner) Curve() *sfc.CubeCurve { return r.curve }
-
-// Last returns the partition produced by the most recent Update, or nil.
-func (r *Repartitioner) Last() *partition.Partition { return r.last }
-
-// Instrument registers the repartitioner's metrics on reg: update count,
-// cumulative migrated elements and bytes, the most recent migrated fraction
-// (parts per million) and an update-latency histogram. Call before the
-// first Update; a nil registry leaves the repartitioner uninstrumented.
-func (r *Repartitioner) Instrument(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	reg.Help("repart_updates_total", "Incremental repartitioning updates performed.")
-	reg.Help("repart_moved_elements_total", "Elements whose owner changed across updates.")
-	reg.Help("repart_moved_bytes_total", "State bytes migrated across updates.")
-	reg.Help("repart_moved_fraction_ppm", "Migrated element fraction of the last update, in parts per million.")
-	reg.Help("repart_update_ns", "Latency of Repartitioner.Update in nanoseconds.")
-	r.updates = reg.Counter("repart_updates_total")
-	r.movedElems = reg.Counter("repart_moved_elements_total")
-	r.movedBytes = reg.Counter("repart_moved_bytes_total")
-	r.movedPPM = reg.Gauge("repart_moved_fraction_ppm")
-	r.updateNanos = reg.Histogram("repart_update_ns")
 }
 
 // Update computes a fresh partition for the given weights (nil for uniform)
@@ -108,7 +72,6 @@ func (r *Repartitioner) Instrument(reg *obs.Registry) {
 // every downstream segment). This is the standard post-pass of production
 // SFC repartitioners (e.g. Zoltan's partition remap).
 func (r *Repartitioner) Update(nprocs int, weights []int64, bytesPerElem int64) (*partition.Partition, Migration, error) {
-	start := time.Now()
 	p, err := PartitionCurve(r.curve, nprocs, weights)
 	if err != nil {
 		return nil, Migration{}, err
@@ -122,11 +85,6 @@ func (r *Repartitioner) Update(nprocs int, weights []int64, bytesPerElem int64) 
 		}
 	}
 	r.last = p
-	r.updates.Inc()
-	r.movedElems.Add(int64(mig.Moved))
-	r.movedBytes.Add(mig.BytesMoved)
-	r.movedPPM.Set(int64(mig.MovedFraction * 1e6))
-	r.updateNanos.Observe(time.Since(start).Nanoseconds())
 	return p, mig, nil
 }
 
@@ -134,20 +92,19 @@ func (r *Repartitioner) Update(nprocs int, weights []int64, bytesPerElem int64) 
 // prev, greedily assigning each (newPart, oldPart) pair in decreasing
 // overlap order.
 func remapToPrevious(prev, cur *partition.Partition) {
-	relabel := OverlapRelabel(prev.Assignment(), cur.Assignment(), cur.NumParts())
+	relabel := overlapRelabel(prev.Assignment(), cur.Assignment(), cur.NumParts())
 	for v := 0; v < cur.NumVertices(); v++ {
 		cur.SetPart(v, int(relabel[cur.Part(v)]))
 	}
 }
 
-// OverlapRelabel computes a part-label permutation for cur that maximises
+// overlapRelabel computes a part-label permutation for cur that maximises
 // (greedily, in decreasing overlap order with deterministic tie-breaks by
 // part ids) the number of positions keeping their previous owner: entry q
 // of the returned table is the label the old partition used for the
 // elements cur calls q. Both assignments must have the same length and
-// labels in [0, nparts). Shared by the element-grid repartitioner here and
-// the AMR fine-grid repartitioner (package amr).
-func OverlapRelabel(prev, cur []int32, nparts int) []int32 {
+// labels in [0, nparts).
+func overlapRelabel(prev, cur []int32, nparts int) []int32 {
 	type pair struct{ newP, oldP int32 }
 	overlap := make(map[pair]int)
 	for v := range cur {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"sfccube/internal/mesh"
-	"sfccube/internal/obs"
 	"sfccube/internal/partition"
 	"sfccube/internal/sfc"
 )
@@ -274,55 +273,6 @@ func sortInt64(s []int64) {
 	}
 }
 
-// TestRepartitionerInstrumentation verifies the obs wiring: counters and the
-// latency histogram advance with each update, and the moved-fraction gauge
-// tracks the last migration.
-func TestRepartitionerInstrumentation(t *testing.T) {
-	r, err := NewRepartitioner(8, sfc.PeanoFirst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := obs.NewRegistry()
-	r.Instrument(reg)
-	k := 6 * 8 * 8
-	w := make([]int64, k)
-	for i := range w {
-		w[i] = 1
-	}
-	if _, _, err := r.Update(24, w, 16); err != nil {
-		t.Fatal(err)
-	}
-	for i := range w {
-		w[i] = 1 + int64(i%13)
-	}
-	_, mig, err := r.Update(24, w, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mig.Moved == 0 {
-		t.Fatal("weight reshuffle moved nothing; instrumentation test is vacuous")
-	}
-	if got := reg.Counter("repart_updates_total").Value(); got != 2 {
-		t.Errorf("repart_updates_total = %d, want 2", got)
-	}
-	if got := reg.Counter("repart_moved_elements_total").Value(); got != int64(mig.Moved) {
-		t.Errorf("repart_moved_elements_total = %d, want %d", got, mig.Moved)
-	}
-	if got := reg.Counter("repart_moved_bytes_total").Value(); got != mig.BytesMoved {
-		t.Errorf("repart_moved_bytes_total = %d, want %d", got, mig.BytesMoved)
-	}
-	if got := reg.Gauge("repart_moved_fraction_ppm").Value(); got != int64(mig.MovedFraction*1e6) {
-		t.Errorf("repart_moved_fraction_ppm = %d, want %d", got, int64(mig.MovedFraction*1e6))
-	}
-	if got := reg.Histogram("repart_update_ns").Count(); got != 2 {
-		t.Errorf("repart_update_ns count = %d, want 2", got)
-	}
-	// Last must return the second partition.
-	if r.Last() == nil || r.Last().NumParts() != 24 {
-		t.Error("Last() does not reflect the most recent update")
-	}
-}
-
 // TestOverlapRelabelIsPermutation pins the relabel table contract: a
 // permutation of [0, nparts) for arbitrary label layouts, including parts
 // that vanished or appeared between the two assignments.
@@ -337,7 +287,7 @@ func TestOverlapRelabelIsPermutation(t *testing.T) {
 		{[]int32{1, 1, 1, 1}, []int32{0, 1, 2, 3}, 4},
 	}
 	for ci, tc := range cases {
-		table := OverlapRelabel(tc.prev, tc.cur, tc.nparts)
+		table := overlapRelabel(tc.prev, tc.cur, tc.nparts)
 		seen := make([]bool, tc.nparts)
 		for _, q := range table {
 			if q < 0 || int(q) >= tc.nparts {

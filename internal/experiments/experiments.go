@@ -103,8 +103,8 @@ func Table1() *Table {
 
 // Telemetry maps one table column (method name) to the flat metric
 // snapshot (obs.Registry.Snapshot) of the registry that instrumented that
-// cell's partitioning run: the partitioner's own multilevel metrics plus
-// the derived partition-quality figures published as exp_* gauges.
+// cell's partitioning run: the partitioner's own multilevel metrics. The
+// derived partition-quality figures are the table beside it.
 type Telemetry map[string]map[string]float64
 
 // JSON renders the telemetry with stable key order.
@@ -112,125 +112,107 @@ func (tel Telemetry) JSON() ([]byte, error) {
 	return json.MarshalIndent(tel, "", "  ")
 }
 
+// table2Row is one row of a Table-2 style table: its label and how a cell
+// reads from one method's partition statistics and modelled step.
+type table2Row struct {
+	name string
+	cell func(st partition.Stats, rep machine.StepReport) string
+}
+
+var (
+	rowLBNelemd = table2Row{"LB(nelemd)", func(st partition.Stats, _ machine.StepReport) string {
+		return fmt.Sprintf("%.3f", partition.LoadBalance(st.Nelemd))
+	}}
+	rowLBSpcv = table2Row{"LB(spcv)", func(st partition.Stats, _ machine.StepReport) string {
+		return fmt.Sprintf("%.3f", st.LBSpcv)
+	}}
+	rowEdgecut = table2Row{"edgecut", func(st partition.Stats, _ machine.StepReport) string {
+		return fmt.Sprintf("%d", st.EdgeCutUnweighted)
+	}}
+)
+
 // Table2 reproduces Table 2: partition statistics for K=1536 (Ne=16) on 768
-// processors, for SFC and the three METIS algorithms.
-func Table2(seed int64) (*Table, error) {
-	t, _, err := table2(seed, false)
-	return t, err
-}
-
-// Table2Telemetry is Table2 plus per-cell telemetry: each method's column
-// is produced under its own metrics registry whose snapshot is returned
-// alongside the table, ready to be dumped next to the CSV artifact.
-// Instrumentation does not perturb the partitions (the registries are
-// per-cell and the partitioners are observation-invariant), so the table
-// equals Table2's exactly.
-func Table2Telemetry(seed int64) (*Table, Telemetry, error) {
-	return table2(seed, true)
-}
-
-func table2(seed int64, collect bool) (*Table, Telemetry, error) {
-	const ne, nproc = 16, 768
-	s, err := NewSetup(ne)
+// processors, for SFC and the three METIS algorithms. Each method's column
+// is produced under its own metrics registry, whose snapshot is returned
+// alongside the table, ready to be dumped next to the CSV artifact
+// (instrumentation does not perturb the partitions).
+func Table2(seed int64) (*Table, Telemetry, error) {
+	s, err := NewSetup(table2Ne)
 	if err != nil {
 		return nil, nil, err
 	}
 	t := &Table{
-		Name:    "table2",
-		Title:   fmt.Sprintf("Table 2: partition statistics for K=%d on %d processors", 6*ne*ne, nproc),
-		Headers: []string{"Metric", "SFC", "KWAY", "TV", "RB"},
+		Name:  "table2",
+		Title: fmt.Sprintf("Table 2: partition statistics for K=%d on %d processors", s.Mesh.NumElems(), table2NProc),
+		Notes: []string{
+			"TCV is the per-step bytes crossing processor boundaries in the machine model",
+			"Time is the modelled execution time per time-step on the P690 model",
+		},
 	}
+	tel, err := table2Fill(t, s, seed, []table2Row{
+		rowLBNelemd,
+		rowLBSpcv,
+		{"TCV (Mbytes)", func(_ partition.Stats, rep machine.StepReport) string {
+			return fmt.Sprintf("%.1f", float64(rep.TotalCommBytes)/1e6)
+		}},
+		rowEdgecut,
+		{"Time (usec)", func(_ partition.Stats, rep machine.StepReport) string {
+			return fmt.Sprintf("%.0f", rep.StepTime*1e6)
+		}},
+	})
+	return t, tel, err
+}
+
+// The paper's Table 2 configuration.
+const table2Ne, table2NProc = 16, 768
+
+// table2Fill is the Table-2 loop: partition the setup's problem with every
+// method, measure each partition under the problem's weights and on the
+// machine model, and lay the rows out with one column per method. The four
+// columns are independent partitioning runs and are evaluated in parallel
+// (each method's partitioner carries its own seed-derived RNG state, so the
+// results match the serial order exactly).
+func table2Fill(t *Table, s *Setup, seed int64, rows []table2Row) (Telemetry, error) {
 	order := []string{"SFC", "KWAY", "TV", "RB"}
-	type col struct {
-		lbN, lbS   float64
-		tcvMB      float64
-		edgecut    int64
-		timeMicros float64
-	}
-	// The four columns are independent partitioning runs; evaluate them in
-	// parallel (each method's partitioner carries its own seed-derived RNG
-	// state, so the results match the serial order exactly). With collect
-	// set, each cell gets its own registry — snapshotted into the telemetry
-	// once the cell is done.
-	colVals := make([]col, len(order))
-	errs := make([]error, len(order))
+	t.Headers = append([]string{"Metric"}, order...)
+	stats := make([]partition.Stats, len(order))
+	reps := make([]machine.StepReport, len(order))
 	regs := make([]*obs.Registry, len(order))
+	errs := make([]error, len(order))
 	var wg sync.WaitGroup
 	for i, method := range order {
-		if collect {
-			regs[i] = obs.NewRegistry()
-		}
+		regs[i] = obs.NewRegistry()
 		wg.Add(1)
 		go func(i int, method string) {
 			defer wg.Done()
-			reg := regs[i]
-			p, err := s.Partition(method, nproc, seed, reg)
+			p, err := s.Partition(method, table2NProc, seed, regs[i])
 			if err != nil {
 				errs[i] = err
 				return
 			}
-			st, err := partition.ComputeStats(s.Graph, p)
-			if err != nil {
+			if stats[i], err = partition.ComputeStatsWeighted(s.Graph, p, s.Problem.Weights()); err != nil {
 				errs[i] = err
 				return
 			}
-			rep, err := machine.SimulateStep(s.Mesh, p, s.Workload, s.Model, nil)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			colVals[i] = col{
-				lbN:        st.LBNelemd,
-				lbS:        st.LBSpcv,
-				tcvMB:      float64(rep.TotalCommBytes) / 1e6,
-				edgecut:    st.EdgeCutUnweighted,
-				timeMicros: rep.StepTime * 1e6,
-			}
-			if reg != nil {
-				// Publish the derived partition-quality figures next to the
-				// partitioner's own metrics (load balances in milli-units:
-				// the gauges are integers).
-				reg.Gauge("exp_lb_nelemd_milli").Set(int64(st.LBNelemd*1000 + 0.5))
-				reg.Gauge("exp_lb_spcv_milli").Set(int64(st.LBSpcv*1000 + 0.5))
-				reg.Gauge("exp_tcv_bytes").Set(rep.TotalCommBytes)
-				reg.Gauge("exp_edgecut").Set(st.EdgeCutUnweighted)
-				reg.Gauge("exp_modelled_step_ns").Set(int64(rep.StepTime * 1e9))
-			}
+			reps[i], errs[i] = machine.SimulateStep(s.Mesh, p, s.Workload, s.Model, nil)
 		}(i, method)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	var tel Telemetry
-	if collect {
-		tel = Telemetry{}
-		for i, method := range order {
-			tel[method] = regs[i].Snapshot()
-		}
-	}
-	cols := map[string]col{}
+	tel := Telemetry{}
 	for i, method := range order {
-		cols[method] = colVals[i]
+		if errs[i] != nil {
+			return nil, errs[i]
+		}
+		tel[method] = regs[i].Snapshot()
 	}
-	row := func(name string, f func(c col) string) {
-		r := []string{name}
-		for _, m := range order {
-			r = append(r, f(cols[m]))
+	for _, row := range rows {
+		r := []string{row.name}
+		for i := range order {
+			r = append(r, row.cell(stats[i], reps[i]))
 		}
 		t.Rows = append(t.Rows, r)
 	}
-	row("LB(nelemd)", func(c col) string { return fmt.Sprintf("%.3f", c.lbN) })
-	row("LB(spcv)", func(c col) string { return fmt.Sprintf("%.3f", c.lbS) })
-	row("TCV (Mbytes)", func(c col) string { return fmt.Sprintf("%.1f", c.tcvMB) })
-	row("edgecut", func(c col) string { return fmt.Sprintf("%d", c.edgecut) })
-	row("Time (usec)", func(c col) string { return fmt.Sprintf("%.0f", c.timeMicros) })
-	t.Notes = append(t.Notes,
-		"TCV is the per-step bytes crossing processor boundaries in the machine model",
-		"Time is the modelled execution time per time-step on the P690 model")
-	return t, tel, nil
+	return tel, nil
 }
 
 // procSweep returns the equal-elements processor counts for a resolution,

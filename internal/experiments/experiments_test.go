@@ -35,7 +35,7 @@ func TestTable2ShapesMatchPaper(t *testing.T) {
 	if testing.Short() {
 		t.Skip("K=1536 partitioning in short mode")
 	}
-	tab, err := Table2(1)
+	tab, _, err := Table2(1)
 	if err != nil {
 		t.Fatal(err)
 	}

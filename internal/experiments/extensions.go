@@ -41,7 +41,7 @@ func AblationOrderings(seed int64) (*Table, error) {
 	}
 	for _, nproc := range []int{96, 128, 384, 512, 768} {
 		for _, o := range orderings {
-			cc, err := sfc.NewCubeCurveFromBase(s.Mesh, o.base, o.name)
+			cc, err := sfc.NewCubeCurveFromBase(s.Mesh, o.base)
 			if err != nil {
 				return nil, err
 			}

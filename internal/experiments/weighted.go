@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"sfccube/internal/core"
+	"sfccube/internal/machine"
 	"sfccube/internal/partition"
 )
 
@@ -25,57 +26,34 @@ const DefaultWeightSpec = "cfl"
 // headline row is LB(weight), equation (1) over per-part weight totals —
 // the balance each method was actually asked to optimise.
 func Table2Weighted(seed int64, spec string) (*Table, error) {
-	const ne, nproc = 16, 768
-	s, err := NewWeightedSetup(ne, spec)
+	s, err := NewWeightedSetup(table2Ne, spec)
 	if err != nil {
 		return nil, err
 	}
-	w := s.Problem.Weights()
-	if w == nil {
+	if s.Problem.Weights() == nil {
 		return nil, fmt.Errorf("experiments: weighted table needs a non-uniform spec, got %q", spec)
 	}
 	t := &Table{
 		Name: "table2-weighted",
 		Title: fmt.Sprintf("Table 2 (weighted, %s): partition statistics for K=%d on %d processors",
-			spec, 6*ne*ne, nproc),
-		Headers: []string{"Metric", "SFC", "KWAY", "TV", "RB"},
+			spec, s.Mesh.NumElems(), table2NProc),
+		Notes: []string{
+			fmt.Sprintf("element weights from the %q physics proxy; LB(weight) is equation (1) over per-part weight totals", spec),
+			"LB(nelemd) shows what weighted balancing costs in raw element counts",
+		},
 	}
-	order := []string{"SFC", "KWAY", "TV", "RB"}
-	type col struct {
-		lbW, lbN, lbS float64
-		edgecut, tcv  int64
-	}
-	cols := make(map[string]col, len(order))
-	for _, method := range order {
-		p, err := s.Partition(method, nproc, seed, nil)
-		if err != nil {
-			return nil, err
-		}
-		st, err := partition.ComputeStatsWeighted(s.Graph, p, w)
-		if err != nil {
-			return nil, err
-		}
-		cols[method] = col{
-			lbW: st.LBWeighted, lbN: partition.LoadBalance(st.Nelemd), lbS: st.LBSpcv,
-			edgecut: st.EdgeCutUnweighted, tcv: st.TotalCommVolume,
-		}
-	}
-	row := func(name string, f func(c col) string) {
-		r := []string{name}
-		for _, m := range order {
-			r = append(r, f(cols[m]))
-		}
-		t.Rows = append(t.Rows, r)
-	}
-	row("LB(weight)", func(c col) string { return fmt.Sprintf("%.3f", c.lbW) })
-	row("LB(nelemd)", func(c col) string { return fmt.Sprintf("%.3f", c.lbN) })
-	row("LB(spcv)", func(c col) string { return fmt.Sprintf("%.3f", c.lbS) })
-	row("edgecut", func(c col) string { return fmt.Sprintf("%d", c.edgecut) })
-	row("TCV", func(c col) string { return fmt.Sprintf("%d", c.tcv) })
-	t.Notes = append(t.Notes,
-		fmt.Sprintf("element weights from the %q physics proxy; LB(weight) is equation (1) over per-part weight totals", spec),
-		"LB(nelemd) shows what weighted balancing costs in raw element counts")
-	return t, nil
+	_, err = table2Fill(t, s, seed, []table2Row{
+		{"LB(weight)", func(st partition.Stats, _ machine.StepReport) string {
+			return fmt.Sprintf("%.3f", st.LBWeighted)
+		}},
+		rowLBNelemd,
+		rowLBSpcv,
+		rowEdgecut,
+		{"TCV", func(st partition.Stats, _ machine.StepReport) string {
+			return fmt.Sprintf("%d", st.TotalCommVolume)
+		}},
+	})
+	return t, err
 }
 
 // WeightedSweep sweeps the equal-elements processor counts of a resolution

@@ -153,9 +153,6 @@ func (r *rowSorter) Swap(i, j int) {
 // NumVertices returns the number of vertices.
 func (g *Graph) NumVertices() int { return len(g.vwgt) }
 
-// NumEdges returns the number of undirected edges.
-func (g *Graph) NumEdges() int { return len(g.adjncy) / 2 }
-
 // Adj returns the neighbours of v. The slice aliases graph storage.
 func (g *Graph) Adj(v int) []int32 { return g.adjncy[g.xadj[v]:g.xadj[v+1]] }
 
@@ -191,15 +188,6 @@ func (g *Graph) SetVertexWeights(w []int32) error {
 	}
 	copy(g.vwgt, w)
 	return nil
-}
-
-// TotalVertexWeight returns the sum of all vertex weights.
-func (g *Graph) TotalVertexWeight() int64 {
-	var s int64
-	for _, w := range g.vwgt {
-		s += int64(w)
-	}
-	return s
 }
 
 // Degree returns the number of neighbours of v.

@@ -17,6 +17,7 @@ package machine
 
 import (
 	"fmt"
+	"sort"
 
 	"sfccube/internal/mesh"
 	"sfccube/internal/partition"
@@ -48,7 +49,7 @@ type Model struct {
 	// NodeWidths, when non-nil, lays processors out over nodes of the
 	// given widths in order (cycling if processors remain), overriding the
 	// uniform ProcsPerNode. The NCAR system mixed ninety-two 8-way nodes
-	// with nine 32-way nodes; NCARP690Heterogeneous models that layout.
+	// with nine 32-way nodes.
 	NodeWidths []int
 	// Overlap is the fraction of communication time hidden behind
 	// computation (non-blocking exchanges progressing during the element
@@ -71,26 +72,6 @@ func NCARP690() Model {
 		NodeAdapterBeta: 1.0 / 400e6,
 	}
 }
-
-// NCARP690Heterogeneous is NCARP690 with the machine's actual node mix:
-// ninety-two 8-way nodes followed by nine 32-way nodes (1024 processors in
-// total, 768 available to one job).
-func NCARP690Heterogeneous() Model {
-	m := NCARP690()
-	widths := make([]int, 0, 101)
-	for i := 0; i < 92; i++ {
-		widths = append(widths, 8)
-	}
-	for i := 0; i < 9; i++ {
-		widths = append(widths, 32)
-	}
-	m.NodeWidths = widths
-	return m
-}
-
-// PeakFlopsPerProc is the Power-4 peak rate (flops/s): 1.3 GHz x 4
-// flops/cycle.
-const PeakFlopsPerProc = 5.2e9
 
 // Workload is the per-time-step cost of the spectral element model.
 type Workload struct {
@@ -148,17 +129,6 @@ func (r StepReport) SustainedGflops() float64 {
 	return float64(r.TotalFlops) / r.StepTime / 1e9
 }
 
-// MaxComputeTime returns the largest per-processor compute time.
-func (r StepReport) MaxComputeTime() float64 {
-	var m float64
-	for _, t := range r.ComputeTime {
-		if t > m {
-			m = t
-		}
-	}
-	return m
-}
-
 // SimulateStep evaluates one time step of the workload on the model machine
 // for the given element partition. weights, if non-nil, scales each
 // element's flops (indexed by mesh.ElemID); nil means uniform cost.
@@ -187,46 +157,27 @@ func SimulateStep(m *mesh.Mesh, p *partition.Partition, w Workload, mod Model, w
 		rep.ComputeTime[p.Part(e)] += f / mod.FlopsPerProc
 		rep.TotalFlops += int64(f)
 	}
-	// Message volume per ordered processor pair.
-	type pair struct{ from, to int32 }
-	vol := make(map[pair]int64)
-	var edge, corner []mesh.ElemID // reused: the mesh resolves rows per call
-	for e := 0; e < k; e++ {
-		pe := int32(p.Part(e))
-		edge, corner = m.NeighborsInto(mesh.ElemID(e), edge[:0], corner[:0])
-		for _, nb := range edge {
-			pn := int32(p.Part(int(nb)))
-			if pn != pe {
-				vol[pair{pe, pn}] += w.BytesPerEdge
-			}
-		}
-		for _, nb := range corner {
-			pn := int32(p.Part(int(nb)))
-			if pn != pe {
-				vol[pair{pe, pn}] += w.BytesPerCorner
-			}
-		}
-	}
 	nodeOf, numNodes := NodeLayout(nproc, mod)
-	node := func(proc int32) int { return nodeOf[proc] }
 	offNode := make([]int64, numNodes)
-	for pr, bytes := range vol {
+	// The pairs arrive sorted, so each CommTime entry sums its terms in one
+	// fixed order and the report is the same float for float on every call.
+	for _, pv := range PairVolumes(m, p, w) {
 		alpha, beta := mod.AlphaRemote, mod.BetaRemote
-		if node(pr.from) == node(pr.to) {
+		if nodeOf[pv.From] == nodeOf[pv.To] {
 			alpha, beta = mod.AlphaLocal, mod.BetaLocal
 		} else {
-			offNode[node(pr.from)] += bytes
+			offNode[nodeOf[pv.From]] += pv.Bytes
 		}
-		rep.CommTime[pr.from] += alpha + float64(bytes)*beta
-		rep.CommBytes[pr.from] += bytes
-		rep.Messages[pr.from]++
-		rep.TotalCommBytes += bytes
+		rep.CommTime[pv.From] += alpha + float64(pv.Bytes)*beta
+		rep.CommBytes[pv.From] += pv.Bytes
+		rep.Messages[pv.From]++
+		rep.TotalCommBytes += pv.Bytes
 	}
 	// Shared node adapter: every processor on a node pays for the node's
 	// aggregate off-node traffic.
 	if mod.NodeAdapterBeta > 0 {
 		for q := 0; q < nproc; q++ {
-			rep.CommTime[q] += float64(offNode[node(int32(q))]) * mod.NodeAdapterBeta
+			rep.CommTime[q] += float64(offNode[nodeOf[q]]) * mod.NodeAdapterBeta
 		}
 	}
 	for q := 0; q < nproc; q++ {
@@ -239,6 +190,51 @@ func SimulateStep(m *mesh.Mesh, p *partition.Partition, w Workload, mod Model, w
 		}
 	}
 	return rep, nil
+}
+
+// PairVolumes returns the boundary bytes every processor sends every other
+// per step: all element edges and corners shared between an ordered
+// processor pair, aggregated into one entry (the SEAM exchange packs one
+// buffer per neighbour). The pairs are sorted by (From, To): the analytic
+// model sums float terms over them and the event-driven model (package
+// trace) queues them, and both must do so in an order that does not depend
+// on map iteration.
+func PairVolumes(m *mesh.Mesh, p *partition.Partition, w Workload) []struct {
+	From, To int
+	Bytes    int64
+} {
+	type pairVolume = struct {
+		From, To int
+		Bytes    int64
+	}
+	type pair struct{ from, to int }
+	vol := make(map[pair]int64)
+	var edge, corner []mesh.ElemID // reused: the mesh resolves rows per call
+	for e := 0; e < m.NumElems(); e++ {
+		pe := p.Part(e)
+		edge, corner = m.NeighborsInto(mesh.ElemID(e), edge[:0], corner[:0])
+		for _, nb := range edge {
+			if pn := p.Part(int(nb)); pn != pe {
+				vol[pair{pe, pn}] += w.BytesPerEdge
+			}
+		}
+		for _, nb := range corner {
+			if pn := p.Part(int(nb)); pn != pe {
+				vol[pair{pe, pn}] += w.BytesPerCorner
+			}
+		}
+	}
+	out := make([]pairVolume, 0, len(vol))
+	for pr, b := range vol {
+		out = append(out, pairVolume{pr.from, pr.to, b})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].From != out[j].From {
+			return out[i].From < out[j].From
+		}
+		return out[i].To < out[j].To
+	})
+	return out
 }
 
 // NodeLayout maps each processor to its SMP node index under the model's

@@ -1,7 +1,10 @@
 package machine
 
 import (
+	"context"
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"sfccube/internal/core"
@@ -41,8 +44,8 @@ func TestSerialStepRate(t *testing.T) {
 	if rep.TotalCommBytes != 0 {
 		t.Error("serial run has communication")
 	}
-	// The paper: 841 Mflops is 16% of Power-4 peak.
-	if frac := mod.FlopsPerProc / PeakFlopsPerProc; math.Abs(frac-0.16) > 0.005 {
+	// The paper: 841 Mflops is 16% of Power-4 peak (1.3 GHz x 4 flops/cycle).
+	if frac := mod.FlopsPerProc / 5.2e9; math.Abs(frac-0.16) > 0.005 {
 		t.Errorf("sustained fraction of peak %v, want about 0.16", frac)
 	}
 }
@@ -76,7 +79,7 @@ func TestPerfectPartitionBalancesCompute(t *testing.T) {
 				rep.ComputeTime[q], rep.ComputeTime[0])
 		}
 	}
-	if rep.StepTime <= rep.MaxComputeTime() {
+	if rep.StepTime <= slices.Max(rep.ComputeTime) {
 		t.Error("step time must include communication")
 	}
 }
@@ -109,7 +112,7 @@ func TestImbalancePenalty(t *testing.T) {
 	if rl.StepTime <= rb.StepTime {
 		t.Errorf("imbalanced step %v not slower than balanced %v", rl.StepTime, rb.StepTime)
 	}
-	if rl.MaxComputeTime() <= rb.MaxComputeTime() {
+	if slices.Max(rl.ComputeTime) <= slices.Max(rb.ComputeTime) {
 		t.Error("overloaded processor must dominate compute time")
 	}
 }
@@ -195,6 +198,34 @@ func TestCommAccounting(t *testing.T) {
 	}
 	if sum != rep.TotalCommBytes {
 		t.Errorf("comm bytes sum %d != total %d", sum, rep.TotalCommBytes)
+	}
+}
+
+// TestSimulateStepDeterministic: the whole report is the same, float for
+// float, on every call. CommTime used to add its per-message terms in map
+// order, and fig7.csv/fig9.csv differed in the last digit from run to run.
+func TestSimulateStepDeterministic(t *testing.T) {
+	prob, err := core.NewProblem(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, method := range []string{"sfc", "kway"} {
+		for _, nproc := range []int{96, 128} {
+			p, err := core.Run(context.Background(), method, prob, nproc, 1, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first, err := SimulateStep(prob.Mesh(), p, DefaultWorkload(), NCARP690(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 1; i < 50; i++ {
+				again, _ := SimulateStep(prob.Mesh(), p, DefaultWorkload(), NCARP690(), nil)
+				if !reflect.DeepEqual(first, again) {
+					t.Fatalf("%s/%d: call %d differs from the first:\n%+v\n%+v", method, nproc, i, first, again)
+				}
+			}
+		}
 	}
 }
 

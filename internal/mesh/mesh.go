@@ -120,11 +120,6 @@ func (m *Mesh) Elem(id ElemID) Elem {
 	return Elem{Face: Face(f), I: r % m.ne, J: r / m.ne}
 }
 
-// Valid reports whether id is a valid element id for this mesh.
-func (m *Mesh) Valid(id ElemID) bool {
-	return id >= 0 && int(id) < m.NumElems()
-}
-
 // EdgeNeighbors returns the elements sharing an edge with e, sorted by id.
 func (m *Mesh) EdgeNeighbors(e ElemID) []ElemID {
 	en, _ := m.NeighborsInto(e, nil, nil)

@@ -259,13 +259,6 @@ func fmRefine(g *wgraph, side []int8, target, band float64, maxIters int, ws *wo
 	return cut
 }
 
-func absI64(x int64) int64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
 func absF64(x float64) float64 {
 	if x < 0 {
 		return -x

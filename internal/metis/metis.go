@@ -207,17 +207,3 @@ func fromGraph(gr *graph.Graph) *wgraph {
 	}
 	return g
 }
-
-// cutOf returns the weighted edgecut of a 2-way assignment side on g.
-func cutOf(g *wgraph, side []int8) int64 {
-	var cut int64
-	for v := 0; v < g.n(); v++ {
-		adj, wgt := g.deg(int32(v))
-		for i, u := range adj {
-			if int(u) > v && side[u] != side[v] {
-				cut += int64(wgt[i])
-			}
-		}
-	}
-	return cut
-}

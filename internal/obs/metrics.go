@@ -14,7 +14,7 @@
 //   - histograms use fixed power-of-two buckets, so Observe is a
 //     bits.Len64 plus two atomic adds.
 //
-// Exposition (WritePrometheus, Snapshot, WriteJSON) takes the registry
+// Exposition (WritePrometheus, Snapshot) takes the registry
 // lock but only walks immutable metric handles, so it can run while the
 // instrumented code is mid-flight; values are read with atomic loads.
 //
@@ -78,27 +78,6 @@ type Gauge struct {
 func (g *Gauge) Set(v int64) {
 	if g != nil {
 		g.v.Store(v)
-	}
-}
-
-// Add adds n to the current value.
-func (g *Gauge) Add(n int64) {
-	if g != nil {
-		g.v.Add(n)
-	}
-}
-
-// Max raises the gauge to v if v exceeds the current value (a running
-// maximum, e.g. peak queue depth).
-func (g *Gauge) Max(v int64) {
-	if g == nil {
-		return
-	}
-	for {
-		cur := g.v.Load()
-		if v <= cur || g.v.CompareAndSwap(cur, v) {
-			return
-		}
 	}
 }
 

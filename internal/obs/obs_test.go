@@ -21,8 +21,6 @@ func TestNilSafety(t *testing.T) {
 	c.Inc()
 	c.Add(5)
 	g.Set(3)
-	g.Add(1)
-	g.Max(9)
 	h.Observe(42)
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Fatal("nil metrics must read as zero")
@@ -55,17 +53,9 @@ func TestCounterGauge(t *testing.T) {
 	}
 	g := r.Gauge("depth")
 	g.Set(7)
-	g.Add(-2)
+	g.Set(5)
 	if g.Value() != 5 {
 		t.Fatalf("gauge = %d, want 5", g.Value())
-	}
-	g.Max(3)
-	if g.Value() != 5 {
-		t.Fatal("Max must not lower the gauge")
-	}
-	g.Max(11)
-	if g.Value() != 11 {
-		t.Fatalf("gauge = %d, want 11 after Max", g.Value())
 	}
 }
 
@@ -275,7 +265,6 @@ func TestConcurrentMetrics(t *testing.T) {
 			for i := 0; i < per; i++ {
 				c.Inc()
 				g.Set(int64(i))
-				g.Max(int64(w * i))
 				h.Observe(int64(i))
 			}
 		}(w)

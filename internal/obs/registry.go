@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -288,19 +287,6 @@ func (r *Registry) Snapshot() map[string]float64 {
 		}
 	}
 	return out
-}
-
-// WriteJSON renders Snapshot as a single sorted-key JSON object.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	b, err := json.MarshalIndent(r.Snapshot(), "", "  ")
-	if err != nil {
-		return err
-	}
-	if _, err := w.Write(b); err != nil {
-		return err
-	}
-	_, err = io.WriteString(w, "\n")
-	return err
 }
 
 // Handler returns an http.Handler serving the Prometheus text exposition

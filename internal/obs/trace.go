@@ -185,26 +185,3 @@ func (t *RunTrace) WriteJSONL(w io.Writer) error {
 	}
 	return bw.Flush()
 }
-
-// ReadJSONL parses a JSONL stream written by WriteJSONL back into
-// events (the replay path of the trace tooling and tests).
-func ReadJSONL(r io.Reader) ([]Event, error) {
-	var out []Event
-	dec := json.NewDecoder(r)
-	for {
-		var ev Event
-		if err := dec.Decode(&ev); err != nil {
-			if err == io.EOF {
-				return out, nil
-			}
-			return nil, fmt.Errorf("obs: trace line %d: %w", len(out)+1, err)
-		}
-		for k, name := range eventKindNames {
-			if name == ev.KindS {
-				ev.Kind = EventKind(k)
-				break
-			}
-		}
-		out = append(out, ev)
-	}
-}

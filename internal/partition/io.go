@@ -4,8 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 )
 
 // WriteTo serialises the partition in the textual format METIS tools use:
@@ -27,43 +25,4 @@ func (p *Partition) WriteTo(w io.Writer) (int64, error) {
 		}
 	}
 	return n, bw.Flush()
-}
-
-// ReadFrom parses a partition written by WriteTo.
-func ReadFrom(r io.Reader) (*Partition, error) {
-	sc := bufio.NewScanner(r)
-	if !sc.Scan() {
-		return nil, fmt.Errorf("partition: empty input")
-	}
-	fields := strings.Fields(sc.Text())
-	if len(fields) != 2 {
-		return nil, fmt.Errorf("partition: bad header %q", sc.Text())
-	}
-	nv, err := strconv.Atoi(fields[0])
-	if err != nil || nv < 0 {
-		return nil, fmt.Errorf("partition: bad vertex count %q", fields[0])
-	}
-	nparts, err := strconv.Atoi(fields[1])
-	if err != nil || nparts < 1 {
-		return nil, fmt.Errorf("partition: bad part count %q", fields[1])
-	}
-	assign := make([]int32, 0, nv)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		q, err := strconv.Atoi(line)
-		if err != nil {
-			return nil, fmt.Errorf("partition: bad part index %q", line)
-		}
-		assign = append(assign, int32(q))
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if len(assign) != nv {
-		return nil, fmt.Errorf("partition: header promises %d vertices, got %d", nv, len(assign))
-	}
-	return FromAssignment(assign, nparts)
 }

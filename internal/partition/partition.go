@@ -71,11 +71,6 @@ func (p *Partition) WeightedCounts(vwgt func(v int) int32) []int64 {
 	return c
 }
 
-// Clone returns a deep copy of the partition.
-func (p *Partition) Clone() *Partition {
-	return &Partition{nparts: p.nparts, assign: append([]int32(nil), p.assign...)}
-}
-
 // LoadBalance computes equation (1) of the paper for a set S:
 //
 //	LB(S) = (max{S} - avg{S}) / max{S}

@@ -88,16 +88,6 @@ func TestFromAssignment(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	p := New(3, 2)
-	p.SetPart(1, 1)
-	q := p.Clone()
-	q.SetPart(1, 0)
-	if p.Part(1) != 1 {
-		t.Error("clone shares storage")
-	}
-}
-
 func TestWeightedCounts(t *testing.T) {
 	p, _ := FromAssignment([]int32{0, 0, 1}, 2)
 	w := p.WeightedCounts(func(v int) int32 { return int32(v + 1) })

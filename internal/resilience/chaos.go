@@ -100,14 +100,6 @@ func (p *ChaosPlan) Seed() uint64 {
 	return p.seed
 }
 
-// Requests returns how many decisions have been drawn via Next.
-func (p *ChaosPlan) Requests() uint64 {
-	if p == nil {
-		return 0
-	}
-	return p.n.Load()
-}
-
 // DecideAt returns the fault injected into the n-th request, if any. It
 // is a pure function of (seed, plan, n) and does not advance the request
 // counter; Next is DecideAt at the next counter value.

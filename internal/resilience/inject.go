@@ -96,13 +96,6 @@ func NewInjector(seed uint64, faults ...Fault) *Injector {
 	return &Injector{Seed: seed, faults: append([]Fault(nil), faults...)}
 }
 
-// Faults returns a copy of the (possibly armed) plan.
-func (in *Injector) Faults() []Fault {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return append([]Fault(nil), in.faults...)
-}
-
 func (in *Injector) stall() time.Duration {
 	if in.StallFor > 0 {
 		return in.StallFor

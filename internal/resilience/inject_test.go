@@ -45,7 +45,7 @@ func TestInjectorDerivedRanksDeterministic(t *testing.T) {
 	a, b := mk(), mk()
 	a.arm(6)
 	b.arm(6)
-	fa, fb := a.Faults(), b.Faults()
+	fa, fb := a.faults, b.faults
 	for i := range fa {
 		if fa[i].Rank != fb[i].Rank {
 			t.Fatalf("fault %d armed to rank %d vs %d", i, fa[i].Rank, fb[i].Rank)
@@ -83,7 +83,7 @@ func TestInjectorRearmWrapsDeadRanks(t *testing.T) {
 	in := NewInjector(1, Fault{Kind: FaultStall, Step: 9, Rank: 3})
 	in.arm(4)
 	in.arm(3) // rank 3 died
-	if f := in.Faults()[0]; f.Rank < 0 || f.Rank >= 3 {
+	if f := in.faults[0]; f.Rank < 0 || f.Rank >= 3 {
 		t.Errorf("fault still targets dead rank: %+v", f)
 	}
 }

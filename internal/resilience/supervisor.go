@@ -134,13 +134,6 @@ type Supervisor struct {
 	Trace *obs.RunTrace
 }
 
-// RunCheckpointed is the convenience entry point: supervise a run of the
-// given state under the default policy.
-func RunCheckpointed(ctx context.Context, sw *seam.ShallowWater, assign []int32, nranks int, store Store, steps int, dt float64) (*Report, error) {
-	s := &Supervisor{SW: sw, Assign: assign, NRanks: nranks, Store: store}
-	return s.Run(ctx, steps, dt)
-}
-
 // Run integrates until the absolute step counter reaches steps. On resume
 // the counter starts from the stored checkpoint (and the stored dt
 // overrides the argument, preserving earlier blowup halvings), so an
@@ -390,7 +383,10 @@ func (s *Supervisor) recover(ctx context.Context, rep *Report, pol Policy,
 			return false, err
 		}
 		*assign = append((*assign)[:0], res.Partition.Assignment()...)
-		mig := migrationVs(old, res.Partition, bytesPerElem)
+		mig, err := core.MigrationBetween(old, res.Partition, bytesPerElem)
+		if err != nil {
+			return false, err
+		}
 		event(*step, EventRepartition, -1, "%s over %d survivors, %.0f%% of elements moved",
 			res.Strategy, *nranks, 100*mig.MovedFraction)
 		if len(res.Attempts) > 0 {
@@ -422,15 +418,4 @@ func (s *Supervisor) recover(ctx context.Context, rep *Report, pol Policy,
 		return false, nil
 	}
 	return false, runErr
-}
-
-func migrationVs(old, new *partition.Partition, bytesPerElem int64) core.Migration {
-	if old.NumVertices() != new.NumVertices() {
-		return core.Migration{}
-	}
-	mig, err := core.MigrationBetween(old, new, bytesPerElem)
-	if err != nil {
-		return core.Migration{}
-	}
-	return mig
 }

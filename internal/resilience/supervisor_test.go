@@ -303,14 +303,3 @@ func TestSupervisorNoStoreIsFatal(t *testing.T) {
 		t.Fatalf("got %v, want roll-back failure", err)
 	}
 }
-
-func TestRunCheckpointedConvenience(t *testing.T) {
-	sw, dt := testSW(t, tNe, tDeg)
-	rep, err := RunCheckpointed(context.Background(), sw, sfcAssign(t, tNe, tRanks), tRanks, NewMemStore(), 3, dt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.StepsDone != 3 || rep.Checkpoints < 2 {
-		t.Fatalf("report %+v", rep)
-	}
-}

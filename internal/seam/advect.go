@@ -31,10 +31,6 @@ type Advection struct {
 	k1, k2, k3, k4, tmp, da, db []float64
 }
 
-// RotationWind returns the 3D velocity of solid-body rotation with angular
-// velocity vector w (|w| in rad/s) at position p.
-func RotationWind(w, p mesh.Vec3) mesh.Vec3 { return w.Cross(p) }
-
 // NewAdvection builds an advection problem on grid g with solid-body
 // rotation about axis w (angular speed |w| rad/s, axis direction w/|w|).
 func NewAdvection(g *Grid, w mesh.Vec3) (*Advection, error) {
@@ -51,7 +47,7 @@ func NewAdvection(g *Grid, w mesh.Vec3) (*Advection, error) {
 	// Project the 3D wind onto contravariant components:
 	// [g11 g12; g12 g22] [ua; ub] = [V.Ea; V.Eb]  =>  u = gInv * (V.E).
 	for i, p := range g.Pos {
-		v := RotationWind(w, p)
+		v := w.Cross(p) // solid-body rotation
 		va := v.Dot(g.Ea[i])
 		vb := v.Dot(g.Eb[i])
 		a.Ua[i] = g.GI11[i]*va + g.GI12[i]*vb

@@ -361,13 +361,6 @@ func (d *DSS) applyNodeFlat(q []float64, s int32) {
 	}
 }
 
-// ApplyAll applies the projection to several scalar fields.
-func (d *DSS) ApplyAll(fields ...[]float64) {
-	for _, f := range fields {
-		d.Apply(f)
-	}
-}
-
 // ApplyVector projects a covariant vector field (v1, v2) onto the continuous
 // basis. Unlike scalars, covariant components cannot be averaged directly at
 // points shared between cube faces: the coordinate bases of the two faces

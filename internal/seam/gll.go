@@ -138,26 +138,3 @@ func (g *GLL) computeD() {
 		}
 	}
 }
-
-// Diff1D applies the differentiation matrix to the vector u (length Np) and
-// writes the derivative into du.
-func (g *GLL) Diff1D(u, du []float64) {
-	np := g.Np()
-	for i := 0; i < np; i++ {
-		var s float64
-		row := g.D[i*np : (i+1)*np]
-		for j, uj := range u {
-			s += row[j] * uj
-		}
-		du[i] = s
-	}
-}
-
-// Integrate1D returns the GLL quadrature of the nodal values u.
-func (g *GLL) Integrate1D(u []float64) float64 {
-	var s float64
-	for i, w := range g.Wts {
-		s += w * u[i]
-	}
-	return s
-}

@@ -75,7 +75,10 @@ func TestGLLQuadratureExactness(t *testing.T) {
 			for i, x := range g.Points {
 				u[i] = math.Pow(x, float64(deg))
 			}
-			got := g.Integrate1D(u)
+			got := 0.0
+			for i, w := range g.Wts {
+				got += w * u[i]
+			}
 			want := 0.0
 			if deg%2 == 0 {
 				want = 2 / float64(deg+1)
@@ -115,7 +118,12 @@ func TestGLLDerivativeExactness(t *testing.T) {
 			for i, x := range g.Points {
 				u[i] = math.Pow(x, float64(deg))
 			}
-			g.Diff1D(u, du)
+			for i := range du {
+				du[i] = 0
+				for j, uj := range u {
+					du[i] += g.D[i*np+j] * uj
+				}
+			}
 			for i, x := range g.Points {
 				want := 0.0
 				if deg > 0 {

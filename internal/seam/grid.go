@@ -14,9 +14,6 @@ const EarthRadius = 6.37122e6
 // EarthOmega is the Earth's rotation rate in 1/s.
 const EarthOmega = 7.292e-5
 
-// Gravity is the gravitational acceleration in m/s^2.
-const Gravity = 9.80616
-
 // Grid is the spectral element grid: a cubed-sphere mesh with an Np x Np
 // GLL grid inside every element, plus all geometric factors of the
 // equiangular gnomonic mapping evaluated at every GLL point.
@@ -56,7 +53,7 @@ type Grid struct {
 	RSqrtG []float64
 
 	// Mass is the precomputed quadrature mass of every point:
-	// w_a * w_b * sqrtG * (DAlpha/2)^2. MassWeight reads it.
+	// w_a * w_b * sqrtG * (DAlpha/2)^2.
 	Mass []float64
 
 	// DAlpha is the angular width of one element, pi/2 / Ne. The GLL
@@ -227,37 +224,6 @@ func (g *Grid) DiffAlphaBeta(u, dua, dub []float64) {
 	}
 	diffAlphaGeneric(g.Np, g.GLL.Dt, u, dua, scale)
 	diffBetaGeneric(g.Np, g.GLL.D, u, dub, scale)
-}
-
-// DiffBatch computes both derivatives of the listed elements' blocks of the
-// flat element-major slab u into the slabs dua and dub: the batched form of
-// DiffAlphaBeta that a rank applies to its whole element list, streaming
-// each element's Np*Np block through cache once. The Np dispatch is hoisted
-// out of the element loop.
-func (g *Grid) DiffBatch(elems []int32, u, dua, dub []float64) {
-	npts := g.Np * g.Np
-	scale := 2 / g.DAlpha
-	if g.Np == 8 {
-		d := g.GLL.D
-		for _, e32 := range elems {
-			base := int(e32) * npts
-			diffAlpha8(d, u[base:base+npts], dua[base:base+npts], scale)
-			diffBeta8(d, u[base:base+npts], dub[base:base+npts], scale)
-		}
-		return
-	}
-	for _, e32 := range elems {
-		base := int(e32) * npts
-		diffAlphaGeneric(g.Np, g.GLL.Dt, u[base:base+npts], dua[base:base+npts], scale)
-		diffBetaGeneric(g.Np, g.GLL.D, u[base:base+npts], dub[base:base+npts], scale)
-	}
-}
-
-// MassWeight returns the quadrature mass of GLL point (a, b) of element e:
-// w_a * w_b * sqrtG (the local contribution to the global mass matrix),
-// read from the precomputed Mass slab.
-func (g *Grid) MassWeight(e int, a, b int) float64 {
-	return g.Mass[e*g.Np*g.Np+b*g.Np+a]
 }
 
 // Integrate returns the integral of field q over the whole sphere using GLL

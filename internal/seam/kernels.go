@@ -14,7 +14,7 @@ package seam
 // ascending j, starting from the j=0 product (not from an explicit zero),
 // and is scaled once at the end. The generic and specialized kernels follow
 // the identical chain, so they are bitwise interchangeable; DiffAlpha,
-// DiffBeta, DiffAlphaBeta and DiffBatch all route here, so the sequential
+// DiffBeta and DiffAlphaBeta all route here, so the sequential
 // solver and the parallel runner share one set of kernels by construction.
 // TestDiffKernelSpecializationParity locks the generic/specialized
 // equivalence; the zero-alloc contract is locked by TestDiffKernelsZeroAlloc

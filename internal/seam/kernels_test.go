@@ -93,23 +93,4 @@ func TestDiffAlphaBetaMatchesSeparate(t *testing.T) {
 				i, daF[i], dbF[i], daS[i], dbS[i])
 		}
 	}
-	// DiffBatch over a subset must write exactly those element blocks of the
-	// slabs.
-	flat := g.Field()
-	for i := range flat {
-		flat[i] = rng.NormFloat64()
-	}
-	dua, dub := g.Field(), g.Field()
-	elems := []int32{1, 4, 9}
-	g.DiffBatch(elems, flat, dua, dub)
-	for _, e := range elems {
-		base := int(e) * npts
-		g.DiffAlpha(flat[base:base+npts], daS)
-		g.DiffBeta(flat[base:base+npts], dbS)
-		for i := 0; i < npts; i++ {
-			if dua[base+i] != daS[i] || dub[base+i] != dbS[i] {
-				t.Fatalf("DiffBatch differs at elem %d point %d", e, i)
-			}
-		}
-	}
 }

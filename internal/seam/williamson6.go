@@ -21,6 +21,7 @@ func Williamson6(radius, rotOmega float64) (wind func(mesh.Vec3) mesh.Vec3, phi 
 		kk = 7.848e-6
 		r  = 4.0
 		h0 = 8000.0
+		g  = 9.80616 // gravitational acceleration, m/s^2
 	)
 	a := radius
 
@@ -46,7 +47,7 @@ func Williamson6(radius, rotOmega float64) (wind func(mesh.Vec3) mesh.Vec3, phi 
 		bT := 2 * (rotOmega + w) * kk / ((r + 1) * (r + 2)) * cr *
 			((r*r + 2*r + 2) - (r+1)*(r+1)*c2)
 		cT := kk * kk * c2r / 4 * ((r+1)*c2 - (r + 2))
-		return Gravity*h0 + a*a*(aT+bT*math.Cos(r*lon)+cT*math.Cos(2*r*lon))
+		return g*h0 + a*a*(aT+bT*math.Cos(r*lon)+cT*math.Cos(2*r*lon))
 	}
 	return wind, phi
 }

@@ -323,10 +323,6 @@ func NewService(cfg Config) *Service {
 	return s
 }
 
-// Registry returns the metrics registry the service was built with (may be
-// nil).
-func (s *Service) Registry() *obs.Registry { return s.cfg.Registry }
-
 // canonicalize validates req against the service bounds and resolves the
 // absent-vs-zero fields into the canonical form.
 func (s *Service) canonicalize(req Request) (canonicalRequest, error) {

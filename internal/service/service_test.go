@@ -27,7 +27,7 @@ func newTestService(t *testing.T, cfg Config) *Service {
 
 func counter(t *testing.T, s *Service, name string) float64 {
 	t.Helper()
-	return s.Registry().Snapshot()[name]
+	return s.cfg.Registry.Snapshot()[name]
 }
 
 func decodeResponse(t *testing.T, payload []byte) Response {

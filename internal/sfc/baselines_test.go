@@ -93,12 +93,12 @@ func TestMortonQuadrantLocality(t *testing.T) {
 func TestCubeCurveFromSerpentine(t *testing.T) {
 	for _, ne := range []int{2, 3, 4, 8, 9} {
 		m := mustMesh(t, ne)
-		cc, err := NewCubeCurveFromBase(m, GenerateSerpentine(ne), "serpentine")
+		cc, err := NewCubeCurveFromBase(m, GenerateSerpentine(ne))
 		if err != nil {
 			t.Fatalf("ne=%d: %v", ne, err)
 		}
-		if cc.Name() != "serpentine" || cc.Schedule() != nil {
-			t.Error("name/schedule wrong for baseline curve")
+		if cc.Schedule() != nil {
+			t.Error("baseline curve carries a refinement schedule")
 		}
 		// Serpentine is continuous per face. For even Ne the endpoints
 		// land on one edge and the chain is globally edge-continuous;
@@ -129,7 +129,7 @@ func TestCubeCurveFromSerpentine(t *testing.T) {
 // countBreaks returns the number of consecutive curve pairs that are
 // neither edge- nor corner-adjacent.
 func countBreaks(cc *CubeCurve) int {
-	m := cc.Mesh()
+	m := cc.m
 	breaks := 0
 	for i := 1; i < cc.Len(); i++ {
 		a, b := cc.At(i-1), cc.At(i)
@@ -142,7 +142,7 @@ func countBreaks(cc *CubeCurve) int {
 
 func TestCubeCurveFromMorton(t *testing.T) {
 	m := mustMesh(t, 8)
-	cc, err := NewCubeCurveFromBase(m, GenerateMorton(3), "morton")
+	cc, err := NewCubeCurveFromBase(m, GenerateMorton(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestCubeCurveFromMorton(t *testing.T) {
 
 func TestCubeCurveFromBaseSizeMismatch(t *testing.T) {
 	m := mustMesh(t, 4)
-	if _, err := NewCubeCurveFromBase(m, GenerateSerpentine(5), "x"); err == nil {
+	if _, err := NewCubeCurveFromBase(m, GenerateSerpentine(5)); err == nil {
 		t.Error("size mismatch accepted")
 	}
 }

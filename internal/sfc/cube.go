@@ -71,7 +71,6 @@ type CubeCurve struct {
 	m     *mesh.Mesh
 	base  *Curve   // the per-face ordering being chained
 	sched Schedule // nil when built from a baseline ordering
-	name  string
 	path  [mesh.NumFaces]mesh.Face
 	xf    [mesh.NumFaces]XF // orientation applied to the base curve per face
 
@@ -91,7 +90,7 @@ func NewCubeCurve(m *mesh.Mesh, sched Schedule) (*CubeCurve, error) {
 		return nil, fmt.Errorf("sfc: schedule %v covers a %dx%d face but mesh has Ne=%d",
 			sched, sched.Side(), sched.Side(), m.Ne())
 	}
-	cc, err := NewCubeCurveFromBase(m, Generate(sched), sched.String())
+	cc, err := NewCubeCurveFromBase(m, Generate(sched))
 	if err != nil {
 		return nil, err
 	}
@@ -109,7 +108,7 @@ func NewCubeCurve(m *mesh.Mesh, sched Schedule) (*CubeCurve, error) {
 			return nil, err
 		}
 		refined := append(append(Schedule{}, sched...), Hilbert)
-		cc2, err := NewCubeCurveFromBase(m2, Generate(refined), refined.String())
+		cc2, err := NewCubeCurveFromBase(m2, Generate(refined))
 		if err != nil {
 			return nil, err
 		}
@@ -126,12 +125,12 @@ func NewCubeCurve(m *mesh.Mesh, sched Schedule) (*CubeCurve, error) {
 // face's entry cell, so a continuous base yields a globally continuous
 // curve and a discontinuous base degrades gracefully. Used for the baseline
 // orderings (GenerateSerpentine, GenerateMorton).
-func NewCubeCurveFromBase(m *mesh.Mesh, base *Curve, name string) (*CubeCurve, error) {
+func NewCubeCurveFromBase(m *mesh.Mesh, base *Curve) (*CubeCurve, error) {
 	if base.Side() != m.Ne() {
 		return nil, fmt.Errorf("sfc: base ordering covers a %dx%d face but mesh has Ne=%d",
 			base.Side(), base.Side(), m.Ne())
 	}
-	cc := &CubeCurve{m: m, base: base, name: name}
+	cc := &CubeCurve{m: m, base: base}
 	if !cc.solveOrientations(base) {
 		// Cannot happen for a cube (see doc comment), but fail loudly
 		// rather than return a broken curve.
@@ -253,15 +252,9 @@ func (cc *CubeCurve) build(base *Curve) {
 	})
 }
 
-// Mesh returns the underlying mesh.
-func (cc *CubeCurve) Mesh() *mesh.Mesh { return cc.m }
-
 // Schedule returns the refinement schedule used per face, or nil when the
 // curve was built from a baseline ordering via NewCubeCurveFromBase.
 func (cc *CubeCurve) Schedule() Schedule { return cc.sched }
-
-// Name returns a human-readable label for the per-face ordering.
-func (cc *CubeCurve) Name() string { return cc.name }
 
 // Len returns the number of elements on the curve (6 * Ne^2).
 func (cc *CubeCurve) Len() int { return len(cc.order) }
@@ -278,10 +271,6 @@ func (cc *CubeCurve) Order() []mesh.ElemID { return cc.order }
 
 // FacePath returns the order in which the curve traverses the cube faces.
 func (cc *CubeCurve) FacePath() [mesh.NumFaces]mesh.Face { return cc.path }
-
-// FaceXF returns the orientation applied to the per-face base ordering on
-// face f.
-func (cc *CubeCurve) FaceXF(f mesh.Face) XF { return cc.xf[f] }
 
 // ElemXF returns the accumulated curve orientation at element e: the
 // transform under which refinement of e (appending levels to the schedule)
@@ -303,19 +292,6 @@ func (cc *CubeCurve) ElemXF(e mesh.ElemID) XF {
 func (cc *CubeCurve) IsContinuous() bool {
 	for i := 1; i < len(cc.order); i++ {
 		if !isEdgeNeighbor(cc.m, cc.order[i-1], cc.order[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// IsConnected reports whether consecutive elements share at least a corner
-// point -- a weaker property than IsContinuous that the baseline orderings
-// with diagonal endpoints satisfy at face transitions.
-func (cc *CubeCurve) IsConnected() bool {
-	for i := 1; i < len(cc.order); i++ {
-		a, b := cc.order[i-1], cc.order[i]
-		if !isEdgeNeighbor(cc.m, a, b) && !isCornerNeighbor(cc.m, a, b) {
 			return false
 		}
 	}

@@ -56,7 +56,7 @@ func TestCubeCurveRefinementOrders(t *testing.T) {
 
 func TestCubeCurveVisitsFacesInPathOrder(t *testing.T) {
 	cc := cubeInvariants(t, 4, PeanoFirst)
-	m := cc.Mesh()
+	m := cc.m
 	per := m.Ne() * m.Ne()
 	for i, f := range cc.FacePath() {
 		for r := i * per; r < (i+1)*per; r++ {
@@ -91,7 +91,7 @@ func TestCubeCurveDeterministic(t *testing.T) {
 // form a connected patch under edge+corner adjacency.
 func TestCurveSegmentsAreConnected(t *testing.T) {
 	cc := cubeInvariants(t, 8, PeanoFirst)
-	m := cc.Mesh()
+	m := cc.m
 	segSize := 8
 	for start := 0; start < cc.Len(); start += segSize {
 		in := map[mesh.ElemID]bool{}
@@ -173,9 +173,9 @@ func TestNe1OrientationsMatchRefinement(t *testing.T) {
 				ord, c1.FacePath(), c2.FacePath())
 		}
 		for f := mesh.Face(0); f < mesh.NumFaces; f++ {
-			if c1.FaceXF(f) != c2.FaceXF(f) {
+			if c1.xf[f] != c2.xf[f] {
 				t.Errorf("order %v face %d: Ne=1 orientation %v, refinement uses %v",
-					ord, f, c1.FaceXF(f), c2.FaceXF(f))
+					ord, f, c1.xf[f], c2.xf[f])
 			}
 		}
 	}

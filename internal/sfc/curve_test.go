@@ -115,7 +115,10 @@ func TestMotifContinuity(t *testing.T) {
 				t.Fatalf("%v motif revisits %v", k, mc.cell)
 			}
 			seen[mc.cell] = true
-			if i > 0 && manhattan(cells[i-1].cell, mc.cell) != 1 {
+			if i == 0 {
+				continue
+			}
+			if dx, dy := mc.cell.X-cells[i-1].cell.X, mc.cell.Y-cells[i-1].cell.Y; dx*dx+dy*dy != 1 {
 				t.Fatalf("%v motif jump from %v to %v", k, cells[i-1].cell, mc.cell)
 			}
 		}

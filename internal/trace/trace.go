@@ -297,38 +297,15 @@ func SimulateObs(ctx context.Context, computeTime []float64, msgs []Message, mod
 	return res, nil
 }
 
-// StepMessages derives the per-step message list of a partitioned
-// cubed-sphere from the mesh adjacency and workload, aggregating all
-// element boundaries between each ordered processor pair into one message
-// (the SEAM exchange packs per-neighbour buffers).
+// StepMessages is the per-step message list of a partitioned cubed-sphere:
+// machine.PairVolumes, one message per ordered processor pair, in its
+// (From, To) order.
 func StepMessages(m *mesh.Mesh, p *partition.Partition, w machine.Workload) []Message {
-	type pair struct{ from, to int32 }
-	vol := map[pair]int64{}
-	var edge, corner []mesh.ElemID // reused: the mesh resolves rows per call
-	for e := 0; e < m.NumElems(); e++ {
-		pe := int32(p.Part(e))
-		edge, corner = m.NeighborsInto(mesh.ElemID(e), edge[:0], corner[:0])
-		for _, nb := range edge {
-			if pn := int32(p.Part(int(nb))); pn != pe {
-				vol[pair{pe, pn}] += w.BytesPerEdge
-			}
-		}
-		for _, nb := range corner {
-			if pn := int32(p.Part(int(nb))); pn != pe {
-				vol[pair{pe, pn}] += w.BytesPerCorner
-			}
-		}
+	pairs := machine.PairVolumes(m, p, w)
+	msgs := make([]Message, len(pairs))
+	for i, pv := range pairs {
+		msgs[i] = Message(pv)
 	}
-	msgs := make([]Message, 0, len(vol))
-	for pr, b := range vol {
-		msgs = append(msgs, Message{From: int(pr.from), To: int(pr.to), Bytes: b})
-	}
-	sort.Slice(msgs, func(i, j int) bool {
-		if msgs[i].From != msgs[j].From {
-			return msgs[i].From < msgs[j].From
-		}
-		return msgs[i].To < msgs[j].To
-	})
 	return msgs
 }
 

@@ -1,7 +1,10 @@
 package trace
 
 import (
+	"context"
 	"math"
+	"reflect"
+	"sort"
 	"testing"
 
 	"sfccube/internal/core"
@@ -144,6 +147,41 @@ func TestStepMessagesSymmetryAndVolume(t *testing.T) {
 	}
 	if total != rep.TotalCommBytes {
 		t.Errorf("message bytes %d != analytic %d", total, rep.TotalCommBytes)
+	}
+}
+
+// TestStepMessagesArePairVolumes: the event-driven model queues exactly the
+// table the analytic model sums over, entry for entry and in its order, on
+// every call.
+func TestStepMessagesArePairVolumes(t *testing.T) {
+	prob, err := core.NewProblem(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := machine.DefaultWorkload()
+	for _, method := range []string{"sfc", "kway"} {
+		for _, nproc := range []int{96, 128} {
+			p, err := core.Run(context.Background(), method, prob, nproc, 1, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pairs := machine.PairVolumes(prob.Mesh(), p, w)
+			if !sort.SliceIsSorted(pairs, func(i, j int) bool {
+				a, b := pairs[i], pairs[j]
+				return a.From < b.From || a.From == b.From && a.To < b.To
+			}) {
+				t.Fatalf("%s/%d: pair table not sorted by (From, To)", method, nproc)
+			}
+			want := make([]Message, len(pairs))
+			for i, pv := range pairs {
+				want[i] = Message{From: pv.From, To: pv.To, Bytes: pv.Bytes}
+			}
+			for i := 0; i < 50; i++ {
+				if got := StepMessages(prob.Mesh(), p, w); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s/%d: call %d: StepMessages differs from machine.PairVolumes", method, nproc, i)
+				}
+			}
+		}
 	}
 }
 
