@@ -109,10 +109,7 @@ type chaosReport struct {
 // herds collapse to one computation, replays come from the cache, and p99
 // stays inside the SLO.
 func runLoadTest(cfg loadTestConfig) error {
-	svc := service.NewService(cfg.service)
-	mux := svc.Handler()
-	service.AttachObs(mux, cfg.service.Registry)
-	srv, err := service.Listen("127.0.0.1:0", mux, nil)
+	srv, err := start(cfg.service, "127.0.0.1:0", nil)
 	if err != nil {
 		return err
 	}
@@ -124,41 +121,23 @@ func runLoadTest(cfg loadTestConfig) error {
 		lats  []time.Duration
 	)
 	get := func(url string) error {
-		start := time.Now()
-		resp, err := client.Get(url)
+		status, lat, err := fetch(client, url)
 		if err != nil {
 			return err
 		}
-		_, _ = io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("GET %s: status %d", url, resp.StatusCode)
+		if status != http.StatusOK {
+			return fmt.Errorf("GET %s: status %d", url, status)
 		}
 		latMu.Lock()
-		lats = append(lats, time.Since(start))
+		lats = append(lats, lat)
 		latMu.Unlock()
 		return nil
 	}
 
 	// Phase 1 — thundering herd: identical requests, all in flight at once.
 	herdURL := srv.URL() + "/v1/partition?ne=12&nparts=36&method=kway&seed=1"
-	errs := make([]error, cfg.herd)
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	for i := 0; i < cfg.herd; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			<-start
-			errs[i] = get(herdURL)
-		}(i)
-	}
-	close(start)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	if err := fanOut(cfg.herd, func(int) error { return get(herdURL) }); err != nil {
+		return err
 	}
 	snap := func(name string) int64 { return int64(cfg.service.Registry.Snapshot()[name]) }
 	herdComputations := snap("partsrv_computations_total")
@@ -169,25 +148,16 @@ func runLoadTest(cfg loadTestConfig) error {
 	// weighted replay that recomputed would sink the work-avoidance ratio).
 	weightSpecs := []string{"", "cfl", "hv", "cfl:amp=16"}
 	for pass := 0; pass < 2; pass++ {
-		var wg sync.WaitGroup
-		perr := make([]error, cfg.distinct)
-		for i := 0; i < cfg.distinct; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				url := fmt.Sprintf("%s/v1/partition?ne=8&nparts=%d&method=rb&seed=%d",
-					srv.URL(), 8+2*i, i)
-				if ws := weightSpecs[i%len(weightSpecs)]; ws != "" {
-					url += "&weights_spec=" + ws
-				}
-				perr[i] = get(url)
-			}(i)
-		}
-		wg.Wait()
-		for _, err := range perr {
-			if err != nil {
-				return err
+		err := fanOut(cfg.distinct, func(i int) error {
+			url := fmt.Sprintf("%s/v1/partition?ne=8&nparts=%d&method=rb&seed=%d",
+				srv.URL(), 8+2*i, i)
+			if ws := weightSpecs[i%len(weightSpecs)]; ws != "" {
+				url += "&weights_spec=" + ws
 			}
+			return get(url)
+		})
+		if err != nil {
+			return err
 		}
 	}
 
@@ -313,18 +283,14 @@ func runChaosPhase(cfg loadTestConfig) (*chaosReport, error) {
 	baseline := runtime.NumGoroutine()
 
 	reg := obs.NewRegistry()
-	svcCfg := service.Config{
+	srv, err := start(service.Config{
 		MaxNe:           cfg.service.MaxNe,
 		Workers:         2,
 		QueueDepth:      8,
 		BreakerFailures: 3,
 		BreakerCooldown: 300 * time.Millisecond,
 		Registry:        reg,
-	}
-	svc := service.NewService(svcCfg)
-	mux := svc.Handler()
-	service.AttachObs(mux, reg)
-	srv, err := service.Listen("127.0.0.1:0", service.ChaosMiddleware(plan, reg, mux), nil)
+	}, "127.0.0.1:0", plan)
 	if err != nil {
 		return nil, err
 	}
@@ -365,43 +331,25 @@ func runChaosPhase(cfg loadTestConfig) (*chaosReport, error) {
 			MaxAttempts: 8,
 			Base:        5 * time.Millisecond,
 			Seed:        cfg.chaosSeed ^ uint64(worker*131+step),
-		}, func(context.Context) error {
-			start := time.Now()
-			resp, err := client.Get(url)
-			if err != nil {
-				return err
-			}
-			_, cerr := io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if cerr != nil {
-				return cerr
-			}
-			status, lat = resp.StatusCode, time.Since(start)
-			return nil
+		}, func(context.Context) (err error) {
+			status, lat, err = fetch(client, url)
+			return err
 		})
 		record(status, lat)
 	}
 
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	for i := 0; i < cfg.herd; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			<-start
-			urls := []string{
-				srv.URL() + "/v1/partition?ne=8&nparts=12&method=sfc",
-				fmt.Sprintf("%s/v1/partition?ne=8&nparts=%d&method=rb&seed=%d", srv.URL(), 8+2*(i%8), i),
-				fmt.Sprintf("%s/v1/partition?ne=6&nparts=9&method=kway&seed=%d&weights_spec=cfl", srv.URL(), i),
-				srv.URL() + "/v1/partition/stream?ne=8&nparts=12&method=serpentine",
-			}
-			for j, u := range urls {
-				do(i, j, u)
-			}
-		}(i)
-	}
-	close(start)
-	wg.Wait()
+	_ = fanOut(cfg.herd, func(i int) error { // every outcome, failures included, is in the report
+		urls := []string{
+			srv.URL() + "/v1/partition?ne=8&nparts=12&method=sfc",
+			fmt.Sprintf("%s/v1/partition?ne=8&nparts=%d&method=rb&seed=%d", srv.URL(), 8+2*(i%8), i),
+			fmt.Sprintf("%s/v1/partition?ne=6&nparts=9&method=kway&seed=%d&weights_spec=cfl", srv.URL(), i),
+			srv.URL() + "/v1/partition/stream?ne=8&nparts=12&method=serpentine",
+		}
+		for j, u := range urls {
+			do(i, j, u)
+		}
+		return nil
+	})
 
 	// Drain: the instance must come all the way down, handlers included.
 	if err := srv.Shutdown(context.Background(), 10*time.Second); err != nil {
@@ -453,6 +401,46 @@ func runChaosPhase(cfg loadTestConfig) (*chaosReport, error) {
 	rep.GoroutinesOK = after <= baseline+2
 	rep.OK = rep.TerminalOK && rep.LatencyOK && rep.GoroutinesOK
 	return rep, nil
+}
+
+// fetch GETs url and drains the body; it reports the status and the
+// end-to-end latency, or — with a zero status — the transport failure.
+func fetch(client *http.Client, url string) (status int, lat time.Duration, err error) {
+	start := time.Now()
+	resp, err := client.Get(url)
+	if err != nil {
+		return 0, 0, err
+	}
+	_, err = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return 0, 0, err
+	}
+	return resp.StatusCode, time.Since(start), nil
+}
+
+// fanOut runs fn(0) … fn(n-1) on n goroutines released together by one
+// barrier, waits for all of them and returns the lowest-index error.
+func fanOut(n int, fn func(i int) error) error {
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			errs[i] = fn(i)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // percentileMS is the nearest-rank q-quantile of sorted latencies, in

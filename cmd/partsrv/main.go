@@ -119,6 +119,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "partsrv:", err)
 			os.Exit(2)
 		}
+		fmt.Printf("partsrv: CHAOS MODE — injecting %q (seed %d)\n", *chaos, *chaosSeed)
 	}
 	if err := serve(*addr, cfg, *shutdownTimeout, plan); err != nil {
 		fmt.Fprintln(os.Stderr, "partsrv:", err)
@@ -126,20 +127,21 @@ func main() {
 	}
 }
 
-// serve runs the daemon until SIGINT/SIGTERM, then drains gracefully. A
-// non-nil chaos plan wraps the /v1/ endpoints with seeded fault injection
-// (health and observability surfaces stay clean).
-func serve(addr string, cfg service.Config, shutdownTimeout time.Duration, plan *resilience.ChaosPlan) error {
-	svc := service.NewService(cfg)
-	mux := svc.Handler()
+// start brings up one instance on addr: the service behind its handler, the
+// observability surfaces beside it and, under a non-nil chaos plan, seeded
+// fault injection in front of the /v1/ endpoints (health and observability
+// stay clean). The daemon, the load smoke and the chaos soak all start here.
+func start(cfg service.Config, addr string, plan *resilience.ChaosPlan) (*service.Server, error) {
+	mux := service.NewService(cfg).Handler()
 	service.AttachObs(mux, cfg.Registry)
+	return service.Listen(addr, service.ChaosMiddleware(plan, cfg.Registry, mux), nil)
+}
 
-	srv, err := service.Listen(addr, service.ChaosMiddleware(plan, cfg.Registry, mux), nil)
+// serve runs the daemon until SIGINT/SIGTERM, then drains gracefully.
+func serve(addr string, cfg service.Config, shutdownTimeout time.Duration, plan *resilience.ChaosPlan) error {
+	srv, err := start(cfg, addr, plan)
 	if err != nil {
 		return err
-	}
-	if plan != nil {
-		fmt.Printf("partsrv: CHAOS MODE — injecting %q (seed %d)\n", plan.Specs(), plan.Seed())
 	}
 	fmt.Printf("partsrv: serving on http://%s (try /v1/partition?ne=8&nparts=16, metrics on /metrics)\n", srv.Addr())
 

@@ -15,7 +15,7 @@
 //
 //	seamsim -ne 4 -ranks 4 -steps 16 -checkpoint /tmp/ck -checkpoint-every 4
 //	seamsim -ne 4 -ranks 4 -steps 12 -checkpoint /tmp/ck \
-//	    -inject nan@3,rankdeath@5,stall@7 -step-deadline 2s
+//	    -inject nan@3,rankdeath@5,stall@7 -step-deadline 100ms
 //
 // Observability (see DESIGN.md "Observability"): -metrics-addr serves the
 // Prometheus text exposition on /metrics plus the standard /debug/vars and
@@ -223,13 +223,12 @@ func run(cfg runConfig) error {
 // of -inject. Every recovery action is echoed from the deterministic event
 // log.
 func runSupervised(cfg runConfig, sw *seam.ShallowWater, assign []int32, dt float64, phi func(p mesh.Vec3) float64, reg *obs.Registry, tr *obs.RunTrace) error {
-	var store resilience.Store = resilience.NewMemStore()
+	store := resilience.NewMemStore()
 	if cfg.ckDir != "" {
-		fs, err := resilience.NewFileStore(cfg.ckDir)
-		if err != nil {
+		var err error
+		if store, err = resilience.NewFileStore(cfg.ckDir); err != nil {
 			return err
 		}
-		store = fs
 	}
 	var inj *resilience.Injector
 	if cfg.inject != "" {

@@ -93,7 +93,7 @@ func TestPinnedAssignments(t *testing.T) {
 			}
 
 			spec := resilience.NewFallbackSpec(c.Ne, c.NParts)
-			spec.Seed, spec.MaxLB, spec.SeedRetries = c.Seed, -1, 0
+			spec.Seed, spec.MaxLB = c.Seed, -1
 			spec.Chain = []resilience.Strategy{resilience.Strategy(strings.ToUpper(c.Method))}
 			spec.Weights = newProblem(t, c.Ne, c.Weights).Weights()
 			res, err := resilience.PartitionWithFallback(context.Background(), spec)

@@ -256,9 +256,6 @@ type Options struct {
 	// VertexWeights optionally assigns a non-uniform computation weight
 	// per element (indexed by ElemID). Nil means uniform weight 1.
 	VertexWeights []int32
-	// VertexSizes optionally assigns the communication volume per element
-	// for the TV objective. Nil means uniform size 1.
-	VertexSizes []int32
 }
 
 // DefaultOptions matches the paper's setup: boundary and corner edges with
@@ -285,9 +282,6 @@ func FromMesh(m *mesh.Mesh, opt Options) (*Graph, error) {
 	}
 	if opt.VertexWeights != nil {
 		copy(g.vwgt, opt.VertexWeights)
-	}
-	if opt.VertexSizes != nil {
-		copy(g.vsize, opt.VertexSizes)
 	}
 	return g, nil
 }

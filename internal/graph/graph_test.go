@@ -188,16 +188,14 @@ func TestFromMeshCustomWeights(t *testing.T) {
 	m := mustMesh(t, 2)
 	k := m.NumElems()
 	vw := make([]int32, k)
-	vs := make([]int32, k)
 	for i := range vw {
 		vw[i] = int32(i + 1)
-		vs[i] = 2
 	}
-	g, err := FromMesh(m, Options{IncludeCorners: true, VertexWeights: vw, VertexSizes: vs})
+	g, err := FromMesh(m, Options{IncludeCorners: true, VertexWeights: vw})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.VertexWeight(5) != 6 || g.VertexSize(3) != 2 {
+	if g.VertexWeight(5) != 6 || g.VertexSize(3) != 1 {
 		t.Error("custom weights not applied")
 	}
 }
@@ -210,13 +208,6 @@ func TestFromMeshRejectsBadWeights(t *testing.T) {
 	bad := make([]int32, m.NumElems())
 	if _, err := FromMesh(m, Options{VertexWeights: bad}); err == nil {
 		t.Error("zero weights accepted")
-	}
-	sizes := make([]int32, m.NumElems())
-	if _, err := FromMesh(m, Options{VertexSizes: sizes}); err == nil {
-		t.Error("zero sizes accepted")
-	}
-	if _, err := FromMesh(m, Options{VertexSizes: []int32{1}}); err == nil {
-		t.Error("short size slice accepted")
 	}
 }
 

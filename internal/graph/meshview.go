@@ -18,8 +18,8 @@ type MeshView struct {
 }
 
 // NewMeshView validates opt against m (zero edge and corner weights mean 1;
-// vertex weights and sizes, when given, must be positive and one per
-// element) and returns the on-demand view.
+// vertex weights, when given, must be positive and one per element) and
+// returns the on-demand view.
 func NewMeshView(m *mesh.Mesh, opt Options) (*MeshView, error) {
 	if opt.EdgeWeight == 0 {
 		opt.EdgeWeight = 1
@@ -27,23 +27,20 @@ func NewMeshView(m *mesh.Mesh, opt Options) (*MeshView, error) {
 	if opt.CornerWeight == 0 {
 		opt.CornerWeight = 1
 	}
-	if err := checkPositive("weight", opt.VertexWeights, m.NumElems()); err != nil {
-		return nil, err
-	}
-	if err := checkPositive("size", opt.VertexSizes, m.NumElems()); err != nil {
+	if err := checkPositive(opt.VertexWeights, m.NumElems()); err != nil {
 		return nil, err
 	}
 	return &MeshView{m: m, opt: opt}, nil
 }
 
-// checkPositive validates an optional per-element vector of k positive values.
-func checkPositive(what string, w []int32, k int) error {
+// checkPositive validates an optional vector of k positive vertex weights.
+func checkPositive(w []int32, k int) error {
 	if w != nil && len(w) != k {
-		return fmt.Errorf("graph: %d vertex %ss for %d elements", len(w), what, k)
+		return fmt.Errorf("graph: %d vertex weights for %d elements", len(w), k)
 	}
 	for v, x := range w {
 		if x <= 0 {
-			return fmt.Errorf("graph: non-positive vertex %s %d on element %d", what, x, v)
+			return fmt.Errorf("graph: non-positive vertex weight %d on element %d", x, v)
 		}
 	}
 	return nil
@@ -121,9 +118,9 @@ func AppendMerged[T ~int | ~int32](adj, wts []int32, e, c []T, ew, cw int32) ([]
 // element weighs 1. The slice is the view's own and read-only.
 func (mv *MeshView) VertexWeights() []int32 { return mv.opt.VertexWeights }
 
-// VertexSizes returns the per-element communication volumes, nil when every
-// element has size 1.
-func (mv *MeshView) VertexSizes() []int32 { return mv.opt.VertexSizes }
+// VertexSizes returns nil: every element of a mesh view has communication
+// volume 1.
+func (mv *MeshView) VertexSizes() []int32 { return nil }
 
 // SetVertexWeights replaces the vertex weights, like Graph.SetVertexWeights
 // (zeros allowed); the view keeps w, which must not be modified afterwards.

@@ -46,16 +46,6 @@ type Model struct {
 	// locality (keeping neighbours on the same node) pay off even when
 	// load balance and edgecut are equal. Zero disables the effect.
 	NodeAdapterBeta float64
-	// NodeWidths, when non-nil, lays processors out over nodes of the
-	// given widths in order (cycling if processors remain), overriding the
-	// uniform ProcsPerNode. The NCAR system mixed ninety-two 8-way nodes
-	// with nine 32-way nodes.
-	NodeWidths []int
-	// Overlap is the fraction of communication time hidden behind
-	// computation (non-blocking exchanges progressing during the element
-	// loop): per-processor time is comp + max(0, comm - Overlap*comp).
-	// Zero reproduces the paper-era blocking exchange.
-	Overlap float64
 }
 
 // NCARP690 returns the calibrated model of the NCAR IBM P690 cluster:
@@ -180,12 +170,10 @@ func SimulateStep(m *mesh.Mesh, p *partition.Partition, w Workload, mod Model, w
 			rep.CommTime[q] += float64(offNode[nodeOf[q]]) * mod.NodeAdapterBeta
 		}
 	}
+	// The paper-era exchange is blocking: no communication hides behind
+	// computation.
 	for q := 0; q < nproc; q++ {
-		comm := rep.CommTime[q] - mod.Overlap*rep.ComputeTime[q]
-		if comm < 0 {
-			comm = 0
-		}
-		if t := rep.ComputeTime[q] + comm; t > rep.StepTime {
+		if t := rep.ComputeTime[q] + rep.CommTime[q]; t > rep.StepTime {
 			rep.StepTime = t
 		}
 	}
@@ -237,27 +225,14 @@ func PairVolumes(m *mesh.Mesh, p *partition.Partition, w Workload) []struct {
 	return out
 }
 
-// NodeLayout maps each processor to its SMP node index under the model's
-// node configuration (uniform ProcsPerNode or explicit NodeWidths).
+// NodeLayout maps each processor to its SMP node index: nodes of uniform
+// width ProcsPerNode, filled in processor order.
 func NodeLayout(nproc int, mod Model) (nodeOf []int, numNodes int) {
 	nodeOf = make([]int, nproc)
-	if len(mod.NodeWidths) == 0 {
-		for q := 0; q < nproc; q++ {
-			nodeOf[q] = q / mod.ProcsPerNode
-		}
-		return nodeOf, (nproc + mod.ProcsPerNode - 1) / mod.ProcsPerNode
+	for q := 0; q < nproc; q++ {
+		nodeOf[q] = q / mod.ProcsPerNode
 	}
-	q, node, wi := 0, 0, 0
-	for q < nproc {
-		w := mod.NodeWidths[wi%len(mod.NodeWidths)]
-		for i := 0; i < w && q < nproc; i++ {
-			nodeOf[q] = node
-			q++
-		}
-		node++
-		wi++
-	}
-	return nodeOf, node
+	return nodeOf, (nproc + mod.ProcsPerNode - 1) / mod.ProcsPerNode
 }
 
 // Speedup returns T(1)/T(p) where T(1) is the serial step time of the same

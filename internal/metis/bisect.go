@@ -12,10 +12,10 @@ import (
 // bisection, then FM refinement during uncoarsening. It returns the side
 // (0 or 1) of every vertex in a workspace-owned buffer; the caller releases
 // it with ws.putSide once the subgraphs are built.
-func bisect(g *wgraph, tw0, band float64, rng *prng.Stream, opt Options, ws *workspace, stop *stopper) []int8 {
-	levels, coarsest := coarsen(g, opt.CoarsenTo, rng, ws, stop)
-	side := initialBisection(coarsest, tw0, band, rng, opt, ws, stop)
-	fmRefine(coarsest, side, tw0, band, opt.RefineIters, ws, stop)
+func bisect(g *wgraph, tw0, band float64, rng *prng.Stream, ws *workspace, stop *stopper) []int8 {
+	levels, coarsest := coarsen(g, coarsenTo, rng, ws, stop)
+	side := initialBisection(coarsest, tw0, band, rng, ws, stop)
+	fmRefine(coarsest, side, tw0, band, refineIters, ws, stop)
 	// Project back through the hierarchy, refining at every level. The side
 	// buffers ping-pong through the workspace free list instead of
 	// allocating one per level.
@@ -27,14 +27,14 @@ func bisect(g *wgraph, tw0, band float64, rng *prng.Stream, opt Options, ws *wor
 		}
 		ws.putSide(side)
 		side = fineSide
-		fmRefine(lv.fine, side, tw0, band, opt.RefineIters, ws, stop)
+		fmRefine(lv.fine, side, tw0, band, refineIters, ws, stop)
 	}
 	return side
 }
 
 // initialBisection runs several greedy-graph-growing attempts from random
 // seeds and keeps the one with the smallest cut after balancing.
-func initialBisection(g *wgraph, tw0, band float64, rng *prng.Stream, opt Options, ws *workspace, stop *stopper) []int8 {
+func initialBisection(g *wgraph, tw0, band float64, rng *prng.Stream, ws *workspace, stop *stopper) []int8 {
 	n := g.n()
 	best := ws.side(n)
 	if n == 1 {
@@ -46,20 +46,16 @@ func initialBisection(g *wgraph, tw0, band float64, rng *prng.Stream, opt Option
 	// A graph with n vertices has at most n distinct growth seeds, so extra
 	// trials beyond that only repeat work on the tiny leaf graphs of a deep
 	// recursive-bisection tree.
-	trials := opt.InitTrials
+	trials := initTrials
 	if trials > n {
 		trials = n
 	}
-	// Each trial gets a short refinement — just enough to rank candidate
-	// bisections fairly; the winner receives the full refinement budget in
-	// bisect's uncoarsening sweep, so depth here buys nothing.
-	iters := opt.RefineIters
-	if iters > 2 {
-		iters = 2
-	}
+	// Each trial gets a short refinement (two passes) — just enough to rank
+	// candidate bisections fairly; the winner receives the full refinement
+	// budget in bisect's uncoarsening sweep, so depth here buys nothing.
 	for t := 0; t < trials; t++ {
 		growRegion(g, tw0, rng, ws, trial)
-		cut := fmRefine(g, trial, tw0, band, iters, ws, stop)
+		cut := fmRefine(g, trial, tw0, band, 2, ws, stop)
 		if bestCut < 0 || cut < bestCut {
 			bestCut = cut
 			copy(best, trial)
@@ -195,11 +191,10 @@ func subgraph(g *wgraph, side []int8, want int8, ws *workspace) (*wgraph, []int3
 }
 
 // rbCtx carries the shared state of one parallel recursive-bisection run:
-// the output assignment (subtrees write disjoint index ranges), the options,
-// and a semaphore bounding the extra worker goroutines.
+// the output assignment (subtrees write disjoint index ranges) and a
+// semaphore bounding the extra worker goroutines.
 type rbCtx struct {
 	assign []int32
-	opt    Options
 	sem    chan struct{}
 	wg     sync.WaitGroup
 	stop   *stopper
@@ -222,8 +217,8 @@ func maxRBWorkers() int {
 // own RNG stream derived deterministically from the seed and the subtree's
 // position in the bisection tree, which makes the result bit-identical
 // regardless of GOMAXPROCS or scheduling.
-func runRB(g *wgraph, verts []int32, firstPart, nparts int, assign []int32, seed uint64, opt Options, stop *stopper) {
-	c := &rbCtx{assign: assign, opt: opt, sem: make(chan struct{}, maxRBWorkers()), stop: stop}
+func runRB(g *wgraph, verts []int32, firstPart, nparts int, assign []int32, seed uint64, stop *stopper) {
+	c := &rbCtx{assign: assign, sem: make(chan struct{}, maxRBWorkers()), stop: stop}
 	ws := getWS()
 	c.recurse(g, verts, firstPart, nparts, prng.Mix(seed), ws)
 	putWS(ws)
@@ -251,8 +246,8 @@ func (c *rbCtx) recurse(g *wgraph, origVerts []int32, firstPart, nparts int, see
 	tw0 := float64(total) * float64(nLeft) / float64(nparts)
 	// The METIS-style UBfactor band: each bisection may trade this much
 	// imbalance for cut quality; the drift compounds down the tree.
-	band := c.opt.RBImbalance * float64(total)
-	side := bisect(g, tw0, band, rng, c.opt, ws, c.stop)
+	band := rbImbalance * float64(total)
+	side := bisect(g, tw0, band, rng, ws, c.stop)
 	left, leftVerts := subgraph(g, side, 0, ws)
 	right, rightVerts := subgraph(g, side, 1, ws)
 	ws.putSide(side)

@@ -66,7 +66,7 @@ func PartitionCtx(ctx context.Context, gr *graph.Graph, nparts int, opt Options)
 		for i := range verts {
 			verts[i] = int32(i)
 		}
-		runRB(wg, verts, 0, nparts, assign, uint64(opt.Seed), opt, stop)
+		runRB(wg, verts, 0, nparts, assign, uint64(opt.Seed), stop)
 	case KWay, KWayVol:
 		rng := prng.New(prng.Mix(uint64(opt.Seed)))
 		assign = kwayPartition(wg, nparts, rng, opt, stop)

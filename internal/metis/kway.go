@@ -11,11 +11,11 @@ func kwayPartition(g *wgraph, nparts int, rng *prng.Stream, opt Options, stop *s
 	ws := getWS()
 	defer putWS(ws)
 	// Keep enough coarse vertices to seed every part.
-	coarsenTo := opt.CoarsenTo * nparts / 8
-	if coarsenTo < 4*nparts {
-		coarsenTo = 4 * nparts
+	coarseN := coarsenTo * nparts / 8
+	if coarseN < 4*nparts {
+		coarseN = 4 * nparts
 	}
-	levels, coarsest := coarsen(g, coarsenTo, rng, ws, stop)
+	levels, coarsest := coarsen(g, coarseN, rng, ws, stop)
 
 	// Initial K-way partition of the coarsest graph via recursive bisection,
 	// on an RNG stream derived from (but independent of) the main seed so
@@ -25,7 +25,7 @@ func kwayPartition(g *wgraph, nparts int, rng *prng.Stream, opt Options, stop *s
 	for i := range verts {
 		verts[i] = int32(i)
 	}
-	runRB(coarsest, verts, 0, nparts, assign, childSeed(uint64(opt.Seed), 2), opt, stop)
+	runRB(coarsest, verts, 0, nparts, assign, childSeed(uint64(opt.Seed), 2), stop)
 
 	refine := kwayRefineCut
 	if opt.Method == KWayVol {
@@ -37,8 +37,8 @@ func kwayPartition(g *wgraph, nparts int, rng *prng.Stream, opt Options, stop *s
 			maxVW = int64(w)
 		}
 	}
-	maxPart := maxPartWeight(g.totalVWgt(), nparts, opt.Imbalance, maxVW)
-	refine(coarsest, assign, nparts, maxPart, opt.RefineIters, rng, ws, stop)
+	maxPart := maxPartWeight(g.totalVWgt(), nparts, imbalance, maxVW)
+	refine(coarsest, assign, nparts, maxPart, refineIters, rng, ws, stop)
 
 	for i := len(levels) - 1; i >= 0; i-- {
 		lv := levels[i]
@@ -50,7 +50,7 @@ func kwayPartition(g *wgraph, nparts int, rng *prng.Stream, opt Options, stop *s
 		if stop.stopped() {
 			break // deadline poll per uncoarsening level
 		}
-		refine(lv.fine, assign, nparts, maxPart, opt.RefineIters, rng, ws, stop)
+		refine(lv.fine, assign, nparts, maxPart, refineIters, rng, ws, stop)
 	}
 	return assign
 }

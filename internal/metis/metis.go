@@ -62,33 +62,34 @@ func (m Method) String() string {
 	return "Method(?)"
 }
 
-// Options configures the partitioner. The zero value gives sensible
-// defaults: RB, seed 1, 3% imbalance tolerance for K-way methods.
-type Options struct {
-	Method Method
-	// Seed makes runs reproducible; 0 means seed 1.
-	Seed int64
-	// Imbalance is the allowed K-way imbalance: the maximum part weight
-	// may reach ceil(avg * (1 + Imbalance)). Zero means 0.03, the METIS
-	// default.
-	Imbalance float64
-	// RBImbalance is the imbalance each recursive bisection may leave in
+// The multilevel tunables, at their METIS 4.x values.
+const (
+	// imbalance is the allowed K-way imbalance: the maximum part weight may
+	// reach ceil(avg * (1 + imbalance)). 0.03 is the METIS default.
+	imbalance = 0.03
+	// rbImbalance is the imbalance each recursive bisection may leave in
 	// exchange for a lower cut, as a fraction of the bisected graph's
 	// weight -- the semantics of METIS's UBfactor, whose default of 1
 	// (percent) this reproduces. The deviations compound down the
 	// bisection tree, which is why METIS partitions of O(1) elements per
 	// processor show the computational load imbalance the paper reports.
-	// Zero means 0.005; negative values request exact bisection.
-	RBImbalance float64
-	// CoarsenTo stops coarsening once the graph has at most this many
-	// vertices (scaled by the number of parts for K-way). Zero means 40.
-	CoarsenTo int
-	// InitTrials is the number of random greedy-graph-growing attempts
-	// per initial bisection (capped by the coarsest graph's vertex count).
-	// Zero means 4, METIS's GGGP trial count.
-	InitTrials int
-	// RefineIters bounds the refinement passes per level. Zero means 10.
-	RefineIters int
+	rbImbalance = 0.005
+	// coarsenTo stops coarsening once the graph has at most this many
+	// vertices (scaled by the number of parts for K-way).
+	coarsenTo = 40
+	// initTrials is the number of random greedy-graph-growing attempts per
+	// initial bisection (capped by the coarsest graph's vertex count):
+	// METIS's GGGP trial count.
+	initTrials = 4
+	// refineIters bounds the refinement passes per level.
+	refineIters = 10
+)
+
+// Options configures the partitioner. The zero value is RB with seed 1.
+type Options struct {
+	Method Method
+	// Seed makes runs reproducible; 0 means seed 1.
+	Seed int64
 	// Obs, when non-nil, receives the partitioner's metrics (coarsening
 	// sizes, FM pass gains, refinement convergence; see DESIGN.md
 	// "Observability"). Observation is purely atomic and never touches the
@@ -101,23 +102,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.Imbalance == 0 {
-		o.Imbalance = 0.03
-	}
-	if o.RBImbalance == 0 {
-		o.RBImbalance = 0.005
-	} else if o.RBImbalance < 0 {
-		o.RBImbalance = 0
-	}
-	if o.CoarsenTo == 0 {
-		o.CoarsenTo = 40
-	}
-	if o.InitTrials == 0 {
-		o.InitTrials = 4
-	}
-	if o.RefineIters == 0 {
-		o.RefineIters = 10
 	}
 	return o
 }

@@ -30,6 +30,10 @@ func (s BreakerState) String() string {
 	return "unknown"
 }
 
+// halfOpenProbes is the number of consecutive probe successes that close a
+// half-open breaker again.
+const halfOpenProbes = 2
+
 // BreakerConfig sizes a Breaker. Zero-valued fields take the documented
 // defaults.
 type BreakerConfig struct {
@@ -43,9 +47,6 @@ type BreakerConfig struct {
 	// Cooldown is how long the breaker stays open before admitting a
 	// half-open probe (default 5s).
 	Cooldown time.Duration
-	// HalfOpenProbes is the number of consecutive probe successes that
-	// close the breaker again (default 2).
-	HalfOpenProbes int
 	// Now is the clock (default time.Now); tests inject a deterministic
 	// one so state transitions replay exactly.
 	Now func() time.Time
@@ -55,9 +56,8 @@ type BreakerConfig struct {
 }
 
 // Breaker is a closed/open/half-open circuit breaker. A call site asks
-// Allow before the call and Record(latency, err) after it; when Allow
-// returned true but the call was never made (e.g. an earlier chain link
-// already answered), Cancel releases the half-open probe reservation.
+// Allow immediately before the call and Record(latency, err) after it; every
+// allowed call is made, so every Allow is followed by a Record.
 //
 // All methods are safe for concurrent use and nil-safe: a nil *Breaker
 // always allows and records nothing, so "breaker disabled" needs no
@@ -80,9 +80,6 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 	}
 	if cfg.Cooldown <= 0 {
 		cfg.Cooldown = 5 * time.Second
-	}
-	if cfg.HalfOpenProbes <= 0 {
-		cfg.HalfOpenProbes = 2
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -120,19 +117,6 @@ func (b *Breaker) Allow() bool {
 	}
 }
 
-// Cancel releases an Allow that will not be followed by a Record: the
-// reserved half-open probe slot is freed without counting an outcome.
-func (b *Breaker) Cancel() {
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.state == BreakerHalfOpen {
-		b.probing = false
-	}
-}
-
 // Record reports the outcome of an allowed call: a failure is a non-nil
 // err, or a success slower than the latency budget.
 func (b *Breaker) Record(latency time.Duration, err error) {
@@ -159,7 +143,7 @@ func (b *Breaker) Record(latency time.Duration, err error) {
 			return
 		}
 		b.probeSuccesses++
-		if b.probeSuccesses >= b.cfg.HalfOpenProbes {
+		if b.probeSuccesses >= halfOpenProbes {
 			b.fails = 0
 			b.transition(BreakerClosed)
 		}

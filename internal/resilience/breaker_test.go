@@ -46,7 +46,6 @@ func TestBreakerGoldenTransitionSequence(t *testing.T) {
 	b, clock, events := newTestBreaker(BreakerConfig{
 		FailureThreshold: 3,
 		Cooldown:         time.Second,
-		HalfOpenProbes:   2,
 	})
 
 	// Closed: failures below the threshold keep it closed; a success
@@ -86,7 +85,7 @@ func TestBreakerGoldenTransitionSequence(t *testing.T) {
 		t.Fatal("second probe admitted while the first is in flight")
 	}
 
-	// First probe succeeds; still half-open (HalfOpenProbes=2), next
+	// First probe succeeds; still half-open (halfOpenProbes = 2), next
 	// probe admitted, second success closes.
 	b.Record(0, nil)
 	if !b.Allow() {
@@ -140,29 +139,12 @@ func TestBreakerLatencyBudgetBreach(t *testing.T) {
 	}
 }
 
-// TestBreakerCancelReleasesProbe: an Allow not followed by Record (the
-// chain answered before reaching the method) must not wedge half-open.
-func TestBreakerCancelReleasesProbe(t *testing.T) {
-	b, clock, _ := newTestBreaker(BreakerConfig{FailureThreshold: 1, Cooldown: time.Second})
-	b.Record(0, errBoom)
-	clock.Advance(time.Second)
-	if !b.Allow() {
-		t.Fatal("probe rejected")
-	}
-	b.Cancel()
-	if !b.Allow() {
-		t.Fatal("probe slot not released by Cancel")
-	}
-	b.Record(0, nil)
-}
-
 func TestBreakerNilSafe(t *testing.T) {
 	var b *Breaker
 	if !b.Allow() {
 		t.Error("nil breaker rejected a call")
 	}
 	b.Record(0, errBoom)
-	b.Cancel()
 	if b.State() != BreakerClosed {
 		t.Error("nil breaker not closed")
 	}

@@ -58,14 +58,6 @@ type ChaosSpec struct {
 	Param time.Duration
 }
 
-func (s ChaosSpec) String() string {
-	out := fmt.Sprintf("%s@%g", s.Kind, s.Rate)
-	if s.Kind == ChaosSlowResp || s.Kind == ChaosComputeStall {
-		out += ":" + s.Param.String()
-	}
-	return out
-}
-
 // ChaosPlan assigns each arriving request a deterministic injection
 // decision: the decision for the n-th request is a pure function of
 // (seed, plan, n), so a soak under a fixed seed replays the identical
@@ -82,22 +74,6 @@ type ChaosPlan struct {
 // both the evaluation priority and part of the seed derivation.
 func NewChaosPlan(seed uint64, specs ...ChaosSpec) *ChaosPlan {
 	return &ChaosPlan{seed: seed, specs: append([]ChaosSpec(nil), specs...)}
-}
-
-// Specs returns a copy of the plan entries.
-func (p *ChaosPlan) Specs() []ChaosSpec {
-	if p == nil {
-		return nil
-	}
-	return append([]ChaosSpec(nil), p.specs...)
-}
-
-// Seed returns the plan seed.
-func (p *ChaosPlan) Seed() uint64 {
-	if p == nil {
-		return 0
-	}
-	return p.seed
 }
 
 // DecideAt returns the fault injected into the n-th request, if any. It

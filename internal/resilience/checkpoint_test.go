@@ -143,7 +143,7 @@ func TestCheckpointShapeMismatch(t *testing.T) {
 
 func TestStoreTwoSlotFallback(t *testing.T) {
 	sw, dt := testSW(t, 2, 3)
-	stores := map[string]Store{
+	stores := map[string]*Store{
 		"mem":  NewMemStore(),
 		"file": mustFileStore(t),
 	}
@@ -178,7 +178,7 @@ func TestStoreTwoSlotFallback(t *testing.T) {
 	}
 }
 
-func mustFileStore(t *testing.T) *FileStore {
+func mustFileStore(t *testing.T) *Store {
 	t.Helper()
 	fs, err := NewFileStore(t.TempDir())
 	if err != nil {

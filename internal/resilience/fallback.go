@@ -91,18 +91,18 @@ const (
 	// DefaultMaxLB is the accepted LB(nelemd) when the caller expresses no
 	// preference.
 	DefaultMaxLB = 0.10
-	// DefaultSeedRetries is the number of reseeded retries each METIS
-	// strategy gets after a balance violation.
-	DefaultSeedRetries = 2
 	// DefaultSeed seeds the METIS-style strategies.
 	DefaultSeed int64 = 1
 )
 
+// seedRetries is how many reseeded retries each METIS strategy gets after a
+// balance violation before the chain moves on.
+const seedRetries = 2
+
 // FallbackSpec configures PartitionWithFallback. Every field is taken at
-// face value — SeedRetries = 0 is no reseeded retries, MaxLB = 0 the strict
-// perfect-balance gate, Seed = 0 the seed zero — so build specs with
-// NewFallbackSpec, which fills in the Default* constants, and overwrite what
-// differs.
+// face value — MaxLB = 0 is the strict perfect-balance gate, Seed = 0 the
+// seed zero — so build specs with NewFallbackSpec, which fills in the
+// Default* constants, and overwrite what differs.
 type FallbackSpec struct {
 	Ne     int
 	NProcs int
@@ -114,17 +114,13 @@ type FallbackSpec struct {
 	// MaxLB is the accepted LB(nelemd) (equation (1) of the paper; 0 is
 	// perfect balance). Negative means "accept anything".
 	MaxLB float64
-	// SeedRetries is how many reseeded retries each METIS strategy gets
-	// after a balance violation before the chain moves on; negative is
-	// clamped to zero.
-	SeedRetries int
-	// Backoff is the base wait between reseeded retries (honouring ctx).
-	// The actual waits carry decorrelated jitter drawn from a stream
-	// seeded by Seed — uniform in [Backoff, 3*prev] capped at 10*Backoff
-	// — so a fleet of synchronized clients spreads its retries out while
-	// any single spec's sleep sequence stays replayable. The zero value
-	// means no wait, which is what tests use.
-	Backoff time.Duration
+	// Breakers optionally gates links with circuit breakers: a link whose
+	// breaker refuses the call is skipped (FallbackResult.Skipped), one that
+	// runs records its own outcome and its own elapsed time. Breakers are
+	// asked only when the walk reaches their link, so a link behind the
+	// winner is neither consulted nor charged. Nil, or no entry for a
+	// strategy, means ungated.
+	Breakers map[Strategy]*Breaker
 	// Graph and Mesh are optional pre-built inputs, reused instead of
 	// rebuilt; whatever is nil is built from Ne on first use.
 	Graph *graph.Graph
@@ -142,30 +138,24 @@ type FallbackSpec struct {
 }
 
 // NewFallbackSpec returns the spec for splitting the Ne cubed-sphere mesh
-// into nprocs parts, with Seed, MaxLB and SeedRetries set to the Default*
-// constants:
+// into nprocs parts, with Seed and MaxLB set to the Default* constants:
 //
 //	spec := resilience.NewFallbackSpec(ne, nprocs)
-//	spec.SeedRetries = 0 // no reseeded retries
-//	spec.MaxLB = 0       // accept only perfect balance
+//	spec.MaxLB = 0 // accept only perfect balance
 func NewFallbackSpec(ne, nprocs int) FallbackSpec {
-	return FallbackSpec{
-		Ne:          ne,
-		NProcs:      nprocs,
-		Seed:        DefaultSeed,
-		MaxLB:       DefaultMaxLB,
-		SeedRetries: DefaultSeedRetries,
-	}
+	return FallbackSpec{Ne: ne, NProcs: nprocs, Seed: DefaultSeed, MaxLB: DefaultMaxLB}
 }
 
 // FallbackResult is a successful chain outcome: the partition, the strategy
-// and seed that produced it, and every abandoned attempt before it (in
-// order), each with its typed error.
+// and seed that produced it, every abandoned attempt before it (in order),
+// each with its typed error, and the links ahead of the winner that their
+// breaker refused.
 type FallbackResult struct {
 	Partition *partition.Partition
 	Strategy  Strategy
 	Seed      int64
 	Attempts  []Attempt
+	Skipped   []Strategy
 }
 
 func (r *FallbackResult) String() string {
@@ -201,15 +191,17 @@ func PartitionWithFallback(ctx context.Context, spec FallbackSpec) (*FallbackRes
 // is prob's; the spec's Ne, Weights, Mesh and Graph are not consulted.
 //
 //   - A seeded (METIS) strategy whose result violates the balance tolerance
-//     is retried with a reseeded RNG (and optional backoff) up to SeedRetries
-//     times before the chain moves on — a different seed often escapes the
-//     bad local optimum (KWAY trades balance for edgecut by design).
+//     is retried with a reseeded RNG up to seedRetries times before the chain
+//     moves on — a different seed often escapes the bad local optimum (KWAY
+//     trades balance for edgecut by design).
 //   - A METIS strategy cancelled by ctx (deadline overrun) is recorded and
 //     the chain falls through to the curve strategies, which are O(K) and
 //     deliberately ignore the expired deadline: a partition is always
 //     better than none.
 //   - StrategySFC fails on unsupported Ne with *UnsupportedNeError, falling
 //     through to StrategySerpentine, which accepts any Ne.
+//   - A link with an entry in spec.Breakers runs only if its breaker allows
+//     it, and tells the breaker how it went and how long it alone took.
 //
 // Every abandoned attempt appears in the result's Attempts with a typed
 // error; if every link fails the returned error is *ExhaustedError.
@@ -221,12 +213,8 @@ func PartitionProblem(ctx context.Context, prob *core.Problem, spec FallbackSpec
 	if chain == nil {
 		chain = DefaultChain
 	}
-	// One jitter stream per chain walk: every reseeded retry, whichever
-	// strategy it belongs to, consumes the next draw, so the full sleep
-	// sequence is a pure function of (Seed, Backoff).
-	backoff := NewJitter(uint64(spec.Seed), spec.Backoff, 0)
-
 	var attempts []Attempt
+	var skipped []Strategy
 	for _, strat := range chain {
 		m, ok := core.LookupMethod(string(strat))
 		if !ok {
@@ -234,43 +222,57 @@ func PartitionProblem(ctx context.Context, prob *core.Problem, spec FallbackSpec
 				Err: fmt.Errorf("resilience: unknown strategy %q", strat)})
 			continue
 		}
-		tries := 1
-		if m.Seeded && spec.SeedRetries > 0 {
-			tries += spec.SeedRetries
+		br := spec.Breakers[strat]
+		if !br.Allow() {
+			skipped = append(skipped, strat)
+			continue
 		}
-		s := spec.Seed
-		for try := 0; try < tries; try++ {
-			if try > 0 {
-				// Reseeded retry with jittered backoff: a fresh RNG stream,
-				// and a decorrelated breather so a transiently loaded
-				// machine is not hammered by lockstepped retries.
-				s = int64(prng.Mix(uint64(s)) | 1)
-				if !sleepBetweenRetries(ctx, backoff.Next()) {
-					break
-				}
-			}
-			p, err := m.Run(ctx, prob, spec.NProcs, s, nil)
-			if err == nil {
-				err = checkBalance(strat, p, spec.MaxLB, prob.Weights())
-			}
-			if err == nil {
-				return &FallbackResult{Partition: p, Strategy: strat, Seed: s, Attempts: attempts}, nil
-			}
-			var ne *core.NeError
-			if errors.As(err, &ne) {
-				err = &UnsupportedNeError{Ne: ne.Ne, Cause: ne.Err}
-			}
-			attempts = append(attempts, Attempt{Strategy: strat, Seed: s, Err: err})
-			if ctx.Err() != nil {
-				break // deadline overran: no point reseeding, fall through
-			}
-			var be *BalanceError
-			if !errors.As(err, &be) {
-				break // hard failure; reseeding will not change it
-			}
+		start := time.Now()
+		p, s, err := runLink(ctx, prob, m, strat, spec, &attempts)
+		br.Record(time.Since(start), err)
+		if err == nil {
+			return &FallbackResult{Partition: p, Strategy: strat, Seed: s, Attempts: attempts, Skipped: skipped}, nil
 		}
 	}
 	return nil, &ExhaustedError{Attempts: attempts}
+}
+
+// runLink runs one chain link: the strategy once, then reseeded while it keeps
+// failing the balance check. Every failed try is appended to attempts; the
+// error returned is the last try's.
+func runLink(ctx context.Context, prob *core.Problem, m core.Method, strat Strategy, spec FallbackSpec, attempts *[]Attempt) (*partition.Partition, int64, error) {
+	tries := 1
+	if m.Seeded {
+		tries += seedRetries
+	}
+	s := spec.Seed
+	var err error
+	for try := 0; try < tries; try++ {
+		if try > 0 {
+			s = int64(prng.Mix(uint64(s)) | 1) // reseeded retry: a fresh RNG stream
+		}
+		var p *partition.Partition
+		p, err = m.Run(ctx, prob, spec.NProcs, s, nil)
+		if err == nil {
+			err = checkBalance(strat, p, spec.MaxLB, prob.Weights())
+		}
+		if err == nil {
+			return p, s, nil
+		}
+		var ne *core.NeError
+		if errors.As(err, &ne) {
+			err = &UnsupportedNeError{Ne: ne.Ne, Cause: ne.Err}
+		}
+		*attempts = append(*attempts, Attempt{Strategy: strat, Seed: s, Err: err})
+		if ctx.Err() != nil {
+			break // deadline overran: no point reseeding, fall through
+		}
+		var be *BalanceError
+		if !errors.As(err, &be) {
+			break // hard failure; reseeding will not change it
+		}
+	}
+	return nil, s, err
 }
 
 // checkBalance gates a candidate partition on emptiness and load balance.
@@ -305,25 +307,4 @@ func checkBalance(strat Strategy, p *partition.Partition, maxLB float64, weights
 		return &BalanceError{Strategy: strat, LB: lb, Limit: maxLB}
 	}
 	return nil
-}
-
-// sleepBetweenRetries is sleepCtx, indirected so the backoff-determinism
-// test can record the jittered sleep sequence without actually sleeping.
-var sleepBetweenRetries = sleepCtx
-
-// sleepCtx sleeps for d unless ctx expires first; it reports whether the
-// full wait completed. d <= 0 returns true immediately without consulting
-// the context (an expired deadline must still fall through the chain).
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return true
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
 }

@@ -5,6 +5,10 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"sfccube/internal/core"
+	"sfccube/internal/obs"
+	"sfccube/internal/partition"
 )
 
 func TestFallbackFirstLinkWins(t *testing.T) {
@@ -140,25 +144,6 @@ func TestFallbackDeterministic(t *testing.T) {
 	}
 }
 
-// TestFallbackExplicitZeroRetries: a spec from NewFallbackSpec with
-// SeedRetries overwritten to 0 must get exactly one attempt per METIS link —
-// the zero is a deliberate value, not "unset". Regression test for the
-// zero-value conflation that silently rewrote 0 to DefaultSeedRetries.
-func TestFallbackExplicitZeroRetries(t *testing.T) {
-	spec := NewFallbackSpec(2, 5)
-	spec.MaxLB = 1e-12
-	spec.SeedRetries = 0
-	_, err := PartitionWithFallback(context.Background(), spec)
-	var ex *ExhaustedError
-	if !errors.As(err, &ex) {
-		t.Fatalf("got %v, want *ExhaustedError", err)
-	}
-	// KWAY + RB (no retries) + SFC + SERPENTINE = 4 attempts.
-	if len(ex.Attempts) != 4 {
-		t.Fatalf("got %d attempts %v, want 4 (zero retries honoured)", len(ex.Attempts), ex)
-	}
-}
-
 // TestFallbackExplicitStrictBalance: MaxLB = 0 is a
 // strict perfect-balance gate, not DefaultMaxLB. 24 elements over 5 parts
 // cannot balance perfectly, so every link must be rejected; 96 over 6 can,
@@ -166,7 +151,6 @@ func TestFallbackExplicitZeroRetries(t *testing.T) {
 func TestFallbackExplicitStrictBalance(t *testing.T) {
 	spec := NewFallbackSpec(2, 5)
 	spec.MaxLB = 0
-	spec.SeedRetries = 0
 	_, err := PartitionWithFallback(context.Background(), spec)
 	var ex *ExhaustedError
 	if !errors.As(err, &ex) {
@@ -237,98 +221,46 @@ func TestFallbackExpiredDeadlineSerpentine(t *testing.T) {
 	}
 }
 
-// TestFallbackBackoffSkippedOnExpiredDeadline: Backoff applies between
-// reseeded retries only; once the context is done the chain must fall
-// through to the SFC links immediately instead of serving the backoff. With
-// an hour of configured backoff, any sleep at all would blow the test
-// timeout.
-func TestFallbackBackoffSkippedOnExpiredDeadline(t *testing.T) {
-	ctx, cancel := context.WithDeadline(context.Background(), time.Unix(0, 0))
-	defer cancel()
-	spec := NewFallbackSpec(4, 8)
-	spec.Backoff = time.Hour
-	start := time.Now()
-	res, err := PartitionWithFallback(ctx, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Fatalf("chain took %v with expired deadline; backoff not skipped", elapsed)
-	}
-	if res.Strategy != StrategySFC {
-		t.Fatalf("got strategy %s, want SFC", res.Strategy)
-	}
-}
-
-// TestFallbackBackoffJitterDeterministic: the sleeps between reseeded
-// retries carry decorrelated jitter drawn from the spec's seeded stream —
-// same seed, same sleep sequence; different seed, different sequence; every
-// sleep in [Backoff, 10*Backoff]. The sleep function is indirected so no
-// real time passes.
-func TestFallbackBackoffJitterDeterministic(t *testing.T) {
-	record := func(seed int64) []time.Duration {
-		var sleeps []time.Duration
-		orig := sleepBetweenRetries
-		sleepBetweenRetries = func(ctx context.Context, d time.Duration) bool {
-			sleeps = append(sleeps, d)
-			return true
-		}
-		defer func() { sleepBetweenRetries = orig }()
-
-		// 24 elements into 5 parts can never balance perfectly, so with a
-		// strict MaxLB=0 gate every KWAY attempt fails with *BalanceError
-		// and all SeedRetries reseeded retries (and their backoffs) run.
-		spec := NewFallbackSpec(2, 5)
-		spec.Seed = seed
-		spec.MaxLB = 0
-		spec.SeedRetries = 3
-		spec.Backoff = 5 * time.Millisecond
-		spec.Chain = []Strategy{StrategyKWay}
-		if _, err := PartitionWithFallback(context.Background(), spec); err == nil {
-			t.Fatal("strict balance gate unexpectedly satisfiable")
-		}
-		return sleeps
-	}
-
-	a := record(1)
-	if len(a) != 3 {
-		t.Fatalf("recorded %d sleeps, want 3 (one per reseeded retry)", len(a))
-	}
-	b := record(1)
-	if len(b) != len(a) {
-		t.Fatalf("replay recorded %d sleeps, want %d", len(b), len(a))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Errorf("sleep %d: %v vs %v — same seed must replay the identical backoff sequence", i, a[i], b[i])
-		}
-		if a[i] < 5*time.Millisecond || a[i] > 50*time.Millisecond {
-			t.Errorf("sleep %d = %v outside [Backoff, 10*Backoff]", i, a[i])
-		}
-	}
-	c := record(2)
-	same := len(a) == len(c)
-	if same {
-		for i := range a {
-			if a[i] != c[i] {
-				same = false
-				break
+// TestChainChargesEachLinkItsOwnTime: a breaker hears about its own link
+// only — the link's own outcome and the time that link alone took. KWAY is
+// swapped for a stub that burns 400 ms and fails; RB then answers in
+// milliseconds and must not inherit KWAY's 400 ms against its 200 ms budget.
+func TestChainChargesEachLinkItsOwnTime(t *testing.T) {
+	for i, m := range core.Methods {
+		if m.Name == "kway" {
+			t.Cleanup(func() { core.Methods[i] = m })
+			core.Methods[i].Run = func(context.Context, *core.Problem, int, int64, *obs.Registry) (*partition.Partition, error) {
+				time.Sleep(400 * time.Millisecond)
+				return nil, errors.New("kway stub: slow and broken")
 			}
 		}
 	}
-	if same {
-		t.Error("distinct seeds produced identical backoff sequences — jitter not decorrelated")
+	cfg := BreakerConfig{FailureThreshold: 1, LatencyBudget: 200 * time.Millisecond}
+	kway, rb := NewBreaker(cfg), NewBreaker(cfg)
+	spec := NewFallbackSpec(4, 8)
+	spec.Chain = []Strategy{StrategyKWay, StrategyRB}
+	spec.Breakers = map[Strategy]*Breaker{StrategyKWay: kway, StrategyRB: rb}
+	res, err := PartitionWithFallback(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The draws themselves must vary (a fixed-interval stream is exactly
-	// the lockstep bug this jitter cures).
-	varied := false
-	for i := 1; i < len(a); i++ {
-		if a[i] != a[0] {
-			varied = true
-		}
+	if res.Strategy != StrategyRB || len(res.Attempts) != 1 || len(res.Skipped) != 0 {
+		t.Fatalf("got %s with attempts %v, skipped %v; want RB after one KWAY failure", res.Strategy, res.Attempts, res.Skipped)
 	}
-	if !varied {
-		t.Errorf("backoff sequence %v is a fixed interval", a)
+	if kway.State() != BreakerOpen {
+		t.Errorf("KWAY breaker %v after its link failed, want open (one failure recorded)", kway.State())
+	}
+	if rb.State() != BreakerClosed {
+		t.Errorf("RB breaker %v: a healthy link was charged for its predecessor's time", rb.State())
+	}
+
+	// The open KWAY breaker now refuses its link, and the walk says so.
+	res, err = PartitionWithFallback(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Strategy != StrategyRB || len(res.Attempts) != 0 || len(res.Skipped) != 1 || res.Skipped[0] != StrategyKWay {
+		t.Fatalf("got %s with attempts %v, skipped %v; want RB with KWAY skipped", res.Strategy, res.Attempts, res.Skipped)
 	}
 }
 

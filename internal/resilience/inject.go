@@ -22,8 +22,9 @@ const (
 	// value, exercising worker panic recovery, survivor re-partitioning and
 	// rollback.
 	FaultRankDeath
-	// FaultStall makes the target rank sleep past the per-step watchdog
-	// deadline, exercising timeout detection and retry-from-checkpoint.
+	// FaultStall makes the target rank sleep stallFor, past the per-step
+	// watchdog deadline, exercising timeout detection and
+	// retry-from-checkpoint.
 	FaultStall
 	// FaultCorruptCheckpoint flips one bit of the newest stored checkpoint,
 	// exercising CRC detection and previous-checkpoint fallback on the next
@@ -72,8 +73,12 @@ func (d RankDeath) String() string {
 	return fmt.Sprintf("injected death of rank %d at step %d", d.Rank, d.Step)
 }
 
+// stallFor is the sleep injected by FaultStall; a supervisor's per-step
+// deadline must be shorter for the watchdog to trip.
+const stallFor = 150 * time.Millisecond
+
 // Injector holds a seeded fault plan. All unspecified fault parameters
-// (target ranks, corrupted bit positions, stall lengths) are derived from
+// (target ranks, corrupted bit positions) are derived from
 // the single seed, so two runs built from the same (seed, plan) observe
 // byte-identical faults — the whole failure scenario replays.
 //
@@ -81,9 +86,6 @@ func (d RankDeath) String() string {
 // worker goroutines.
 type Injector struct {
 	Seed uint64
-	// StallFor is the sleep injected by FaultStall; it must exceed the
-	// supervisor's per-step deadline to trip the watchdog. Zero means 150ms.
-	StallFor time.Duration
 
 	mu     sync.Mutex
 	faults []Fault
@@ -94,13 +96,6 @@ type Injector struct {
 // significant only for seed derivation.
 func NewInjector(seed uint64, faults ...Fault) *Injector {
 	return &Injector{Seed: seed, faults: append([]Fault(nil), faults...)}
-}
-
-func (in *Injector) stall() time.Duration {
-	if in.StallFor > 0 {
-		return in.StallFor
-	}
-	return 150 * time.Millisecond
 }
 
 // arm resolves derived fault parameters for a run over nranks ranks. Each

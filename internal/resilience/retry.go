@@ -9,24 +9,19 @@ import (
 )
 
 // Jitter is a seeded decorrelated-jitter backoff stream: each draw is
-// uniform in [base, 3*prev] capped at cap, so synchronized clients spread
+// uniform in [base, 3*prev] capped at 10*base, so synchronized clients spread
 // out instead of retrying in lockstep, while the whole sleep sequence
 // stays a pure function of the seed — same seed, same sequence, which is
 // what makes backoff schedules replayable in tests. A nil *Jitter (or a
 // non-positive base) yields an all-zero stream.
 type Jitter struct {
-	state     uint64
-	base, cap time.Duration
-	prev      time.Duration
+	state      uint64
+	base, prev time.Duration
 }
 
-// NewJitter returns a jitter stream starting at base and capped at cap;
-// cap <= 0 means 10*base.
-func NewJitter(seed uint64, base, cap time.Duration) *Jitter {
-	if cap <= 0 {
-		cap = 10 * base
-	}
-	return &Jitter{state: seed, base: base, cap: cap, prev: base}
+// NewJitter returns a jitter stream starting at base.
+func NewJitter(seed uint64, base time.Duration) *Jitter {
+	return &Jitter{state: seed, base: base, prev: base}
 }
 
 // Next returns the next backoff in the stream.
@@ -39,8 +34,8 @@ func (j *Jitter) Next() time.Duration {
 	if span := 3*j.prev - j.base; span > 0 {
 		d += time.Duration(j.state % uint64(span))
 	}
-	if d > j.cap {
-		d = j.cap
+	if d > 10*j.base {
+		d = 10 * j.base
 	}
 	j.prev = d
 	return d
@@ -51,28 +46,19 @@ func (j *Jitter) Next() time.Duration {
 type RetrySpec struct {
 	// MaxAttempts is the total number of op invocations (default 3).
 	MaxAttempts int
-	// Base is the first backoff (default 10ms); Cap bounds every backoff
-	// (default 10*Base).
-	Base, Cap time.Duration
+	// Base is the first backoff (default 10ms); every backoff is bounded by
+	// 10*Base.
+	Base time.Duration
 	// Seed seeds the decorrelated-jitter stream; the full sleep sequence
 	// is a pure function of it.
 	Seed uint64
-	// Retryable reports whether an error is worth another attempt; nil
-	// retries everything except context errors, which always stop the
-	// loop.
-	Retryable func(error) bool
-	// OnRetry observes each scheduled retry: the attempt that just
-	// failed (1-based), its error, and the backoff chosen before the
-	// next one.
-	OnRetry func(attempt int, err error, sleep time.Duration)
 }
 
 // Retry runs op up to spec.MaxAttempts times, sleeping a capped
 // exponential backoff with seeded decorrelated jitter between attempts
 // and honouring ctx while sleeping. It returns nil on the first success;
-// otherwise the last error — when attempts are exhausted, when the
-// Retryable predicate rejects the error, or when ctx expires (a context
-// error from op, or ctx going done mid-wait, both stop the loop).
+// otherwise the last error — when attempts are exhausted or when ctx expires
+// (a context error from op, or ctx going done mid-wait, both stop the loop).
 func Retry(ctx context.Context, spec RetrySpec, op func(ctx context.Context) error) error {
 	attempts := spec.MaxAttempts
 	if attempts <= 0 {
@@ -82,7 +68,7 @@ func Retry(ctx context.Context, spec RetrySpec, op func(ctx context.Context) err
 	if base <= 0 {
 		base = 10 * time.Millisecond
 	}
-	j := NewJitter(spec.Seed, base, spec.Cap)
+	j := NewJitter(spec.Seed, base)
 	var err error
 	for a := 1; ; a++ {
 		if err = op(ctx); err == nil {
@@ -92,15 +78,21 @@ func Retry(ctx context.Context, spec RetrySpec, op func(ctx context.Context) err
 			errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			return err
 		}
-		if spec.Retryable != nil && !spec.Retryable(err) {
+		if !sleepCtx(ctx, j.Next()) {
 			return err
 		}
-		d := j.Next()
-		if spec.OnRetry != nil {
-			spec.OnRetry(a, err, d)
-		}
-		if !sleepCtx(ctx, d) {
-			return err
-		}
+	}
+}
+
+// sleepCtx sleeps for d unless ctx expires first; it reports whether the
+// full wait completed.
+func sleepCtx(ctx context.Context, d time.Duration) bool {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return true
+	case <-ctx.Done():
+		return false
 	}
 }

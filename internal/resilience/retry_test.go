@@ -12,9 +12,9 @@ import (
 // TestJitterDeterministicAndBounded: the stream is a pure function of the
 // seed, every draw stays in [base, cap], and distinct seeds diverge.
 func TestJitterDeterministicAndBounded(t *testing.T) {
-	const base, cap = 5 * time.Millisecond, 50 * time.Millisecond
+	const base, cap = 5 * time.Millisecond, 50 * time.Millisecond // cap = 10*base
 	seq := func(seed uint64) []time.Duration {
-		j := NewJitter(seed, base, cap)
+		j := NewJitter(seed, base)
 		out := make([]time.Duration, 16)
 		for i := range out {
 			out[i] = j.Next()
@@ -46,7 +46,7 @@ func TestJitterDeterministicAndBounded(t *testing.T) {
 }
 
 func TestJitterZeroBaseAndNil(t *testing.T) {
-	if d := NewJitter(1, 0, 0).Next(); d != 0 {
+	if d := NewJitter(1, 0).Next(); d != 0 {
 		t.Errorf("zero base drew %v", d)
 	}
 	var j *Jitter
@@ -57,12 +57,10 @@ func TestJitterZeroBaseAndNil(t *testing.T) {
 
 func TestRetrySucceedsAfterFailures(t *testing.T) {
 	calls := 0
-	var sleeps []time.Duration
 	err := Retry(context.Background(), RetrySpec{
 		MaxAttempts: 5,
 		Base:        time.Microsecond,
 		Seed:        7,
-		OnRetry:     func(_ int, _ error, d time.Duration) { sleeps = append(sleeps, d) },
 	}, func(context.Context) error {
 		calls++
 		if calls < 3 {
@@ -76,9 +74,6 @@ func TestRetrySucceedsAfterFailures(t *testing.T) {
 	if calls != 3 {
 		t.Errorf("op ran %d times, want 3", calls)
 	}
-	if len(sleeps) != 2 {
-		t.Errorf("recorded %d sleeps, want 2", len(sleeps))
-	}
 }
 
 func TestRetryExhaustsAttempts(t *testing.T) {
@@ -91,18 +86,6 @@ func TestRetryExhaustsAttempts(t *testing.T) {
 	}
 	if calls != 4 {
 		t.Errorf("op ran %d times, want MaxAttempts=4", calls)
-	}
-}
-
-func TestRetryStopsOnNonRetryable(t *testing.T) {
-	calls := 0
-	err := Retry(context.Background(), RetrySpec{
-		MaxAttempts: 5,
-		Base:        time.Microsecond,
-		Retryable:   func(err error) bool { return false },
-	}, func(context.Context) error { calls++; return errors.New("fatal") })
-	if err == nil || calls != 1 {
-		t.Errorf("non-retryable error retried: calls=%d err=%v", calls, err)
 	}
 }
 
@@ -129,23 +112,18 @@ func TestRetryStopsOnContextError(t *testing.T) {
 	}
 }
 
-// TestRetryDeterministicSchedule: two retries with the same spec observe
-// the same jittered sleep schedule.
+// TestRetryDeterministicSchedule: the seed picks the sleeps (Jitter's stream,
+// pinned by TestJitterDeterministicAndBounded), never the number of attempts.
 func TestRetryDeterministicSchedule(t *testing.T) {
-	schedule := func(seed uint64) []time.Duration {
-		var out []time.Duration
+	for _, seed := range []uint64{11, 12} {
+		calls := 0
 		_ = Retry(context.Background(), RetrySpec{
 			MaxAttempts: 6,
 			Base:        time.Microsecond,
 			Seed:        seed,
-			OnRetry:     func(_ int, _ error, d time.Duration) { out = append(out, d) },
-		}, func(context.Context) error { return errors.New("always") })
-		return out
-	}
-	if a, b := schedule(11), schedule(11); !reflect.DeepEqual(a, b) {
-		t.Errorf("same seed, different schedules:\n%v\n%v", a, b)
-	}
-	if a, b := schedule(11), schedule(12); reflect.DeepEqual(a, b) {
-		t.Errorf("distinct seeds, identical schedules: %v", a)
+		}, func(context.Context) error { calls++; return errors.New("always") })
+		if calls != 6 {
+			t.Errorf("seed %d: op ran %d times, want MaxAttempts=6", seed, calls)
+		}
 	}
 }

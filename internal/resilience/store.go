@@ -16,161 +16,118 @@ var ErrNoCheckpoint = errors.New("resilience: no valid checkpoint")
 // never destroy the last good restart point. Load returns the newest slot
 // that decodes cleanly, together with the number of corrupt slots it had to
 // skip — the recovery path for a damaged checkpoint is simply "use the
-// previous one".
-type Store interface {
-	// Save persists an encoded checkpoint into the rolling slot.
-	Save(data []byte) error
-	// Load returns the newest valid checkpoint and how many corrupt slots
-	// were skipped to find it. It returns ErrNoCheckpoint when no slot holds
-	// a valid checkpoint.
-	Load() (ck *Checkpoint, corruptSkipped int, err error)
-	// Corrupt flips one bit of the most recently saved slot (fault
-	// injection). It fails when nothing has been saved.
-	Corrupt(bit int) error
-}
-
-// loadSlots picks the newest valid checkpoint among raw slot contents
-// (nil = slot absent).
-func loadSlots(slots [][]byte) (*Checkpoint, int, error) {
-	var best *Checkpoint
-	corrupt := 0
-	for _, data := range slots {
-		if data == nil {
-			continue
-		}
-		ck, err := DecodeCheckpoint(data)
-		if err != nil {
-			corrupt++
-			continue
-		}
-		if best == nil || ck.Step > best.Step {
-			best = ck
-		}
-	}
-	if best == nil {
-		return nil, corrupt, ErrNoCheckpoint
-	}
-	return best, corrupt, nil
-}
-
-// MemStore is an in-memory Store, used by tests and as the Supervisor's
-// default when no directory is configured (checkpoints then survive
-// rollbacks within the process but not a process restart).
-type MemStore struct {
+// previous one". Where the two slots live is the constructor's business:
+// NewMemStore keeps them in memory, NewFileStore in a directory.
+type Store struct {
 	mu    sync.Mutex
-	slots [2][]byte
-	last  int // slot of the most recent Save, -1 before the first
+	read  func(slot int) []byte // nil = slot absent
+	write func(slot int, data []byte) error
+	last  int // slot of the most recent Save
 	saved bool
 }
 
-// NewMemStore returns an empty in-memory checkpoint store.
-func NewMemStore() *MemStore { return &MemStore{} }
-
-func (s *MemStore) Save(data []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	slot := 0
-	if s.saved {
-		slot = 1 - s.last
+// newStore wraps a slot pair. If the slots already hold checkpoints, the next
+// Save will overwrite the older one, and Load resumes from the newer — this
+// is the restart path.
+func newStore(read func(slot int) []byte, write func(slot int, data []byte) error) *Store {
+	s := &Store{read: read, write: write}
+	best := uint64(0)
+	for slot := 0; slot < 2; slot++ {
+		if ck, err := DecodeCheckpoint(read(slot)); err == nil && (!s.saved || ck.Step >= best) {
+			best, s.last, s.saved = ck.Step, slot, true
+		}
 	}
-	s.slots[slot] = append([]byte(nil), data...)
-	s.last, s.saved = slot, true
-	return nil
+	return s
 }
 
-func (s *MemStore) Load() (*Checkpoint, int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return loadSlots([][]byte{s.slots[0], s.slots[1]})
+// NewMemStore returns an empty in-memory checkpoint store, used by tests and
+// as cmd/seamsim's default when no directory is configured (checkpoints then
+// survive rollbacks within the process but not a process restart).
+func NewMemStore() *Store {
+	var slots [2][]byte
+	return newStore(
+		func(slot int) []byte { return slots[slot] },
+		func(slot int, data []byte) error {
+			slots[slot] = append([]byte(nil), data...)
+			return nil
+		})
 }
 
-func (s *MemStore) Corrupt(bit int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.saved {
-		return fmt.Errorf("resilience: nothing saved yet")
-	}
-	data := s.slots[s.last]
-	if len(data) == 0 {
-		return fmt.Errorf("resilience: empty slot")
-	}
-	bit %= 8 * len(data)
-	if bit < 0 {
-		bit += 8 * len(data)
-	}
-	data[bit/8] ^= 1 << (bit % 8)
-	return nil
-}
-
-// FileStore is a Store backed by two files in a directory,
-// checkpoint-0.sfck and checkpoint-1.sfck. Writes go through a temporary
-// file and an atomic rename, so a crash mid-save leaves at worst a stale
-// temp file, never a half-written slot.
-type FileStore struct {
-	mu    sync.Mutex
-	dir   string
-	last  int
-	saved bool
-}
-
-// NewFileStore opens (creating if needed) a checkpoint directory. If the
-// directory already holds checkpoints, the next Save will overwrite the
-// older slot, and Load resumes from the newer — this is the restart path.
-func NewFileStore(dir string) (*FileStore, error) {
+// NewFileStore opens (creating if needed) a checkpoint directory holding the
+// two slots as checkpoint-0.sfck and checkpoint-1.sfck. Writes go through a
+// temporary file and an atomic rename, so a crash mid-save leaves at worst a
+// stale temp file, never a half-written slot.
+func NewFileStore(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("resilience: %w", err)
 	}
-	s := &FileStore{dir: dir, last: -1}
-	// Recover the "most recent slot" notion from the existing contents so a
-	// resumed process keeps alternating correctly.
-	best := uint64(0)
-	for slot := 0; slot < 2; slot++ {
-		if ck, err := DecodeCheckpoint(s.read(slot)); err == nil {
-			if !s.saved || ck.Step >= best {
-				best, s.last, s.saved = ck.Step, slot, true
+	slotPath := func(slot int) string {
+		return filepath.Join(dir, fmt.Sprintf("checkpoint-%d.sfck", slot))
+	}
+	return newStore(
+		func(slot int) []byte {
+			data, err := os.ReadFile(slotPath(slot))
+			if err != nil {
+				return nil
 			}
-		}
-	}
-	return s, nil
+			return data
+		},
+		func(slot int, data []byte) error {
+			tmp := slotPath(slot) + ".tmp"
+			if err := os.WriteFile(tmp, data, 0o644); err != nil {
+				return fmt.Errorf("resilience: %w", err)
+			}
+			if err := os.Rename(tmp, slotPath(slot)); err != nil {
+				return fmt.Errorf("resilience: %w", err)
+			}
+			return nil
+		}), nil
 }
 
-func (s *FileStore) slotPath(slot int) string {
-	return filepath.Join(s.dir, fmt.Sprintf("checkpoint-%d.sfck", slot))
-}
-
-func (s *FileStore) read(slot int) []byte {
-	data, err := os.ReadFile(s.slotPath(slot))
-	if err != nil {
-		return nil
-	}
-	return data
-}
-
-func (s *FileStore) Save(data []byte) error {
+// Save persists an encoded checkpoint into the rolling slot.
+func (s *Store) Save(data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	slot := 0
 	if s.saved {
 		slot = 1 - s.last
 	}
-	tmp := s.slotPath(slot) + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("resilience: %w", err)
-	}
-	if err := os.Rename(tmp, s.slotPath(slot)); err != nil {
-		return fmt.Errorf("resilience: %w", err)
+	if err := s.write(slot, data); err != nil {
+		return err
 	}
 	s.last, s.saved = slot, true
 	return nil
 }
 
-func (s *FileStore) Load() (*Checkpoint, int, error) {
+// Load returns the newest valid checkpoint and how many corrupt slots were
+// skipped to find it. It returns ErrNoCheckpoint when no slot holds a valid
+// checkpoint.
+func (s *Store) Load() (ck *Checkpoint, corruptSkipped int, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return loadSlots([][]byte{s.read(0), s.read(1)})
+	for slot := 0; slot < 2; slot++ {
+		data := s.read(slot)
+		if data == nil {
+			continue
+		}
+		c, derr := DecodeCheckpoint(data)
+		if derr != nil {
+			corruptSkipped++
+			continue
+		}
+		if ck == nil || c.Step > ck.Step {
+			ck = c
+		}
+	}
+	if ck == nil {
+		return nil, corruptSkipped, ErrNoCheckpoint
+	}
+	return ck, corruptSkipped, nil
 }
 
-func (s *FileStore) Corrupt(bit int) error {
+// Corrupt flips one bit of the most recently saved slot (fault injection).
+// It fails when nothing has been saved.
+func (s *Store) Corrupt(bit int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.saved {
@@ -185,5 +142,5 @@ func (s *FileStore) Corrupt(bit int) error {
 		bit += 8 * len(data)
 	}
 	data[bit/8] ^= 1 << (bit % 8)
-	return os.WriteFile(s.slotPath(s.last), data, 0o644)
+	return s.write(s.last, data)
 }

@@ -60,18 +60,20 @@ func (e Event) String() string {
 	return fmt.Sprintf("step %d: %s: %s", e.Step, e.Kind, e.Detail)
 }
 
-// Policy bounds the supervisor's recovery behaviour.
+const (
+	// maxRollbacks is the total rollback budget of one Run; exceeding it
+	// surfaces the triggering fault as an error.
+	maxRollbacks = 4
+	// maxDtHalvings bounds how many times a blowup may halve dt.
+	maxDtHalvings = 2
+)
+
+// Policy sets the supervisor's checkpoint cadence and step watchdog.
 type Policy struct {
 	// CheckpointEvery is the checkpoint cadence in steps. Zero means 8;
 	// negative disables periodic checkpoints (the initial and final ones
 	// are still written).
 	CheckpointEvery int
-	// MaxRollbacks is the total rollback budget of one Run; exceeding it
-	// surfaces the triggering fault as an error. Zero means 4.
-	MaxRollbacks int
-	// MaxDtHalvings bounds how many times a blowup may halve dt. Zero
-	// means 2.
-	MaxDtHalvings int
 	// StepDeadline is the watchdog deadline per step (stall detection).
 	// Zero disables the per-step watchdog (the run ctx still applies).
 	StepDeadline time.Duration
@@ -80,12 +82,6 @@ type Policy struct {
 func (p Policy) withDefaults() Policy {
 	if p.CheckpointEvery == 0 {
 		p.CheckpointEvery = 8
-	}
-	if p.MaxRollbacks == 0 {
-		p.MaxRollbacks = 4
-	}
-	if p.MaxDtHalvings == 0 {
-		p.MaxDtHalvings = 2
 	}
 	return p
 }
@@ -122,7 +118,7 @@ type Supervisor struct {
 	NRanks int
 	// Store receives checkpoints; nil disables checkpointing (and
 	// therefore rollback recovery: any detected fault becomes fatal).
-	Store Store
+	Store *Store
 	// Injector optionally injects faults; nil injects nothing.
 	Injector *Injector
 	Policy   Policy
@@ -283,7 +279,7 @@ func (s *Supervisor) Run(ctx context.Context, steps int, dt float64) (*Report, e
 				v1[int(runner.Owned(rank)[0])*npts] = math.NaN()
 			}
 			if f := s.Injector.take(FaultStall, curStep, rank); f != nil {
-				time.Sleep(s.Injector.stall())
+				time.Sleep(stallFor)
 			}
 			if f := s.Injector.take(FaultRankDeath, curStep, rank); f != nil {
 				panic(RankDeath{Rank: rank, Step: curStep})
@@ -303,7 +299,7 @@ func (s *Supervisor) Run(ctx context.Context, steps int, dt float64) (*Report, e
 				rep.StepsDone, rep.FinalDt, rep.AliveRanks = step, dt, nranks
 				return rep, err
 			}
-			if rep.Rollbacks > pol.MaxRollbacks {
+			if rep.Rollbacks > maxRollbacks {
 				return rep, overBudget(runErr)
 			}
 			if rebuild {
@@ -320,10 +316,10 @@ func (s *Supervisor) Run(ctx context.Context, steps int, dt float64) (*Report, e
 			if err := restore(); err != nil {
 				return rep, err
 			}
-			if rep.Rollbacks > pol.MaxRollbacks {
+			if rep.Rollbacks > maxRollbacks {
 				return rep, overBudget(ferr)
 			}
-			if halvings < pol.MaxDtHalvings {
+			if halvings < maxDtHalvings {
 				dt /= 2
 				halvings++
 				event(step, EventDtHalved, -1, "dt=%g", dt)

@@ -17,7 +17,7 @@ const (
 
 // supRun runs a fresh supervised integration and returns its report, error,
 // and a snapshot of the final prognostic slabs.
-func supRun(t *testing.T, steps int, store Store, inj *Injector, pol Policy) (*Report, error, [3][]float64) {
+func supRun(t *testing.T, steps int, store *Store, inj *Injector, pol Policy) (*Report, error, [3][]float64) {
 	t.Helper()
 	sw, dt := testSW(t, tNe, tDeg)
 	sup := &Supervisor{
@@ -142,7 +142,6 @@ type faultCase struct {
 	name   string
 	plan   string
 	pol    Policy
-	stall  time.Duration
 	steps  int
 	expect []EventKind
 	check  func(t *testing.T, rep *Report)
@@ -183,7 +182,6 @@ func TestFaultMatrix(t *testing.T) {
 		{
 			name: "stall", plan: "stall@3", steps: 8,
 			pol:    Policy{CheckpointEvery: 2, StepDeadline: 80 * time.Millisecond},
-			stall:  400 * time.Millisecond,
 			expect: []EventKind{EventStallTimeout, EventRollback},
 			check: func(t *testing.T, rep *Report) {
 				for _, e := range rep.Events {
@@ -219,8 +217,7 @@ func TestFaultMatrix(t *testing.T) {
 		},
 		{
 			name: "combined", plan: "nan@2,stall@3,corruptckpt@4,rankdeath@5,parttimeout@6", steps: 8,
-			pol:   Policy{CheckpointEvery: 2, StepDeadline: 80 * time.Millisecond, MaxRollbacks: 6},
-			stall: 400 * time.Millisecond,
+			pol: Policy{CheckpointEvery: 2, StepDeadline: 80 * time.Millisecond},
 			expect: []EventKind{
 				EventNaNDetected, EventStallTimeout, EventRankDeath,
 				EventRepartition, EventPartitionFallback, EventRollback,
@@ -241,7 +238,6 @@ func TestFaultMatrix(t *testing.T) {
 					t.Fatal(err)
 				}
 				inj := NewInjector(99, faults...)
-				inj.StallFor = tc.stall
 				rep, err, slabs := supRun(t, tc.steps, NewMemStore(), inj, tc.pol)
 				if err != nil {
 					t.Fatalf("supervised run failed: %v (events: %v)", err, rep.Events)
@@ -273,21 +269,21 @@ func TestFaultMatrix(t *testing.T) {
 	}
 }
 
-// TestSupervisorBlowupBudget: a fault volley exceeding MaxRollbacks must
+// TestSupervisorBlowupBudget: a fault volley exceeding maxRollbacks must
 // surface as a typed *BlowupError instead of looping forever.
 func TestSupervisorBlowupBudget(t *testing.T) {
-	faults, err := ParseFaults("nan@1,nan@2")
+	faults, err := ParseFaults("nan@1,nan@2,nan@3,nan@4,nan@5")
 	if err != nil {
 		t.Fatal(err)
 	}
 	inj := NewInjector(7, faults...)
-	rep, err, _ := supRun(t, 6, NewMemStore(), inj, Policy{CheckpointEvery: 1, MaxRollbacks: 1})
+	rep, err, _ := supRun(t, 6, NewMemStore(), inj, Policy{CheckpointEvery: 1})
 	var be *BlowupError
 	if !errors.As(err, &be) {
 		t.Fatalf("got %v, want *BlowupError (report %+v)", err, rep)
 	}
-	if be.Rollbacks != 2 {
-		t.Errorf("blowup after %d rollbacks, want 2", be.Rollbacks)
+	if be.Rollbacks != maxRollbacks+1 {
+		t.Errorf("blowup after %d rollbacks, want %d", be.Rollbacks, maxRollbacks+1)
 	}
 }
 

@@ -6,6 +6,10 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"sfccube/internal/core"
+	"sfccube/internal/obs"
+	"sfccube/internal/partition"
 )
 
 func newIdleAdmitter(workers, depth int) *admitter {
@@ -211,5 +215,36 @@ func TestBreakerTripsToFallback(t *testing.T) {
 	}
 	if got := counter(t, s, "partsrv_cache_hits_total"); got != 0 {
 		t.Errorf("cache hits = %v, want 0", got)
+	}
+}
+
+// TestBreakerChargesEachLinkItsOwnTime is the service-level form of the
+// resilience test of the same name: with -breaker-latency set, an RB that
+// answers in milliseconds after a KWAY that burned 400 ms and failed must not
+// be billed KWAY's time. KWAY's breaker trips on its own failure; RB's stays
+// closed.
+func TestBreakerChargesEachLinkItsOwnTime(t *testing.T) {
+	for i, m := range core.Methods {
+		if m.Name == "kway" {
+			t.Cleanup(func() { core.Methods[i] = m })
+			core.Methods[i].Run = func(context.Context, *core.Problem, int, int64, *obs.Registry) (*partition.Partition, error) {
+				time.Sleep(400 * time.Millisecond)
+				return nil, errors.New("kway stub: slow and broken")
+			}
+		}
+	}
+	s := newTestService(t, Config{BreakerFailures: 1, BreakerLatency: 200 * time.Millisecond, BreakerCooldown: time.Hour})
+	payload, _, err := s.Partition(context.Background(), Request{Ne: 4, NParts: 6, Method: "kway"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp := decodeResponse(t, payload); resp.Strategy != "RB" || len(resp.Attempts) != 1 {
+		t.Fatalf("strategy %q after attempts %v, want RB after one KWAY failure", resp.Strategy, resp.Attempts)
+	}
+	if got := counter(t, s, `partsrv_breaker_state{method="KWAY"}`); got != 1 {
+		t.Errorf("breaker KWAY state = %v, want 1 (open: its own failure)", got)
+	}
+	if got := counter(t, s, `partsrv_breaker_state{method="RB"}`); got != 0 {
+		t.Errorf("breaker RB state = %v, want 0 (closed): a healthy link was charged for its predecessor", got)
 	}
 }

@@ -19,9 +19,9 @@ import (
 // detached computation.
 type stallKey struct{}
 
-// WithComputeStall returns ctx instructing the next computation started
+// withComputeStall returns ctx instructing the next computation started
 // under it to stall for d before doing real work.
-func WithComputeStall(ctx context.Context, d time.Duration) context.Context {
+func withComputeStall(ctx context.Context, d time.Duration) context.Context {
 	return context.WithValue(ctx, stallKey{}, d)
 }
 
@@ -65,7 +65,7 @@ func ChaosMiddleware(plan *resilience.ChaosPlan, reg *obs.Registry, next http.Ha
 			// sanctioned way to abort from inside a handler.
 			panic(http.ErrAbortHandler)
 		case resilience.ChaosComputeStall:
-			next.ServeHTTP(w, r.WithContext(WithComputeStall(r.Context(), sp.Param)))
+			next.ServeHTTP(w, r.WithContext(withComputeStall(r.Context(), sp.Param)))
 		case resilience.ChaosErrInject:
 			// 503, not 500: injected errors are shaped like back-pressure so
 			// the soak's shed-not-collapse terminal set {2xx, 429, 503}

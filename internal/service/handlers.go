@@ -118,15 +118,11 @@ func parseRequest(r *http.Request) (Request, error) {
 		req.MaxLB = &v
 	}
 	if q.Has("deadline_ms") {
-		if req.DeadlineMS, err = func() (int64, error) {
-			v, err := strconv.ParseInt(q.Get("deadline_ms"), 10, 64)
-			if err != nil {
-				return 0, &BadRequestError{Reason: "parameter deadline_ms: " + err.Error()}
-			}
-			return v, nil
-		}(); err != nil {
-			return req, err
+		v, err := strconv.ParseInt(q.Get("deadline_ms"), 10, 64)
+		if err != nil {
+			return req, &BadRequestError{Reason: "parameter deadline_ms: " + err.Error()}
 		}
+		req.DeadlineMS = v
 	}
 	return req, nil
 }
@@ -203,26 +199,37 @@ func setMetaHeaders(w http.ResponseWriter, meta Meta) {
 	}
 }
 
-// handlePartition answers one request with the full JSON response (the
-// cached bytes verbatim on a hit).
-func (s *Service) handlePartition(w http.ResponseWriter, r *http.Request) {
+// answer is the front half of both endpoints: verb check, request parsing,
+// caller deadline, Partition. On any failure it has already written the error
+// response and reports ok = false.
+func (s *Service) answer(w http.ResponseWriter, r *http.Request) (payload []byte, meta Meta, ok bool) {
 	if methodNotAllowed(w, r) {
-		return
+		return nil, Meta{}, false
 	}
 	req, err := parseRequest(r)
 	if err != nil {
 		writeError(w, err)
-		return
+		return nil, Meta{}, false
 	}
 	ctx, cancel, err := requestContext(r)
 	if err != nil {
 		writeError(w, err)
-		return
+		return nil, Meta{}, false
 	}
 	defer cancel()
-	payload, meta, err := s.Partition(ctx, req)
+	payload, meta, err = s.Partition(ctx, req)
 	if err != nil {
 		writeError(w, err)
+		return nil, Meta{}, false
+	}
+	return payload, meta, true
+}
+
+// handlePartition answers one request with the full JSON response (the
+// cached bytes verbatim on a hit).
+func (s *Service) handlePartition(w http.ResponseWriter, r *http.Request) {
+	payload, meta, ok := s.answer(w, r)
+	if !ok {
 		return
 	}
 	setMetaHeaders(w, meta)
@@ -250,23 +257,8 @@ type streamLine struct {
 // are written. Meant for large K where a client wants to start consuming
 // the assignment before the full body has arrived.
 func (s *Service) handleStream(w http.ResponseWriter, r *http.Request) {
-	if methodNotAllowed(w, r) {
-		return
-	}
-	req, err := parseRequest(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	ctx, cancel, err := requestContext(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	defer cancel()
-	payload, meta, err := s.Partition(ctx, req)
-	if err != nil {
-		writeError(w, err)
+	payload, meta, ok := s.answer(w, r)
+	if !ok {
 		return
 	}
 	var resp Response

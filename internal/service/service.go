@@ -129,9 +129,9 @@ type Response struct {
 	Degraded bool `json:"degraded,omitempty"`
 	// Attempts lists the abandoned chain links, in order.
 	Attempts []string `json:"attempts,omitempty"`
-	// BreakerSkipped lists chain links short-circuited by an open circuit
-	// breaker before any attempt. Like Degraded it reflects transient
-	// server state, so responses carrying it are never cached.
+	// BreakerSkipped lists the chain links the walk reached and an open
+	// circuit breaker refused. Like Degraded it reflects transient server
+	// state, so responses carrying it are never cached.
 	BreakerSkipped []string `json:"breaker_skipped,omitempty"`
 	// Stats are the paper's Table-2 quality metrics for the partition.
 	Stats partition.Stats `json:"stats"`
@@ -523,15 +523,17 @@ func (s *Service) compute(ctx context.Context, canon canonicalRequest, key strin
 			chain = resilience.RepartitionChain
 		}
 	}
-	chain, skipped, probing := s.filterChain(chain)
-	spec.Chain = chain
+	spec.Chain, spec.Breakers = chain, s.breakers
 	res, err := resilience.PartitionProblem(cctx, prob, spec)
 	elapsed := time.Since(t0)
 	if err != nil {
-		s.recordBreakers(probing, nil, elapsed, err)
 		return computed{}, err
 	}
-	s.recordBreakers(probing, res, elapsed, nil)
+	var skipped []string
+	for _, st := range res.Skipped {
+		skipped = append(skipped, string(st))
+		s.cfg.Registry.Counter("partsrv_breaker_short_circuits_total", "method", string(st)).Inc()
+	}
 	// Every response carries stats; Problem.Stats reads the CSR graph only
 	// if a chain link already built it.
 	st, err := prob.Stats(res.Partition)
@@ -566,64 +568,4 @@ func (s *Service) compute(ctx context.Context, canon canonicalRequest, key strin
 		return computed{}, err
 	}
 	return computed{payload: b, degraded: resp.Degraded, breakerSkipped: skipped}, nil
-}
-
-// filterChain removes chain links whose breaker refuses the call, returning
-// the surviving chain, the skipped link names, and the set of links that
-// consumed a breaker Allow (and therefore owe a Record or Cancel). The
-// SFC-family links carry no breaker, so a chain never filters to empty.
-func (s *Service) filterChain(chain []resilience.Strategy) ([]resilience.Strategy, []string, map[resilience.Strategy]bool) {
-	if len(s.breakers) == 0 {
-		return chain, nil, nil
-	}
-	kept := make([]resilience.Strategy, 0, len(chain))
-	var skipped []string
-	probing := make(map[resilience.Strategy]bool)
-	for _, st := range chain {
-		if br := s.breakers[st]; br != nil {
-			if !br.Allow() {
-				skipped = append(skipped, string(st))
-				s.cfg.Registry.Counter("partsrv_breaker_short_circuits_total", "method", string(st)).Inc()
-				continue
-			}
-			probing[st] = true
-		}
-		kept = append(kept, st)
-	}
-	return kept, skipped, probing
-}
-
-// recordBreakers settles every breaker Allow consumed by filterChain: the
-// winning strategy records a success with its latency, abandoned attempts
-// record their failures, and links the chain never reached hand their
-// half-open probe slot back with Cancel (otherwise a probe reserved for a
-// link answered upstream would wedge the breaker half-open forever).
-func (s *Service) recordBreakers(probing map[resilience.Strategy]bool, res *resilience.FallbackResult, elapsed time.Duration, chainErr error) {
-	if len(probing) == 0 {
-		return
-	}
-	recorded := make(map[resilience.Strategy]bool, len(probing))
-	if res != nil && probing[res.Strategy] {
-		s.breakers[res.Strategy].Record(elapsed, nil)
-		recorded[res.Strategy] = true
-	}
-	if res != nil {
-		for _, a := range res.Attempts {
-			if probing[a.Strategy] && !recorded[a.Strategy] {
-				s.breakers[a.Strategy].Record(0, a.Err)
-				recorded[a.Strategy] = true
-			}
-		}
-	}
-	for st := range probing {
-		if recorded[st] {
-			continue
-		}
-		if chainErr != nil {
-			// The whole chain failed: every admitted link shares the blame.
-			s.breakers[st].Record(0, chainErr)
-		} else {
-			s.breakers[st].Cancel()
-		}
-	}
 }

@@ -37,10 +37,11 @@ func TestPerimeter(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the module and the standard library from source (~3 s)")
 	}
-	dead, err := perimeterUnreachable(".")
+	l, err := perimeterLoad(".")
 	if err != nil {
 		t.Fatal(err)
 	}
+	dead := l.unreachable()
 	keep, err := perimeterReadKeep(filepath.Join("testdata", "perimeter_keep.txt"))
 	if err != nil {
 		t.Fatal(err)
@@ -59,6 +60,9 @@ func TestPerimeter(t *testing.T) {
 		}
 	}
 	t.Logf("%d kept declarations, %d lines", len(keep), lines)
+	for _, name := range l.unwrittenFields() {
+		t.Errorf("field %s is read but no program or package ever writes it: make it a constant, or delete it with the code that reads it", name)
+	}
 }
 
 // perimeterStdMethods are method names the standard library reaches through
@@ -208,9 +212,9 @@ func perimeterRecvName(e ast.Expr) string {
 	}
 }
 
-// perimeterUnreachable returns the internal/ declarations no program
-// reaches, by name, with the lines each spans.
-func perimeterUnreachable(root string) (map[string]int, error) {
+// perimeterLoad type-checks every non-test package of cmd/, examples/,
+// bench/ and internal/ under root.
+func perimeterLoad(root string) (*perimeterLoader, error) {
 	// The source importer shells out to cgo for package net unless told not to.
 	cgo := build.Default.CgoEnabled
 	build.Default.CgoEnabled = false
@@ -240,7 +244,12 @@ func perimeterUnreachable(root string) (map[string]int, error) {
 	if len(l.errs) > 0 {
 		return nil, fmt.Errorf("type-checking: %v (and %d more)", l.errs[0], len(l.errs)-1)
 	}
+	return l, nil
+}
 
+// unreachable returns the internal/ declarations no program reaches, by
+// name, with the lines each spans.
+func (l *perimeterLoader) unreachable() map[string]int {
 	var work []*perimeterUnit
 	mark := func(u *perimeterUnit) {
 		if u != nil && !u.live {
@@ -309,7 +318,7 @@ func perimeterUnreachable(root string) (map[string]int, error) {
 			dead[u.name] += u.lines
 		}
 	}
-	return dead, nil
+	return dead
 }
 
 // perimeterOrigin maps an instantiated generic function or method back to
@@ -361,4 +370,105 @@ func perimeterSorted(m map[string]int) []string {
 	}
 	sort.Strings(names)
 	return names
+}
+
+// unwrittenFields lists the exported, untagged fields of exported struct types
+// under internal/ that non-test code reads and no non-test code of the module
+// or bench/ ever writes: a value nobody varies is a constant, not an option.
+// A write is a composite literal of the struct (keyed: the fields it names;
+// positional: all of them), an assignment, ++/--, address-of, or a conversion
+// into the struct type, which fills every field (trace.Message is only ever
+// built that way). Fields of a sync or sync/atomic type are written through
+// their methods and are exempt.
+func (l *perimeterLoader) unwrittenFields() []string {
+	read, written := map[*types.Var]bool{}, map[*types.Var]bool{}
+	writeAll := func(t types.Type) {
+		if p, ok := t.Underlying().(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		if st, ok := t.Underlying().(*types.Struct); ok {
+			for i := 0; i < st.NumFields(); i++ {
+				written[st.Field(i).Origin()] = true
+			}
+		}
+	}
+	for _, u := range l.all {
+		field := func(e ast.Expr) (*ast.SelectorExpr, *types.Var) {
+			sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+			if !ok {
+				return nil, nil
+			}
+			if v, ok := u.info.Uses[sel.Sel].(*types.Var); ok && v.IsField() {
+				return sel, v.Origin()
+			}
+			return nil, nil
+		}
+		stores := map[*ast.SelectorExpr]bool{} // plain x.F = v: a write that is no read
+		write := func(e ast.Expr, store bool) {
+			if sel, v := field(e); v != nil {
+				written[v] = true
+				stores[sel] = store
+			}
+		}
+		ast.Inspect(u.node, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, e := range n.Lhs {
+					write(e, n.Tok == token.ASSIGN)
+				}
+			case *ast.RangeStmt:
+				write(n.Key, true)
+				write(n.Value, true)
+			case *ast.IncDecStmt:
+				write(n.X, false)
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					write(n.X, false)
+				}
+			case *ast.CompositeLit:
+				if len(n.Elts) > 0 {
+					if _, keyed := n.Elts[0].(*ast.KeyValueExpr); !keyed {
+						writeAll(u.info.Types[n].Type)
+					}
+				}
+			case *ast.KeyValueExpr:
+				if id, ok := n.Key.(*ast.Ident); ok {
+					if v, ok := u.info.Uses[id].(*types.Var); ok && v.IsField() {
+						written[v.Origin()] = true
+					}
+				}
+			case *ast.CallExpr:
+				if tv := u.info.Types[n.Fun]; tv.IsType() {
+					writeAll(tv.Type)
+				}
+			case *ast.SelectorExpr:
+				if _, v := field(n); v != nil && !stores[n] {
+					read[v] = true
+				}
+			}
+			return true
+		})
+	}
+	var out []string
+	for _, u := range l.all {
+		if !u.report || u.typ == nil || !u.typ.Obj().Exported() {
+			continue
+		}
+		st, ok := u.typ.Underlying().(*types.Struct)
+		if !ok {
+			continue
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			f := st.Field(i)
+			if !f.Exported() || st.Tag(i) != "" || !read[f] || written[f] {
+				continue
+			}
+			if n, ok := f.Type().(*types.Named); ok && n.Obj().Pkg() != nil && strings.HasPrefix(n.Obj().Pkg().Path(), "sync") {
+				continue
+			}
+			out = append(out, u.name+"."+f.Name())
+		}
+	}
+	sort.Strings(out)
+	return out
 }
