@@ -72,6 +72,17 @@ var keyOf = map[string]string{
 	"BenchmarkServiceMiss/sfc/Ne128":  "service_miss_sfc_ne128_ns_per_op",
 	"BenchmarkServiceMiss/kway/Ne32":  "service_miss_kway_ne32_ns_per_op",
 	"BenchmarkServiceMiss/kway/Ne128": "service_miss_kway_ne128_ns_per_op",
+	// One request through the service mux into a discarding writer: a JSON
+	// hit, a stream hit for the same entry, a stream miss (report-only).
+	"BenchmarkServiceRequest/hit/Ne16":          "service_request_hit_ne16_ns_per_op",
+	"BenchmarkServiceRequest/hit/Ne64":          "service_request_hit_ne64_ns_per_op",
+	"BenchmarkServiceRequest/hit/Ne128":         "service_request_hit_ne128_ns_per_op",
+	"BenchmarkServiceRequest/stream-hit/Ne16":   "service_request_stream_hit_ne16_ns_per_op",
+	"BenchmarkServiceRequest/stream-hit/Ne64":   "service_request_stream_hit_ne64_ns_per_op",
+	"BenchmarkServiceRequest/stream-hit/Ne128":  "service_request_stream_hit_ne128_ns_per_op",
+	"BenchmarkServiceRequest/stream-miss/Ne16":  "service_request_stream_miss_ne16_ns_per_op",
+	"BenchmarkServiceRequest/stream-miss/Ne64":  "service_request_stream_miss_ne64_ns_per_op",
+	"BenchmarkServiceRequest/stream-miss/Ne128": "service_request_stream_miss_ne128_ns_per_op",
 	// The stats stage of an sfc miss on its own (report-only).
 	"BenchmarkProblemStats/view/Ne128": "problem_stats_view_ne128_ns_per_op",
 }
@@ -217,8 +228,9 @@ func printResult(res Result) {
 }
 
 // benchLine matches e.g. "BenchmarkRunnerStep-4  30  8202355 ns/op" with
-// any extra per-op columns after it.
-var benchLine = regexp.MustCompile(`^(Benchmark[^\s-]+)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
+// any extra per-op columns after it. A sub-benchmark name may carry hyphens
+// of its own ("ServiceRequest/stream-hit/Ne64-2"): only a trailing -N goes.
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
 
 // parseBench collects every ns/op sample per benchmark name (CPU suffix
 // stripped) from go test -bench output.

@@ -50,6 +50,14 @@ func TestParseBench(t *testing.T) {
 	if m := median(samples["BenchmarkRunnerStep"]); m != 8200000 {
 		t.Fatalf("median = %v, want 8200000", m)
 	}
+	// A sub-benchmark name with a hyphen of its own, and extra columns.
+	const hyphenated = "BenchmarkServiceRequest/stream-hit/Ne64-4 \t 100\t 2696 ns/op\t26874.76 MB/s\t 992 B/op\t 21 allocs/op\n"
+	if samples, err = parseBench(strings.NewReader(hyphenated)); err != nil {
+		t.Fatal(err)
+	}
+	if got := samples["BenchmarkServiceRequest/stream-hit/Ne64"]; len(got) != 1 || got[0] != 2696 {
+		t.Fatalf("hyphenated sub-benchmark parsed as %v, want [2696]", got)
+	}
 }
 
 // TestGatePasses: within tolerance, gated benchmarks pass and the report

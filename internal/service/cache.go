@@ -6,10 +6,10 @@ import (
 )
 
 // Cache is a bounded, content-addressed LRU cache from canonical request
-// key to encoded response bytes. Both bounds are enforced on every insert:
-// total payload bytes and entry count; the least-recently-used entries are
-// evicted first. A single value larger than the byte bound is simply not
-// cached. Safe for concurrent use.
+// key to encoded response (document plus chunk offsets). Both bounds are
+// enforced on every insert: total entry bytes and entry count; the
+// least-recently-used entries are evicted first. A single value larger than
+// the byte bound is simply not cached. Safe for concurrent use.
 type Cache struct {
 	mu         sync.Mutex
 	maxBytes   int64
@@ -22,7 +22,7 @@ type Cache struct {
 
 type cacheItem struct {
 	key string
-	val []byte
+	val entry
 }
 
 // NewCache returns a cache bounded by maxBytes of payload and maxEntries
@@ -42,14 +42,14 @@ func NewCache(maxBytes int64, maxEntries int) *Cache {
 	}
 }
 
-// Get returns the cached bytes for key and marks the entry most recently
-// used. The returned slice is shared; callers must not modify it.
-func (c *Cache) Get(key string) ([]byte, bool) {
+// Get returns the cached entry for key and marks it most recently used. The
+// returned slices are shared; callers must not modify them.
+func (c *Cache) Get(key string) (entry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.items[key]
 	if !ok {
-		return nil, false
+		return entry{}, false
 	}
 	c.ll.MoveToFront(e)
 	return e.Value.(*cacheItem).val, true
@@ -57,27 +57,27 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 
 // Put inserts (or refreshes) key with val and evicts LRU entries until both
 // bounds hold again. val is retained; callers must not modify it afterwards.
-func (c *Cache) Put(key string, val []byte) {
-	if int64(len(val)) > c.maxBytes {
+func (c *Cache) Put(key string, val entry) {
+	if val.size() > c.maxBytes {
 		return // would evict the whole cache and still not fit
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.items[key]; ok {
 		it := e.Value.(*cacheItem)
-		c.bytes += int64(len(val)) - int64(len(it.val))
+		c.bytes += val.size() - it.val.size()
 		it.val = val
 		c.ll.MoveToFront(e)
 	} else {
 		c.items[key] = c.ll.PushFront(&cacheItem{key: key, val: val})
-		c.bytes += int64(len(val))
+		c.bytes += val.size()
 	}
 	for (c.bytes > c.maxBytes || c.ll.Len() > c.maxEntries) && c.ll.Len() > 0 {
 		back := c.ll.Back()
 		it := back.Value.(*cacheItem)
 		c.ll.Remove(back)
 		delete(c.items, it.key)
-		c.bytes -= int64(len(it.val))
+		c.bytes -= it.val.size()
 		c.evictions++
 	}
 }

@@ -10,14 +10,14 @@ func TestCacheHitMissAndLRUOrder(t *testing.T) {
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("hit on empty cache")
 	}
-	c.Put("a", []byte("aa"))
-	c.Put("b", []byte("bb"))
-	c.Put("c", []byte("cc"))
-	if v, ok := c.Get("a"); !ok || string(v) != "aa" {
-		t.Fatalf("Get(a) = %q, %v", v, ok)
+	c.Put("a", entry{doc: []byte("aa")})
+	c.Put("b", entry{doc: []byte("bb")})
+	c.Put("c", entry{doc: []byte("cc")})
+	if v, ok := c.Get("a"); !ok || string(v.doc) != "aa" {
+		t.Fatalf("Get(a) = %q, %v", v.doc, ok)
 	}
 	// "a" is now most recent; inserting "d" must evict "b" (the LRU).
-	c.Put("d", []byte("dd"))
+	c.Put("d", entry{doc: []byte("dd")})
 	if _, ok := c.Get("b"); ok {
 		t.Error("LRU entry b survived eviction")
 	}
@@ -33,12 +33,12 @@ func TestCacheHitMissAndLRUOrder(t *testing.T) {
 
 func TestCacheByteBound(t *testing.T) {
 	c := NewCache(10, 100)
-	c.Put("a", []byte("0123"))
-	c.Put("b", []byte("4567"))
+	c.Put("a", entry{doc: []byte("0123")})
+	c.Put("b", entry{doc: []byte("4567")})
 	if c.Bytes() != 8 || c.Len() != 2 {
 		t.Fatalf("bytes=%d len=%d, want 8/2", c.Bytes(), c.Len())
 	}
-	c.Put("c", []byte("89ab")) // 12 bytes total: evict until <= 10
+	c.Put("c", entry{doc: []byte("89ab")}) // 12 bytes total: evict until <= 10
 	if c.Bytes() > 10 {
 		t.Errorf("bytes=%d exceeds bound 10", c.Bytes())
 	}
@@ -49,28 +49,28 @@ func TestCacheByteBound(t *testing.T) {
 
 func TestCacheUpdateInPlace(t *testing.T) {
 	c := NewCache(100, 10)
-	c.Put("k", []byte("small"))
-	c.Put("k", []byte("a rather larger value"))
+	c.Put("k", entry{doc: []byte("small")})
+	c.Put("k", entry{doc: []byte("a rather larger value")})
 	if c.Len() != 1 {
 		t.Fatalf("len=%d after update, want 1", c.Len())
 	}
 	if got := c.Bytes(); got != int64(len("a rather larger value")) {
 		t.Errorf("bytes=%d not retallied on update", got)
 	}
-	if v, _ := c.Get("k"); string(v) != "a rather larger value" {
-		t.Errorf("Get(k) = %q", v)
+	if v, _ := c.Get("k"); string(v.doc) != "a rather larger value" {
+		t.Errorf("Get(k) = %q", v.doc)
 	}
 }
 
 func TestCacheOversizedValueNotCached(t *testing.T) {
 	c := NewCache(4, 10)
-	c.Put("big", []byte("way too large"))
+	c.Put("big", entry{doc: []byte("way too large")})
 	if c.Len() != 0 {
 		t.Error("oversized value was cached")
 	}
 	// And it must not have wiped existing entries either.
-	c.Put("ok", []byte("ok"))
-	c.Put("big", []byte("way too large"))
+	c.Put("ok", entry{doc: []byte("ok")})
+	c.Put("big", entry{doc: []byte("way too large")})
 	if _, ok := c.Get("ok"); !ok {
 		t.Error("oversized Put evicted an unrelated entry")
 	}
@@ -79,7 +79,7 @@ func TestCacheOversizedValueNotCached(t *testing.T) {
 func TestCacheEntryBoundChurn(t *testing.T) {
 	c := NewCache(1<<20, 4)
 	for i := 0; i < 100; i++ {
-		c.Put(fmt.Sprintf("k%d", i), []byte{byte(i)})
+		c.Put(fmt.Sprintf("k%d", i), entry{doc: []byte{byte(i)}})
 	}
 	if c.Len() != 4 {
 		t.Fatalf("len=%d, want 4", c.Len())

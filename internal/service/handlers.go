@@ -58,26 +58,20 @@ func (s *Service) instrument(endpoint string, h http.HandlerFunc) http.HandlerFu
 	}
 }
 
-// methodNotAllowed rejects anything but GET and POST with a 405 carrying
-// an Allow header; r reports whether the verb was rejected.
-func methodNotAllowed(w http.ResponseWriter, r *http.Request) bool {
-	if r.Method == http.MethodGet || r.Method == http.MethodPost {
-		return false
-	}
-	w.Header().Set("Allow", "GET, POST")
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusMethodNotAllowed)
-	_ = json.NewEncoder(w).Encode(map[string]string{
-		"error": fmt.Sprintf("method %s not allowed (use GET or POST)", r.Method),
-	})
-	return true
-}
+// methodError rejects a verb other than GET and POST; writeError maps it to a
+// 405 carrying an Allow header.
+type methodError struct{ verb string }
+
+func (e *methodError) Error() string { return "method " + e.verb + " not allowed (use GET or POST)" }
 
 // parseRequest reads a Request from a JSON body (POST) or query parameters
 // (GET, or POST without a body). Absent seed/max_lb stay absent — the
 // zero-vs-unset distinction is preserved all the way down.
 func parseRequest(r *http.Request) (Request, error) {
 	var req Request
+	if r.Method != http.MethodGet && r.Method != http.MethodPost {
+		return req, &methodError{r.Method}
+	}
 	if r.Method == http.MethodPost && r.Body != nil && r.ContentLength != 0 {
 		dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 1<<20))
 		dec.DisallowUnknownFields()
@@ -128,10 +122,10 @@ func parseRequest(r *http.Request) (Request, error) {
 }
 
 // writeError renders err as a JSON error object with the right status:
-// 400 for validation failures, 422 for an exhausted fallback chain (the
-// request was well-formed but unsatisfiable), 429 for a full admission
-// queue and 503 for the other sheds (both with a Retry-After hint), 500
-// otherwise.
+// 400 for validation failures, 405 for a verb other than GET and POST, 422
+// for an exhausted fallback chain (the request was well-formed but
+// unsatisfiable), 429 for a full admission queue and 503 for the other sheds
+// (both with a Retry-After hint), 500 otherwise.
 func writeError(w http.ResponseWriter, err error) {
 	code := http.StatusInternalServerError
 	var retryAfter time.Duration
@@ -140,9 +134,13 @@ func writeError(w http.ResponseWriter, err error) {
 	var qf *QueueFullError
 	var ds *DeadlineTooShortError
 	var qt *QueueTimeoutError
+	var me *methodError
 	switch {
 	case errors.As(err, &bad):
 		code = http.StatusBadRequest
+	case errors.As(err, &me):
+		code = http.StatusMethodNotAllowed
+		w.Header().Set("Allow", "GET, POST")
 	case errors.As(err, &ex):
 		code = http.StatusUnprocessableEntity
 	case errors.As(err, &qf):
@@ -199,94 +197,47 @@ func setMetaHeaders(w http.ResponseWriter, meta Meta) {
 	}
 }
 
-// answer is the front half of both endpoints: verb check, request parsing,
-// caller deadline, Partition. On any failure it has already written the error
-// response and reports ok = false.
-func (s *Service) answer(w http.ResponseWriter, r *http.Request) (payload []byte, meta Meta, ok bool) {
-	if methodNotAllowed(w, r) {
-		return nil, Meta{}, false
-	}
+// answer is the front half of both endpoints: request parsing, caller
+// deadline, lookup, then the envelope headers and the content type. On any
+// failure it has already written the error response and reports ok = false.
+func (s *Service) answer(w http.ResponseWriter, r *http.Request, contentType string) (e entry, ok bool) {
 	req, err := parseRequest(r)
 	if err != nil {
 		writeError(w, err)
-		return nil, Meta{}, false
+		return entry{}, false
 	}
 	ctx, cancel, err := requestContext(r)
 	if err != nil {
 		writeError(w, err)
-		return nil, Meta{}, false
+		return entry{}, false
 	}
 	defer cancel()
-	payload, meta, err = s.Partition(ctx, req)
+	e, meta, err := s.lookup(ctx, req)
 	if err != nil {
 		writeError(w, err)
-		return nil, Meta{}, false
+		return entry{}, false
 	}
-	return payload, meta, true
+	setMetaHeaders(w, meta)
+	w.Header().Set("Content-Type", contentType)
+	return e, true
 }
 
 // handlePartition answers one request with the full JSON response (the
 // cached bytes verbatim on a hit).
 func (s *Service) handlePartition(w http.ResponseWriter, r *http.Request) {
-	payload, meta, ok := s.answer(w, r)
-	if !ok {
-		return
+	if e, ok := s.answer(w, r, "application/json"); ok {
+		w.Header().Set("Content-Length", strconv.Itoa(len(e.doc)))
+		_, _ = w.Write(e.doc)
 	}
-	setMetaHeaders(w, meta)
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(payload)))
-	_, _ = w.Write(payload)
-}
-
-// streamHeader is the first NDJSON line: the response without its
-// assignment, plus the chunking layout of the lines that follow.
-type streamHeader struct {
-	Response
-	Chunks    int `json:"chunks"`
-	ChunkSize int `json:"chunk_size"`
-}
-
-// streamLine is one assignment chunk: Assignment[Offset : Offset+len(Part)].
-type streamLine struct {
-	Offset     int     `json:"offset"`
-	Assignment []int32 `json:"assignment"`
 }
 
 // handleStream answers one request as NDJSON: a header line with the stats
-// and strategy, then the assignment in fixed-size chunks, flushed as they
-// are written. Meant for large K where a client wants to start consuming
-// the assignment before the full body has arrived.
+// and strategy, then the assignment in fixed-size chunks, all of it byte
+// ranges of the document the JSON endpoint sends (entry.writeStream). Nothing
+// is flushed explicitly: every byte exists before the first Write and a chunk
+// far exceeds net/http's buffer, so chunk i is on the wire as i+1 is written.
 func (s *Service) handleStream(w http.ResponseWriter, r *http.Request) {
-	payload, meta, ok := s.answer(w, r)
-	if !ok {
-		return
-	}
-	var resp Response
-	if err := json.Unmarshal(payload, &resp); err != nil {
-		writeError(w, err)
-		return
-	}
-	assign := resp.Assignment
-	resp.Assignment = nil
-	hdr := streamHeader{
-		Response:  resp,
-		Chunks:    (len(assign) + streamChunk - 1) / streamChunk,
-		ChunkSize: streamChunk,
-	}
-	setMetaHeaders(w, meta)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	if err := enc.Encode(hdr); err != nil {
-		return
-	}
-	for off := 0; off < len(assign); off += streamChunk {
-		end := min(off+streamChunk, len(assign))
-		if err := enc.Encode(streamLine{Offset: off, Assignment: assign[off:end]}); err != nil {
-			return
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
+	if e, ok := s.answer(w, r, "application/x-ndjson"); ok {
+		_ = e.writeStream(w) // an error here is the client hanging up
 	}
 }

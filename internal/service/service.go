@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -271,7 +270,7 @@ func NewService(cfg Config) *Service {
 	reg.Help("partsrv_failures_total", "Requests that failed after validation (exhausted chains, internal errors).")
 	reg.Help("partsrv_large_total", "Computations routed through the large-problem regime (SFC-first auto chain, LargeDeadline).")
 	reg.Help("partsrv_compute_ns", "Wall time of executed partition computations.")
-	reg.Help("partsrv_cache_bytes", "Current response-cache payload size.")
+	reg.Help("partsrv_cache_bytes", "Current response-cache size: documents plus chunk offsets.")
 	reg.Help("partsrv_cache_entries", "Current response-cache entry count.")
 	reg.Help("partsrv_queue_depth", "Computations currently waiting for a worker slot.")
 	reg.Help("partsrv_queue_wait_ns", "Time admitted computations spent queued for a worker.")
@@ -388,24 +387,30 @@ func (s *Service) canonicalize(req Request) (canonicalRequest, error) {
 // computation starts it runs to its own deadline, so a caller disconnect
 // cannot abort a result other waiters (or the cache) want.
 func (s *Service) Partition(ctx context.Context, req Request) ([]byte, Meta, error) {
+	e, meta, err := s.lookup(ctx, req)
+	return e.doc, meta, err
+}
+
+// lookup is Partition returning the whole entry: the document and its cuts.
+func (s *Service) lookup(ctx context.Context, req Request) (entry, Meta, error) {
 	start := time.Now()
 	canon, err := s.canonicalize(req)
 	if err != nil {
-		return nil, Meta{}, err
+		return entry{}, Meta{}, err
 	}
 	s.reqs.Inc()
 	key := canon.key()
-	if b, ok := s.cache.Get(key); ok {
+	if e, ok := s.cache.Get(key); ok {
 		s.cacheHits.Inc()
-		return b, Meta{CacheHit: true, Elapsed: time.Since(start)}, nil
+		return e, Meta{CacheHit: true, Elapsed: time.Since(start)}, nil
 	}
 	s.cacheMisses.Inc()
 
 	v, shared, err := s.flight.Do(key, func() (any, error) {
 		// Double-check under the flight: a previous flight for this key may
 		// have filled the cache between our Get and Do.
-		if b, ok := s.cache.Get(key); ok {
-			return computed{payload: b}, nil
+		if e, ok := s.cache.Get(key); ok {
+			return computed{entry: e}, nil
 		}
 		out, err := s.compute(ctx, canon, key, req.DeadlineMS)
 		if err != nil {
@@ -415,7 +420,7 @@ func (s *Service) Partition(ctx context.Context, req Request) ([]byte, Meta, err
 		// degradation and breaker short-circuits reflect transient server
 		// state.
 		if !out.degraded && len(out.breakerSkipped) == 0 {
-			s.cache.Put(key, out.payload)
+			s.cache.Put(key, out.entry)
 			s.cacheBytes.Set(s.cache.Bytes())
 			s.cacheEntries.Set(int64(s.cache.Len()))
 		}
@@ -430,13 +435,13 @@ func (s *Service) Partition(ctx context.Context, req Request) ([]byte, Meta, err
 			// partsrv_shed_total; failures_total stays a true error signal.
 			s.failures.Inc()
 		}
-		return nil, Meta{Shared: shared}, err
+		return entry{}, Meta{Shared: shared}, err
 	}
 	out := v.(computed)
 	if out.degraded {
 		s.degraded.Inc()
 	}
-	return out.payload, Meta{
+	return out.entry, Meta{
 		Shared:      shared,
 		Degraded:    out.degraded,
 		BreakerOpen: len(out.breakerSkipped) > 0,
@@ -445,10 +450,10 @@ func (s *Service) Partition(ctx context.Context, req Request) ([]byte, Meta, err
 }
 
 // computed is one computation's outcome as it travels through the
-// singleflight: the encoded payload plus the transient-state markers that
+// singleflight: the encoded response plus the transient-state markers that
 // veto caching.
 type computed struct {
-	payload        []byte
+	entry          entry
 	degraded       bool
 	breakerSkipped []string
 }
@@ -563,9 +568,6 @@ func (s *Service) compute(ctx context.Context, canon canonicalRequest, key strin
 		est.observe(elapsed)
 		s.cfg.Registry.Gauge("partsrv_admission_p50_ns", "route", canon.Method).Set(int64(est.p50()))
 	}
-	b, err := json.Marshal(resp)
-	if err != nil {
-		return computed{}, err
-	}
-	return computed{payload: b, degraded: resp.Degraded, breakerSkipped: skipped}, nil
+	e, err := encodeResponse(&resp)
+	return computed{entry: e, degraded: resp.Degraded, breakerSkipped: skipped}, err
 }
