@@ -85,6 +85,10 @@ var keyOf = map[string]string{
 	"BenchmarkServiceRequest/stream-miss/Ne128": "service_request_stream_miss_ne128_ns_per_op",
 	// The stats stage of an sfc miss on its own (report-only).
 	"BenchmarkProblemStats/view/Ne128": "problem_stats_view_ne128_ns_per_op",
+	// What that stage reads: a sweep of every mesh row, and the rows of the
+	// face-boundary ring alone (report-only).
+	"BenchmarkAdjacencySweepNe48": "adjacency_sweep_ne48_ns_per_op",
+	"BenchmarkRingRow":            "ring_row_ne128_ns_per_op",
 }
 
 // Result is one benchmark's comparison in the delta artifact.

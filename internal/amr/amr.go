@@ -110,22 +110,14 @@ func (f *Forest) buildAdjacency() error {
 	// integral.
 	fineN := ne << f.maxLevel
 
-	type key struct{ x, y, z int }
 	// cubeKey maps doubled face-grid coordinates (in [0, 2*fineN]) to a
 	// cube-surface point key.
-	cubeKey := func(face mesh.Face, dx, dy int) key {
-		// local coords in [-fineN, fineN]
-		a, b := dx-fineN, dy-fineN
-		fr := faceFrame(face)
-		return key{
-			fr.c[0]*fineN + fr.u[0]*a + fr.v[0]*b,
-			fr.c[1]*fineN + fr.u[1]*a + fr.v[1]*b,
-			fr.c[2]*fineN + fr.u[2]*a + fr.v[2]*b,
-		}
+	cubeKey := func(face mesh.Face, dx, dy int) mesh.NodeKey {
+		return mesh.CubeKey(face, fineN, dx-fineN, dy-fineN)
 	}
 
-	segOwners := map[key][]int32{}  // edge-segment midpoint -> leaves
-	cornOwners := map[key][]int32{} // fine corner point -> leaves
+	segOwners := map[mesh.NodeKey][]int32{}  // edge-segment midpoint -> leaves
+	cornOwners := map[mesh.NodeKey][]int32{} // fine corner point -> leaves
 	for i, l := range f.leaves {
 		scale := 1 << (f.maxLevel - l.Level) // fine cells per leaf edge
 		x0, y0 := l.X*scale, l.Y*scale       // fine-cell coords of the leaf
@@ -202,20 +194,6 @@ func sortedKeys(m map[int32]bool) []int32 {
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
 	return out
-}
-
-// faceFrame exposes the integer frames of package mesh for key building;
-// kept in sync with mesh.CornerNodes by the cross-check test.
-func faceFrame(f mesh.Face) struct{ c, u, v [3]int } {
-	frames := map[mesh.Face]struct{ c, u, v [3]int }{
-		mesh.FacePX: {c: [3]int{1, 0, 0}, u: [3]int{0, 1, 0}, v: [3]int{0, 0, 1}},
-		mesh.FacePY: {c: [3]int{0, 1, 0}, u: [3]int{-1, 0, 0}, v: [3]int{0, 0, 1}},
-		mesh.FaceNX: {c: [3]int{-1, 0, 0}, u: [3]int{0, -1, 0}, v: [3]int{0, 0, 1}},
-		mesh.FaceNY: {c: [3]int{0, -1, 0}, u: [3]int{1, 0, 0}, v: [3]int{0, 0, 1}},
-		mesh.FacePZ: {c: [3]int{0, 0, 1}, u: [3]int{0, 1, 0}, v: [3]int{-1, 0, 0}},
-		mesh.FaceNZ: {c: [3]int{0, 0, -1}, u: [3]int{0, 1, 0}, v: [3]int{1, 0, 0}},
-	}
-	return frames[f]
 }
 
 // Order returns the SFC visit order of the leaves: the rank, on the finest

@@ -60,10 +60,10 @@ func (l *lazy[T]) get(build func() (T, error)) (T, error) {
 	return l.v, l.err
 }
 
-// NewProblem builds the problem for the Ne mesh (mesh.New): the curve methods
-// never query element neighbours, and the graph build and the stats view
-// resolve rows on the fly, so no size pays for more than the O(Ne) cube-edge
-// index.
+// NewProblem builds the problem for the Ne mesh (mesh.New, which stores
+// nothing but Ne): the curve methods never query element neighbours, and the
+// graph build and the stats view resolve rows on the fly from index
+// arithmetic and the cube's fixed gluing table, so no size pays for an index.
 func NewProblem(ne int) (*Problem, error) { return ProblemFrom(ne, nil, nil) }
 
 // ProblemFrom is NewProblem over pre-built inputs: a nil mesh is built from

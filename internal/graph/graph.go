@@ -190,9 +190,6 @@ func (g *Graph) SetVertexWeights(w []int32) error {
 	return nil
 }
 
-// Degree returns the number of neighbours of v.
-func (g *Graph) Degree(v int) int { return int(g.xadj[v+1] - g.xadj[v]) }
-
 // EdgeWeightBetween returns the weight of edge {u,v}, or 0 if absent.
 // Adjacency lists are sorted, so this is a binary search.
 func (g *Graph) EdgeWeightBetween(u, v int) int32 {

@@ -26,7 +26,7 @@ func TestBuilderBasics(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if g.Degree(0) != 1 || g.Degree(1) != 2 || g.Degree(2) != 1 {
+	if len(g.Adj(0)) != 1 || len(g.Adj(1)) != 2 || len(g.Adj(2)) != 1 {
 		t.Error("degrees wrong")
 	}
 	if g.EdgeWeightBetween(0, 1) != 2 || g.EdgeWeightBetween(1, 0) != 2 {
@@ -100,8 +100,8 @@ func TestBuilderDuplicateHeavy(t *testing.T) {
 	// Every vertex sees all n-1 neighbours exactly once, in sorted order
 	// (Validate already asserts strict sorting; check the degree here).
 	for v := 0; v < n; v++ {
-		if g.Degree(v) != n-1 {
-			t.Errorf("vertex %d degree %d, want %d", v, g.Degree(v), n-1)
+		if len(g.Adj(v)) != n-1 {
+			t.Errorf("vertex %d degree %d, want %d", v, len(g.Adj(v)), n-1)
 		}
 	}
 }
@@ -150,8 +150,8 @@ func TestFromMeshStructure(t *testing.T) {
 	for e := 0; e < m.NumElems(); e++ {
 		id := mesh.ElemID(e)
 		want := len(m.EdgeNeighbors(id)) + len(m.CornerNeighbors(id))
-		if g.Degree(e) != want {
-			t.Fatalf("elem %d degree %d, want %d", e, g.Degree(e), want)
+		if len(g.Adj(e)) != want {
+			t.Fatalf("elem %d degree %d, want %d", e, len(g.Adj(e)), want)
 		}
 		for _, n := range m.EdgeNeighbors(id) {
 			if g.EdgeWeightBetween(e, int(n)) != 8 {
@@ -178,8 +178,8 @@ func TestFromMeshWithoutCorners(t *testing.T) {
 		t.Errorf("edges = %d, want %d", len(g.adjncy)/2, 2*m.NumElems())
 	}
 	for v := 0; v < g.NumVertices(); v++ {
-		if g.Degree(v) != 4 {
-			t.Fatalf("vertex %d degree %d, want 4", v, g.Degree(v))
+		if len(g.Adj(v)) != 4 {
+			t.Fatalf("vertex %d degree %d, want 4", v, len(g.Adj(v)))
 		}
 	}
 }

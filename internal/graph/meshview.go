@@ -53,8 +53,9 @@ func (mv *MeshView) NumVertices() int { return mv.m.NumElems() }
 // needed) and returns them: row v is adj[ptr[v-lo]:ptr[v-lo+1]], ascending,
 // with wts parallel. (i, j) is walked incrementally and a face-interior row
 // is eight index-arithmetic stores; only the O(Ne) face-boundary ring asks
-// the mesh (NeighborsInto). With adjacency buffers of capacity 8*(hi-lo) and
-// a pointer buffer of hi-lo+1 the call does not allocate.
+// the mesh (NeighborsInto, which steps across the seam through the cube's
+// gluing table) and merges the two lists. With adjacency buffers of capacity
+// 8*(hi-lo) and a pointer buffer of hi-lo+1 the call does not allocate.
 func (mv *MeshView) Rows(lo, hi int, ptrBuf, adjBuf, wtBuf []int32) (ptr, adj, wts []int32) {
 	ne := mv.m.Ne()
 	ew, cw, corners := mv.opt.EdgeWeight, mv.opt.CornerWeight, mv.opt.IncludeCorners

@@ -13,11 +13,13 @@
 // faces meet) needs no special-casing.
 //
 // Adjacency is resolved analytically: an interior element's eight neighbours
-// follow from index arithmetic alone, and only the O(Ne) boundary-ring
-// elements consult a prebuilt index of the nodes on the twelve cube edges.
-// The mesh holds only that O(Ne) cube-edge index and resolves neighbours on
-// demand, which is what lets the million-element regime (Ne >= 384) stream
-// the dual graph without ever holding a second copy of the adjacency.
+// follow from index arithmetic alone, and an element on the boundary ring of
+// a face steps across the cube edge through a fixed 24-entry gluing table
+// (for each side of each face: the face across, its glued side, and whether
+// positions run reversed), derived once from the face frames. The mesh stores
+// nothing but Ne and resolves neighbours on demand, which is what lets the
+// million-element regime (Ne >= 384) stream the dual graph without ever
+// holding a second copy of the adjacency.
 package mesh
 
 import (
@@ -72,28 +74,16 @@ type Elem struct {
 
 // Mesh is a cubed-sphere mesh with Ne x Ne elements per face.
 // The zero value is not usable; construct with New.
-type Mesh struct {
-	ne int
+type Mesh struct{ ne int }
 
-	// cubeEdgeNodes lists, for every corner node lying on one of the twelve
-	// cube edges (at least two coordinates at +-ne), the up to four elements
-	// touching it, -1 padded and indexed by cubeEdgeSlot. It has O(Ne)
-	// entries and is the only lookup structure cross-face adjacency needs:
-	// two elements on different faces can only share nodes on the cube edge
-	// where their faces meet.
-	cubeEdgeNodes [][4]ElemID
-}
-
-// New constructs the cubed-sphere mesh with ne x ne elements per face. Only
-// the O(Ne) cube-edge node index is built; adjacency queries are answered
-// analytically per call. ne must be >= 1.
+// New constructs the cubed-sphere mesh with ne x ne elements per face.
+// Nothing is built: adjacency queries are answered analytically per call.
+// ne must be >= 1.
 func New(ne int) (*Mesh, error) {
 	if ne < 1 {
 		return nil, fmt.Errorf("mesh: Ne must be >= 1, got %d", ne)
 	}
-	m := &Mesh{ne: ne}
-	m.buildCubeEdgeIndex()
-	return m, nil
+	return &Mesh{ne: ne}, nil
 }
 
 // NewAuto is New.
@@ -137,8 +127,7 @@ func (m *Mesh) CornerNeighbors(e ElemID) []ElemID {
 // id, to edgeDst and cornerDst and returns the extended slices. Passing
 // reusable buffers (sliced to length 0) makes repeated queries allocation
 // free in steady state, which is what the streaming CSR build relies on.
-// It is safe for concurrent use: the mesh is never mutated after
-// construction.
+// It is safe for concurrent use: the mesh is immutable.
 func (m *Mesh) NeighborsInto(e ElemID, edgeDst, cornerDst []ElemID) (edge, corner []ElemID) {
 	ne := m.ne
 	n2 := ne * ne
@@ -162,16 +151,18 @@ func (m *Mesh) NeighborsInto(e ElemID, edgeDst, cornerDst []ElemID) (edge, corne
 // id. This is the adjacency the paper uses to build the partitioning graph
 // ("neighboring elements that share a boundary or corner point").
 func (m *Mesh) Neighbors(e ElemID) []ElemID {
-	en, cn := m.NeighborsInto(e, nil, nil)
-	return mergeSorted(make([]ElemID, 0, len(en)+len(cn)), en, cn)
+	all, cn := m.NeighborsInto(e, nil, nil)
+	all = append(all, cn...)
+	slices.Sort(all)
+	return all
 }
 
 // NodeKey identifies a corner node of an element exactly: the node's
-// position on the cube surface scaled so all coordinates are integers.
-// Corner nodes shared between elements -- including across cube edges and at
-// cube corners -- compare equal, which lets clients (e.g. the spectral
-// element assembly in package seam) identify shared degrees of freedom
-// without any floating-point tolerance.
+// position on the surface of the cube [-ne, ne]^3, scaled so all coordinates
+// are integers. Corner nodes shared between elements -- including across cube
+// edges and at cube corners -- compare equal, which lets clients (e.g. the
+// spectral element assembly in package seam) identify shared degrees of
+// freedom without any floating-point tolerance.
 type NodeKey struct{ X, Y, Z int }
 
 // CornerNodes returns the exact keys of the four corner nodes of element e
@@ -179,25 +170,13 @@ type NodeKey struct{ X, Y, Z int }
 // bottom-left, bottom-right, top-right, top-left in local face coordinates.
 func (m *Mesh) CornerNodes(e ElemID) [4]NodeKey {
 	el := m.Elem(e)
-	mk := func(i, j int) NodeKey {
-		k := m.cornerNode(el.Face, i, j)
-		return NodeKey{k.x, k.y, k.z}
-	}
 	return [4]NodeKey{
-		mk(el.I, el.J),
-		mk(el.I+1, el.J),
-		mk(el.I+1, el.J+1),
-		mk(el.I, el.J+1),
+		m.cornerNode(el.Face, el.I, el.J),
+		m.cornerNode(el.Face, el.I+1, el.J),
+		m.cornerNode(el.Face, el.I+1, el.J+1),
+		m.cornerNode(el.Face, el.I, el.J+1),
 	}
 }
-
-// nodeKey identifies a corner node of an element exactly. Corner nodes live
-// on the surface of the cube [-ne, ne]^3 scaled by ne so that all coordinates
-// are integers: a node on face f at local grid corner (i, j) has cube
-// coordinates c*ne + u*(2i-ne) + v*(2j-ne) where (c, u, v) is the integer
-// frame of the face. Nodes shared between faces (on cube edges and corners)
-// get identical keys, which is what makes cross-face adjacency exact.
-type nodeKey struct{ x, y, z int }
 
 // faceFrame is the integer coordinate frame of a cube face: center axis c,
 // and in-face axes u (local i direction) and v (local j direction).
@@ -206,7 +185,9 @@ type faceFrame struct{ c, u, v [3]int }
 // faceFrames defines the orientation of the local (i, j) grid on every face.
 // The lateral faces share the +Z direction as "up" (v axis), so j increases
 // towards the north pole on all four of them; the polar faces are oriented so
-// the mesh is right-handed when viewed from outside the sphere.
+// the mesh is right-handed when viewed from outside the sphere. Everything
+// the repository knows about how the cube is put together -- node keys, the
+// gluing table below, the floating-point geometry -- is read off this table.
 var faceFrames = [NumFaces]faceFrame{
 	FacePX: {c: [3]int{1, 0, 0}, u: [3]int{0, 1, 0}, v: [3]int{0, 0, 1}},
 	FacePY: {c: [3]int{0, 1, 0}, u: [3]int{-1, 0, 0}, v: [3]int{0, 0, 1}},
@@ -216,191 +197,131 @@ var faceFrames = [NumFaces]faceFrame{
 	FaceNZ: {c: [3]int{0, 0, -1}, u: [3]int{0, 1, 0}, v: [3]int{1, 0, 0}},
 }
 
-// cornerNode returns the integer key of the corner node at grid corner
-// (i, j) of face f, where i, j range over [0, ne] (element (i,j) has corners
-// (i,j), (i+1,j), (i,j+1), (i+1,j+1)).
-func (m *Mesh) cornerNode(f Face, i, j int) nodeKey {
-	fr := faceFrames[f]
-	a := 2*i - m.ne // in [-ne, ne]
-	b := 2*j - m.ne
-	return nodeKey{
-		x: fr.c[0]*m.ne + fr.u[0]*a + fr.v[0]*b,
-		y: fr.c[1]*m.ne + fr.u[1]*a + fr.v[1]*b,
-		z: fr.c[2]*m.ne + fr.u[2]*a + fr.v[2]*b,
+// CubeKey returns the point c*n + u*a + v*b of the cube [-n, n]^3, where
+// (c, u, v) is the frame of face f and a, b in [-n, n] are local face
+// coordinates. Points shared between faces (on cube edges and corners) get
+// identical keys from either side, which is what makes cross-face adjacency
+// exact at any resolution n.
+func CubeKey(f Face, n, a, b int) NodeKey {
+	fr := &faceFrames[f]
+	return NodeKey{
+		X: fr.c[0]*n + fr.u[0]*a + fr.v[0]*b,
+		Y: fr.c[1]*n + fr.u[1]*a + fr.v[1]*b,
+		Z: fr.c[2]*n + fr.u[2]*a + fr.v[2]*b,
 	}
 }
 
-// cubeEdgeSlot returns the index in cubeEdgeNodes of a corner node lying on
-// one of the twelve cube edges, or -1 for any other node: at least two of its
-// coordinates must sit on the cube surface at +-ne. (Exactly one coordinate
-// at +-ne means a node interior to a face, which is only ever shared between
-// elements of that face.) A cube edge is named by the axis it runs along and
-// the signs of the other two coordinates, a node on it by its position along
-// that axis; the eight cube corners count as end points of the x-axis edges.
-func (m *Mesh) cubeEdgeSlot(k nodeKey) int {
-	c := [3]int{k.x, k.y, k.z}
-	along, nfree := 0, 0
-	for a := 2; a >= 0; a-- {
-		if c[a] != m.ne && c[a] != -m.ne {
-			along = a
-			nfree++
-		}
-	}
-	if nfree > 1 {
-		return -1
-	}
-	edge := along
-	for a := 0; a < 3; a++ {
-		if a != along {
-			edge *= 2
-			if c[a] > 0 {
-				edge++
-			}
-		}
-	}
-	return edge*(m.ne+1) + (c[along]+m.ne)/2
+// cornerNode returns the key of the corner node at grid corner (i, j) of
+// face f, where i, j range over [0, ne] (element (i,j) has corners (i,j),
+// (i+1,j), (i,j+1), (i+1,j+1)).
+func (m *Mesh) cornerNode(f Face, i, j int) NodeKey {
+	return CubeKey(f, m.ne, 2*i-m.ne, 2*j-m.ne)
 }
 
-// buildCubeEdgeIndex records for every corner node on a cube edge the
-// elements touching it (at most four: two on each face along an edge, one
-// per face at a cube corner). Only boundary-ring elements (i or j in
-// {0, ne-1}) can touch such a node, so the index is built from the O(Ne)
-// perimeter of each face, in one allocation.
-func (m *Mesh) buildCubeEdgeIndex() {
-	ne := m.ne
-	m.cubeEdgeNodes = make([][4]ElemID, 12*(ne+1))
-	for i := range m.cubeEdgeNodes {
-		m.cubeEdgeNodes[i] = [4]ElemID{-1, -1, -1, -1}
-	}
-	visit := func(f Face, i, j int) {
-		id := m.ID(f, i, j)
-		for _, c := range [4][2]int{{i, j}, {i + 1, j}, {i, j + 1}, {i + 1, j + 1}} {
-			if slot := m.cubeEdgeSlot(m.cornerNode(f, c[0], c[1])); slot >= 0 {
-				elems := &m.cubeEdgeNodes[slot]
-				elems[slices.Index(elems[:], -1)] = id
-			}
-		}
-	}
-	for f := Face(0); f < NumFaces; f++ {
-		for j := 0; j < ne; j++ {
-			if j == 0 || j == ne-1 {
-				for i := 0; i < ne; i++ {
-					visit(f, i, j)
-				}
-			} else {
-				visit(f, 0, j)
-				if ne > 1 {
-					visit(f, ne-1, j)
-				}
-			}
-		}
-	}
-}
-
-// Relative offsets of same-face neighbours in ascending element-id order
-// (sorted by dj, then di): ids differ by dj*ne + di.
-var (
-	sameFaceEdgeOffsets   = [4][2]int{{0, -1}, {-1, 0}, {1, 0}, {0, 1}}
-	sameFaceCornerOffsets = [4][2]int{{-1, -1}, {1, -1}, {-1, 1}, {1, 1}}
+// The four sides of a face, numbered 2*axis + end: the sides where i is fixed
+// (at 0, at ne-1) come first, then those where j is. A position along a side
+// is the coordinate that is free on it.
+const (
+	sideILo = iota
+	sideIHi
+	sideJLo
+	sideJHi
 )
 
-// appendBoundaryNeighbors handles elements on the boundary ring of a face:
-// same-face neighbours are still arithmetic, and cross-face neighbours are
-// found through the cube-edge node index by counting shared nodes (two or
-// more shared nodes make an edge neighbour, exactly one a corner neighbour).
-func (m *Mesh) appendBoundaryNeighbors(f Face, i, j int, edgeDst, cornerDst []ElemID) ([]ElemID, []ElemID) {
-	ne := m.ne
-	base := int(f) * ne * ne
+// seam says what lies across one side of a face: the face there, which of
+// its sides is the glued one, and whether positions along the shared cube
+// edge run in opposite directions on the two faces.
+type seam struct {
+	face Face
+	side int
+	rev  bool
+}
 
-	// Cross-face candidates with shared-node counts. An element touches at
-	// most six elements of other faces (two flanking pairs across a cube
-	// edge plus two around a cube corner), so fixed-size scratch suffices.
-	var cand [8]ElemID
-	var cnt [8]int8
-	ncand := 0
-	for _, c := range [4][2]int{{i, j}, {i + 1, j}, {i, j + 1}, {i + 1, j + 1}} {
-		slot := m.cubeEdgeSlot(m.cornerNode(f, c[0], c[1]))
-		if slot < 0 {
-			continue
+// glue is the gluing of the six faces (the paper's Figure 6): glue[f][s] is
+// the seam across side s of face f. It is derived from faceFrames by matching
+// the end-node keys of every side on the unit cube, so it cannot disagree
+// with the keys CornerNodes hands out.
+var glue = func() (g [NumFaces][4]seam) {
+	// End nodes of side s in order of increasing position.
+	ends := func(f Face, s int) (lo, hi NodeKey) {
+		fixed := 2*(s%2) - 1
+		if s < sideJLo {
+			return CubeKey(f, 1, fixed, -1), CubeKey(f, 1, fixed, 1)
 		}
-		for _, o := range m.cubeEdgeNodes[slot] {
-			if o < 0 {
-				break
-			}
-			if int(o) >= base && int(o) < base+ne*ne {
-				continue // same-face neighbours are handled arithmetically
-			}
-			found := false
-			for t := 0; t < ncand; t++ {
-				if cand[t] == o {
-					cnt[t]++
-					found = true
-					break
+		return CubeKey(f, 1, -1, fixed), CubeKey(f, 1, 1, fixed)
+	}
+	for f := Face(0); f < NumFaces; f++ {
+		for s := 0; s < 4; s++ {
+			lo, hi := ends(f, s)
+			for o := Face(0); o < NumFaces; o++ {
+				for os := 0; os < 4; os++ {
+					olo, ohi := ends(o, os)
+					if o != f && (olo == lo && ohi == hi || olo == hi && ohi == lo) {
+						g[f][s] = seam{face: o, side: os, rev: olo == hi}
+					}
 				}
 			}
-			if !found {
-				cand[ncand] = o
-				cnt[ncand] = 1
-				ncand++
+		}
+	}
+	return g
+}()
+
+// appendBoundaryNeighbors handles elements on the boundary ring of a face by
+// walking the eight (di, dj) offsets: an offset that stays in range is
+// same-face arithmetic, one that leaves by one side lands on the element
+// across that seam at the same position, and one that leaves by two sides
+// lands nowhere, because only three elements meet at a cube corner. Axis
+// offsets are edge neighbours, diagonal ones corner neighbours.
+func (m *Mesh) appendBoundaryNeighbors(f Face, i, j int, edgeDst, cornerDst []ElemID) ([]ElemID, []ElemID) {
+	ne := m.ne
+	edge0, corner0 := len(edgeDst), len(cornerDst)
+	for dj := -1; dj <= 1; dj++ {
+		for di := -1; di <= 1; di++ {
+			ii, jj := i+di, j+dj
+			offI, offJ := ii < 0 || ii >= ne, jj < 0 || jj >= ne
+			var id ElemID
+			switch {
+			case offI && offJ, di == 0 && dj == 0:
+				continue
+			case offI:
+				id = m.across(f, sideILo+(di+1)/2, jj)
+			case offJ:
+				id = m.across(f, sideJLo+(dj+1)/2, ii)
+			default:
+				id = m.ID(f, ii, jj)
+			}
+			if di == 0 || dj == 0 {
+				edgeDst = insertSorted(edgeDst, edge0, id)
+			} else {
+				cornerDst = insertSorted(cornerDst, corner0, id)
 			}
 		}
 	}
-	// Split candidates by shared-node count and sort each group (insertion
-	// sort; at most six entries).
-	var xeBuf, xcBuf [8]ElemID
-	xe, xc := xeBuf[:0], xcBuf[:0]
-	for t := 0; t < ncand; t++ {
-		if cnt[t] >= 2 {
-			xe = insertSortedElem(xe, cand[t])
-		} else {
-			xc = insertSortedElem(xc, cand[t])
-		}
-	}
-
-	// Same-face neighbours in ascending order.
-	var feBuf, fcBuf [4]ElemID
-	fe, fc := feBuf[:0], fcBuf[:0]
-	for _, d := range sameFaceEdgeOffsets {
-		if ii, jj := i+d[0], j+d[1]; ii >= 0 && ii < ne && jj >= 0 && jj < ne {
-			fe = append(fe, ElemID(base+jj*ne+ii))
-		}
-	}
-	for _, d := range sameFaceCornerOffsets {
-		if ii, jj := i+d[0], j+d[1]; ii >= 0 && ii < ne && jj >= 0 && jj < ne {
-			fc = append(fc, ElemID(base+jj*ne+ii))
-		}
-	}
-
-	edgeDst = mergeSorted(edgeDst, fe, xe)
-	cornerDst = mergeSorted(cornerDst, fc, xc)
 	return edgeDst, cornerDst
 }
 
-// insertSortedElem inserts v into the ascending slice s (backed by a
-// fixed-size array with spare capacity).
-func insertSortedElem(s []ElemID, v ElemID) []ElemID {
+// across returns the element on the far side of side s of face f at position
+// p along it.
+func (m *Mesh) across(f Face, s, p int) ElemID {
+	g := glue[f][s]
+	if g.rev {
+		p = m.ne - 1 - p
+	}
+	fixed := (g.side % 2) * (m.ne - 1)
+	if g.side < sideJLo {
+		return m.ID(g.face, fixed, p)
+	}
+	return m.ID(g.face, p, fixed)
+}
+
+// insertSorted appends v to s, keeping s[lo:] ascending.
+func insertSorted(s []ElemID, lo int, v ElemID) []ElemID {
 	p := len(s)
 	s = append(s, v)
-	for p > 0 && s[p-1] > v {
+	for p > lo && s[p-1] > v {
 		s[p] = s[p-1]
 		p--
 	}
 	s[p] = v
 	return s
-}
-
-// mergeSorted appends the merge of two ascending slices to dst.
-func mergeSorted(dst, a, b []ElemID) []ElemID {
-	ia, ib := 0, 0
-	for ia < len(a) && ib < len(b) {
-		if a[ia] <= b[ib] {
-			dst = append(dst, a[ia])
-			ia++
-		} else {
-			dst = append(dst, b[ib])
-			ib++
-		}
-	}
-	dst = append(dst, a[ia:]...)
-	return append(dst, b[ib:]...)
 }

@@ -420,3 +420,7 @@ func mustMesh(tb testing.TB, ne int) *Mesh {
 	}
 	return m
 }
+
+// nodeKey is the name the oracles in this package were written against,
+// before the key type had a single exported owner.
+type nodeKey = NodeKey

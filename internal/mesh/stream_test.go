@@ -77,7 +77,7 @@ func elemSlicesEqual(a, b []ElemID) bool {
 // retired map-based construction, for every element at a spread of mesh
 // sizes including the degenerate ne=1 cube and the even/odd boundary cases.
 func TestAnalyticAdjacencyMatchesOracle(t *testing.T) {
-	for _, ne := range []int{1, 2, 3, 4, 5, 8, 9, 12, 16} {
+	for _, ne := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 24, 48} {
 		m := mustMesh(t, ne)
 		wantE, wantC := oracleTopology(m)
 		var ebuf, cbuf []ElemID
@@ -132,11 +132,51 @@ func TestNeighborsIntoAllocFree(t *testing.T) {
 	}
 }
 
-func BenchmarkNewNe48(b *testing.B) {
+// TestGlueIsInvolution checks the gluing table against what a cube must
+// satisfy: crossing a seam and crossing back returns to the same side with the
+// same orientation flag, and every face is glued to four distinct faces that
+// are neither itself nor the opposite face.
+func TestGlueIsInvolution(t *testing.T) {
+	for f := Face(0); f < NumFaces; f++ {
+		seen := map[Face]bool{}
+		for s, g := range glue[f] {
+			if back := glue[g.face][g.side]; back != (seam{face: f, side: s, rev: g.rev}) {
+				t.Errorf("glue[%v][%d] = %+v, but glue[%v][%d] = %+v", f, s, g, g.face, g.side, back)
+			}
+			opposite := faceFrames[g.face].c == [3]int{-faceFrames[f].c[0], -faceFrames[f].c[1], -faceFrames[f].c[2]}
+			if g.face == f || opposite || seen[g.face] {
+				t.Errorf("glue[%v][%d] = %+v: self, opposite or repeated face", f, s, g)
+			}
+			seen[g.face] = true
+		}
+	}
+}
+
+func BenchmarkNewNe128(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := New(48); err != nil {
+		if _, err := New(128); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkRingRow times only the face-boundary ring of Ne=128: the 3 % of
+// rows that cross a seam, at ten times and more the cost of an interior row.
+func BenchmarkRingRow(b *testing.B) {
+	md, err := New(128)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var ring []ElemID
+	for e := 0; e < md.NumElems(); e++ {
+		if el := md.Elem(ElemID(e)); el.I == 0 || el.I == 127 || el.J == 0 || el.J == 127 {
+			ring = append(ring, ElemID(e))
+		}
+	}
+	var ebuf, cbuf []ElemID
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ebuf, cbuf = md.NeighborsInto(ring[i%len(ring)], ebuf[:0], cbuf[:0])
 	}
 }
 

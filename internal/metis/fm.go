@@ -1,5 +1,7 @@
 package metis
 
+import "math"
+
 // fmRefine improves a 2-way partition with Fiduccia-Mattheyses passes:
 // vertices are moved one at a time, each at most once per pass, and the pass
 // is rolled back to the best prefix seen. A prefix is scored first by
@@ -29,7 +31,7 @@ func fmRefine(g *wgraph, side []int8, target, band float64, maxIters int, ws *wo
 			w0 += int64(g.vwgt[v])
 		}
 	}
-	imb := func(w int64) float64 { return absF64(float64(w) - target) }
+	imb := func(w int64) float64 { return math.Abs(float64(w) - target) }
 	// class 0: inside the balance band (at least half the largest vertex,
 	// i.e. floor/ceil of the target for unit weights, widened by the
 	// caller's UBfactor band); class 1: within one more vertex; class 2:
@@ -257,11 +259,4 @@ func fmRefine(g *wgraph, side []int8, target, band float64, maxIters int, ws *wo
 	}
 	ws.moves = moves[:0]
 	return cut
-}
-
-func absF64(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

@@ -113,8 +113,8 @@ func Partition(gr *graph.Graph, nparts int, opt Options) (*partition.Partition, 
 	return PartitionCtx(context.Background(), gr, nparts, opt)
 }
 
-// wgraph is the mutable working representation used during multilevel
-// partitioning: plain CSR with vertex weights and communication sizes.
+// wgraph is the working representation used during multilevel partitioning:
+// plain CSR with vertex weights and communication sizes.
 type wgraph struct {
 	xadj  []int32
 	adj   []int32
@@ -169,25 +169,10 @@ func (g *wgraph) totalVWgt() int64 {
 	return s
 }
 
+// fromGraph views gr as the finest working graph without copying it: the two
+// are the same int32 CSR, and the multilevel phases write only graphs they
+// allocated themselves (coarse levels, bisection subgraphs), never this one.
 func fromGraph(gr *graph.Graph) *wgraph {
-	n := gr.NumVertices()
-	g := &wgraph{
-		xadj:  make([]int32, n+1),
-		vwgt:  make([]int32, n),
-		vsize: make([]int32, n),
-	}
-	total := 0
-	for v := 0; v < n; v++ {
-		total += gr.Degree(v)
-	}
-	g.adj = make([]int32, 0, total)
-	g.ewgt = make([]int32, 0, total)
-	for v := 0; v < n; v++ {
-		g.vwgt[v] = gr.VertexWeight(v)
-		g.vsize[v] = gr.VertexSize(v)
-		g.adj = append(g.adj, gr.Adj(v)...)
-		g.ewgt = append(g.ewgt, gr.AdjWeights(v)...)
-		g.xadj[v+1] = int32(len(g.adj))
-	}
-	return g
+	xadj, adj, ewgt := gr.Rows(0, gr.NumVertices(), nil, nil, nil)
+	return &wgraph{xadj: xadj, adj: adj, ewgt: ewgt, vwgt: gr.VertexWeights(), vsize: gr.VertexSizes()}
 }

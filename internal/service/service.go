@@ -152,8 +152,10 @@ type Meta struct {
 
 // Config sizes a Service. Zero values take the documented defaults.
 type Config struct {
-	// MaxNe bounds accepted problem sizes (memory guard; default 128,
-	// i.e. ~98k elements).
+	// MaxNe bounds accepted problem sizes (memory guard). The zero value
+	// means 128 (~98k elements), below LargeNe, so a zero-value Config never
+	// takes the large route; the partsrv flag -max-ne defaults to 384 and
+	// the repository benchmark passes 384, so both do.
 	MaxNe int
 	// Workers bounds concurrent partition computations (default
 	// GOMAXPROCS).

@@ -52,7 +52,7 @@ func TestXFComposeMatchesApplication(t *testing.T) {
 	for _, a := range AllXF {
 		for _, b := range AllXF {
 			c := a.Compose(b)
-			for _, s := range []int{1, 2, 3, 6} {
+			for _, s := range []int{1, 2, 3, 5, 6} {
 				for y := 0; y < s; y++ {
 					for x := 0; x < s; x++ {
 						p := Point{x, y}
@@ -76,6 +76,13 @@ func TestXFInverse(t *testing.T) {
 		}
 		if got := inv.Compose(a); got != Identity {
 			t.Errorf("inverse.Compose(%+v) = %+v, want identity", a, got)
+		}
+		for y := 0; y < 5; y++ {
+			for x := 0; x < 5; x++ {
+				if p := (Point{x, y}); inv.Apply(a.Apply(p, 5), 5) != p {
+					t.Errorf("%+v.Inverse() does not undo Apply at %v", a, p)
+				}
+			}
 		}
 	}
 }

@@ -56,52 +56,21 @@ func (t XF) Apply(p Point, s int) Point {
 	return p
 }
 
-// matrix returns the linear part of t as a 2x2 signed permutation matrix.
-func (t XF) matrix() [2][2]int {
-	m := [2][2]int{{1, 0}, {0, 1}}
+// Compose returns the transform "t after u": Compose(t,u).Apply(p) ==
+// t.Apply(u.Apply(p)). An XF is a swap followed by flips, so u's flips pass
+// through t's swap (exchanging axes if t swaps) and then everything XORs.
+func (t XF) Compose(u XF) XF {
 	if t.Swap {
-		m = [2][2]int{{0, 1}, {1, 0}}
+		u.FlipX, u.FlipY = u.FlipY, u.FlipX
 	}
-	if t.FlipX {
-		m[0][0], m[0][1] = -m[0][0], -m[0][1]
-	}
-	if t.FlipY {
-		m[1][0], m[1][1] = -m[1][0], -m[1][1]
-	}
-	return m
+	return XF{Swap: t.Swap != u.Swap, FlipX: t.FlipX != u.FlipX, FlipY: t.FlipY != u.FlipY}
 }
 
-// fromMatrix converts a signed permutation matrix back to an XF.
-func fromMatrix(m [2][2]int) XF {
-	var t XF
-	if m[0][0] == 0 {
-		t.Swap = true
-		t.FlipX = m[0][1] < 0
-		t.FlipY = m[1][0] < 0
-	} else {
-		t.FlipX = m[0][0] < 0
-		t.FlipY = m[1][1] < 0
+// Inverse returns the transform u with Compose(t, u) == Identity: undoing
+// the flips before the swap is the same as exchanging them after it.
+func (t XF) Inverse() XF {
+	if t.Swap {
+		t.FlipX, t.FlipY = t.FlipY, t.FlipX
 	}
 	return t
-}
-
-// Compose returns the transform "t after u": Compose(t,u).Apply(p) ==
-// t.Apply(u.Apply(p)). The translation parts recentre automatically because
-// every XF maps the square onto itself.
-func (t XF) Compose(u XF) XF {
-	a, b := t.matrix(), u.matrix()
-	var m [2][2]int
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			m[i][j] = a[i][0]*b[0][j] + a[i][1]*b[1][j]
-		}
-	}
-	return fromMatrix(m)
-}
-
-// Inverse returns the transform u with Compose(t, u) == Identity.
-func (t XF) Inverse() XF {
-	a := t.matrix()
-	// The inverse of an orthogonal matrix is its transpose.
-	return fromMatrix([2][2]int{{a[0][0], a[1][0]}, {a[0][1], a[1][1]}})
 }

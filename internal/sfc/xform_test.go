@@ -102,8 +102,7 @@ func TestXFElementOrders(t *testing.T) {
 	}
 }
 
-// Composition must be associative over all 512 triples (Compose goes through
-// matrix multiplication, so this exercises fromMatrix on every product).
+// Composition must be associative over all 512 triples.
 func TestXFComposeAssociative(t *testing.T) {
 	for _, a := range AllXF {
 		for _, b := range AllXF {
