@@ -9,6 +9,12 @@
 // run (exit 1) when slower than baseline*(1+tolerance); everything else is
 // report-only, so the noisy long tail cannot block a merge.
 //
+// With -benchmem in the input it also takes the median B/op. Allocation
+// sizes repeat run to run where times do not, so the benchmarks in
+// bytesGated fail the run when their B/op leaves baseline*(1 +/- 2%) in
+// either direction (an improvement means the baseline is stale): that gate
+// is hard, the time gate advisory.
+//
 // Usage (what the CI bench-gate job runs):
 //
 //	go test -run '^$' -bench 'BenchmarkRunnerStep(P2)?$' -benchtime 30x -count 3 . > seam.txt
@@ -91,6 +97,18 @@ var keyOf = map[string]string{
 	"BenchmarkRingRow":            "ring_row_ne128_ns_per_op",
 }
 
+// bytesGated lists the benchmarks whose B/op is held to the baseline's
+// <key>_bytes_per_op within bytesTolerance: the two whose bytes are what a
+// curve request allocates — visit order, assignment, stats, document — so a
+// per-element table or temporary coming back is a failed run, not a slower
+// one.
+var bytesGated = map[string]bool{
+	"BenchmarkServiceMiss/sfc/Ne128": true,
+	"BenchmarkSFCParallelNe384":      true,
+}
+
+const bytesTolerance = 0.02
+
 // Result is one benchmark's comparison in the delta artifact.
 type Result struct {
 	Benchmark  string  `json:"benchmark"`
@@ -101,6 +119,12 @@ type Result struct {
 	Ratio      float64 `json:"ratio,omitempty"` // measured / baseline
 	Gated      bool    `json:"gated"`
 	Regressed  bool    `json:"regressed"`
+	// B/op, present when the input was taken with -benchmem.
+	MedianBytes   float64 `json:"median_bytes_per_op,omitempty"`
+	BaselineBytes float64 `json:"baseline_bytes_per_op,omitempty"`
+	BytesRatio    float64 `json:"bytes_ratio,omitempty"`
+	BytesGated    bool    `json:"bytes_gated,omitempty"`
+	BytesMoved    bool    `json:"bytes_moved,omitempty"` // outside 1 +/- bytesTolerance
 }
 
 // Report is the delta artifact written with -out.
@@ -175,8 +199,8 @@ func run(baselines []string, input string, tol float64, gate, out string) (*Repo
 		res := Result{
 			Benchmark: name,
 			Key:       keyOf[name],
-			Samples:   len(samples[name]),
-			MedianNs:  median(samples[name]),
+			Samples:   len(samples[name].ns),
+			MedianNs:  median(samples[name].ns),
 			Gated:     gated[name],
 		}
 		ref, ok := base[res.Key]
@@ -189,6 +213,19 @@ func run(baselines []string, input string, tol float64, gate, out string) (*Repo
 			res.Regressed = res.Ratio > 1+tol
 		}
 		if res.Gated && res.Regressed {
+			rep.Failed = true
+		}
+		bytesKey := strings.TrimSuffix(res.Key, "_ns_per_op") + "_bytes_per_op"
+		if ref, ok := base[bytesKey]; ok && res.Key != "" && len(samples[name].bytes) > 0 {
+			res.MedianBytes = median(samples[name].bytes)
+			res.BaselineBytes = ref
+			res.BytesRatio = res.MedianBytes / ref
+			res.BytesGated = bytesGated[name]
+			res.BytesMoved = res.BytesRatio > 1+bytesTolerance || res.BytesRatio < 1-bytesTolerance
+		} else if bytesGated[name] {
+			return nil, fmt.Errorf("%s is gated on B/op: run it with -benchmem against a baseline carrying %s", name, bytesKey)
+		}
+		if res.BytesGated && res.BytesMoved {
 			rep.Failed = true
 		}
 		rep.Results = append(rep.Results, res)
@@ -210,7 +247,7 @@ func run(baselines []string, input string, tol float64, gate, out string) (*Repo
 		}
 	}
 	if rep.Failed {
-		fmt.Printf("FAIL: gated benchmark(s) regressed more than %.0f%%\n", tol*100)
+		fmt.Printf("FAIL: gated benchmark(s) regressed more than %.0f%%, or gated B/op left baseline +/- %.0f%%\n", tol*100, bytesTolerance*100)
 	} else {
 		fmt.Printf("ok: no gated benchmark regressed more than %.0f%%\n", tol*100)
 	}
@@ -229,17 +266,30 @@ func printResult(res Result) {
 	}
 	fmt.Printf("%-28s median %.0f ns/op (%d runs)  baseline %.0f  ratio %.3f  [%s]\n",
 		res.Benchmark, res.MedianNs, res.Samples, res.BaselineNs, res.Ratio, status)
+	if res.BytesGated {
+		verdict := "within"
+		if res.BytesMoved {
+			verdict = "OUTSIDE (refresh the baseline if it fell)"
+		}
+		fmt.Printf("%-28s median %.0f B/op  baseline %.0f  ratio %.4f  [gated: %s +/- %.0f%%]\n",
+			"", res.MedianBytes, res.BaselineBytes, res.BytesRatio, verdict, bytesTolerance*100)
+	}
 }
 
 // benchLine matches e.g. "BenchmarkRunnerStep-4  30  8202355 ns/op" with
-// any extra per-op columns after it. A sub-benchmark name may carry hyphens
-// of its own ("ServiceRequest/stream-hit/Ne64-2"): only a trailing -N goes.
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
+// any extra per-op columns after it, of which the -benchmem "N B/op" is
+// captured. A sub-benchmark name may carry hyphens of its own
+// ("ServiceRequest/stream-hit/Ne64-2"): only a trailing -N goes.
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:.*?\s([0-9.]+) B/op)?`)
 
-// parseBench collects every ns/op sample per benchmark name (CPU suffix
-// stripped) from go test -bench output.
-func parseBench(r io.Reader) (map[string][]float64, error) {
-	samples := map[string][]float64{}
+// sample holds one benchmark's repetitions: ns/op always, B/op when the
+// line carried it.
+type sample struct{ ns, bytes []float64 }
+
+// parseBench collects every ns/op (and B/op) sample per benchmark name (CPU
+// suffix stripped) from go test -bench output.
+func parseBench(r io.Reader) (map[string]sample, error) {
+	samples := map[string]sample{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -247,16 +297,24 @@ func parseBench(r io.Reader) (map[string][]float64, error) {
 		if m == nil {
 			continue
 		}
-		v, err := strconv.ParseFloat(m[2], 64)
-		if err != nil {
-			return nil, fmt.Errorf("line %q: %w", sc.Text(), err)
+		s := samples[m[1]]
+		for i, col := range []*[]float64{&s.ns, &s.bytes} {
+			if m[2+i] == "" {
+				continue
+			}
+			v, err := strconv.ParseFloat(m[2+i], 64)
+			if err != nil {
+				return nil, fmt.Errorf("line %q: %w", sc.Text(), err)
+			}
+			*col = append(*col, v)
 		}
-		samples[m[1]] = append(samples[m[1]], v)
+		samples[m[1]] = s
 	}
 	return samples, sc.Err()
 }
 
-// loadBaselines merges the ns/op keys of the newest entry of every file.
+// loadBaselines merges the ns/op and B/op keys of the newest entry of every
+// file.
 func loadBaselines(files []string) (map[string]float64, error) {
 	base := map[string]float64{}
 	for _, file := range files {
@@ -275,7 +333,7 @@ func loadBaselines(files []string) (map[string]float64, error) {
 		}
 		latest := doc.Entries[len(doc.Entries)-1]
 		for k, v := range latest {
-			if f, ok := v.(float64); ok && strings.HasSuffix(k, "_ns_per_op") {
+			if f, ok := v.(float64); ok && (strings.HasSuffix(k, "_ns_per_op") || strings.HasSuffix(k, "_bytes_per_op")) {
 				base[k] = f
 			}
 		}

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -44,10 +45,10 @@ func TestParseBench(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(samples["BenchmarkRunnerStep"]); got != 3 {
+	if got := len(samples["BenchmarkRunnerStep"].ns); got != 3 {
 		t.Fatalf("RunnerStep samples = %d, want 3", got)
 	}
-	if m := median(samples["BenchmarkRunnerStep"]); m != 8200000 {
+	if m := median(samples["BenchmarkRunnerStep"].ns); m != 8200000 {
 		t.Fatalf("median = %v, want 8200000", m)
 	}
 	// A sub-benchmark name with a hyphen of its own, and extra columns.
@@ -55,8 +56,9 @@ func TestParseBench(t *testing.T) {
 	if samples, err = parseBench(strings.NewReader(hyphenated)); err != nil {
 		t.Fatal(err)
 	}
-	if got := samples["BenchmarkServiceRequest/stream-hit/Ne64"]; len(got) != 1 || got[0] != 2696 {
-		t.Fatalf("hyphenated sub-benchmark parsed as %v, want [2696]", got)
+	got := samples["BenchmarkServiceRequest/stream-hit/Ne64"]
+	if len(got.ns) != 1 || got.ns[0] != 2696 || len(got.bytes) != 1 || got.bytes[0] != 992 {
+		t.Fatalf("hyphenated sub-benchmark parsed as %v, want 2696 ns/op and 992 B/op", got)
 	}
 }
 
@@ -128,5 +130,44 @@ func TestGateMissingGatedBenchmark(t *testing.T) {
 	bl := write(t, dir, "base.json", sampleBaseline)
 	if _, err := run([]string{bl}, in, 0.20, "BenchmarkRunnerStep", ""); err == nil {
 		t.Fatal("missing gated benchmark must be an error")
+	}
+}
+
+// TestBytesGate: a bytes-gated benchmark fails the run when its B/op leaves
+// the baseline by more than 2 % in either direction whatever its time did,
+// passes inside it, is an error without the -benchmem column, and B/op of a
+// benchmark outside bytesGated is reported, never gated.
+func TestBytesGate(t *testing.T) {
+	dir := t.TempDir()
+	bl := write(t, dir, "base.json", `{"entries": [{
+	  "sfc_parallel_ne384_ns_per_op": 5000000, "sfc_parallel_ne384_bytes_per_op": 10617523,
+	  "rb_k384_p96_ns_per_op": 2520547, "rb_k384_p96_bytes_per_op": 395904}]}`)
+	line := func(name string, ns, bytes int) string {
+		return name + "-2 \t 10\t " + strconv.Itoa(ns) + " ns/op\t " + strconv.Itoa(bytes) + " B/op\t 11 allocs/op\n"
+	}
+	for _, c := range []struct {
+		name   string
+		input  string
+		failed bool
+	}{
+		{"inside", line("BenchmarkSFCParallelNe384", 5100000, 10618036), false},
+		{"table back", line("BenchmarkSFCParallelNe384", 4000000, 14156467), true},
+		{"stale baseline", line("BenchmarkSFCParallelNe384", 5000000, 9000000), true},
+		{"not bytes-gated", line("BenchmarkRBK384P96", 2500000, 900000), false},
+	} {
+		rep, err := run([]string{bl}, write(t, dir, "bench.txt", c.input), 0.20, "", "")
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if rep.Failed != c.failed {
+			t.Errorf("%s: failed = %v, want %v (%+v)", c.name, rep.Failed, c.failed, rep.Results)
+		}
+		if r := rep.Results[0]; r.MedianBytes == 0 || r.BaselineBytes == 0 {
+			t.Errorf("%s: B/op not reported: %+v", c.name, r)
+		}
+	}
+	in := write(t, dir, "nomem.txt", "BenchmarkSFCParallelNe384-2 10 5000000 ns/op\n")
+	if _, err := run([]string{bl}, in, 0.20, "", ""); err == nil {
+		t.Error("a bytes-gated benchmark without a B/op column must be an error")
 	}
 }

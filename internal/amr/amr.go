@@ -223,6 +223,12 @@ func (f *Forest) Order(order sfc.Order) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The fine curve inverted by table, so this reference shares nothing
+	// with the descent CurveOrder (through CubeCurve.ElemXF) runs.
+	fineRank := make([]int, curve.Len())
+	for r, e := range curve.Order() {
+		fineRank[e] = r
+	}
 	// Rank of each leaf: the minimum fine rank over its descendants
 	// (contiguity makes any descendant valid for sorting; the minimum is
 	// used so the property is testable).
@@ -233,7 +239,7 @@ func (f *Forest) Order(order sfc.Order) ([]int, error) {
 		for dy := 0; dy < scale; dy++ {
 			for dx := 0; dx < scale; dx++ {
 				id := fineMesh.ID(l.Face, l.X*scale+dx, l.Y*scale+dy)
-				if r := curve.Rank(id); best < 0 || r < best {
+				if r := fineRank[id]; best < 0 || r < best {
 					best = r
 				}
 			}

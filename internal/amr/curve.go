@@ -68,9 +68,11 @@ func (f *Forest) leafKeys(order sfc.Order) ([]uint64, error) {
 	par.ForChunks(len(f.leaves), leafKeyChunk, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			l := f.leaves[i]
-			base := f.base.ID(l.Face, l.X>>l.Level, l.Y>>l.Level)
-			key := uint64(curve.Rank(base)) << shift
-			t := curve.ElemXF(base)
+			// One descent from the face root: the base levels give the
+			// rank and orientation of the leaf's base element, the
+			// refinement levels continue it digit by digit.
+			rank, t := curve.ElemXF(f.base.ID(l.Face, l.X>>l.Level, l.Y>>l.Level))
+			key := uint64(rank) << shift
 			for lvl := 1; lvl <= l.Level; lvl++ {
 				q := sfc.Point{X: (l.X >> (l.Level - lvl)) & 1, Y: (l.Y >> (l.Level - lvl)) & 1}
 				var digit int

@@ -195,13 +195,43 @@ func TestDescendReproducesRefinedCurve(t *testing.T) {
 	}
 	for e := 0; e < m.NumElems(); e++ {
 		el := m.Elem(mesh.ElemID(e))
-		t0 := base.ElemXF(mesh.ElemID(e))
+		rank, t0 := base.ElemXF(mesh.ElemID(e))
+		if base.At(rank) != mesh.ElemID(e) {
+			t.Fatalf("elem %d: ElemXF ranks it %d, where the curve visits %d", e, rank, base.At(rank))
+		}
 		for _, q := range []sfc.Point{{X: 0, Y: 0}, {X: 1, Y: 0}, {X: 0, Y: 1}, {X: 1, Y: 1}} {
 			digit, _ := sfc.Descend(t0, sfc.Hilbert, q)
 			child := fine.ID(el.Face, 2*el.I+q.X, 2*el.J+q.Y)
-			if got, want := ref.Rank(child), 4*base.Rank(mesh.ElemID(e))+digit; got != want {
-				t.Fatalf("elem %d child %v: fine rank %d, want %d", e, q, got, want)
+			// The refined curve's recursion (At) and its descent (ElemXF)
+			// must both put the child where the base descent says.
+			want := 4*rank + digit
+			if got, _ := ref.ElemXF(child); got != want || ref.At(want) != child {
+				t.Fatalf("elem %d child %v: fine rank %d (At(%d) = %d), want %d", e, q, got, want, ref.At(want), want)
 			}
 		}
+	}
+}
+
+// BenchmarkForestOrders records the two leaf orderings of one locally refined
+// forest (Ne=16, two levels; the leaf count is reported): CurveOrder, one
+// descent of the cube curve per leaf, and the brute-force reference Order,
+// which builds the Ne=64 curve and inverts it with a table of its own.
+func BenchmarkForestOrders(b *testing.B) {
+	f, err := NewForest(16, 2, func(l Leaf) bool { return (l.X+l.Y)%3 != 0 })
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		order func(sfc.Order) ([]int, error)
+	}{{"CurveOrder", f.CurveOrder}, {"Order", f.Order}} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := c.order(sfc.PeanoFirst); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(f.NumLeaves()), "leaves")
+		})
 	}
 }

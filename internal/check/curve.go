@@ -12,7 +12,11 @@ import (
 //
 //   - bijectivity: the rank -> cell map visits every cell of the P x P grid
 //     exactly once, and the cell -> rank map is its exact inverse (both
-//     directions of the round trip are exercised);
+//     directions of the round trip are exercised). The two are independent
+//     computations — the order is what the recursion wrote, the rank what a
+//     descent of the schedule (or a baseline's closed form) finds — so the
+//     round trip checks each against the other, not a table against the
+//     loop that filled it;
 //   - continuity: consecutive cells are grid-adjacent (Manhattan distance
 //     1), recomputed here rather than trusting Curve.IsContinuous;
 //   - the motif contract: the curve enters at the bottom-left cell (0,0)
@@ -89,7 +93,8 @@ func sharedCorners(m *mesh.Mesh, a, b mesh.ElemID) int {
 // ValidateCubeCurve checks a six-face cubed-sphere curve:
 //
 //   - bijectivity over all 6*Ne^2 elements (every element visited exactly
-//     once, Rank/At are exact inverses);
+//     once, and ElemXF's descent from the face root ranks each element where
+//     the recursion's visit order, At, put it);
 //   - adjacency of consecutive curve points, both inside a face and across
 //     cube-face seams, established from the exact integer corner-node keys
 //     (two shared keys = edge adjacency);
@@ -117,8 +122,8 @@ func ValidateCubeCurve(cc *sfc.CubeCurve, requireContinuous bool) error {
 			return fmt.Errorf("check: rank %d maps to invalid element %d", r, e)
 		}
 		visited[e]++
-		if got := cc.Rank(e); got != r {
-			return fmt.Errorf("check: round trip broken: At(%d)=%d but Rank(%d)=%d", r, e, e, got)
+		if got, _ := cc.ElemXF(e); got != r {
+			return fmt.Errorf("check: round trip broken: At(%d)=%d but ElemXF(%d) ranks it %d", r, e, e, got)
 		}
 	}
 	for e := 0; e < k; e++ {

@@ -189,7 +189,8 @@ func FuzzWeightedSplit(f *testing.F) {
 		prev := 0
 		byRank := make([]int, k)
 		for v := 0; v < k; v++ {
-			byRank[res.Curve.Rank(mesh.ElemID(v))] = p.Part(v)
+			rank, _ := res.Curve.ElemXF(mesh.ElemID(v))
+			byRank[rank] = p.Part(v)
 		}
 		for rank, part := range byRank {
 			if part < prev {

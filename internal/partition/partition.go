@@ -6,6 +6,8 @@ package partition
 
 import (
 	"fmt"
+	"math"
+	"sort"
 
 	"sfccube/internal/par"
 )
@@ -155,101 +157,60 @@ func validateWeights(weights []int64) (total int64, uniform bool, err error) {
 	return total, uniform, nil
 }
 
-// SplitContiguous divides the sequence 0..len(weights)-1 into nparts
-// contiguous, non-empty segments with near-equal total weight and returns the
-// part index of every position. This is the final step of the SFC algorithm:
-// "The space-filling curve is then subdivided into equal sized segments to
-// achieve the partitioning."
+// SplitAlong cuts a visit order into nparts contiguous, non-empty segments of
+// near-equal weight and returns the assignment indexed by item id:
+// order[rank] is the id of the rank-th item visited (a bijection onto
+// [0, len(order))), weights is indexed by id, nil meaning uniform cost. It is
+// the final step of the SFC algorithm — "The space-filling curve is then
+// subdivided into equal sized segments to achieve the partitioning" — for the
+// cubed-sphere curve and the AMR leaf order alike, and it allocates the
+// assignment (plus nparts+1 cut points when the weights differ) and nothing
+// else.
 //
-// For uniform weights the split is exact: every part receives either
-// floor(n/nparts) or ceil(n/nparts) items. For non-uniform weights a greedy
-// prefix walk cuts each segment at the point that brings its weight closest
-// to the remaining average, while always leaving enough items for the
-// remaining parts. Zero weights are allowed (inactive elements); negative
-// weights fail with *WeightError and an all-zero vector with
-// *ZeroTotalWeightError.
+// For uniform (nil or all-equal) weights the split is exact: rank r goes to
+// part r*nparts/n, so every part receives floor(n/nparts) or ceil(n/nparts)
+// items and part p starts at rank ceil(p*n/nparts). For non-uniform weights a
+// greedy prefix walk (splitPoints) cuts each segment at the point that brings
+// its weight closest to the remaining average, while always leaving enough
+// items for the remaining parts. Zero weights are allowed (inactive
+// elements); negative weights fail with *WeightError, whose index is the
+// item id, and an all-zero vector with *ZeroTotalWeightError.
 //
-// The cut points are decided by a sequential O(n) walk (splitPoints); only
-// the assignment fill fans out across goroutines, so the result is
+// The cut points are arithmetic or a sequential O(n) walk; only the fill
+// fans out across goroutines, over disjoint ranks, so the assignment is
 // byte-identical at any GOMAXPROCS.
-func SplitContiguous(weights []int64, nparts int) ([]int32, error) {
-	n := len(weights)
+func SplitAlong[I ~int](order []I, nparts int, weights []int64) ([]int32, error) {
+	n := len(order)
+	var total int64
+	uniform := true
+	if weights != nil {
+		if len(weights) != n {
+			return nil, fmt.Errorf("partition: %d weights for %d items", len(weights), n)
+		}
+		var err error
+		if total, uniform, err = validateWeights(weights); err != nil {
+			return nil, err
+		}
+	}
 	if nparts < 1 {
 		return nil, fmt.Errorf("partition: nparts must be >= 1, got %d", nparts)
 	}
 	if nparts > n {
 		return nil, fmt.Errorf("partition: cannot split %d items into %d non-empty parts", n, nparts)
 	}
-	total, uniform, err := validateWeights(weights)
-	if err != nil {
-		return nil, err
-	}
-	assign := make([]int32, n)
-	if uniform {
-		// Exact balanced blocks: position i goes to part i*nparts/n.
-		par.ForChunks(n, splitFillChunk, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				assign[i] = int32(i * nparts / n)
-			}
-		})
-		return assign, nil
-	}
-	starts := splitPoints(weights, nparts, total)
-	// Fill each part's segment; segments are disjoint index ranges.
-	par.ForChunks(nparts, 1, func(plo, phi int) {
-		for part := plo; part < phi; part++ {
-			end := n
-			if part+1 < nparts {
-				end = starts[part+1]
-			}
-			for i := starts[part]; i < end; i++ {
-				assign[i] = int32(part)
-			}
-		}
-	})
-	return assign, nil
-}
-
-// SplitAlong cuts a visit order into nparts contiguous segments of near-equal
-// weight and returns the assignment indexed by item id: order[rank] is the id
-// of the rank-th item visited (a bijection onto [0, len(order))), weights is
-// indexed by id, nil meaning uniform cost. It is the whole "split the curve"
-// step for the cubed-sphere curve and the AMR leaf order alike: permute the
-// weights into visit order, SplitContiguous, scatter back.
-//
-// Weights are validated in id space, before the permutation scrambles the
-// index, so a typed *WeightError points at the offending item. The gather
-// and scatter loops fan out across goroutines over disjoint ranks; the cut
-// points come from SplitContiguous' sequential walk, so the assignment is
-// byte-identical at any GOMAXPROCS.
-func SplitAlong[I ~int](order []I, nparts int, weights []int64) ([]int32, error) {
-	n := len(order)
-	w := make([]int64, n)
-	if weights == nil {
-		for i := range w {
-			w[i] = 1
-		}
-	} else {
-		if len(weights) != n {
-			return nil, fmt.Errorf("partition: %d weights for %d items", len(weights), n)
-		}
-		if err := ValidateWeights(weights); err != nil {
-			return nil, err
-		}
-		par.ForChunks(n, splitFillChunk, func(lo, hi int) {
-			for rank := lo; rank < hi; rank++ {
-				w[rank] = weights[order[rank]]
-			}
-		})
-	}
-	seg, err := SplitContiguous(w, nparts)
-	if err != nil {
-		return nil, err
+	// first(p) is the first rank of part p, first(nparts) = n.
+	first := func(p int) int { return (p*n + nparts - 1) / nparts }
+	if !uniform {
+		starts := splitPoints(order, weights, nparts, total)
+		first = func(p int) int { return starts[p] }
 	}
 	assign := make([]int32, n)
 	par.ForChunks(n, splitFillChunk, func(lo, hi int) {
-		for rank := lo; rank < hi; rank++ {
-			assign[order[rank]] = seg[rank]
+		p := sort.Search(nparts, func(p int) bool { return first(p+1) > lo })
+		for r := lo; r < hi; p++ {
+			for end := min(first(p+1), hi); r < end; r++ {
+				assign[order[r]] = int32(p)
+			}
 		}
 	})
 	return assign, nil
@@ -260,50 +221,34 @@ func SplitAlong[I ~int](order []I, nparts int, weights []int64) ([]int32, error)
 // than they save.
 const splitFillChunk = 1 << 15
 
-// splitPoints runs the greedy prefix walk: for each part, extend the segment
-// while the running weight is closer to the remaining average than stopping,
-// keeping one item per remaining part available. This is the sequential
-// decision kernel of the SFC split; everything downstream of it is pure
-// fill.
-func splitPoints(weights []int64, nparts int, total int64) []int {
-	n := len(weights)
-	starts := make([]int, nparts)
+// splitPoints runs the greedy prefix walk along the visit order: for each
+// part, extend the segment while the running weight is closer to the
+// remaining average than stopping, keeping one item per remaining part
+// available. It returns the first rank of every part and n as a sentinel.
+// This is the sequential decision kernel of the SFC split; everything
+// downstream of it is pure fill.
+func splitPoints[I ~int](order []I, weights []int64, nparts int, total int64) []int {
+	n := len(order)
+	starts := make([]int, nparts+1)
 	pos := 0
 	remaining := total
-	for part := 0; part < nparts; part++ {
+	for part := 0; part < nparts-1; part++ {
 		starts[part] = pos
 		partsLeft := nparts - part
 		target := float64(remaining) / float64(partsLeft)
-		// The last part takes everything left.
-		if part == nparts-1 {
-			break
-		}
-		var acc int64
-		start := pos
-		for pos < n-(partsLeft-1) {
-			w := weights[pos]
-			// Always take at least one item.
-			if pos == start {
-				acc += w
-				pos++
-				continue
+		// Always take at least one item, then the next only while it brings
+		// the segment closer to target.
+		acc := weights[order[pos]]
+		for pos++; pos < n-(partsLeft-1); pos++ {
+			w := weights[order[pos]]
+			if math.Abs(float64(acc+w)-target) > math.Abs(float64(acc)-target) {
+				break
 			}
-			// Take the next item only if it brings us closer to target.
-			if absF(float64(acc+w)-target) <= absF(float64(acc)-target) {
-				acc += w
-				pos++
-				continue
-			}
-			break
+			acc += w
 		}
 		remaining -= acc
 	}
+	// The last part takes everything left.
+	starts[nparts-1], starts[nparts] = pos, n
 	return starts
-}
-
-func absF(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

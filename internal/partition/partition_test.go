@@ -96,6 +96,20 @@ func TestWeightedCounts(t *testing.T) {
 	}
 }
 
+// SplitContiguous splits positions 0..len(weights)-1 themselves: the
+// identity-order entry to SplitAlong, the one split kernel.
+func SplitContiguous(weights []int64, nparts int) ([]int32, error) {
+	return SplitAlong(identityOrder(len(weights)), nparts, weights)
+}
+
+func identityOrder(n int) []int {
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	return order
+}
+
 func TestSplitContiguousUniform(t *testing.T) {
 	for _, c := range []struct{ n, parts int }{
 		{8, 2}, {8, 4}, {9, 3}, {10, 3}, {384, 96}, {486, 27}, {7, 7}, {5, 1},

@@ -14,10 +14,12 @@ package sfc
 // p x p grid: up the first column, down the second, and so on. It is
 // continuous for every p >= 1 and enters at (0, 0).
 func GenerateSerpentine(p int) *Curve {
-	c := &Curve{
-		p:     p,
-		order: make([]Point, 0, p*p),
-		rank:  make([]int, p*p),
+	c := &Curve{p: p, order: make([]Point, 0, p*p)}
+	c.flat = func(x, y int) int {
+		if x%2 == 1 {
+			y = p - 1 - y
+		}
+		return x*p + y
 	}
 	for x := 0; x < p; x++ {
 		if x%2 == 0 {
@@ -30,9 +32,6 @@ func GenerateSerpentine(p int) *Curve {
 			}
 		}
 	}
-	for r, pt := range c.order {
-		c.rank[pt.Y*p+pt.X] = r
-	}
 	return c
 }
 
@@ -42,16 +41,11 @@ func GenerateSerpentine(p int) *Curve {
 // be far apart, which is exactly the deficiency the Hilbert curve repairs.
 func GenerateMorton(levels int) *Curve {
 	p := 1 << levels
-	c := &Curve{
-		p:     p,
-		order: make([]Point, p*p),
-		rank:  make([]int, p*p),
-	}
+	c := &Curve{p: p, order: make([]Point, p*p)}
+	c.flat = func(x, y int) int { return interleaveBits(x, y, levels) }
 	for y := 0; y < p; y++ {
 		for x := 0; x < p; x++ {
-			r := interleaveBits(x, y, levels)
-			c.order[r] = Point{x, y}
-			c.rank[y*p+x] = r
+			c.order[c.flat(x, y)] = Point{x, y}
 		}
 	}
 	return c

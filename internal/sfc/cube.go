@@ -66,57 +66,48 @@ var faceHamiltonianPaths = func() [][mesh.NumFaces]mesh.Face {
 // element of a cubed-sphere mesh (paper Figure 6): the per-face curves are
 // oriented so that the exit element of each face is edge-adjacent, across the
 // shared cube edge, to the entry element of the next face. Splitting the
-// curve into equal contiguous segments yields the SFC partition.
+// curve into equal contiguous segments yields the SFC partition. The visit
+// order is the only per-element storage; its inverse (ElemXF) is computed.
 type CubeCurve struct {
 	m     *mesh.Mesh
-	base  *Curve   // the per-face ordering being chained
-	sched Schedule // nil when built from a baseline ordering
+	sched Schedule // per-face refinement schedule; nil with a baseline ordering
+	base  *Curve   // the baseline ordering being chained; nil with a schedule
 	path  [mesh.NumFaces]mesh.Face
-	xf    [mesh.NumFaces]XF // orientation applied to the base curve per face
+	xf    [mesh.NumFaces]XF // orientation of the per-face curve on each face
 
 	order []mesh.ElemID // rank -> element
-	rank  []int         // element -> rank
 }
 
 // NewCubeCurve builds the continuous cubed-sphere curve for mesh m using the
 // given refinement schedule. The schedule's side must equal m.Ne(). The
 // per-face orientations are found by a backtracking search over the dihedral
-// group and the result is verified to be continuous; an error is returned
-// only for a schedule/mesh size mismatch (a continuous assignment always
-// exists because corner elements of adjacent faces that meet at a cube-edge
-// endpoint share a full element edge).
+// group, and the recursion then writes each face's element ids straight into
+// its slot of the visit order; an error is returned only for a schedule/mesh
+// size mismatch (a continuous assignment always exists because corner
+// elements of adjacent faces that meet at a cube-edge endpoint share a full
+// element edge).
 func NewCubeCurve(m *mesh.Mesh, sched Schedule) (*CubeCurve, error) {
 	if sched.Side() != m.Ne() {
 		return nil, fmt.Errorf("sfc: schedule %v covers a %dx%d face but mesh has Ne=%d",
 			sched, sched.Side(), sched.Side(), m.Ne())
 	}
-	cc, err := NewCubeCurveFromBase(m, Generate(sched))
-	if err != nil {
-		return nil, err
-	}
-	cc.sched = sched
-	// At Ne=1 every face is a single cell, so the orientation search above is
+	// At Ne=1 every face is a single cell, so the orientation search is
 	// vacuous (entry == exit under any transform) and would pick arbitrary
 	// face orientations. Those orientations are observable through ElemXF,
 	// whose contract is that refining the schedule continues the global
-	// curve; solve them against the one-level refinement instead, where the
-	// motif endpoints are distinguishable, so the Ne=1 curve agrees with
-	// what its own refinement chooses.
+	// curve; solve them against the one-level Hilbert refinement instead,
+	// where the motif endpoints are distinguishable, so the Ne=1 curve agrees
+	// with what its own refinement chooses.
+	solve := m
 	if m.Ne() == 1 {
-		m2, err := mesh.New(2)
-		if err != nil {
+		var err error
+		if solve, err = mesh.New(2); err != nil {
 			return nil, err
 		}
-		refined := append(append(Schedule{}, sched...), Hilbert)
-		cc2, err := NewCubeCurveFromBase(m2, Generate(refined))
-		if err != nil {
-			return nil, err
-		}
-		cc.path = cc2.path
-		cc.xf = cc2.xf
-		cc.build(cc.base)
 	}
-	return cc, nil
+	// Every curve of the family enters a face at (0,0) and exits at (P-1,0).
+	cc := &CubeCurve{m: m, sched: sched}
+	return cc.chain(solve, Point{}, Point{X: solve.Ne() - 1})
 }
 
 // NewCubeCurveFromBase chains an arbitrary per-face ordering over the six
@@ -131,42 +122,38 @@ func NewCubeCurveFromBase(m *mesh.Mesh, base *Curve) (*CubeCurve, error) {
 			base.Side(), base.Side(), m.Ne())
 	}
 	cc := &CubeCurve{m: m, base: base}
-	if !cc.solveOrientations(base) {
-		// Cannot happen for a cube (see doc comment), but fail loudly
+	entry, exit := base.Endpoints()
+	return cc.chain(m, entry, exit)
+}
+
+// chain orients the six per-face curves, whose entry and exit cells on mesh
+// m are given, and writes the global visit order.
+func (cc *CubeCurve) chain(m *mesh.Mesh, entry, exit Point) (*CubeCurve, error) {
+	if !cc.solveOrientations(m, entry, exit) {
+		// Cannot happen for a cube (see NewCubeCurve), but fail loudly
 		// rather than return a broken curve.
 		return nil, fmt.Errorf("sfc: no face orientation found for Ne=%d", m.Ne())
 	}
-	cc.build(base)
+	cc.build()
 	return cc, nil
 }
 
-// entryExit returns the entry and exit cells of the base curve on a face
-// once orientation t is applied.
-func entryExit(base *Curve, t XF) (entry, exit Point) {
-	e0, e1 := base.Endpoints()
-	return t.Apply(e0, base.Side()), t.Apply(e1, base.Side())
-}
-
-// solveOrientations assigns one XF per face (in facePath order) so that each
-// face's exit element connects to the next face's entry element. It prefers
-// edge adjacency (a fully continuous global curve, always achievable for the
-// Hilbert/Peano family whose endpoints lie on one edge); for base orderings
-// with diagonal endpoints (serpentine with odd Ne, Morton) it falls back to
-// corner adjacency, and as a last resort to no constraint at all -- the
-// partition stays valid, only segment compactness degrades.
-// solveOrientations searches for face orientations minimising the number of
-// broken transitions. It first demands full edge-adjacency (always solvable
-// for the Hilbert/Peano family: their entry and exit lie on the same domain
-// edge). For base orderings whose endpoints are diagonal corners (Morton,
-// serpentine with odd Ne) it then allows corner adjacency, and finally an
-// increasing budget of disconnected transitions. Note that for diagonal
-// endpoints at least one break is unavoidable: a break-free chain would be
-// an Eulerian path in K4 (faces are the edges between same-parity cube
-// corners, every corner has odd degree 3), which does not exist.
-func (cc *CubeCurve) solveOrientations(base *Curve) bool {
-	edgeAdj := func(a, b mesh.ElemID) bool { return isEdgeNeighbor(cc.m, a, b) }
+// solveOrientations assigns one XF per face (in face-path order) so that
+// each face's exit element connects to the next face's entry element on m,
+// minimising the number of broken transitions. It first demands full
+// edge-adjacency (always solvable for the Hilbert/Peano family: their entry
+// and exit lie on the same domain edge). For base orderings whose endpoints
+// are diagonal corners (Morton, serpentine with odd Ne) it then allows
+// corner adjacency, and finally an increasing budget of disconnected
+// transitions -- the partition stays valid, only segment compactness
+// degrades. Note that for diagonal endpoints at least one break is
+// unavoidable: a break-free chain would be an Eulerian path in K4 (faces are
+// the edges between same-parity cube corners, every corner has odd degree
+// 3), which does not exist.
+func (cc *CubeCurve) solveOrientations(m *mesh.Mesh, entry, exit Point) bool {
+	edgeAdj := func(a, b mesh.ElemID) bool { return isEdgeNeighbor(m, a, b) }
 	connected := func(a, b mesh.ElemID) bool {
-		return isEdgeNeighbor(cc.m, a, b) || isCornerNeighbor(cc.m, a, b)
+		return isEdgeNeighbor(m, a, b) || isCornerNeighbor(m, a, b)
 	}
 	try := func(accept func(a, b mesh.ElemID) bool, breaks int) bool {
 		for _, path := range faceHamiltonianPaths {
@@ -177,17 +164,16 @@ func (cc *CubeCurve) solveOrientations(base *Curve) bool {
 				}
 				f := path[step]
 				for _, t := range AllXF {
-					entry, exit := entryExit(base, t)
-					entryID := cc.m.ID(f, entry.X, entry.Y)
+					in, out := t.Apply(entry, m.Ne()), t.Apply(exit, m.Ne())
 					b := budget
-					if step > 0 && !accept(prevExit, entryID) {
+					if step > 0 && !accept(prevExit, m.ID(f, in.X, in.Y)) {
 						if b == 0 {
 							continue
 						}
 						b--
 					}
 					cc.xf[f] = t
-					if rec(step+1, b, cc.m.ID(f, exit.X, exit.Y)) {
+					if rec(step+1, b, m.ID(f, out.X, out.Y)) {
 						return true
 					}
 				}
@@ -227,27 +213,26 @@ func isCornerNeighbor(m *mesh.Mesh, a, b mesh.ElemID) bool {
 }
 
 // build materialises the global visit order. The six faces occupy fixed
-// rank ranges [fi*P^2, (fi+1)*P^2), so each face's segment and the inverse
-// rank table fill in parallel over disjoint writes; the content of every
-// entry depends only on its index, making the result byte-identical at any
-// GOMAXPROCS.
-func (cc *CubeCurve) build(base *Curve) {
-	k := cc.m.NumElems()
-	perFace := k / mesh.NumFaces
-	cc.order = make([]mesh.ElemID, k)
-	cc.rank = make([]int, k)
+// rank ranges [fi*P^2, (fi+1)*P^2) and fill in parallel over disjoint
+// writes: a schedule's recursion runs with the face's orientation as its
+// root and writes element ids directly (mesh.ID is row-major within a face),
+// a baseline ordering is mapped cell by cell. Every entry depends only on its
+// index, making the result byte-identical at any GOMAXPROCS.
+func (cc *CubeCurve) build() {
+	ne := cc.m.Ne()
+	perFace := ne * ne
+	cc.order = make([]mesh.ElemID, cc.m.NumElems())
 	par.ForBlocks(len(cc.path), func(fi int) {
 		f := cc.path[fi]
 		t := cc.xf[f]
 		out := cc.order[fi*perFace : (fi+1)*perFace]
-		for i, p := range base.Order() {
-			q := t.Apply(p, base.Side())
-			out[i] = cc.m.ID(f, q.X, q.Y)
+		if cc.base == nil {
+			fill(out, cc.sched, ne, t, 0, 0, ne, cc.m.ID(f, 0, 0))
+			return
 		}
-	})
-	par.ForChunks(k, 1<<15, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			cc.rank[cc.order[r]] = r
+		for i, p := range cc.base.Order() {
+			q := t.Apply(p, ne)
+			out[i] = cc.m.ID(f, q.X, q.Y)
 		}
 	})
 }
@@ -262,9 +247,6 @@ func (cc *CubeCurve) Len() int { return len(cc.order) }
 // At returns the element visited at the given curve rank.
 func (cc *CubeCurve) At(rank int) mesh.ElemID { return cc.order[rank] }
 
-// Rank returns the curve rank of element e.
-func (cc *CubeCurve) Rank(e mesh.ElemID) int { return cc.rank[e] }
-
 // Order returns the global visit order; the returned slice is owned by the
 // curve and must not be modified.
 func (cc *CubeCurve) Order() []mesh.ElemID { return cc.order }
@@ -272,19 +254,29 @@ func (cc *CubeCurve) Order() []mesh.ElemID { return cc.order }
 // FacePath returns the order in which the curve traverses the cube faces.
 func (cc *CubeCurve) FacePath() [mesh.NumFaces]mesh.Face { return cc.path }
 
-// ElemXF returns the accumulated curve orientation at element e: the
-// transform under which refinement of e (appending levels to the schedule)
-// would continue the global curve. Because dihedral transforms distribute
-// over block decomposition, the face orientation composed with the base
-// curve's leaf orientation is exactly the transform the refined global curve
-// would accumulate at e. Only meaningful for the Hilbert/Peano family; base
-// orderings built from serpentine or Morton curves carry Identity leaf
-// transforms.
-func (cc *CubeCurve) ElemXF(e mesh.ElemID) XF {
+// ElemXF inverts the curve at element e: it returns e's curve rank and the
+// accumulated curve orientation there, the transform under which refinement
+// of e (appending levels to the schedule) would continue the global curve.
+// Both come from one O(len(schedule)) descent from the root of e's face,
+// entered with the face's orientation: because dihedral transforms
+// distribute over block decomposition, that is exactly the transform the
+// refined global curve would accumulate at e, and the face's position on the
+// path supplies the rank's offset. Base orderings built from serpentine or
+// Morton curves are not motif recursions: their rank is the base's closed
+// form at the cell the face orientation maps to e, and their orientation is
+// the face's alone.
+func (cc *CubeCurve) ElemXF(e mesh.ElemID) (rank int, t XF) {
 	el := cc.m.Elem(e)
-	t := cc.xf[el.Face]
-	p := t.Inverse().Apply(Point{X: el.I, Y: el.J}, cc.base.Side())
-	return t.Compose(cc.base.LeafXF(cc.base.Rank(p.X, p.Y)))
+	ne := cc.m.Ne()
+	rank = slices.Index(cc.path[:], el.Face) * ne * ne
+	t = cc.xf[el.Face]
+	q := Point{X: el.I, Y: el.J}
+	if cc.base != nil {
+		q = t.Inverse().Apply(q, ne)
+		return rank + cc.base.Rank(q.X, q.Y), t
+	}
+	r, leaf := cc.sched.descend(t, q)
+	return rank + r, leaf
 }
 
 // IsContinuous reports whether consecutive elements on the global curve are

@@ -28,8 +28,8 @@ func cubeInvariants(t *testing.T, ne int, order Order) *CubeCurve {
 			t.Fatalf("ne=%d: element %d visited twice", ne, e)
 		}
 		seen[e] = true
-		if cc.Rank(e) != r {
-			t.Fatalf("ne=%d: Rank(At(%d)) = %d", ne, r, cc.Rank(e))
+		if got, _ := cc.ElemXF(e); got != r {
+			t.Fatalf("ne=%d: ElemXF(At(%d)) ranks it %d", ne, r, got)
 		}
 	}
 	// The defining property (Figure 6): one single continuous curve across

@@ -81,3 +81,35 @@ func motifOf(k Kind) []motifCell {
 	}
 	return hilbertMotif
 }
+
+// oriented is a motif as seen from a parent domain with accumulated
+// orientation t: the i-th sub-domain visited is cell[i] of the parent's
+// Base x Base grid and carries orientation child[i] = t.Compose(motif child);
+// digit inverts cell (digit[y*Base+x] = i). The recursion that writes a
+// curve reads cell and child, the descent that inverts it reads digit and
+// child, so each checks the other.
+type oriented struct {
+	cell  []Point
+	child []XF
+	digit []int
+}
+
+// orientedMotifs[k][t.index()] is the motif of kind k under orientation t.
+var orientedMotifs = orientMotifs()
+
+func orientMotifs() (tab [2][8]oriented) {
+	for _, k := range []Kind{Hilbert, Peano} {
+		b := k.Base()
+		for _, t := range AllXF {
+			o := &tab[k][t.index()]
+			o.digit = make([]int, b*b)
+			for i, mc := range motifOf(k) {
+				c := t.Apply(mc.cell, b)
+				o.cell = append(o.cell, c)
+				o.child = append(o.child, t.Compose(mc.child))
+				o.digit[c.Y*b+c.X] = i
+			}
+		}
+	}
+	return tab
+}

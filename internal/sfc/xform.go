@@ -74,3 +74,18 @@ func (t XF) Inverse() XF {
 	}
 	return t
 }
+
+// index numbers the eight transforms 0..7, for tables keyed by orientation.
+func (t XF) index() int {
+	i := 0
+	if t.Swap {
+		i = 4
+	}
+	if t.FlipX {
+		i |= 2
+	}
+	if t.FlipY {
+		i |= 1
+	}
+	return i
+}
