@@ -9,11 +9,14 @@
 // run (exit 1) when slower than baseline*(1+tolerance); everything else is
 // report-only, so the noisy long tail cannot block a merge.
 //
-// With -benchmem in the input it also takes the median B/op. Allocation
-// sizes repeat run to run where times do not, so the benchmarks in
-// bytesGated fail the run when their B/op leaves baseline*(1 +/- 2%) in
-// either direction (an improvement means the baseline is stale): that gate
-// is hard, the time gate advisory.
+// With -benchmem in the input it also takes the median B/op and allocs/op
+// and prints both beside a baseline that carries <key>_bytes_per_op /
+// <key>_allocs_per_op. Allocation sizes repeat run to run where times do
+// not, so the benchmarks in bytesGated fail the run when their B/op leaves
+// baseline*(1 +/- 2%) in either direction (an improvement means the baseline
+// is stale): that gate is hard, the time gate advisory. Everything else —
+// every allocs/op, and B/op of a benchmark that runs on pooled memory, which
+// depends on when the collector last emptied the pool — is report-only.
 //
 // Usage (what the CI bench-gate job runs):
 //
@@ -56,6 +59,11 @@ var keyOf = map[string]string{
 	"BenchmarkKWayK13824P1536": "kway_k13824_p1536_ns_per_op",
 	"BenchmarkRBK55296P3072":   "rb_k55296_p3072_ns_per_op",
 	"BenchmarkKWayK55296P3072": "kway_k55296_p3072_ns_per_op",
+	// The four stages of one top-level bisection (report-only).
+	"BenchmarkBisectStages/coarsen/K13824": "bisect_coarsen_k13824_ns_per_op",
+	"BenchmarkBisectStages/initial/K13824": "bisect_initial_k13824_ns_per_op",
+	"BenchmarkBisectStages/refine/K13824":  "bisect_refine_k13824_ns_per_op",
+	"BenchmarkBisectStages/split/K13824":   "bisect_split_k13824_ns_per_op",
 	// Million-element regime (PR 7): the SFC pipeline at Ne=384 is gated in
 	// CI; the 14M-element RB case is env-guarded (SCALE_BENCH=1) and its
 	// baseline is refreshed by hand.
@@ -125,6 +133,9 @@ type Result struct {
 	BytesRatio    float64 `json:"bytes_ratio,omitempty"`
 	BytesGated    bool    `json:"bytes_gated,omitempty"`
 	BytesMoved    bool    `json:"bytes_moved,omitempty"` // outside 1 +/- bytesTolerance
+	// allocs/op, from the same columns; never gated.
+	MedianAllocs   float64 `json:"median_allocs_per_op,omitempty"`
+	BaselineAllocs float64 `json:"baseline_allocs_per_op,omitempty"`
 }
 
 // Report is the delta artifact written with -out.
@@ -228,6 +239,9 @@ func run(baselines []string, input string, tol float64, gate, out string) (*Repo
 		if res.BytesGated && res.BytesMoved {
 			rep.Failed = true
 		}
+		if ref, ok := base[strings.TrimSuffix(res.Key, "_ns_per_op")+"_allocs_per_op"]; ok && len(samples[name].allocs) > 0 {
+			res.MedianAllocs, res.BaselineAllocs = median(samples[name].allocs), ref
+		}
 		rep.Results = append(rep.Results, res)
 		printResult(res)
 	}
@@ -266,28 +280,35 @@ func printResult(res Result) {
 	}
 	fmt.Printf("%-28s median %.0f ns/op (%d runs)  baseline %.0f  ratio %.3f  [%s]\n",
 		res.Benchmark, res.MedianNs, res.Samples, res.BaselineNs, res.Ratio, status)
-	if res.BytesGated {
-		verdict := "within"
-		if res.BytesMoved {
-			verdict = "OUTSIDE (refresh the baseline if it fell)"
+	if res.BaselineBytes != 0 {
+		verdict := "report-only"
+		if res.BytesGated {
+			where := "within"
+			if res.BytesMoved {
+				where = "OUTSIDE (refresh the baseline if it fell)"
+			}
+			verdict = fmt.Sprintf("gated: %s +/- %.0f%%", where, bytesTolerance*100)
 		}
-		fmt.Printf("%-28s median %.0f B/op  baseline %.0f  ratio %.4f  [gated: %s +/- %.0f%%]\n",
-			"", res.MedianBytes, res.BaselineBytes, res.BytesRatio, verdict, bytesTolerance*100)
+		fmt.Printf("%-28s median %.0f B/op  baseline %.0f  ratio %.4f  [%s]\n",
+			"", res.MedianBytes, res.BaselineBytes, res.BytesRatio, verdict)
+	}
+	if res.BaselineAllocs != 0 {
+		fmt.Printf("%-28s median %.0f allocs/op  baseline %.0f  [report-only]\n", "", res.MedianAllocs, res.BaselineAllocs)
 	}
 }
 
 // benchLine matches e.g. "BenchmarkRunnerStep-4  30  8202355 ns/op" with
-// any extra per-op columns after it, of which the -benchmem "N B/op" is
-// captured. A sub-benchmark name may carry hyphens of its own
-// ("ServiceRequest/stream-hit/Ne64-2"): only a trailing -N goes.
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:.*?\s([0-9.]+) B/op)?`)
+// any extra per-op columns after it, of which the -benchmem "N B/op" and
+// "N allocs/op" are captured. A sub-benchmark name may carry hyphens of its
+// own ("ServiceRequest/stream-hit/Ne64-2"): only a trailing -N goes.
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:.*?\s([0-9.]+) B/op\s+([0-9.]+) allocs/op)?`)
 
-// sample holds one benchmark's repetitions: ns/op always, B/op when the
-// line carried it.
-type sample struct{ ns, bytes []float64 }
+// sample holds one benchmark's repetitions: ns/op always, B/op and allocs/op
+// when the line carried them.
+type sample struct{ ns, bytes, allocs []float64 }
 
-// parseBench collects every ns/op (and B/op) sample per benchmark name (CPU
-// suffix stripped) from go test -bench output.
+// parseBench collects every ns/op (and B/op, allocs/op) sample per benchmark
+// name (CPU suffix stripped) from go test -bench output.
 func parseBench(r io.Reader) (map[string]sample, error) {
 	samples := map[string]sample{}
 	sc := bufio.NewScanner(r)
@@ -298,7 +319,7 @@ func parseBench(r io.Reader) (map[string]sample, error) {
 			continue
 		}
 		s := samples[m[1]]
-		for i, col := range []*[]float64{&s.ns, &s.bytes} {
+		for i, col := range []*[]float64{&s.ns, &s.bytes, &s.allocs} {
 			if m[2+i] == "" {
 				continue
 			}
@@ -313,8 +334,8 @@ func parseBench(r io.Reader) (map[string]sample, error) {
 	return samples, sc.Err()
 }
 
-// loadBaselines merges the ns/op and B/op keys of the newest entry of every
-// file.
+// loadBaselines merges the ns/op, B/op and allocs/op keys of the newest entry
+// of every file.
 func loadBaselines(files []string) (map[string]float64, error) {
 	base := map[string]float64{}
 	for _, file := range files {
@@ -333,7 +354,7 @@ func loadBaselines(files []string) (map[string]float64, error) {
 		}
 		latest := doc.Entries[len(doc.Entries)-1]
 		for k, v := range latest {
-			if f, ok := v.(float64); ok && (strings.HasSuffix(k, "_ns_per_op") || strings.HasSuffix(k, "_bytes_per_op")) {
+			if f, ok := v.(float64); ok && (strings.HasSuffix(k, "_ns_per_op") || strings.HasSuffix(k, "_bytes_per_op") || strings.HasSuffix(k, "_allocs_per_op")) {
 				base[k] = f
 			}
 		}

@@ -57,8 +57,8 @@ func TestParseBench(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := samples["BenchmarkServiceRequest/stream-hit/Ne64"]
-	if len(got.ns) != 1 || got.ns[0] != 2696 || len(got.bytes) != 1 || got.bytes[0] != 992 {
-		t.Fatalf("hyphenated sub-benchmark parsed as %v, want 2696 ns/op and 992 B/op", got)
+	if len(got.ns) != 1 || got.ns[0] != 2696 || len(got.bytes) != 1 || got.bytes[0] != 992 || len(got.allocs) != 1 || got.allocs[0] != 21 {
+		t.Fatalf("hyphenated sub-benchmark parsed as %v, want 2696 ns/op, 992 B/op and 21 allocs/op", got)
 	}
 }
 
@@ -136,12 +136,13 @@ func TestGateMissingGatedBenchmark(t *testing.T) {
 // TestBytesGate: a bytes-gated benchmark fails the run when its B/op leaves
 // the baseline by more than 2 % in either direction whatever its time did,
 // passes inside it, is an error without the -benchmem column, and B/op of a
-// benchmark outside bytesGated is reported, never gated.
+// benchmark outside bytesGated is reported, never gated — as allocs/op is for
+// any benchmark whose baseline carries it.
 func TestBytesGate(t *testing.T) {
 	dir := t.TempDir()
 	bl := write(t, dir, "base.json", `{"entries": [{
 	  "sfc_parallel_ne384_ns_per_op": 5000000, "sfc_parallel_ne384_bytes_per_op": 10617523,
-	  "rb_k384_p96_ns_per_op": 2520547, "rb_k384_p96_bytes_per_op": 395904}]}`)
+	  "rb_k384_p96_ns_per_op": 2520547, "rb_k384_p96_bytes_per_op": 395904, "rb_k384_p96_allocs_per_op": 1739}]}`)
 	line := func(name string, ns, bytes int) string {
 		return name + "-2 \t 10\t " + strconv.Itoa(ns) + " ns/op\t " + strconv.Itoa(bytes) + " B/op\t 11 allocs/op\n"
 	}
@@ -162,8 +163,12 @@ func TestBytesGate(t *testing.T) {
 		if rep.Failed != c.failed {
 			t.Errorf("%s: failed = %v, want %v (%+v)", c.name, rep.Failed, c.failed, rep.Results)
 		}
-		if r := rep.Results[0]; r.MedianBytes == 0 || r.BaselineBytes == 0 {
+		r := rep.Results[0]
+		if r.MedianBytes == 0 || r.BaselineBytes == 0 {
 			t.Errorf("%s: B/op not reported: %+v", c.name, r)
+		}
+		if rb := r.Benchmark == "BenchmarkRBK384P96"; rb != (r.MedianAllocs == 11 && r.BaselineAllocs == 1739) {
+			t.Errorf("%s: allocs/op reported as %v against %v", c.name, r.MedianAllocs, r.BaselineAllocs)
 		}
 	}
 	in := write(t, dir, "nomem.txt", "BenchmarkSFCParallelNe384-2 10 5000000 ns/op\n")

@@ -9,47 +9,48 @@ import (
 
 // bisect computes a 2-way split of g with target weight tw0 for side 0,
 // using the full multilevel scheme: coarsen, greedy-graph-growing initial
-// bisection, then FM refinement during uncoarsening. It returns the side
-// (0 or 1) of every vertex in a workspace-owned buffer; the caller releases
-// it with ws.putSide once the subgraphs are built.
+// bisection, then FM refinement during uncoarsening. The V-cycle's levels
+// are popped from ws before it returns; the side (0 or 1) of every vertex
+// comes back in a workspace-owned buffer the caller releases with
+// ws.putSide once the subgraphs are built.
 func bisect(g *wgraph, tw0, band float64, rng *prng.Stream, ws *workspace, stop *stopper) []int8 {
+	// Two buffers sized for the finest level: the trials and the projection
+	// ping-pong between them, whatever the depth of the hierarchy.
+	side, spare := ws.side(g.n()), ws.side(g.n())
+	m := ws.mark()
 	levels, coarsest := coarsen(g, coarsenTo, rng, ws, stop)
-	side := initialBisection(coarsest, tw0, band, rng, ws, stop)
+	side, spare = side[:coarsest.n()], spare[:coarsest.n()]
+	initialBisection(coarsest, tw0, band, rng, ws, stop, side, spare)
 	fmRefine(coarsest, side, tw0, band, refineIters, ws, stop)
-	// Project back through the hierarchy, refining at every level. The side
-	// buffers ping-pong through the workspace free list instead of
-	// allocating one per level.
+	// Project back through the hierarchy, refining at every level.
 	for i := len(levels) - 1; i >= 0; i-- {
 		lv := levels[i]
-		fineSide := ws.side(lv.fine.n())
+		fineSide := spare[:lv.fine.n()]
 		for v := range fineSide {
 			fineSide[v] = side[lv.cmap[v]]
 		}
-		ws.putSide(side)
-		side = fineSide
+		side, spare = fineSide, side
 		fmRefine(lv.fine, side, tw0, band, refineIters, ws, stop)
 	}
+	ws.release(m)
+	ws.putSide(spare)
 	return side
 }
 
 // initialBisection runs several greedy-graph-growing attempts from random
-// seeds and keeps the one with the smallest cut after balancing.
-func initialBisection(g *wgraph, tw0, band float64, rng *prng.Stream, ws *workspace, stop *stopper) []int8 {
+// seeds and leaves the one with the smallest cut after balancing in best;
+// trial is scratch of the same length.
+func initialBisection(g *wgraph, tw0, band float64, rng *prng.Stream, ws *workspace, stop *stopper, best, trial []int8) {
 	n := g.n()
-	best := ws.side(n)
 	if n == 1 {
 		best[0] = 0
-		return best
+		return
 	}
-	trial := ws.side(n)
 	var bestCut int64 = -1
 	// A graph with n vertices has at most n distinct growth seeds, so extra
 	// trials beyond that only repeat work on the tiny leaf graphs of a deep
 	// recursive-bisection tree.
-	trials := initTrials
-	if trials > n {
-		trials = n
-	}
+	trials := min(initTrials, n)
 	// Each trial gets a short refinement (two passes) — just enough to rank
 	// candidate bisections fairly; the winner receives the full refinement
 	// budget in bisect's uncoarsening sweep, so depth here buys nothing.
@@ -61,8 +62,6 @@ func initialBisection(g *wgraph, tw0, band float64, rng *prng.Stream, ws *worksp
 			copy(best, trial)
 		}
 	}
-	ws.putSide(trial)
-	return best
 }
 
 // growRegion grows side 0 from a random seed vertex, always absorbing the
@@ -79,13 +78,11 @@ func growRegion(g *wgraph, tw0 float64, rng *prng.Stream, ws *workspace, side []
 
 	// gain[v] = (weight to side 0) - (weight to side 1) for frontier
 	// vertices; grown vertices are marked in side.
-	inFrontier := growBool(ws.inFrontier, n)
-	ws.inFrontier = inFrontier
+	inFrontier := grow(&ws.inFrontier, n)
 	for i := range inFrontier {
 		inFrontier[i] = false
 	}
-	gain := growI64(ws.gain, n)
-	ws.gain = gain
+	gain := grow(&ws.gain, n)
 	frontier := ws.frontier[:0]
 	defer func() { ws.frontier = frontier[:0] }()
 
@@ -144,14 +141,12 @@ func growRegion(g *wgraph, tw0 float64, rng *prng.Stream, ws *workspace, side []
 }
 
 // subgraph extracts the induced subgraph of g on the vertices with the given
-// side value. It returns the subgraph and the list mapping subgraph vertex
-// ids back to g's vertex ids. The id-translation scratch comes from the
-// workspace; the subgraph itself is allocated exactly (one sizing prepass)
-// because it outlives this call as a recursion operand.
-func subgraph(g *wgraph, side []int8, want int8, ws *workspace) (*wgraph, []int32) {
+// side value and, in the same pass, their original ids (origVerts translates
+// g's). Both are pushed on dst's operand stack — the workspace of the frame
+// that will recurse on them — while the id-translation scratch is ws's.
+func subgraph(g *wgraph, origVerts []int32, side []int8, want int8, ws, dst *workspace) (*wgraph, []int32) {
 	n := g.n()
-	newID := growI32(ws.newID, n)
-	ws.newID = newID
+	newID := grow(&ws.newID, n)
 	nv, deg := 0, 0
 	for v := int32(0); v < int32(n); v++ {
 		if side[v] == want {
@@ -162,32 +157,30 @@ func subgraph(g *wgraph, side []int8, want int8, ws *workspace) (*wgraph, []int3
 			newID[v] = -1
 		}
 	}
-	verts := make([]int32, 0, nv)
-	sub := &wgraph{
-		xadj:  make([]int32, nv+1),
-		vwgt:  make([]int32, nv),
-		vsize: make([]int32, nv),
-		adj:   make([]int32, 0, deg),
-		ewgt:  make([]int32, 0, deg),
-	}
+	sub, orig := dst.graph(), dst.alloc(nv)
+	sub.xadj, sub.vwgt, sub.vsize = dst.alloc(nv+1), dst.alloc(nv), dst.alloc(nv)
+	adj, ewgt := dst.alloc(deg), dst.alloc(deg)
+	sub.xadj[0] = 0
+	i, e := 0, 0
 	for v := int32(0); v < int32(n); v++ {
 		if side[v] != want {
 			continue
 		}
-		i := len(verts)
-		verts = append(verts, v)
+		orig[i] = origVerts[v]
 		sub.vwgt[i] = g.vwgt[v]
 		sub.vsize[i] = g.vsize[v]
-		adj, wgt := g.deg(v)
-		for j, u := range adj {
+		a, w := g.deg(v)
+		for j, u := range a {
 			if newID[u] >= 0 {
-				sub.adj = append(sub.adj, newID[u])
-				sub.ewgt = append(sub.ewgt, wgt[j])
+				adj[e], ewgt[e] = newID[u], w[j]
+				e++
 			}
 		}
-		sub.xadj[i+1] = int32(len(sub.adj))
+		i++
+		sub.xadj[i] = int32(e)
 	}
-	return sub, verts
+	sub.adj, sub.ewgt = adj[:e], ewgt[:e]
+	return sub, orig
 }
 
 // rbCtx carries the shared state of one parallel recursive-bisection run:
@@ -202,32 +195,33 @@ type rbCtx struct {
 
 // maxRBWorkers is the number of extra goroutines a recursive bisection may
 // fan out on top of the calling goroutine.
-func maxRBWorkers() int {
-	w := runtime.GOMAXPROCS(0) - 1
-	if w < 0 {
-		w = 0
-	}
-	return w
-}
+func maxRBWorkers() int { return runtime.GOMAXPROCS(0) - 1 }
 
-// runRB performs multilevel recursive bisection of g (whose original vertex
-// ids are verts) into nparts parts starting at firstPart, writing into
-// assign. The two subtrees after each bisection are independent, so they are
-// fanned out on goroutines up to maxRBWorkers; every subtree draws from its
-// own RNG stream derived deterministically from the seed and the subtree's
-// position in the bisection tree, which makes the result bit-identical
-// regardless of GOMAXPROCS or scheduling.
-func runRB(g *wgraph, verts []int32, firstPart, nparts int, assign []int32, seed uint64, stop *stopper) {
+// runRB performs multilevel recursive bisection of g into nparts parts,
+// writing into assign. The two subtrees after each bisection are independent,
+// so they are fanned out on goroutines up to maxRBWorkers; every subtree
+// draws from its own RNG stream derived deterministically from the seed and
+// the subtree's position in the bisection tree, which makes the result
+// bit-identical regardless of GOMAXPROCS or scheduling.
+func runRB(g *wgraph, nparts int, assign []int32, seed uint64, stop *stopper) {
 	c := &rbCtx{assign: assign, sem: make(chan struct{}, maxRBWorkers()), stop: stop}
 	ws := getWS()
-	c.recurse(g, verts, firstPart, nparts, prng.Mix(seed), ws)
-	putWS(ws)
+	m := ws.mark()
+	verts := ws.alloc(g.n())
+	for i := range verts {
+		verts[i] = int32(i)
+	}
+	c.recurse(g, verts, 0, nparts, prng.Mix(seed), ws)
+	ws.release(m)
+	putWS(ws) // no fanned-out frame can reach it: see workspace
 	c.wg.Wait()
 }
 
 // recurse assigns parts [firstPart, firstPart+nparts) to the vertices of g,
 // whose original graph ids are given by origVerts, writing the result into
-// c.assign (indexed by original ids).
+// c.assign (indexed by original ids). Children live on the operand stack:
+// the left one is extracted, recursed on and popped before the right one is
+// extracted, so the stack never holds both.
 func (c *rbCtx) recurse(g *wgraph, origVerts []int32, firstPart, nparts int, seed uint64, ws *workspace) {
 	if c.stop.stopped() {
 		return // deadline poll per bisection-tree node; result is discarded
@@ -248,21 +242,15 @@ func (c *rbCtx) recurse(g *wgraph, origVerts []int32, firstPart, nparts int, see
 	// imbalance for cut quality; the drift compounds down the tree.
 	band := rbImbalance * float64(total)
 	side := bisect(g, tw0, band, rng, ws, c.stop)
-	left, leftVerts := subgraph(g, side, 0, ws)
-	right, rightVerts := subgraph(g, side, 1, ws)
-	ws.putSide(side)
-	leftOrig := make([]int32, len(leftVerts))
-	for i, lv := range leftVerts {
-		leftOrig[i] = origVerts[lv]
+	onLeft := 0
+	for _, s := range side {
+		onLeft += int(1 - s)
 	}
-	rightOrig := make([]int32, len(rightVerts))
-	for i, rv := range rightVerts {
-		rightOrig[i] = origVerts[rv]
-	}
-	if len(leftOrig) < nLeft || len(rightOrig) < nRight {
+	if onLeft < nLeft || len(side)-onLeft < nRight {
 		for i, v := range origVerts {
 			c.assign[v] = int32(firstPart + i*nparts/len(origVerts))
 		}
+		ws.putSide(side)
 		return
 	}
 	leftSeed, rightSeed := childSeed(seed, 0), childSeed(seed, 1)
@@ -270,18 +258,27 @@ func (c *rbCtx) recurse(g *wgraph, origVerts []int32, firstPart, nparts int, see
 	// recurse inline. Workers never block on the semaphore, so the recursion
 	// cannot deadlock, and the derived seeds make the outcome identical
 	// either way.
+	m := ws.mark()
 	select {
 	case c.sem <- struct{}{}:
+		wsL := getWS()
+		mL := wsL.mark()
+		left, leftIDs := subgraph(g, origVerts, side, 0, ws, wsL)
 		c.wg.Add(1)
 		go func() {
 			defer c.wg.Done()
-			wsL := getWS()
-			c.recurse(left, leftOrig, firstPart, nLeft, leftSeed, wsL)
+			c.recurse(left, leftIDs, firstPart, nLeft, leftSeed, wsL)
+			wsL.release(mL)
 			putWS(wsL)
 			<-c.sem
 		}()
 	default:
-		c.recurse(left, leftOrig, firstPart, nLeft, leftSeed, ws)
+		left, leftIDs := subgraph(g, origVerts, side, 0, ws, ws)
+		c.recurse(left, leftIDs, firstPart, nLeft, leftSeed, ws)
+		ws.release(m)
 	}
-	c.recurse(right, rightOrig, firstPart+nLeft, nRight, rightSeed, ws)
+	right, rightIDs := subgraph(g, origVerts, side, 1, ws, ws)
+	ws.putSide(side)
+	c.recurse(right, rightIDs, firstPart+nLeft, nRight, rightSeed, ws)
+	ws.release(m)
 }

@@ -13,11 +13,13 @@ type coarseLevel struct {
 // coarsen repeatedly contracts heavy-edge matchings of g until the graph has
 // at most coarsenTo vertices or contraction stalls (reduction < 5%).
 // It returns the hierarchy from finest to coarsest; the coarsest graph is
-// levels[len-1].coarse (or g itself when no contraction happened).
+// levels[len-1].coarse (or g itself when no contraction happened). Every
+// level is pushed on ws's operand stack and the hierarchy itself is ws's: the
+// caller pops them with the mark it took before the call.
 // Cancellation is polled once per level; an early stop simply leaves the
 // hierarchy shallower (the caller aborts before using the result).
 func coarsen(g *wgraph, coarsenTo int, rng *prng.Stream, ws *workspace, stop *stopper) ([]coarseLevel, *wgraph) {
-	var levels []coarseLevel
+	levels := ws.levels[:0]
 	cur := g
 	for cur.n() > coarsenTo {
 		if stop.stopped() {
@@ -42,6 +44,7 @@ func coarsen(g *wgraph, coarsenTo int, rng *prng.Stream, ws *workspace, stop *st
 		levels = append(levels, coarseLevel{fine: cur, coarse: next, cmap: cmap})
 		cur = next
 	}
+	ws.levels = levels
 	stop.obs().observeCoarsen(levels)
 	return levels, cur
 }
@@ -54,13 +57,11 @@ func coarsen(g *wgraph, coarsenTo int, rng *prng.Stream, ws *workspace, stop *st
 // rng.Perm allocation).
 func heavyEdgeMatch(g *wgraph, rng *prng.Stream, ws *workspace) (cmap []int32, nc int) {
 	n := g.n()
-	match := growI32(ws.match, n)
-	ws.match = match
+	match := grow(&ws.match, n)
 	for i := range match {
 		match[i] = -1
 	}
-	perm := growI32(ws.perm, n)
-	ws.perm = perm
+	perm := grow(&ws.perm, n)
 	for i := range perm {
 		perm[i] = int32(i)
 	}
@@ -84,14 +85,15 @@ func heavyEdgeMatch(g *wgraph, rng *prng.Stream, ws *workspace) (cmap []int32, n
 			match[v] = v
 		}
 	}
-	return numberMatches(match, n)
+	return numberMatches(match, n, ws)
 }
 
 // numberMatches assigns sequential coarse ids to a completed matching: the
 // lower-indexed endpoint of each pair owns the coarse id. Shared by the
-// sequential and blocked matchers so both number identically.
-func numberMatches(match []int32, n int) (cmap []int32, nc int) {
-	cmap = make([]int32, n)
+// sequential and blocked matchers so both number identically. The map is
+// pushed on ws's operand stack.
+func numberMatches(match []int32, n int, ws *workspace) (cmap []int32, nc int) {
+	cmap = ws.alloc(n)
 	for i := range cmap {
 		cmap[i] = -1
 	}
@@ -122,56 +124,68 @@ func contract(g *wgraph, cmap []int32, nc int, ws *workspace) *wgraph {
 	return contractSerial(g, cmap, nc, ws)
 }
 
-// contractSerial is the single-goroutine contraction. All scratch (member
-// ordering, row positions, stamps) lives in the workspace; only the coarse
-// graph itself — which must outlive this call as a V-cycle level — is
-// allocated.
-func contractSerial(g *wgraph, cmap []int32, nc int, ws *workspace) *wgraph {
-	coarse := &wgraph{
-		xadj:  make([]int32, nc+1),
-		vwgt:  make([]int32, nc),
-		vsize: make([]int32, nc),
+// coarseVertices pushes the coarse graph's header and vertex arrays (weights
+// and sizes summed over the members of each coarse vertex; xadj[1:] is the
+// caller's to fill) and orders the fine vertices by coarse owner with a
+// counting sort: the members of c are morder[mstart[c]:mstart[c+1]], the
+// order that fixes the emission order of every coarse row.
+func coarseVertices(g *wgraph, cmap []int32, nc int, ws *workspace) (coarse *wgraph, morder, mstart []int32) {
+	coarse = ws.graph()
+	coarse.xadj, coarse.vwgt, coarse.vsize = ws.alloc(nc+1), ws.alloc(nc), ws.alloc(nc)
+	coarse.xadj[0] = 0
+	mstart = grow(&ws.mstart, nc+1)
+	for c := 0; c < nc; c++ {
+		coarse.vwgt[c], coarse.vsize[c], mstart[c+1] = 0, 0, 0
 	}
+	mstart[0] = 0
 	n := g.n()
 	for v := 0; v < n; v++ {
 		c := cmap[v]
 		coarse.vwgt[c] += g.vwgt[v]
 		coarse.vsize[c] += g.vsize[v]
-	}
-	// Order fine vertices by coarse owner with a counting sort (replaces the
-	// former [][]int32 member lists).
-	mstart := growI32(ws.mstart, nc+1)
-	ws.mstart = mstart
-	for i := 0; i <= nc; i++ {
-		mstart[i] = 0
-	}
-	for v := 0; v < n; v++ {
-		mstart[cmap[v]+1]++
+		mstart[c+1]++
 	}
 	for c := 0; c < nc; c++ {
 		mstart[c+1] += mstart[c]
 	}
-	morder := growI32(ws.morder, n)
-	ws.morder = morder
-	pos := growI32(ws.pos, nc)
-	ws.pos = pos
+	morder = grow(&ws.morder, n)
+	pos := grow(&ws.pos, nc)
 	copy(pos, mstart[:nc])
 	for v := int32(0); v < int32(n); v++ {
 		c := cmap[v]
 		morder[pos[c]] = v
 		pos[c]++
 	}
+	return coarse, morder, mstart
+}
+
+// stamps returns the contraction's lazy row stamps, indexed by coarse vertex
+// and cleared to -1.
+func (ws *workspace) stamps(nc int) []int32 {
+	grow(&ws.cstamp, nc)
+	for i := range ws.cstamp {
+		ws.cstamp[i] = -1
+	}
+	return ws.cstamp
+}
+
+// contractSerial is the single-goroutine contraction. All scratch (member
+// ordering, row positions, stamps) lives in the workspace. The rows are
+// written into one block pushed for the fine edge count — a coarse graph
+// cannot have more — and the unused tail is popped again once the coarse
+// count is known.
+func contractSerial(g *wgraph, cmap []int32, nc int, ws *workspace) *wgraph {
+	coarse, morder, mstart := coarseVertices(g, cmap, nc, ws)
 	// Accumulate coarse adjacency with a dense scratch indexed by coarse id
 	// (reset lazily via a stamp array to stay O(E)). pos is reused as the
 	// position of each coarse neighbour in the current row; reads are guarded
-	// by the stamp, so the counting-sort cursors above need no clearing.
-	stamp := growI32(ws.cstamp, nc)
-	ws.cstamp = stamp
-	for i := range stamp {
-		stamp[i] = -1
-	}
-	adj := make([]int32, 0, len(g.adj))
-	ewgt := make([]int32, 0, len(g.ewgt))
+	// by the stamp, so the counting-sort cursors in it need no clearing.
+	pos := ws.pos
+	stamp := ws.stamps(nc)
+	m := len(g.adj)
+	rows := ws.alloc(2 * m)
+	adj, ewgt := rows[:m], rows[m:]
+	e := int32(0)
 	for c := int32(0); c < int32(nc); c++ {
 		for _, v := range morder[mstart[c]:mstart[c+1]] {
 			a, w := g.deg(v)
@@ -182,17 +196,18 @@ func contractSerial(g *wgraph, cmap []int32, nc int, ws *workspace) *wgraph {
 				}
 				if stamp[cu] != c {
 					stamp[cu] = c
-					pos[cu] = int32(len(adj))
-					adj = append(adj, cu)
-					ewgt = append(ewgt, w[i])
+					pos[cu] = e
+					adj[e], ewgt[e] = cu, w[i]
+					e++
 				} else {
 					ewgt[pos[cu]] += w[i]
 				}
 			}
 		}
-		coarse.xadj[c+1] = int32(len(adj))
+		coarse.xadj[c+1] = e
 	}
-	coarse.adj = adj
-	coarse.ewgt = ewgt
+	copy(rows[e:], ewgt[:e])
+	ws.release(wsMark{ws.top - 2*(m-int(e)), ws.ngraph}) // the unused tail
+	coarse.adj, coarse.ewgt = rows[:e:e], rows[e:2*e:2*e]
 	return coarse
 }

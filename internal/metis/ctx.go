@@ -58,18 +58,14 @@ func PartitionCtx(ctx context.Context, gr *graph.Graph, nparts int, opt Options)
 	}
 	wg := fromGraph(gr)
 
-	var assign []int32
+	assign := make([]int32, n)
 	switch opt.Method {
 	case RB:
-		assign = make([]int32, n)
-		verts := make([]int32, n)
-		for i := range verts {
-			verts[i] = int32(i)
-		}
-		runRB(wg, verts, 0, nparts, assign, uint64(opt.Seed), stop)
+		runRB(wg, nparts, assign, uint64(opt.Seed), stop)
 	case KWay, KWayVol:
-		rng := prng.New(prng.Mix(uint64(opt.Seed)))
-		assign = kwayPartition(wg, nparts, rng, opt, stop)
+		ws := getWS()
+		kwayPartition(wg, nparts, assign, prng.New(prng.Mix(uint64(opt.Seed))), opt, stop, ws)
+		putWS(ws)
 	default:
 		return nil, fmt.Errorf("metis: unknown method %d", opt.Method)
 	}

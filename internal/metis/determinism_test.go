@@ -155,6 +155,7 @@ func TestParallelContractMatchesSerial(t *testing.T) {
 	g := fromGraph(gr)
 	ws := getWS()
 	defer putWS(ws)
+	defer ws.release(ws.mark())
 	cmap, nc := heavyEdgeMatchBlocked(g, 424242, ws)
 	if nc >= g.n() {
 		t.Fatalf("blocked matching stalled: nc=%d of n=%d", nc, g.n())

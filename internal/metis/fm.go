@@ -66,11 +66,9 @@ func fmRefine(g *wgraph, side []int8, target, band float64, maxIters int, ws *wo
 		return imb(nw) > band0+float64(maxVW) && imb(nw) >= imb(w0)
 	}
 
-	gain := growI64(ws.gain, n)
-	ws.gain = gain
+	gain := grow(&ws.gain, n)
 	moves := ws.moves[:0]
-	locked := growBool(ws.locked, n)
-	ws.locked = locked
+	locked := grow(&ws.locked, n)
 	bkt := &ws.bkt
 	bkt.reset(n, maxDeg)
 

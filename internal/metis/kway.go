@@ -7,25 +7,25 @@ import "sfccube/internal/prng"
 // (parallel) recursive bisection, then project back while running greedy
 // K-way refinement at every level. The refinement objective is the edgecut
 // for Method KWay and the total communication volume for Method KWayVol.
-func kwayPartition(g *wgraph, nparts int, rng *prng.Stream, opt Options, stop *stopper) []int32 {
-	ws := getWS()
-	defer putWS(ws)
+// The answer is written into out; the levels and every coarser assignment
+// live on ws's operand stack and are popped before returning.
+func kwayPartition(g *wgraph, nparts int, out []int32, rng *prng.Stream, opt Options, stop *stopper, ws *workspace) {
+	defer ws.release(ws.mark())
 	// Keep enough coarse vertices to seed every part.
-	coarseN := coarsenTo * nparts / 8
-	if coarseN < 4*nparts {
-		coarseN = 4 * nparts
-	}
+	coarseN := max(coarsenTo*nparts/8, 4*nparts)
 	levels, coarsest := coarsen(g, coarseN, rng, ws, stop)
 
 	// Initial K-way partition of the coarsest graph via recursive bisection,
 	// on an RNG stream derived from (but independent of) the main seed so
 	// the parallel subtree fan-out stays deterministic.
-	assign := make([]int32, coarsest.n())
-	verts := make([]int32, coarsest.n())
-	for i := range verts {
-		verts[i] = int32(i)
+	assign := out
+	if len(levels) > 0 {
+		assign = ws.alloc(coarsest.n())
 	}
-	runRB(coarsest, verts, 0, nparts, assign, childSeed(uint64(opt.Seed), 2), stop)
+	runRB(coarsest, nparts, assign, childSeed(uint64(opt.Seed), 2), stop)
+	if stop.stopped() {
+		return // a cancelled tree leaves parts of assign unwritten
+	}
 
 	refine := kwayRefineCut
 	if opt.Method == KWayVol {
@@ -42,7 +42,10 @@ func kwayPartition(g *wgraph, nparts int, rng *prng.Stream, opt Options, stop *s
 
 	for i := len(levels) - 1; i >= 0; i-- {
 		lv := levels[i]
-		fine := make([]int32, lv.fine.n())
+		fine := out
+		if i > 0 {
+			fine = ws.alloc(lv.fine.n())
+		}
 		for v := range fine {
 			fine[v] = assign[lv.cmap[v]]
 		}
@@ -52,7 +55,6 @@ func kwayPartition(g *wgraph, nparts int, rng *prng.Stream, opt Options, stop *s
 		}
 		refine(lv.fine, assign, nparts, maxPart, refineIters, rng, ws, stop)
 	}
-	return assign
 }
 
 // maxPartWeight returns the largest part weight the K-way refinement will
@@ -163,7 +165,7 @@ func forceBalance(g *wgraph, assign []int32, nparts int, maxPart int64, pwgt []i
 // nparts. Users restore the all-zero state through their touched lists, so
 // the zero fill here is the only O(nparts) cost per refinement entry.
 func (ws *workspace) connFor(nparts int) []int64 {
-	ws.conn = growI64(ws.conn, nparts)
+	grow(&ws.conn, nparts)
 	for i := range ws.conn {
 		ws.conn[i] = 0
 	}
@@ -176,8 +178,7 @@ func (ws *workspace) connFor(nparts int) []int64 {
 func boundaryQueue(g *wgraph, assign []int32, ws *workspace, dst []int32) []int32 {
 	n := g.n()
 	queue := dst[:0]
-	inQ := growBool(ws.inQ, n)
-	ws.inQ = inQ
+	inQ := grow(&ws.inQ, n)
 	for i := range inQ {
 		inQ[i] = false
 	}
@@ -203,8 +204,7 @@ func boundaryQueue(g *wgraph, assign []int32, ws *workspace, dst []int32) []int3
 // O(boundary + moved·deg) instead of the former full-graph rescan.
 func kwayRefineCut(g *wgraph, assign []int32, nparts int, maxPart int64, iters int, rng *prng.Stream, ws *workspace, stop *stopper) {
 	n := g.n()
-	pwgt := growI64(ws.pwgt, nparts)
-	ws.pwgt = pwgt
+	pwgt := grow(&ws.pwgt, nparts)
 	for p := range pwgt {
 		pwgt[p] = 0
 	}
@@ -336,8 +336,7 @@ func kwayRefineCut(g *wgraph, assign []int32, nparts int, maxPart int64, iters i
 // everything within distance two.
 func kwayRefineVol(g *wgraph, assign []int32, nparts int, maxPart int64, iters int, rng *prng.Stream, ws *workspace, stop *stopper) {
 	n := g.n()
-	pwgt := growI64(ws.pwgt, nparts)
-	ws.pwgt = pwgt
+	pwgt := grow(&ws.pwgt, nparts)
 	for p := range pwgt {
 		pwgt[p] = 0
 	}

@@ -23,7 +23,9 @@
 //     RNG stream derived deterministically from Options.Seed and the
 //     subtree position, so results are bit-identical for any GOMAXPROCS;
 //   - per-goroutine workspaces (sync.Pool) carry every scratch buffer
-//     across coarsening levels, init trials and refinement passes.
+//     across coarsening levels, init trials and refinement passes, and the
+//     operand stack the subgraphs and coarse levels are pushed on and
+//     popped from: the recursion allocates nothing per tree node.
 //
 // It is deterministic for a fixed Options.Seed: repeated runs and any
 // GOMAXPROCS setting produce byte-identical assignments.

@@ -39,10 +39,8 @@ const (
 // that scales with cores.
 func heavyEdgeMatchBlocked(g *wgraph, seed uint64, ws *workspace) (cmap []int32, nc int) {
 	n := g.n()
-	match := growI32(ws.match, n)
-	ws.match = match
-	perm := growI32(ws.perm, n)
-	ws.perm = perm
+	match := grow(&ws.match, n)
+	perm := grow(&ws.perm, n)
 	nb := (n + matchBlockSize - 1) / matchBlockSize
 	par.ForBlocks(nb, func(b int) {
 		lo := b * matchBlockSize
@@ -79,7 +77,7 @@ func heavyEdgeMatchBlocked(g *wgraph, seed uint64, ws *workspace) (cmap []int32,
 			}
 		}
 	})
-	return numberMatches(match, n)
+	return numberMatches(match, n, ws)
 }
 
 // contractParallel builds the coarse graph induced by cmap with exact-size
@@ -89,47 +87,12 @@ func heavyEdgeMatchBlocked(g *wgraph, seed uint64, ws *workspace) (cmap []int32,
 // order), so the result is bitwise equal to the sequential contraction
 // regardless of chunking.
 func contractParallel(g *wgraph, cmap []int32, nc int, ws *workspace) *wgraph {
-	coarse := &wgraph{
-		xadj:  make([]int32, nc+1),
-		vwgt:  make([]int32, nc),
-		vsize: make([]int32, nc),
-	}
-	n := g.n()
-	for v := 0; v < n; v++ {
-		c := cmap[v]
-		coarse.vwgt[c] += g.vwgt[v]
-		coarse.vsize[c] += g.vsize[v]
-	}
-	// Order fine vertices by coarse owner (counting sort), as in the
-	// sequential contraction; this member order is what fixes the emission
-	// order of every coarse row.
-	mstart := growI32(ws.mstart, nc+1)
-	ws.mstart = mstart
-	for i := 0; i <= nc; i++ {
-		mstart[i] = 0
-	}
-	for v := 0; v < n; v++ {
-		mstart[cmap[v]+1]++
-	}
-	for c := 0; c < nc; c++ {
-		mstart[c+1] += mstart[c]
-	}
-	morder := growI32(ws.morder, n)
-	ws.morder = morder
-	pos := growI32(ws.pos, nc)
-	ws.pos = pos
-	copy(pos, mstart[:nc])
-	for v := int32(0); v < int32(n); v++ {
-		c := cmap[v]
-		morder[pos[c]] = v
-		pos[c]++
-	}
+	coarse, morder, mstart := coarseVertices(g, cmap, nc, ws)
 	// Pass 1: exact row degrees.
 	par.ForChunks(nc, parContractChunk, func(clo, chi int) {
-		stamp := make([]int32, nc)
-		for i := range stamp {
-			stamp[i] = -1
-		}
+		w := getWS() // a chunk's stamps are its own goroutine's scratch
+		defer putWS(w)
+		stamp := w.stamps(nc)
 		for c := int32(clo); c < int32(chi); c++ {
 			cnt := int32(0)
 			for _, v := range morder[mstart[c]:mstart[c+1]] {
@@ -149,15 +112,12 @@ func contractParallel(g *wgraph, cmap []int32, nc int, ws *workspace) *wgraph {
 		coarse.xadj[c+1] += coarse.xadj[c]
 	}
 	m := coarse.xadj[nc]
-	coarse.adj = make([]int32, m)
-	coarse.ewgt = make([]int32, m)
+	coarse.adj, coarse.ewgt = ws.alloc(int(m)), ws.alloc(int(m))
 	// Pass 2: fill rows in place, accumulating parallel fine edges.
 	par.ForChunks(nc, parContractChunk, func(clo, chi int) {
-		stamp := make([]int32, nc)
-		rowPos := make([]int32, nc)
-		for i := range stamp {
-			stamp[i] = -1
-		}
+		w := getWS()
+		defer putWS(w)
+		stamp, rowPos := w.stamps(nc), grow(&w.pos, nc)
 		for c := int32(clo); c < int32(chi); c++ {
 			p := coarse.xadj[c]
 			for _, v := range morder[mstart[c]:mstart[c+1]] {

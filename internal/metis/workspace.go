@@ -6,18 +6,29 @@ import (
 	"sfccube/internal/prng"
 )
 
-// workspace bundles the reusable scratch memory of one partitioning
-// goroutine. The multilevel V-cycle used to allocate its working arrays at
-// every level (gain tables, matchings, permutation buffers, part-weight and
-// connectivity scratch, projection side arrays); a workspace is instead
-// fetched once per goroutine, its buffers grown to the finest graph's size,
-// and reused across every level, init trial and refinement pass. Workspaces
-// are pooled so the parallel recursive-bisection subtrees (see recurseOn)
-// each grab an independent one.
+// workspace bundles the reusable memory of one partitioning goroutine: the
+// scratch every phase re-initialises before reading (gain tables, matchings,
+// permutation buffers, part-weight and connectivity scratch, side buffers),
+// grown to the finest graph's size once and reused across levels, init trials
+// and refinement passes, and the operand stack the recursion itself runs on.
 //
-// Every buffer is pure scratch: users must fully (re)initialise what they
-// read, so a workspace's history can never influence results — this is what
-// keeps pooled workspaces compatible with bit-reproducible partitions.
+// Every operand the multilevel recursion creates has stack lifetime: a child
+// subgraph and its id list live as long as its subtree (rbCtx.recurse), a
+// coarse level and its cmap as long as the V-cycle (bisect, kwayPartition).
+// They are bump-allocated from one []int32 arena (alloc) beside a stack of
+// graph headers (graph), and popped together (mark/release). The rule: only
+// the frame that took a mark releases it, after every frame it called has
+// returned, and it hands nothing allocated above the mark to its caller.
+// A subtree fanned out to another goroutine breaks "has returned", so its
+// parent extracts the child straight into the child goroutine's own workspace:
+// that goroutine reads its own arena, the shared rbCtx.assign and nothing
+// else, which is also why runRB may put the root workspace back before
+// wg.Wait() — no fanned-out frame can reach it. Workspaces are pooled; one
+// that comes back with a live arena is a bug and panics.
+//
+// Nothing here is ever read before it is written by its current user, so a
+// workspace's history can never influence results — this is what keeps pooled
+// workspaces compatible with bit-reproducible partitions.
 type workspace struct {
 	// --- FM (2-way) refinement ---
 	gain   []int64     // per-vertex gain table
@@ -53,47 +64,98 @@ type workspace struct {
 
 	// --- projection side buffers (2-way) ---
 	sideFree [][]int8
+
+	// --- operand stack ---
+	arena  []int32       // current chunk; [0, top) is live
+	top    int           // bump pointer
+	graphs []*wgraph     // graph headers
+	ngraph int           // graphs[:ngraph] are live
+	levels []coarseLevel // coarsen's hierarchy, one V-cycle at a time
 }
 
 var wsPool = sync.Pool{New: func() any { return new(workspace) }}
 
-func getWS() *workspace  { return wsPool.Get().(*workspace) }
-func putWS(w *workspace) { wsPool.Put(w) }
+func getWS() *workspace { return wsPool.Get().(*workspace) }
 
-// growI32 returns s resized to n, reallocating only when capacity is
-// insufficient. Contents are unspecified.
-func growI32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
+func putWS(w *workspace) {
+	if w.top != 0 || w.ngraph != 0 {
+		panic("metis: workspace returned to the pool with a live arena")
 	}
-	return s[:n]
+	wsPool.Put(w)
 }
 
-func growI64(s []int64, n int) []int64 {
-	if cap(s) < n {
-		return make([]int64, n)
-	}
-	return s[:n]
-}
+// poisonReleased makes release overwrite what it pops with -1, so a frame
+// that reads popped memory fails loudly. Set by the package's tests only.
+var poisonReleased bool
 
-func growBool(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	return s[:n]
-}
+// wsMark is a position of the operand stack.
+type wsMark struct{ top, ngraph int }
 
-// side returns a 2-way side buffer of length n from the free list (contents
-// unspecified), growing it when needed. Release with putSide.
-func (ws *workspace) side(n int) []int8 {
-	if k := len(ws.sideFree); k > 0 {
-		s := ws.sideFree[k-1]
-		ws.sideFree = ws.sideFree[:k-1]
-		if cap(s) >= n {
-			return s[:n]
+func (ws *workspace) mark() wsMark { return wsMark{ws.top, ws.ngraph} }
+
+// release pops everything allocated since m.
+func (ws *workspace) release(m wsMark) {
+	if poisonReleased {
+		for i := m.top; i < ws.top; i++ {
+			ws.arena[i] = -1
 		}
 	}
-	return make([]int8, n)
+	ws.top, ws.ngraph = m.top, m.ngraph
+}
+
+// alloc pushes n int32s, contents unspecified. A full chunk is replaced, not
+// copied: slices handed out earlier keep the old one alive, and positions
+// (hence marks) mean the same in the new one.
+func (ws *workspace) alloc(n int) []int32 {
+	if ws.top+n > len(ws.arena) {
+		ws.arena = make([]int32, max(2*len(ws.arena), ws.top+n))
+	}
+	s := ws.arena[ws.top : ws.top+n : ws.top+n]
+	ws.top += n
+	return s
+}
+
+// graph pushes a zeroed graph header.
+func (ws *workspace) graph() *wgraph {
+	if ws.ngraph == len(ws.graphs) {
+		ws.graphs = append(ws.graphs, new(wgraph))
+	}
+	g := ws.graphs[ws.ngraph]
+	ws.ngraph++
+	*g = wgraph{}
+	return g
+}
+
+// grow resizes the scratch buffer *p to n, reallocating only when capacity
+// is insufficient, and returns it. Contents are unspecified.
+func grow[T any](p *[]T, n int) []T {
+	if cap(*p) < n {
+		*p = make([]T, n)
+	}
+	*p = (*p)[:n]
+	return *p
+}
+
+// side returns a 2-way side buffer of length n (contents unspecified): the
+// tightest free one that fits, else a new one in place of a free one that
+// did not. Release with putSide.
+func (ws *workspace) side(n int) []int8 {
+	free := ws.sideFree
+	last, fit := len(free)-1, -1
+	for i, s := range free {
+		if cap(s) >= n && (fit < 0 || cap(s) < cap(free[fit])) {
+			fit = i
+		}
+	}
+	if last >= 0 {
+		ws.sideFree = free[:last]
+	}
+	if fit < 0 {
+		return make([]int8, n)
+	}
+	s := free[fit]
+	free[fit] = free[last]
+	return s[:n]
 }
 
 func (ws *workspace) putSide(s []int8) {
@@ -105,7 +167,7 @@ func (ws *workspace) putSide(s []int8) {
 // stamp differs from the returned epoch count as clear.
 func (ws *workspace) nextEpoch(nparts int) int64 {
 	if len(ws.stamp) < nparts {
-		ws.stamp = growI64(ws.stamp, nparts)
+		grow(&ws.stamp, nparts)
 		for i := range ws.stamp {
 			ws.stamp[i] = 0
 		}
