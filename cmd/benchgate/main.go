@@ -86,6 +86,14 @@ var keyOf = map[string]string{
 	"BenchmarkServiceMiss/sfc/Ne128":  "service_miss_sfc_ne128_ns_per_op",
 	"BenchmarkServiceMiss/kway/Ne32":  "service_miss_kway_ne32_ns_per_op",
 	"BenchmarkServiceMiss/kway/Ne128": "service_miss_kway_ne128_ns_per_op",
+	// A weighted sfc miss, and its weights stage alone (report-only).
+	"BenchmarkServiceMiss/sfc-hv/Ne128": "service_miss_sfc_hv_ne128_ns_per_op",
+	"BenchmarkGenerate/cfl/Ne32":        "generate_cfl_ne32_ns_per_op",
+	"BenchmarkGenerate/cfl/Ne128":       "generate_cfl_ne128_ns_per_op",
+	"BenchmarkGenerate/cfl/Ne384":       "generate_cfl_ne384_ns_per_op",
+	"BenchmarkGenerate/hv/Ne32":         "generate_hv_ne32_ns_per_op",
+	"BenchmarkGenerate/hv/Ne128":        "generate_hv_ne128_ns_per_op",
+	"BenchmarkGenerate/hv/Ne384":        "generate_hv_ne384_ns_per_op",
 	// One request through the service mux into a discarding writer: a JSON
 	// hit, a stream hit for the same entry, a stream miss (report-only).
 	"BenchmarkServiceRequest/hit/Ne16":          "service_request_hit_ne16_ns_per_op",

@@ -37,19 +37,28 @@ func TestSFCMissAllocationBudget(t *testing.T) {
 }
 
 // BenchmarkServiceMiss times one cache miss end to end through
-// Service.Partition (substrate, partition, stats, encode). Every iteration
-// asks for a different nparts, so nothing is served from the cache.
+// Service.Partition (substrate, weights, partition, stats, encode). Every
+// iteration asks for a different nparts, so nothing is served from the
+// cache. sfc-hv is the weighted sfc miss: the same request with a
+// weights_spec, so it also generates and splits by element weights.
 func BenchmarkServiceMiss(b *testing.B) {
 	anyLB := -1.0
-	for _, method := range []string{"sfc", "kway"} {
-		for _, ne := range []int{32, 128} {
-			b.Run(fmt.Sprintf("%s/Ne%d", method, ne), func(b *testing.B) {
+	for _, c := range []struct {
+		name, method, weights string
+		nes                   []int
+	}{
+		{"sfc", "sfc", "", []int{32, 128}},
+		{"kway", "kway", "", []int{32, 128}},
+		{"sfc-hv", "sfc", "hv:amp=16,m=6", []int{128}},
+	} {
+		for _, ne := range c.nes {
+			b.Run(fmt.Sprintf("%s/Ne%d", c.name, ne), func(b *testing.B) {
 				s := NewService(Config{})
 				k := 6 * ne * ne
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					req := Request{Ne: ne, NParts: k/16 + i%(k/16), Method: method, MaxLB: &anyLB}
+					req := Request{Ne: ne, NParts: k/16 + i%(k/16), Method: c.method, MaxLB: &anyLB, WeightsSpec: c.weights}
 					if _, meta, err := s.Partition(context.Background(), req); err != nil || meta.CacheHit {
 						b.Fatalf("nparts=%d: err=%v hit=%v", req.NParts, err, meta.CacheHit)
 					}

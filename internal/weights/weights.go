@@ -11,6 +11,12 @@
 // function of the mesh geometry and the spec parameters — no RNG, no time —
 // so a spec is a complete content address for its weight vector and the
 // generated weights are byte-identical at any GOMAXPROCS.
+//
+// Activity is the definition; Generate returns its integers for arithmetic:
+// centres from one Ne-entry tangent table (bitwise mesh.ElemCenter's), the
+// CFL axis once per spec, hv as |Re((x+iy)^M)| = |cos^M(lat)·cos(M·lon)|.
+// That differs from the trig formula by ≤ 4e-14 (M ≤ 64, Ne ≤ 384), so a
+// product within 1e-9·max(1, |Amp−1|) of a half-integer goes to Activity.
 package weights
 
 import (
@@ -37,7 +43,7 @@ const (
 	CFL
 	// Hyperviscosity models scale-selective dissipation cost: activity
 	// concentrates where a Rossby-Haurwitz wavenumber-M pattern has large
-	// amplitude, cos^M(lat)·cos(M·lon), the shape of the Williamson-6
+	// amplitude, |cos^M(lat)·cos(M·lon)|, the shape of the Williamson-6
 	// test the SEAM solver integrates.
 	Hyperviscosity
 )
@@ -228,26 +234,58 @@ func (s Spec) Activity(p mesh.Vec3) float64 {
 
 // Weight maps a point's activity to an integer element cost in
 // [1, round(Amp)]: 1 + round(activity * (Amp-1)).
-func (s Spec) Weight(p mesh.Vec3) int64 {
-	if s.Kind == Uniform {
+func (s Spec) Weight(p mesh.Vec3) int64 { return s.weight(s.cflAxis(), p) }
+
+var tieBand = 1e-9 // the guard's width per unit of max(1, |Amp−1|); tests widen it
+
+// cflAxis is the CFL rotation axis (sin α, 0, cos α).
+func (s Spec) cflAxis() mesh.Vec3 { return mesh.Vec3{X: math.Sin(s.Alpha), Z: math.Cos(s.Alpha)} }
+
+// weight is Weight with the CFL axis computed once by the caller.
+func (s Spec) weight(axis, p mesh.Vec3) int64 {
+	switch s.Kind {
+	case Uniform:
 		return 1
+	case CFL:
+		return 1 + int64(math.Round(axis.Cross(p).Norm()*(s.Amp-1)))
+	case Hyperviscosity:
+		if w, ok := s.hv(p); ok {
+			return w
+		}
 	}
 	return 1 + int64(math.Round(s.Activity(p)*(s.Amp-1)))
 }
 
+// hv is the hyperviscosity weight from |Re((x+iy)^M)|; ok is false for a
+// wavenumber outside [1, MaxWavenumber] and inside the half-integer guard.
+func (s Spec) hv(p mesh.Vec3) (w int64, ok bool) {
+	re, im := p.X, p.Y
+	for j := 1; j < min(s.Wavenumber, MaxWavenumber); j++ {
+		re, im = re*p.X-im*p.Y, re*p.Y+im*p.X
+	}
+	v, band := math.Abs(re)*(s.Amp-1), tieBand*math.Max(1, math.Abs(s.Amp-1))
+	inRange := s.Wavenumber >= 1 && s.Wavenumber <= MaxWavenumber
+	return 1 + int64(math.Round(v)), inRange && math.Abs(v-math.Floor(v)-0.5) > band // false for NaN, ±Inf
+}
+
 // Generate evaluates the spec at every element centre of m, indexed by
-// mesh.ElemID. A Uniform spec returns nil — the canonical "no weights"
-// value every weighted API accepts. The per-element evaluation is pure and
-// fans out across goroutines; the result is byte-identical at any
+// mesh.ElemID; a Uniform spec returns nil, the "no weights" every weighted
+// API accepts. Chunks fan out across goroutines, byte-identical at any
 // GOMAXPROCS.
 func (s Spec) Generate(m *mesh.Mesh) []int64 {
 	if s.Kind == Uniform {
 		return nil
 	}
+	ne, axis := m.Ne(), s.cflAxis()
+	tan := make([]float64, ne) // tan[i]: ElemCenter's coordinate of column/row i
+	for i := range tan {
+		tan[i] = math.Tan(-math.Pi/4 + math.Pi/2*(float64(i)+0.5)/float64(ne))
+	}
 	w := make([]int64, m.NumElems())
 	par.ForChunks(len(w), 1<<12, func(lo, hi int) {
 		for e := lo; e < hi; e++ {
-			w[e] = s.Weight(m.ElemCenter(mesh.ElemID(e)))
+			el := m.Elem(mesh.ElemID(e))
+			w[e] = s.weight(axis, mesh.SpherePoint(el.Face, tan[el.I], tan[el.J]))
 		}
 	})
 	return w
