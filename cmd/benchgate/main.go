@@ -64,6 +64,12 @@ var keyOf = map[string]string{
 	"BenchmarkBisectStages/initial/K13824": "bisect_initial_k13824_ns_per_op",
 	"BenchmarkBisectStages/refine/K13824":  "bisect_refine_k13824_ns_per_op",
 	"BenchmarkBisectStages/split/K13824":   "bisect_split_k13824_ns_per_op",
+	// The stages of one K-way partition into 768 parts (report-only).
+	"BenchmarkKWayStages/coarsen/K13824P768":    "kway_coarsen_k13824_p768_ns_per_op",
+	"BenchmarkKWayStages/initial/K13824P768":    "kway_initial_k13824_p768_ns_per_op",
+	"BenchmarkKWayStages/balance/K13824P768":    "kway_balance_k13824_p768_ns_per_op",
+	"BenchmarkKWayStages/refine-cut/K13824P768": "kway_refine_cut_k13824_p768_ns_per_op",
+	"BenchmarkKWayStages/refine-vol/K13824P768": "kway_refine_vol_k13824_p768_ns_per_op",
 	// Million-element regime (PR 7): the SFC pipeline at Ne=384 is gated in
 	// CI; the 14M-element RB case is env-guarded (SCALE_BENCH=1) and its
 	// baseline is refreshed by hand.

@@ -229,3 +229,84 @@ func BenchmarkBisectStages(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkKWayStages is BenchmarkBisectStages for BenchmarkKWayK13824P768:
+// the stages of one K-way partition of the K=13824 graph into 768 parts, each
+// on inputs built outside the timer (kway_<stage>_k13824_p768_ns_per_op in
+// BENCH_metis.json, report-only). coarsen is matching and contraction at
+// every level; initial the recursive bisection of the coarsest graph; balance
+// forceBalance alone on the projected assignment each level's refinement
+// starts from; refine-cut and refine-vol kwayRefine at every level (balance
+// included) under either objective, from that objective's own projections.
+func BenchmarkKWayStages(b *testing.B) {
+	const nparts = 768
+	g := fromGraph(meshGraph(b, 48))
+	ws := new(workspace)
+	levels, coarsest := coarsen(g, max(coarsenTo*nparts/8, 4*nparts), prng.New(1), ws, nil)
+	levels = append([]coarseLevel(nil), levels...) // ws.levels is coarsen's to reuse
+	initial := make([]int32, coarsest.n())
+	runRB(coarsest, nparts, initial, 2, nil)
+	maxVW, _, _ := g.stats()
+	maxPart := maxPartWeight(g.totalVWgt(), nparts, imbalance, maxVW)
+	// lvGraphs[i] is refined at step i of the V-cycle's way up, from
+	// starts[vol][i]: the coarsest graph first, the finest last.
+	lvGraphs := []*wgraph{coarsest}
+	for i := len(levels) - 1; i >= 0; i-- {
+		lvGraphs = append(lvGraphs, levels[i].fine)
+	}
+	var starts [2][][]int32
+	for vol := range starts {
+		assign := append([]int32(nil), initial...)
+		rng := prng.New(3)
+		for i, lg := range lvGraphs {
+			if i > 0 {
+				cmap, fine := levels[len(levels)-i].cmap, make([]int32, lg.n())
+				for v := range fine {
+					fine[v] = assign[cmap[v]]
+				}
+				assign = fine
+			}
+			starts[vol] = append(starts[vol], append([]int32(nil), assign...))
+			kwayRefine(lg, assign, nparts, maxPart, vol == 1, refineIters, rng, ws, nil)
+		}
+	}
+	buf, pwgt, conn := make([]int32, g.n()), make([]int64, nparts), make([]int64, nparts)
+	refine := func(vol int) {
+		rng := prng.New(3)
+		for i, lg := range lvGraphs {
+			copy(buf, starts[vol][i])
+			kwayRefine(lg, buf[:lg.n()], nparts, maxPart, vol == 1, refineIters, rng, ws, nil)
+		}
+	}
+	stages := []struct {
+		name string
+		run  func()
+	}{
+		{"coarsen", func() { coarsen(g, max(coarsenTo*nparts/8, 4*nparts), prng.New(1), ws, nil) }},
+		{"initial", func() { runRB(coarsest, nparts, buf[:coarsest.n()], 2, nil) }},
+		{"balance", func() {
+			for i, lg := range lvGraphs {
+				assign := buf[:lg.n()]
+				copy(assign, starts[0][i])
+				clear(pwgt)
+				for v, p := range assign {
+					pwgt[p] += int64(lg.vwgt[v])
+				}
+				r := refiner{g: lg, assign: assign, pwgt: pwgt, conn: conn, maxPart: maxPart, ws: ws}
+				r.forceBalance()
+			}
+		}},
+		{"refine-cut", func() { refine(0) }},
+		{"refine-vol", func() { refine(1) }},
+	}
+	for _, st := range stages {
+		b.Run(st.name+"/K13824P768", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m := ws.mark()
+				st.run()
+				ws.release(m)
+			}
+		})
+	}
+}

@@ -1,6 +1,9 @@
 package metis
 
-import "sfccube/internal/prng"
+import (
+	"sfccube/internal/par"
+	"sfccube/internal/prng"
+)
 
 // coarseLevel records one level of the multilevel hierarchy: the coarse
 // graph and the mapping from fine vertices to coarse vertices.
@@ -25,18 +28,7 @@ func coarsen(g *wgraph, coarsenTo int, rng *prng.Stream, ws *workspace, stop *st
 		if stop.stopped() {
 			break
 		}
-		// Above the parallel threshold, matching fans out over fixed vertex
-		// blocks with per-block RNG streams (byte-identical at any
-		// GOMAXPROCS); the path choice depends only on the vertex count, so
-		// it is itself deterministic. One sequential draw per level keeps
-		// the level seeds a pure function of the partition seed.
-		var cmap []int32
-		var nc int
-		if cur.n() >= parCoarsenMinVertices {
-			cmap, nc = heavyEdgeMatchBlocked(cur, rng.Uint64(), ws)
-		} else {
-			cmap, nc = heavyEdgeMatch(cur, rng, ws)
-		}
+		cmap, nc := heavyEdgeMatch(cur, rng, ws)
 		if nc >= cur.n() || float64(nc) > 0.95*float64(cur.n()) {
 			break // matching stalled; stop coarsening
 		}
@@ -49,66 +41,65 @@ func coarsen(g *wgraph, coarsenTo int, rng *prng.Stream, ws *workspace, stop *st
 	return levels, cur
 }
 
-// heavyEdgeMatch computes a heavy-edge matching: vertices are visited in
-// random order, and each unmatched vertex is matched with its unmatched
-// neighbour connected by the heaviest edge. It returns the fine-to-coarse
-// map and the number of coarse vertices. The visit order comes from the
-// workspace's reused index buffer, re-shuffled in place (no per-level
-// rng.Perm allocation).
+// heavyEdgeMatch computes a heavy-edge matching of g and returns the
+// fine-to-coarse map, pushed on ws's operand stack, and the number of coarse
+// vertices; the lower-indexed endpoint of each pair owns the coarse id.
+// Every vertex is matched by matchBlock. Below parCoarsenMinVertices the
+// whole graph is one block visited in rng's order. Above it, fixed blocks of
+// matchBlockSize vertices run concurrently, block b on the stream
+// childSeed(s, b) of one draw s from rng: the blocks depend only on the
+// vertex count, so the matching is byte-identical at any GOMAXPROCS and the
+// level seeds stay a pure function of the partition seed.
 func heavyEdgeMatch(g *wgraph, rng *prng.Stream, ws *workspace) (cmap []int32, nc int) {
 	n := g.n()
-	match := grow(&ws.match, n)
-	for i := range match {
-		match[i] = -1
+	match, perm := grow(&ws.match, n), grow(&ws.perm, n)
+	if n < parCoarsenMinVertices {
+		matchBlock(g, 0, n, rng, match, perm)
+	} else {
+		seed := rng.Uint64()
+		par.ForBlocks((n+matchBlockSize-1)/matchBlockSize, func(b int) {
+			lo := b * matchBlockSize
+			matchBlock(g, lo, min(lo+matchBlockSize, n), prng.New(childSeed(seed, uint64(b))), match, perm)
+		})
 	}
-	perm := grow(&ws.perm, n)
-	for i := range perm {
-		perm[i] = int32(i)
+	cmap = ws.alloc(n)
+	for v := range cmap {
+		if m := int(match[v]); m >= v { // else the partner numbered v
+			cmap[v], cmap[m] = int32(nc), int32(nc)
+			nc++
+		}
 	}
-	rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-	for _, v := range perm {
+	return cmap, nc
+}
+
+// matchBlock matches the vertices of the block [lo, hi) among themselves:
+// they are visited in the order rng shuffles them to, and each unmatched one
+// is matched with its unmatched block neighbour across the heaviest edge, or
+// with itself when it has none. A block reads and writes only match[lo:hi]
+// and perm[lo:hi], so disjoint blocks can run concurrently; with
+// locality-ordered vertex ids, leaving cross-block edges out costs a sliver
+// of matching quality at the block seams.
+func matchBlock(g *wgraph, lo, hi int, rng *prng.Stream, match, perm []int32) {
+	for i := lo; i < hi; i++ {
+		match[i], perm[i] = -1, int32(i)
+	}
+	blk := perm[lo:hi]
+	rng.Shuffle(len(blk), func(i, j int) { blk[i], blk[j] = blk[j], blk[i] })
+	for _, v := range blk {
 		if match[v] >= 0 {
 			continue
 		}
 		adj, wgt := g.deg(v)
-		best := int32(-1)
-		var bestW int32 = -1
+		best, bestW := v, int32(-1)
 		for i, u := range adj {
-			if match[u] < 0 && wgt[i] > bestW {
+			// Only same-block candidates: match[u] for foreign u is owned
+			// by another goroutine and must not be read.
+			if int(u) >= lo && int(u) < hi && match[u] < 0 && wgt[i] > bestW {
 				best, bestW = u, wgt[i]
 			}
 		}
-		if best >= 0 {
-			match[v] = best
-			match[best] = v
-		} else {
-			match[v] = v
-		}
+		match[v], match[best] = best, v
 	}
-	return numberMatches(match, n, ws)
-}
-
-// numberMatches assigns sequential coarse ids to a completed matching: the
-// lower-indexed endpoint of each pair owns the coarse id. Shared by the
-// sequential and blocked matchers so both number identically. The map is
-// pushed on ws's operand stack.
-func numberMatches(match []int32, n int, ws *workspace) (cmap []int32, nc int) {
-	cmap = ws.alloc(n)
-	for i := range cmap {
-		cmap[i] = -1
-	}
-	next := int32(0)
-	for v := int32(0); v < int32(n); v++ {
-		if cmap[v] >= 0 {
-			continue
-		}
-		cmap[v] = next
-		if match[v] != v {
-			cmap[match[v]] = next
-		}
-		next++
-	}
-	return cmap, int(next)
 }
 
 // contract builds the coarse graph induced by cmap. Edge weights between

@@ -7,6 +7,7 @@ import (
 
 	"sfccube/internal/graph"
 	"sfccube/internal/mesh"
+	"sfccube/internal/prng"
 )
 
 // assignmentOf partitions the Ne=12 cubed-sphere dual graph and returns the
@@ -156,7 +157,7 @@ func TestParallelContractMatchesSerial(t *testing.T) {
 	ws := getWS()
 	defer putWS(ws)
 	defer ws.release(ws.mark())
-	cmap, nc := heavyEdgeMatchBlocked(g, 424242, ws)
+	cmap, nc := heavyEdgeMatch(g, prng.New(424242), ws) // 55296 vertices: blocked
 	if nc >= g.n() {
 		t.Fatalf("blocked matching stalled: nc=%d of n=%d", nc, g.n())
 	}

@@ -27,18 +27,10 @@ func kwayPartition(g *wgraph, nparts int, out []int32, rng *prng.Stream, opt Opt
 		return // a cancelled tree leaves parts of assign unwritten
 	}
 
-	refine := kwayRefineCut
-	if opt.Method == KWayVol {
-		refine = kwayRefineVol
-	}
-	var maxVW int64 = 1
-	for _, w := range g.vwgt {
-		if int64(w) > maxVW {
-			maxVW = int64(w)
-		}
-	}
+	vol := opt.Method == KWayVol
+	maxVW, _, _ := g.stats()
 	maxPart := maxPartWeight(g.totalVWgt(), nparts, imbalance, maxVW)
-	refine(coarsest, assign, nparts, maxPart, refineIters, rng, ws, stop)
+	kwayRefine(coarsest, assign, nparts, maxPart, vol, refineIters, rng, ws, stop)
 
 	for i := len(levels) - 1; i >= 0; i-- {
 		lv := levels[i]
@@ -53,7 +45,7 @@ func kwayPartition(g *wgraph, nparts int, out []int32, rng *prng.Stream, opt Opt
 		if stop.stopped() {
 			break // deadline poll per uncoarsening level
 		}
-		refine(lv.fine, assign, nparts, maxPart, refineIters, rng, ws, stop)
+		kwayRefine(lv.fine, assign, nparts, maxPart, vol, refineIters, rng, ws, stop)
 	}
 }
 
@@ -78,16 +70,28 @@ func maxPartWeight(total int64, nparts int, imbalance float64, maxVW int64) int6
 	return m
 }
 
+// refiner is the state one K-way refinement reads and moves: the graph, the
+// live assignment and part weights, the bound, and the workspace's per-part
+// scratch (conn is zero between calls; ws.touched and ws.stamp are free).
+type refiner struct {
+	g       *wgraph
+	assign  []int32
+	pwgt    []int64
+	conn    []int64
+	maxPart int64
+	ws      *workspace
+}
+
 // forceBalance evicts vertices from parts whose weight exceeds maxPart,
 // sending each evicted vertex to the lightest adjacent part with room (or
 // the globally lightest part when no adjacent part has room), choosing the
 // eviction with the smallest cut penalty. It runs until every part is within
 // the bound or no further move is possible.
-func forceBalance(g *wgraph, assign []int32, nparts int, maxPart int64, pwgt []int64, ws *workspace) {
-	n := g.n()
-	conn := ws.connFor(nparts)
-	touched := ws.touched[:0]
-	defer func() { ws.touched = touched[:0] }()
+func (r *refiner) forceBalance() {
+	g, assign, pwgt, conn, maxPart := r.g, r.assign, r.pwgt, r.conn, r.maxPart
+	n, nparts := g.n(), len(pwgt)
+	touched := r.ws.touched[:0]
+	defer func() { r.ws.touched = touched[:0] }()
 	for {
 		// Find an overweight part.
 		over := int32(-1)
@@ -161,17 +165,6 @@ func forceBalance(g *wgraph, assign []int32, nparts int, maxPart int64, pwgt []i
 	}
 }
 
-// connFor returns the per-part connectivity scratch, zeroed and sized to
-// nparts. Users restore the all-zero state through their touched lists, so
-// the zero fill here is the only O(nparts) cost per refinement entry.
-func (ws *workspace) connFor(nparts int) []int64 {
-	grow(&ws.conn, nparts)
-	for i := range ws.conn {
-		ws.conn[i] = 0
-	}
-	return ws.conn
-}
-
 // boundaryQueue fills dst with every boundary vertex of the current
 // assignment (in vertex order; the caller shuffles), marks them in ws.inQ
 // (reset first), and returns the queue.
@@ -179,9 +172,7 @@ func boundaryQueue(g *wgraph, assign []int32, ws *workspace, dst []int32) []int3
 	n := g.n()
 	queue := dst[:0]
 	inQ := grow(&ws.inQ, n)
-	for i := range inQ {
-		inQ[i] = false
-	}
+	clear(inQ)
 	for v := int32(0); v < int32(n); v++ {
 		adj, _ := g.deg(v)
 		for _, u := range adj {
@@ -195,28 +186,38 @@ func boundaryQueue(g *wgraph, assign []int32, ws *workspace, dst []int32) []int3
 	return queue
 }
 
-// kwayRefineCut runs greedy K-way refinement minimising the weighted
-// edgecut (the classical Karypis-Kumar scheme), boundary-driven: a queue
-// holds the current boundary vertices in random order; when a vertex moves,
-// only its neighbourhood — the exact set whose gains changed — is
-// re-enqueued for the next pass. Per-vertex connectivity is accumulated in
-// an O(nparts) scratch array reset through a touched list, so one pass costs
-// O(boundary + moved·deg) instead of the former full-graph rescan.
-func kwayRefineCut(g *wgraph, assign []int32, nparts int, maxPart int64, iters int, rng *prng.Stream, ws *workspace, stop *stopper) {
-	n := g.n()
-	pwgt := grow(&ws.pwgt, nparts)
-	for p := range pwgt {
-		pwgt[p] = 0
+// kwayRefine runs greedy K-way refinement, boundary-driven: a queue holds the
+// current boundary vertices in random order, each moves to the destination
+// the objective picks for it, and a move re-enqueues for the next pass only
+// what it reached — the vertices whose choice it changed. The objective is
+// the weighted edgecut (the classical Karypis-Kumar scheme, cutDest) or, with
+// vol, the METIS-style total communication volume (volDest). It also sets the
+// reach: a cut gain reads the parts of a vertex's neighbours, so a move
+// reaches one hop; an exact volume evaluation reads the neighbours'
+// neighbours too, so it reaches two. One pass costs O(boundary + moved·reach)
+// instead of a full-graph rescan.
+func kwayRefine(g *wgraph, assign []int32, nparts int, maxPart int64, vol bool, iters int, rng *prng.Stream, ws *workspace, stop *stopper) {
+	pwgt, conn := grow(&ws.pwgt, nparts), grow(&ws.conn, nparts)
+	clear(pwgt)
+	clear(conn) // users restore zeros through their touched lists
+	for v, p := range assign {
+		pwgt[p] += int64(g.vwgt[v])
 	}
-	for v := 0; v < n; v++ {
-		pwgt[assign[v]] += int64(g.vwgt[v])
+	r := &refiner{g: g, assign: assign, pwgt: pwgt, conn: conn, maxPart: maxPart, ws: ws}
+	r.forceBalance()
+	dest := r.cutDest
+	if vol {
+		dest = r.volDest
 	}
-	forceBalance(g, assign, nparts, maxPart, pwgt, ws)
-	conn := ws.connFor(nparts)
-	touched := ws.touched[:0]
 	queue := boundaryQueue(g, assign, ws, ws.queue)
 	next := ws.queue2[:0]
 	inQ := ws.inQ
+	push := func(u int32) {
+		if !inQ[u] {
+			inQ[u] = true
+			next = append(next, u)
+		}
+	}
 	// full marks whether the current queue holds the entire boundary. When
 	// an incremental pass stops moving, one full boundary pass verifies true
 	// convergence — moves elsewhere shift part weights, which can unblock
@@ -232,80 +233,38 @@ func kwayRefineCut(g *wgraph, assign []int32, nparts int, maxPart int64, iters i
 		next = next[:0]
 		for _, v := range queue {
 			inQ[v] = false
-			adj, wgt := g.deg(v)
-			if len(adj) == 0 {
-				continue
-			}
 			home := assign[v]
 			if pwgt[home] == int64(g.vwgt[v]) {
 				continue // never empty a part
 			}
-			boundary := false
-			touched = touched[:0]
-			for i, u := range adj {
-				p := assign[u]
-				if conn[p] == 0 {
-					touched = append(touched, p)
-				}
-				conn[p] += int64(wgt[i])
-				if p != home {
-					boundary = true
-				}
+			best := dest(v, home)
+			if best == home {
+				continue
 			}
-			if boundary {
-				// Find the best destination part.
-				best := home
-				bestGain := int64(0)
-				for _, p := range touched {
-					if p == home {
-						continue
-					}
-					gain := conn[p] - conn[home]
-					if gain <= 0 {
-						continue
-					}
-					if pwgt[p]+int64(g.vwgt[v]) > maxPart {
-						continue
-					}
-					if gain > bestGain || (gain == bestGain && pwgt[p] < pwgt[best]) {
-						best, bestGain = p, gain
-					}
-				}
-				// Also allow zero-gain moves that improve balance.
-				if best == home {
-					for _, p := range touched {
-						if p == home || conn[p] != conn[home] {
-							continue
-						}
-						if pwgt[p]+int64(g.vwgt[v]) < pwgt[home] {
-							best = p
-							break
-						}
-					}
-				}
-				if best != home {
-					pwgt[home] -= int64(g.vwgt[v])
-					pwgt[best] += int64(g.vwgt[v])
-					assign[v] = best
-					moved++
-					// Re-enqueue the neighbourhood whose gains changed.
-					// Vertices still pending in the current pass keep their
-					// slot (they will be evaluated against the new state).
-					for _, u := range adj {
-						if !inQ[u] {
-							inQ[u] = true
-							next = append(next, u)
-						}
-					}
-					if !inQ[v] {
-						inQ[v] = true
-						next = append(next, v)
+			pwgt[home] -= int64(g.vwgt[v])
+			pwgt[best] += int64(g.vwgt[v])
+			assign[v] = best
+			moved++
+			// Re-enqueue the reach. Vertices still pending in the current
+			// pass keep their slot (they will be evaluated against the new
+			// state). The order is the one the next pass's shuffle permutes:
+			// the volume enqueues the mover first and each neighbour
+			// followed by its own neighbours, the cut the neighbours and
+			// then the mover.
+			if vol {
+				push(v)
+			}
+			adj, _ := g.deg(v)
+			for _, u := range adj {
+				push(u)
+				if vol {
+					uadj, _ := g.deg(u)
+					for _, w := range uadj {
+						push(w)
 					}
 				}
 			}
-			for _, p := range touched {
-				conn[p] = 0
-			}
+			push(v)
 		}
 		stop.obs().observeKWayPass(moved)
 		if moved == 0 {
@@ -322,146 +281,110 @@ func kwayRefineCut(g *wgraph, assign []int32, nparts int, maxPart int64, iters i
 		full = false
 	}
 	ws.queue, ws.queue2 = queue[:0], next[:0]
-	ws.touched = touched[:0]
 }
 
-// kwayRefineVol runs greedy K-way refinement minimising the METIS-style
-// total communication volume: sum over vertices of vsize(v) times the number
-// of distinct remote parts among v's neighbours. Moving a vertex changes its
-// own contribution and that of its neighbours; the gain is evaluated exactly
-// on the local neighbourhood. Distinct-part counting uses the epoch-stamped
-// ws.stamp scratch (the stamp trick of coarsen.go) instead of per-vertex
-// maps, and the visit order is boundary-driven like kwayRefineCut — with a
-// two-hop re-enqueue, because a move changes the exact volume evaluation of
-// everything within distance two.
-func kwayRefineVol(g *wgraph, assign []int32, nparts int, maxPart int64, iters int, rng *prng.Stream, ws *workspace, stop *stopper) {
-	n := g.n()
-	pwgt := grow(&ws.pwgt, nparts)
-	for p := range pwgt {
-		pwgt[p] = 0
-	}
-	for v := 0; v < n; v++ {
-		pwgt[assign[v]] += int64(g.vwgt[v])
-	}
-	forceBalance(g, assign, nparts, maxPart, pwgt, ws)
-
-	// localVol returns the communication volume contributed by vertex v
-	// under the current assignment, counting distinct remote parts with the
-	// epoch-stamped scratch.
-	localVol := func(v int32) int64 {
-		adj, _ := g.deg(v)
-		e := ws.nextEpoch(nparts)
-		home := assign[v]
-		cnt := int64(0)
-		for _, u := range adj {
-			p := assign[u]
-			if p != home && ws.stamp[p] != e {
-				ws.stamp[p] = e
-				cnt++
-			}
+// cutDest picks v's destination under the edgecut: the adjacent part with
+// room that v is most connected to, when that beats home (ties go to the
+// lighter part); failing that, the first adjacent part as connected as home
+// that the move leaves lighter than home — a zero-gain move that improves
+// balance. It returns home when v is interior or nothing qualifies.
+// Connectivity is accumulated in conn and cleared through the touched list,
+// so a call costs O(deg), not O(nparts).
+func (r *refiner) cutDest(v, home int32) int32 {
+	adj, wgt := r.g.deg(v)
+	conn, pwgt, vw := r.conn, r.pwgt, int64(r.g.vwgt[v])
+	touched := r.ws.touched[:0]
+	for i, u := range adj {
+		p := r.assign[u]
+		if conn[p] == 0 {
+			touched = append(touched, p)
 		}
-		return int64(g.vsize[v]) * cnt
+		conn[p] += int64(wgt[i])
 	}
-	// neighbourhoodVol is the volume of v plus all its neighbours: the
-	// exact set whose contributions can change when v moves.
-	neighbourhoodVol := func(v int32) int64 {
-		vol := localVol(v)
-		adj, _ := g.deg(v)
-		for _, u := range adj {
-			vol += localVol(u)
-		}
-		return vol
-	}
-
-	queue := boundaryQueue(g, assign, ws, ws.queue)
-	next := ws.queue2[:0]
-	inQ := ws.inQ
-	cands := ws.touched[:0]
-	// See kwayRefineCut: full marks a whole-boundary queue; incremental
-	// convergence is verified against the full boundary before stopping.
-	full := true
-
-	for iter := 0; iter < iters && len(queue) > 0; iter++ {
-		if stop.stopped() {
-			break // deadline poll per refinement pass
-		}
-		rng.Shuffle(len(queue), func(i, j int) { queue[i], queue[j] = queue[j], queue[i] })
-		moved := 0
-		next = next[:0]
-		for _, v := range queue {
-			inQ[v] = false
-			adj, _ := g.deg(v)
-			home := assign[v]
-			if pwgt[home] == int64(g.vwgt[v]) {
-				continue // never empty a part
-			}
-			// Candidate destinations: distinct parts of neighbours, in
-			// adjacency order (deterministic, unlike map iteration).
-			e := ws.nextEpoch(nparts)
-			cands = cands[:0]
-			for _, u := range adj {
-				p := assign[u]
-				if p != home && ws.stamp[p] != e {
-					ws.stamp[p] = e
-					cands = append(cands, p)
-				}
-			}
-			if len(cands) == 0 {
-				continue
-			}
-			before := neighbourhoodVol(v)
-			best := home
-			bestAfter := before
-			bestPw := pwgt[home]
-			for _, p := range cands {
-				if pwgt[p]+int64(g.vwgt[v]) > maxPart {
-					continue
-				}
-				assign[v] = p
-				after := neighbourhoodVol(v)
-				assign[v] = home
-				if after < bestAfter || (after == bestAfter && p != home && pwgt[p] < bestPw && pwgt[p]+int64(g.vwgt[v]) < pwgt[home]) {
-					best, bestAfter, bestPw = p, after, pwgt[p]
-				}
-			}
-			if best != home {
-				pwgt[home] -= int64(g.vwgt[v])
-				pwgt[best] += int64(g.vwgt[v])
-				assign[v] = best
-				moved++
-				// Two-hop re-enqueue: the move changes the volume
-				// evaluation of v, its neighbours, and their neighbours.
-				if !inQ[v] {
-					inQ[v] = true
-					next = append(next, v)
-				}
-				for _, u := range adj {
-					if !inQ[u] {
-						inQ[u] = true
-						next = append(next, u)
-					}
-					uadj, _ := g.deg(u)
-					for _, w := range uadj {
-						if !inQ[w] {
-							inQ[w] = true
-							next = append(next, w)
-						}
-					}
-				}
-			}
-		}
-		stop.obs().observeKWayPass(moved)
-		if moved == 0 {
-			if full {
-				break // converged on the whole boundary
-			}
-			queue = boundaryQueue(g, assign, ws, queue)
-			full = true
+	best, bestGain := home, int64(0)
+	for _, p := range touched {
+		gain := conn[p] - conn[home] // 0 for home itself
+		if gain <= 0 || pwgt[p]+vw > r.maxPart {
 			continue
 		}
-		queue, next = next, queue
-		full = false
+		if gain > bestGain || (gain == bestGain && pwgt[p] < pwgt[best]) {
+			best, bestGain = p, gain
+		}
 	}
-	ws.queue, ws.queue2 = queue[:0], next[:0]
+	if best == home {
+		for _, p := range touched {
+			if p != home && conn[p] == conn[home] && pwgt[p]+vw < pwgt[home] {
+				best = p
+				break
+			}
+		}
+	}
+	for _, p := range touched {
+		conn[p] = 0
+	}
+	r.ws.touched = touched[:0]
+	return best
+}
+
+// volDest picks v's destination under the total communication volume: of
+// the distinct remote parts among v's neighbours (in adjacency order) that
+// have room, the one after which v and its neighbours — the exact set whose
+// contributions a move of v changes — contribute the least volume. A tie
+// with the best so far goes to a lighter part that the move leaves lighter
+// than home. It returns home when no part lowers the volume or wins a tie.
+func (r *refiner) volDest(v, home int32) int32 {
+	ws, pwgt, vw := r.ws, r.pwgt, int64(r.g.vwgt[v])
+	adj, _ := r.g.deg(v)
+	e := ws.nextEpoch(len(pwgt))
+	cands := ws.touched[:0]
+	for _, u := range adj {
+		if p := r.assign[u]; p != home && ws.stamp[p] != e {
+			ws.stamp[p] = e
+			cands = append(cands, p)
+		}
+	}
 	ws.touched = cands[:0]
+	if len(cands) == 0 {
+		return home
+	}
+	best, bestAfter := home, r.reachVol(v)
+	for _, p := range cands {
+		if pwgt[p]+vw > r.maxPart {
+			continue
+		}
+		r.assign[v] = p
+		after := r.reachVol(v)
+		r.assign[v] = home
+		if after < bestAfter || (after == bestAfter && pwgt[p] < pwgt[best] && pwgt[p]+vw < pwgt[home]) {
+			best, bestAfter = p, after
+		}
+	}
+	return best
+}
+
+// reachVol is the communication volume v and its neighbours contribute: for
+// each, its size times the number of distinct remote parts among its own
+// neighbours, counted on the epoch-stamped ws.stamp.
+func (r *refiner) reachVol(v int32) int64 {
+	adj, _ := r.g.deg(v)
+	vol := r.localVol(v)
+	for _, u := range adj {
+		vol += r.localVol(u)
+	}
+	return vol
+}
+
+func (r *refiner) localVol(v int32) int64 {
+	ws := r.ws
+	adj, _ := r.g.deg(v)
+	e := ws.nextEpoch(len(r.pwgt))
+	home := r.assign[v]
+	cnt := int64(0)
+	for _, u := range adj {
+		if p := r.assign[u]; p != home && ws.stamp[p] != e {
+			ws.stamp[p] = e
+			cnt++
+		}
+	}
+	return int64(r.g.vsize[v]) * cnt
 }

@@ -1,17 +1,15 @@
 package metis
 
-import (
-	"sfccube/internal/par"
-	"sfccube/internal/prng"
-)
+import "sfccube/internal/par"
 
 // Parallel coarsening for the million-element regime. Matching fans out
-// over fixed-size vertex blocks the same way recursive bisection fans out
-// subtrees: each block gets its own splitmix64 stream derived from a per
-// level seed, so the matching is a pure function of (graph, seed) and
-// byte-identical at any GOMAXPROCS. Contraction fans out over coarse-id
-// ranges; its output is fully determined by cmap and the member order, so
-// chunking (which does vary with GOMAXPROCS) cannot change a byte.
+// over fixed-size vertex blocks (heavyEdgeMatch) the same way recursive
+// bisection fans out subtrees: each block gets its own splitmix64 stream
+// derived from a per level seed, so the matching is a pure function of
+// (graph, seed) and byte-identical at any GOMAXPROCS. Contraction fans out
+// over coarse-id ranges; its output is fully determined by cmap and the
+// member order, so chunking (which does vary with GOMAXPROCS) cannot change
+// a byte.
 const (
 	// parCoarsenMinVertices gates the parallel matching and contraction
 	// paths. The threshold is chosen above every golden/differential test
@@ -28,57 +26,6 @@ const (
 	// coarse to bound the number of scratch arrays.
 	parContractChunk = 1 << 14
 )
-
-// heavyEdgeMatchBlocked computes a heavy-edge matching over fixed blocks of
-// matchBlockSize vertices: block b shuffles its vertices with the stream
-// childSeed(seed, b) and matches only within the block, so blocks touch
-// disjoint state and can run concurrently while remaining byte-identical to
-// a sequential sweep of the same blocks. Cross-block edges are never
-// matching candidates — with locality-ordered element ids the loss is a
-// sliver of matching quality at the block seams, paid for a matching pass
-// that scales with cores.
-func heavyEdgeMatchBlocked(g *wgraph, seed uint64, ws *workspace) (cmap []int32, nc int) {
-	n := g.n()
-	match := grow(&ws.match, n)
-	perm := grow(&ws.perm, n)
-	nb := (n + matchBlockSize - 1) / matchBlockSize
-	par.ForBlocks(nb, func(b int) {
-		lo := b * matchBlockSize
-		hi := lo + matchBlockSize
-		if hi > n {
-			hi = n
-		}
-		for i := lo; i < hi; i++ {
-			match[i] = -1
-			perm[i] = int32(i)
-		}
-		rng := prng.New(childSeed(seed, uint64(b)))
-		blk := perm[lo:hi]
-		rng.Shuffle(len(blk), func(i, j int) { blk[i], blk[j] = blk[j], blk[i] })
-		for _, v := range blk {
-			if match[v] >= 0 {
-				continue
-			}
-			adj, wgt := g.deg(v)
-			best := int32(-1)
-			var bestW int32 = -1
-			for i, u := range adj {
-				// Only same-block candidates: match[u] for foreign u is
-				// owned by another goroutine and must not be read.
-				if int(u) >= lo && int(u) < hi && match[u] < 0 && wgt[i] > bestW {
-					best, bestW = u, wgt[i]
-				}
-			}
-			if best >= 0 {
-				match[v] = best
-				match[best] = v
-			} else {
-				match[v] = v
-			}
-		}
-	})
-	return numberMatches(match, n, ws)
-}
 
 // contractParallel builds the coarse graph induced by cmap with exact-size
 // CSR arrays: a counting pass sizes every coarse row, a fill pass writes it
