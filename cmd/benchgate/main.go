@@ -111,8 +111,15 @@ var keyOf = map[string]string{
 	"BenchmarkServiceRequest/stream-miss/Ne16":  "service_request_stream_miss_ne16_ns_per_op",
 	"BenchmarkServiceRequest/stream-miss/Ne64":  "service_request_stream_miss_ne64_ns_per_op",
 	"BenchmarkServiceRequest/stream-miss/Ne128": "service_request_stream_miss_ne128_ns_per_op",
-	// The stats stage of an sfc miss on its own (report-only).
-	"BenchmarkProblemStats/view/Ne128": "problem_stats_view_ne128_ns_per_op",
+	// The stats stage of an sfc miss on its own (view/Ne128 is gated in CI),
+	// at three more elements-per-part ratios, and over the CSR graph a
+	// multilevel miss reads (report-only).
+	"BenchmarkProblemStats/view/Ne128":       "problem_stats_view_ne128_ns_per_op",
+	"BenchmarkProblemStats/view/Ne32":        "problem_stats_view_ne32_ns_per_op",
+	"BenchmarkProblemStats/view-per2/Ne128":  "problem_stats_view_per2_ne128_ns_per_op",
+	"BenchmarkProblemStats/view-per16/Ne128": "problem_stats_view_per16_ne128_ns_per_op",
+	"BenchmarkProblemStats/view-per64/Ne128": "problem_stats_view_per64_ne128_ns_per_op",
+	"BenchmarkProblemStats/csr/Ne128":        "problem_stats_csr_ne128_ns_per_op",
 	// What that stage reads: a sweep of every mesh row, and the rows of the
 	// face-boundary ring alone (report-only).
 	"BenchmarkAdjacencySweepNe48": "adjacency_sweep_ne48_ns_per_op",

@@ -13,8 +13,10 @@ import (
 // the rows FromMesh freezes into CSR form — FromMesh is "stream this view
 // into a Graph". Safe for concurrent readers.
 type MeshView struct {
-	m   *mesh.Mesh
-	opt Options
+	m         *mesh.Mesh
+	opt       Options
+	offs, wts [8]int32 // the Stencil's first deg entries
+	deg       int
 }
 
 // NewMeshView validates opt against m (zero edge and corner weights mean 1;
@@ -30,7 +32,20 @@ func NewMeshView(m *mesh.Mesh, opt Options) (*MeshView, error) {
 	if err := checkPositive(opt.VertexWeights, m.NumElems()); err != nil {
 		return nil, err
 	}
-	return &MeshView{m: m, opt: opt}, nil
+	// The stencil runs over mesh rows j-1, j, j+1 in that order: ascending.
+	ne, ew, cw := int32(m.Ne()), opt.EdgeWeight, opt.CornerWeight
+	mv := &MeshView{m: m, opt: opt, offs: [8]int32{-ne, -1, 1, ne}, wts: [8]int32{ew, ew, ew, ew}, deg: 4}
+	if opt.IncludeCorners {
+		mv.offs, mv.wts, mv.deg = [8]int32{-ne - 1, -ne, -ne + 1, -1, 1, ne - 1, ne, ne + 1}, [8]int32{cw, ew, cw, ew, ew, cw, ew, cw}, 8
+	}
+	return mv, nil
+}
+
+// Stencil reports the face size and the face-interior stencil: element v at
+// (i, j) with 0 < i, j < ne-1 has neighbours v+offs[k] with weight wts[k],
+// ascending — its row in Rows. The slices are the view's own and read-only.
+func (mv *MeshView) Stencil() (ne int, offs, wts []int32) {
+	return mv.m.Ne(), mv.offs[:mv.deg], mv.wts[:mv.deg]
 }
 
 // checkPositive validates an optional vector of k positive vertex weights.
@@ -52,7 +67,7 @@ func (mv *MeshView) NumVertices() int { return mv.m.NumElems() }
 // Rows writes rows [lo, hi) into the buffers (from length 0, growing them if
 // needed) and returns them: row v is adj[ptr[v-lo]:ptr[v-lo+1]], ascending,
 // with wts parallel. (i, j) is walked incrementally and a face-interior row
-// is eight index-arithmetic stores; only the O(Ne) face-boundary ring asks
+// is the Stencil shifted to its id; only the O(Ne) face-boundary ring asks
 // the mesh (NeighborsInto, which steps across the seam through the cube's
 // gluing table) and merges the two lists. With adjacency buffers of capacity
 // 8*(hi-lo) and a pointer buffer of hi-lo+1 the call does not allocate.
@@ -73,18 +88,16 @@ func (mv *MeshView) Rows(lo, hi int, ptrBuf, adjBuf, wtBuf []int32) (ptr, adj, w
 			adj, wts = AppendMerged(adj, wts, e, c, ew, cw)
 			ptr = append(ptr, int32(len(adj)))
 		} else {
-			// The rest of an interior mesh row, up to its last column; mesh
-			// rows j-1, j, j+1 in that order keep each CSR row ascending.
+			// The rest of an interior mesh row, up to its last column.
 			end = min(hi, v+ne-1-i)
-			for x := v; x < end; x++ {
-				b, c, a := int32(x-ne), int32(x), int32(x+ne)
-				if corners {
-					adj = append(adj, b-1, b, b+1, c-1, c+1, a-1, a, a+1)
-					wts = append(wts, cw, ew, cw, ew, ew, cw, ew, cw)
+			o, sw := mv.offs, mv.wts[:mv.deg]
+			for x := int32(v); x < int32(end); x++ {
+				if len(sw) == 8 {
+					adj = append(adj, x+o[0], x+o[1], x+o[2], x+o[3], x+o[4], x+o[5], x+o[6], x+o[7])
 				} else {
-					adj = append(adj, b, c-1, c+1, a)
-					wts = append(wts, ew, ew, ew, ew)
+					adj = append(adj, x+o[0], x+o[1], x+o[2], x+o[3])
 				}
+				wts = append(wts, sw...)
 				ptr = append(ptr, int32(len(adj)))
 			}
 		}

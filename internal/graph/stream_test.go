@@ -296,7 +296,8 @@ func BenchmarkFromMeshNe48(b *testing.B) {
 // asked for — the whole mesh, one vertex, one starting and ending mid-row,
 // one straddling a face boundary — it returns the Builder oracle's rows, and
 // with buffers of capacity 8 per row it does not allocate. The oracle never
-// touches the index arithmetic of the view's face-interior fast path.
+// touches the index arithmetic of the view's face-interior fast path, and
+// every face-interior oracle row is the view's Stencil shifted to its id.
 func TestMeshViewRowsMatchOracle(t *testing.T) {
 	for _, ne := range []int{1, 2, 3, 4, 6, 9} {
 		for _, corners := range []bool{true, false} {
@@ -338,6 +339,24 @@ func TestMeshViewRowsMatchOracle(t *testing.T) {
 			}
 			if allocs := testing.AllocsPerRun(3, sweep); allocs != 0 {
 				t.Errorf("ne=%d corners=%v: MeshView.Rows allocated %.0f times per sweep, want 0", ne, corners, allocs)
+			}
+			// The stencil is the face-interior row shifted to the origin.
+			sne, offs, sw := view.Stencil()
+			for v := 0; v < k && sne == ne; v++ {
+				if i, j := v%ne, v%n2/ne; i == 0 || i == ne-1 || j == 0 || j == ne-1 {
+					continue
+				}
+				row := make([]int32, len(offs))
+				for x, o := range offs {
+					row[x] = int32(v) + o
+				}
+				if !slices.Equal(row, want.Adj(v)) || !slices.Equal(sw, want.AdjWeights(v)) {
+					t.Fatalf("ne=%d corners=%v vertex %d: stencil row %v/%v, oracle row %v/%v",
+						ne, corners, v, row, sw, want.Adj(v), want.AdjWeights(v))
+				}
+			}
+			if sne != ne {
+				t.Errorf("Stencil reports ne=%d, want %d", sne, ne)
 			}
 			if view.VertexWeights() != nil || view.VertexSizes() != nil {
 				t.Error("default vertex weights/sizes are not nil (unit)")

@@ -1,0 +1,128 @@
+package partition
+
+import "fmt"
+
+// StatsOverBlocked is the reference the differential tests hold StatsOver to.
+var StatsOverBlocked = statsOverBlocked
+
+// statsOverBlocked is StatsOver as it was before the sweep read the mesh
+// stencil: every row, face-interior or not, comes through Adjacency.Rows a
+// block at a time and is read back out of the block buffers. Kept verbatim
+// as the reference for TestStatsStencilMatchesReference and FuzzStatsView.
+func statsOverBlocked(a Adjacency, p *Partition, weights []int64) (Stats, error) {
+	n, nparts, assign := a.NumVertices(), p.NumParts(), p.Assignment()
+	if len(assign) != n {
+		return Stats{}, fmt.Errorf("partition: %d vertices but graph has %d", len(assign), n)
+	}
+	st := Stats{NParts: nparts}
+	st.Nelemd = p.Counts()
+	if vw := a.VertexWeights(); vw == nil {
+		st.LBNelemd = LoadBalance(st.Nelemd)
+	} else {
+		wc := make([]int64, nparts)
+		for v, q := range assign {
+			wc[q] += int64(vw[v])
+		}
+		st.LBNelemd = LoadBalance(wc)
+	}
+	st.LBWeighted = st.LBNelemd
+	if weights != nil {
+		if len(weights) != n {
+			return Stats{}, fmt.Errorf("partition: %d weights for %d vertices", len(weights), n)
+		}
+		if _, _, err := validateWeights(weights); err != nil {
+			return Stats{}, err
+		}
+		st.PartWeights = make([]int64, nparts)
+		for v, w := range weights {
+			st.PartWeights[assign[v]] += w
+		}
+		st.LBWeighted = LoadBalance(st.PartWeights)
+	}
+
+	// One sweep over the rows, a block at a time: cut accounting per vertex,
+	// and a union-find over same-part edges (each undirected edge once, from
+	// its higher end) whose roots are the connected components of the parts.
+	// stamp[q] is 1 + the last vertex that counted q among its remote parts.
+	st.Spcv = make([]int64, nparts)
+	stamp := make([]int32, nparts)
+	parent := make([]int32, n)
+	for v := range parent {
+		parent[v] = int32(v)
+	}
+	vsize := a.VertexSizes()
+	ptrBuf, adjBuf, wtBuf := make([]int32, 0, statsBlock+1), make([]int32, 0, 8*statsBlock), make([]int32, 0, 8*statsBlock)
+	for lo := 0; lo < n; lo += statsBlock {
+		hi := min(lo+statsBlock, n)
+		ptr, adj, wts := a.Rows(lo, hi, ptrBuf, adjBuf, wtBuf)
+		start := ptr[0]
+		for k, end := range ptr[1:] {
+			v := lo + k
+			pv, row, wrow := assign[v], adj[start:end], wts[start:end]
+			start = end
+			var cutW, cutN, remote int64
+			for i, u := range row {
+				if pu := assign[u]; pu != pv {
+					cutW += int64(wrow[i])
+					cutN++
+					if stamp[pu] != int32(v)+1 {
+						stamp[pu] = int32(v) + 1
+						remote++
+					}
+				} else if int(u) < v && parent[u] != parent[v] {
+					if ru, rv := find(parent, u), find(parent, int32(v)); ru != rv {
+						parent[rv] = ru
+					}
+				}
+			}
+			if cutN == 0 {
+				continue
+			}
+			st.Spcv[pv] += cutW
+			st.EdgeCut += cutW // counted once per direction; halved below
+			st.EdgeCutUnweighted += cutN
+			st.CutVertices++
+			if vsize != nil {
+				remote *= int64(vsize[v])
+			}
+			st.TotalCommVolume += remote
+		}
+	}
+	st.EdgeCut /= 2
+	st.EdgeCutUnweighted /= 2
+	st.LBSpcv = LoadBalance(st.Spcv)
+
+	st.MaxNelemd, st.MinNelemd = st.Nelemd[0], st.Nelemd[0]
+	for _, c := range st.Nelemd {
+		if c > st.MaxNelemd {
+			st.MaxNelemd = c
+		}
+		if c < st.MinNelemd {
+			st.MinNelemd = c
+		}
+	}
+
+	// Connected components per part, counted in the stamp array. Empty parts
+	// have zero components and are counted separately — MaxComponents starts
+	// at 1, so a part that received no vertices would otherwise be invisible
+	// in the report.
+	clear(stamp)
+	for v, r := range parent {
+		if int(r) == v {
+			stamp[assign[v]]++
+		}
+	}
+	st.MaxComponents = 1
+	for _, c := range stamp {
+		if c == 0 {
+			st.EmptyParts++
+		}
+		if c > 1 {
+			st.DisconnectedParts++
+		}
+		if int(c) > st.MaxComponents {
+			st.MaxComponents = int(c)
+		}
+	}
+	return st, nil
+}

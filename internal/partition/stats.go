@@ -83,9 +83,9 @@ type Adjacency interface {
 	VertexSizes() []int32
 }
 
-// statsBlock is how many rows StatsOver reads per Rows call: the one
-// interface call and the buffers (8 neighbours a row on the cubed sphere)
-// amortise over it while the block stays in L1.
+// statsBlock is how many rows StatsOver reads per Rows call: CSR rows, and
+// the face-boundary ring of a mesh view, whose buffers (8 neighbours a row)
+// are sized to the ring's longest run of rows or this, whichever is smaller.
 const statsBlock = 128
 
 // ComputeStats evaluates all quality metrics of partition p on graph g.
@@ -106,7 +106,12 @@ func ComputeStatsWeighted(g *graph.Graph, p *Partition, weights []int64) (Stats,
 // weighted curve split applies, so a partition and its stats can never
 // disagree about weight legality.
 //
-// Edge accounting: the loop below visits every directed adjacency entry, so
+// Over a *graph.MeshView a face-interior row is read off the view's Stencil
+// (its neighbours' parts are loads from assignment rows j-1, j, j+1); only
+// the O(Ne) face-boundary ring, and every row of any other adjacency, goes
+// through Rows. Both feed one row body (sweep.rows) in ascending order.
+//
+// Edge accounting: the row body visits every directed adjacency entry, so
 // each undirected cut edge {u, v} is seen exactly twice (once from u, once
 // from v); halving EdgeCut/EdgeCutUnweighted afterwards yields the
 // undirected totals, while Spcv deliberately keeps the per-direction count —
@@ -147,56 +152,29 @@ func StatsOver(a Adjacency, p *Partition, weights []int64) (Stats, error) {
 		st.LBWeighted = LoadBalance(st.PartWeights)
 	}
 
-	// One sweep over the rows, a block at a time: cut accounting per vertex,
-	// and a union-find over same-part edges (each undirected edge once, from
-	// its higher end) whose roots are the connected components of the parts.
-	// stamp[q] is 1 + the last vertex that counted q among its remote parts.
-	st.Spcv = make([]int64, nparts)
-	stamp := make([]int32, nparts)
-	parent := make([]int32, n)
-	for v := range parent {
-		parent[v] = int32(v)
+	s := sweep{assign: assign, stamp: make([]int32, nparts), parent: make([]int32, n), vsize: a.VertexSizes(), spcv: make([]int64, nparts)}
+	for v := range s.parent {
+		s.parent[v] = int32(v)
 	}
-	vsize := a.VertexSizes()
-	ptrBuf, adjBuf, wtBuf := make([]int32, 0, statsBlock+1), make([]int32, 0, 8*statsBlock), make([]int32, 0, 8*statsBlock)
-	for lo := 0; lo < n; lo += statsBlock {
-		hi := min(lo+statsBlock, n)
-		ptr, adj, wts := a.Rows(lo, hi, ptrBuf, adjBuf, wtBuf)
-		start := ptr[0]
-		for k, end := range ptr[1:] {
-			v := lo + k
-			pv, row, wrow := assign[v], adj[start:end], wts[start:end]
-			start = end
-			var cutW, cutN, remote int64
-			for i, u := range row {
-				if pu := assign[u]; pu != pv {
-					cutW += int64(wrow[i])
-					cutN++
-					if stamp[pu] != int32(v)+1 {
-						stamp[pu] = int32(v) + 1
-						remote++
-					}
-				} else if int(u) < v && parent[u] != parent[v] {
-					if ru, rv := find(parent, u), find(parent, int32(v)); ru != rv {
-						parent[rv] = ru
-					}
-				}
+	// Mesh row j in [1, ne-2] of a face: ring element, ne-2 stencil rows, ring element.
+	lo := 0
+	if mv, ok := a.(*graph.MeshView); ok {
+		ne, offs, wts := mv.Stencil()
+		b := min(statsBlock, n) // below Ne = 3 every row is on the ring
+		if ne >= 3 {
+			b = min(b, 2*ne+2) // the longest run of ring rows: across a face seam
+		}
+		s.ptrBuf, s.adjBuf, s.wtBuf = make([]int32, 0, b+1), make([]int32, 0, 8*b), make([]int32, 0, 8*b)
+		for r := 0; r < n; r += ne {
+			if j := r / ne % ne; j > 0 && j < ne-1 {
+				s.read(a, lo, r+1)
+				s.rows(r+1, r+ne-1, nil, offs, wts)
+				lo = r + ne - 1
 			}
-			if cutN == 0 {
-				continue
-			}
-			st.Spcv[pv] += cutW
-			st.EdgeCut += cutW // counted once per direction; halved below
-			st.EdgeCutUnweighted += cutN
-			st.CutVertices++
-			if vsize != nil {
-				remote *= int64(vsize[v])
-			}
-			st.TotalCommVolume += remote
 		}
 	}
-	st.EdgeCut /= 2
-	st.EdgeCutUnweighted /= 2
+	s.read(a, lo, n)
+	st.Spcv, st.EdgeCut, st.EdgeCutUnweighted, st.CutVertices, st.TotalCommVolume = s.spcv, s.cutWeight/2, s.cutEdges/2, s.cutRows, s.tcv
 	st.LBSpcv = LoadBalance(st.Spcv)
 
 	st.MaxNelemd, st.MinNelemd = st.Nelemd[0], st.Nelemd[0]
@@ -213,14 +191,14 @@ func StatsOver(a Adjacency, p *Partition, weights []int64) (Stats, error) {
 	// have zero components and are counted separately — MaxComponents starts
 	// at 1, so a part that received no vertices would otherwise be invisible
 	// in the report.
-	clear(stamp)
-	for v, r := range parent {
+	clear(s.stamp)
+	for v, r := range s.parent {
 		if int(r) == v {
-			stamp[assign[v]]++
+			s.stamp[assign[v]]++
 		}
 	}
 	st.MaxComponents = 1
-	for _, c := range stamp {
+	for _, c := range s.stamp {
 		if c == 0 {
 			st.EmptyParts++
 		}
@@ -232,6 +210,74 @@ func StatsOver(a Adjacency, p *Partition, weights []int64) (Stats, error) {
 		}
 	}
 	return st, nil
+}
+
+// sweep is StatsOver's one pass over the rows: cut accounting per vertex, and
+// a union-find over same-part edges (each undirected edge once, from its
+// higher end) whose roots are the connected components of the parts.
+// stamp[q] is 1 + the last vertex that counted q among its remote parts.
+type sweep struct {
+	assign, stamp, parent, vsize      []int32
+	ptrBuf, adjBuf, wtBuf             []int32 // Rows' buffers; nil for a CSR graph, which ignores them
+	spcv                              []int64
+	cutWeight, cutEdges, cutRows, tcv int64 // cut edges counted once per direction
+}
+
+// read accounts rows [lo, hi) as Rows returns them, statsBlock at a time.
+func (s *sweep) read(a Adjacency, lo, hi int) {
+	for ; lo < hi; lo += statsBlock {
+		end := min(lo+statsBlock, hi)
+		ptr, adj, wts := a.Rows(lo, end, s.ptrBuf, s.adjBuf, s.wtBuf)
+		s.rows(lo, end, ptr, adj, wts)
+	}
+}
+
+// rows is the row body: it accounts rows [lo, hi), row v being adj[ptr[v-lo]:
+// ptr[v-lo+1]] with wts parallel or, when ptr is nil (a stencil span), v+adj[k]
+// with weight wts[k]. Both ascend, so the unions come in the same order.
+func (s *sweep) rows(lo, hi int, ptr, adj, wts []int32) {
+	assign, stamp, parent, vsize, spcv := s.assign, s.stamp, s.parent, s.vsize, s.spcv
+	row, wrow, base, start := adj, wts, int32(0), int32(0)
+	if ptr != nil {
+		start, ptr = ptr[0], ptr[1:]
+	}
+	for v := lo; v < hi; v++ {
+		if ptr == nil {
+			base = int32(v)
+		} else {
+			end := ptr[v-lo]
+			row, wrow, start = adj[start:end], wts[start:end], end
+		}
+		pv, tag := assign[v], int32(v)+1
+		wrow = wrow[:len(row)] // one length: wrow[i] needs no bounds check
+		var cutW, cutN, remote int64
+		for i, o := range row {
+			u := base + o
+			if pu := assign[u]; pu != pv {
+				cutW += int64(wrow[i])
+				cutN++
+				if stamp[pu] != tag {
+					stamp[pu] = tag
+					remote++
+				}
+			} else if int(u) < v && parent[u] != parent[v] {
+				if ru, rv := find(parent, u), find(parent, int32(v)); ru != rv {
+					parent[rv] = ru
+				}
+			}
+		}
+		if cutN == 0 {
+			continue
+		}
+		spcv[pv] += cutW
+		s.cutWeight += cutW
+		s.cutEdges += cutN
+		s.cutRows++
+		if vsize != nil {
+			remote *= int64(vsize[v])
+		}
+		s.tcv += remote
+	}
 }
 
 // find returns the root of x's union-find tree, halving the path as it goes.

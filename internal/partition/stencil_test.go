@@ -1,0 +1,231 @@
+package partition_test
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"sfccube/internal/check"
+	"sfccube/internal/core"
+	"sfccube/internal/graph"
+	"sfccube/internal/mesh"
+	"sfccube/internal/partition"
+)
+
+// statsViews returns the mesh view and the CSR graph of the Ne mesh under
+// opt, with opt's vertex weights on both. The graph is accumulated by the
+// Builder from mesh.EdgeNeighbors/CornerNeighbors, so it shares nothing with
+// the view's row layout or Stencil: a wrong stencil offset or weight makes
+// the two disagree.
+func statsViews(t testing.TB, ne int, opt graph.Options) (*graph.MeshView, *graph.Graph) {
+	t.Helper()
+	m, err := mesh.New(ne)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, err := graph.NewMeshView(m, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, ew, cw := m.NumElems(), max(opt.EdgeWeight, 1), max(opt.CornerWeight, 1) // zero means 1
+	b := graph.NewBuilder(k)
+	add := func(e int, nbrs []mesh.ElemID, w int32) {
+		for _, u := range nbrs {
+			if int(u) > e {
+				if err := b.AddEdge(e, int(u), w); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	for e := 0; e < k; e++ {
+		add(e, m.EdgeNeighbors(mesh.ElemID(e)), ew)
+		if opt.IncludeCorners {
+			add(e, m.CornerNeighbors(mesh.ElemID(e)), cw)
+		}
+	}
+	g := b.Build()
+	if opt.VertexWeights != nil {
+		if err := g.SetVertexWeights(opt.VertexWeights); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return view, g
+}
+
+// compareStats holds StatsOver over the view to the blocked-Rows reference
+// over the same view, to StatsOver and the reference over the CSR graph, and
+// the CSR stats to the independent oracle — field for field.
+func compareStats(t testing.TB, view *graph.MeshView, g *graph.Graph, part *partition.Partition, weights []int64) {
+	t.Helper()
+	got, err := partition.StatsOver(view, part, weights)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, a := range map[string]partition.Adjacency{"view": view, "csr": g} {
+		ref, err := partition.StatsOverBlocked(a, part, weights)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, ref) {
+			t.Fatalf("StatsOver(view)       %+v\nblocked reference(%s) %+v", got, name, ref)
+		}
+	}
+	csr, err := partition.StatsOver(g, part, weights)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, csr) {
+		t.Fatalf("StatsOver(view) %+v\nStatsOver(csr)  %+v", got, csr)
+	}
+	if err := check.CrossCheckStats(g, part); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// statsOptions are the graph options the differential tests sweep: the
+// paper's weights, no corners, non-default edge and corner weights, and
+// non-unit vertex weights.
+func statsOptions(k int) map[string]graph.Options {
+	vw := make([]int32, k)
+	for v := range vw {
+		vw[v] = int32(1 + v*v%7)
+	}
+	return map[string]graph.Options{
+		"default":   graph.DefaultOptions(),
+		"nocorners": {EdgeWeight: 3, IncludeCorners: false},
+		"weights":   {EdgeWeight: 5, CornerWeight: 2, IncludeCorners: true},
+		"vertex":    {EdgeWeight: 8, CornerWeight: 1, IncludeCorners: true, VertexWeights: vw},
+	}
+}
+
+// TestStatsStencilMatchesReference: the stencil sweep gives, field for field,
+// what the blocked-Rows sweep it replaced gives, on meshes from Ne=1 and 2
+// (no face-interior element) and 3 (one) up to 32, under every option the
+// view honours, for method cuts and for scattered assignments that cut every
+// row, leave a part empty or split one into pieces.
+func TestStatsStencilMatchesReference(t *testing.T) {
+	for _, ne := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 32} {
+		k := 6 * ne * ne
+		parts := map[string]*partition.Partition{}
+		prob, err := core.NewProblem(ne)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, method := range []string{"sfc", "serpentine", "kway"} {
+			part, err := core.Run(context.Background(), method, prob, max(2, k/8), 1, nil)
+			if err != nil {
+				var neErr *core.NeError
+				if method == "sfc" && errors.As(err, &neErr) {
+					continue // Ne is not 2^n 3^m: no Hilbert–Peano curve
+				}
+				t.Fatalf("ne=%d %s: %v", ne, method, err)
+			}
+			parts[method] = part
+		}
+		scattered := func(nparts int, assign func(rng *rand.Rand, e int) int) *partition.Partition {
+			rng := rand.New(rand.NewSource(int64(ne)<<20 | int64(nparts)))
+			part := partition.New(k, nparts)
+			for e := 0; e < k; e++ {
+				part.SetPart(e, assign(rng, e))
+			}
+			return part
+		}
+		for _, nparts := range []int{1, 2, k} {
+			parts[fmt.Sprintf("scattered/p%d", nparts)] = scattered(nparts, func(rng *rand.Rand, _ int) int { return rng.Intn(nparts) })
+		}
+		parts["scattered/empty"] = scattered(5, func(rng *rand.Rand, _ int) int { return rng.Intn(4) })
+		parts["scattered/split"] = scattered(3, func(rng *rand.Rand, e int) int {
+			if e < 3*ne*ne && e%(ne*ne) == (ne/2)*ne+ne/2 {
+				return 0
+			}
+			return 1 + rng.Intn(2)
+		})
+		for oname, opt := range statsOptions(k) {
+			view, g := statsViews(t, ne, opt)
+			var weights []int64
+			if opt.VertexWeights != nil {
+				weights = make([]int64, k)
+				for v, w := range opt.VertexWeights {
+					weights[v] = int64(w) - 1 // zeros included
+				}
+			}
+			for pname, part := range parts {
+				t.Run(fmt.Sprintf("ne%d/%s/%s", ne, oname, pname), func(t *testing.T) {
+					compareStats(t, view, g, part, weights)
+				})
+			}
+		}
+	}
+}
+
+// TestStatsViewRingBuffersFit: below Ne = 3 every element is on the
+// face-boundary ring, so the whole mesh is one run of ring rows; the sweep's
+// buffers must hold it. StatsOver over the view makes as many allocations at
+// Ne = 1 and 2 as at Ne = 4 and 16, where Rows never grows them.
+func TestStatsViewRingBuffersFit(t *testing.T) {
+	allocs := func(ne int) float64 {
+		view, _ := statsViews(t, ne, graph.DefaultOptions())
+		k := 6 * ne * ne
+		part := partition.New(k, 2)
+		for v := 0; v < k; v++ {
+			part.SetPart(v, v%2)
+		}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := partition.StatsOver(view, part, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	want := allocs(4)
+	for _, ne := range []int{1, 2, 3, 16} {
+		if got := allocs(ne); got != want {
+			t.Errorf("ne=%d: StatsOver(view) made %.0f allocations, %.0f at ne=4", ne, got, want)
+		}
+	}
+}
+
+// FuzzStatsView drives the stencil sweep over (Ne ≤ 24, part count, seed,
+// corners, vertex weights): a seed-scattered, an id-blocked or a mesh-row
+// striped assignment, and seed-drawn edge and corner weights. The view, the
+// CSR graph, the blocked-Rows reference and the independent oracle must agree.
+func FuzzStatsView(f *testing.F) {
+	f.Add(uint8(2), uint16(5), int64(0), true, false)
+	f.Add(uint8(7), uint16(96), int64(1), true, true)
+	f.Add(uint8(11), uint16(3), int64(2), false, false)
+	f.Add(uint8(23), uint16(768), int64(-5), true, true)
+	f.Fuzz(func(t *testing.T, neRaw uint8, npRaw uint16, seed int64, corners, weighted bool) {
+		ne := 1 + int(neRaw)%24
+		k := 6 * ne * ne
+		nparts := 1 + int(npRaw)%k
+		x := uint64(seed)*6364136223846793005 + 1442695040888963407
+		next := func() uint64 {
+			x = x*6364136223846793005 + 1442695040888963407
+			return x >> 33
+		}
+		opt := graph.Options{EdgeWeight: int32(1 + next()%9), CornerWeight: int32(1 + next()%9), IncludeCorners: corners}
+		if weighted {
+			opt.VertexWeights = make([]int32, k)
+			for v := range opt.VertexWeights {
+				opt.VertexWeights[v] = int32(1 + next()%16)
+			}
+		}
+		view, g := statsViews(t, ne, opt)
+		part := partition.New(k, nparts)
+		mode := uint64(seed) % 3
+		for v := 0; v < k; v++ {
+			switch mode {
+			case 0:
+				part.SetPart(v, int(next()%uint64(nparts)))
+			case 1:
+				part.SetPart(v, v*nparts/k)
+			default:
+				part.SetPart(v, v/ne%nparts)
+			}
+		}
+		compareStats(t, view, g, part, nil)
+	})
+}
