@@ -177,8 +177,11 @@ func TestCrossCheckWeightedPartition(t *testing.T) {
 	for i := range w {
 		w[i] = int32(1 + i%7)
 	}
-	g, err := graph.FromMesh(m, graph.Options{EdgeWeight: 8, CornerWeight: 1, IncludeCorners: true, VertexWeights: w})
+	g, err := graph.FromMesh(m, graph.Options{EdgeWeight: 8, CornerWeight: 1, IncludeCorners: true})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.SetVertexWeights(w); err != nil {
 		t.Fatal(err)
 	}
 	for _, nparts := range []int{2, 5, 13, 96} {
@@ -238,10 +241,7 @@ func TestValidateDSSMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := seam.NewDSS(g)
-		if err != nil {
-			t.Fatal(err)
-		}
+		d := seam.NewDSS(g)
 		if err := ValidateDSS(g, d, 42); err != nil {
 			t.Errorf("ne=%d deg=%d: %v", ne, deg, err)
 		}

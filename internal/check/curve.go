@@ -78,11 +78,11 @@ func ValidateCurve(c *sfc.Curve) error {
 // them corner neighbours. This is independent of the mesh's precomputed
 // adjacency lists, so it double-checks both the curve and the topology.
 func sharedCorners(m *mesh.Mesh, a, b mesh.ElemID) int {
-	ca, cb := m.CornerNodes(a), m.CornerNodes(b)
 	n := 0
-	for _, x := range ca {
-		for _, y := range cb {
-			if x == y {
+	for c := range 4 {
+		x := m.PointKey(a, 1, c%2, c/2)
+		for d := range 4 {
+			if x == m.PointKey(b, 1, d%2, d/2) {
 				n++
 			}
 		}

@@ -127,10 +127,7 @@ func FuzzDSSPlan(f *testing.F) {
 		if err != nil {
 			t.Fatalf("ne=%d deg=%d: %v", ne, deg, err)
 		}
-		d, err := seam.NewDSS(g)
-		if err != nil {
-			t.Fatalf("ne=%d deg=%d: %v", ne, deg, err)
-		}
+		d := seam.NewDSS(g)
 		if err := ValidateDSS(g, d, seed); err != nil {
 			t.Errorf("ne=%d deg=%d seed=%d: %v", ne, deg, seed, err)
 		}

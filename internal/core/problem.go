@@ -162,11 +162,8 @@ func (p *Problem) Stats(part *partition.Partition) (partition.Stats, error) {
 		}
 		return partition.StatsOver(g, part, p.weights)
 	}
-	view, err := graph.NewMeshView(p.mesh, graph.DefaultOptions())
-	if err == nil {
-		err = p.installWeights(view)
-	}
-	if err != nil {
+	view := graph.NewMeshView(p.mesh, graph.DefaultOptions())
+	if err := p.installWeights(view); err != nil {
 		return partition.Stats{}, err
 	}
 	return partition.StatsOver(view, part, p.weights)

@@ -141,10 +141,11 @@ func TestStatsUsesCallerGraph(t *testing.T) {
 	for v := range vw {
 		vw[v] = int32(1 + v%5)
 	}
-	opt := graph.DefaultOptions()
-	opt.VertexWeights = vw
-	g, err := graph.FromMesh(m, opt)
+	g, err := graph.FromMesh(m, graph.DefaultOptions())
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.SetVertexWeights(vw); err != nil {
 		t.Fatal(err)
 	}
 	prob, err := core.ProblemFrom(8, m, g)

@@ -250,9 +250,6 @@ type Options struct {
 	// edges, as the paper does ("neighboring elements that share a
 	// boundary or corner point").
 	IncludeCorners bool
-	// VertexWeights optionally assigns a non-uniform computation weight
-	// per element (indexed by ElemID). Nil means uniform weight 1.
-	VertexWeights []int32
 }
 
 // DefaultOptions matches the paper's setup: boundary and corner edges with
@@ -267,18 +264,9 @@ func DefaultOptions() Options {
 // (FromAdjacency): no intermediate edge list is materialised, so the peak
 // footprint is the final graph plus O(1) per-worker row buffers. The mesh
 // stores no adjacency of its own, so the dual graph is never held twice in
-// any form.
+// any form. Every vertex weighs 1; Graph.SetVertexWeights attaches
+// computation weights.
 func FromMesh(m *mesh.Mesh, opt Options) (*Graph, error) {
-	view, err := NewMeshView(m, opt)
-	if err != nil {
-		return nil, err
-	}
-	g, err := FromAdjacency(view.NumVertices(), view.Rows)
-	if err != nil {
-		return nil, err
-	}
-	if opt.VertexWeights != nil {
-		copy(g.vwgt, opt.VertexWeights)
-	}
-	return g, nil
+	view := NewMeshView(m, opt)
+	return FromAdjacency(view.NumVertices(), view.Rows)
 }

@@ -191,8 +191,11 @@ func TestFromMeshCustomWeights(t *testing.T) {
 	for i := range vw {
 		vw[i] = int32(i + 1)
 	}
-	g, err := FromMesh(m, Options{IncludeCorners: true, VertexWeights: vw})
+	g, err := FromMesh(m, Options{IncludeCorners: true})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.SetVertexWeights(vw); err != nil {
 		t.Fatal(err)
 	}
 	if g.VertexWeight(5) != 6 || g.VertexSize(3) != 1 {
@@ -200,14 +203,22 @@ func TestFromMeshCustomWeights(t *testing.T) {
 	}
 }
 
+// A weight vector of the wrong length is refused by both doors; a zero
+// weight, an inactive element, is accepted by both.
 func TestFromMeshRejectsBadWeights(t *testing.T) {
 	m := mustMesh(t, 2)
-	if _, err := FromMesh(m, Options{VertexWeights: []int32{1, 2}}); err == nil {
-		t.Error("short weight slice accepted")
+	g, err := FromMesh(m, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
 	}
-	bad := make([]int32, m.NumElems())
-	if _, err := FromMesh(m, Options{VertexWeights: bad}); err == nil {
-		t.Error("zero weights accepted")
+	view := NewMeshView(m, DefaultOptions())
+	for name, set := range map[string]func([]int32) error{"graph": g.SetVertexWeights, "view": view.SetVertexWeights} {
+		if err := set([]int32{1, 2}); err == nil {
+			t.Errorf("%s: short weight slice accepted", name)
+		}
+		if err := set(make([]int32, m.NumElems())); err != nil {
+			t.Errorf("%s: zero weights refused: %v", name, err)
+		}
 	}
 }
 

@@ -15,22 +15,19 @@ import (
 type MeshView struct {
 	m         *mesh.Mesh
 	opt       Options
+	vwgt      []int32  // nil: every element weighs 1
 	offs, wts [8]int32 // the Stencil's first deg entries
 	deg       int
 }
 
-// NewMeshView validates opt against m (zero edge and corner weights mean 1;
-// vertex weights, when given, must be positive and one per element) and
-// returns the on-demand view.
-func NewMeshView(m *mesh.Mesh, opt Options) (*MeshView, error) {
+// NewMeshView returns the on-demand view of m weighted by opt (zero edge and
+// corner weights mean 1), with unit vertex weights until SetVertexWeights.
+func NewMeshView(m *mesh.Mesh, opt Options) *MeshView {
 	if opt.EdgeWeight == 0 {
 		opt.EdgeWeight = 1
 	}
 	if opt.CornerWeight == 0 {
 		opt.CornerWeight = 1
-	}
-	if err := checkPositive(opt.VertexWeights, m.NumElems()); err != nil {
-		return nil, err
 	}
 	// The stencil runs over mesh rows j-1, j, j+1 in that order: ascending.
 	ne, ew, cw := int32(m.Ne()), opt.EdgeWeight, opt.CornerWeight
@@ -38,7 +35,7 @@ func NewMeshView(m *mesh.Mesh, opt Options) (*MeshView, error) {
 	if opt.IncludeCorners {
 		mv.offs, mv.wts, mv.deg = [8]int32{-ne - 1, -ne, -ne + 1, -1, 1, ne - 1, ne, ne + 1}, [8]int32{cw, ew, cw, ew, ew, cw, ew, cw}, 8
 	}
-	return mv, nil
+	return mv
 }
 
 // Stencil reports the face size and the face-interior stencil: element v at
@@ -46,19 +43,6 @@ func NewMeshView(m *mesh.Mesh, opt Options) (*MeshView, error) {
 // ascending — its row in Rows. The slices are the view's own and read-only.
 func (mv *MeshView) Stencil() (ne int, offs, wts []int32) {
 	return mv.m.Ne(), mv.offs[:mv.deg], mv.wts[:mv.deg]
-}
-
-// checkPositive validates an optional vector of k positive vertex weights.
-func checkPositive(w []int32, k int) error {
-	if w != nil && len(w) != k {
-		return fmt.Errorf("graph: %d vertex weights for %d elements", len(w), k)
-	}
-	for v, x := range w {
-		if x <= 0 {
-			return fmt.Errorf("graph: non-positive vertex weight %d on element %d", x, v)
-		}
-	}
-	return nil
 }
 
 // NumVertices returns the number of elements of the mesh.
@@ -130,7 +114,7 @@ func AppendMerged[T ~int | ~int32](adj, wts []int32, e, c []T, ew, cw int32) ([]
 
 // VertexWeights returns the per-element computation weights, nil when every
 // element weighs 1. The slice is the view's own and read-only.
-func (mv *MeshView) VertexWeights() []int32 { return mv.opt.VertexWeights }
+func (mv *MeshView) VertexWeights() []int32 { return mv.vwgt }
 
 // VertexSizes returns nil: every element of a mesh view has communication
 // volume 1.
@@ -142,6 +126,6 @@ func (mv *MeshView) SetVertexWeights(w []int32) error {
 	if len(w) != mv.NumVertices() {
 		return fmt.Errorf("graph: %d vertex weights for %d vertices", len(w), mv.NumVertices())
 	}
-	mv.opt.VertexWeights = w
+	mv.vwgt = w
 	return nil
 }

@@ -305,10 +305,7 @@ func TestMeshViewRowsMatchOracle(t *testing.T) {
 			opt := DefaultOptions()
 			opt.IncludeCorners = corners
 			want := builderOracle(t, m, opt)
-			view, err := NewMeshView(m, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
+			view := NewMeshView(m, opt)
 			k, n2 := view.NumVertices(), ne*ne
 			windows := [][2]int{
 				{0, k},

@@ -157,25 +157,23 @@ func (m *Mesh) Neighbors(e ElemID) []ElemID {
 	return all
 }
 
-// NodeKey identifies a corner node of an element exactly: the node's
-// position on the surface of the cube [-ne, ne]^3, scaled so all coordinates
-// are integers. Corner nodes shared between elements -- including across cube
-// edges and at cube corners -- compare equal, which lets clients (e.g. the
-// spectral element assembly in package seam) identify shared degrees of
-// freedom without any floating-point tolerance.
+// NodeKey identifies a lattice point of the cube surface exactly: its
+// position on the cube [-n, n]^3, scaled so all coordinates are integers.
+// Points shared between elements -- including across cube edges and at cube
+// corners -- compare equal, which lets clients (e.g. the spectral element
+// assembly in package seam) identify shared degrees of freedom without any
+// floating-point tolerance.
 type NodeKey struct{ X, Y, Z int }
 
-// CornerNodes returns the exact keys of the four corner nodes of element e
-// in counter-clockwise order: (i,j), (i+1,j), (i+1,j+1), (i,j+1) -- i.e.
-// bottom-left, bottom-right, top-right, top-left in local face coordinates.
-func (m *Mesh) CornerNodes(e ElemID) [4]NodeKey {
+// PointKey returns the key of lattice point (a, b), a and b in [0, q], of
+// element e when every element edge is cut into q intervals: the CubeKey of
+// that point on the cube of Ne*q intervals per face edge. Every element
+// touching the point gets the same key for it. With q = 1 the points (0,0),
+// (1,0), (1,1), (0,1) are the element's four corner nodes.
+func (m *Mesh) PointKey(e ElemID, q, a, b int) NodeKey {
 	el := m.Elem(e)
-	return [4]NodeKey{
-		m.cornerNode(el.Face, el.I, el.J),
-		m.cornerNode(el.Face, el.I+1, el.J),
-		m.cornerNode(el.Face, el.I+1, el.J+1),
-		m.cornerNode(el.Face, el.I, el.J+1),
-	}
+	n := m.ne * q
+	return CubeKey(el.Face, n, 2*(el.I*q+a)-n, 2*(el.J*q+b)-n)
 }
 
 // faceFrame is the integer coordinate frame of a cube face: center axis c,
@@ -211,13 +209,6 @@ func CubeKey(f Face, n, a, b int) NodeKey {
 	}
 }
 
-// cornerNode returns the key of the corner node at grid corner (i, j) of
-// face f, where i, j range over [0, ne] (element (i,j) has corners (i,j),
-// (i+1,j), (i,j+1), (i+1,j+1)).
-func (m *Mesh) cornerNode(f Face, i, j int) NodeKey {
-	return CubeKey(f, m.ne, 2*i-m.ne, 2*j-m.ne)
-}
-
 // The four sides of a face, numbered 2*axis + end: the sides where i is fixed
 // (at 0, at ne-1) come first, then those where j is. A position along a side
 // is the coordinate that is free on it.
@@ -240,7 +231,7 @@ type seam struct {
 // glue is the gluing of the six faces (the paper's Figure 6): glue[f][s] is
 // the seam across side s of face f. It is derived from faceFrames by matching
 // the end-node keys of every side on the unit cube, so it cannot disagree
-// with the keys CornerNodes hands out.
+// with the keys PointKey hands out.
 var glue = func() (g [NumFaces][4]seam) {
 	// End nodes of side s in order of increasing position.
 	ends := func(f Face, s int) (lo, hi NodeKey) {

@@ -374,14 +374,14 @@ func TestIDRoundTripProperty(t *testing.T) {
 func TestSharedNodeCountsProperty(t *testing.T) {
 	m := mustMesh(t, 6)
 	sharedNodes := func(a, b ElemID) int {
-		ea, eb := m.Elem(a), m.Elem(b)
+		corners := [4][2]int{{0, 0}, {1, 0}, {0, 1}, {1, 1}}
 		na := map[nodeKey]bool{}
-		for _, c := range [4][2]int{{ea.I, ea.J}, {ea.I + 1, ea.J}, {ea.I, ea.J + 1}, {ea.I + 1, ea.J + 1}} {
-			na[m.cornerNode(ea.Face, c[0], c[1])] = true
+		for _, c := range corners {
+			na[m.PointKey(a, 1, c[0], c[1])] = true
 		}
 		n := 0
-		for _, c := range [4][2]int{{eb.I, eb.J}, {eb.I + 1, eb.J}, {eb.I, eb.J + 1}, {eb.I + 1, eb.J + 1}} {
-			if na[m.cornerNode(eb.Face, c[0], c[1])] {
+		for _, c := range corners {
+			if na[m.PointKey(b, 1, c[0], c[1])] {
 				n++
 			}
 		}
@@ -397,6 +397,62 @@ func TestSharedNodeCountsProperty(t *testing.T) {
 		for _, n := range m.CornerNeighbors(id) {
 			if got := sharedNodes(id, n); got != 1 {
 				t.Fatalf("corner pair (%d,%d) shares %d nodes", id, n, got)
+			}
+		}
+	}
+}
+
+// TestPointKeyLattice: on the lattice of q intervals per element edge, an
+// element's corners are its q = 1 keys scaled by q, edge neighbours share the
+// q+1 points of their common edge and corner neighbours one point, and the
+// whole cube has 6*(Ne*q)^2 + 2 distinct points (V = E - F + 2).
+func TestPointKeyLattice(t *testing.T) {
+	for _, ne := range []int{1, 2, 3, 5} {
+		m := mustMesh(t, ne)
+		for _, q := range []int{1, 2, 3, 7} {
+			keys := func(e ElemID) map[NodeKey]bool {
+				s := map[NodeKey]bool{}
+				for b := 0; b <= q; b++ {
+					for a := 0; a <= q; a++ {
+						s[m.PointKey(e, q, a, b)] = true
+					}
+				}
+				return s
+			}
+			all := map[NodeKey]bool{}
+			for e := ElemID(0); int(e) < m.NumElems(); e++ {
+				mine := keys(e)
+				for k := range mine {
+					all[k] = true
+				}
+				for _, c := range [4][2]int{{0, 0}, {1, 0}, {0, 1}, {1, 1}} {
+					k1, kq := m.PointKey(e, 1, c[0], c[1]), m.PointKey(e, q, q*c[0], q*c[1])
+					if kq != (NodeKey{q * k1.X, q * k1.Y, q * k1.Z}) {
+						t.Fatalf("ne=%d q=%d elem %d corner %v: key %v, want %d * %v", ne, q, e, c, kq, q, k1)
+					}
+				}
+				shared := func(nb ElemID) (n int) {
+					for k := range keys(nb) {
+						if mine[k] {
+							n++
+						}
+					}
+					return n
+				}
+				edge, corner := m.NeighborsInto(e, nil, nil)
+				for _, nb := range edge {
+					if n := shared(nb); n != q+1 {
+						t.Fatalf("ne=%d q=%d: edge pair (%d,%d) shares %d points, want %d", ne, q, e, nb, n, q+1)
+					}
+				}
+				for _, nb := range corner {
+					if n := shared(nb); n != 1 {
+						t.Fatalf("ne=%d q=%d: corner pair (%d,%d) shares %d points, want 1", ne, q, e, nb, n)
+					}
+				}
+			}
+			if want := 6*(ne*q)*(ne*q) + 2; len(all) != want {
+				t.Errorf("ne=%d q=%d: %d distinct points, want %d", ne, q, len(all), want)
 			}
 		}
 	}

@@ -18,8 +18,8 @@ func oracleTopology(m *Mesh) (edge, corner [][]ElemID) {
 		for j := 0; j < m.ne; j++ {
 			for i := 0; i < m.ne; i++ {
 				id := m.ID(f, i, j)
-				for _, c := range [4][2]int{{i, j}, {i + 1, j}, {i, j + 1}, {i + 1, j + 1}} {
-					key := m.cornerNode(f, c[0], c[1])
+				for _, c := range [4][2]int{{0, 0}, {1, 0}, {0, 1}, {1, 1}} {
+					key := m.PointKey(id, 1, c[0], c[1])
 					nodeElems[key] = append(nodeElems[key], id)
 				}
 			}

@@ -16,20 +16,17 @@ import (
 )
 
 // statsViews returns the mesh view and the CSR graph of the Ne mesh under
-// opt, with opt's vertex weights on both. The graph is accumulated by the
+// opt, with vertex weights vw (nil: unit) set on both. The graph is accumulated by the
 // Builder from mesh.EdgeNeighbors/CornerNeighbors, so it shares nothing with
 // the view's row layout or Stencil: a wrong stencil offset or weight makes
 // the two disagree.
-func statsViews(t testing.TB, ne int, opt graph.Options) (*graph.MeshView, *graph.Graph) {
+func statsViews(t testing.TB, ne int, opt graph.Options, vw []int32) (*graph.MeshView, *graph.Graph) {
 	t.Helper()
 	m, err := mesh.New(ne)
 	if err != nil {
 		t.Fatal(err)
 	}
-	view, err := graph.NewMeshView(m, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	view := graph.NewMeshView(m, opt)
 	k, ew, cw := m.NumElems(), max(opt.EdgeWeight, 1), max(opt.CornerWeight, 1) // zero means 1
 	b := graph.NewBuilder(k)
 	add := func(e int, nbrs []mesh.ElemID, w int32) {
@@ -48,8 +45,11 @@ func statsViews(t testing.TB, ne int, opt graph.Options) (*graph.MeshView, *grap
 		}
 	}
 	g := b.Build()
-	if opt.VertexWeights != nil {
-		if err := g.SetVertexWeights(opt.VertexWeights); err != nil {
+	if vw != nil {
+		if err := view.SetVertexWeights(vw); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.SetVertexWeights(vw); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -89,17 +89,24 @@ func compareStats(t testing.TB, view *graph.MeshView, g *graph.Graph, part *part
 // statsOptions are the graph options the differential tests sweep: the
 // paper's weights, no corners, non-default edge and corner weights, and
 // non-unit vertex weights.
-func statsOptions(k int) map[string]graph.Options {
+func statsOptions(k int) map[string]statsCase {
 	vw := make([]int32, k)
 	for v := range vw {
 		vw[v] = int32(1 + v*v%7)
 	}
-	return map[string]graph.Options{
-		"default":   graph.DefaultOptions(),
-		"nocorners": {EdgeWeight: 3, IncludeCorners: false},
-		"weights":   {EdgeWeight: 5, CornerWeight: 2, IncludeCorners: true},
-		"vertex":    {EdgeWeight: 8, CornerWeight: 1, IncludeCorners: true, VertexWeights: vw},
+	return map[string]statsCase{
+		"default":   {opt: graph.DefaultOptions()},
+		"nocorners": {opt: graph.Options{EdgeWeight: 3, IncludeCorners: false}},
+		"weights":   {opt: graph.Options{EdgeWeight: 5, CornerWeight: 2, IncludeCorners: true}},
+		"vertex":    {opt: graph.DefaultOptions(), vw: vw},
 	}
+}
+
+// statsCase is one configuration of statsOptions: graph options and vertex
+// weights (nil: unit).
+type statsCase struct {
+	opt graph.Options
+	vw  []int32
 }
 
 // TestStatsStencilMatchesReference: the stencil sweep gives, field for field,
@@ -144,12 +151,12 @@ func TestStatsStencilMatchesReference(t *testing.T) {
 			}
 			return 1 + rng.Intn(2)
 		})
-		for oname, opt := range statsOptions(k) {
-			view, g := statsViews(t, ne, opt)
+		for oname, c := range statsOptions(k) {
+			view, g := statsViews(t, ne, c.opt, c.vw)
 			var weights []int64
-			if opt.VertexWeights != nil {
+			if c.vw != nil {
 				weights = make([]int64, k)
-				for v, w := range opt.VertexWeights {
+				for v, w := range c.vw {
 					weights[v] = int64(w) - 1 // zeros included
 				}
 			}
@@ -168,7 +175,7 @@ func TestStatsStencilMatchesReference(t *testing.T) {
 // Ne = 1 and 2 as at Ne = 4 and 16, where Rows never grows them.
 func TestStatsViewRingBuffersFit(t *testing.T) {
 	allocs := func(ne int) float64 {
-		view, _ := statsViews(t, ne, graph.DefaultOptions())
+		view, _ := statsViews(t, ne, graph.DefaultOptions(), nil)
 		k := 6 * ne * ne
 		part := partition.New(k, 2)
 		for v := 0; v < k; v++ {
@@ -207,13 +214,14 @@ func FuzzStatsView(f *testing.F) {
 			return x >> 33
 		}
 		opt := graph.Options{EdgeWeight: int32(1 + next()%9), CornerWeight: int32(1 + next()%9), IncludeCorners: corners}
+		var vw []int32
 		if weighted {
-			opt.VertexWeights = make([]int32, k)
-			for v := range opt.VertexWeights {
-				opt.VertexWeights[v] = int32(1 + next()%16)
+			vw = make([]int32, k)
+			for v := range vw {
+				vw[v] = int32(1 + next()%16)
 			}
 		}
-		view, g := statsViews(t, ne, opt)
+		view, g := statsViews(t, ne, opt, vw)
 		part := partition.New(k, nparts)
 		mode := uint64(seed) % 3
 		for v := 0; v < k; v++ {

@@ -33,13 +33,9 @@ type Advection struct {
 
 // NewAdvection builds an advection problem on grid g with solid-body
 // rotation about axis w (angular speed |w| rad/s, axis direction w/|w|).
-func NewAdvection(g *Grid, w mesh.Vec3) (*Advection, error) {
-	dss, err := NewDSS(g)
-	if err != nil {
-		return nil, err
-	}
+func NewAdvection(g *Grid, w mesh.Vec3) *Advection {
 	a := &Advection{
-		G: g, Dss: dss,
+		G: g, Dss: NewDSS(g),
 		Ua: g.Field(), Ub: g.Field(), Q: g.Field(),
 		k1: g.Field(), k2: g.Field(), k3: g.Field(), k4: g.Field(),
 		tmp: g.Field(), da: make([]float64, g.PointsPerElem()), db: make([]float64, g.PointsPerElem()),
@@ -53,7 +49,7 @@ func NewAdvection(g *Grid, w mesh.Vec3) (*Advection, error) {
 		a.Ua[i] = g.GI11[i]*va + g.GI12[i]*vb
 		a.Ub[i] = g.GI12[i]*va + g.GI22[i]*vb
 	}
-	return a, nil
+	return a
 }
 
 // SetTracer initialises the tracer from a pointwise function of position.

@@ -9,7 +9,7 @@ import (
 // DSS performs direct stiffness summation: the global assembly that imposes
 // C0 continuity along element boundaries. GLL points shared between elements
 // (whole edges for boundary neighbours, single points for corner neighbours)
-// are identified topologically through the mesh's exact corner-node keys, so
+// are identified by their exact integer lattice keys (mesh.PointKey), so
 // assembly works across cube edges and at cube corners without any geometric
 // tolerance.
 //
@@ -52,187 +52,84 @@ type vecGeom struct {
 	ea, eb           mesh.Vec3
 }
 
-// NewDSS builds the assembly structure for grid g.
-func NewDSS(g *Grid) (*DSS, error) {
-	k := g.NumElems()
-	np := g.Np
+// NewDSS builds the assembly structure for grid g. A GLL point inside an
+// element is a node of its own; a point on an element's boundary is named by
+// its mesh.PointKey on the lattice of Np-1 intervals per element edge, so
+// every element touching it -- along an edge, at a corner, across a cube
+// edge -- finds the same node. Nodes are numbered in order of their first
+// point, and the exchange plan lists the shared ones in that order, each
+// with its members ascending.
+func NewDSS(g *Grid) *DSS {
+	k, np := g.NumElems(), g.Np
 	npts := np * np
-	total := k * npts
-
-	// Union-find over all element points.
-	parent := make([]int32, total)
-	for i := range parent {
-		parent[i] = int32(i)
-	}
-	var find func(x int32) int32
-	find = func(x int32) int32 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int32) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
-
-	pt := func(e int, a, b int) int32 { return int32(e*npts + b*np + a) }
-
-	// cornerIdx maps a local corner number (0=BL, 1=BR, 2=TR, 3=TL; the
-	// order of mesh.CornerNodes) to the GLL point at that corner.
-	cornerIdx := func(e int, c int) int32 {
-		switch c {
-		case 0:
-			return pt(e, 0, 0)
-		case 1:
-			return pt(e, np-1, 0)
-		case 2:
-			return pt(e, np-1, np-1)
-		default:
-			return pt(e, 0, np-1)
-		}
-	}
-	// edgePoints returns the np GLL point ids along the local edge from
-	// corner c0 to corner c1 (consecutive corners in CCW order, either
-	// direction), in that direction.
-	edgePoints := func(e, c0, c1 int) ([]int32, error) {
-		out := make([]int32, np)
-		fill := func(f func(t int) int32) {
-			for t := 0; t < np; t++ {
-				out[t] = f(t)
-			}
-		}
-		switch {
-		case c0 == 0 && c1 == 1: // bottom, left to right
-			fill(func(t int) int32 { return pt(e, t, 0) })
-		case c0 == 1 && c1 == 0:
-			fill(func(t int) int32 { return pt(e, np-1-t, 0) })
-		case c0 == 1 && c1 == 2: // right, bottom to top
-			fill(func(t int) int32 { return pt(e, np-1, t) })
-		case c0 == 2 && c1 == 1:
-			fill(func(t int) int32 { return pt(e, np-1, np-1-t) })
-		case c0 == 2 && c1 == 3: // top, right to left
-			fill(func(t int) int32 { return pt(e, np-1-t, np-1) })
-		case c0 == 3 && c1 == 2:
-			fill(func(t int) int32 { return pt(e, t, np-1) })
-		case c0 == 3 && c1 == 0: // left, top to bottom
-			fill(func(t int) int32 { return pt(e, 0, np-1-t) })
-		case c0 == 0 && c1 == 3:
-			fill(func(t int) int32 { return pt(e, 0, t) })
-		default:
-			return nil, fmt.Errorf("seam: corners %d,%d are not an element edge", c0, c1)
-		}
-		return out, nil
-	}
-
-	// For each edge-adjacent pair, unify the GLL points of the shared edge
-	// in matching order; for each corner-adjacent pair, unify the shared
-	// corner point.
-	m := g.M
-	var edgeBuf, cornerBuf [4]mesh.ElemID // reused: the mesh resolves rows per call
+	d := &DSS{g: g, nodeOf: make([]int32, k*npts)}
+	ids := make(map[mesh.NodeKey]int32, k*(2*np-3)+2) // one entry per boundary node
+	next := int32(0)
 	for e := 0; e < k; e++ {
-		id := mesh.ElemID(e)
-		cn := m.CornerNodes(id)
-		edgeNbrs, cornerNbrs := m.NeighborsInto(id, edgeBuf[:0], cornerBuf[:0])
-		for _, nb := range edgeNbrs {
-			if nb <= id {
-				continue // each pair once
-			}
-			cnb := m.CornerNodes(nb)
-			// Shared corner nodes.
-			var mineC, theirsC []int
-			for i, a := range cn {
-				for j, b := range cnb {
-					if a == b {
-						mineC = append(mineC, i)
-						theirsC = append(theirsC, j)
+		for b := 0; b < np; b++ {
+			for a := 0; a < np; a++ {
+				id := next
+				if a == 0 || a == np-1 || b == 0 || b == np-1 {
+					key := g.M.PointKey(mesh.ElemID(e), np-1, a, b)
+					if old, ok := ids[key]; ok {
+						id = old
+					} else {
+						ids[key] = id
 					}
 				}
-			}
-			if len(mineC) != 2 {
-				return nil, fmt.Errorf("seam: edge neighbours %d,%d share %d corners", id, nb, len(mineC))
-			}
-			myEdge, err := edgePoints(e, mineC[0], mineC[1])
-			if err != nil {
-				return nil, err
-			}
-			theirEdge, err := edgePoints(int(nb), theirsC[0], theirsC[1])
-			if err != nil {
-				return nil, err
-			}
-			for t := 0; t < np; t++ {
-				union(myEdge[t], theirEdge[t])
-			}
-		}
-		for _, nb := range cornerNbrs {
-			if nb <= id {
-				continue
-			}
-			cnb := m.CornerNodes(nb)
-			for i, a := range cn {
-				for j, b := range cnb {
-					if a == b {
-						union(cornerIdx(e, i), cornerIdx(int(nb), j))
-					}
+				if id == next {
+					next++
 				}
+				d.nodeOf[e*npts+b*np+a] = id
 			}
 		}
 	}
+	d.numNodes = int(next)
 
-	// Number the roots densely, then append every global node with two or
-	// more members to the exchange plan.
-	d := &DSS{g: g, nodeOf: make([]int32, total)}
-	rootID := make(map[int32]int32, total)
-	for i := int32(0); i < int32(total); i++ {
-		r := find(i)
-		gid, ok := rootID[r]
-		if !ok {
-			gid = int32(len(rootID))
-			rootID[r] = gid
-		}
-		d.nodeOf[i] = gid
-	}
-	d.numNodes = len(rootID)
-	members := make([][]int32, d.numNodes)
-	for i := int32(0); i < int32(total); i++ {
-		gid := d.nodeOf[i]
-		members[gid] = append(members[gid], i)
+	// Counting pass: count members per node, turn the counts of shared nodes
+	// into plan offsets (-1 marks a node of one member), then scatter every
+	// point to its slot in ascending point order.
+	slot := make([]int32, d.numNodes)
+	for _, n := range d.nodeOf {
+		slot[n]++
 	}
 	nShared, nMembers := 0, 0
-	for _, pts := range members {
-		if len(pts) >= 2 {
+	for _, c := range slot {
+		if c >= 2 {
 			nShared++
-			nMembers += len(pts)
+			nMembers += int(c)
 		}
 	}
 	d.ptr = make([]int32, 1, nShared+1)
-	d.pts = make([]int32, 0, nMembers)
-	d.mass = make([]float64, 0, nMembers)
-	d.vgeo = make([]vecGeom, 0, nMembers)
-	d.den = make([]float64, 0, nShared)
-	d.rden = make([]float64, 0, nShared)
-	for _, pts := range members {
-		if len(pts) < 2 {
+	for n, c := range slot {
+		if c < 2 {
+			slot[n] = -1
 			continue
 		}
-		var den float64
-		for _, p := range pts {
-			d.pts = append(d.pts, p)
-			d.mass = append(d.mass, g.Mass[p])
-			den += g.Mass[p]
-			d.vgeo = append(d.vgeo, vecGeom{
-				gi11: g.GI11[p], gi12: g.GI12[p], gi22: g.GI22[p],
-				ea: g.Ea[p], eb: g.Eb[p],
-			})
-		}
-		d.ptr = append(d.ptr, int32(len(d.pts)))
-		d.den = append(d.den, den)
-		d.rden = append(d.rden, 1/den)
+		slot[n] = d.ptr[len(d.ptr)-1]
+		d.ptr = append(d.ptr, slot[n]+c)
 	}
-	return d, nil
+	d.pts = make([]int32, nMembers)
+	d.mass = make([]float64, nMembers)
+	d.vgeo = make([]vecGeom, nMembers)
+	for p, n := range d.nodeOf {
+		m := slot[n]
+		if m < 0 {
+			continue
+		}
+		slot[n]++
+		d.pts[m], d.mass[m] = int32(p), g.Mass[p]
+		d.vgeo[m] = vecGeom{gi11: g.GI11[p], gi12: g.GI12[p], gi22: g.GI22[p], ea: g.Ea[p], eb: g.Eb[p]}
+	}
+	d.den = make([]float64, nShared)
+	d.rden = make([]float64, nShared)
+	for s := range d.den {
+		for _, w := range d.mass[d.ptr[s]:d.ptr[s+1]] {
+			d.den[s] += w
+		}
+		d.rden[s] = 1 / d.den[s]
+	}
+	return d
 }
 
 // NumGlobalNodes returns the number of distinct global GLL points.

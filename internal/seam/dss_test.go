@@ -1,8 +1,10 @@
 package seam
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"sfccube/internal/mesh"
@@ -15,10 +17,7 @@ func TestDSSNodeCount(t *testing.T) {
 	for _, cfg := range [][2]int{{1, 2}, {2, 3}, {2, 4}, {3, 4}, {4, 7}} {
 		ne, n := cfg[0], cfg[1]
 		g := testGrid(t, ne, n)
-		d, err := NewDSS(g)
-		if err != nil {
-			t.Fatal(err)
-		}
+		d := NewDSS(g)
 		want := 6*(ne*n)*(ne*n) + 2
 		if d.NumGlobalNodes() != want {
 			t.Errorf("ne=%d n=%d: %d global nodes, want %d", ne, n, d.NumGlobalNodes(), want)
@@ -29,10 +28,7 @@ func TestDSSNodeCount(t *testing.T) {
 // Shared points identified topologically must coincide geometrically.
 func TestDSSSharedPointsCoincide(t *testing.T) {
 	g := testGrid(t, 3, 5)
-	d, err := NewDSS(g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := NewDSS(g)
 	for s := 0; s < d.NumSharedNodes(); s++ {
 		members := d.pts[d.ptr[s]:d.ptr[s+1]]
 		p0 := g.Pos[members[0]]
@@ -49,10 +45,7 @@ func TestDSSSharedPointsCoincide(t *testing.T) {
 // Apply must not change it (beyond roundoff).
 func TestDSSPreservesContinuousFields(t *testing.T) {
 	g := testGrid(t, 2, 6)
-	d, err := NewDSS(g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := NewDSS(g)
 	q := g.Field()
 	f := func(p mesh.Vec3) float64 {
 		x, y, z := p.X/g.Radius, p.Y/g.Radius, p.Z/g.Radius
@@ -78,10 +71,7 @@ func TestDSSPreservesContinuousFields(t *testing.T) {
 // Apply must make any field continuous and be idempotent.
 func TestDSSApplyIdempotent(t *testing.T) {
 	g := testGrid(t, 2, 4)
-	d, err := NewDSS(g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := NewDSS(g)
 	q := g.Field()
 	// Deterministic pseudo-random discontinuous field.
 	s := uint64(12345)
@@ -106,10 +96,7 @@ func TestDSSApplyIdempotent(t *testing.T) {
 // points to 4 except at the 8 cube corners where 3 elements meet.
 func TestDSSMultiplicity(t *testing.T) {
 	g := testGrid(t, 2, 3)
-	d, err := NewDSS(g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := NewDSS(g)
 	npts := g.PointsPerElem()
 	counts := make(map[int32]int)
 	for e := 0; e < g.NumElems(); e++ {
@@ -155,10 +142,7 @@ func naiveGroups(g *Grid, d *DSS) [][]int {
 // covariant-vector one.
 func TestDSSPlanMatchesNaiveAssembly(t *testing.T) {
 	g := testGrid(t, 2, 4)
-	d, err := NewDSS(g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := NewDSS(g)
 	rng := rand.New(rand.NewSource(11))
 	random := func() []float64 {
 		q := g.Field()
@@ -211,10 +195,7 @@ func TestDSSPlanMatchesNaiveAssembly(t *testing.T) {
 func TestDSSValidateCatchesCorruption(t *testing.T) {
 	g := testGrid(t, 2, 3)
 	fresh := func() *DSS {
-		d, err := NewDSS(g)
-		if err != nil {
-			t.Fatal(err)
-		}
+		d := NewDSS(g)
 		return d
 	}
 	if err := fresh().Validate(); err != nil {
@@ -259,15 +240,241 @@ func TestDSSValidateCatchesCorruption(t *testing.T) {
 	}
 }
 
+// newDSSUnionFind is the DSS constructor NewDSS replaced, kept verbatim as
+// the reference it is held to: it finds the shared points by a second route,
+// walking the mesh adjacency (NeighborsInto, across the cube's gluing table)
+// and unifying the GLL points of every edge- and corner-neighbour pair
+// matched by their corner keys.
+func newDSSUnionFind(g *Grid) (*DSS, error) {
+	k := g.NumElems()
+	np := g.Np
+	npts := np * np
+	total := k * npts
+
+	// Union-find over all element points.
+	parent := make([]int32, total)
+	for i := range parent {
+		parent[i] = int32(i)
+	}
+	var find func(x int32) int32
+	find = func(x int32) int32 {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	union := func(a, b int32) {
+		ra, rb := find(a), find(b)
+		if ra != rb {
+			parent[ra] = rb
+		}
+	}
+
+	pt := func(e int, a, b int) int32 { return int32(e*npts + b*np + a) }
+
+	// cornerIdx maps a local corner number (0=BL, 1=BR, 2=TR, 3=TL; the
+	// order of cornerKeys) to the GLL point at that corner.
+	cornerIdx := func(e int, c int) int32 {
+		switch c {
+		case 0:
+			return pt(e, 0, 0)
+		case 1:
+			return pt(e, np-1, 0)
+		case 2:
+			return pt(e, np-1, np-1)
+		default:
+			return pt(e, 0, np-1)
+		}
+	}
+	// edgePoints returns the np GLL point ids along the local edge from
+	// corner c0 to corner c1 (consecutive corners in CCW order, either
+	// direction), in that direction.
+	edgePoints := func(e, c0, c1 int) ([]int32, error) {
+		out := make([]int32, np)
+		fill := func(f func(t int) int32) {
+			for t := 0; t < np; t++ {
+				out[t] = f(t)
+			}
+		}
+		switch {
+		case c0 == 0 && c1 == 1: // bottom, left to right
+			fill(func(t int) int32 { return pt(e, t, 0) })
+		case c0 == 1 && c1 == 0:
+			fill(func(t int) int32 { return pt(e, np-1-t, 0) })
+		case c0 == 1 && c1 == 2: // right, bottom to top
+			fill(func(t int) int32 { return pt(e, np-1, t) })
+		case c0 == 2 && c1 == 1:
+			fill(func(t int) int32 { return pt(e, np-1, np-1-t) })
+		case c0 == 2 && c1 == 3: // top, right to left
+			fill(func(t int) int32 { return pt(e, np-1-t, np-1) })
+		case c0 == 3 && c1 == 2:
+			fill(func(t int) int32 { return pt(e, t, np-1) })
+		case c0 == 3 && c1 == 0: // left, top to bottom
+			fill(func(t int) int32 { return pt(e, 0, np-1-t) })
+		case c0 == 0 && c1 == 3:
+			fill(func(t int) int32 { return pt(e, 0, t) })
+		default:
+			return nil, fmt.Errorf("seam: corners %d,%d are not an element edge", c0, c1)
+		}
+		return out, nil
+	}
+
+	// For each edge-adjacent pair, unify the GLL points of the shared edge
+	// in matching order; for each corner-adjacent pair, unify the shared
+	// corner point.
+	m := g.M
+	var edgeBuf, cornerBuf [4]mesh.ElemID // reused: the mesh resolves rows per call
+	for e := 0; e < k; e++ {
+		id := mesh.ElemID(e)
+		cn := cornerKeys(m, id)
+		edgeNbrs, cornerNbrs := m.NeighborsInto(id, edgeBuf[:0], cornerBuf[:0])
+		for _, nb := range edgeNbrs {
+			if nb <= id {
+				continue // each pair once
+			}
+			cnb := cornerKeys(m, nb)
+			// Shared corner nodes.
+			var mineC, theirsC []int
+			for i, a := range cn {
+				for j, b := range cnb {
+					if a == b {
+						mineC = append(mineC, i)
+						theirsC = append(theirsC, j)
+					}
+				}
+			}
+			if len(mineC) != 2 {
+				return nil, fmt.Errorf("seam: edge neighbours %d,%d share %d corners", id, nb, len(mineC))
+			}
+			myEdge, err := edgePoints(e, mineC[0], mineC[1])
+			if err != nil {
+				return nil, err
+			}
+			theirEdge, err := edgePoints(int(nb), theirsC[0], theirsC[1])
+			if err != nil {
+				return nil, err
+			}
+			for t := 0; t < np; t++ {
+				union(myEdge[t], theirEdge[t])
+			}
+		}
+		for _, nb := range cornerNbrs {
+			if nb <= id {
+				continue
+			}
+			cnb := cornerKeys(m, nb)
+			for i, a := range cn {
+				for j, b := range cnb {
+					if a == b {
+						union(cornerIdx(e, i), cornerIdx(int(nb), j))
+					}
+				}
+			}
+		}
+	}
+
+	// Number the roots densely, then append every global node with two or
+	// more members to the exchange plan.
+	d := &DSS{g: g, nodeOf: make([]int32, total)}
+	rootID := make(map[int32]int32, total)
+	for i := int32(0); i < int32(total); i++ {
+		r := find(i)
+		gid, ok := rootID[r]
+		if !ok {
+			gid = int32(len(rootID))
+			rootID[r] = gid
+		}
+		d.nodeOf[i] = gid
+	}
+	d.numNodes = len(rootID)
+	members := make([][]int32, d.numNodes)
+	for i := int32(0); i < int32(total); i++ {
+		gid := d.nodeOf[i]
+		members[gid] = append(members[gid], i)
+	}
+	nShared, nMembers := 0, 0
+	for _, pts := range members {
+		if len(pts) >= 2 {
+			nShared++
+			nMembers += len(pts)
+		}
+	}
+	d.ptr = make([]int32, 1, nShared+1)
+	d.pts = make([]int32, 0, nMembers)
+	d.mass = make([]float64, 0, nMembers)
+	d.vgeo = make([]vecGeom, 0, nMembers)
+	d.den = make([]float64, 0, nShared)
+	d.rden = make([]float64, 0, nShared)
+	for _, pts := range members {
+		if len(pts) < 2 {
+			continue
+		}
+		var den float64
+		for _, p := range pts {
+			d.pts = append(d.pts, p)
+			d.mass = append(d.mass, g.Mass[p])
+			den += g.Mass[p]
+			d.vgeo = append(d.vgeo, vecGeom{
+				gi11: g.GI11[p], gi12: g.GI12[p], gi22: g.GI22[p],
+				ea: g.Ea[p], eb: g.Eb[p],
+			})
+		}
+		d.ptr = append(d.ptr, int32(len(d.pts)))
+		d.den = append(d.den, den)
+		d.rden = append(d.rden, 1/den)
+	}
+	return d, nil
+}
+
+// cornerKeys returns the keys of element e's corner nodes in counter-clockwise
+// order: bottom-left, bottom-right, top-right, top-left.
+func cornerKeys(m *mesh.Mesh, e mesh.ElemID) [4]mesh.NodeKey {
+	return [4]mesh.NodeKey{m.PointKey(e, 1, 0, 0), m.PointKey(e, 1, 1, 0), m.PointKey(e, 1, 1, 1), m.PointKey(e, 1, 0, 1)}
+}
+
+// TestDSSMatchesUnionFind holds NewDSS, which numbers shared points by their
+// lattice keys, to the union-find over the mesh adjacency it replaced: the
+// whole structure -- node numbering, exchange plan, masses, denominators and
+// vector geometry -- must be deeply equal on every grid up to Ne = 12 and
+// degree 7.
+func TestDSSMatchesUnionFind(t *testing.T) {
+	for ne := 1; ne <= 12; ne++ {
+		for deg := 1; deg <= 7; deg++ {
+			g := testGrid(t, ne, deg)
+			want, err := newDSSUnionFind(g)
+			if err != nil {
+				t.Fatalf("ne=%d deg=%d: reference: %v", ne, deg, err)
+			}
+			if got := NewDSS(g); !reflect.DeepEqual(got, want) {
+				t.Errorf("ne=%d deg=%d: NewDSS differs from the union-find reference", ne, deg)
+			}
+		}
+	}
+}
+
+// BenchmarkNewDSS times the plan build at degree 7, the BENCH_seam.json
+// configuration (Ne = 8) and twice its resolution.
+func BenchmarkNewDSS(b *testing.B) {
+	for _, ne := range []int{8, 16} {
+		g := testGrid(b, ne, 7)
+		b.Run(fmt.Sprintf("Ne%d", ne), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				dssSink = NewDSS(g)
+			}
+		})
+	}
+}
+
+// dssSink keeps BenchmarkNewDSS's result live.
+var dssSink *DSS
+
 func BenchmarkDSSApplyNe8Np8(b *testing.B) {
 	g, err := NewGrid(8, 7, EarthRadius, EarthOmega)
 	if err != nil {
 		b.Fatal(err)
 	}
-	d, err := NewDSS(g)
-	if err != nil {
-		b.Fatal(err)
-	}
+	d := NewDSS(g)
 	q := g.Field()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

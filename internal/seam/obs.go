@@ -2,7 +2,6 @@ package seam
 
 import (
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"sfccube/internal/obs"
@@ -96,62 +95,22 @@ func (r *Runner) Instrument(reg *obs.Registry, tr *obs.RunTrace) {
 	r.metrics = m
 }
 
-// RunnerSnapshot is a consistent view of the runner's meters, captured
-// only at step boundaries (see Runner.Snapshot).
-type RunnerSnapshot struct {
-	// StepsDone counts RK4 steps completed since the runner was built,
-	// across all Run/RunCtx calls.
-	StepsDone int64
-	// BusyNs[rk] is rank rk's cumulative busy time within the current
-	// (or most recent) Run call, as of the rank's last completed step. It
-	// is published atomically by whichever worker commits the final task
-	// of a step for the rank's block, so concurrent readers never see a
-	// torn or mid-stage value. Step boundaries are per block — blocks may
-	// be steps apart mid-run; with one worker the one block publishes all
-	// ranks together at each global step end.
-	BusyNs []int64
-}
-
-// Snapshot returns the per-rank busy meters as of each rank's most recently
-// completed step boundary. Unlike reading Runner.BusyTime directly —
-// which races the workers and can observe a torn, mid-stage value —
-// Snapshot is safe to call at any time, including concurrently with
-// Run/RunCtx (exercised under -race by TestSnapshotConcurrentWithRunCtx).
-func (r *Runner) Snapshot() RunnerSnapshot {
-	s := RunnerSnapshot{
-		StepsDone: r.stepsDone.Load(),
-		BusyNs:    make([]int64, r.NRanks),
-	}
-	for rk := range s.BusyNs {
-		s.BusyNs[rk] = r.published[rk].Load()
-	}
-	return s
-}
-
-// publishBusy atomically publishes the current BusyTime values into the
-// Snapshot-visible copies (and the obs gauges when instrumented). It
-// must only run while no worker is mutating BusyTime: after every worker
-// has joined.
+// publishBusy sets every rank's busy gauge from BusyTime. It must only run
+// while no worker is mutating BusyTime: after every worker has joined.
 func (r *Runner) publishBusy() {
-	m := r.metrics
 	for rk := range r.BusyTime {
-		ns := int64(r.BusyTime[rk])
-		r.published[rk].Store(ns)
-		if m != nil {
-			m.rankBusy[rk].Set(ns)
-		}
+		r.publishRank(int32(rk))
 	}
 }
 
-// publishRank publishes rank rk's busy meter. It runs on whichever worker
-// commits the last task of a step for rk's block: every BusyTime[rk] write
-// of the step happened before that commit (a block's tasks are serialized
-// by the scheduler), so the value is a complete per-step figure.
+// publishRank sets rank rk's busy gauge, when instrumented. It runs on
+// whichever worker commits the last task of a step for rk's block: every
+// BusyTime[rk] write of the step happened before that commit (a block's tasks
+// are serialized by the scheduler), so the gauge never holds a torn or
+// mid-stage value and is safe to scrape during a run.
 func (r *Runner) publishRank(rk int32) {
-	ns := int64(r.BusyTime[rk])
-	r.published[rk].Store(ns)
 	if m := r.metrics; m != nil {
-		m.rankBusy[rk].Set(ns)
+		m.rankBusy[rk].Set(int64(r.BusyTime[rk]))
 	}
 }
 
@@ -159,10 +118,9 @@ func (r *Runner) publishRank(rk int32) {
 // per step, by whichever worker commits the step's last block-task. Steps
 // complete in order — a block cannot commit step s before every dependency
 // committed step s-1 around it, and the per-step countdown only reaches
-// zero after all blocks pass — so StepsDone is monotone and EvStep events
-// appear in step order.
+// zero after all blocks pass — so seam_steps_total is monotone and EvStep
+// events appear in step order.
 func (r *Runner) publishStepShared(stepInRun int) {
-	r.stepsDone.Add(1)
 	if m := r.metrics; m != nil {
 		m.steps.Inc()
 		m.dssBytes.Add(r.totalBytesPerStep)
@@ -182,11 +140,6 @@ func (r *Runner) obsActive() bool { return r.metrics != nil || r.trace != nil }
 type runnerObsState struct {
 	metrics *runnerMetrics
 	trace   *obs.RunTrace
-	// published[rk] is BusyTime[rk] as of the rank's last completed step,
-	// stored atomically by whichever worker commits that step; stepsDone
-	// counts completed steps across all runs. Both feed Snapshot.
-	published []atomic.Int64
-	stepsDone atomic.Int64
 	// flopsPerStep and totalBytesPerStep are precomputed in NewRunner so
 	// the per-step publication is pure atomic arithmetic.
 	flopsPerStep      int64

@@ -87,8 +87,9 @@ type Runner struct {
 	//
 	// BusyTime is owned by the worker goroutines while a run is in
 	// flight: reading it mid-run is a data race and can observe torn,
-	// mid-stage values. Concurrent observers must use Snapshot, which
-	// reads the atomically published step-boundary copies instead.
+	// mid-stage values. Concurrent observers must read the
+	// seam_rank_busy_ns gauges of an instrumented runner instead, which
+	// are set at step boundaries.
 	BusyTime []time.Duration
 
 	// testOnTask, when non-nil, is invoked by the scheduler immediately
@@ -99,8 +100,7 @@ type Runner struct {
 	// Test-only; must not mutate runner state.
 	testOnTask func(rk int32, pos int64, depsMet bool)
 
-	// runnerObsState carries the observability attachment (Instrument)
-	// and the atomically published step-boundary meters (Snapshot).
+	// runnerObsState carries the observability attachment (Instrument).
 	runnerObsState
 }
 
@@ -170,7 +170,6 @@ func NewRunner(sw *ShallowWater, assign []int32, nranks int) (*Runner, error) {
 	r.depsA, r.depsB, r.revDeps = sortUnique(depsA), sortUnique(depsB), sortUnique(rev)
 	// Precompute the per-step meter increments so step-boundary
 	// publication is pure atomic arithmetic.
-	r.published = make([]atomic.Int64, nranks)
 	r.flopsPerStep = 4*rhsFlopsShallowWater(k, sw.G.Np) + int64(k)*int64(npts)*3*4*4
 	for _, b := range r.sentPerApply {
 		r.totalBytesPerStep += b * 4 * 3

@@ -30,10 +30,7 @@ func TestAdvectionSolidBodyRotation(t *testing.T) {
 	// crosses cube faces and corners.
 	omega := 2 * math.Pi / 86400.0
 	w := mesh.Vec3{X: 0, Y: 0, Z: omega}
-	adv, err := NewAdvection(g, w)
-	if err != nil {
-		t.Fatal(err)
-	}
+	adv := NewAdvection(g, w)
 	// Centre on the equator at the middle of face +X, so the bump crosses
 	// the +X/+Y cube edge during the integration.
 	c := mesh.Vec3{X: g.Radius, Y: 0, Z: 0}
@@ -68,10 +65,7 @@ func TestAdvectionSolidBodyRotation(t *testing.T) {
 // identically zero pointwise).
 func TestAdvectionPreservesConstant(t *testing.T) {
 	g := testGrid(t, 2, 5)
-	adv, err := NewAdvection(g, mesh.Vec3{Z: 1e-5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	adv := NewAdvection(g, mesh.Vec3{Z: 1e-5})
 	adv.SetTracer(func(mesh.Vec3) float64 { return 3.25 })
 	for s := 0; s < 5; s++ {
 		adv.Step(100)
@@ -92,10 +86,7 @@ func TestAdvectionSpectralConvergence(t *testing.T) {
 	var prev float64 = math.Inf(1)
 	for _, n := range []int{3, 5, 7} {
 		g := testGrid(t, 3, n)
-		adv, err := NewAdvection(g, w)
-		if err != nil {
-			t.Fatal(err)
-		}
+		adv := NewAdvection(g, w)
 		c := mesh.Vec3{X: g.Radius, Y: 0, Z: 0}
 		q0 := gaussianHill(c, g.Radius)
 		adv.SetTracer(q0)
@@ -181,7 +172,7 @@ func TestMaxStableDtPositive(t *testing.T) {
 	if !(dt > 0) || math.IsInf(dt, 1) {
 		t.Errorf("MaxStableDt = %v", dt)
 	}
-	adv, _ := NewAdvection(g, mesh.Vec3{Z: 1e-5})
+	adv := NewAdvection(g, mesh.Vec3{Z: 1e-5})
 	if d := adv.MaxStableDt(0.5); !(d > 0) || math.IsInf(d, 1) {
 		t.Errorf("advection MaxStableDt = %v", d)
 	}

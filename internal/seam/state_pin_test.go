@@ -79,10 +79,7 @@ func TestStatePinned(t *testing.T) {
 		}
 
 		g := testGrid(t, c.ne, 7)
-		adv, err := NewAdvection(g, mesh.Vec3{X: 3e-5, Y: 0, Z: 6e-5})
-		if err != nil {
-			t.Fatal(err)
-		}
+		adv := NewAdvection(g, mesh.Vec3{X: 3e-5, Y: 0, Z: 6e-5})
 		adv.SetTracer(gaussianHill(mesh.Vec3{X: g.Radius}, g.Radius))
 		adt := adv.MaxStableDt(0.5)
 		for s := 0; s < c.steps; s++ {
