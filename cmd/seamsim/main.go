@@ -9,9 +9,9 @@
 //	seamsim -ne 8 -degree 7 -ranks 8 -steps 20 -method sfc
 //	seamsim -ne 8 -ranks 8 -method kway    # compare partitioners
 //
-// The resilience layer is exercised through -checkpoint (periodic CRC-
-// checksummed checkpoints with automatic resume on restart) and -inject
-// (a seeded, replayable fault plan):
+// The run supervisor (internal/seam/supervise) is exercised through
+// -checkpoint (periodic CRC-checksummed checkpoints with automatic resume
+// on restart) and -inject (a seeded, replayable fault plan):
 //
 //	seamsim -ne 4 -ranks 4 -steps 16 -checkpoint /tmp/ck -checkpoint-every 4
 //	seamsim -ne 4 -ranks 4 -steps 12 -checkpoint /tmp/ck \
@@ -41,8 +41,8 @@ import (
 	"sfccube/internal/mesh"
 	"sfccube/internal/obs"
 	"sfccube/internal/partition"
-	"sfccube/internal/resilience"
 	"sfccube/internal/seam"
+	"sfccube/internal/seam/supervise"
 	"sfccube/internal/service"
 )
 
@@ -177,12 +177,6 @@ func run(cfg runConfig) error {
 	if err != nil {
 		return err
 	}
-	runner, err := seam.NewRunner(sw, assign, ranks)
-	if err != nil {
-		return err
-	}
-	runner.Instrument(reg, tr)
-
 	fmt.Printf("K=%d elements, np=%d GLL points, %d ranks (%s partition), dt=%.1f s\n",
 		g.NumElems(), g.Np, ranks, method, dt)
 
@@ -193,6 +187,11 @@ func run(cfg runConfig) error {
 		return finishObs()
 	}
 
+	runner, err := seam.NewRunner(sw, assign, ranks)
+	if err != nil {
+		return err
+	}
+	runner.Instrument(reg, tr)
 	mass0 := sw.TotalMass()
 	elapsed := runner.Run(steps, dt)
 	mass1 := sw.TotalMass()
@@ -218,31 +217,31 @@ func run(cfg runConfig) error {
 	return finishObs()
 }
 
-// runSupervised drives the integration through the resilience supervisor:
+// runSupervised drives the integration through the run supervisor:
 // periodic checkpoints, per-step NaN sentinel, watchdog, and the fault plan
 // of -inject. Every recovery action is echoed from the deterministic event
 // log.
 func runSupervised(cfg runConfig, sw *seam.ShallowWater, assign []int32, dt float64, phi func(p mesh.Vec3) float64, reg *obs.Registry, tr *obs.RunTrace) error {
-	store := resilience.NewMemStore()
+	store := supervise.NewMemStore()
 	if cfg.ckDir != "" {
 		var err error
-		if store, err = resilience.NewFileStore(cfg.ckDir); err != nil {
+		if store, err = supervise.NewFileStore(cfg.ckDir); err != nil {
 			return err
 		}
 	}
-	var inj *resilience.Injector
+	var inj *supervise.Injector
 	if cfg.inject != "" {
-		faults, err := resilience.ParseFaults(cfg.inject)
+		faults, err := supervise.ParseFaults(cfg.inject)
 		if err != nil {
 			return err
 		}
-		inj = resilience.NewInjector(cfg.injectSeed, faults...)
+		inj = supervise.NewInjector(cfg.injectSeed, faults...)
 		fmt.Printf("fault plan (seed %d): %s\n", cfg.injectSeed, cfg.inject)
 	}
-	sup := &resilience.Supervisor{
+	sup := &supervise.Supervisor{
 		SW: sw, Ne: cfg.ne, Assign: assign, NRanks: cfg.ranks,
 		Store: store, Injector: inj,
-		Policy: resilience.Policy{
+		Policy: supervise.Policy{
 			CheckpointEvery: cfg.ckEvery,
 			StepDeadline:    cfg.stepDeadline,
 		},

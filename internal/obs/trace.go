@@ -29,7 +29,7 @@ const (
 	EvWait
 	// EvCheckpoint is a checkpoint write (Arg: encoded bytes).
 	EvCheckpoint
-	// EvRecovery is a resilience recovery action (Arg unused); the rank
+	// EvRecovery is a run supervisor's recovery action (Arg unused); the rank
 	// field names the implicated rank, -1 when none.
 	EvRecovery
 	// EvSim is a discrete-event-simulator summary (Arg: events processed).

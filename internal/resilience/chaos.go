@@ -11,10 +11,9 @@ import (
 )
 
 // ChaosKind enumerates the service-level injectable fault classes — the
-// HTTP-facing complement of FaultKind's solver-side faults. The kinds map
-// onto the failure modes a partition service meets in production: slow
-// responses, severed connections, compute that hogs a worker, and plain
-// errors.
+// HTTP-facing complement of supervise.FaultKind. The kinds map onto the
+// failure modes a partition service meets in production: slow responses,
+// severed connections, compute that hogs a worker, and plain errors.
 type ChaosKind int
 
 const (
@@ -111,7 +110,7 @@ func (p *ChaosPlan) Next() (ChaosSpec, bool) {
 // untimed ones.
 func ParseChaosPlan(spec string, seed uint64) (*ChaosPlan, error) {
 	var out []ChaosSpec
-	err := splitPlan(spec, "chaos", "chaos entry", "kind@rate[:param]", chaosNames, func(item string, kind ChaosKind, rateStr, paramStr string, hasParam bool) error {
+	err := SplitPlan(spec, "chaos", "chaos entry", "kind@rate[:param]", chaosNames, func(item string, kind ChaosKind, rateStr, paramStr string, hasParam bool) error {
 		rate, err := strconv.ParseFloat(strings.TrimSpace(rateStr), 64)
 		if err != nil || rate < 0 || rate > 1 {
 			return fmt.Errorf("resilience: chaos entry %q: bad rate %q (want [0,1])", item, rateStr)
@@ -134,4 +133,43 @@ func ParseChaosPlan(spec string, seed uint64) (*ChaosPlan, error) {
 		return nil, err
 	}
 	return NewChaosPlan(seed, out...), nil
+}
+
+// SplitPlan is the front half of ParseChaosPlan and supervise.ParseFaults: it
+// splits a comma-separated plan into trimmed kind@value[:param] items,
+// resolves each kind name (case-insensitively) against names, and hands the
+// raw value and param strings to add. An item without '@', an unknown kind
+// and a plan with no items are errors; noun ("fault", "chaos"), entry (what
+// one item is called) and usage word those errors.
+func SplitPlan[K ~int](spec, noun, entry, usage string, names map[K]string, add func(item string, kind K, value, param string, hasParam bool) error) error {
+	byName := make(map[string]K, len(names))
+	kinds := make([]string, len(names)) // in kind order, for the unknown-kind error
+	for k, n := range names {
+		byName[n] = k
+		kinds[k] = n
+	}
+	items := 0
+	for _, item := range strings.Split(spec, ",") {
+		item = strings.TrimSpace(item)
+		if item == "" {
+			continue
+		}
+		name, rest, ok := strings.Cut(item, "@")
+		if !ok {
+			return fmt.Errorf("resilience: %s %q: want %s", entry, item, usage)
+		}
+		kind, ok := byName[strings.ToLower(strings.TrimSpace(name))]
+		if !ok {
+			return fmt.Errorf("resilience: unknown %s kind %q (want one of %s)", noun, name, strings.Join(kinds, ", "))
+		}
+		value, param, hasParam := strings.Cut(rest, ":")
+		if err := add(item, kind, value, param, hasParam); err != nil {
+			return err
+		}
+		items++
+	}
+	if items == 0 {
+		return fmt.Errorf("resilience: empty %s specification %q", noun, spec)
+	}
+	return nil
 }

@@ -28,7 +28,8 @@ const (
 // partitioner, then recursive bisection (better balance, no balance-
 // violation failure mode), then the O(K) SFC split (immune to deadline
 // overrun but restricted to Ne = 2^n 3^m), then the serpentine ordering,
-// which accepts any Ne and cannot fail.
+// which accepts any Ne. A weighted request can still fail the balance gate
+// on every link and end in *ExhaustedError (ROADMAP item 7(c)).
 var DefaultChain = []Strategy{StrategyKWay, StrategyRB, StrategySFC, StrategySerpentine}
 
 // RepartitionChain is the fallback order for in-flight re-partitioning

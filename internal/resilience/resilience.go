@@ -1,42 +1,13 @@
-// Package resilience is the fault-tolerant run layer of the SEAM substrate:
-// deterministic fault injection, checkpoint/restart, blowup recovery, and a
-// partition fallback chain. The paper's end-to-end metric is a long
-// integration on up to 768 processors — exactly the regime where real runs
-// die mid-flight (rank loss, solver blowup, hung workers), and where SFC
-// partitioning earns its keep a second time: re-partitioning the survivors
-// after a rank failure is a single curve re-split (Borrell et al. 2020
-// motivate SFC partitioning precisely by this property).
+// Package resilience is the request-side fault-tolerance layer: it obtains
+// *some* valid partition under adversity. The fallback chain (fallback.go)
+// answers a KWAY balance violation with a reseeded retry (with backoff),
+// then RB; a partitioner deadline overrun falls through to the O(K) SFC
+// split, and an Ne unsupported by the Hilbert–Peano construction to the
+// serpentine ordering. Every abandoned attempt is reported in the result
+// with a typed error. Circuit breakers (breaker.go) skip a link that keeps
+// failing or overrunning its budget; retry.go and chaos.go give seeded,
+// replayable backoff and per-request fault plans for the service's soaks.
 //
-// The subsystem has four cooperating parts:
-//
-//   - Injector (inject.go): a seeded fault plan. Each Fault names a kind
-//     (NaN corruption, rank death, stall, checkpoint corruption, partitioner
-//     deadline overrun) and a step; unspecified targets (rank, corrupted
-//     byte, stall length) are derived from one splitmix64 seed, so an entire
-//     faulty run — faults, detections, recoveries — replays identically
-//     from (seed, plan).
-//
-//   - Checkpoint/restart (checkpoint.go, store.go): versioned,
-//     CRC-checksummed serialization of the prognostic slabs + step counter.
-//     The prognostic slabs are the complete restart state (every other slab
-//     is re-initialised each step), so restart is bitwise-exact: resuming a
-//     killed run from its last checkpoint reproduces the uninterrupted
-//     trajectory bit for bit. A Store keeps two rolling slots; a corrupt
-//     newest checkpoint is detected by CRC and the previous one is used.
-//
-//   - Detection + graceful degradation (sentinel.go, supervisor.go): the
-//     Supervisor drives seam.Runner.RunCtx one step at a time, scanning the
-//     state for NaN/Inf after every RK step. A blowup triggers
-//     rollback-to-checkpoint with dt halving and bounded retries; a dead
-//     rank (recovered worker panic with rank attribution) triggers an
-//     SFC re-partition of its elements among the survivors and a rollback;
-//     a stalled rank trips the per-step watchdog deadline and is retried
-//     from the checkpoint.
-//
-//   - Partition fallback chain (fallback.go): obtaining *some* valid
-//     partition under adversity. KWAY balance violation falls back to a
-//     reseeded retry (with backoff), then RB; partitioner deadline overrun
-//     falls through to the O(K) SFC split; an Ne unsupported by the
-//     Hilbert–Peano construction falls back to the serpentine ordering.
-//     Every abandoned attempt is reported in the result with a typed error.
+// The SEAM run supervisor (internal/seam/supervise) is a client: it
+// re-partitions the survivors of a rank death through RepartitionChain.
 package resilience

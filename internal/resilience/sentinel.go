@@ -3,14 +3,10 @@ package resilience
 import (
 	"fmt"
 	"math"
-
-	"sfccube/internal/seam"
 )
 
 // NonFiniteError reports the first NaN or Inf found in the prognostic state:
-// the field name, the owning element, and the point index inside it. A
-// blowup detected by the sentinel is recoverable (rollback + smaller dt);
-// one that survives the retry budget surfaces as a *BlowupError.
+// the field name, the owning element, and the point index inside it.
 type NonFiniteError struct {
 	Field string
 	Elem  int
@@ -21,13 +17,20 @@ func (e *NonFiniteError) Error() string {
 	return fmt.Sprintf("resilience: non-finite %s at element %d point %d", e.Field, e.Elem, e.Index)
 }
 
+// SlabState is the prognostic state CheckFinite scans: three element-major
+// slabs of PointsPerElem values an element. *seam.ShallowWater satisfies it.
+type SlabState interface {
+	StateSlabs() (v1, v2, phi []float64)
+	PointsPerElem() int
+}
+
 // CheckFinite scans the prognostic slabs of sw and returns a
 // *NonFiniteError for the first non-finite value, or nil when the whole
 // state is finite. The scan order (v1, then v2, then phi, element-major) is
 // fixed, so the reported location is deterministic.
-func CheckFinite(sw *seam.ShallowWater) error {
+func CheckFinite(sw SlabState) error {
 	v1, v2, phi := sw.StateSlabs()
-	npts := sw.G.PointsPerElem()
+	npts := sw.PointsPerElem()
 	for _, s := range []struct {
 		name string
 		slab []float64
@@ -40,18 +43,3 @@ func CheckFinite(sw *seam.ShallowWater) error {
 	}
 	return nil
 }
-
-// BlowupError reports a blowup (non-finite state) that persisted through
-// the supervisor's rollback and dt-halving budget.
-type BlowupError struct {
-	Step      int
-	Rollbacks int
-	Cause     error
-}
-
-func (e *BlowupError) Error() string {
-	return fmt.Sprintf("resilience: blowup at step %d not recovered after %d rollbacks: %v",
-		e.Step, e.Rollbacks, e.Cause)
-}
-
-func (e *BlowupError) Unwrap() error { return e.Cause }

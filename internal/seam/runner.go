@@ -225,8 +225,8 @@ func (r *Runner) Run(steps int, dt float64) time.Duration {
 }
 
 // RunCtx is Run with cancellation, fault-injection hooks, and worker panic
-// recovery — the entry point of the resilience layer (see
-// internal/resilience). It advances the model by steps RK4 steps of size dt
+// recovery — the entry point of the run supervisor (see
+// internal/seam/supervise). It advances the model by steps RK4 steps of size dt
 // and is bitwise identical to Run when it completes without error.
 //
 //   - If ctx is cancelled or its deadline expires mid-run, the parallel

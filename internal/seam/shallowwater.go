@@ -89,10 +89,13 @@ func NewShallowWater(g *Grid) (*ShallowWater, error) {
 // step counter are the complete restart state of the integrator: every other
 // internal slab (tendencies, RK stage states, accumulators) is
 // re-initialised at the start of each step, which is what makes
-// checkpoint/restart (internal/resilience) bitwise-exact.
+// checkpoint/restart (internal/seam/supervise) bitwise-exact.
 func (sw *ShallowWater) StateSlabs() (v1, v2, phi []float64) {
 	return sw.V1, sw.V2, sw.Phi
 }
+
+// PointsPerElem is the length of one element's run in each state slab.
+func (sw *ShallowWater) PointsPerElem() int { return sw.G.PointsPerElem() }
 
 // SetState initialises the prognostic fields from a 3D velocity field (m/s,
 // tangent to the sphere) and a geopotential field (m^2/s^2), both functions

@@ -81,9 +81,10 @@ func (c canonicalRequest) key() string {
 }
 
 // ladders maps each canonical method the service accepts to its degradation
-// ladder: the requested strategy first, then progressively cheaper strategies
-// ending in one that cannot fail — the suffix of resilience.DefaultChain
-// starting at that method. "auto" walks the whole chain.
+// ladder: the suffix of resilience.DefaultChain starting at that method, so
+// ever cheaper strategies ending in SERPENTINE, which accepts any Ne. "auto"
+// walks the whole chain. A weighted request can fail the balance gate on
+// every link and end in *resilience.ExhaustedError, 422 (ROADMAP item 7(c)).
 var ladders = func() map[string][]resilience.Strategy {
 	out := map[string][]resilience.Strategy{"auto": resilience.DefaultChain}
 	for i, st := range resilience.DefaultChain {
