@@ -240,12 +240,13 @@ func BenchmarkParallelSEAM(b *testing.B) {
 
 // --- SEAM hot-path micro-benchmarks (baseline recorded in BENCH_seam.json) ---
 //
-// These three pin the perf trajectory of the flat-slab compute core. Record
-// a new baseline with:
+// These pin the perf trajectory of the flat-slab compute core and the
+// runner. Record a new baseline with:
 //
-//	go test -run '^$' -bench 'BenchmarkRHS$|BenchmarkDSSApply$|BenchmarkRunnerStep$' -benchtime 30x .
+//	go test -run '^$' -bench 'Benchmark(RHS|DSSApply|SEAMStep|RunnerStep(Obs|P[124])?)$' -benchtime 30x .
 //
-// and update BENCH_seam.json with the measured ns/op.
+// (plus BenchmarkDiffAlphaBeta at 10000x and internal/seam's BenchmarkNewDSS)
+// and append a BENCH_seam.json entry carrying every key.
 
 // benchSEAM builds the Williamson-2 shallow-water state at the paper's
 // K=384 resolution (ne=8, np=8), the configuration the BENCH_seam.json

@@ -211,7 +211,7 @@ func run(cfg runConfig) error {
 	fmt.Printf("comm bytes/rank/step: %d..%d, LB(spcv)=%.4f\n",
 		slices.Min(bytes), slices.Max(bytes), partition.LoadBalance(bytes))
 	for rk := 0; rk < ranks && rk < 8; rk++ {
-		fmt.Printf("  rank %d: %d elements, %d bytes/step, busy %v\n",
+		fmt.Printf("  rank %d: %d elements, %d bytes/step, busy %v (block span share)\n",
 			rk, owned[rk], bytes[rk], runner.BusyTime[rk].Round(1000))
 	}
 	return finishObs()

@@ -47,14 +47,15 @@ func (sw *ShallowWater) Laplacian(q, out []float64) {
 // SEAM practice it is applied as a separate pass after the dynamics step,
 // and the velocity components are filtered through the same scalar operator
 // (adequate because the covariant components are smooth within faces and
-// the vector DSS restores cross-face consistency).
+// the vector DSS restores cross-face consistency). The tendency slab k1pF
+// and the accumulator apF, both dead between steps, hold del^2 q and del^4 q.
 func (sw *ShallowWater) ApplyHyperviscosity(dt, nu float64) {
 	c := dt * nu
 	for _, q := range [][]float64{sw.V1, sw.V2, sw.Phi} {
 		sw.Laplacian(q, sw.k1pF)      // del^2 q
-		sw.Laplacian(sw.k1pF, sw.spF) // del^4 q
+		sw.Laplacian(sw.k1pF, sw.apF) // del^4 q
 		for i := range q {
-			q[i] -= c * sw.spF[i]
+			q[i] -= c * sw.apF[i]
 		}
 	}
 	sw.Dss.ApplyVector(sw.V1, sw.V2)

@@ -59,8 +59,9 @@ func (m *runnerMetrics) observeWait(d time.Duration) {
 //	seam_steps_total              counter  completed RK4 steps
 //	seam_flops_total              counter  floating-point ops executed
 //	seam_dss_bytes_total          counter  bytes crossing rank boundaries
-//	seam_stage_compute_ns{stage}  histogram per-rank compute span per stage
-//	seam_dss_assembly_ns          histogram per-rank DSS assembly span
+//	seam_stage_compute_ns{stage}  histogram per-rank compute span per stage,
+//	                                       apportioned from the block span
+//	seam_dss_assembly_ns          histogram per-rank DSS assembly span, ditto
 //	seam_epoch_wait_ns            histogram per-worker wait for block
 //	                                       dependencies to commit
 //	seam_rank_busy_ns{rank}       gauge    per-rank busy ns at the last
@@ -128,6 +129,34 @@ func (r *Runner) publishStepShared(stepInRun int) {
 	}
 	if r.trace != nil {
 		r.trace.Record(obs.Event{Kind: obs.EvStep, Step: int32(stepInRun), Stage: -1, Rank: -1, Arg: r.flopsPerStep})
+	}
+}
+
+// chargeSpan books the span of one block-task body to the block's ranks
+// [lo, hi), which hold total elements. Each rank's BusyTime gets its step of
+// the running total span*elements/total, rounded down: within 1 ns of its
+// exact part span*own/total, and telescoping, so the last rank takes the
+// rounding remainder and the block's shares sum to span exactly. Unless the
+// task is the run's epilogue, each rank also gets one sample in hist and one
+// trace event (ev, with the rank, the share and for EvDSS its bytes) of it.
+func (r *Runner) chargeSpan(lo, hi int32, total int, span time.Duration, final bool, hist *obs.HistogramBatch, ev obs.Event) {
+	var cum, booked time.Duration
+	for rk := lo; rk < hi; rk++ {
+		cum += time.Duration(len(r.elemsOf[rk]))
+		share := span*cum/time.Duration(total) - booked
+		booked += share
+		r.BusyTime[rk] += share
+		if final {
+			continue
+		}
+		hist.Observe(int64(share))
+		if r.trace != nil {
+			ev.Rank, ev.Dur = rk, int64(share)
+			if ev.Kind == obs.EvDSS {
+				ev.Arg = r.sentPerApply[rk] * 3
+			}
+			r.trace.Record(ev)
+		}
 	}
 }
 

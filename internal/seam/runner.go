@@ -25,23 +25,25 @@ import (
 // rank's elements) and a "phase B" task (DSS assembly of the shared nodes the
 // rank owns), plus one epilogue task committing the final step. Instead of
 // fencing all ranks at global barriers between phases, the runner schedules
-// by dependency, and the unit it schedules is a block: a run of consecutive
-// rank ids — curve-contiguous, hence a compact patch, for an SFC assignment —
-// cut so blocks hold near-equal element counts, blocksPerWorker per worker
-// (one block when there is one worker). A block's next task — that phase of
-// all its ranks, back to back on one worker — launches as soon as the
-// specific neighbour blocks it exchanges DSS-plan nodes with have committed
-// their side of the exchange (see dfExec for the epoch protocol), so
-// synchronisation is paid per block boundary, not per rank. With one worker
-// there is one block with no dependencies, and the same loop runs inline on
-// the calling goroutine in plain phase order.
+// by dependency, and the unit it schedules and runs is a block: a run of
+// consecutive rank ids — curve-contiguous, hence a compact patch, for an SFC
+// assignment — cut so blocks hold near-equal element counts, blocksPerWorker
+// per worker (one block when there is one worker). A block's next task — that
+// phase of all its ranks as one kernel call over the block's elements, or one
+// DSS sweep over the nodes its ranks own — launches as soon as the specific
+// neighbour blocks it exchanges DSS-plan nodes with have committed their side
+// of the exchange (see dfExec for the epoch protocol), so synchronisation is
+// paid per block boundary, not per rank. With one worker there is one block
+// with no dependencies, and the same loop runs inline on the calling
+// goroutine in exactly ShallowWater.Step's order.
 //
 // The results remain bitwise identical to sequential ShallowWater.Step at
 // any rank, worker and block count: every path runs the same batched kernels
-// (stageElems, finishElems, applyNodeFlat) over the same per-rank element
-// lists, and the dependency protocol admits exactly the inter-rank orderings
-// in which every read of a neighbour's slab observes the same committed
-// values as the sequential schedule.
+// (stageElems, finishElems, applyNodeFlat) and elements inside a stage, like
+// nodes inside one DSS application, are independent, so only the order
+// between them differs; the dependency protocol admits exactly the
+// inter-block orderings in which every read of a neighbour's slab observes
+// the same committed values as the sequential schedule.
 type Runner struct {
 	SW     *ShallowWater
 	Assign []int32 // element -> rank
@@ -52,9 +54,6 @@ type Runner struct {
 	Workers int
 
 	elemsOf [][]int32 // rank -> owned elements
-	// ownedShared[r] indexes the DSS exchange plan's shared nodes owned by
-	// rank r (the rank of the node's first member element).
-	ownedShared [][]int32
 	// sentPerApply[r] is the number of bytes rank r sends in one DSS
 	// application of one field.
 	sentPerApply []int64
@@ -75,15 +74,17 @@ type Runner struct {
 	// BusyTime holds per-rank compute time of the most recent Run call only:
 	// Run resets it on entry, so busy/wall efficiency ratios are
 	// well-defined even after warm-up runs. Sum across calls yourself if you
-	// need a cumulative figure.
+	// need a cumulative figure. A rank's figure is apportioned from its
+	// block-task spans by element count (chargeSpan).
 	//
 	// Contract: busy time excludes scheduler wait time. Every span is
-	// measured around a task body only (prologue+RHS, DSS assembly, or the
-	// step epilogue); the time a worker spends parked waiting for a
-	// dependency to commit happens between tasks, outside every span, and is
-	// metered separately into the seam_epoch_wait_ns histogram. There is no
-	// global barrier under the dependency-driven scheduler, so this is the
-	// only wait there is. TestBusyTimeExcludesWait locks the contract.
+	// measured around a block-task body only (prologue+RHS, DSS assembly, or
+	// the step epilogue), after the ranks' hooks; the time a worker spends
+	// parked waiting for a dependency to commit happens between tasks,
+	// outside every span, and is metered separately into the
+	// seam_epoch_wait_ns histogram. There is no global barrier under the
+	// dependency-driven scheduler, so this is the only wait there is.
+	// TestBusyTimeExcludesWait locks the contract.
 	//
 	// BusyTime is owned by the worker goroutines while a run is in
 	// flight: reading it mid-run is a data race and can observe torn,
@@ -120,7 +121,6 @@ func NewRunner(sw *ShallowWater, assign []int32, nranks int) (*Runner, error) {
 	r := &Runner{
 		SW: sw, Assign: assign, NRanks: nranks,
 		elemsOf:      make([][]int32, nranks),
-		ownedShared:  make([][]int32, nranks),
 		sentPerApply: make([]int64, nranks),
 		BusyTime:     make([]time.Duration, nranks),
 	}
@@ -145,7 +145,6 @@ func NewRunner(sw *ShallowWater, assign []int32, nranks int) (*Runner, error) {
 	for s := range dss.den {
 		members := dss.pts[dss.ptr[s]:dss.ptr[s+1]]
 		owner := assign[int(members[0])/npts]
-		r.ownedShared[owner] = append(r.ownedShared[owner], int32(s))
 		for _, p := range members {
 			member := assign[int(p)/npts]
 			if member != owner {
@@ -252,12 +251,13 @@ func (r *Runner) RunCtx(ctx context.Context, steps int, dt float64, hooks *StepH
 
 // StepHooks are optional callbacks threaded through RunCtx for fault
 // injection and instrumentation. All callbacks run on the worker goroutine
-// that owns the rank at that moment, so they may freely touch the rank's
-// own element blocks (and nothing else) without racing the other ranks.
+// that owns the rank's block at that moment, so they may freely touch the
+// rank's own element blocks (and nothing else) without racing the other ranks.
 type StepHooks struct {
-	// BeforeRankStage runs before rank's element-local prologue + RHS of
-	// the given RK stage (0..3) of the given step (0-based within this
-	// call). A panic raised here is attributed to the rank; sleeping here
+	// BeforeRankStage runs before the prologue + RHS of the given RK stage
+	// (0..3) of the given step (0-based within this call) reaches rank; a
+	// block calls its ranks' hooks in rank order, then runs the stage for all
+	// of them. A panic raised here is attributed to the rank; sleeping here
 	// simulates a stalled rank.
 	BeforeRankStage func(step, stage, rank int)
 }
@@ -273,7 +273,6 @@ type runControl struct {
 	errMu   sync.Mutex
 	err     error
 	working []atomic.Int64 // per-worker packed RankPos, -1 when idle
-	cur     []RankPos      // per-worker last claimed position (panic attribution)
 }
 
 // fail records the first error and flags the run as stopping. It returns
@@ -336,12 +335,16 @@ func posStage(p int64) int { return int(p>>1) & 3 }
 const blocksPerWorker = 8
 
 // blockPlan is what the scheduler needs for one (worker, block) count, built
-// once and kept on the Runner: the blocks, the dependency lists projected
-// onto them, and the storage every run reuses.
+// once and kept on the Runner: the blocks, their work lists, the dependency
+// lists projected onto them, and the storage every run reuses.
 type blockPlan struct {
 	// Block b holds ranks [start[b], start[b+1]), cut so blocks hold
 	// near-equal element counts; blockOf inverts it.
 	start, blockOf []int32
+	// elems[b] lists the elements of block b's ranks and nodes[b] the DSS
+	// plan's shared nodes they own (the rank of a node's first member owns
+	// it), both ascending — the plan order, for nodes.
+	elems, nodes [][]int32
 	// Runner.depsA/depsB/revDeps with every rank replaced by its block,
 	// self-edges dropped: an edge inside one block is met by program order.
 	depsA, depsB, revDeps [][]int32
@@ -383,6 +386,16 @@ func (r *Runner) blockPlan(nw int) *blockPlan {
 		}
 	}
 	pl.start = append(pl.start, int32(r.NRanks))
+	pl.elems, pl.nodes = make([][]int32, nb), make([][]int32, nb)
+	for e, rk := range r.Assign {
+		b := pl.blockOf[rk]
+		pl.elems[b] = append(pl.elems[b], int32(e))
+	}
+	dss, npts := r.SW.Dss, r.SW.G.PointsPerElem()
+	for s := range dss.den {
+		b := pl.blockOf[r.Assign[int(dss.pts[dss.ptr[s]])/npts]]
+		pl.nodes[b] = append(pl.nodes[b], int32(s))
+	}
 	project := func(rankDeps [][]int32) [][]int32 {
 		out := make([][]int32, nb)
 		for rk, deps := range rankDeps {
@@ -420,7 +433,6 @@ func (r *Runner) runSteps(ctl *runControl, steps int, dt float64) (time.Duration
 		for i := range ctl.working {
 			ctl.working[i].Store(-1)
 		}
-		ctl.cur = make([]RankPos, nw)
 	}
 
 	start := time.Now()
@@ -442,8 +454,8 @@ func (r *Runner) runSteps(ctl *runControl, steps int, dt float64) (time.Duration
 }
 
 // dfExec is the state of one epoch-scheduled run. The scheduled unit is the
-// block (see blockPlan): a run of consecutive ranks that one worker executes
-// back to back, with no synchronisation between them.
+// block (see blockPlan): a run of consecutive ranks whose task one worker
+// executes as one body, with no synchronisation inside it.
 //
 // Epoch protocol. commit[b] is the number of tasks block b has completed —
 // its epoch. A task at position p is ready iff every dependency block n
@@ -455,9 +467,9 @@ func (r *Runner) runSteps(ctl *runControl, steps int, dt float64) (time.Duration
 // tasks, so no stage ever reads a neighbour slab before its commit. The
 // block graph is the rank graph with ranks merged, so every rank-level
 // dependency is either such a block edge or lies inside one block, where the
-// block's own phase order (all of its ranks' phase A, commit, all of their
-// phase B, commit) satisfies it; tasks of one position never depend on each
-// other, so the rank order inside a block-task is free.
+// block's own task order satisfies it; the elements of one stage, like the
+// nodes of one DSS application, never depend on each other, so their order
+// inside a block-task is free.
 //
 // Wakeups. state[b] is 0 (idle) or 1 (enqueued or running); at most one
 // queue entry or executing worker per block exists at any time. Whoever
@@ -483,7 +495,6 @@ type dfExec struct {
 	*blockPlan
 	steps      int
 	dt         float64
-	origin     time.Time      // clock origin of the run's busy spans
 	lastPos    int64          // steps*8, the epilogue position
 	blocksLeft []atomic.Int32 // per step: blocks that have not committed it
 	done       atomic.Int64   // block-tasks completed, of nblocks*(lastPos+1)
@@ -557,16 +568,14 @@ func (ws *worker) flush() {
 	ws.dssB.Flush()
 }
 
-// runTask executes block b's task at position p on worker w: the block's
-// ranks back to back in rank order, each through its phase body. Phase A is
-// the optional fault-injection hook, then the previous step's epilogue when
-// entering stage 0 (folding it into the next touch of the same slabs) and
-// the fused stage prologue + RHS on the rank's own element blocks; phase B
-// the DSS assembly on the three tendency slabs; the epilogue the final
-// step's commit to the prognostic slabs. Consecutive ranks share one clock
-// read (n+1 per block-task), except behind a hook or probe, where the rank
-// re-reads the clock so stalls stay outside BusyTime. It returns false,
-// leaving the task uncommitted, if the run was stopped part-way.
+// runTask executes block b's task at position p on worker w: rank by rank
+// the stop check, the in-flight record, the probe and (phase A) the hook,
+// then one body for the whole block. Phase A is the previous step's epilogue
+// when entering stage 0 and the fused stage prologue + RHS over the block's
+// elements; phase B one vector and one scalar DSS sweep over the block's
+// nodes; the epilogue the final step's commit. Only the body is timed, and
+// chargeSpan apportions its span to the ranks. It returns false, leaving the
+// task uncommitted, if the run was stopped part-way.
 func (d *dfExec) runTask(w int, b int32, p int64, ws *worker) bool {
 	r, ctl, sw := d.r, d.ctl, d.r.SW
 	s, st, final := posStep(p), posStage(p), p == d.lastPos
@@ -577,56 +586,41 @@ func (d *dfExec) runTask(w int, b int32, p int64, ws *worker) bool {
 	if ctl != nil && ctl.hooks != nil && p&1 == 0 && !final {
 		hook = ctl.hooks.BeforeRankStage
 	}
-	t0 := time.Since(d.origin)
 	for rk := d.start[b]; rk < d.start[b+1]; rk++ {
 		if ctl != nil {
 			if ctl.stop.Load() {
 				return false
 			}
-			ctl.cur[w] = RankPos{Rank: int(rk), Step: s, Stage: st}
 			ctl.working[w].Store(packPos(s, st, int(rk)))
 		}
 		if r.testOnTask != nil {
 			r.testOnTask(rk, p, d.rankReady(rk, b, p))
-			t0 = time.Since(d.origin)
 		}
-		var hist *obs.HistogramBatch
-		ev := obs.Event{Step: int32(s), Stage: int8(st), Rank: rk}
-		switch {
-		case final:
-			sw.finishElems(r.elemsOf[rk], d.dt)
-		case p&1 == 0:
-			if hook != nil {
-				hook(s, st, int(rk))
-				t0 = time.Since(d.origin)
-			}
-			if st == 0 && s > 0 {
-				sw.finishElems(r.elemsOf[rk], d.dt)
-			}
-			sw.stageElems(r.elemsOf[rk], st, d.dt, ws.scr)
-			hist, ev.Kind = ws.stageB[st], obs.EvStage
-		default:
-			// The rank's portion of one vector and one scalar DSS application:
-			// assembling the shared nodes it owns through the exchange plan.
-			for _, n := range r.ownedShared[rk] {
-				sw.Dss.applyVectorNodeFlat(sw.k1v1F, sw.k1v2F, n)
-			}
-			for _, n := range r.ownedShared[rk] {
-				sw.Dss.applyNodeFlat(sw.k1pF, n)
-			}
-			hist, ev.Kind, ev.Arg = ws.dssB, obs.EvDSS, r.sentPerApply[rk]*3
+		if hook != nil {
+			hook(s, st, int(rk))
 		}
-		t1 := time.Since(d.origin)
-		r.BusyTime[rk] += t1 - t0
-		if !final {
-			hist.Observe(int64(t1 - t0))
-			if r.trace != nil {
-				ev.Dur = int64(t1 - t0)
-				r.trace.Record(ev)
-			}
-		}
-		t0 = t1
 	}
+	elems, hist := d.elems[b], ws.dssB
+	ev := obs.Event{Kind: obs.EvDSS, Step: int32(s), Stage: int8(st)}
+	t0 := time.Now()
+	switch {
+	case final:
+		sw.finishElems(elems, d.dt)
+	case p&1 == 0:
+		if st == 0 && s > 0 {
+			sw.finishElems(elems, d.dt)
+		}
+		sw.stageElems(elems, st, d.dt, ws.scr)
+		hist, ev.Kind = ws.stageB[st], obs.EvStage
+	default:
+		for _, n := range d.nodes[b] {
+			sw.Dss.applyVectorNodeFlat(sw.k1v1F, sw.k1v2F, n)
+		}
+		for _, n := range d.nodes[b] {
+			sw.Dss.applyNodeFlat(sw.k1pF, n)
+		}
+	}
+	r.chargeSpan(d.start[b], d.start[b+1], len(elems), time.Since(t0), final, hist, ev)
 	if ctl != nil {
 		ctl.working[w].Store(-1)
 	}
@@ -645,7 +639,7 @@ func (d *dfExec) runWorker(w int) {
 	if ctl != nil {
 		defer func() {
 			if v := recover(); v != nil {
-				cur := ctl.cur[w]
+				cur := unpackPos(ctl.working[w].Load())
 				if ctl.fail(&RankPanicError{Step: cur.Step, Stage: cur.Stage, Rank: cur.Rank, Value: v}) {
 					d.q.Close()
 				}
@@ -727,7 +721,7 @@ func (d *dfExec) runWorker(w int) {
 // every task in phase order on the caller.
 func (r *Runner) runDataflow(ctl *runControl, nw, steps int, dt float64) error {
 	d := &dfExec{
-		r: r, ctl: ctl, blockPlan: r.blockPlan(nw), steps: steps, dt: dt, origin: time.Now(),
+		r: r, ctl: ctl, blockPlan: r.blockPlan(nw), steps: steps, dt: dt,
 		lastPos:    int64(steps) * 8,
 		blocksLeft: make([]atomic.Int32, steps),
 	}
@@ -745,8 +739,8 @@ func (r *Runner) runDataflow(ctl *runControl, nw, steps int, dt float64) error {
 	}
 	// Cancellation watchdog: parked workers cannot poll the context, so a
 	// dedicated goroutine converts ctx expiry into a queue close, which
-	// releases every parked worker; running workers notice the stop flag at
-	// their next rank boundary (a stalled hook keeps its rank until then).
+	// releases every parked worker; running workers notice the stop flag before
+	// their next rank's hook (a stalled hook keeps its rank until then).
 	if ctl != nil {
 		watchDone := make(chan struct{})
 		defer close(watchDone)

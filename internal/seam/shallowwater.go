@@ -33,11 +33,11 @@ type ShallowWater struct {
 	// Flops counts floating point operations performed so far.
 	Flops int64
 
-	// Tendency, RK stage-state and accumulator slabs, shared by the
-	// sequential Step and the parallel Runner (ranks touch disjoint
-	// element blocks).
+	// Tendency and accumulator slabs, shared by the sequential Step and the
+	// parallel Runner (ranks touch disjoint element blocks). With the
+	// prognostic slabs these are the solver's nine grid-sized state slabs;
+	// the RK stage state lives one element at a time in rhsScratch.
 	k1v1F, k1v2F, k1pF []float64
-	sv1F, sv2F, spF    []float64
 	av1F, av2F, apF    []float64
 
 	// allElems lists every element id, the "rank" of the sequential solver
@@ -50,16 +50,19 @@ type ShallowWater struct {
 }
 
 // rhsScratch holds the Np*Np-sized per-element work buffers of one RHS
-// evaluation. Each concurrent evaluator owns one, so the hot loops touch a
+// evaluation, and the RK stage state sv = v + c*k of the element being
+// evaluated (sv1, sv2, sp), which stageElems writes and reads inside one
+// element. Each concurrent evaluator owns one, so the hot loops touch a
 // cache-resident footprint instead of grid-sized scratch slabs.
 type rhsScratch struct {
 	u1, u2, en, f1, f2 []float64
 	da1, db1, da2, db2 []float64
+	sv1, sv2, sp       []float64
 }
 
 func newRHSScratch(npts int) *rhsScratch {
 	s := &rhsScratch{}
-	for _, p := range []*[]float64{&s.u1, &s.u2, &s.en, &s.f1, &s.f2, &s.da1, &s.db1, &s.da2, &s.db2} {
+	for _, p := range []*[]float64{&s.u1, &s.u2, &s.en, &s.f1, &s.f2, &s.da1, &s.db1, &s.da2, &s.db2, &s.sv1, &s.sv2, &s.sp} {
 		*p = make([]float64, npts)
 	}
 	return s
@@ -72,7 +75,7 @@ func NewShallowWater(g *Grid) (*ShallowWater, error) {
 	sw := &ShallowWater{G: g, Dss: NewDSS(g)}
 	for _, f := range []*[]float64{
 		&sw.V1, &sw.V2, &sw.Phi, &sw.k1v1F, &sw.k1v2F, &sw.k1pF,
-		&sw.sv1F, &sw.sv2F, &sw.spF, &sw.av1F, &sw.av2F, &sw.apF,
+		&sw.av1F, &sw.av2F, &sw.apF,
 	} {
 		*f = g.Field()
 	}
@@ -87,7 +90,7 @@ func NewShallowWater(g *Grid) (*ShallowWater, error) {
 // StateSlabs returns the prognostic fields V1, V2 and Phi. Writing through
 // the returned slices mutates the model state. The prognostic slabs plus a
 // step counter are the complete restart state of the integrator: every other
-// internal slab (tendencies, RK stage states, accumulators) is
+// slab (tendencies, accumulators) and the scratch RK stage state are
 // re-initialised at the start of each step, which is what makes
 // checkpoint/restart (internal/seam/supervise) bitwise-exact.
 func (sw *ShallowWater) StateSlabs() (v1, v2, phi []float64) {
@@ -112,31 +115,18 @@ func (sw *ShallowWater) SetState(wind func(p mesh.Vec3) mesh.Vec3, phi func(p me
 	sw.Dss.Apply(sw.Phi)
 }
 
-// rhsElems evaluates the vector-invariant tendencies of the listed elements
-// on flat element-major slabs, using scr for per-element scratch. This is
-// the single batched compute kernel shared by the sequential Step and the
-// parallel Runner (which calls it with each rank's element list), so the two
-// paths are bitwise identical by construction. No DSS, no flop metering:
-// the callers handle both.
-func (sw *ShallowWater) rhsElems(elems []int32, scr *rhsScratch, v1, v2, phi, tv1, tv2, tphi []float64) {
-	npts := sw.G.Np * sw.G.Np
-	for _, e32 := range elems {
-		sw.rhsElem(int(e32)*npts, scr, v1, v2, phi, tv1, tv2, tphi)
-	}
-}
-
 // rhsElem evaluates the tendencies of the single element whose slab offset is
-// base. The pointwise loops multiply by the precomputed reciprocal Jacobian
+// base from its state (v1e, v2e, pe: Np*Np points each, the element's run of
+// a state slab or a stage state in scratch) into the tendency slabs. The
+// pointwise loops multiply by the precomputed reciprocal Jacobian
 // RSqrtG instead of dividing, and hoist the shared products (sqrtG*Phi,
 // pv*sqrtG) out of the flux and momentum expressions.
-func (sw *ShallowWater) rhsElem(base int, scr *rhsScratch, v1, v2, phi, tv1, tv2, tphi []float64) {
+func (sw *ShallowWater) rhsElem(base int, scr *rhsScratch, v1e, v2e, pe, tv1, tv2, tphi []float64) {
 	g := sw.G
 	npts := g.Np * g.Np
 	u1, u2, en, f1, f2 := scr.u1, scr.u2, scr.en, scr.f1, scr.f2
 	da1, db1, da2, db2 := scr.da1, scr.db1, scr.da2, scr.db2
-	v1e := v1[base : base+npts]
-	v2e := v2[base : base+npts]
-	pe := phi[base : base+npts]
+	v1e, v2e, pe = v1e[:npts], v2e[:npts], pe[:npts]
 	tv1e := tv1[base : base+npts]
 	tv2e := tv2[base : base+npts]
 	tpe := tphi[base : base+npts]
@@ -178,13 +168,14 @@ func (sw *ShallowWater) rhsElem(base int, scr *rhsScratch, v1, v2, phi, tv1, tv2
 // stageElems advances the listed elements through RK4 stage st of a step of
 // size dt. It fuses the stage prologue — folding the previous stage's
 // (DSS-projected) tendency into the accumulator and, for stages 1-3, building
-// the stage state sv = v + c*k1 — with the stage's own RHS evaluation, so
-// each element's slabs stream through cache exactly once per stage. The tile
-// is one element (Np*Np points x ~15 slabs, a few KiB at the production
-// degree), comfortably L2-resident. Stage 0 instead seeds the accumulator
-// with a copy of the prognostic state. Shared by the sequential Step and the
-// parallel Runner (which calls it with each rank's element list), so the two
-// paths are bitwise identical by construction. No DSS, no flop metering: the
+// the stage state sv = v + c*k1 in scr — with the stage's own RHS
+// evaluation, so each element's slabs stream through cache exactly once per
+// stage. The tile is one element (Np*Np points x 9 state slabs + 6 metric
+// slabs + the scratch, a few KiB at the production degree), comfortably
+// L2-resident. Stage 0 instead seeds the accumulator with a copy of the
+// prognostic state. Shared by the sequential Step and the parallel Runner
+// (which calls it with each block's element list), so the two paths are
+// bitwise identical by construction. No DSS, no flop metering: the
 // callers handle both.
 func (sw *ShallowWater) stageElems(elems []int32, st int, dt float64, scr *rhsScratch) {
 	npts := sw.G.PointsPerElem()
@@ -194,13 +185,14 @@ func (sw *ShallowWater) stageElems(elems []int32, st int, dt float64, scr *rhsSc
 			copy(sw.av1F[base:base+npts], sw.V1[base:base+npts])
 			copy(sw.av2F[base:base+npts], sw.V2[base:base+npts])
 			copy(sw.apF[base:base+npts], sw.Phi[base:base+npts])
-			sw.rhsElem(base, scr, sw.V1, sw.V2, sw.Phi, sw.k1v1F, sw.k1v2F, sw.k1pF)
+			sw.rhsElem(base, scr, sw.V1[base:base+npts], sw.V2[base:base+npts], sw.Phi[base:base+npts], sw.k1v1F, sw.k1v2F, sw.k1pF)
 		}
 		return
 	}
 	accCoef := [3]float64{dt / 6, dt / 3, dt / 3}
 	stageCoef := [3]float64{dt / 2, dt / 2, dt}
 	c, sc := accCoef[st-1], stageCoef[st-1]
+	sv1, sv2, sp := scr.sv1[:npts], scr.sv2[:npts], scr.sp[:npts]
 	for _, e32 := range elems {
 		base := int(e32) * npts
 		k1v1 := sw.k1v1F[base : base+npts]
@@ -212,9 +204,6 @@ func (sw *ShallowWater) stageElems(elems []int32, st int, dt float64, scr *rhsSc
 		v1 := sw.V1[base : base+npts]
 		v2 := sw.V2[base : base+npts]
 		p := sw.Phi[base : base+npts]
-		sv1 := sw.sv1F[base : base+npts]
-		sv2 := sw.sv2F[base : base+npts]
-		sp := sw.spF[base : base+npts]
 		for i := 0; i < npts; i++ {
 			av1[i] += c * k1v1[i]
 			av2[i] += c * k1v2[i]
@@ -223,7 +212,7 @@ func (sw *ShallowWater) stageElems(elems []int32, st int, dt float64, scr *rhsSc
 			sv2[i] = v2[i] + sc*k1v2[i]
 			sp[i] = p[i] + sc*k1p[i]
 		}
-		sw.rhsElem(base, scr, sw.sv1F, sw.sv2F, sw.spF, sw.k1v1F, sw.k1v2F, sw.k1pF)
+		sw.rhsElem(base, scr, sv1, sv2, sp, sw.k1v1F, sw.k1v2F, sw.k1pF)
 	}
 }
 
@@ -252,22 +241,19 @@ func (sw *ShallowWater) finishElems(elems []int32, dt float64) {
 	}
 }
 
-// rhs evaluates the tendencies of the full state (flat slabs) into
-// (tv1, tv2, tphi), including the DSS projection.
-func (sw *ShallowWater) rhs(v1, v2, phi, tv1, tv2, tphi []float64) {
-	g := sw.G
-	sw.rhsElems(sw.allElems, sw.scr, v1, v2, phi, tv1, tv2, tphi)
-	sw.Flops += rhsFlopsShallowWater(g.NumElems(), g.Np)
-	sw.Dss.ApplyVector(tv1, tv2)
-	sw.Dss.Apply(tphi)
-}
-
 // RHS evaluates one RK stage's tendencies of the current prognostic state
 // into the internal tendency buffers, including the DSS projection — the
 // compute + exchange unit the partitioner must balance. Exported for the
 // BenchmarkRHS micro-benchmark and for diagnostics.
 func (sw *ShallowWater) RHS() {
-	sw.rhs(sw.V1, sw.V2, sw.Phi, sw.k1v1F, sw.k1v2F, sw.k1pF)
+	g := sw.G
+	npts := g.PointsPerElem()
+	for base := 0; base < len(sw.Phi); base += npts {
+		sw.rhsElem(base, sw.scr, sw.V1[base:base+npts], sw.V2[base:base+npts], sw.Phi[base:base+npts], sw.k1v1F, sw.k1v2F, sw.k1pF)
+	}
+	sw.Flops += rhsFlopsShallowWater(g.NumElems(), g.Np)
+	sw.Dss.ApplyVector(sw.k1v1F, sw.k1v2F)
+	sw.Dss.Apply(sw.k1pF)
 }
 
 // Step advances the state by one RK4 step of size dt seconds. Each stage is
