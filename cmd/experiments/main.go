@@ -39,18 +39,20 @@ func main() {
 	run := flag.String("run", "all", "experiment to run (or 'all')")
 	out := flag.String("out", "", "directory for CSV/SVG artifacts (optional)")
 	seed := flag.Int64("seed", 1, "random seed for the METIS-style partitioners")
-	tvSeeds := flag.Int("tv-seeds", 5, "seed count for the TV anomaly ablation")
 	weightSpec := flag.String("weights", experiments.DefaultWeightSpec,
 		"physics-proxy weight spec for the weighted experiments (internal/weights grammar)")
 	flag.Parse()
 
-	if err := runAll(*run, *out, *seed, *tvSeeds, *weightSpec); err != nil {
+	if err := runAll(*run, *out, *seed, *weightSpec); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }
 
-func runAll(run, out string, seed int64, tvSeeds int, weightSpec string) error {
+// tvSeeds is the seed count of the TV anomaly ablation.
+const tvSeeds = 5
+
+func runAll(run, out string, seed int64, weightSpec string) error {
 	type experiment struct {
 		name string
 		fn   func() (any, error)

@@ -5,10 +5,7 @@ import (
 
 	"sfccube/internal/core"
 	"sfccube/internal/graph"
-	"sfccube/internal/machine"
-	"sfccube/internal/mesh"
 	"sfccube/internal/metis"
-	"sfccube/internal/partition"
 	"sfccube/internal/sfc"
 )
 
@@ -26,26 +23,16 @@ func AblationOrder(seed int64) (*Table, error) {
 		{6, 54}, {12, 216}, {18, 486},
 	}
 	for _, c := range cases {
-		m, err := mesh.New(c.ne)
+		s, err := NewSetup(c.ne)
 		if err != nil {
 			return nil, err
 		}
-		g, err := graph.FromMesh(m, graph.DefaultOptions())
-		if err != nil {
-			return nil, err
-		}
-		w := machine.DefaultWorkload()
-		mod := machine.NCARP690()
 		for _, o := range []sfc.Order{sfc.PeanoFirst, sfc.HilbertFirst, sfc.Interleaved} {
 			res, err := core.PartitionCubedSphere(core.Config{Ne: c.ne, NProcs: c.nproc, Order: o})
 			if err != nil {
 				return nil, err
 			}
-			st, err := partition.ComputeStats(g, res.Partition)
-			if err != nil {
-				return nil, err
-			}
-			rep, err := machine.SimulateStep(m, res.Partition, w, mod, nil)
+			m, err := s.measure(res.Partition)
 			if err != nil {
 				return nil, err
 			}
@@ -54,9 +41,9 @@ func AblationOrder(seed int64) (*Table, error) {
 				fmt.Sprintf("%d", c.nproc),
 				o.String(),
 				res.Schedule.String(),
-				fmt.Sprintf("%d", st.EdgeCutUnweighted),
-				fmt.Sprintf("%d", st.TotalCommVolume),
-				fmt.Sprintf("%.0f", rep.StepTime*1e6),
+				fmt.Sprintf("%d", m.st.EdgeCutUnweighted),
+				fmt.Sprintf("%d", m.st.TotalCommVolume),
+				fmt.Sprintf("%.0f", m.rep.StepTime*1e6),
 			})
 		}
 	}
@@ -74,42 +61,31 @@ func AblationCorners(seed int64) (*Table, error) {
 		Title:   "Ablation B: corner edges in the METIS graph",
 		Headers: []string{"Nproc", "graph", "method", "edgecut(w)", "LB(nelemd)", "time (usec)"},
 	}
-	const ne = 16
-	m, err := mesh.New(ne)
+	s, err := NewSetup(16)
 	if err != nil {
 		return nil, err
 	}
-	w := machine.DefaultWorkload()
-	mod := machine.NCARP690()
+	boundaryOnly, err := graph.FromMesh(s.Mesh, graph.Options{EdgeWeight: 8, IncludeCorners: false})
+	if err != nil {
+		return nil, err
+	}
 	graphs := []struct {
 		label string
-		opt   graph.Options
+		g     *graph.Graph
 	}{
-		{"boundary+corner", graph.DefaultOptions()},
-		{"boundary-only", graph.Options{EdgeWeight: 8, IncludeCorners: false}},
+		{"boundary+corner", s.Graph},
+		{"boundary-only", boundaryOnly},
 	}
 	for _, nproc := range []int{192, 768} {
 		for _, gc := range graphs {
-			g, err := graph.FromMesh(m, gc.opt)
-			if err != nil {
-				return nil, err
-			}
-			// Stats are always evaluated on the full (boundary+corner)
-			// graph so the numbers are comparable.
-			full, err := graph.FromMesh(m, graph.DefaultOptions())
-			if err != nil {
-				return nil, err
-			}
 			for _, method := range []metis.Method{metis.KWay, metis.RB} {
-				p, err := metis.Partition(g, nproc, metis.Options{Method: method, Seed: seed})
+				p, err := metis.Partition(gc.g, nproc, metis.Options{Method: method, Seed: seed})
 				if err != nil {
 					return nil, err
 				}
-				st, err := partition.ComputeStats(full, p)
-				if err != nil {
-					return nil, err
-				}
-				rep, err := machine.SimulateStep(m, p, w, mod, nil)
+				// measure reads the setup's full (boundary+corner) graph,
+				// so the numbers of both graphs are comparable.
+				m, err := s.measure(p)
 				if err != nil {
 					return nil, err
 				}
@@ -117,9 +93,9 @@ func AblationCorners(seed int64) (*Table, error) {
 					fmt.Sprintf("%d", nproc),
 					gc.label,
 					method.String(),
-					fmt.Sprintf("%d", st.EdgeCut),
-					fmt.Sprintf("%.3f", st.LBNelemd),
-					fmt.Sprintf("%.0f", rep.StepTime*1e6),
+					fmt.Sprintf("%d", m.st.EdgeCut),
+					fmt.Sprintf("%.3f", m.st.LBNelemd),
+					fmt.Sprintf("%.0f", m.rep.StepTime*1e6),
 				})
 			}
 		}
@@ -139,8 +115,7 @@ func AblationTV(seeds int) (*Table, error) {
 		Headers: []string{"seed", "KWAY TCV(vertex)", "TV TCV(vertex)", "KWAY TCV(MB)",
 			"TV TCV(MB)", "TV wins bytes"},
 	}
-	const ne, nproc = 16, 768
-	s, err := NewSetup(ne)
+	s, err := NewSetup(table2Ne)
 	if err != nil {
 		return nil, err
 	}
@@ -148,21 +123,13 @@ func AblationTV(seeds int) (*Table, error) {
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		var tcv [2]int64
 		var mb [2]float64
-		for i, method := range []metis.Method{metis.KWay, metis.KWayVol} {
-			p, err := metis.Partition(s.Graph, nproc, metis.Options{Method: method, Seed: seed})
+		for i, method := range []string{"KWAY", "TV"} {
+			m, err := s.run(method, table2NProc, seed, nil)
 			if err != nil {
 				return nil, err
 			}
-			st, err := partition.ComputeStats(s.Graph, p)
-			if err != nil {
-				return nil, err
-			}
-			tcv[i] = st.TotalCommVolume
-			rep, err := machine.SimulateStep(s.Mesh, p, s.Workload, s.Model, nil)
-			if err != nil {
-				return nil, err
-			}
-			mb[i] = float64(rep.TotalCommBytes) / 1e6
+			tcv[i] = m.st.TotalCommVolume
+			mb[i] = float64(m.rep.TotalCommBytes) / 1e6
 		}
 		if tcv[1] < tcv[0] {
 			tvVertexWins++

@@ -4,16 +4,14 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"sfccube/internal/core"
 	"sfccube/internal/graph"
 	"sfccube/internal/machine"
 	"sfccube/internal/mesh"
 	"sfccube/internal/obs"
+	"sfccube/internal/par"
 	"sfccube/internal/partition"
 	"sfccube/internal/sfc"
 )
@@ -71,6 +69,50 @@ func (s *Setup) Partition(method string, nproc int, seed int64, reg *obs.Registr
 	return core.Run(context.Background(), method, s.Problem, nproc, seed, reg)
 }
 
+// measured is one evaluated cell: a partition, its statistics under the
+// setup's load model and its modelled step on the machine model.
+type measured struct {
+	p   *partition.Partition
+	st  partition.Stats
+	rep machine.StepReport
+}
+
+// measure evaluates a partition of the setup's mesh. It is the one place an
+// experiment computes partition statistics and models a step.
+func (s *Setup) measure(p *partition.Partition) (measured, error) {
+	st, err := partition.ComputeStatsWeighted(s.Graph, p, s.Problem.Weights())
+	if err != nil {
+		return measured{}, err
+	}
+	rep, err := machine.SimulateStep(s.Mesh, p, s.Workload, s.Model, nil)
+	return measured{p, st, rep}, err
+}
+
+// run is one cell: Partition followed by measure.
+func (s *Setup) run(method string, nproc int, seed int64, reg *obs.Registry) (measured, error) {
+	p, err := s.Partition(method, nproc, seed, reg)
+	if err != nil {
+		return measured{}, err
+	}
+	return s.measure(p)
+}
+
+// cells runs fn(i) for every cell i in [0, n) on par.ForBlocks and returns
+// the lowest-index cell's error, so the error reported does not depend on
+// scheduling. Every cell runs; fn must write only cell-i state. The cells
+// of one sweep are independent partitioning runs, each with its seed passed
+// explicitly, so the results match a serial loop exactly.
+func cells(n int, fn func(i int) error) error {
+	errs := make([]error, n)
+	par.ForBlocks(n, func(i int) { errs[i] = fn(i) })
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Table1 reproduces Table 1 of the paper: the SEAM test resolutions with
 // their element counts, processor-count ranges, and SFC recursion levels.
 func Table1() *Table {
@@ -113,21 +155,21 @@ func (tel Telemetry) JSON() ([]byte, error) {
 }
 
 // table2Row is one row of a Table-2 style table: its label and how a cell
-// reads from one method's partition statistics and modelled step.
+// reads from one method's measured partition.
 type table2Row struct {
 	name string
-	cell func(st partition.Stats, rep machine.StepReport) string
+	cell func(m measured) string
 }
 
 var (
-	rowLBNelemd = table2Row{"LB(nelemd)", func(st partition.Stats, _ machine.StepReport) string {
-		return fmt.Sprintf("%.3f", partition.LoadBalance(st.Nelemd))
+	rowLBNelemd = table2Row{"LB(nelemd)", func(m measured) string {
+		return fmt.Sprintf("%.3f", partition.LoadBalance(m.st.Nelemd))
 	}}
-	rowLBSpcv = table2Row{"LB(spcv)", func(st partition.Stats, _ machine.StepReport) string {
-		return fmt.Sprintf("%.3f", st.LBSpcv)
+	rowLBSpcv = table2Row{"LB(spcv)", func(m measured) string {
+		return fmt.Sprintf("%.3f", m.st.LBSpcv)
 	}}
-	rowEdgecut = table2Row{"edgecut", func(st partition.Stats, _ machine.StepReport) string {
-		return fmt.Sprintf("%d", st.EdgeCutUnweighted)
+	rowEdgecut = table2Row{"edgecut", func(m measured) string {
+		return fmt.Sprintf("%d", m.st.EdgeCutUnweighted)
 	}}
 )
 
@@ -152,12 +194,12 @@ func Table2(seed int64) (*Table, Telemetry, error) {
 	tel, err := table2Fill(t, s, seed, []table2Row{
 		rowLBNelemd,
 		rowLBSpcv,
-		{"TCV (Mbytes)", func(_ partition.Stats, rep machine.StepReport) string {
-			return fmt.Sprintf("%.1f", float64(rep.TotalCommBytes)/1e6)
+		{"TCV (Mbytes)", func(m measured) string {
+			return fmt.Sprintf("%.1f", float64(m.rep.TotalCommBytes)/1e6)
 		}},
 		rowEdgecut,
-		{"Time (usec)", func(_ partition.Stats, rep machine.StepReport) string {
-			return fmt.Sprintf("%.0f", rep.StepTime*1e6)
+		{"Time (usec)", func(m measured) string {
+			return fmt.Sprintf("%.0f", m.rep.StepTime*1e6)
 		}},
 	})
 	return t, tel, err
@@ -166,49 +208,29 @@ func Table2(seed int64) (*Table, Telemetry, error) {
 // The paper's Table 2 configuration.
 const table2Ne, table2NProc = 16, 768
 
-// table2Fill is the Table-2 loop: partition the setup's problem with every
-// method, measure each partition under the problem's weights and on the
-// machine model, and lay the rows out with one column per method. The four
-// columns are independent partitioning runs and are evaluated in parallel
-// (each method's partitioner carries its own seed-derived RNG state, so the
-// results match the serial order exactly).
+// table2Fill is the Table-2 loop: run every method as one cell, each under
+// its own metrics registry, and lay the rows out with one column per method.
 func table2Fill(t *Table, s *Setup, seed int64, rows []table2Row) (Telemetry, error) {
 	order := []string{"SFC", "KWAY", "TV", "RB"}
 	t.Headers = append([]string{"Metric"}, order...)
-	stats := make([]partition.Stats, len(order))
-	reps := make([]machine.StepReport, len(order))
+	ms := make([]measured, len(order))
 	regs := make([]*obs.Registry, len(order))
-	errs := make([]error, len(order))
-	var wg sync.WaitGroup
-	for i, method := range order {
+	err := cells(len(order), func(i int) (err error) {
 		regs[i] = obs.NewRegistry()
-		wg.Add(1)
-		go func(i int, method string) {
-			defer wg.Done()
-			p, err := s.Partition(method, table2NProc, seed, regs[i])
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if stats[i], err = partition.ComputeStatsWeighted(s.Graph, p, s.Problem.Weights()); err != nil {
-				errs[i] = err
-				return
-			}
-			reps[i], errs[i] = machine.SimulateStep(s.Mesh, p, s.Workload, s.Model, nil)
-		}(i, method)
+		ms[i], err = s.run(order[i], table2NProc, seed, regs[i])
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
 	tel := Telemetry{}
 	for i, method := range order {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
 		tel[method] = regs[i].Snapshot()
 	}
 	for _, row := range rows {
 		r := []string{row.name}
-		for i := range order {
-			r = append(r, row.cell(stats[i], reps[i]))
+		for _, m := range ms {
+			r = append(r, row.cell(m))
 		}
 		t.Rows = append(t.Rows, r)
 	}
@@ -228,133 +250,71 @@ func procSweep(ne, maxProc int) []int {
 	return out
 }
 
-// sweep evaluates every partitioning method over the equal-elements
-// processor counts up to maxProc and returns per-method series of the
-// metric selected by pick.
-func sweep(ne, maxProc int, seed int64, pick func(machine.StepReport, machine.StepReport) float64) (*Figure, error) {
-	return sweepProcs(ne, procSweep(ne, maxProc), seed, pick)
+// sweepLines evaluates y for every (label, nproc) pair as one cell and
+// returns one line per label over x = procs.
+func sweepLines(labels []string, procs []int, y func(label string, nproc int) (float64, error)) ([]Line, error) {
+	lines := make([]Line, len(labels))
+	for i, label := range labels {
+		lines[i] = Line{Label: label, Y: make([]float64, len(procs))}
+		for _, np := range procs {
+			lines[i].X = append(lines[i].X, float64(np))
+		}
+	}
+	err := cells(len(labels)*len(procs), func(c int) (err error) {
+		l, pi := &lines[c/len(procs)], c%len(procs)
+		l.Y[pi], err = y(l.Label, procs[pi])
+		return err
+	})
+	return lines, err
 }
 
-// sweepProcs is sweep over an explicit processor-count list. Every
-// (method, nproc) cell of the matrix is independent — each runs its own
-// partitioner with a seed passed explicitly — so the cells are evaluated on a
-// bounded pool of goroutines and written to a preallocated results matrix.
-// The output ordering (and, because metis.Partition is deterministic for a
-// fixed seed, every value) is identical to the former serial double loop.
-func sweepProcs(ne int, procs []int, seed int64, pick func(machine.StepReport, machine.StepReport) float64) (*Figure, error) {
+// figure sweeps every partitioning method over procs at resolution ne and
+// plots pick(serial, step) of each cell's modelled step; the single-processor
+// point is the serial step itself.
+func figure(name, title, yLabel string, ne int, procs []int, seed int64, pick func(serial, rep machine.StepReport) float64) (*Figure, error) {
 	s, err := NewSetup(ne)
 	if err != nil {
 		return nil, err
 	}
-	type cell struct {
-		method string
-		np     int
-		y      *float64
-	}
-	fig := &Figure{Lines: make([]Line, len(methodNames))}
-	var cells []cell
-	for mi, method := range methodNames {
-		line := Line{Label: method, X: make([]float64, len(procs)), Y: make([]float64, len(procs))}
-		for pi, np := range procs {
-			line.X[pi] = float64(np)
-			cells = append(cells, cell{method: method, np: np, y: &line.Y[pi]})
+	lines, err := sweepLines(methodNames, procs, func(method string, np int) (float64, error) {
+		if np == 1 {
+			return pick(s.Serial, s.Serial), nil
 		}
-		fig.Lines[mi] = line
-	}
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-		stop     atomic.Bool // first failure stops further cell launches
-	)
-	fail := func(err error) {
-		errOnce.Do(func() { firstErr = err })
-		stop.Store(true)
-	}
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for _, c := range cells {
-		if stop.Load() {
-			break // a cell failed; don't start work whose result is discarded
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(c cell) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if stop.Load() {
-				return
-			}
-			rep := s.Serial
-			if c.np != 1 {
-				p, err := s.Partition(c.method, c.np, seed, nil)
-				if err != nil {
-					fail(err)
-					return
-				}
-				rep, err = machine.SimulateStep(s.Mesh, p, s.Workload, s.Model, nil)
-				if err != nil {
-					fail(err)
-					return
-				}
-			}
-			*c.y = pick(s.Serial, rep)
-		}(c)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return fig, nil
-}
-
-// Fig7 reproduces Figure 7: speedup versus processor count for K=384
-// (Ne=8, Hilbert curve), SFC against the METIS algorithms.
-func Fig7(seed int64) (*Figure, error) {
-	fig, err := sweep(8, 384, seed, machine.Speedup)
-	if err != nil {
-		return nil, err
-	}
-	fig.Name, fig.Title = "fig7", "Figure 7: speedup vs single processor, K=384"
-	fig.XLabel, fig.YLabel = "Nproc", "speedup"
-	return fig, nil
-}
-
-// Fig8 reproduces Figure 8: speedup for K=486 (Ne=9, m-Peano curve).
-func Fig8(seed int64) (*Figure, error) {
-	fig, err := sweep(9, 486, seed, machine.Speedup)
-	if err != nil {
-		return nil, err
-	}
-	fig.Name, fig.Title = "fig8", "Figure 8: speedup vs single processor, K=486"
-	fig.XLabel, fig.YLabel = "Nproc", "speedup"
-	return fig, nil
-}
-
-// Fig9 reproduces Figure 9: sustained Gflops for K=384.
-func Fig9(seed int64) (*Figure, error) {
-	fig, err := sweep(8, 384, seed, func(_, rep machine.StepReport) float64 {
-		return rep.SustainedGflops()
+		m, err := s.run(method, np, seed, nil)
+		return pick(s.Serial, m.rep), err
 	})
 	if err != nil {
 		return nil, err
 	}
-	fig.Name, fig.Title = "fig9", "Figure 9: sustained Gflops, K=384"
-	fig.XLabel, fig.YLabel = "Nproc", "Gflops"
-	return fig, nil
+	return &Figure{Name: name, Title: title, XLabel: "Nproc", YLabel: yLabel, Lines: lines}, nil
+}
+
+func gflops(_, rep machine.StepReport) float64 { return rep.SustainedGflops() }
+
+// Fig7 reproduces Figure 7: speedup versus processor count for K=384
+// (Ne=8, Hilbert curve), SFC against the METIS algorithms.
+func Fig7(seed int64) (*Figure, error) {
+	return figure("fig7", "Figure 7: speedup vs single processor, K=384", "speedup",
+		8, procSweep(8, 384), seed, machine.Speedup)
+}
+
+// Fig8 reproduces Figure 8: speedup for K=486 (Ne=9, m-Peano curve).
+func Fig8(seed int64) (*Figure, error) {
+	return figure("fig8", "Figure 8: speedup vs single processor, K=486", "speedup",
+		9, procSweep(9, 486), seed, machine.Speedup)
+}
+
+// Fig9 reproduces Figure 9: sustained Gflops for K=384.
+func Fig9(seed int64) (*Figure, error) {
+	return figure("fig9", "Figure 9: sustained Gflops, K=384", "Gflops",
+		8, procSweep(8, 384), seed, gflops)
 }
 
 // Fig10 reproduces Figure 10: sustained Gflops for K=1536 up to 768
 // processors.
 func Fig10(seed int64) (*Figure, error) {
-	fig, err := sweep(16, 768, seed, func(_, rep machine.StepReport) float64 {
-		return rep.SustainedGflops()
-	})
-	if err != nil {
-		return nil, err
-	}
-	fig.Name, fig.Title = "fig10", "Figure 10: sustained Gflops, K=1536"
-	fig.XLabel, fig.YLabel = "Nproc", "Gflops"
-	return fig, nil
+	return figure("fig10", "Figure 10: sustained Gflops, K=1536", "Gflops",
+		16, procSweep(16, 768), seed, gflops)
 }
 
 // Advantage returns the relative advantage of the SFC series over the best
@@ -401,23 +361,16 @@ func K1944(seed int64) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		var sfcTime float64
-		bestMetis := 0.0
-		first := true
+		var sfcTime, bestMetis float64
 		for _, method := range methodNames {
-			p, err := s.Partition(method, c.nproc, seed, nil)
-			if err != nil {
-				return nil, err
-			}
-			rep, err := machine.SimulateStep(s.Mesh, p, s.Workload, s.Model, nil)
+			m, err := s.run(method, c.nproc, seed, nil)
 			if err != nil {
 				return nil, err
 			}
 			if method == "SFC" {
-				sfcTime = rep.StepTime
-			} else if first || rep.StepTime < bestMetis {
-				bestMetis = rep.StepTime
-				first = false
+				sfcTime = m.rep.StepTime
+			} else if bestMetis == 0 || m.rep.StepTime < bestMetis {
+				bestMetis = m.rep.StepTime
 			}
 		}
 		adv := bestMetis/sfcTime - 1

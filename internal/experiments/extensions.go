@@ -5,7 +5,6 @@ import (
 
 	"sfccube/internal/core"
 	"sfccube/internal/machine"
-	"sfccube/internal/partition"
 	"sfccube/internal/sfc"
 )
 
@@ -49,11 +48,7 @@ func AblationOrderings(seed int64) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			st, err := partition.ComputeStats(s.Graph, p)
-			if err != nil {
-				return nil, err
-			}
-			rep, err := machine.SimulateStep(s.Mesh, p, s.Workload, s.Model, nil)
+			m, err := s.measure(p)
 			if err != nil {
 				return nil, err
 			}
@@ -61,10 +56,10 @@ func AblationOrderings(seed int64) (*Table, error) {
 				fmt.Sprintf("%d", nproc),
 				o.name,
 				fmt.Sprintf("%v", cc.IsContinuous()),
-				fmt.Sprintf("%d", st.EdgeCutUnweighted),
-				fmt.Sprintf("%.3f", st.LBSpcv),
-				fmt.Sprintf("%d", st.DisconnectedParts),
-				fmt.Sprintf("%.0f", rep.StepTime*1e6),
+				fmt.Sprintf("%d", m.st.EdgeCutUnweighted),
+				fmt.Sprintf("%.3f", m.st.LBSpcv),
+				fmt.Sprintf("%d", m.st.DisconnectedParts),
+				fmt.Sprintf("%.0f", m.rep.StepTime*1e6),
 			})
 		}
 	}
@@ -84,13 +79,6 @@ func AblationOrderings(seed int64) (*Table, error) {
 func FutureScaling(seed int64) (*Figure, error) {
 	// Focus on the region past the paper's 768-processor ceiling; the
 	// dense low-count behaviour is already covered by Figures 7-10.
-	procs := []int{1, 96, 192, 432, 864, 1152, 1728, 3456}
-	fig, err := sweepProcs(24, procs, seed, machine.Speedup)
-	if err != nil {
-		return nil, err
-	}
-	fig.Name = "future-scaling"
-	fig.Title = "Future work: speedup beyond 768 processors, K=3456 (Ne=24)"
-	fig.XLabel, fig.YLabel = "Nproc", "speedup"
-	return fig, nil
+	return figure("future-scaling", "Future work: speedup beyond 768 processors, K=3456 (Ne=24)", "speedup",
+		24, []int{1, 96, 192, 432, 864, 1152, 1728, 3456}, seed, machine.Speedup)
 }

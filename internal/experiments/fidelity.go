@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"sfccube/internal/machine"
 	"sfccube/internal/trace"
 )
 
@@ -22,24 +21,20 @@ func ModelFidelity(seed int64) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, method := range []string{"SFC", "RB", "KWAY", "TV"} {
-		p, err := s.Partition(method, nproc, seed, nil)
+	for _, method := range methodNames {
+		m, err := s.run(method, nproc, seed, nil)
 		if err != nil {
 			return nil, err
 		}
-		an, err := machine.SimulateStep(s.Mesh, p, s.Workload, s.Model, nil)
-		if err != nil {
-			return nil, err
-		}
-		ev, err := trace.SimulateStep(s.Mesh, p, s.Workload, s.Model)
+		ev, err := trace.SimulateStep(s.Mesh, m.p, s.Workload, s.Model)
 		if err != nil {
 			return nil, err
 		}
 		t.Rows = append(t.Rows, []string{
 			method,
-			fmt.Sprintf("%.0f", an.StepTime*1e6),
+			fmt.Sprintf("%.0f", m.rep.StepTime*1e6),
 			fmt.Sprintf("%.0f", ev.StepTime*1e6),
-			fmt.Sprintf("%.2f", ev.StepTime/an.StepTime),
+			fmt.Sprintf("%.2f", ev.StepTime/m.rep.StepTime),
 		})
 	}
 	t.Notes = append(t.Notes,

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"sfccube/internal/core"
-	"sfccube/internal/machine"
 	"sfccube/internal/partition"
 )
 
@@ -43,14 +42,14 @@ func Table2Weighted(seed int64, spec string) (*Table, error) {
 		},
 	}
 	_, err = table2Fill(t, s, seed, []table2Row{
-		{"LB(weight)", func(st partition.Stats, _ machine.StepReport) string {
-			return fmt.Sprintf("%.3f", st.LBWeighted)
+		{"LB(weight)", func(m measured) string {
+			return fmt.Sprintf("%.3f", m.st.LBWeighted)
 		}},
 		rowLBNelemd,
 		rowLBSpcv,
 		rowEdgecut,
-		{"TCV", func(st partition.Stats, _ machine.StepReport) string {
-			return fmt.Sprintf("%d", st.TotalCommVolume)
+		{"TCV", func(m measured) string {
+			return fmt.Sprintf("%d", m.st.TotalCommVolume)
 		}},
 	})
 	return t, err
@@ -59,16 +58,14 @@ func Table2Weighted(seed int64, spec string) (*Table, error) {
 // WeightedSweep sweeps the equal-elements processor counts of a resolution
 // and reports every method's weighted load balance, plus an SFC-UNW baseline
 // — the unweighted curve split judged under the same weights — which is the
-// gap weighted splitting exists to close. The per-cell work (weight
-// generation, curve split, stats) runs the same parallel kernels as the
-// production paths, and the output is byte-identical at any GOMAXPROCS.
+// gap weighted splitting exists to close. Every (method, nproc) pair is one
+// cell, and the output is byte-identical at any GOMAXPROCS.
 func WeightedSweep(ne, maxProc int, seed int64, spec string) (*Figure, error) {
 	s, err := NewWeightedSetup(ne, spec)
 	if err != nil {
 		return nil, err
 	}
-	w := s.Problem.Weights()
-	if w == nil {
+	if s.Problem.Weights() == nil {
 		return nil, fmt.Errorf("experiments: weighted sweep needs a non-uniform spec, got %q", spec)
 	}
 	// The SFC-UNW baseline cuts the same memoised curve with unit weights.
@@ -76,35 +73,28 @@ func WeightedSweep(ne, maxProc int, seed int64, spec string) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	procs := procSweep(ne, maxProc)
-	labels := append(append([]string{}, methodNames...), "SFC-UNW")
-	fig := &Figure{
+	labels := append(methodNames[:len(methodNames):len(methodNames)], "SFC-UNW")
+	lines, err := sweepLines(labels, procSweep(ne, maxProc), func(label string, np int) (float64, error) {
+		var p *partition.Partition
+		var err error
+		if label == "SFC-UNW" {
+			p, err = core.PartitionCurve(curve, np, nil)
+		} else {
+			p, err = s.Partition(label, np, seed, nil)
+		}
+		if err != nil {
+			return 0, fmt.Errorf("experiments: weighted sweep %s nproc=%d: %w", label, np, err)
+		}
+		m, err := s.measure(p)
+		return m.st.LBWeighted, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &Figure{
 		Name:   "weighted-sweep",
 		Title:  fmt.Sprintf("Weighted load balance vs Nproc, K=%d, weights=%s", 6*ne*ne, spec),
 		XLabel: "Nproc", YLabel: "LB(weight)",
-		Lines: make([]Line, len(labels)),
-	}
-	for mi, label := range labels {
-		line := Line{Label: label, X: make([]float64, len(procs)), Y: make([]float64, len(procs))}
-		for pi, np := range procs {
-			line.X[pi] = float64(np)
-			var p *partition.Partition
-			var err error
-			if label == "SFC-UNW" {
-				p, err = core.PartitionCurve(curve, np, nil)
-			} else {
-				p, err = s.Partition(label, np, seed, nil)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("experiments: weighted sweep %s nproc=%d: %w", label, np, err)
-			}
-			st, err := partition.ComputeStatsWeighted(s.Graph, p, w)
-			if err != nil {
-				return nil, err
-			}
-			line.Y[pi] = st.LBWeighted
-		}
-		fig.Lines[mi] = line
-	}
-	return fig, nil
+		Lines: lines,
+	}, nil
 }

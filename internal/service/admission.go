@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -139,9 +139,10 @@ const latWindow = 64
 
 // latEstimator is a fixed-window service-time estimator, one per route.
 type latEstimator struct {
-	mu   sync.Mutex
-	ring [latWindow]time.Duration
-	n    int
+	mu    sync.Mutex
+	ring  [latWindow]time.Duration
+	n     int
+	gauge *obs.Gauge // the route's published p50, resolved by the first record
 }
 
 func (e *latEstimator) observe(d time.Duration) {
@@ -152,21 +153,32 @@ func (e *latEstimator) observe(d time.Duration) {
 }
 
 // p50 returns the median of the window, or 0 before any sample (the
-// estimator never sheds blind).
+// estimator never sheds blind). It sorts a stack copy of the window and
+// does not allocate.
 func (e *latEstimator) p50() time.Duration {
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	k := e.n
+	win, k := e.ring, min(e.n, latWindow)
+	e.mu.Unlock()
 	if k == 0 {
 		return 0
 	}
-	if k > latWindow {
-		k = latWindow
+	slices.Sort(win[:k])
+	return win[k/2]
+}
+
+// record observes one representative sample of route and publishes the new
+// median to the route's gauge in reg. The gauge is resolved on the route's
+// first sample, so the series appears in /metrics only once the route has
+// one, and later samples allocate nothing.
+func (e *latEstimator) record(d time.Duration, reg *obs.Registry, route string) {
+	e.observe(d)
+	e.mu.Lock()
+	if e.gauge == nil {
+		e.gauge = reg.Gauge("partsrv_admission_p50_ns", "route", route)
 	}
-	buf := make([]time.Duration, k)
-	copy(buf, e.ring[:k])
-	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
-	return buf[k/2]
+	g := e.gauge
+	e.mu.Unlock()
+	g.Set(int64(e.p50()))
 }
 
 // admit gates one computation: shed when the caller's remaining deadline

@@ -3,7 +3,9 @@ package service
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -101,6 +103,55 @@ func TestLatEstimatorP50(t *testing.T) {
 	}
 	if got := e.p50(); got != 20*time.Millisecond {
 		t.Fatalf("post-slide p50 = %v, want 20ms", got)
+	}
+}
+
+// TestLatEstimatorMatchesSortReference holds the stack-copy median to a
+// sort-based reference over random windows of 1 to 100 samples (more than
+// latWindow samples slide the window).
+func TestLatEstimatorMatchesSortReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 500; trial++ {
+		var e latEstimator
+		var all []time.Duration
+		for i, n := 0, 1+rng.Intn(100); i < n; i++ {
+			d := time.Duration(rng.Intn(1000))
+			e.observe(d)
+			all = append(all, d)
+		}
+		win := append([]time.Duration(nil), all[max(0, len(all)-latWindow):]...)
+		sort.Slice(win, func(i, j int) bool { return win[i] < win[j] })
+		if got, want := e.p50(), win[len(win)/2]; got != want {
+			t.Fatalf("trial %d (%d samples): p50 = %v, want %v", trial, len(all), got, want)
+		}
+	}
+}
+
+// TestLatEstimatorRecordAllocationFree: once a route's gauge is resolved,
+// observing a sample, taking the median and publishing it allocate nothing;
+// the gauge series appears with the route's first sample.
+func TestLatEstimatorRecordAllocationFree(t *testing.T) {
+	reg := obs.NewRegistry()
+	var e latEstimator
+	if n := len(reg.Snapshot()); n != 0 {
+		t.Fatalf("registry holds %d series before any sample", n)
+	}
+	e.record(5*time.Millisecond, reg, "sfc")
+	snap := reg.Snapshot()
+	if len(snap) != 1 {
+		t.Fatalf("after the first sample the registry holds %v, want the route's p50 gauge", snap)
+	}
+	for _, v := range snap {
+		if v != float64(5*time.Millisecond) {
+			t.Fatalf("published p50 = %v, want %v", v, float64(5*time.Millisecond))
+		}
+	}
+	d := time.Millisecond
+	if allocs := testing.AllocsPerRun(200, func() {
+		d += time.Microsecond
+		e.record(d, reg, "sfc")
+	}); allocs != 0 {
+		t.Fatalf("record allocates %v times per sample, want 0", allocs)
 	}
 }
 

@@ -567,9 +567,7 @@ func (s *Service) compute(ctx context.Context, canon canonicalRequest, key strin
 		// Feed the admission estimator only with representative samples:
 		// degraded and short-circuited computations are cheaper than the
 		// route's true cost and would bias the shed threshold down.
-		est := s.estimates[canon.Method]
-		est.observe(elapsed)
-		s.cfg.Registry.Gauge("partsrv_admission_p50_ns", "route", canon.Method).Set(int64(est.p50()))
+		s.estimates[canon.Method].record(elapsed, s.cfg.Registry, canon.Method)
 	}
 	e, err := encodeResponse(&resp)
 	return computed{entry: e, degraded: resp.Degraded, breakerSkipped: skipped}, err
