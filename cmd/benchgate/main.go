@@ -237,8 +237,10 @@ func run(baselines []string, input string, tol float64, gate, out string) (*Repo
 		}
 		ref, ok := base[res.Key]
 		if res.Key == "" || !ok {
+			if res.Gated {
+				return nil, fmt.Errorf("gated benchmark %s has no baseline: key %q is missing from keyOf or from the newest entry of every baseline file", name, res.Key)
+			}
 			rep.Unmatched = append(rep.Unmatched, name)
-			res.Gated = false
 		} else {
 			res.BaselineNs = ref
 			res.Ratio = res.MedianNs / ref

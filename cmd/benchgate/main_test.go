@@ -133,6 +133,22 @@ func TestGateMissingGatedBenchmark(t *testing.T) {
 	}
 }
 
+// TestGateUnmatchedGatedBenchmark: nor is a gated benchmark that has no
+// baseline to be gated against — an error, not a report-only line.
+func TestGateUnmatchedGatedBenchmark(t *testing.T) {
+	dir := t.TempDir()
+	in := write(t, dir, "bench.txt", sampleBench)
+	bl := write(t, dir, "base.json", sampleBaseline)
+	for _, gate := range []string{"BenchmarkNewThing", "BenchmarkRunnerStep,BenchmarkNewThing"} {
+		if _, err := run([]string{bl}, in, 0.20, gate, ""); err == nil {
+			t.Errorf("-gate %s: a gated benchmark with no baseline key must be an error", gate)
+		}
+	}
+	if _, err := run(nil, in, 0.20, "BenchmarkRunnerStep", ""); err == nil {
+		t.Error("a gated benchmark with no baseline file passed must be an error")
+	}
+}
+
 // TestBytesGate: a bytes-gated benchmark fails the run when its B/op leaves
 // the baseline by more than 2 % in either direction whatever its time did,
 // passes inside it, is an error without the -benchmem column, and B/op of a

@@ -19,10 +19,11 @@
 // heterogeneous element cost: the SFC curve is cut into equal-weight
 // segments and the METIS methods carry the same weights as vertex costs.
 //
-// The golden/golden-amr experiments recompute the frozen partition-quality
-// metrics behind internal/check/testdata/golden/{metrics,amr}.json; with
-// -out they write golden-metrics.json / golden-amr.json ready to be copied
-// over the checked-in files (see TESTING.md for the refresh policy).
+// The golden/golden-amr experiments compute the frozen partition-quality
+// metrics; with -out they write golden-metrics.json / golden-amr.json.
+// Every artifact of -run all, those two included, is committed under out/
+// and held byte for byte there; `experiments -run all -out out/` refreshes
+// them all (see TESTING.md for the refresh policy).
 package main
 
 import (

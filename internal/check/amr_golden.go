@@ -3,7 +3,6 @@ package check
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 
 	"sfccube/internal/amr"
 	"sfccube/internal/mesh"
@@ -18,7 +17,7 @@ import (
 // attaches level-scaled physics-proxy leaf weights, and partitions it with
 // the weighted tree curve (CURVE) and the graph methods (RB, KWAY); every
 // partition passes the structural oracle and the surface-to-volume audit,
-// and the quality metrics are frozen in testdata/golden/amr.json.
+// and the quality metrics are frozen in out/golden-amr.json.
 
 // AMRMethods is the strategy set of the adaptive regime: the weighted
 // tree-SFC split plus the two graph partitioners that handle hanging-node
@@ -135,9 +134,8 @@ type AMRGoldenCase struct {
 
 // AMRGoldenSuite is the serialised adaptive-regime regression file.
 type AMRGoldenSuite struct {
-	Comment   string          `json:"comment,omitempty"`
-	Tolerance GoldenTolerance `json:"tolerance"`
-	Cases     []AMRGoldenCase `json:"cases"`
+	Comment string          `json:"comment,omitempty"`
+	Cases   []AMRGoldenCase `json:"cases"`
 }
 
 // DefaultAMRGoldenCases covers the adaptive shapes that exercise distinct
@@ -158,8 +156,7 @@ func DefaultAMRGoldenCases() []AMRCase {
 func ComputeAMRGoldenSuite(cases []AMRCase) (*AMRGoldenSuite, error) {
 	s := &AMRGoldenSuite{
 		Comment: "Frozen adaptive-mesh partition-quality metrics. " +
-			"Refresh with: go test ./internal/check -run TestAMRGoldenMetrics -update-golden. See TESTING.md.",
-		Tolerance: GoldenTolerance{}.withDefaults(),
+			"Refresh with: go run ./cmd/experiments -run all -out out/. See TESTING.md.",
 	}
 	for _, c := range cases {
 		r, err := RunAMRDifferential(c)
@@ -188,57 +185,4 @@ func (s *AMRGoldenSuite) JSON() ([]byte, error) {
 		return nil, err
 	}
 	return append(b, '\n'), nil
-}
-
-// LoadAMRGoldenSuite reads an AMR golden file from disk.
-func LoadAMRGoldenSuite(path string) (*AMRGoldenSuite, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var s AMRGoldenSuite
-	if err := json.Unmarshal(b, &s); err != nil {
-		return nil, fmt.Errorf("check: %s: %w", path, err)
-	}
-	return &s, nil
-}
-
-// Compare recomputes every frozen AMR case and returns an error on the first
-// metric outside the tolerance policy.
-func (s *AMRGoldenSuite) Compare() error {
-	tol := s.Tolerance.withDefaults()
-	results := make(map[AMRCase]*AMRResult)
-	for _, gc := range s.Cases {
-		r, ok := results[gc.AMRCase]
-		if !ok {
-			var err error
-			r, err = RunAMRDifferential(gc.AMRCase)
-			if err != nil {
-				return err
-			}
-			results[gc.AMRCase] = r
-		}
-		m, ok := r.Metrics[gc.Method]
-		if !ok {
-			return fmt.Errorf("check: AMR golden case %+v: unknown method %s", gc.AMRCase, gc.Method)
-		}
-		label := fmt.Sprintf("AMR golden %s ne=%d L%d %s nprocs=%d weights=%s",
-			gc.Method, gc.Ne, gc.MaxLevel, gc.Refine, gc.NProcs, gc.Weights)
-		if r.Leaves != gc.Leaves {
-			return fmt.Errorf("check: %s: forest has %d leaves, golden %d", label, r.Leaves, gc.Leaves)
-		}
-		if err := compareLB(label+" lb_weighted", m.LBNelemd, gc.LBWeighted, tol); err != nil {
-			return err
-		}
-		if err := compareInt(label+" edgecut", m.EdgeCut, gc.EdgeCut, tol); err != nil {
-			return err
-		}
-		if err := compareInt(label+" tcv", m.TotalCommVolume, gc.TCV, tol); err != nil {
-			return err
-		}
-		if err := compareRatio(label+" sv_max_ratio", m.SVMaxRatio, gc.SVMaxRatio, tol); err != nil {
-			return err
-		}
-	}
-	return nil
 }

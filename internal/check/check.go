@@ -24,11 +24,12 @@
 //     and assert the paper's signature orderings within tolerances — RB has
 //     the best computational balance, KWAY the lowest edgecut.
 //
-// golden.go freezes the paper-table metrics (section 4) into
-// testdata/golden/*.json and fails on drift beyond the tolerance policy;
-// see TESTING.md at the repository root for the policy and how to refresh
-// golden files. The same oracles back the Go-native fuzz targets
-// (FuzzCurveRoundTrip, FuzzPartitionValid, FuzzDSSPlan in fuzz_test.go).
+// golden.go and amr_golden.go compute the paper-table metrics (section 4)
+// and their adaptive-mesh twin that cmd/experiments writes to
+// out/golden-{metrics,amr}.json, where the byte gate on out/ holds them; see
+// TESTING.md at the repository root for how to refresh them. The same
+// oracles back the Go-native fuzz targets (FuzzCurveRoundTrip,
+// FuzzPartitionValid, FuzzDSSPlan in fuzz_test.go).
 package check
 
 import "sort"

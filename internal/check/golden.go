@@ -1,11 +1,6 @@
 package check
 
-import (
-	"encoding/json"
-	"fmt"
-	"math"
-	"os"
-)
+import "encoding/json"
 
 // GoldenCase freezes the quality metrics of one (mesh, part-count, method)
 // cell — the numbers behind the paper's section-4 tables — so later PRs fail
@@ -25,36 +20,10 @@ type GoldenCase struct {
 	SVMaxRatio  float64 `json:"sv_max_ratio"` // worst Surface/sqrt(Volume) over parts
 }
 
-// GoldenTolerance is the drift policy applied when comparing a recomputed
-// metric set against a frozen golden case. The zero value picks the defaults
-// documented in TESTING.md: load balances within 0.01 absolute, integer
-// metrics within 2% relative (and never off by more than the absolute floor
-// of 2 for tiny values).
-type GoldenTolerance struct {
-	LBAbs    float64 `json:"lb_abs"`    // absolute slack on LB metrics; 0 means 0.01
-	IntRel   float64 `json:"int_rel"`   // relative slack on integer metrics; 0 means 0.02
-	IntFloor int64   `json:"int_floor"` // absolute slack floor for small integers; 0 means 2
-}
-
-func (t GoldenTolerance) withDefaults() GoldenTolerance {
-	if t.LBAbs == 0 {
-		t.LBAbs = 0.01
-	}
-	if t.IntRel == 0 {
-		t.IntRel = 0.02
-	}
-	if t.IntFloor == 0 {
-		t.IntFloor = 2
-	}
-	return t
-}
-
-// GoldenSuite is the serialised regression file: the tolerance policy plus
-// every frozen case.
+// GoldenSuite is the serialised regression file: every frozen case.
 type GoldenSuite struct {
-	Comment   string          `json:"comment,omitempty"`
-	Tolerance GoldenTolerance `json:"tolerance"`
-	Cases     []GoldenCase    `json:"cases"`
+	Comment string       `json:"comment,omitempty"`
+	Cases   []GoldenCase `json:"cases"`
 }
 
 // DefaultGoldenCases is the case matrix the golden suite freezes: the
@@ -81,9 +50,7 @@ func DefaultGoldenCases() []Case {
 func ComputeGoldenSuite(cases []Case) (*GoldenSuite, error) {
 	s := &GoldenSuite{
 		Comment: "Frozen partition-quality metrics (paper section 4). " +
-			"Refresh with: go test ./internal/check -run TestGoldenMetrics -update-golden " +
-			"or: go run ./cmd/experiments -run golden -out <dir>. See TESTING.md.",
-		Tolerance: GoldenTolerance{}.withDefaults(),
+			"Refresh with: go run ./cmd/experiments -run all -out out/. See TESTING.md.",
 	}
 	for _, c := range cases {
 		r, err := RunDifferential(c)
@@ -91,132 +58,32 @@ func ComputeGoldenSuite(cases []Case) (*GoldenSuite, error) {
 			return nil, err
 		}
 		for _, method := range Methods {
-			m := r.Metrics[method]
-			s.Cases = append(s.Cases, GoldenCase{
-				Ne: c.Ne, NProcs: c.NProcs, Method: method, Seed: c.Seed,
-				Weights:     c.Weights,
-				LBNelemd:    m.LBNelemd,
-				LBSpcv:      m.LBSpcv,
-				EdgeCut:     m.EdgeCut,
-				TCV:         m.TotalCommVolume,
-				CutVertices: m.CutVertices,
-				SVMaxRatio:  m.SVMaxRatio,
-			})
+			s.Cases = append(s.Cases, goldenCase(c, method, r.Metrics[method]))
 		}
 	}
 	return s, nil
 }
 
+// goldenCase freezes the metrics of one method on one case.
+func goldenCase(c Case, method string, m Metrics) GoldenCase {
+	return GoldenCase{
+		Ne: c.Ne, NProcs: c.NProcs, Method: method, Seed: c.Seed,
+		Weights:     c.Weights,
+		LBNelemd:    m.LBNelemd,
+		LBSpcv:      m.LBSpcv,
+		EdgeCut:     m.EdgeCut,
+		TCV:         m.TotalCommVolume,
+		CutVertices: m.CutVertices,
+		SVMaxRatio:  m.SVMaxRatio,
+	}
+}
+
 // JSON renders the suite as indented JSON with a trailing newline, the
-// format of testdata/golden/*.json.
+// format of out/golden-*.json.
 func (s *GoldenSuite) JSON() ([]byte, error) {
 	b, err := json.MarshalIndent(s, "", "  ")
 	if err != nil {
 		return nil, err
 	}
 	return append(b, '\n'), nil
-}
-
-// LoadGoldenSuite reads a golden file from disk.
-func LoadGoldenSuite(path string) (*GoldenSuite, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var s GoldenSuite
-	if err := json.Unmarshal(b, &s); err != nil {
-		return nil, fmt.Errorf("check: %s: %w", path, err)
-	}
-	return &s, nil
-}
-
-// Compare recomputes every frozen case of the suite and returns an error on
-// the first metric that drifted beyond the tolerance policy.
-func (s *GoldenSuite) Compare() error {
-	tol := s.Tolerance.withDefaults()
-	// Group cases so each (Ne, NProcs, Seed) is partitioned once.
-	type key struct {
-		ne, nprocs int
-		seed       int64
-		weights    string
-	}
-	results := make(map[key]*Result)
-	for _, gc := range s.Cases {
-		k := key{gc.Ne, gc.NProcs, gc.Seed, gc.Weights}
-		r, ok := results[k]
-		if !ok {
-			var err error
-			r, err = RunDifferential(Case{Ne: gc.Ne, NProcs: gc.NProcs, Seed: gc.Seed, Weights: gc.Weights})
-			if err != nil {
-				return err
-			}
-			results[k] = r
-		}
-		m, ok := r.Metrics[gc.Method]
-		if !ok {
-			return fmt.Errorf("check: golden case %s ne=%d nprocs=%d: unknown method", gc.Method, gc.Ne, gc.NProcs)
-		}
-		label := fmt.Sprintf("golden %s ne=%d nprocs=%d", gc.Method, gc.Ne, gc.NProcs)
-		if gc.Weights != "" {
-			label += " weights=" + gc.Weights
-		}
-		if err := compareLB(label+" lb_nelemd", m.LBNelemd, gc.LBNelemd, tol); err != nil {
-			return err
-		}
-		if err := compareLB(label+" lb_spcv", m.LBSpcv, gc.LBSpcv, tol); err != nil {
-			return err
-		}
-		if err := compareInt(label+" edgecut", m.EdgeCut, gc.EdgeCut, tol); err != nil {
-			return err
-		}
-		if err := compareInt(label+" tcv", m.TotalCommVolume, gc.TCV, tol); err != nil {
-			return err
-		}
-		if err := compareInt(label+" cut_vertices", m.CutVertices, gc.CutVertices, tol); err != nil {
-			return err
-		}
-		if err := compareRatio(label+" sv_max_ratio", m.SVMaxRatio, gc.SVMaxRatio, tol); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// compareRatio applies the integer drift policy to a float ratio metric:
-// relative slack IntRel, never tighter than an absolute floor of IntRel
-// itself (SV ratios are O(10), so the relative term dominates).
-func compareRatio(label string, got, want float64, tol GoldenTolerance) error {
-	slack := tol.IntRel * math.Abs(want)
-	if slack < tol.IntRel {
-		slack = tol.IntRel
-	}
-	if math.Abs(got-want) > slack {
-		return fmt.Errorf("check: %s drifted: got %.4f, golden %.4f (tolerance %.4f)",
-			label, got, want, slack)
-	}
-	return nil
-}
-
-func compareLB(label string, got, want float64, tol GoldenTolerance) error {
-	if math.Abs(got-want) > tol.LBAbs {
-		return fmt.Errorf("check: %s drifted: got %.6f, golden %.6f (tolerance %.3f absolute)",
-			label, got, want, tol.LBAbs)
-	}
-	return nil
-}
-
-func compareInt(label string, got, want int64, tol GoldenTolerance) error {
-	diff := got - want
-	if diff < 0 {
-		diff = -diff
-	}
-	slack := int64(tol.IntRel * float64(want))
-	if slack < tol.IntFloor {
-		slack = tol.IntFloor
-	}
-	if diff > slack {
-		return fmt.Errorf("check: %s drifted: got %d, golden %d (tolerance %d = max(%.0f%%, %d))",
-			label, got, want, slack, tol.IntRel*100, tol.IntFloor)
-	}
-	return nil
 }

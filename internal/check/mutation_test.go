@@ -1,11 +1,11 @@
 package check
 
 import (
+	"bytes"
 	"testing"
 
 	"sfccube/internal/core"
 	"sfccube/internal/graph"
-	"sfccube/internal/mesh"
 	"sfccube/internal/partition"
 )
 
@@ -15,15 +15,17 @@ import (
 //
 //  1. Swap two elements across distant parts. Part sizes are preserved, so
 //     the computational balance stays perfect — but each swapped element
-//     lands surrounded by foreign neighbours, so the edgecut (and the
-//     golden comparison on it) must move.
+//     lands surrounded by foreign neighbours, so the edgecut must move, and
+//     so must the golden bytes it is frozen in.
 //  2. Move one element to another part. Now the balance itself breaks:
-//     LB(nelemd) must leave zero exactly, and the frozen-LB comparison must
-//     fail.
+//     LB(nelemd) must leave zero exactly, and the golden bytes must change.
 //
 // Both mutants remain structurally valid partitions — the oracle must keep
 // accepting them structurally while rejecting their quality, proving the
-// two layers are independent and neither is vacuous.
+// two layers are independent and neither is vacuous. The golden check is
+// the byte gate on out/golden-metrics.json, so each moved metric is encoded
+// through GoldenSuite.JSON on its own, beside the pristine ones: a golden
+// that stopped carrying edgecut or lb_nelemd would encode both alike.
 func TestMutationOracleNotVacuous(t *testing.T) {
 	const ne, nprocs = 8, 16
 	res, err := core.PartitionCubedSphere(core.Config{Ne: ne, NProcs: nprocs})
@@ -46,7 +48,15 @@ func TestMutationOracleNotVacuous(t *testing.T) {
 	if before.LBNelemd != 0 {
 		t.Fatalf("pristine SFC partition has LB %g, want 0", before.LBNelemd)
 	}
-	tol := GoldenTolerance{}.withDefaults()
+	encode := func(mt Metrics) []byte {
+		s := &GoldenSuite{Cases: []GoldenCase{goldenCase(Case{Ne: ne, NProcs: nprocs, Seed: 1}, "SFC", mt)}}
+		b, err := s.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	pristine := encode(before)
 
 	// Pick one interior element of part 0 and one of the last part: every
 	// neighbour is in the same part, so after the swap every incident edge
@@ -96,8 +106,10 @@ func TestMutationOracleNotVacuous(t *testing.T) {
 	if after.EdgeCut <= before.EdgeCut {
 		t.Errorf("swap of interior elements did not increase edgecut: %d -> %d", before.EdgeCut, after.EdgeCut)
 	}
-	if err := compareInt("mutated edgecut", after.EdgeCut, before.EdgeCut, tol); err == nil {
-		t.Errorf("golden comparison missed the edgecut change %d -> %d", before.EdgeCut, after.EdgeCut)
+	edgeCutOnly := before
+	edgeCutOnly.EdgeCut = after.EdgeCut
+	if bytes.Equal(encode(edgeCutOnly), pristine) {
+		t.Errorf("golden bytes missed the edgecut change %d -> %d", before.EdgeCut, after.EdgeCut)
 	}
 	if err := CrossCheckStats(g, swapped); err != nil {
 		t.Errorf("stats cross-check must still agree on the mutant: %v", err)
@@ -116,8 +128,9 @@ func TestMutationOracleNotVacuous(t *testing.T) {
 	if afterMove.LBNelemd == 0 {
 		t.Error("moving an element across parts left LB(nelemd) at exactly 0")
 	}
-	if err := compareLB("mutated lb", afterMove.LBNelemd, before.LBNelemd, tol); err == nil {
-		t.Errorf("golden comparison missed the LB change %g -> %g", before.LBNelemd, afterMove.LBNelemd)
+	lbOnly := before
+	lbOnly.LBNelemd = afterMove.LBNelemd
+	if bytes.Equal(encode(lbOnly), pristine) {
+		t.Errorf("golden bytes missed the LB change %g -> %g", before.LBNelemd, afterMove.LBNelemd)
 	}
-	_ = mesh.ElemID(0) // keep the mesh import tied to the element-id domain
 }
