@@ -321,7 +321,7 @@ func BenchmarkRunnerStep(b *testing.B) {
 // overhead versus BenchmarkRunnerStep (and <1% for the default nil-registry
 // path, which BenchmarkRunnerStep itself exercises since instrumentation is
 // compiled in but disabled). Compare the two ns/op medians directly; see
-// BENCH_seam.json (runner_step_obs_ns_per_op) for the recorded trajectory.
+// BENCH_seam.json (BenchmarkRunnerStepObs) for the recorded trajectory.
 func BenchmarkRunnerStepObs(b *testing.B) {
 	sw, dt := benchSEAM(b)
 	res, err := core.PartitionCubedSphere(core.Config{Ne: 8, NProcs: 384})
@@ -341,7 +341,7 @@ func BenchmarkRunnerStepObs(b *testing.B) {
 
 // benchRunnerStepP measures BenchmarkRunnerStep at a pinned parallelism:
 // GOMAXPROCS and Runner.Workers both set to p, so the recorded curve
-// (BENCH_seam.json runner_step_p{1,2,4}_ns_per_op) is the scheduler's
+// (BENCH_seam.json BenchmarkRunnerStepP{1,2,4}) is the scheduler's
 // scaling behaviour, not whatever the host machine happens to expose. P1
 // is one block run inline on the caller; P2/P4 schedule 16/32 blocks. With
 // fewer cores than p the extra workers are time-sliced and measure scheduler

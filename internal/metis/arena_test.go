@@ -178,7 +178,7 @@ func TestArenaGrowthMidTree(t *testing.T) {
 // BenchmarkBisectStages times the four stages of one top-level bisection of
 // the K=13824 graph, each on inputs built outside the timer, so a metis PR can
 // name the stage it moves before it starts (BENCH_metis.json,
-// bisect_<stage>_k13824_ns_per_op): coarsen (matching + contraction, every
+// BenchmarkBisectStages/<stage>/K13824): coarsen (matching + contraction, every
 // level), initial (the greedy-growing trials on the coarsest graph), refine
 // (projection + FM at every level) and split (both child subgraphs with their
 // id lists).
@@ -232,7 +232,7 @@ func BenchmarkBisectStages(b *testing.B) {
 
 // BenchmarkKWayStages is BenchmarkBisectStages for BenchmarkKWayK13824P768:
 // the stages of one K-way partition of the K=13824 graph into 768 parts, each
-// on inputs built outside the timer (kway_<stage>_k13824_p768_ns_per_op in
+// on inputs built outside the timer (BenchmarkKWayStages/<stage>/K13824P768 in
 // BENCH_metis.json, report-only). coarsen is matching and contraction at
 // every level; initial the recursive bisection of the coarsest graph; balance
 // forceBalance alone on the projected assignment each level's refinement
