@@ -155,9 +155,9 @@ func (r *Result) AssertSignature(tol Tolerances) error {
 		return fmt.Errorf("check: case %+v missing SFC metrics", r.Case)
 	}
 	// The exact-zero balance property is a statement about unit element
-	// cost; under a weighted regime the greedy curve split is near-optimal
-	// but not exact, and weighted quality is frozen by the golden suite
-	// instead.
+	// cost; under a weighted regime the curve split's heaviest part is the
+	// least a contiguous split allows, which is rarely the exact average, and
+	// weighted quality is frozen by the golden suite instead.
 	if r.Case.Weights == "" && k%r.Case.NProcs == 0 && sfcM.LBNelemd != 0 {
 		return fmt.Errorf("check: case %+v: SFC LB(nelemd)=%g, want exactly 0 when NProcs | K",
 			r.Case, sfcM.LBNelemd)

@@ -215,7 +215,7 @@ func TestSplitContiguousErrors(t *testing.T) {
 }
 
 // Property: SplitContiguous always yields monotone, non-empty parts and a
-// max part weight within (max single weight) of the ideal average.
+// max part weight within one max single weight of the ideal average.
 func TestSplitContiguousProperty(t *testing.T) {
 	f := func(raw []uint8, rawParts uint8) bool {
 		if len(raw) == 0 {
@@ -253,11 +253,11 @@ func TestSplitContiguousProperty(t *testing.T) {
 				maxSum = s
 			}
 		}
-		// Greedy contiguous splitting is within one max-weight item of
-		// the ideal average... plus the slack forced by keeping later
-		// parts non-empty. Use a conservative bound.
+		// The optimal contiguous split is within one max-weight item of
+		// the ideal average: packing each part up to avg+maxW leaves no
+		// weight for a part past the last.
 		avg := float64(total) / float64(parts)
-		return float64(maxSum) <= avg+float64(maxW)*float64(parts)
+		return float64(maxSum) <= avg+float64(maxW)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -1,6 +1,9 @@
 package partition
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // StatsOverBlocked is the reference the differential tests hold StatsOver to.
 var StatsOverBlocked = statsOverBlocked
@@ -30,7 +33,7 @@ func statsOverBlocked(a Adjacency, p *Partition, weights []int64) (Stats, error)
 		if len(weights) != n {
 			return Stats{}, fmt.Errorf("partition: %d weights for %d vertices", len(weights), n)
 		}
-		if _, _, err := validateWeights(weights); err != nil {
+		if err := ValidateWeights(weights); err != nil {
 			return Stats{}, err
 		}
 		st.PartWeights = make([]int64, nparts)
@@ -125,4 +128,38 @@ func statsOverBlocked(a Adjacency, p *Partition, weights []int64) (Stats, error)
 		}
 	}
 	return st, nil
+}
+
+// greedySplitPoints is splitPoints as it was before the weighted split
+// became optimal: one greedy prefix walk along the visit order that, for
+// each part, extends the segment while the running weight is closer to the
+// remaining average than stopping, keeping one item per remaining part
+// available. Kept verbatim as the reference the optimal split is held to
+// (TestSplitPointsOptimal, TestSplitPointsKeepsOptimalGreedy,
+// FuzzSplitAlong): never heavier, and the same cuts wherever it was already
+// optimal.
+func greedySplitPoints[I ~int](order []I, weights []int64, nparts int, total int64) []int {
+	n := len(order)
+	starts := make([]int, nparts+1)
+	pos := 0
+	remaining := total
+	for part := 0; part < nparts-1; part++ {
+		starts[part] = pos
+		partsLeft := nparts - part
+		target := float64(remaining) / float64(partsLeft)
+		// Always take at least one item, then the next only while it brings
+		// the segment closer to target.
+		acc := weights[order[pos]]
+		for pos++; pos < n-(partsLeft-1); pos++ {
+			w := weights[order[pos]]
+			if math.Abs(float64(acc+w)-target) > math.Abs(float64(acc)-target) {
+				break
+			}
+			acc += w
+		}
+		remaining -= acc
+	}
+	// The last part takes everything left.
+	starts[nparts-1], starts[nparts] = pos, n
+	return starts
 }

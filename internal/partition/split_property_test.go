@@ -23,16 +23,14 @@ func refUniform(n, nparts int) []int32 {
 func refSplitAlong(order []int, nparts int, weights []int64) []int32 {
 	n := len(order)
 	w := make([]int64, n)
-	var total int64
 	uniform := true
 	for rank, id := range order {
 		w[rank] = weights[id]
-		total += w[rank]
 		uniform = uniform && w[rank] == w[0]
 	}
 	seg := refUniform(n, nparts)
 	if !uniform {
-		starts := splitPoints(identityOrder(n), w, nparts, total)
+		starts := cutOf(identityOrder(n), w, nparts)
 		for p := 0; p < nparts; p++ {
 			for r := starts[p]; r < starts[p+1]; r++ {
 				seg[r] = int32(p)

@@ -142,7 +142,7 @@ func StatsOver(a Adjacency, p *Partition, weights []int64) (Stats, error) {
 		if len(weights) != n {
 			return Stats{}, fmt.Errorf("partition: %d weights for %d vertices", len(weights), n)
 		}
-		if _, _, err := validateWeights(weights); err != nil {
+		if err := ValidateWeights(weights); err != nil {
 			return Stats{}, err
 		}
 		st.PartWeights = make([]int64, nparts)

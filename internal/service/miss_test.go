@@ -37,10 +37,12 @@ func TestSFCMissAllocationBudget(t *testing.T) {
 }
 
 // BenchmarkServiceMiss times one cache miss end to end through
-// Service.Partition (substrate, weights, partition, stats, encode). Every
-// iteration asks for a different nparts, so nothing is served from the
-// cache. sfc-hv is the weighted sfc miss: the same request with a
-// weights_spec, so it also generates and splits by element weights.
+// Service.Partition (substrate, weights, partition, stats, encode). The
+// iterations cycle through K/16 values of nparts, K/16 up to K/8-1, and the
+// cache holds one entry, so an iteration never finds its own key cached,
+// however many iterations run. sfc-hv is the weighted sfc miss: the same
+// request with a weights_spec, so it also generates and splits by element
+// weights.
 func BenchmarkServiceMiss(b *testing.B) {
 	anyLB := -1.0
 	for _, c := range []struct {
@@ -53,7 +55,7 @@ func BenchmarkServiceMiss(b *testing.B) {
 	} {
 		for _, ne := range c.nes {
 			b.Run(fmt.Sprintf("%s/Ne%d", c.name, ne), func(b *testing.B) {
-				s := NewService(Config{})
+				s := NewService(Config{CacheEntries: 1})
 				k := 6 * ne * ne
 				b.ReportAllocs()
 				b.ResetTimer()

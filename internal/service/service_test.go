@@ -307,6 +307,25 @@ func TestSerpentineAnyNe(t *testing.T) {
 	}
 }
 
+// TestWeightedSFCPassesDefaultGate: at Ne=128, K/8 under hv weights the
+// optimal curve split reads LB 0.086, inside the default 0.10 gate, so
+// method=sfc answers from its first link. The greedy split it replaced read
+// 0.124 on both curve links and the chain ended in ExhaustedError (a 422).
+func TestWeightedSFCPassesDefaultGate(t *testing.T) {
+	s := newTestService(t, Config{})
+	payload, _, err := s.Partition(context.Background(), Request{Ne: 128, NParts: 6 * 128 * 128 / 8, Method: "sfc", WeightsSpec: "hv:amp=16,m=6"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := decodeResponse(t, payload)
+	if resp.Strategy != string(resilience.StrategySFC) || len(resp.Attempts) != 0 {
+		t.Errorf("strategy %s after abandoned links %v, want SFC at the first link", resp.Strategy, resp.Attempts)
+	}
+	if lb := resp.Stats.LBWeighted; lb > 0.10 {
+		t.Errorf("LB(weight) %.4f, want <= 0.10", lb)
+	}
+}
+
 // TestCacheEviction: with room for a single entry, alternating requests
 // must recompute every time and the gauges must track the survivor.
 func TestCacheEviction(t *testing.T) {
