@@ -40,21 +40,71 @@ func TestCurveRunMemoryCeiling(t *testing.T) {
 			if weighted {
 				ceiling += int64(8 * nparts)
 			}
-			var before, after runtime.MemStats
-			runtime.GC()
-			runtime.ReadMemStats(&before)
-			for _, p := range probs {
+			perRun := allocatedPerCall(probs, func(p *Problem) {
 				if _, err := Run(context.Background(), "sfc", p, nparts, 0, nil); err != nil {
 					t.Fatal(err)
 				}
-			}
-			runtime.ReadMemStats(&after)
-			if perRun := int64(after.TotalAlloc-before.TotalAlloc) / rounds; perRun > ceiling {
+			})
+			if perRun > ceiling {
 				t.Errorf("Ne=%d weighted=%v: an sfc run allocated %d bytes for K=%d elements (ceiling %d): a per-element table or temporary is back",
 					ne, weighted, perRun, k, ceiling)
 			} else {
 				t.Logf("Ne=%d weighted=%v: %d bytes/run, ceiling %d", ne, weighted, perRun, ceiling)
 			}
 		}
+	}
+}
+
+// allocatedPerCall is the mean number of bytes one call of f allocates, one
+// call per problem, measured as the growth of the heap's running total.
+func allocatedPerCall(probs []*Problem, f func(*Problem)) int64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for _, p := range probs {
+		f(p)
+	}
+	runtime.ReadMemStats(&after)
+	return int64(after.TotalAlloc-before.TotalAlloc) / int64(len(probs))
+}
+
+// TestWeightedStatsMemoryCeiling pins what measuring a curve cut under
+// weights costs beyond measuring it without: the PartWeights totals (8 bytes
+// a part) and 4 KiB of slack. Stats reads the weight vector where it lies,
+// on fresh Problems as on warm ones; an int32 copy of it for the view (4
+// bytes an element, 96 KiB at Ne=64) or a second per-part load vector would
+// break the bound.
+func TestWeightedStatsMemoryCeiling(t *testing.T) {
+	const ne, rounds, slack = 64, 4, 4 << 10
+	k, nparts := 6*ne*ne, 6*ne*ne/16
+	fresh := func(spec string) []*Problem {
+		probs := make([]*Problem, rounds)
+		for i := range probs {
+			var err error
+			if probs[i], err = NewProblem(ne); err != nil {
+				t.Fatal(err)
+			}
+			if err := probs[i].SetWeightSpec(spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return probs
+	}
+	uniform, weighted := fresh(""), fresh("hv")
+	part, err := Run(context.Background(), "sfc", uniform[0], nparts, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	measure := func(p *Problem) {
+		if _, err := p.Stats(part); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plain, loaded := allocatedPerCall(uniform, measure), allocatedPerCall(weighted, measure)
+	if ceiling := plain + int64(8*nparts) + slack; loaded > ceiling {
+		t.Errorf("Ne=%d: a weighted Stats allocated %d bytes, an unweighted one %d (ceiling %d for K=%d, %d parts): the weights are copied again",
+			ne, loaded, plain, ceiling, k, nparts)
+	} else {
+		t.Logf("Ne=%d: weighted Stats %d bytes, unweighted %d, ceiling %d", ne, loaded, plain, ceiling)
 	}
 }

@@ -23,8 +23,9 @@ import (
 // structures — dual graph, Hilbert–Peano curve, serpentine curve — each
 // built on first request and memoised, so a method pays only for what it
 // reads and nothing is ever built twice. Only the multilevel methods request
-// the graph; the curve methods and Stats never force it. Vertex weights are
-// installed on the graph exactly once, when it is first requested.
+// the graph; the curve methods and Stats never force it. The weights become
+// the graph's vertex weights once, when it is first requested; Stats reads
+// them as they are.
 //
 // Configure a Problem (SetWeights, Order) before its first use; after that
 // it is read-only and safe for concurrent readers.
@@ -37,7 +38,6 @@ type Problem struct {
 	weights []int64
 	given   *graph.Graph // caller-provided dual graph, adopted by Graph
 
-	weights32  lazy[[]int32] // weights as graph vertex weights
 	graph      lazy[*graph.Graph]
 	curve      lazy[*sfc.CubeCurve]
 	serpentine lazy[*sfc.CubeCurve]
@@ -128,45 +128,38 @@ func (p *Problem) Graph() (*graph.Graph, error) {
 				return nil, err
 			}
 		}
-		if err := p.installWeights(g); err != nil {
-			return nil, err
+		if p.weights != nil {
+			w32, err := weights.Int32(p.weights)
+			if err != nil {
+				return nil, err
+			}
+			if err := g.SetVertexWeights(w32); err != nil {
+				return nil, err
+			}
 		}
 		return g, nil
 	})
 }
 
-// installWeights makes the problem's weights, when it has any, the vertex
-// weights of its dual graph or graph view; they are converted once.
-func (p *Problem) installWeights(dst interface{ SetVertexWeights([]int32) error }) error {
-	if p.weights == nil {
-		return nil
-	}
-	w32, err := p.weights32.get(func() ([]int32, error) { return weights.Int32(p.weights) })
-	if err != nil {
-		return err
-	}
-	return dst.SetVertexWeights(w32)
-}
-
 // Stats returns the paper's quality metrics of part on the problem's dual
-// graph, PartWeights and LBWeighted under the problem's weights. It reads
-// the CSR graph when one exists — a multilevel method built it, or the
-// caller supplied it (ProblemFrom), whose vertex weights then count — and
-// otherwise resolves each row from the mesh (graph.MeshView, same edge and
-// vertex weights), so measuring a curve cut never builds the graph.
+// graph, the load balance and PartWeights under the problem's weights. It
+// reads the CSR graph when one exists — a multilevel method built it, or
+// the caller supplied it (ProblemFrom), whose vertex weights then count
+// when the problem has no weights — and otherwise resolves each row from
+// the mesh (graph.MeshView, same edges), so measuring a curve cut never
+// builds the graph. The weights are read as they are, never copied.
 func (p *Problem) Stats(part *partition.Partition) (partition.Stats, error) {
-	if p.given != nil || p.graph.built.Load() {
-		g, err := p.Graph()
-		if err != nil {
+	g := p.given
+	if g == nil && p.graph.built.Load() {
+		var err error
+		if g, err = p.Graph(); err != nil {
 			return partition.Stats{}, err
 		}
+	}
+	if g != nil {
 		return partition.StatsOver(g, part, p.weights)
 	}
-	view := graph.NewMeshView(p.mesh, graph.DefaultOptions())
-	if err := p.installWeights(view); err != nil {
-		return partition.Stats{}, err
-	}
-	return partition.StatsOver(view, part, p.weights)
+	return partition.StatsOver(graph.NewMeshView(p.mesh, graph.DefaultOptions()), part, p.weights)
 }
 
 // NeError reports a face size the Hilbert–Peano construction cannot refine

@@ -1,27 +1,23 @@
 package graph
 
-import (
-	"fmt"
-
-	"sfccube/internal/mesh"
-)
+import "sfccube/internal/mesh"
 
 // MeshView is the partitioning graph of a cubed-sphere mesh read without
 // being stored: rows are resolved on demand, a block at a time, from the
 // mesh's analytic adjacency and weighted by the Options. It holds O(1) state
-// beyond the mesh and the optional weight vectors, and its rows are exactly
-// the rows FromMesh freezes into CSR form — FromMesh is "stream this view
-// into a Graph". Safe for concurrent readers.
+// beyond the mesh, and its rows are exactly the rows FromMesh freezes into
+// CSR form — FromMesh is "stream this view into a Graph". Every element
+// weighs 1: a load model travels beside the view as an explicit weight
+// vector (partition.StatsOver). Safe for concurrent readers.
 type MeshView struct {
 	m         *mesh.Mesh
 	opt       Options
-	vwgt      []int32  // nil: every element weighs 1
 	offs, wts [8]int32 // the Stencil's first deg entries
 	deg       int
 }
 
 // NewMeshView returns the on-demand view of m weighted by opt (zero edge and
-// corner weights mean 1), with unit vertex weights until SetVertexWeights.
+// corner weights mean 1).
 func NewMeshView(m *mesh.Mesh, opt Options) *MeshView {
 	if opt.EdgeWeight == 0 {
 		opt.EdgeWeight = 1
@@ -112,20 +108,9 @@ func AppendMerged[T ~int | ~int32](adj, wts []int32, e, c []T, ew, cw int32) ([]
 	return adj, wts
 }
 
-// VertexWeights returns the per-element computation weights, nil when every
-// element weighs 1. The slice is the view's own and read-only.
-func (mv *MeshView) VertexWeights() []int32 { return mv.vwgt }
+// VertexWeights returns nil: every element of a mesh view weighs 1.
+func (mv *MeshView) VertexWeights() []int32 { return nil }
 
 // VertexSizes returns nil: every element of a mesh view has communication
 // volume 1.
 func (mv *MeshView) VertexSizes() []int32 { return nil }
-
-// SetVertexWeights replaces the vertex weights, like Graph.SetVertexWeights
-// (zeros allowed); the view keeps w, which must not be modified afterwards.
-func (mv *MeshView) SetVertexWeights(w []int32) error {
-	if len(w) != mv.NumVertices() {
-		return fmt.Errorf("graph: %d vertex weights for %d vertices", len(w), mv.NumVertices())
-	}
-	mv.vwgt = w
-	return nil
-}

@@ -10,26 +10,21 @@ var StatsOverBlocked = statsOverBlocked
 
 // statsOverBlocked is StatsOver as it was before the sweep read the mesh
 // stencil: every row, face-interior or not, comes through Adjacency.Rows a
-// block at a time and is read back out of the block buffers. Kept verbatim
-// as the reference for TestStatsStencilMatchesReference and FuzzStatsView.
+// block at a time and is read back out of the block buffers. Its sweep is
+// kept verbatim as the reference for TestStatsStencilMatchesReference and
+// FuzzStatsView; its load prelude follows StatsOver's contract (one load
+// vector, the explicit weights when given).
 func statsOverBlocked(a Adjacency, p *Partition, weights []int64) (Stats, error) {
 	n, nparts, assign := a.NumVertices(), p.NumParts(), p.Assignment()
 	if len(assign) != n {
 		return Stats{}, fmt.Errorf("partition: %d vertices but graph has %d", len(assign), n)
 	}
+	// The load: an explicit weight vector when there is one, else the
+	// vertex weights, else the counts.
 	st := Stats{NParts: nparts}
 	st.Nelemd = p.Counts()
-	if vw := a.VertexWeights(); vw == nil {
-		st.LBNelemd = LoadBalance(st.Nelemd)
-	} else {
-		wc := make([]int64, nparts)
-		for v, q := range assign {
-			wc[q] += int64(vw[v])
-		}
-		st.LBNelemd = LoadBalance(wc)
-	}
-	st.LBWeighted = st.LBNelemd
-	if weights != nil {
+	switch vw := a.VertexWeights(); {
+	case weights != nil:
 		if len(weights) != n {
 			return Stats{}, fmt.Errorf("partition: %d weights for %d vertices", len(weights), n)
 		}
@@ -40,8 +35,17 @@ func statsOverBlocked(a Adjacency, p *Partition, weights []int64) (Stats, error)
 		for v, w := range weights {
 			st.PartWeights[assign[v]] += w
 		}
-		st.LBWeighted = LoadBalance(st.PartWeights)
+		st.LBNelemd = LoadBalance(st.PartWeights)
+	case vw != nil:
+		wc := make([]int64, nparts)
+		for v, q := range assign {
+			wc[q] += int64(vw[v])
+		}
+		st.LBNelemd = LoadBalance(wc)
+	default:
+		st.LBNelemd = LoadBalance(st.Nelemd)
 	}
+	st.LBWeighted = st.LBNelemd
 
 	// One sweep over the rows, a block at a time: cut accounting per vertex,
 	// and a union-find over same-part edges (each undirected edge once, from

@@ -14,17 +14,17 @@ type Stats struct {
 	// Nelemd is the number of vertices (spectral elements) per part.
 	Nelemd []int
 	// LBNelemd is the computational load balance, equation (1) applied to
-	// the weighted vertex count of each part.
+	// the load of each part: PartWeights under an explicit weight vector,
+	// otherwise the graph's vertex weights (element counts when it has
+	// none).
 	LBNelemd float64
 
 	// PartWeights is the total element weight per part under the explicit
-	// weight vector passed to ComputeStatsWeighted; nil when the stats were
-	// computed without one (ComputeStats).
+	// weight vector passed to ComputeStatsWeighted or StatsOver; nil when
+	// the stats were computed without one (ComputeStats).
 	PartWeights []int64
-	// LBWeighted is equation (1) applied to PartWeights — the computational
-	// load balance under explicit element weights. Without an explicit
-	// weight vector it equals LBNelemd (the graph's vertex weights), so the
-	// all-equal-weights case is indistinguishable from the unweighted one.
+	// LBWeighted equals LBNelemd: the one load balance of the partition,
+	// kept under this name for the weighted reports.
 	LBWeighted float64
 
 	// Spcv is the single-processor communication volume per part: the
@@ -99,12 +99,13 @@ func ComputeStatsWeighted(g *graph.Graph, p *Partition, weights []int64) (Stats,
 
 // StatsOver evaluates all quality metrics of partition p over the adjacency
 // a. weights, when non-nil, is an explicit element weight vector (indexed
-// like the vertices): PartWeights receives the total weight per part and
-// LBWeighted the equation-(1) balance over it, replacing the
-// vertex-weight default. Negative weights fail with *WeightError and an
-// all-zero vector with *ZeroTotalWeightError — the same validation the
-// weighted curve split applies, so a partition and its stats can never
-// disagree about weight legality.
+// like the vertices) and the one load vector read: PartWeights receives the
+// total weight per part, and LBNelemd and LBWeighted the equation-(1)
+// balance over it; a's vertex weights are read only when weights is nil.
+// Negative weights fail with *WeightError and an all-zero vector with
+// *ZeroTotalWeightError, checked in the same pass that sums PartWeights —
+// the validation the weighted curve split applies, so a partition and its
+// stats can never disagree about weight legality.
 //
 // Over a *graph.MeshView a face-interior row is read off the view's Stencil
 // (its neighbours' parts are loads from assignment rows j-1, j, j+1); only
@@ -128,29 +129,33 @@ func StatsOver(a Adjacency, p *Partition, weights []int64) (Stats, error) {
 	}
 	st := Stats{NParts: nparts}
 	st.Nelemd = p.Counts()
-	if vw := a.VertexWeights(); vw == nil {
-		st.LBNelemd = LoadBalance(st.Nelemd)
-	} else {
+	if weights != nil {
+		if len(weights) != n {
+			return Stats{}, fmt.Errorf("partition: %d weights for %d vertices", len(weights), n)
+		}
+		st.PartWeights = make([]int64, nparts)
+		var total int64
+		for v, w := range weights {
+			if w < 0 {
+				return Stats{}, &WeightError{Index: v, Weight: w}
+			}
+			st.PartWeights[assign[v]] += w
+			total += w
+		}
+		if total == 0 && n > 0 {
+			return Stats{}, &ZeroTotalWeightError{N: n}
+		}
+		st.LBNelemd = LoadBalance(st.PartWeights)
+	} else if vw := a.VertexWeights(); vw != nil {
 		wc := make([]int64, nparts)
 		for v, q := range assign {
 			wc[q] += int64(vw[v])
 		}
 		st.LBNelemd = LoadBalance(wc)
+	} else {
+		st.LBNelemd = LoadBalance(st.Nelemd)
 	}
 	st.LBWeighted = st.LBNelemd
-	if weights != nil {
-		if len(weights) != n {
-			return Stats{}, fmt.Errorf("partition: %d weights for %d vertices", len(weights), n)
-		}
-		if err := ValidateWeights(weights); err != nil {
-			return Stats{}, err
-		}
-		st.PartWeights = make([]int64, nparts)
-		for v, w := range weights {
-			st.PartWeights[assign[v]] += w
-		}
-		st.LBWeighted = LoadBalance(st.PartWeights)
-	}
 
 	s := sweep{assign: assign, stamp: make([]int32, nparts), parent: make([]int32, n), vsize: a.VertexSizes(), spcv: make([]int64, nparts)}
 	for v := range s.parent {

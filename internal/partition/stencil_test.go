@@ -16,11 +16,11 @@ import (
 )
 
 // statsViews returns the mesh view and the CSR graph of the Ne mesh under
-// opt, with vertex weights vw (nil: unit) set on both. The graph is accumulated by the
+// opt, every vertex weighing 1 in both. The graph is accumulated by the
 // Builder from mesh.EdgeNeighbors/CornerNeighbors, so it shares nothing with
 // the view's row layout or Stencil: a wrong stencil offset or weight makes
 // the two disagree.
-func statsViews(t testing.TB, ne int, opt graph.Options, vw []int32) (*graph.MeshView, *graph.Graph) {
+func statsViews(t testing.TB, ne int, opt graph.Options) (*graph.MeshView, *graph.Graph) {
 	t.Helper()
 	m, err := mesh.New(ne)
 	if err != nil {
@@ -44,16 +44,7 @@ func statsViews(t testing.TB, ne int, opt graph.Options, vw []int32) (*graph.Mes
 			add(e, m.CornerNeighbors(mesh.ElemID(e)), cw)
 		}
 	}
-	g := b.Build()
-	if vw != nil {
-		if err := view.SetVertexWeights(vw); err != nil {
-			t.Fatal(err)
-		}
-		if err := g.SetVertexWeights(vw); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return view, g
+	return view, b.Build()
 }
 
 // compareStats holds StatsOver over the view to the blocked-Rows reference
@@ -87,26 +78,26 @@ func compareStats(t testing.TB, view *graph.MeshView, g *graph.Graph, part *part
 }
 
 // statsOptions are the graph options the differential tests sweep: the
-// paper's weights, no corners, non-default edge and corner weights, and
-// non-unit vertex weights.
+// paper's weights, no corners, non-default edge and corner weights, and an
+// explicit element weight vector.
 func statsOptions(k int) map[string]statsCase {
-	vw := make([]int32, k)
-	for v := range vw {
-		vw[v] = int32(1 + v*v%7)
+	w := make([]int64, k)
+	for v := range w {
+		w[v] = int64(v * v % 7) // zeros included
 	}
 	return map[string]statsCase{
 		"default":   {opt: graph.DefaultOptions()},
 		"nocorners": {opt: graph.Options{EdgeWeight: 3, IncludeCorners: false}},
 		"weights":   {opt: graph.Options{EdgeWeight: 5, CornerWeight: 2, IncludeCorners: true}},
-		"vertex":    {opt: graph.DefaultOptions(), vw: vw},
+		"vertex":    {opt: graph.DefaultOptions(), weights: w},
 	}
 }
 
-// statsCase is one configuration of statsOptions: graph options and vertex
-// weights (nil: unit).
+// statsCase is one configuration of statsOptions: graph options and an
+// explicit element weight vector (nil: unit).
 type statsCase struct {
-	opt graph.Options
-	vw  []int32
+	opt     graph.Options
+	weights []int64
 }
 
 // TestStatsStencilMatchesReference: the stencil sweep gives, field for field,
@@ -152,17 +143,10 @@ func TestStatsStencilMatchesReference(t *testing.T) {
 			return 1 + rng.Intn(2)
 		})
 		for oname, c := range statsOptions(k) {
-			view, g := statsViews(t, ne, c.opt, c.vw)
-			var weights []int64
-			if c.vw != nil {
-				weights = make([]int64, k)
-				for v, w := range c.vw {
-					weights[v] = int64(w) - 1 // zeros included
-				}
-			}
+			view, g := statsViews(t, ne, c.opt)
 			for pname, part := range parts {
 				t.Run(fmt.Sprintf("ne%d/%s/%s", ne, oname, pname), func(t *testing.T) {
-					compareStats(t, view, g, part, weights)
+					compareStats(t, view, g, part, c.weights)
 				})
 			}
 		}
@@ -175,7 +159,7 @@ func TestStatsStencilMatchesReference(t *testing.T) {
 // Ne = 1 and 2 as at Ne = 4 and 16, where Rows never grows them.
 func TestStatsViewRingBuffersFit(t *testing.T) {
 	allocs := func(ne int) float64 {
-		view, _ := statsViews(t, ne, graph.DefaultOptions(), nil)
+		view, _ := statsViews(t, ne, graph.DefaultOptions())
 		k := 6 * ne * ne
 		part := partition.New(k, 2)
 		for v := 0; v < k; v++ {
@@ -196,7 +180,7 @@ func TestStatsViewRingBuffersFit(t *testing.T) {
 }
 
 // FuzzStatsView drives the stencil sweep over (Ne ≤ 24, part count, seed,
-// corners, vertex weights): a seed-scattered, an id-blocked or a mesh-row
+// corners, element weights): a seed-scattered, an id-blocked or a mesh-row
 // striped assignment, and seed-drawn edge and corner weights. The view, the
 // CSR graph, the blocked-Rows reference and the independent oracle must agree.
 func FuzzStatsView(f *testing.F) {
@@ -214,14 +198,14 @@ func FuzzStatsView(f *testing.F) {
 			return x >> 33
 		}
 		opt := graph.Options{EdgeWeight: int32(1 + next()%9), CornerWeight: int32(1 + next()%9), IncludeCorners: corners}
-		var vw []int32
+		var w []int64
 		if weighted {
-			vw = make([]int32, k)
-			for v := range vw {
-				vw[v] = int32(1 + next()%16)
+			w = make([]int64, k)
+			for v := range w {
+				w[v] = int64(1 + next()%16)
 			}
 		}
-		view, g := statsViews(t, ne, opt, vw)
+		view, g := statsViews(t, ne, opt)
 		part := partition.New(k, nparts)
 		mode := uint64(seed) % 3
 		for v := 0; v < k; v++ {
@@ -234,6 +218,6 @@ func FuzzStatsView(f *testing.F) {
 				part.SetPart(v, v/ne%nparts)
 			}
 		}
-		compareStats(t, view, g, part, nil)
+		compareStats(t, view, g, part, w)
 	})
 }

@@ -131,10 +131,10 @@ type FallbackSpec struct {
 	// balances total weight instead of element counts: the SFC strategies
 	// cut the curve into near-equal-weight segments, the METIS strategies
 	// receive the weights as graph vertex weights (overwriting any weights
-	// already on Graph, so the chain and the acceptance check can never
-	// disagree about the load model), and checkBalance gates on the
-	// weighted balance. Nil means uniform cost. Negative or all-zero
-	// weights fail the chain with the partition layer's typed errors.
+	// already on Graph), and the balance gate reads the weighted balance of
+	// the candidate's stats, measured under this same vector. Nil means
+	// uniform cost. Negative or all-zero weights fail the chain with the
+	// partition layer's typed errors.
 	Weights []int64
 }
 
@@ -147,12 +147,13 @@ func NewFallbackSpec(ne, nprocs int) FallbackSpec {
 	return FallbackSpec{Ne: ne, NProcs: nprocs, Seed: DefaultSeed, MaxLB: DefaultMaxLB}
 }
 
-// FallbackResult is a successful chain outcome: the partition, the strategy
-// and seed that produced it, every abandoned attempt before it (in order),
-// each with its typed error, and the links ahead of the winner that their
-// breaker refused.
+// FallbackResult is a successful chain outcome: the partition, its stats
+// (the measurement the balance gate passed), the strategy and seed that
+// produced it, every abandoned attempt before it (in order), each with its
+// typed error, and the links ahead of the winner that their breaker refused.
 type FallbackResult struct {
 	Partition *partition.Partition
+	Stats     partition.Stats
 	Strategy  Strategy
 	Seed      int64
 	Attempts  []Attempt
@@ -191,6 +192,12 @@ func PartitionWithFallback(ctx context.Context, spec FallbackSpec) (*FallbackRes
 // the balance acceptance check. The substrate (mesh, weights, graph, curves)
 // is prob's; the spec's Ne, Weights, Mesh and Graph are not consulted.
 //
+// Each candidate is measured once, with prob.Stats, and the gate reads that
+// measurement: a candidate with EmptyParts > 0 fails with *BalanceError, and
+// so does one whose LBWeighted exceeds spec.MaxLB when MaxLB >= 0. The
+// winner's stats are the result's Stats, so the balance the gate passed is
+// the balance the caller reports.
+//
 //   - A seeded (METIS) strategy whose result violates the balance tolerance
 //     is retried with a reseeded RNG up to seedRetries times before the chain
 //     moves on — a different seed often escapes the bad local optimum (KWAY
@@ -202,7 +209,8 @@ func PartitionWithFallback(ctx context.Context, spec FallbackSpec) (*FallbackRes
 //   - StrategySFC fails on unsupported Ne with *UnsupportedNeError, falling
 //     through to StrategySerpentine, which accepts any Ne.
 //   - A link with an entry in spec.Breakers runs only if its breaker allows
-//     it, and tells the breaker how it went and how long it alone took.
+//     it, and tells the breaker how it went and how long it alone took,
+//     measuring its candidates included.
 //
 // Every abandoned attempt appears in the result's Attempts with a typed
 // error; if every link fails the returned error is *ExhaustedError.
@@ -229,10 +237,10 @@ func PartitionProblem(ctx context.Context, prob *core.Problem, spec FallbackSpec
 			continue
 		}
 		start := time.Now()
-		p, s, err := runLink(ctx, prob, m, strat, spec, &attempts)
+		p, st, s, err := runLink(ctx, prob, m, strat, spec, &attempts)
 		br.Record(time.Since(start), err)
 		if err == nil {
-			return &FallbackResult{Partition: p, Strategy: strat, Seed: s, Attempts: attempts, Skipped: skipped}, nil
+			return &FallbackResult{Partition: p, Stats: st, Strategy: strat, Seed: s, Attempts: attempts, Skipped: skipped}, nil
 		}
 	}
 	return nil, &ExhaustedError{Attempts: attempts}
@@ -241,7 +249,7 @@ func PartitionProblem(ctx context.Context, prob *core.Problem, spec FallbackSpec
 // runLink runs one chain link: the strategy once, then reseeded while it keeps
 // failing the balance check. Every failed try is appended to attempts; the
 // error returned is the last try's.
-func runLink(ctx context.Context, prob *core.Problem, m core.Method, strat Strategy, spec FallbackSpec, attempts *[]Attempt) (*partition.Partition, int64, error) {
+func runLink(ctx context.Context, prob *core.Problem, m core.Method, strat Strategy, spec FallbackSpec, attempts *[]Attempt) (*partition.Partition, partition.Stats, int64, error) {
 	tries := 1
 	if m.Seeded {
 		tries += seedRetries
@@ -253,12 +261,18 @@ func runLink(ctx context.Context, prob *core.Problem, m core.Method, strat Strat
 			s = int64(prng.Mix(uint64(s)) | 1) // reseeded retry: a fresh RNG stream
 		}
 		var p *partition.Partition
-		p, err = m.Run(ctx, prob, spec.NProcs, s, nil)
-		if err == nil {
-			err = checkBalance(strat, p, spec.MaxLB, prob.Weights())
+		var st partition.Stats
+		if p, err = m.Run(ctx, prob, spec.NProcs, s, nil); err == nil {
+			st, err = prob.Stats(p)
 		}
-		if err == nil {
-			return p, s, nil
+		switch { // the acceptance check, on the candidate's one measurement
+		case err != nil:
+		case st.EmptyParts > 0:
+			err = &BalanceError{Strategy: strat, EmptyParts: st.EmptyParts}
+		case spec.MaxLB >= 0 && st.LBWeighted > spec.MaxLB:
+			err = &BalanceError{Strategy: strat, LB: st.LBWeighted, Limit: spec.MaxLB}
+		default:
+			return p, st, s, nil
 		}
 		var ne *core.NeError
 		if errors.As(err, &ne) {
@@ -273,39 +287,5 @@ func runLink(ctx context.Context, prob *core.Problem, m core.Method, strat Strat
 			break // hard failure; reseeding will not change it
 		}
 	}
-	return nil, s, err
-}
-
-// checkBalance gates a candidate partition on emptiness and load balance.
-// With an element weight vector the balance is equation (1) over per-part
-// weight totals — the quantity the weighted strategies actually optimise —
-// otherwise over element counts.
-func checkBalance(strat Strategy, p *partition.Partition, maxLB float64, weights []int64) error {
-	counts := p.Counts()
-	empty := 0
-	for _, c := range counts {
-		if c == 0 {
-			empty++
-		}
-	}
-	if empty > 0 {
-		return &BalanceError{Strategy: strat, EmptyParts: empty}
-	}
-	if maxLB < 0 {
-		return nil
-	}
-	var lb float64
-	if weights != nil {
-		partWeights := make([]int64, p.NumParts())
-		for v := 0; v < p.NumVertices(); v++ {
-			partWeights[p.Part(v)] += weights[v]
-		}
-		lb = partition.LoadBalance(partWeights)
-	} else {
-		lb = partition.LoadBalance(counts)
-	}
-	if lb > maxLB {
-		return &BalanceError{Strategy: strat, LB: lb, Limit: maxLB}
-	}
-	return nil
+	return nil, partition.Stats{}, s, err
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"math/bits"
 	"strconv"
 )
 
@@ -172,11 +173,26 @@ func intsLen[T integer](a []T) int {
 		if v < 0 {
 			u, n = -u, n+1
 		}
-		for n++; u >= 10; u /= 10 {
-			n++
-		}
+		n += digits(u)
 	}
 	return n
+}
+
+// pow10 holds every power of ten a uint64 can: 10^0 through 10^19.
+var pow10 = [20]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
+
+// digits is the number of decimal digits of u. With L = bits.Len64(u), u
+// has floor(L·log10 2) or one more; 1233/4096 is log10 2 closely enough for
+// every L ≤ 64, and one compare with a power of ten picks. u|1 has as many
+// digits as u (no power of ten above 1 is odd) and a length of at least 1.
+func digits(u uint64) int {
+	u |= 1
+	d := bits.Len64(u) * 1233 >> 12
+	if u >= pow10[d] {
+		d++
+	}
+	return d
 }
 
 // appendInts appends a as a JSON array; a nil slice is null.

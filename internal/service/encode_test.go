@@ -10,6 +10,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strconv"
 	"testing"
 
 	"sfccube/internal/partition"
@@ -220,6 +221,27 @@ func TestEncodeMatchesEncodingJSON(t *testing.T) {
 	// A head longer than the encoder's stack staging buffer.
 	long := slices.Concat(awkwardStrings, awkwardStrings, awkwardStrings, awkwardStrings)
 	checkEncode(t, Response{Attempts: long, Assignment: []int32{0, 1}})
+}
+
+// TestDigits holds the bit-length digit count to strconv at every place it
+// can go wrong: both sides of every power of ten and of two a uint64 holds.
+func TestDigits(t *testing.T) {
+	edges := []uint64{0, math.MaxUint64}
+	for p := uint64(1); ; p *= 10 {
+		edges = append(edges, p-1, p, p+1)
+		if p > math.MaxUint64/10 {
+			break
+		}
+	}
+	for k := 0; k < 64; k++ {
+		p := uint64(1) << k
+		edges = append(edges, p-1, p, p+1)
+	}
+	for _, u := range edges {
+		if got, want := digits(u), len(strconv.FormatUint(u, 10)); got != want {
+			t.Errorf("digits(%d) = %d, want %d", u, got, want)
+		}
+	}
 }
 
 // TestEncodeUnsupportedFloats: NaN and the infinities fail as json.Marshal

@@ -542,19 +542,13 @@ func (s *Service) compute(ctx context.Context, canon canonicalRequest, key strin
 		skipped = append(skipped, string(st))
 		s.cfg.Registry.Counter("partsrv_breaker_short_circuits_total", "method", string(st)).Inc()
 	}
-	// Every response carries stats; Problem.Stats reads the CSR graph only
-	// if a chain link already built it.
-	st, err := prob.Stats(res.Partition)
-	if err != nil {
-		return computed{}, err
-	}
 	s.computations.Inc()
 	s.computeNs.Observe(elapsed.Nanoseconds())
 
 	resp := Response{
 		Key: key, Ne: canon.Ne, NParts: canon.NParts, Method: canon.Method,
 		Seed: res.Seed, Strategy: string(res.Strategy), WeightsSpec: canon.Weights,
-		Stats: st, Assignment: res.Partition.Assignment(),
+		Stats: res.Stats, Assignment: res.Partition.Assignment(),
 		BreakerSkipped: skipped,
 	}
 	for _, a := range res.Attempts {
