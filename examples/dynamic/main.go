@@ -59,7 +59,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		lb := partition.LoadBalance(p.WeightedCounts(func(v int) int32 { return int32(w[v]) }))
+		load := make([]int64, p.NumParts())
+		for v, q := range p.Assignment() {
+			load[q] += w[v]
+		}
+		lb := partition.LoadBalance(load)
 		fmt.Printf("%4d %12.3f %8d (%4.1f%%) %11.2f\n",
 			s, lb, mig.Moved, mig.MovedFraction*100, float64(mig.BytesMoved)/1e6)
 	}

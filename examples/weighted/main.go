@@ -62,7 +62,10 @@ func main() {
 		wf[e] = float64(weights[e])
 	}
 	report := func(name string, p *partition.Partition) {
-		wc := p.WeightedCounts(func(v int) int32 { return int32(weights[v]) })
+		wc := make([]int64, p.NumParts())
+		for v, q := range p.Assignment() {
+			wc[q] += weights[v]
+		}
 		rep, err := machine.SimulateStep(m, p, machine.DefaultWorkload(), machine.NCARP690(), wf)
 		if err != nil {
 			log.Fatal(err)

@@ -9,13 +9,15 @@ import (
 )
 
 // TestCurveRunMemoryCeiling pins what one sfc run on a fresh Problem may
-// allocate: the curve's visit order (8 bytes an element), the assignment (4
+// allocate: the curve's visit order (4 bytes an element), the assignment (4
 // bytes an element), under non-uniform weights the cut points (8 bytes a
-// part), and 64 KiB of slack for everything of fixed size. An inverse rank
+// part), and 64 KiB of slack for everything of fixed size. The ceiling was
+// 12 bytes an element while the visit order was stored as 8-byte ids; it is
+// tightened to 8, so the order widening back breaks it. An inverse rank
 // table, a leaf-orientation table, a []Point per face, a gathered weight
 // vector or a per-rank segment label — 3 to 16 bytes an element each, all
 // gone since the cut became arithmetic and the inverse a descent — would
-// break it at Ne=128, where the slack is a fifteenth of one of them; Ne=32
+// break it at Ne=128, where the slack is under a quarter of the smallest; Ne=32
 // holds the fixed part to its 64 KiB.
 func TestCurveRunMemoryCeiling(t *testing.T) {
 	cfl, err := weights.Parse("cfl")
@@ -36,7 +38,7 @@ func TestCurveRunMemoryCeiling(t *testing.T) {
 				}
 			}
 			weighted := probs[0].Weights() != nil
-			ceiling := int64(12*k + 64<<10)
+			ceiling := int64(8*k + 64<<10)
 			if weighted {
 				ceiling += int64(8 * nparts)
 			}

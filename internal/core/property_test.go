@@ -76,7 +76,7 @@ func TestWeightedPartitionBoundProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		wc := res.Partition.WeightedCounts(func(v int) int32 { return int32(weights[v]) })
+		wc := partLoads(res.Partition, weights)
 		avg := float64(total) / float64(nprocs)
 		for _, w := range wc {
 			// Greedy contiguous splitting bound (loose but safe).

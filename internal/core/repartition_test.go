@@ -104,7 +104,7 @@ func TestRepartitionerTracksMovingLoad(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lb := partition.LoadBalance(p.WeightedCounts(func(v int) int32 { return int32(w[v]) }))
+		lb := partition.LoadBalance(partLoads(p, w))
 		if lb > worstLB {
 			worstLB = lb
 		}
@@ -225,7 +225,6 @@ func TestRemapPreservesLoadBalance(t *testing.T) {
 	for i := 0; i < k; i += 3 {
 		w2[i] += 4
 	}
-	wf := func(v int) int32 { return int32(w2[v]) }
 
 	fresh, err := NewRepartitioner(ne, sfc.PeanoFirst)
 	if err != nil {
@@ -248,14 +247,13 @@ func TestRemapPreservesLoadBalance(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	lbFresh := partition.LoadBalance(pFresh.WeightedCounts(wf))
-	lbIncr := partition.LoadBalance(pIncr.WeightedCounts(wf))
+	lbFresh := partition.LoadBalance(partLoads(pFresh, w2))
+	lbIncr := partition.LoadBalance(partLoads(pIncr, w2))
 	if lbFresh != lbIncr {
 		t.Errorf("remapped LB %v differs from fresh-cut LB %v: relabel changed part contents", lbIncr, lbFresh)
 	}
 	// Stronger: the multiset of weighted part loads must be identical.
-	cf := append([]int64(nil), pFresh.WeightedCounts(wf)...)
-	ci := append([]int64(nil), pIncr.WeightedCounts(wf)...)
+	cf, ci := partLoads(pFresh, w2), partLoads(pIncr, w2)
 	sortInt64(cf)
 	sortInt64(ci)
 	for q := range cf {
@@ -263,6 +261,15 @@ func TestRemapPreservesLoadBalance(t *testing.T) {
 			t.Fatalf("sorted part-load multiset differs at %d: %d vs %d", q, ci[q], cf[q])
 		}
 	}
+}
+
+// partLoads is the total weight of every part of p.
+func partLoads(p *partition.Partition, w []int64) []int64 {
+	load := make([]int64, p.NumParts())
+	for v, q := range p.Assignment() {
+		load[q] += w[v]
+	}
+	return load
 }
 
 func sortInt64(s []int64) {

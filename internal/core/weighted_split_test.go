@@ -17,8 +17,11 @@ func weightedLB(t *testing.T, p *core.Problem, nparts int) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := p.Weights()
-	return partition.LoadBalance(part.WeightedCounts(func(v int) int32 { return int32(w[v]) }))
+	load := make([]int64, nparts)
+	for v, q := range part.Assignment() {
+		load[q] += p.Weights()[v]
+	}
+	return partition.LoadBalance(load)
 }
 
 // TestWeightedSplitLoadBalance measures the weighted curve split where the

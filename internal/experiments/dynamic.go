@@ -31,6 +31,16 @@ func movingStormWeights(m *mesh.Mesh, t float64) []int64 {
 	return w
 }
 
+// weightedLB is equation (1) over the total weight of every part of p,
+// summed in int64 as SetWeights and StatsOver accept them.
+func weightedLB(p *partition.Partition, weights []int64) float64 {
+	load := make([]int64, p.NumParts())
+	for v, q := range p.Assignment() {
+		load[q] += weights[v]
+	}
+	return partition.LoadBalance(load)
+}
+
 // DynamicRepartition reproduces the dynamic-partitioning use case the SFC
 // literature is built on (Pilkington & Baden, the paper's reference [6]):
 // element costs drift over time (a moving storm), the mesh is repartitioned
@@ -85,9 +95,6 @@ func DynamicRepartition(seed int64) (*Table, error) {
 		}
 		lastKway = kwayPart
 
-		lbOf := func(p *partition.Partition) float64 {
-			return partition.LoadBalance(p.WeightedCounts(func(v int) int32 { return int32(weights[v]) }))
-		}
 		if step > 0 {
 			sfcMovedTotal += mig.MovedFraction
 			kwayMovedTotal += kwayMig.MovedFraction
@@ -95,9 +102,9 @@ func DynamicRepartition(seed int64) (*Table, error) {
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", step),
 			fmt.Sprintf("%.1f", mig.MovedFraction*100),
-			fmt.Sprintf("%.3f", lbOf(sfcPart)),
+			fmt.Sprintf("%.3f", weightedLB(sfcPart, weights)),
 			fmt.Sprintf("%.1f", kwayMig.MovedFraction*100),
-			fmt.Sprintf("%.3f", lbOf(kwayPart)),
+			fmt.Sprintf("%.3f", weightedLB(kwayPart, weights)),
 		})
 	}
 	t.Notes = append(t.Notes, fmt.Sprintf(

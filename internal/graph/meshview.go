@@ -10,10 +10,10 @@ import "sfccube/internal/mesh"
 // weighs 1: a load model travels beside the view as an explicit weight
 // vector (partition.StatsOver). Safe for concurrent readers.
 type MeshView struct {
-	m         *mesh.Mesh
-	opt       Options
-	offs, wts [8]int32 // the Stencil's first deg entries
-	deg       int
+	m              *mesh.Mesh
+	opt            Options
+	offs, pad, wts [8]int32 // first deg entries: offsets on a face (Rows) and a padded face (Stencil), weights
+	deg            int
 }
 
 // NewMeshView returns the on-demand view of m weighted by opt (zero edge and
@@ -25,20 +25,31 @@ func NewMeshView(m *mesh.Mesh, opt Options) *MeshView {
 	if opt.CornerWeight == 0 {
 		opt.CornerWeight = 1
 	}
-	// The stencil runs over mesh rows j-1, j, j+1 in that order: ascending.
-	ne, ew, cw := int32(m.Ne()), opt.EdgeWeight, opt.CornerWeight
-	mv := &MeshView{m: m, opt: opt, offs: [8]int32{-ne, -1, 1, ne}, wts: [8]int32{ew, ew, ew, ew}, deg: 4}
-	if opt.IncludeCorners {
-		mv.offs, mv.wts, mv.deg = [8]int32{-ne - 1, -ne, -ne + 1, -1, 1, ne - 1, ne, ne + 1}, [8]int32{cw, ew, cw, ew, ew, cw, ew, cw}, 8
+	ne, ew, cw, corners := int32(m.Ne()), opt.EdgeWeight, opt.CornerWeight, opt.IncludeCorners
+	mv := &MeshView{m: m, opt: opt, offs: stencil(ne, corners), pad: stencil(ne+2, corners), wts: [8]int32{ew, ew, ew, ew}, deg: 4}
+	if corners {
+		mv.wts, mv.deg = [8]int32{cw, ew, cw, ew, ew, cw, ew, cw}, 8
 	}
 	return mv
 }
 
-// Stencil reports the face size and the face-interior stencil: element v at
-// (i, j) with 0 < i, j < ne-1 has neighbours v+offs[k] with weight wts[k],
-// ascending — its row in Rows. The slices are the view's own and read-only.
-func (mv *MeshView) Stencil() (ne int, offs, wts []int32) {
-	return mv.m.Ne(), mv.offs[:mv.deg], mv.wts[:mv.deg]
+// stencil returns the neighbour offsets of a cell in a row-major grid of row
+// length w, running over rows j-1, j, j+1 in that order (ascending): the four
+// edge neighbours and, with corners, the four diagonal ones.
+func stencil(w int32, corners bool) [8]int32 {
+	if corners {
+		return [8]int32{-w - 1, -w, -w + 1, -1, 1, w - 1, w, w + 1}
+	}
+	return [8]int32{-w, -1, 1, w}
+}
+
+// Stencil reports the mesh and the stencil over a face padded by a
+// one-element halo, (Ne+2)² cells in row-major order: the element at padded
+// cell x has neighbours at x+offs[k] with weight wts[k], ascending, and
+// where a neighbour lies across a seam its cell is in the halo (the strips
+// of mesh.SeamStrip). The slices are the view's own and read-only.
+func (mv *MeshView) Stencil() (m *mesh.Mesh, offs, wts []int32) {
+	return mv.m, mv.pad[:mv.deg], mv.wts[:mv.deg]
 }
 
 // NumVertices returns the number of elements of the mesh.
@@ -47,7 +58,7 @@ func (mv *MeshView) NumVertices() int { return mv.m.NumElems() }
 // Rows writes rows [lo, hi) into the buffers (from length 0, growing them if
 // needed) and returns them: row v is adj[ptr[v-lo]:ptr[v-lo+1]], ascending,
 // with wts parallel. (i, j) is walked incrementally and a face-interior row
-// is the Stencil shifted to its id; only the O(Ne) face-boundary ring asks
+// is the face's stencil shifted to its id; only the O(Ne) face-boundary ring asks
 // the mesh (NeighborsInto, which steps across the seam through the cube's
 // gluing table) and merges the two lists. With adjacency buffers of capacity
 // 8*(hi-lo) and a pointer buffer of hi-lo+1 the call does not allocate.

@@ -297,7 +297,8 @@ func BenchmarkFromMeshNe48(b *testing.B) {
 // one straddling a face boundary — it returns the Builder oracle's rows, and
 // with buffers of capacity 8 per row it does not allocate. The oracle never
 // touches the index arithmetic of the view's face-interior fast path, and
-// every face-interior oracle row is the view's Stencil shifted to its id.
+// every oracle row is the view's Stencil read over the element's face padded
+// with the mesh's seam strips.
 func TestMeshViewRowsMatchOracle(t *testing.T) {
 	for _, ne := range []int{1, 2, 3, 4, 6, 9} {
 		for _, corners := range []bool{true, false} {
@@ -337,23 +338,53 @@ func TestMeshViewRowsMatchOracle(t *testing.T) {
 			if allocs := testing.AllocsPerRun(3, sweep); allocs != 0 {
 				t.Errorf("ne=%d corners=%v: MeshView.Rows allocated %.0f times per sweep, want 0", ne, corners, allocs)
 			}
-			// The stencil is the face-interior row shifted to the origin.
-			sne, offs, sw := view.Stencil()
-			for v := 0; v < k && sne == ne; v++ {
-				if i, j := v%ne, v%n2/ne; i == 0 || i == ne-1 || j == 0 || j == ne-1 {
-					continue
-				}
-				row := make([]int32, len(offs))
-				for x, o := range offs {
-					row[x] = int32(v) + o
-				}
-				if !slices.Equal(row, want.Adj(v)) || !slices.Equal(sw, want.AdjWeights(v)) {
-					t.Fatalf("ne=%d corners=%v vertex %d: stencil row %v/%v, oracle row %v/%v",
-						ne, corners, v, row, sw, want.Adj(v), want.AdjWeights(v))
-				}
+			// The padded stencil, its halo filled from the seam strips, gives
+			// every element's oracle row; a cube-corner halo cell (-1 here)
+			// is no neighbour.
+			vm, offs, sw := view.Stencil()
+			if vm != m {
+				t.Errorf("Stencil reports another mesh")
 			}
-			if sne != ne {
-				t.Errorf("Stencil reports ne=%d, want %d", sne, ne)
+			w := ne + 2
+			cell := make([]int, w*w) // padded cell -> element
+			type entry struct{ u, w int32 }
+			for f := range mesh.NumFaces {
+				for x := range cell {
+					cell[x] = -1
+				}
+				for j := range ne {
+					for i := range ne {
+						cell[(j+1)*w+i+1] = f*n2 + j*ne + i
+					}
+				}
+				for side, h := range [4][2]int{{w, w}, {w + ne + 1, w}, {1, 1}, {(ne+1)*w + 1, 1}} {
+					first, step := m.SeamStrip(mesh.Face(f), side)
+					for p := range ne {
+						cell[h[0]+p*h[1]] = int(first) + p*step
+					}
+				}
+				for j := range ne {
+					for i := range ne {
+						x := (j+1)*w + i + 1
+						var row []entry
+						for k, o := range offs {
+							if u := cell[x+int(o)]; u >= 0 {
+								row = append(row, entry{int32(u), sw[k]})
+							}
+						}
+						slices.SortFunc(row, func(a, b entry) int { return int(a.u - b.u) })
+						v := cell[x]
+						adj, wts := want.Adj(v), want.AdjWeights(v)
+						if len(row) != len(adj) {
+							t.Fatalf("ne=%d corners=%v vertex %d: stencil row %v, oracle row %v/%v", ne, corners, v, row, adj, wts)
+						}
+						for k, e := range row {
+							if e.u != adj[k] || e.w != wts[k] {
+								t.Fatalf("ne=%d corners=%v vertex %d: stencil row %v, oracle row %v/%v", ne, corners, v, row, adj, wts)
+							}
+						}
+					}
+				}
 			}
 			if view.VertexWeights() != nil || view.VertexSizes() != nil {
 				t.Error("vertex weights/sizes are not nil (unit)")

@@ -294,15 +294,27 @@ func (m *Mesh) appendBoundaryNeighbors(f Face, i, j int, edgeDst, cornerDst []El
 // across returns the element on the far side of side s of face f at position
 // p along it.
 func (m *Mesh) across(f Face, s, p int) ElemID {
+	first, step := m.SeamStrip(f, s)
+	return first + ElemID(p*step)
+}
+
+// SeamStrip returns the elements across side s of face f, the seam's strip
+// on the glued face: the one at position p along the side is first + p*step.
+// Sides are numbered 0 (i = 0), 1 (i = Ne-1), 2 (j = 0) and 3 (j = Ne-1), and
+// a position is the coordinate that is free on the side. The four strips of
+// a face are its one-element halo; the cube corners are in none of them.
+func (m *Mesh) SeamStrip(f Face, s int) (first ElemID, step int) {
 	g := glue[f][s]
-	if g.rev {
-		p = m.ne - 1 - p
-	}
 	fixed := (g.side % 2) * (m.ne - 1)
 	if g.side < sideJLo {
-		return m.ID(g.face, fixed, p)
+		first, step = m.ID(g.face, fixed, 0), m.ne
+	} else {
+		first, step = m.ID(g.face, 0, fixed), 1
 	}
-	return m.ID(g.face, p, fixed)
+	if g.rev {
+		first, step = first+ElemID((m.ne-1)*step), -step
+	}
+	return first, step
 }
 
 // insertSorted appends v to s, keeping s[lo:] ascending.

@@ -209,7 +209,10 @@ func TestWeightedVertices(t *testing.T) {
 	if p.Part(0) == p.Part(5) {
 		t.Error("heavy vertices in same part; balance impossible")
 	}
-	w := p.WeightedCounts(g.VertexWeight)
+	w := make([]int64, 2)
+	for v, q := range p.Assignment() {
+		w[q] += int64(g.VertexWeight(v))
+	}
 	if d := w[0] - w[1]; d < -2 || d > 2 {
 		t.Errorf("weighted split %v too uneven", w)
 	}

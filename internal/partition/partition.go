@@ -64,15 +64,6 @@ func (p *Partition) Counts() []int {
 	return c
 }
 
-// WeightedCounts returns the total vertex weight in each part.
-func (p *Partition) WeightedCounts(vwgt func(v int) int32) []int64 {
-	c := make([]int64, p.nparts)
-	for v, q := range p.assign {
-		c[q] += int64(vwgt(v))
-	}
-	return c
-}
-
 // LoadBalance computes equation (1) of the paper for a set S:
 //
 //	LB(S) = (max{S} - avg{S}) / max{S}
@@ -169,7 +160,7 @@ func ValidateWeights(weights []int64) error {
 // The cut points are arithmetic or a few sequential O(n) walks; only the fill
 // fans out across goroutines, over disjoint ranks, so the assignment is
 // byte-identical at any GOMAXPROCS.
-func SplitAlong[I ~int](order []I, nparts int, weights []int64) ([]int32, error) {
+func SplitAlong[I ~int | ~int32](order []I, nparts int, weights []int64) ([]int32, error) {
 	n := len(order)
 	assign := make([]int32, n)
 	var total, heaviest, sumSq int64
@@ -220,7 +211,7 @@ const splitFillChunk = 1 << 15
 // can wrap only for weights far above any cost model here, and it seeds
 // nothing but cutPoints' first guess: a wrapped sum costs probes, never a
 // wrong cut.
-func gatherWeights[I ~int](order []I, weights []int64, gathered []int32) (total, heaviest, sumSq int64, err error) {
+func gatherWeights[I ~int | ~int32](order []I, weights []int64, gathered []int32) (total, heaviest, sumSq int64, err error) {
 	for r, id := range order {
 		w := weights[id]
 		if w < 0 {
@@ -242,7 +233,7 @@ func gatherWeights[I ~int](order []I, weights []int64, gathered []int32) (total,
 // (gatherWeights), and it allocates nothing else but the nparts+1 cut
 // points, unless a weight exceeds math.MaxInt32: then it gathers an int64
 // copy.
-func splitPoints[I ~int](order []I, weights []int64, gathered []int32, nparts int, total, heaviest, sumSq int64) []int {
+func splitPoints[I ~int | ~int32](order []I, weights []int64, gathered []int32, nparts int, total, heaviest, sumSq int64) []int {
 	if heaviest <= math.MaxInt32 {
 		return cutPoints(gathered, nparts, total, heaviest, sumSq)
 	}

@@ -88,14 +88,6 @@ func TestFromAssignment(t *testing.T) {
 	}
 }
 
-func TestWeightedCounts(t *testing.T) {
-	p, _ := FromAssignment([]int32{0, 0, 1}, 2)
-	w := p.WeightedCounts(func(v int) int32 { return int32(v + 1) })
-	if w[0] != 3 || w[1] != 3 {
-		t.Errorf("weighted counts = %v", w)
-	}
-}
-
 // SplitContiguous splits positions 0..len(weights)-1 themselves: the
 // identity-order entry to SplitAlong, the one split kernel.
 func SplitContiguous(weights []int64, nparts int) ([]int32, error) {

@@ -2,9 +2,11 @@ package partition
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"sfccube/internal/graph"
+	"sfccube/internal/mesh"
 )
 
 // Stats collects the partition quality metrics the paper reports in Table 2.
@@ -72,9 +74,9 @@ type Stats struct {
 // the weight vectors, and the rows a block at a time. Rows returns rows
 // [lo, hi): row v is adj[ptr[v-lo]:ptr[v-lo+1]], ascending, with wts
 // parallel. *graph.Graph ignores the buffers and aliases its CSR storage;
-// *graph.MeshView fills them (from length 0) from the mesh, so a cubed-sphere
-// partition can be measured without the graph ever being built. What Rows
-// returns is read-only and valid until the next call with the same buffers.
+// *graph.MeshView fills them (from length 0), but StatsOver reads a view off
+// its Stencil instead (sweep.faces). What Rows returns is read-only and
+// valid until the next call with the same buffers.
 // A nil VertexWeights or VertexSizes means every vertex has weight or size 1.
 type Adjacency interface {
 	NumVertices() int
@@ -83,9 +85,7 @@ type Adjacency interface {
 	VertexSizes() []int32
 }
 
-// statsBlock is how many rows StatsOver reads per Rows call: CSR rows, and
-// the face-boundary ring of a mesh view, whose buffers (8 neighbours a row)
-// are sized to the ring's longest run of rows or this, whichever is smaller.
+// statsBlock is how many CSR rows StatsOver reads per Rows call.
 const statsBlock = 128
 
 // ComputeStats evaluates all quality metrics of partition p on graph g.
@@ -107,10 +107,11 @@ func ComputeStatsWeighted(g *graph.Graph, p *Partition, weights []int64) (Stats,
 // the validation the weighted curve split applies, so a partition and its
 // stats can never disagree about weight legality.
 //
-// Over a *graph.MeshView a face-interior row is read off the view's Stencil
-// (its neighbours' parts are loads from assignment rows j-1, j, j+1); only
-// the O(Ne) face-boundary ring, and every row of any other adjacency, goes
-// through Rows. Both feed one row body (sweep.rows) in ascending order.
+// Over a *graph.MeshView the sweep runs a face at a time through a copy of
+// the face's parts padded by a one-element halo (see sweep.faces), so every
+// element, seam or not, is read off the view's Stencil and no row is ever
+// resolved; every row of any other adjacency goes through Rows. Both feed
+// one row body (sweep.rows) in ascending order.
 //
 // Edge accounting: the row body visits every directed adjacency entry, so
 // each undirected cut edge {u, v} is seen exactly twice (once from u, once
@@ -127,8 +128,8 @@ func StatsOver(a Adjacency, p *Partition, weights []int64) (Stats, error) {
 	if len(assign) != n {
 		return Stats{}, fmt.Errorf("partition: %d vertices but graph has %d", len(assign), n)
 	}
-	st := Stats{NParts: nparts}
-	st.Nelemd = p.Counts()
+	st := Stats{NParts: nparts, Nelemd: make([]int, nparts)}
+	var load []int64 // nil: the element counts
 	if weights != nil {
 		if len(weights) != n {
 			return Stats{}, fmt.Errorf("partition: %d weights for %d vertices", len(weights), n)
@@ -145,103 +146,180 @@ func StatsOver(a Adjacency, p *Partition, weights []int64) (Stats, error) {
 		if total == 0 && n > 0 {
 			return Stats{}, &ZeroTotalWeightError{N: n}
 		}
-		st.LBNelemd = LoadBalance(st.PartWeights)
+		load = st.PartWeights
 	} else if vw := a.VertexWeights(); vw != nil {
-		wc := make([]int64, nparts)
+		load = make([]int64, nparts)
 		for v, q := range assign {
-			wc[q] += int64(vw[v])
+			load[q] += int64(vw[v])
 		}
-		st.LBNelemd = LoadBalance(wc)
-	} else {
-		st.LBNelemd = LoadBalance(st.Nelemd)
 	}
-	st.LBWeighted = st.LBNelemd
 
-	s := sweep{assign: assign, stamp: make([]int32, nparts), parent: make([]int32, n), vsize: a.VertexSizes(), spcv: make([]int64, nparts)}
-	for v := range s.parent {
-		s.parent[v] = int32(v)
-	}
-	// Mesh row j in [1, ne-2] of a face: ring element, ne-2 stencil rows, ring element.
-	lo := 0
+	s := sweep{stamp: make([]int32, nparts), vsize: a.VertexSizes(), spcv: make([]int64, nparts)}
+	comps := st.Nelemd // the components of every part, until the counts go in
 	if mv, ok := a.(*graph.MeshView); ok {
-		ne, offs, wts := mv.Stencil()
-		b := min(statsBlock, n) // below Ne = 3 every row is on the ring
-		if ne >= 3 {
-			b = min(b, 2*ne+2) // the longest run of ring rows: across a face seam
+		s.faces(mv, assign, comps)
+	} else {
+		s.assign, s.parent = assign, make([]int32, n)
+		for v := range s.parent {
+			s.parent[v] = int32(v)
 		}
-		s.ptrBuf, s.adjBuf, s.wtBuf = make([]int32, 0, b+1), make([]int32, 0, 8*b), make([]int32, 0, 8*b)
-		for r := 0; r < n; r += ne {
-			if j := r / ne % ne; j > 0 && j < ne-1 {
-				s.read(a, lo, r+1)
-				s.rows(r+1, r+ne-1, nil, offs, wts)
-				lo = r + ne - 1
+		for lo := 0; lo < n; lo += statsBlock {
+			hi := min(lo+statsBlock, n)
+			ptr, adj, wts := a.Rows(lo, hi, nil, nil, nil)
+			s.rows(lo, hi, ptr, adj, wts)
+		}
+		for v, r := range s.parent {
+			if int(r) == v {
+				comps[assign[v]]++
 			}
 		}
 	}
-	s.read(a, lo, n)
 	st.Spcv, st.EdgeCut, st.EdgeCutUnweighted, st.CutVertices, st.TotalCommVolume = s.spcv, s.cutWeight/2, s.cutEdges/2, s.cutRows, s.tcv
 	st.LBSpcv = LoadBalance(st.Spcv)
 
-	st.MaxNelemd, st.MinNelemd = st.Nelemd[0], st.Nelemd[0]
-	for _, c := range st.Nelemd {
-		if c > st.MaxNelemd {
-			st.MaxNelemd = c
-		}
-		if c < st.MinNelemd {
-			st.MinNelemd = c
-		}
-	}
-
-	// Connected components per part, counted in the stamp array. Empty parts
-	// have zero components and are counted separately — MaxComponents starts
-	// at 1, so a part that received no vertices would otherwise be invisible
-	// in the report.
-	clear(s.stamp)
-	for v, r := range s.parent {
-		if int(r) == v {
-			s.stamp[assign[v]]++
-		}
-	}
+	// Empty parts have zero components and are counted separately —
+	// MaxComponents starts at 1, so a part that received no vertices would
+	// otherwise be invisible in the report.
 	st.MaxComponents = 1
-	for _, c := range s.stamp {
+	for _, c := range comps {
 		if c == 0 {
 			st.EmptyParts++
 		}
 		if c > 1 {
 			st.DisconnectedParts++
 		}
-		if int(c) > st.MaxComponents {
-			st.MaxComponents = int(c)
-		}
+		st.MaxComponents = max(st.MaxComponents, c)
 	}
+
+	clear(st.Nelemd)
+	for _, q := range assign {
+		st.Nelemd[q]++
+	}
+	st.MaxNelemd, st.MinNelemd = slices.Max(st.Nelemd), slices.Min(st.Nelemd)
+	if load == nil {
+		st.LBNelemd = LoadBalance(st.Nelemd)
+	} else {
+		st.LBNelemd = LoadBalance(load)
+	}
+	st.LBWeighted = st.LBNelemd
 	return st, nil
 }
 
 // sweep is StatsOver's one pass over the rows: cut accounting per vertex, and
 // a union-find over same-part edges (each undirected edge once, from its
-// higher end) whose roots are the connected components of the parts.
-// stamp[q] is 1 + the last vertex that counted q among its remote parts.
+// higher end). assign and parent are K long over a CSR graph, one padded
+// face's over a mesh view; stamp[q] is tag0 + 1 + the last vertex that
+// counted q among its remote parts.
 type sweep struct {
 	assign, stamp, parent, vsize      []int32
-	ptrBuf, adjBuf, wtBuf             []int32 // Rows' buffers; nil for a CSR graph, which ignores them
+	tag0                              int32
 	spcv                              []int64
 	cutWeight, cutEdges, cutRows, tcv int64 // cut edges counted once per direction
 }
 
-// read accounts rows [lo, hi) as Rows returns them, statsBlock at a time.
-func (s *sweep) read(a Adjacency, lo, hi int) {
-	for ; lo < hi; lo += statsBlock {
-		end := min(lo+statsBlock, hi)
-		ptr, adj, wts := a.Rows(lo, end, s.ptrBuf, s.adjBuf, s.wtBuf)
-		s.rows(lo, end, ptr, adj, wts)
+// faces runs the sweep a face at a time over a (Ne+2)² pad: the face's parts
+// inside, the parts across its four seams (mesh.SeamStrip) in the halo, and
+// at the cube corners, where only three faces meet, the face's own corner
+// part, which no count sees. It counts components into comps: one that stays
+// inside a face when the face is done, one that reaches the face's ring as
+// it takes a ring slot (4·Ne a face), less one per union of slots across the
+// twelve cube edges. Nothing K long is allocated.
+func (s *sweep) faces(mv *graph.MeshView, assign []int32, comps []int) {
+	m, offs, wts := mv.Stencil()
+	ne, w := m.Ne(), m.Ne()+2
+	n2, nr := ne*ne, 4*ne
+	pad, parent, ring := make([]int32, w*w), make([]int32, w*w), make([]int32, mesh.NumFaces*nr)
+	s.assign, s.parent = pad, parent
+	for f := range mesh.NumFaces {
+		for j := range ne {
+			copy(pad[(j+1)*w+1:], assign[f*n2+j*ne:f*n2+(j+1)*ne])
+		}
+		for side, h := range [4][2]int{{w, w}, {w + ne + 1, w}, {1, 1}, {(ne+1)*w + 1, 1}} { // position 0, stride
+			first, step := m.SeamStrip(mesh.Face(f), side)
+			for p := range ne {
+				pad[h[0]+p*h[1]] = assign[int(first)+p*step]
+			}
+		}
+		pad[0], pad[w-1], pad[(w-1)*w], pad[w*w-1] = pad[w+1], pad[2*w-2], pad[(w-2)*w+1], pad[(w-1)*w-2]
+		for x := range parent {
+			parent[x] = int32(x)
+		}
+		s.tag0 = int32(f * w * w)
+		for j := 1; j <= ne; j++ {
+			s.rows(j*w+1, j*w+ne+1, nil, offs, wts)
+		}
+		// Every ring element's root first; then each root takes the slot of
+		// its first ring element as ^slot, which no cell index equals.
+		r := ring[f*nr : (f+1)*nr]
+		for pass := range 2 {
+			for j := range ne {
+				step := ne - 1 // the ring's columns 0 and ne-1, or all in rows 0 and ne-1
+				if j == 0 || j == ne-1 {
+					step = 1
+				}
+				for i := 0; i < ne; i += step {
+					if k := slot(ne, i, j); pass == 0 {
+						r[k] = find(parent, int32((j+1)*w+i+1))
+					} else {
+						if root := r[k]; parent[root] >= 0 {
+							parent[root] = ^int32(f*nr + k)
+							comps[pad[root]]++
+						}
+						r[k] = ^parent[r[k]]
+					}
+				}
+			}
+		}
+		for j := 1; j <= ne; j++ {
+			for x := j*w + 1; x <= j*w+ne; x++ {
+				if parent[x] == int32(x) {
+					comps[pad[x]]++
+				}
+			}
+		}
 	}
+	// Each cube edge once, from its lower face: the element at position p
+	// on the side meets the elements across at p, and with corners p±1.
+	reach := len(offs) / 8
+	for f := range mesh.NumFaces {
+		for side := range 4 {
+			first, step := m.SeamStrip(mesh.Face(f), side)
+			if g := int(first) / n2; g > f {
+				for p := range ne {
+					i, j := p, (side%2)*(ne-1)
+					if side < 2 {
+						i, j = j, p
+					}
+					for q := max(p-reach, 0); q <= min(p+reach, ne-1); q++ {
+						b := int(first) + q*step
+						if a := f*n2 + j*ne + i; assign[a] == assign[b] {
+							ra, rb := find(ring, ring[f*nr+slot(ne, i, j)]), find(ring, ring[g*nr+slot(ne, b%n2%ne, b%n2/ne)])
+							if ra != rb {
+								ring[rb] = ra
+								comps[assign[a]]--
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// slot numbers the ring of an ne×ne face in 4·ne slots: rows 0 and ne-1 by
+// i, then columns 0 and ne-1 by j.
+func slot(ne, i, j int) int {
+	if j == 0 || j == ne-1 {
+		return min(j, 1)*ne + i
+	}
+	return (2+min(i, 1))*ne + j
 }
 
 // rows is the row body: it accounts rows [lo, hi), row v being adj[ptr[v-lo]:
 // ptr[v-lo+1]] with wts parallel or, when ptr is nil (a stencil span), v+adj[k]
 // with weight wts[k]. Both ascend, so the unions come in the same order.
 func (s *sweep) rows(lo, hi int, ptr, adj, wts []int32) {
-	assign, stamp, parent, vsize, spcv := s.assign, s.stamp, s.parent, s.vsize, s.spcv
+	assign, stamp, parent, vsize, spcv, tag0 := s.assign, s.stamp, s.parent, s.vsize, s.spcv, s.tag0
 	row, wrow, base, start := adj, wts, int32(0), int32(0)
 	if ptr != nil {
 		start, ptr = ptr[0], ptr[1:]
@@ -253,7 +331,7 @@ func (s *sweep) rows(lo, hi int, ptr, adj, wts []int32) {
 			end := ptr[v-lo]
 			row, wrow, start = adj[start:end], wts[start:end], end
 		}
-		pv, tag := assign[v], int32(v)+1
+		pv, tag := assign[v], tag0+int32(v)+1
 		wrow = wrow[:len(row)] // one length: wrow[i] needs no bounds check
 		var cutW, cutN, remote int64
 		for i, o := range row {

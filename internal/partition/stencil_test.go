@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"sfccube/internal/check"
@@ -220,4 +221,117 @@ func FuzzStatsView(f *testing.F) {
 		}
 		compareStats(t, view, g, part, w)
 	})
+}
+
+// TestStatsSeams holds the face-at-a-time sweep to the blocked-Rows
+// reference where it can go wrong: the seams. Part 0 is, in turn, a ring
+// element and the element across from it on every side of every face
+// (joined only across one cube edge), the three elements at every cube
+// corner (joined only through the corner's three faces), and the centres
+// of two opposite faces (two pieces); everything else is part 1, which
+// stays connected. Ne runs from 1 to 9 with corners on and off, and the
+// component counts are checked against their known values as well.
+func TestStatsSeams(t *testing.T) {
+	for ne := 1; ne <= 9; ne++ {
+		m, err := mesh.New(ne)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k, n2 := m.NumElems(), ne*ne
+		across := func(f, side, p int) int {
+			first, step := m.SeamStrip(mesh.Face(f), side)
+			return int(first) + p*step
+		}
+		type seamCase struct {
+			name  string
+			elems []int
+			comps int // of part 0
+		}
+		var cases []seamCase
+		for f := range mesh.NumFaces {
+			for side := range 4 {
+				p, fixed := ne/2, (side%2)*(ne-1)
+				i, j := p, fixed
+				if side < 2 {
+					i, j = fixed, p
+				}
+				cases = append(cases, seamCase{fmt.Sprintf("edge/f%d/s%d", f, side), []int{f*n2 + j*ne + i, across(f, side, p)}, 1})
+			}
+			for _, c := range [][2]int{{0, 0}, {ne - 1, 0}, {0, ne - 1}, {ne - 1, ne - 1}} {
+				i, j := c[0], c[1]
+				elems := []int{f*n2 + j*ne + i, across(f, min(i, 1), j), across(f, 2+min(j, 1), i)}
+				cases = append(cases, seamCase{fmt.Sprintf("corner/f%d/%d,%d", f, i, j), elems, 1})
+			}
+		}
+		centre := ne/2*ne + ne/2
+		for _, fg := range [][2]int{{0, 2}, {1, 3}, {4, 5}} {
+			f, g := fg[0], fg[1]
+			cases = append(cases, seamCase{fmt.Sprintf("apart/f%d-f%d", f, g), []int{f*n2 + centre, g*n2 + centre}, 2})
+		}
+		for _, corners := range []bool{true, false} {
+			opt := graph.Options{EdgeWeight: 2, CornerWeight: 3, IncludeCorners: corners}
+			view, g := statsViews(t, ne, opt)
+			for _, c := range cases {
+				t.Run(fmt.Sprintf("ne%d/corners=%v/%s", ne, corners, c.name), func(t *testing.T) {
+					part := partition.New(k, 2)
+					for v := 0; v < k; v++ {
+						part.SetPart(v, 1)
+					}
+					for _, e := range c.elems {
+						part.SetPart(e, 0)
+					}
+					compareStats(t, view, g, part, nil)
+					st, err := partition.StatsOver(view, part, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := min(c.comps-1, 1); st.DisconnectedParts != want || st.MaxComponents != c.comps {
+						t.Errorf("part 0 = %v: DisconnectedParts %d, MaxComponents %d; want %d, %d",
+							c.elems, st.DisconnectedParts, st.MaxComponents, want, c.comps)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestViewStatsMemoryCeiling pins what a Stats call over the mesh view of a
+// fresh Problem may allocate: the per-part arrays (Nelemd and Spcv, 8 bytes
+// a part, and the sweep's 4-byte stamp), a padded face and its union-find
+// (4 bytes a cell each, (Ne+2)² cells), the ring slots (4·Ne a face, 4 bytes
+// each), and 8 KiB of slack. A K-long union-find (4 bytes an element, what
+// the sweep allocated before it ran a face at a time) breaks it at Ne=64,
+// where it is twelve times the slack.
+func TestViewStatsMemoryCeiling(t *testing.T) {
+	for _, ne := range []int{16, 64} {
+		const rounds = 4
+		k, nparts := 6*ne*ne, 6*ne*ne/16
+		probs, parts := make([]*core.Problem, rounds), make([]*partition.Partition, rounds)
+		for i := range probs {
+			var err error
+			if probs[i], err = core.NewProblem(ne); err != nil {
+				t.Fatal(err)
+			}
+			if parts[i], err = core.Run(context.Background(), "sfc", probs[i], nparts, 0, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i, p := range probs {
+			if _, err := p.Stats(parts[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		perCall := int64(after.TotalAlloc-before.TotalAlloc) / rounds
+		ceiling := int64(20*nparts + 8*(ne+2)*(ne+2) + 4*4*ne*mesh.NumFaces + 8<<10)
+		if perCall > ceiling {
+			t.Errorf("Ne=%d: a view Stats call allocated %d bytes for K=%d elements, %d parts (ceiling %d): a per-element array is back",
+				ne, perCall, k, nparts, ceiling)
+		} else {
+			t.Logf("Ne=%d: %d bytes/call, ceiling %d", ne, perCall, ceiling)
+		}
+	}
 }

@@ -75,7 +75,7 @@ type CubeCurve struct {
 	path  [mesh.NumFaces]mesh.Face
 	xf    [mesh.NumFaces]XF // orientation of the per-face curve on each face
 
-	order []mesh.ElemID // rank -> element
+	order []int32 // rank -> element; K = 6·Ne² < 2^31 up to Ne ≈ 18,900
 }
 
 // NewCubeCurve builds the continuous cubed-sphere curve for mesh m using the
@@ -221,18 +221,18 @@ func isCornerNeighbor(m *mesh.Mesh, a, b mesh.ElemID) bool {
 func (cc *CubeCurve) build() {
 	ne := cc.m.Ne()
 	perFace := ne * ne
-	cc.order = make([]mesh.ElemID, cc.m.NumElems())
+	cc.order = make([]int32, cc.m.NumElems())
 	par.ForBlocks(len(cc.path), func(fi int) {
 		f := cc.path[fi]
 		t := cc.xf[f]
 		out := cc.order[fi*perFace : (fi+1)*perFace]
 		if cc.base == nil {
-			fill(out, cc.sched, ne, t, 0, 0, ne, cc.m.ID(f, 0, 0))
+			fill(out, cc.sched, ne, t, 0, 0, ne, int32(cc.m.ID(f, 0, 0)))
 			return
 		}
 		for i, p := range cc.base.Order() {
 			q := t.Apply(p, ne)
-			out[i] = cc.m.ID(f, q.X, q.Y)
+			out[i] = int32(cc.m.ID(f, q.X, q.Y))
 		}
 	})
 }
@@ -245,11 +245,11 @@ func (cc *CubeCurve) Schedule() Schedule { return cc.sched }
 func (cc *CubeCurve) Len() int { return len(cc.order) }
 
 // At returns the element visited at the given curve rank.
-func (cc *CubeCurve) At(rank int) mesh.ElemID { return cc.order[rank] }
+func (cc *CubeCurve) At(rank int) mesh.ElemID { return mesh.ElemID(cc.order[rank]) }
 
-// Order returns the global visit order; the returned slice is owned by the
-// curve and must not be modified.
-func (cc *CubeCurve) Order() []mesh.ElemID { return cc.order }
+// Order returns the global visit order, rank to element id, 4 bytes an
+// element; the returned slice is owned by the curve and must not be modified.
+func (cc *CubeCurve) Order() []int32 { return cc.order }
 
 // FacePath returns the order in which the curve traverses the cube faces.
 func (cc *CubeCurve) FacePath() [mesh.NumFaces]mesh.Face { return cc.path }
@@ -283,7 +283,7 @@ func (cc *CubeCurve) ElemXF(e mesh.ElemID) (rank int, t XF) {
 // edge-adjacent on the cubed-sphere (including across cube edges).
 func (cc *CubeCurve) IsContinuous() bool {
 	for i := 1; i < len(cc.order); i++ {
-		if !isEdgeNeighbor(cc.m, cc.order[i-1], cc.order[i]) {
+		if !isEdgeNeighbor(cc.m, cc.At(i-1), cc.At(i)) {
 			return false
 		}
 	}
