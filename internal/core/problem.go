@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"sfccube/internal/graph"
 	"sfccube/internal/mesh"
@@ -18,12 +17,14 @@ import (
 
 // Problem is the one substrate every partitioning method runs on: the Ne
 // cubed-sphere mesh (which stores no neighbour tables: the graph build and
-// the stats resolve rows analytically), the optional
+// the stats resolve adjacency analytically), the optional
 // element weights (the load model every method balances), and the derived
 // structures — dual graph, Hilbert–Peano curve, serpentine curve — each
 // built on first request and memoised, so a method pays only for what it
 // reads and nothing is ever built twice. Only the multilevel methods request
-// the graph; the curve methods and Stats never force it. The weights become
+// the graph; the curve methods and Stats never read it: Stats sweeps the
+// mesh view, which holds O(1) state and is part of the problem, so no
+// measurement allocates one. The weights become
 // the graph's vertex weights once, when it is first requested; Stats reads
 // them as they are.
 //
@@ -35,6 +36,7 @@ type Problem struct {
 	Order sfc.Order
 
 	mesh    *mesh.Mesh
+	view    graph.MeshView // the mesh's graph unstored, swept by Stats
 	weights []int64
 	given   *graph.Graph // caller-provided dual graph, adopted by Graph
 
@@ -43,20 +45,15 @@ type Problem struct {
 	serpentine lazy[*sfc.CubeCurve]
 }
 
-// lazy memoises one fallible construction; built reports, without blocking,
-// whether it has already run.
+// lazy memoises one fallible construction.
 type lazy[T any] struct {
-	once  sync.Once
-	built atomic.Bool
-	v     T
-	err   error
+	once sync.Once
+	v    T
+	err  error
 }
 
 func (l *lazy[T]) get(build func() (T, error)) (T, error) {
-	l.once.Do(func() {
-		l.v, l.err = build()
-		l.built.Store(true)
-	})
+	l.once.Do(func() { l.v, l.err = build() })
 	return l.v, l.err
 }
 
@@ -77,7 +74,7 @@ func ProblemFrom(ne int, m *mesh.Mesh, g *graph.Graph) (*Problem, error) {
 			return nil, err
 		}
 	}
-	return &Problem{mesh: m, given: g}, nil
+	return &Problem{mesh: m, view: *graph.NewMeshView(m, graph.DefaultOptions()), given: g}, nil
 }
 
 // SetWeights installs the element weight vector (indexed by mesh.ElemID; nil
@@ -143,23 +140,17 @@ func (p *Problem) Graph() (*graph.Graph, error) {
 
 // Stats returns the paper's quality metrics of part on the problem's dual
 // graph, the load balance and PartWeights under the problem's weights. It
-// reads the CSR graph when one exists — a multilevel method built it, or
-// the caller supplied it (ProblemFrom), whose vertex weights then count
-// when the problem has no weights — and otherwise resolves each row from
-// the mesh (graph.MeshView, same edges), so measuring a curve cut never
-// builds the graph. The weights are read as they are, never copied.
+// sweeps the mesh view (graph.MeshView, the edges of Graph) whatever method
+// ran, so every answer is measured by the same code and measuring never
+// reads or builds the CSR graph. The one exception is a graph the caller
+// supplied (ProblemFrom), which is read as given: its vertex weights count
+// when the problem has no weights. The weights are read as they are, never
+// copied.
 func (p *Problem) Stats(part *partition.Partition) (partition.Stats, error) {
-	g := p.given
-	if g == nil && p.graph.built.Load() {
-		var err error
-		if g, err = p.Graph(); err != nil {
-			return partition.Stats{}, err
-		}
+	if p.given != nil {
+		return partition.ComputeStatsWeighted(p.given, part, p.weights)
 	}
-	if g != nil {
-		return partition.StatsOver(g, part, p.weights)
-	}
-	return partition.StatsOver(graph.NewMeshView(p.mesh, graph.DefaultOptions()), part, p.weights)
+	return partition.StatsOver(&p.view, part, p.weights)
 }
 
 // NeError reports a face size the Hilbert–Peano construction cannot refine

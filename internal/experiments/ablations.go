@@ -65,6 +65,10 @@ func AblationCorners(seed int64) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	full, err := s.Problem.Graph()
+	if err != nil {
+		return nil, err
+	}
 	boundaryOnly, err := graph.FromMesh(s.Mesh, graph.Options{EdgeWeight: 8, IncludeCorners: false})
 	if err != nil {
 		return nil, err
@@ -73,7 +77,7 @@ func AblationCorners(seed int64) (*Table, error) {
 		label string
 		g     *graph.Graph
 	}{
-		{"boundary+corner", s.Graph},
+		{"boundary+corner", full},
 		{"boundary-only", boundaryOnly},
 	}
 	for _, nproc := range []int{192, 768} {
@@ -83,7 +87,7 @@ func AblationCorners(seed int64) (*Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				// measure reads the setup's full (boundary+corner) graph,
+				// measure reads the setup's full (boundary+corner) mesh,
 				// so the numbers of both graphs are comparable.
 				m, err := s.measure(p)
 				if err != nil {

@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"sfccube/internal/core"
-	"sfccube/internal/graph"
 	"sfccube/internal/machine"
 	"sfccube/internal/mesh"
 	"sfccube/internal/obs"
@@ -20,12 +19,11 @@ import (
 // order (SFC, RB, KWAY, TV) also fixes the series colors of every figure.
 var methodNames = []string{"SFC", "RB", "KWAY", "TV"}
 
-// Setup bundles the reusable pieces of one resolution's experiments. Mesh and
-// Graph are Problem's, surfaced for the many readers that need nothing else.
+// Setup bundles the reusable pieces of one resolution's experiments. Mesh is
+// Problem's, surfaced for the many readers that need nothing else.
 type Setup struct {
 	Problem  *core.Problem
 	Mesh     *mesh.Mesh
-	Graph    *graph.Graph
 	Workload machine.Workload
 	Model    machine.Model
 	Serial   machine.StepReport
@@ -38,8 +36,8 @@ func NewSetup(ne int) (*Setup, error) { return NewWeightedSetup(ne, "") }
 // NewWeightedSetup is NewSetup under a weight spec (package weights grammar):
 // the generated vector becomes the problem's load model, so the curve split
 // and the graph's vertex weights agree by construction. The mesh resolves
-// adjacency on demand and the dual graph streams through
-// the exact-size CSR build (see core.Problem), so the sweep scales to the
+// adjacency on demand and the dual graph is built only when a multilevel
+// method first asks for it (see core.Problem), so the sweep scales to the
 // million-element regime without holding any intermediate edge list.
 func NewWeightedSetup(ne int, spec string) (*Setup, error) {
 	prob, err := core.NewProblem(ne)
@@ -49,17 +47,13 @@ func NewWeightedSetup(ne int, spec string) (*Setup, error) {
 	if err := prob.SetWeightSpec(spec); err != nil {
 		return nil, err
 	}
-	g, err := prob.Graph()
-	if err != nil {
-		return nil, err
-	}
 	w := machine.DefaultWorkload()
 	mod := machine.NCARP690()
 	serial, err := machine.SerialStep(prob.Mesh(), w, mod, nil)
 	if err != nil {
 		return nil, err
 	}
-	return &Setup{Problem: prob, Mesh: prob.Mesh(), Graph: g, Workload: w, Model: mod, Serial: serial}, nil
+	return &Setup{Problem: prob, Mesh: prob.Mesh(), Workload: w, Model: mod, Serial: serial}, nil
 }
 
 // Partition runs one method-table entry on the setup's problem; the
@@ -80,7 +74,7 @@ type measured struct {
 // measure evaluates a partition of the setup's mesh. It is the one place an
 // experiment computes partition statistics and models a step.
 func (s *Setup) measure(p *partition.Partition) (measured, error) {
-	st, err := partition.ComputeStatsWeighted(s.Graph, p, s.Problem.Weights())
+	st, err := s.Problem.Stats(p)
 	if err != nil {
 		return measured{}, err
 	}

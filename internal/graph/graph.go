@@ -165,13 +165,9 @@ func (g *Graph) VertexWeight(v int) int32 { return g.vwgt[v] }
 // VertexSize returns the communication volume contributed by v when cut.
 func (g *Graph) VertexSize(v int) int32 { return g.vsize[v] }
 
-// Rows returns rows [lo, hi) straight from CSR storage: row v is
-// adj[ptr[v-lo]:ptr[v-lo+1]] with wts parallel. The buffers are ignored; the
-// result aliases the graph and is read-only. It exists so a Graph and a
-// MeshView can be read through one interface (partition.Adjacency).
-func (g *Graph) Rows(lo, hi int, _, _, _ []int32) (ptr, adj, wts []int32) {
-	return g.xadj[lo : hi+1], g.adjncy, g.adjwgt
-}
+// CSR returns the graph's storage: row v is adjncy[xadj[v]:xadj[v+1]] with
+// adjwgt parallel. The slices alias the graph and are read-only.
+func (g *Graph) CSR() (xadj, adjncy, adjwgt []int32) { return g.xadj, g.adjncy, g.adjwgt }
 
 // VertexWeights returns every vertex weight; the slice aliases graph storage.
 func (g *Graph) VertexWeights() []int32 { return g.vwgt }
@@ -268,5 +264,5 @@ func DefaultOptions() Options {
 // computation weights.
 func FromMesh(m *mesh.Mesh, opt Options) (*Graph, error) {
 	view := NewMeshView(m, opt)
-	return FromAdjacency(view.NumVertices(), view.Rows)
+	return FromAdjacency(view.NumVertices(), view.rows)
 }

@@ -3,22 +3,30 @@ package graph
 import "sfccube/internal/mesh"
 
 // MeshView is the partitioning graph of a cubed-sphere mesh read without
-// being stored: rows are resolved on demand, a block at a time, from the
-// mesh's analytic adjacency and weighted by the Options. It holds O(1) state
-// beyond the mesh, and its rows are exactly the rows FromMesh freezes into
-// CSR form — FromMesh is "stream this view into a Graph". Every element
-// weighs 1: a load model travels beside the view as an explicit weight
-// vector (partition.StatsOver). Safe for concurrent readers.
+// being stored, from the mesh's analytic adjacency weighted by the Options.
+// It holds O(1) state beyond the mesh and has two readers, which see the
+// same edges: FromMesh streams its rows, a block at a time, into CSR form,
+// and partition.StatsOver sweeps it a padded face at a time off its Stencil.
+// Every element weighs 1 and has communication volume 1: a load model
+// travels beside the view as an explicit weight vector (partition.StatsOver).
+// Safe for concurrent readers.
 type MeshView struct {
 	m              *mesh.Mesh
 	opt            Options
-	offs, pad, wts [8]int32 // first deg entries: offsets on a face (Rows) and a padded face (Stencil), weights
+	offs, pad, wts [8]int32 // first deg entries: offsets on a face (rows) and a padded face (Stencil), weights
 	deg            int
 }
 
 // NewMeshView returns the on-demand view of m weighted by opt (zero edge and
-// corner weights mean 1).
+// corner weights mean 1). It inlines, so a caller that copies the view into
+// its own struct (core.Problem) allocates none.
 func NewMeshView(m *mesh.Mesh, opt Options) *MeshView {
+	mv := new(MeshView)
+	mv.init(m, opt)
+	return mv
+}
+
+func (mv *MeshView) init(m *mesh.Mesh, opt Options) {
 	if opt.EdgeWeight == 0 {
 		opt.EdgeWeight = 1
 	}
@@ -26,11 +34,10 @@ func NewMeshView(m *mesh.Mesh, opt Options) *MeshView {
 		opt.CornerWeight = 1
 	}
 	ne, ew, cw, corners := int32(m.Ne()), opt.EdgeWeight, opt.CornerWeight, opt.IncludeCorners
-	mv := &MeshView{m: m, opt: opt, offs: stencil(ne, corners), pad: stencil(ne+2, corners), wts: [8]int32{ew, ew, ew, ew}, deg: 4}
+	*mv = MeshView{m: m, opt: opt, offs: stencil(ne, corners), pad: stencil(ne+2, corners), wts: [8]int32{ew, ew, ew, ew}, deg: 4}
 	if corners {
 		mv.wts, mv.deg = [8]int32{cw, ew, cw, ew, ew, cw, ew, cw}, 8
 	}
-	return mv
 }
 
 // stencil returns the neighbour offsets of a cell in a row-major grid of row
@@ -55,14 +62,14 @@ func (mv *MeshView) Stencil() (m *mesh.Mesh, offs, wts []int32) {
 // NumVertices returns the number of elements of the mesh.
 func (mv *MeshView) NumVertices() int { return mv.m.NumElems() }
 
-// Rows writes rows [lo, hi) into the buffers (from length 0, growing them if
+// rows writes rows [lo, hi) into the buffers (from length 0, growing them if
 // needed) and returns them: row v is adj[ptr[v-lo]:ptr[v-lo+1]], ascending,
 // with wts parallel. (i, j) is walked incrementally and a face-interior row
 // is the face's stencil shifted to its id; only the O(Ne) face-boundary ring asks
 // the mesh (NeighborsInto, which steps across the seam through the cube's
 // gluing table) and merges the two lists. With adjacency buffers of capacity
 // 8*(hi-lo) and a pointer buffer of hi-lo+1 the call does not allocate.
-func (mv *MeshView) Rows(lo, hi int, ptrBuf, adjBuf, wtBuf []int32) (ptr, adj, wts []int32) {
+func (mv *MeshView) rows(lo, hi int, ptrBuf, adjBuf, wtBuf []int32) (ptr, adj, wts []int32) {
 	ne := mv.m.Ne()
 	ew, cw, corners := mv.opt.EdgeWeight, mv.opt.CornerWeight, mv.opt.IncludeCorners
 	ptr, adj, wts = append(ptrBuf[:0], 0), adjBuf[:0], wtBuf[:0]
@@ -118,10 +125,3 @@ func AppendMerged[T ~int | ~int32](adj, wts []int32, e, c []T, ew, cw int32) ([]
 	}
 	return adj, wts
 }
-
-// VertexWeights returns nil: every element of a mesh view weighs 1.
-func (mv *MeshView) VertexWeights() []int32 { return nil }
-
-// VertexSizes returns nil: every element of a mesh view has communication
-// volume 1.
-func (mv *MeshView) VertexSizes() []int32 { return nil }

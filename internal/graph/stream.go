@@ -19,7 +19,7 @@ const rowBlock = 128
 // replayable producer of row blocks: rows(lo, hi, ptrBuf, adjBuf, wtBuf)
 // writes rows [lo, hi) into the buffers from length 0 and returns them, row v
 // being adj[ptr[v-lo]:ptr[v-lo+1]] in strictly ascending neighbour order with
-// positive weights wts parallel (MeshView.Rows is one). A degree pass reads
+// positive weights wts parallel (FromMesh's view is one). A degree pass reads
 // every row's size off ptr; the fill pass then hands the producer the final
 // adjncy/adjwgt segments of each block as its buffers, capacity exactly the
 // degree pass's total, so rows land in place. No intermediate edge list is

@@ -26,7 +26,7 @@ func graphsEqual(a, b *Graph) bool {
 
 // builderOracle is the mesh graph built the slow way: the accumulating
 // Builder fed one edge at a time from the mesh's neighbour lists (which go
-// through NeighborsInto, never through MeshView.Rows' interior fast path).
+// through NeighborsInto, never through the view's interior fast path).
 func builderOracle(t *testing.T, m *mesh.Mesh, opt Options) *Graph {
 	t.Helper()
 	k := m.NumElems()
@@ -97,7 +97,7 @@ type rowsFunc = func(lo, hi int, ptrBuf, adjBuf, wtBuf []int32) (ptr, adj, wts [
 
 // blockRows turns a per-row description into a block-filling producer: it
 // appends what row emits for each vertex of the block to the buffers handed
-// in, the way MeshView.Rows does.
+// in, the way MeshView's rows do.
 func blockRows(row func(v int, emit func(u int, w int32))) rowsFunc {
 	return func(lo, hi int, ptr, adj, wts []int32) ([]int32, []int32, []int32) {
 		ptr, adj, wts = append(ptr[:0], 0), adj[:0], wts[:0]
@@ -322,7 +322,7 @@ func TestMeshViewRowsMatchOracle(t *testing.T) {
 			sweep := func() {
 				for _, w := range windows {
 					lo, hi := w[0], w[1]
-					ptr, adj, wts := view.Rows(lo, hi, ptr[:0:hi-lo+1], adj[:0:8*(hi-lo)], wts[:0:8*(hi-lo)])
+					ptr, adj, wts := view.rows(lo, hi, ptr[:0:hi-lo+1], adj[:0:8*(hi-lo)], wts[:0:8*(hi-lo)])
 					if len(ptr) != hi-lo+1 || ptr[0] != 0 {
 						t.Fatalf("ne=%d corners=%v [%d,%d): row pointers %v", ne, corners, lo, hi, ptr)
 					}
@@ -336,7 +336,7 @@ func TestMeshViewRowsMatchOracle(t *testing.T) {
 				}
 			}
 			if allocs := testing.AllocsPerRun(3, sweep); allocs != 0 {
-				t.Errorf("ne=%d corners=%v: MeshView.Rows allocated %.0f times per sweep, want 0", ne, corners, allocs)
+				t.Errorf("ne=%d corners=%v: MeshView.rows allocated %.0f times per sweep, want 0", ne, corners, allocs)
 			}
 			// The padded stencil, its halo filled from the seam strips, gives
 			// every element's oracle row; a cube-corner halo cell (-1 here)
@@ -385,9 +385,6 @@ func TestMeshViewRowsMatchOracle(t *testing.T) {
 						}
 					}
 				}
-			}
-			if view.VertexWeights() != nil || view.VertexSizes() != nil {
-				t.Error("vertex weights/sizes are not nil (unit)")
 			}
 		}
 	}

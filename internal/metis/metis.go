@@ -175,6 +175,6 @@ func (g *wgraph) totalVWgt() int64 {
 // are the same int32 CSR, and the multilevel phases write only graphs they
 // allocated themselves (coarse levels, bisection subgraphs), never this one.
 func fromGraph(gr *graph.Graph) *wgraph {
-	xadj, adj, ewgt := gr.Rows(0, gr.NumVertices(), nil, nil, nil)
+	xadj, adj, ewgt := gr.CSR()
 	return &wgraph{xadj: xadj, adj: adj, ewgt: ewgt, vwgt: gr.VertexWeights(), vsize: gr.VertexSizes()}
 }

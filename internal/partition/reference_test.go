@@ -3,18 +3,20 @@ package partition
 import (
 	"fmt"
 	"math"
+
+	"sfccube/internal/graph"
 )
 
 // StatsOverBlocked is the reference the differential tests hold StatsOver to.
 var StatsOverBlocked = statsOverBlocked
 
 // statsOverBlocked is StatsOver as it was before the sweep read the mesh
-// stencil: every row, face-interior or not, comes through Adjacency.Rows a
-// block at a time and is read back out of the block buffers. Its sweep is
-// kept verbatim as the reference for TestStatsStencilMatchesReference and
-// FuzzStatsView; its load prelude follows StatsOver's contract (one load
-// vector, the explicit weights when given).
-func statsOverBlocked(a Adjacency, p *Partition, weights []int64) (Stats, error) {
+// stencil: every row, face-interior or not, is read out of a CSR graph a
+// block of 128 at a time. Its sweep is kept verbatim as the reference for
+// TestStatsStencilMatchesReference and FuzzStatsView; its load prelude
+// follows StatsOver's contract (one load vector, the explicit weights when
+// given).
+func statsOverBlocked(a *graph.Graph, p *Partition, weights []int64) (Stats, error) {
 	n, nparts, assign := a.NumVertices(), p.NumParts(), p.Assignment()
 	if len(assign) != n {
 		return Stats{}, fmt.Errorf("partition: %d vertices but graph has %d", len(assign), n)
@@ -58,10 +60,10 @@ func statsOverBlocked(a Adjacency, p *Partition, weights []int64) (Stats, error)
 		parent[v] = int32(v)
 	}
 	vsize := a.VertexSizes()
-	ptrBuf, adjBuf, wtBuf := make([]int32, 0, statsBlock+1), make([]int32, 0, 8*statsBlock), make([]int32, 0, 8*statsBlock)
-	for lo := 0; lo < n; lo += statsBlock {
-		hi := min(lo+statsBlock, n)
-		ptr, adj, wts := a.Rows(lo, hi, ptrBuf, adjBuf, wtBuf)
+	xadj, adj, wts := a.CSR()
+	for lo := 0; lo < n; lo += 128 {
+		hi := min(lo+128, n)
+		ptr := xadj[lo : hi+1]
 		start := ptr[0]
 		for k, end := range ptr[1:] {
 			v := lo + k

@@ -70,48 +70,46 @@ type Stats struct {
 	EmptyParts int
 }
 
-// Adjacency is what the statistics read of a dual graph: the vertex count,
-// the weight vectors, and the rows a block at a time. Rows returns rows
-// [lo, hi): row v is adj[ptr[v-lo]:ptr[v-lo+1]], ascending, with wts
-// parallel. *graph.Graph ignores the buffers and aliases its CSR storage;
-// *graph.MeshView fills them (from length 0), but StatsOver reads a view off
-// its Stencil instead (sweep.faces). What Rows returns is read-only and
-// valid until the next call with the same buffers.
-// A nil VertexWeights or VertexSizes means every vertex has weight or size 1.
-type Adjacency interface {
-	NumVertices() int
-	Rows(lo, hi int, ptrBuf, adjBuf, wtBuf []int32) (ptr, adj, wts []int32)
-	VertexWeights() []int32
-	VertexSizes() []int32
-}
-
-// statsBlock is how many CSR rows StatsOver reads per Rows call.
-const statsBlock = 128
-
 // ComputeStats evaluates all quality metrics of partition p on graph g.
-func ComputeStats(g *graph.Graph, p *Partition) (Stats, error) { return StatsOver(g, p, nil) }
-
-// ComputeStatsWeighted is ComputeStats under an explicit element weight
-// vector; see StatsOver.
-func ComputeStatsWeighted(g *graph.Graph, p *Partition, weights []int64) (Stats, error) {
-	return StatsOver(g, p, weights)
+func ComputeStats(g *graph.Graph, p *Partition) (Stats, error) {
+	return ComputeStatsWeighted(g, p, nil)
 }
 
-// StatsOver evaluates all quality metrics of partition p over the adjacency
-// a. weights, when non-nil, is an explicit element weight vector (indexed
+// ComputeStatsWeighted is StatsOver over a CSR graph, read as one row span:
+// g's vertex sizes scale the communication volume and its vertex weights are
+// the load when weights is nil. It serves graphs a caller built (AMR
+// forests, ProblemFrom); a mesh's own graph is measured over its view.
+func ComputeStatsWeighted(g *graph.Graph, p *Partition, weights []int64) (Stats, error) {
+	return measure(g.NumVertices(), g.VertexWeights(), p, weights, func(s sweep, assign []int32, comps []int) sweep {
+		s.assign, s.parent, s.vsize = assign, make([]int32, len(assign)), g.VertexSizes()
+		for v := range s.parent {
+			s.parent[v] = int32(v)
+		}
+		xadj, adj, wts := g.CSR()
+		s.rows(0, len(assign), xadj, adj, wts)
+		for v, r := range s.parent {
+			if int(r) == v {
+				comps[assign[v]]++
+			}
+		}
+		return s
+	})
+}
+
+// StatsOver evaluates all quality metrics of partition p over the mesh view
+// mv. weights, when non-nil, is an explicit element weight vector (indexed
 // like the vertices) and the one load vector read: PartWeights receives the
 // total weight per part, and LBNelemd and LBWeighted the equation-(1)
-// balance over it; a's vertex weights are read only when weights is nil.
+// balance over it; without it the load is the element counts.
 // Negative weights fail with *WeightError and an all-zero vector with
 // *ZeroTotalWeightError, checked in the same pass that sums PartWeights —
 // the validation the weighted curve split applies, so a partition and its
 // stats can never disagree about weight legality.
 //
-// Over a *graph.MeshView the sweep runs a face at a time through a copy of
-// the face's parts padded by a one-element halo (see sweep.faces), so every
-// element, seam or not, is read off the view's Stencil and no row is ever
-// resolved; every row of any other adjacency goes through Rows. Both feed
-// one row body (sweep.rows) in ascending order.
+// The sweep runs a face at a time through a copy of the face's parts padded
+// by a one-element halo (see sweep.faces), so every element, seam or not, is
+// read off the view's Stencil and no row is ever resolved; the row body
+// (sweep.rows) is the CSR sweep's.
 //
 // Edge accounting: the row body visits every directed adjacency entry, so
 // each undirected cut edge {u, v} is seen exactly twice (once from u, once
@@ -121,10 +119,20 @@ func ComputeStatsWeighted(g *graph.Graph, p *Partition, weights []int64) (Stats,
 // endpoints' parts. This accounting is cross-checked edge-for-edge against
 // an independent single-pass (u < v) recomputation by
 // internal/check.CrossCheckStats, which the differential, fuzz and mutation
-// suites run over every method, mesh and part count they touch; the audit
-// found the totals in exact agreement (no discrepancy to correct).
-func StatsOver(a Adjacency, p *Partition, weights []int64) (Stats, error) {
-	n, nparts, assign := a.NumVertices(), p.NumParts(), p.Assignment()
+// suites run over every method, mesh and part count they touch.
+func StatsOver(mv *graph.MeshView, p *Partition, weights []int64) (Stats, error) {
+	return measure(mv.NumVertices(), nil, p, weights, func(s sweep, assign []int32, comps []int) sweep {
+		s.faces(mv, assign, comps)
+		return s
+	})
+}
+
+// measure is the body of both entry points: the load prelude over n
+// vertices (vw, when non-nil, the vertex weights read without weights), the
+// sweep, which counts each part's components into comps, and the totals.
+// The sweep goes to run and back by value, so it stays on the stack.
+func measure(n int, vw []int32, p *Partition, weights []int64, run func(s sweep, assign []int32, comps []int) sweep) (Stats, error) {
+	nparts, assign := p.NumParts(), p.Assignment()
 	if len(assign) != n {
 		return Stats{}, fmt.Errorf("partition: %d vertices but graph has %d", len(assign), n)
 	}
@@ -147,33 +155,15 @@ func StatsOver(a Adjacency, p *Partition, weights []int64) (Stats, error) {
 			return Stats{}, &ZeroTotalWeightError{N: n}
 		}
 		load = st.PartWeights
-	} else if vw := a.VertexWeights(); vw != nil {
+	} else if vw != nil {
 		load = make([]int64, nparts)
 		for v, q := range assign {
 			load[q] += int64(vw[v])
 		}
 	}
 
-	s := sweep{stamp: make([]int32, nparts), vsize: a.VertexSizes(), spcv: make([]int64, nparts)}
 	comps := st.Nelemd // the components of every part, until the counts go in
-	if mv, ok := a.(*graph.MeshView); ok {
-		s.faces(mv, assign, comps)
-	} else {
-		s.assign, s.parent = assign, make([]int32, n)
-		for v := range s.parent {
-			s.parent[v] = int32(v)
-		}
-		for lo := 0; lo < n; lo += statsBlock {
-			hi := min(lo+statsBlock, n)
-			ptr, adj, wts := a.Rows(lo, hi, nil, nil, nil)
-			s.rows(lo, hi, ptr, adj, wts)
-		}
-		for v, r := range s.parent {
-			if int(r) == v {
-				comps[assign[v]]++
-			}
-		}
-	}
+	s := run(sweep{stamp: make([]int32, nparts), spcv: make([]int64, nparts)}, assign, comps)
 	st.Spcv, st.EdgeCut, st.EdgeCutUnweighted, st.CutVertices, st.TotalCommVolume = s.spcv, s.cutWeight/2, s.cutEdges/2, s.cutRows, s.tcv
 	st.LBSpcv = LoadBalance(st.Spcv)
 
@@ -205,7 +195,7 @@ func StatsOver(a Adjacency, p *Partition, weights []int64) (Stats, error) {
 	return st, nil
 }
 
-// sweep is StatsOver's one pass over the rows: cut accounting per vertex, and
+// sweep is the statistics' one pass over the rows: cut accounting per vertex, and
 // a union-find over same-part edges (each undirected edge once, from its
 // higher end). assign and parent are K long over a CSR graph, one padded
 // face's over a mesh view; stamp[q] is tag0 + 1 + the last vertex that

@@ -16,18 +16,19 @@ import (
 	"sfccube/internal/partition"
 )
 
-// statsViews returns the mesh view and the CSR graph of the Ne mesh under
-// opt, every vertex weighing 1 in both. The graph is accumulated by the
-// Builder from mesh.EdgeNeighbors/CornerNeighbors, so it shares nothing with
-// the view's row layout or Stencil: a wrong stencil offset or weight makes
-// the two disagree.
-func statsViews(t testing.TB, ne int, opt graph.Options) (*graph.MeshView, *graph.Graph) {
+// statsViews returns the mesh view of the Ne mesh under opt and two CSR
+// graphs of it, every vertex weighing 1 in all three. The first graph is
+// accumulated by the Builder from mesh.EdgeNeighbors/CornerNeighbors, so it
+// shares nothing with the view's row layout or Stencil: a wrong stencil
+// offset or weight makes the two disagree. The second is graph.FromMesh,
+// the view's rows streamed into CSR form.
+func statsViews(t testing.TB, ne int, opt graph.Options) (view *graph.MeshView, built, streamed *graph.Graph) {
 	t.Helper()
 	m, err := mesh.New(ne)
 	if err != nil {
 		t.Fatal(err)
 	}
-	view := graph.NewMeshView(m, opt)
+	view = graph.NewMeshView(m, opt)
 	k, ew, cw := m.NumElems(), max(opt.EdgeWeight, 1), max(opt.CornerWeight, 1) // zero means 1
 	b := graph.NewBuilder(k)
 	add := func(e int, nbrs []mesh.ElemID, w int32) {
@@ -45,35 +46,38 @@ func statsViews(t testing.TB, ne int, opt graph.Options) (*graph.MeshView, *grap
 			add(e, m.CornerNeighbors(mesh.ElemID(e)), cw)
 		}
 	}
-	return view, b.Build()
+	if streamed, err = graph.FromMesh(m, opt); err != nil {
+		t.Fatal(err)
+	}
+	return view, b.Build(), streamed
 }
 
-// compareStats holds StatsOver over the view to the blocked-Rows reference
-// over the same view, to StatsOver and the reference over the CSR graph, and
-// the CSR stats to the independent oracle — field for field.
-func compareStats(t testing.TB, view *graph.MeshView, g *graph.Graph, part *partition.Partition, weights []int64) {
+// compareStats holds StatsOver over the view to the blocked reference and to
+// the CSR sweep (ComputeStatsWeighted) over both graphs of statsViews, and
+// the Builder graph's stats to the independent oracle — field for field.
+func compareStats(t testing.TB, view *graph.MeshView, built, streamed *graph.Graph, part *partition.Partition, weights []int64) {
 	t.Helper()
 	got, err := partition.StatsOver(view, part, weights)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, a := range map[string]partition.Adjacency{"view": view, "csr": g} {
-		ref, err := partition.StatsOverBlocked(a, part, weights)
+	for name, g := range map[string]*graph.Graph{"Builder": built, "FromMesh": streamed} {
+		ref, err := partition.StatsOverBlocked(g, part, weights)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, ref) {
 			t.Fatalf("StatsOver(view)       %+v\nblocked reference(%s) %+v", got, name, ref)
 		}
+		csr, err := partition.ComputeStatsWeighted(g, part, weights)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, csr) {
+			t.Fatalf("StatsOver(view)           %+v\nComputeStatsWeighted(%s) %+v", got, name, csr)
+		}
 	}
-	csr, err := partition.StatsOver(g, part, weights)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, csr) {
-		t.Fatalf("StatsOver(view) %+v\nStatsOver(csr)  %+v", got, csr)
-	}
-	if err := check.CrossCheckStats(g, part); err != nil {
+	if err := check.CrossCheckStats(built, part); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -102,7 +106,7 @@ type statsCase struct {
 }
 
 // TestStatsStencilMatchesReference: the stencil sweep gives, field for field,
-// what the blocked-Rows sweep it replaced gives, on meshes from Ne=1 and 2
+// what the blocked sweep it replaced gives, on meshes from Ne=1 and 2
 // (no face-interior element) and 3 (one) up to 32, under every option the
 // view honours, for method cuts and for scattered assignments that cut every
 // row, leave a part empty or split one into pieces.
@@ -144,23 +148,24 @@ func TestStatsStencilMatchesReference(t *testing.T) {
 			return 1 + rng.Intn(2)
 		})
 		for oname, c := range statsOptions(k) {
-			view, g := statsViews(t, ne, c.opt)
+			view, built, streamed := statsViews(t, ne, c.opt)
 			for pname, part := range parts {
 				t.Run(fmt.Sprintf("ne%d/%s/%s", ne, oname, pname), func(t *testing.T) {
-					compareStats(t, view, g, part, c.weights)
+					compareStats(t, view, built, streamed, part, c.weights)
 				})
 			}
 		}
 	}
 }
 
-// TestStatsViewRingBuffersFit: below Ne = 3 every element is on the
-// face-boundary ring, so the whole mesh is one run of ring rows; the sweep's
-// buffers must hold it. StatsOver over the view makes as many allocations at
-// Ne = 1 and 2 as at Ne = 4 and 16, where Rows never grows them.
+// TestStatsViewRingBuffersFit: below Ne = 3 every element of a face is on
+// its ring, so every cell of the pad is a ring or halo cell; the face
+// sweep's buffers (pad, union-find, ring slots) must still be sized once, up
+// front. StatsOver over the view makes as many allocations at Ne = 1, 2 and
+// 3 as at Ne = 4 and 16: nothing is grown or allocated per face.
 func TestStatsViewRingBuffersFit(t *testing.T) {
 	allocs := func(ne int) float64 {
-		view, _ := statsViews(t, ne, graph.DefaultOptions())
+		view, _, _ := statsViews(t, ne, graph.DefaultOptions())
 		k := 6 * ne * ne
 		part := partition.New(k, 2)
 		for v := 0; v < k; v++ {
@@ -183,7 +188,7 @@ func TestStatsViewRingBuffersFit(t *testing.T) {
 // FuzzStatsView drives the stencil sweep over (Ne ≤ 24, part count, seed,
 // corners, element weights): a seed-scattered, an id-blocked or a mesh-row
 // striped assignment, and seed-drawn edge and corner weights. The view, the
-// CSR graph, the blocked-Rows reference and the independent oracle must agree.
+// CSR graphs, the blocked reference and the independent oracle must agree.
 func FuzzStatsView(f *testing.F) {
 	f.Add(uint8(2), uint16(5), int64(0), true, false)
 	f.Add(uint8(7), uint16(96), int64(1), true, true)
@@ -206,7 +211,7 @@ func FuzzStatsView(f *testing.F) {
 				w[v] = int64(1 + next()%16)
 			}
 		}
-		view, g := statsViews(t, ne, opt)
+		view, built, streamed := statsViews(t, ne, opt)
 		part := partition.New(k, nparts)
 		mode := uint64(seed) % 3
 		for v := 0; v < k; v++ {
@@ -219,11 +224,11 @@ func FuzzStatsView(f *testing.F) {
 				part.SetPart(v, v/ne%nparts)
 			}
 		}
-		compareStats(t, view, g, part, w)
+		compareStats(t, view, built, streamed, part, w)
 	})
 }
 
-// TestStatsSeams holds the face-at-a-time sweep to the blocked-Rows
+// TestStatsSeams holds the face-at-a-time sweep to the blocked
 // reference where it can go wrong: the seams. Part 0 is, in turn, a ring
 // element and the element across from it on every side of every face
 // (joined only across one cube edge), the three elements at every cube
@@ -270,7 +275,7 @@ func TestStatsSeams(t *testing.T) {
 		}
 		for _, corners := range []bool{true, false} {
 			opt := graph.Options{EdgeWeight: 2, CornerWeight: 3, IncludeCorners: corners}
-			view, g := statsViews(t, ne, opt)
+			view, built, streamed := statsViews(t, ne, opt)
 			for _, c := range cases {
 				t.Run(fmt.Sprintf("ne%d/corners=%v/%s", ne, corners, c.name), func(t *testing.T) {
 					part := partition.New(k, 2)
@@ -280,7 +285,7 @@ func TestStatsSeams(t *testing.T) {
 					for _, e := range c.elems {
 						part.SetPart(e, 0)
 					}
-					compareStats(t, view, g, part, nil)
+					compareStats(t, view, built, streamed, part, nil)
 					st, err := partition.StatsOver(view, part, nil)
 					if err != nil {
 						t.Fatal(err)
@@ -296,21 +301,32 @@ func TestStatsSeams(t *testing.T) {
 }
 
 // TestViewStatsMemoryCeiling pins what a Stats call over the mesh view of a
-// fresh Problem may allocate: the per-part arrays (Nelemd and Spcv, 8 bytes
+// Problem may allocate: the per-part arrays (Nelemd and Spcv, 8 bytes
 // a part, and the sweep's 4-byte stamp), a padded face and its union-find
 // (4 bytes a cell each, (Ne+2)² cells), the ring slots (4·Ne a face, 4 bytes
 // each), and 8 KiB of slack. A K-long union-find (4 bytes an element, what
-// the sweep allocated before it ran a face at a time) breaks it at Ne=64,
-// where it is twelve times the slack.
+// the sweep allocated before it ran a face at a time, and what the CSR sweep
+// allocates) breaks it at Ne=64, where it is twelve times the slack. The
+// ceiling holds for a fresh Problem and for one whose Graph was built before
+// Stats: what ran before does not choose the sweep.
 func TestViewStatsMemoryCeiling(t *testing.T) {
-	for _, ne := range []int{16, 64} {
+	for _, c := range []struct {
+		ne    int
+		built bool
+	}{{16, false}, {64, false}, {16, true}, {64, true}} {
 		const rounds = 4
+		ne := c.ne
 		k, nparts := 6*ne*ne, 6*ne*ne/16
 		probs, parts := make([]*core.Problem, rounds), make([]*partition.Partition, rounds)
 		for i := range probs {
 			var err error
 			if probs[i], err = core.NewProblem(ne); err != nil {
 				t.Fatal(err)
+			}
+			if c.built {
+				if _, err := probs[i].Graph(); err != nil {
+					t.Fatal(err)
+				}
 			}
 			if parts[i], err = core.Run(context.Background(), "sfc", probs[i], nparts, 0, nil); err != nil {
 				t.Fatal(err)
@@ -328,10 +344,10 @@ func TestViewStatsMemoryCeiling(t *testing.T) {
 		perCall := int64(after.TotalAlloc-before.TotalAlloc) / rounds
 		ceiling := int64(20*nparts + 8*(ne+2)*(ne+2) + 4*4*ne*mesh.NumFaces + 8<<10)
 		if perCall > ceiling {
-			t.Errorf("Ne=%d: a view Stats call allocated %d bytes for K=%d elements, %d parts (ceiling %d): a per-element array is back",
-				ne, perCall, k, nparts, ceiling)
+			t.Errorf("Ne=%d graph built=%v: a Stats call allocated %d bytes for K=%d elements, %d parts (ceiling %d): a per-element array is back",
+				ne, c.built, perCall, k, nparts, ceiling)
 		} else {
-			t.Logf("Ne=%d: %d bytes/call, ceiling %d", ne, perCall, ceiling)
+			t.Logf("Ne=%d graph built=%v: %d bytes/call, ceiling %d", ne, c.built, perCall, ceiling)
 		}
 	}
 }
