@@ -317,7 +317,13 @@ func TestCommittedGates(t *testing.T) {
 		"BenchmarkServiceMiss/sfc/Ne128",
 		"BenchmarkWeightedSFCNe384",
 	}
-	wantBytes := []string{"BenchmarkSFCParallelNe384", "BenchmarkServiceMiss/sfc/Ne128"}
+	wantBytes := []string{
+		"BenchmarkSFCParallelNe384",
+		"BenchmarkServiceMiss/sfc/Ne128",
+		"BenchmarkServiceRequest/hit-reg/Ne64",
+		"BenchmarkServiceRequest/stream-hit-reg/Ne64",
+		"BenchmarkServiceRequest/stream-hit/Ne64",
+	}
 	var gotTime, gotBytes []string
 	for name, ref := range committedLedgers(t) {
 		if ref.gated("time") {

@@ -218,7 +218,8 @@ func (s *sweep) faces(mv *graph.MeshView, assign []int32, comps []int) {
 	m, offs, wts := mv.Stencil()
 	ne, w := m.Ne(), m.Ne()+2
 	n2, nr := ne*ne, 4*ne
-	pad, parent, ring := make([]int32, w*w), make([]int32, w*w), make([]int32, mesh.NumFaces*nr)
+	slab := make([]int32, 2*w*w+mesh.NumFaces*nr) // one allocation, cut in three
+	pad, parent, ring := slab[:w*w:w*w], slab[w*w:2*w*w:2*w*w], slab[2*w*w:]
 	s.assign, s.parent = pad, parent
 	for f := range mesh.NumFaces {
 		for j := range ne {

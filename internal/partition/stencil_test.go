@@ -300,6 +300,31 @@ func TestStatsSeams(t *testing.T) {
 	}
 }
 
+// TestViewStatsAllocationCount pins how many objects a Stats call over the
+// mesh view of a unit-cost Problem allocates: Nelemd, the sweep's stamp and
+// Spcv vectors, and one slab cut into the padded face, its union-find and the
+// ring slots. With a make for each of the three it was six.
+func TestViewStatsAllocationCount(t *testing.T) {
+	for _, ne := range []int{16, 64} {
+		prob, err := core.NewProblem(ne)
+		if err != nil {
+			t.Fatal(err)
+		}
+		part, err := core.Run(context.Background(), "sfc", prob, 6*ne*ne/16, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := prob.Stats(part); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 4 {
+			t.Errorf("Ne=%d: a Stats call over the mesh view allocates %.0f objects, want at most 4", ne, allocs)
+		}
+	}
+}
+
 // TestViewStatsMemoryCeiling pins what a Stats call over the mesh view of a
 // Problem may allocate: the per-part arrays (Nelemd and Spcv, 8 bytes
 // a part, and the sweep's 4-byte stamp), a padded face and its union-find

@@ -5,9 +5,9 @@ import (
 	"sync"
 )
 
-// Cache is a bounded, content-addressed LRU cache from canonical request
-// key to encoded response (document plus chunk offsets). Both bounds are
-// enforced on every insert: total entry bytes and entry count; the
+// Cache is a bounded LRU cache from canonical request, compared as a value, to
+// encoded response (document plus chunk offsets). Both bounds are enforced on
+// every insert: total entry bytes and entry count; the
 // least-recently-used entries are evicted first. A single value larger than
 // the byte bound is simply not cached. Safe for concurrent use.
 type Cache struct {
@@ -16,12 +16,12 @@ type Cache struct {
 	maxEntries int
 	bytes      int64
 	ll         *list.List // front = most recently used
-	items      map[string]*list.Element
+	items      map[canonicalRequest]*list.Element
 	evictions  int64
 }
 
 type cacheItem struct {
-	key string
+	key canonicalRequest
 	val entry
 }
 
@@ -38,13 +38,13 @@ func NewCache(maxBytes int64, maxEntries int) *Cache {
 		maxBytes:   maxBytes,
 		maxEntries: maxEntries,
 		ll:         list.New(),
-		items:      make(map[string]*list.Element),
+		items:      make(map[canonicalRequest]*list.Element),
 	}
 }
 
 // Get returns the cached entry for key and marks it most recently used. The
 // returned slices are shared; callers must not modify them.
-func (c *Cache) Get(key string) (entry, bool) {
+func (c *Cache) Get(key canonicalRequest) (entry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.items[key]
@@ -57,7 +57,7 @@ func (c *Cache) Get(key string) (entry, bool) {
 
 // Put inserts (or refreshes) key with val and evicts LRU entries until both
 // bounds hold again. val is retained; callers must not modify it afterwards.
-func (c *Cache) Put(key string, val entry) {
+func (c *Cache) Put(key canonicalRequest, val entry) {
 	if val.size() > c.maxBytes {
 		return // would evict the whole cache and still not fit
 	}

@@ -40,6 +40,7 @@ func ChaosMiddleware(plan *resilience.ChaosPlan, reg *obs.Registry, next http.Ha
 		return next
 	}
 	reg.Help("partsrv_chaos_injected_total", "Chaos faults injected at the HTTP layer, by kind.")
+	var injected counterFamily
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if !strings.HasPrefix(r.URL.Path, "/v1/") {
 			next.ServeHTTP(w, r)
@@ -50,7 +51,9 @@ func ChaosMiddleware(plan *resilience.ChaosPlan, reg *obs.Registry, next http.Ha
 			next.ServeHTTP(w, r)
 			return
 		}
-		reg.Counter("partsrv_chaos_injected_total", "kind", sp.Kind.String()).Inc()
+		injected.inc(int(sp.Kind), func() *obs.Counter {
+			return reg.Counter("partsrv_chaos_injected_total", "kind", sp.Kind.String())
+		})
 		switch sp.Kind {
 		case resilience.ChaosSlowResp:
 			t := time.NewTimer(sp.Param)

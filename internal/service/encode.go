@@ -14,10 +14,12 @@ import (
 // before `,"assignment":[` (or before the closing brace without one). offs[c]
 // is the position of the `[` or `,` in front of assignment entry c*streamChunk
 // and the last element that of the `]`: chunk c is doc[offs[c]+1 : offs[c+1]].
+// length is len(doc) printed as the JSON endpoint's Content-Length value.
 type entry struct {
-	doc  []byte
-	head int
-	offs []int
+	doc    []byte
+	head   int
+	offs   []int
+	length []string
 }
 
 // size is what the entry costs the cache: the document and its offsets.
@@ -126,7 +128,8 @@ func encodeResponse(r *Response) (entry, error) {
 		offs = append(offs, len(doc))
 		doc = append(doc, ']')
 	}
-	return entry{doc: append(doc, '}'), head: head, offs: offs}, nil
+	doc = append(doc, '}')
+	return entry{doc: doc, head: head, offs: offs, length: []string{strconv.Itoa(len(doc))}}, nil
 }
 
 // appendString appends s as a JSON string: plain printable ASCII without the

@@ -8,8 +8,10 @@ import (
 	"math"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
+	"sfccube/internal/obs"
 	"sfccube/internal/resilience"
 )
 
@@ -42,19 +44,35 @@ func (r *statusRecorder) WriteHeader(code int) {
 	r.ResponseWriter.WriteHeader(code)
 }
 
+// counterFamily holds one labelled counter's handles by a small key (a status
+// code, a chaos kind), each resolved through the registry on first use, as a
+// direct registry call would be, and read without its mutex after that.
+type counterFamily struct{ m sync.Map }
+
+// inc counts one under key; two first uses resolve the same handle.
+func (f *counterFamily) inc(key int, resolve func() *obs.Counter) {
+	c, ok := f.m.Load(key)
+	if !ok {
+		c, _ = f.m.LoadOrStore(key, resolve())
+	}
+	c.(*obs.Counter).Inc()
+}
+
 // instrument wraps h with per-endpoint latency and request/code counters.
 func (s *Service) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	reg := s.cfg.Registry
 	reg.Help("partsrv_http_requests_total", "HTTP requests by endpoint and status code.")
 	reg.Help("partsrv_http_latency_ns", "HTTP request latency by endpoint.")
 	lat := reg.Histogram("partsrv_http_latency_ns", "endpoint", endpoint)
+	var codes counterFamily
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
 		h(rec, r)
 		lat.Observe(time.Since(start).Nanoseconds())
-		s.cfg.Registry.Counter("partsrv_http_requests_total",
-			"endpoint", endpoint, "code", strconv.Itoa(rec.code)).Inc()
+		codes.inc(rec.code, func() *obs.Counter {
+			return reg.Counter("partsrv_http_requests_total", "endpoint", endpoint, "code", strconv.Itoa(rec.code))
+		})
 	}
 }
 
@@ -178,29 +196,18 @@ func requestContext(r *http.Request) (context.Context, context.CancelFunc, error
 	return ctx, cancel, nil
 }
 
-// setMetaHeaders exposes the per-call envelope without touching the cached
-// payload bytes.
-func setMetaHeaders(w http.ResponseWriter, meta Meta) {
-	if meta.CacheHit {
-		w.Header().Set("X-Partsrv-Cache", "hit")
-	} else {
-		w.Header().Set("X-Partsrv-Cache", "miss")
-	}
-	if meta.Shared {
-		w.Header().Set("X-Partsrv-Shared", "true")
-	}
-	if meta.Degraded {
-		w.Header().Set("X-Partsrv-Degraded", "true")
-	}
-	if meta.BreakerOpen {
-		w.Header().Set("X-Partsrv-Breaker", "open")
-	}
-}
+// Header values every reply carries, shared by all replies. No code writes to
+// them: net/http only reads them, and Header.Add appends to a copy.
+var (
+	cacheHit, cacheMiss  = []string{"hit"}, []string{"miss"}
+	jsonType, ndjsonType = []string{"application/json"}, []string{"application/x-ndjson"}
+)
 
 // answer is the front half of both endpoints: request parsing, caller
-// deadline, lookup, then the envelope headers and the content type. On any
-// failure it has already written the error response and reports ok = false.
-func (s *Service) answer(w http.ResponseWriter, r *http.Request, contentType string) (e entry, ok bool) {
+// deadline, lookup, then the per-call envelope headers (the cached payload
+// bytes are not touched) and the content type. On any failure it has already
+// written the error response and reports ok = false.
+func (s *Service) answer(w http.ResponseWriter, r *http.Request, contentType []string) (e entry, ok bool) {
 	req, err := parseRequest(r)
 	if err != nil {
 		writeError(w, err)
@@ -217,16 +224,28 @@ func (s *Service) answer(w http.ResponseWriter, r *http.Request, contentType str
 		writeError(w, err)
 		return entry{}, false
 	}
-	setMetaHeaders(w, meta)
-	w.Header().Set("Content-Type", contentType)
+	h := w.Header()
+	h["X-Partsrv-Cache"], h["Content-Type"] = cacheMiss, contentType
+	if meta.CacheHit {
+		h["X-Partsrv-Cache"] = cacheHit
+	}
+	if meta.Shared {
+		h.Set("X-Partsrv-Shared", "true")
+	}
+	if meta.Degraded {
+		h.Set("X-Partsrv-Degraded", "true")
+	}
+	if meta.BreakerOpen {
+		h.Set("X-Partsrv-Breaker", "open")
+	}
 	return e, true
 }
 
 // handlePartition answers one request with the full JSON response (the
 // cached bytes verbatim on a hit).
 func (s *Service) handlePartition(w http.ResponseWriter, r *http.Request) {
-	if e, ok := s.answer(w, r, "application/json"); ok {
-		w.Header().Set("Content-Length", strconv.Itoa(len(e.doc)))
+	if e, ok := s.answer(w, r, jsonType); ok {
+		w.Header()["Content-Length"] = e.length
 		_, _ = w.Write(e.doc)
 	}
 }
@@ -237,7 +256,7 @@ func (s *Service) handlePartition(w http.ResponseWriter, r *http.Request) {
 // is flushed explicitly: every byte exists before the first Write and a chunk
 // far exceeds net/http's buffer, so chunk i is on the wire as i+1 is written.
 func (s *Service) handleStream(w http.ResponseWriter, r *http.Request) {
-	if e, ok := s.answer(w, r, "application/x-ndjson"); ok {
+	if e, ok := s.answer(w, r, ndjsonType); ok {
 		_ = e.writeStream(w) // an error here is the client hanging up
 	}
 }

@@ -354,6 +354,7 @@ func TestMetricsEndpointComposition(t *testing.T) {
 		"partsrv_requests_total 1",
 		"partsrv_computations_total 1",
 		"# TYPE partsrv_compute_ns histogram",
+		`partsrv_http_requests_total{code="200",endpoint="partition"} 1`,
 	} {
 		if !strings.Contains(string(b), want) {
 			t.Errorf("/metrics missing %q", want)

@@ -57,26 +57,27 @@ type Request struct {
 }
 
 // canonicalRequest is a Request after validation and normalization — the
-// content whose hash addresses the cache. DeadlineMS is deliberately
-// excluded: the deadline changes how long the answer may take, never what
-// the answer is (degraded results are not cached).
+// content of an answer, and the key of the cache and the singleflight, which
+// compare it as a value. DeadlineMS is deliberately excluded: the deadline
+// changes how long the answer may take, never what the answer is (degraded
+// results are not cached).
 type canonicalRequest struct {
 	Ne     int
 	NParts int
 	Method string
 	Seed   int64
-	MaxLB  float64
+	MaxLB  uint64 // as IEEE bits, so -0 and 0, two content addresses, stay two keys
 	// Weights is the canonical weight-spec spelling; "" means uniform (the
 	// absent and "uniform" spellings both canonicalize to it).
 	Weights string
 }
 
-// key returns the content address: the SHA-256 of the canonical encoding.
+// key returns the content address, the SHA-256 of the canonical encoding.
 func (c canonicalRequest) key() string {
 	h := sha256.Sum256([]byte(fmt.Sprintf(
 		"ne=%d&nparts=%d&method=%s&seed=%d&max_lb=%s&weights=%s",
 		c.Ne, c.NParts, c.Method, c.Seed,
-		strconv.FormatFloat(c.MaxLB, 'g', -1, 64), c.Weights)))
+		strconv.FormatFloat(math.Float64frombits(c.MaxLB), 'g', -1, 64), c.Weights)))
 	return hex.EncodeToString(h[:])
 }
 
@@ -148,7 +149,6 @@ type Meta struct {
 	// BreakerOpen marks a response computed with at least one chain link
 	// short-circuited by an open breaker.
 	BreakerOpen bool
-	Elapsed     time.Duration
 }
 
 // Config sizes a Service. Zero values take the documented defaults.
@@ -378,7 +378,7 @@ func (s *Service) canonicalize(req Request) (canonicalRequest, error) {
 	if !wspec.IsUniform() {
 		ws = wspec.String()
 	}
-	return canonicalRequest{Ne: req.Ne, NParts: req.NParts, Method: method, Seed: seed, MaxLB: maxLB, Weights: ws}, nil
+	return canonicalRequest{Ne: req.Ne, NParts: req.NParts, Method: method, Seed: seed, MaxLB: math.Float64bits(maxLB), Weights: ws}, nil
 }
 
 // Partition answers req: from the cache when possible, otherwise by joining
@@ -396,26 +396,24 @@ func (s *Service) Partition(ctx context.Context, req Request) ([]byte, Meta, err
 
 // lookup is Partition returning the whole entry: the document and its cuts.
 func (s *Service) lookup(ctx context.Context, req Request) (entry, Meta, error) {
-	start := time.Now()
 	canon, err := s.canonicalize(req)
 	if err != nil {
 		return entry{}, Meta{}, err
 	}
 	s.reqs.Inc()
-	key := canon.key()
-	if e, ok := s.cache.Get(key); ok {
+	if e, ok := s.cache.Get(canon); ok {
 		s.cacheHits.Inc()
-		return e, Meta{CacheHit: true, Elapsed: time.Since(start)}, nil
+		return e, Meta{CacheHit: true}, nil
 	}
 	s.cacheMisses.Inc()
 
-	v, shared, err := s.flight.Do(key, func() (any, error) {
-		// Double-check under the flight: a previous flight for this key may
-		// have filled the cache between our Get and Do.
-		if e, ok := s.cache.Get(key); ok {
+	v, shared, err := s.flight.Do(canon, func() (any, error) {
+		// Double-check under the flight: a previous flight for this request
+		// may have filled the cache between our Get and Do.
+		if e, ok := s.cache.Get(canon); ok {
 			return computed{entry: e}, nil
 		}
-		out, err := s.compute(ctx, canon, key, req.DeadlineMS)
+		out, err := s.compute(ctx, canon, req.DeadlineMS)
 		if err != nil {
 			return nil, err
 		}
@@ -423,7 +421,7 @@ func (s *Service) lookup(ctx context.Context, req Request) (entry, Meta, error) 
 		// degradation and breaker short-circuits reflect transient server
 		// state.
 		if !out.degraded && len(out.breakerSkipped) == 0 {
-			s.cache.Put(key, out.entry)
+			s.cache.Put(canon, out.entry)
 			s.cacheBytes.Set(s.cache.Bytes())
 			s.cacheEntries.Set(int64(s.cache.Len()))
 		}
@@ -448,7 +446,6 @@ func (s *Service) lookup(ctx context.Context, req Request) (entry, Meta, error) 
 		Shared:      shared,
 		Degraded:    out.degraded,
 		BreakerOpen: len(out.breakerSkipped) > 0,
-		Elapsed:     time.Since(start),
 	}, nil
 }
 
@@ -475,7 +472,7 @@ func (s *Service) isLarge(ne int) bool { return s.cfg.LargeNe > 0 && ne >= s.cfg
 // the work. The routing depends only on (Ne, server config), so cached
 // answers stay deterministic; it is not deadline degradation and does not
 // mark the response Degraded.
-func (s *Service) compute(ctx context.Context, canon canonicalRequest, key string, deadlineMS int64) (computed, error) {
+func (s *Service) compute(ctx context.Context, canon canonicalRequest, deadlineMS int64) (computed, error) {
 	if err := s.admit(ctx, canon.Method); err != nil {
 		return computed{}, err
 	}
@@ -523,7 +520,7 @@ func (s *Service) compute(ctx context.Context, canon canonicalRequest, key strin
 	}
 	spec := resilience.NewFallbackSpec(canon.Ne, canon.NParts)
 	spec.Seed = canon.Seed
-	spec.MaxLB = canon.MaxLB
+	spec.MaxLB = math.Float64frombits(canon.MaxLB)
 	chain := ladders[canon.Method]
 	if large {
 		s.large.Inc()
@@ -546,7 +543,7 @@ func (s *Service) compute(ctx context.Context, canon canonicalRequest, key strin
 	s.computeNs.Observe(elapsed.Nanoseconds())
 
 	resp := Response{
-		Key: key, Ne: canon.Ne, NParts: canon.NParts, Method: canon.Method,
+		Key: canon.key(), Ne: canon.Ne, NParts: canon.NParts, Method: canon.Method,
 		Seed: res.Seed, Strategy: string(res.Strategy), WeightsSpec: canon.Weights,
 		Stats: res.Stats, Assignment: res.Partition.Assignment(),
 		BreakerSkipped: skipped,

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -231,6 +232,29 @@ func TestCanonicalization(t *testing.T) {
 		t.Fatal(err)
 	} else if meta.CacheHit {
 		t.Error("distinct kway seeds shared a cache entry")
+	}
+}
+
+// TestNegativeZeroMaxLBKeepsItsEntry: max_lb -0 and 0 are equal floats, but
+// they print differently into the content address, so they are two cache
+// entries with two keys. The cache compares canonical requests as values and
+// holds max_lb as its bits, which keeps the two apart.
+func TestNegativeZeroMaxLBKeepsItsEntry(t *testing.T) {
+	s := newTestService(t, Config{})
+	zero, negZero := 0.0, math.Copysign(0, -1)
+	keys := map[string]bool{}
+	for _, lb := range []*float64{&zero, &negZero} {
+		payload, meta, err := s.Partition(context.Background(), Request{Ne: 6, NParts: 9, Method: "sfc", MaxLB: lb})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if meta.CacheHit {
+			t.Errorf("max_lb=%v was answered from the other zero's entry", *lb)
+		}
+		keys[decodeResponse(t, payload).Key] = true
+	}
+	if len(keys) != 2 || s.cache.Len() != 2 {
+		t.Errorf("max_lb 0 and -0: %d distinct keys, %d cache entries, want 2 and 2", len(keys), s.cache.Len())
 	}
 }
 

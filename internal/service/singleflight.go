@@ -9,7 +9,7 @@ import "sync"
 // flight; pair it with Cache for the "same request → cached bytes" layer.
 type flightGroup struct {
 	mu sync.Mutex
-	m  map[string]*flightCall
+	m  map[canonicalRequest]*flightCall
 }
 
 type flightCall struct {
@@ -22,7 +22,7 @@ type flightCall struct {
 // waiters returns how many callers have joined the in-flight call for key
 // (0 when none is in flight). Used by tests to release a held flight only
 // once every expected caller has joined, making dedup assertions exact.
-func (g *flightGroup) waiters(key string) int {
+func (g *flightGroup) waiters(key canonicalRequest) int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if c, ok := g.m[key]; ok {
@@ -39,10 +39,10 @@ func (g *flightGroup) waiters(key string) int {
 // fn runs outside the group lock; a panic in fn propagates to the executing
 // caller and leaves the waiters blocked, which is acceptable here because
 // every fn in this package returns errors instead of panicking.
-func (g *flightGroup) Do(key string, fn func() (any, error)) (v any, shared bool, err error) {
+func (g *flightGroup) Do(key canonicalRequest, fn func() (any, error)) (v any, shared bool, err error) {
 	g.mu.Lock()
 	if g.m == nil {
-		g.m = make(map[string]*flightCall)
+		g.m = make(map[canonicalRequest]*flightCall)
 	}
 	if c, ok := g.m[key]; ok {
 		c.dups++

@@ -20,7 +20,7 @@ func TestFlightGroupDedup(t *testing.T) {
 	for i := 0; i < n; i++ {
 		go func(i int) {
 			defer wg.Done()
-			v, shared, err := g.Do("k", func() (any, error) {
+			v, shared, err := g.Do(ck("k"), func() (any, error) {
 				<-gate // hold the flight open until every caller joined
 				calls.Add(1)
 				return 42, nil
@@ -33,9 +33,9 @@ func TestFlightGroupDedup(t *testing.T) {
 	}
 	// Release the executor only once all n-1 other callers are verifiably
 	// waiting on its flight, so the dedup count below is exact.
-	for deadline := time.Now().Add(10 * time.Second); g.waiters("k") != n-1; {
+	for deadline := time.Now().Add(10 * time.Second); g.waiters(ck("k")) != n-1; {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d callers joined the flight", g.waiters("k"), n-1)
+			t.Fatalf("only %d/%d callers joined the flight", g.waiters(ck("k")), n-1)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -63,7 +63,7 @@ func TestFlightGroupSequentialCallsRunEach(t *testing.T) {
 	var g flightGroup
 	n := 0
 	for i := 0; i < 3; i++ {
-		v, shared, err := g.Do("k", func() (any, error) { n++; return n, nil })
+		v, shared, err := g.Do(ck("k"), func() (any, error) { n++; return n, nil })
 		if err != nil || shared {
 			t.Fatalf("call %d: v=%v shared=%v err=%v", i, v, shared, err)
 		}
@@ -81,7 +81,7 @@ func TestFlightGroupDistinctKeysIndependent(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, _, _ = g.Do(string(rune('a'+i)), func() (any, error) {
+			_, _, _ = g.Do(ck(string(rune('a'+i))), func() (any, error) {
 				calls.Add(1)
 				return nil, nil
 			})
