@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"sfccube/internal/weights"
@@ -108,5 +109,44 @@ func TestWeightedStatsMemoryCeiling(t *testing.T) {
 			ne, loaded, plain, ceiling, k, nparts)
 	} else {
 		t.Logf("Ne=%d: weighted Stats %d bytes, unweighted %d, ceiling %d", ne, loaded, plain, ceiling)
+	}
+}
+
+// TestKWayRunMemoryCeiling pins what one warm kway run on a fresh Problem
+// allocates at Ne=32, on one P so the bisection tree runs on one workspace
+// and with the collector off so pooled memory stays pooled: the finest level
+// streams into metis's reused block and the coarse levels onto the workspace,
+// and what is left is the assignment (4 bytes an element), the stream's row
+// scratch and metis's fixed-size bookkeeping. The ceiling is 8 bytes an
+// element and 16 KiB; the dual graph built as a heap CSR (graph.FromMesh,
+// about 76 bytes an element) breaks it nine times over.
+func TestKWayRunMemoryCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops pooled memory at random")
+	}
+	const ne, rounds = 32, 4
+	k, nparts := 6*ne*ne, 6*ne*ne/16
+	probs := make([]*Problem, rounds+2)
+	for i := range probs {
+		var err error
+		if probs[i], err = NewProblem(ne); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run := func(p *Problem) {
+		if _, err := Run(context.Background(), "kway", p, nparts, 1, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	run(probs[rounds]) // the first two runs grow the workspace and the level-0 block
+	run(probs[rounds+1])
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	ceiling := int64(8*k + 16<<10)
+	if perRun := allocatedPerCall(probs[:rounds], run); perRun > ceiling {
+		t.Errorf("Ne=%d: a warm kway run allocated %d bytes for K=%d elements (ceiling %d): the finest level is built on the heap again",
+			ne, perRun, k, ceiling)
+	} else {
+		t.Logf("Ne=%d: a warm kway run allocated %d bytes (%.1f an element), ceiling %d", ne, perRun, float64(perRun)/float64(k), ceiling)
 	}
 }

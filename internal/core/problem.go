@@ -21,12 +21,15 @@ import (
 // element weights (the load model every method balances), and the derived
 // structures — dual graph, Hilbert–Peano curve, serpentine curve — each
 // built on first request and memoised, so a method pays only for what it
-// reads and nothing is ever built twice. Only the multilevel methods request
-// the graph; the curve methods and Stats never read it: Stats sweeps the
-// mesh view, which holds O(1) state and is part of the problem, so no
-// measurement allocates one. The weights become
-// the graph's vertex weights once, when it is first requested; Stats reads
-// them as they are.
+// reads. No method builds the graph: the multilevel methods hand metis the
+// mesh view, which holds O(1) state and is part of the problem, and metis
+// streams its finest level into a block it pools (metis.PartitionView). That
+// level is not memoised: every multilevel run on a Problem streams it again,
+// and concurrent runs each hold a block. Stats sweeps the same view. Graph
+// builds the CSR for the callers that want one, and a graph the caller
+// supplied (ProblemFrom) is what the multilevel methods partition; the
+// weights become its vertex weights once, when it is first requested. Stats
+// reads them as they are.
 //
 // Configure a Problem (SetWeights, Order) before its first use; after that
 // it is read-only and safe for concurrent readers.
@@ -249,10 +252,14 @@ func splitCurve(curve func(*Problem) (*sfc.CubeCurve, error)) RunFunc {
 
 func multilevel(method metis.Method) RunFunc {
 	return func(ctx context.Context, p *Problem, nparts int, seed int64, reg *obs.Registry) (*partition.Partition, error) {
+		opt := metis.Options{Method: method, Seed: seed, Obs: reg}
+		if p.given == nil {
+			return metis.PartitionView(ctx, &p.view, p.weights, nparts, opt)
+		}
 		g, err := p.Graph()
 		if err != nil {
 			return nil, err
 		}
-		return metis.PartitionCtx(ctx, g, nparts, metis.Options{Method: method, Seed: seed, Obs: reg})
+		return metis.PartitionCtx(ctx, g, nparts, opt)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"sync"
@@ -243,5 +244,29 @@ func TestProblemMemoises(t *testing.T) {
 	}
 	if g, _ := from.Graph(); g != g1 || from.Mesh() != m {
 		t.Error("ProblemFrom rebuilt its inputs")
+	}
+}
+
+// TestMultilevelWeightRange: a weight the int32 vertex weights cannot hold
+// fails every multilevel method with weights.Int32's error, the one the
+// graph build returned before the finest level was streamed.
+func TestMultilevelWeightRange(t *testing.T) {
+	prob, err := core.NewProblem(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := make([]int64, prob.Mesh().NumElems())
+	for i := range w {
+		w[i] = 1
+	}
+	w[5] = math.MaxInt32 + 1
+	if err := prob.SetWeights(w); err != nil {
+		t.Fatal(err)
+	}
+	const want = "weights: weight 2147483648 at position 5 outside int32 range"
+	for _, name := range []string{"rb", "kway", "tv"} {
+		if _, err := core.Run(context.Background(), name, prob, 4, 1, nil); err == nil || err.Error() != want {
+			t.Errorf("%s: err = %v, want %q", name, err, want)
+		}
 	}
 }

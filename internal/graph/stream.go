@@ -36,18 +36,35 @@ const rowBlock = 128
 // the caller's contract — Graph.Validate checks it when wanted. Vertex
 // weights and sizes are initialised to 1.
 func FromAdjacency(n int, rows func(lo, hi int, ptrBuf, adjBuf, wtBuf []int32) (ptr, adj, wts []int32)) (*Graph, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("graph: negative vertex count %d", n)
+	xadj, adjncy, adjwgt, err := streamCSR(n, rows, func(k int) []int32 { return make([]int32, k) })
+	if err != nil {
+		return nil, err
 	}
-	g := &Graph{
-		xadj:  make([]int32, n+1),
-		vwgt:  make([]int32, n),
-		vsize: make([]int32, n),
-	}
+	g := &Graph{xadj: xadj, adjncy: adjncy, adjwgt: adjwgt, vwgt: make([]int32, n), vsize: make([]int32, n)}
 	for i := range g.vwgt {
 		g.vwgt[i] = 1
 		g.vsize[i] = 1
 	}
+	return g, nil
+}
+
+// StreamCSR streams the view's rows into CSR arrays taken from alloc, through
+// FromAdjacency's two validated passes: row v is adjncy[xadj[v]:xadj[v+1]],
+// ascending, adjwgt parallel. alloc(k) returns k int32s whose contents may be
+// anything (every one is written) and is called twice: for xadj (n+1), then
+// for adjncy and adjwgt together (twice the edge count) — by then xadj is
+// complete, so an allocator that moves what it handed out may copy it.
+func (mv *MeshView) StreamCSR(alloc func(k int) []int32) (xadj, adjncy, adjwgt []int32, err error) {
+	return streamCSR(mv.NumVertices(), mv.rows, alloc)
+}
+
+// streamCSR is the body of FromAdjacency and StreamCSR.
+func streamCSR(n int, rows func(lo, hi int, ptrBuf, adjBuf, wtBuf []int32) (ptr, adj, wts []int32), alloc func(k int) []int32) (xadj, adjncy, adjwgt []int32, err error) {
+	if n < 0 {
+		return nil, nil, nil, fmt.Errorf("graph: negative vertex count %d", n)
+	}
+	xadj = alloc(n + 1)
+	xadj[0] = 0
 
 	// Error aggregation: keep the error of the lowest vertex so failures are
 	// deterministic regardless of chunk scheduling.
@@ -74,7 +91,7 @@ func FromAdjacency(n int, rows func(lo, hi int, ptrBuf, adjBuf, wtBuf []int32) (
 				return
 			}
 			for v := lo; v < bhi; v++ {
-				if g.xadj[v+1] = ptr[v-lo+1] - ptr[v-lo]; g.xadj[v+1] < 0 {
+				if xadj[v+1] = ptr[v-lo+1] - ptr[v-lo]; xadj[v+1] < 0 {
 					record(v, fmt.Errorf("graph: row pointer of %d not monotone", v))
 					return
 				}
@@ -82,43 +99,43 @@ func FromAdjacency(n int, rows func(lo, hi int, ptrBuf, adjBuf, wtBuf []int32) (
 		}
 	})
 	if firstErr != nil {
-		return nil, firstErr
+		return nil, nil, nil, firstErr
 	}
 
 	var total int64
 	for v := 0; v < n; v++ {
-		total += int64(g.xadj[v+1])
+		total += int64(xadj[v+1])
 		if total > math.MaxInt32 {
-			return nil, fmt.Errorf("graph: adjacency exceeds int32 index space at vertex %d", v)
+			return nil, nil, nil, fmt.Errorf("graph: adjacency exceeds int32 index space at vertex %d", v)
 		}
-		g.xadj[v+1] = int32(total)
+		xadj[v+1] = int32(total)
 	}
-	g.adjncy = make([]int32, total)
-	g.adjwgt = make([]int32, total)
+	edges := alloc(int(2 * total))
+	adjncy, adjwgt = edges[:total:total], edges[total:2*total:2*total]
 
 	// Pass 2: the producer writes each block's rows into their final place
 	// (fill), which validates them and names the offending vertex on failure.
 	fill := func(lo, hi int, ptrBuf []int32) (int, error) {
-		x0, x1 := g.xadj[lo], g.xadj[hi]
-		ptr, adj, wts := rows(lo, hi, ptrBuf, g.adjncy[x0:x0:x1], g.adjwgt[x0:x0:x1])
+		x0, x1 := xadj[lo], xadj[hi]
+		ptr, adj, wts := rows(lo, hi, ptrBuf, adjncy[x0:x0:x1], adjwgt[x0:x0:x1])
 		if len(ptr) != hi-lo+1 || ptr[0] != 0 {
 			return lo, fmt.Errorf("graph: bad row pointers for rows [%d,%d)", lo, hi)
 		}
 		for v := lo; v < hi; v++ {
-			if want := g.xadj[v+1] - x0; ptr[v-lo+1] > want {
+			if want := xadj[v+1] - x0; ptr[v-lo+1] > want {
 				return v, fmt.Errorf("graph: vertex %d emitted more neighbours than in the degree pass", v)
 			} else if ptr[v-lo+1] < want {
 				return v, fmt.Errorf("graph: vertex %d emitted fewer neighbours than in the degree pass", v)
 			}
 		}
 		if int32(len(adj)) != x1-x0 || len(wts) != len(adj) ||
-			(x1 > x0 && (&adj[0] != &g.adjncy[x0] || &wts[0] != &g.adjwgt[x0])) {
+			(x1 > x0 && (&adj[0] != &adjncy[x0] || &wts[0] != &adjwgt[x0])) {
 			return lo, fmt.Errorf("graph: rows [%d,%d) were not written into the supplied buffers", lo, hi)
 		}
 		for v := lo; v < hi; v++ {
 			last := int32(-1)
-			for x := g.xadj[v]; x < g.xadj[v+1]; x++ {
-				u, w := g.adjncy[x], g.adjwgt[x]
+			for x := xadj[v]; x < xadj[v+1]; x++ {
+				u, w := adjncy[x], adjwgt[x]
 				switch {
 				case u < 0 || int(u) >= n:
 					return v, fmt.Errorf("graph: vertex %d emitted out-of-range neighbour %d", v, u)
@@ -144,7 +161,7 @@ func FromAdjacency(n int, rows func(lo, hi int, ptrBuf, adjBuf, wtBuf []int32) (
 		}
 	})
 	if firstErr != nil {
-		return nil, firstErr
+		return nil, nil, nil, firstErr
 	}
-	return g, nil
+	return xadj, adjncy, adjwgt, nil
 }

@@ -389,3 +389,49 @@ func TestMeshViewRowsMatchOracle(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamCSRMatchesFromMesh: the view streamed through an allocator that
+// hands out dirty memory, and through one that moves xadj to a fresh block
+// at the second call as metis's pooled block does when it is too small,
+// gives FromMesh's CSR.
+func TestStreamCSRMatchesFromMesh(t *testing.T) {
+	for _, ne := range []int{1, 2, 5, 16} {
+		m := mustMesh(t, ne)
+		want, err := FromMesh(m, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		view := NewMeshView(m, DefaultOptions())
+		dirty := func(k int) []int32 {
+			s := make([]int32, k)
+			for i := range s {
+				s[i] = -7
+			}
+			return s
+		}
+		var first []int32
+		moving := func(k int) []int32 {
+			if first == nil {
+				first = dirty(k)
+				return first
+			}
+			block := dirty(len(first) + k)
+			copy(block, first)
+			first = block[:len(first)]
+			return block[len(first):]
+		}
+		for name, alloc := range map[string]func(int) []int32{"dirty": dirty, "moving": moving} {
+			xadj, adjncy, adjwgt, err := view.StreamCSR(alloc)
+			if err != nil {
+				t.Fatalf("ne=%d %s: %v", ne, name, err)
+			}
+			if name == "moving" {
+				xadj = first
+			}
+			wx, wa, ww := want.CSR()
+			if !slices.Equal(xadj, wx) || !slices.Equal(adjncy, wa) || !slices.Equal(adjwgt, ww) {
+				t.Errorf("ne=%d %s: StreamCSR differs from FromMesh", ne, name)
+			}
+		}
+	}
+}

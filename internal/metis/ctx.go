@@ -43,7 +43,31 @@ func (s *stopper) stopped() bool {
 // is discarded. An un-cancelled PartitionCtx is byte-identical to Partition:
 // the deadline polls never touch the RNG streams.
 func PartitionCtx(ctx context.Context, gr *graph.Graph, nparts int, opt Options) (*partition.Partition, error) {
-	n := gr.NumVertices()
+	return partitionLevels(ctx, fromGraph(gr), nparts, opt)
+}
+
+// PartitionView is PartitionCtx over the graph of a mesh view with vertex
+// weights w (nil means 1 each; else one per vertex, in [0, MaxInt32] as
+// weights.Int32 requires) and unit vertex sizes, for which it builds no
+// graph.Graph: the finest level is streamed (MeshView.StreamCSR) into a block
+// reused across calls (level0), and the levels above it live on the
+// workspace as ever. Its
+// assignment is byte-identical to PartitionCtx's over graph.FromMesh of the
+// same mesh and options with the same vertex weights.
+func PartitionView(ctx context.Context, view *graph.MeshView, w []int64, nparts int, opt Options) (*partition.Partition, error) {
+	lv := levelPool.Get().(*level0)
+	defer lv.put()
+	wg, err := lv.stream(view, w)
+	if err != nil {
+		return nil, err
+	}
+	return partitionLevels(ctx, wg, nparts, opt)
+}
+
+// partitionLevels runs the multilevel scheme on the finest level wg, which it
+// only reads.
+func partitionLevels(ctx context.Context, wg *wgraph, nparts int, opt Options) (*partition.Partition, error) {
+	n := wg.n()
 	if nparts < 1 {
 		return nil, fmt.Errorf("metis: nparts must be >= 1, got %d", nparts)
 	}
@@ -56,7 +80,6 @@ func PartitionCtx(ctx context.Context, gr *graph.Graph, nparts int, opt Options)
 		return nil, fmt.Errorf("metis: %v partition of %d vertices into %d parts cancelled: %w",
 			opt.Method, n, nparts, ctx.Err())
 	}
-	wg := fromGraph(gr)
 
 	assign := make([]int32, n)
 	switch opt.Method {

@@ -1,9 +1,12 @@
 package metis
 
 import (
+	"fmt"
 	"sync"
 
+	"sfccube/internal/graph"
 	"sfccube/internal/prng"
+	"sfccube/internal/weights"
 )
 
 // workspace bundles the reusable memory of one partitioning goroutine: the
@@ -16,7 +19,10 @@ import (
 // subgraph and its id list live as long as its subtree (rbCtx.recurse), a
 // coarse level and its cmap as long as the V-cycle (bisect, kwayPartition).
 // They are bump-allocated from one []int32 arena (alloc) beside a stack of
-// graph headers (graph), and popped together (mark/release). The rule: only
+// graph headers (graph), and popped together (mark/release). The finest level
+// is not among them: it is the caller's graph (fromGraph) or a level0 block
+// (PartitionView), pooled apart because it lives as long as the whole call
+// and a doubling arena would keep up to twice its size. The rule: only
 // the frame that took a mark releases it, after every frame it called has
 // returned, and it hands nothing allocated above the mark to its caller.
 // A subtree fanned out to another goroutine breaks "has returned", so its
@@ -87,6 +93,67 @@ func putWS(w *workspace) {
 // poisonReleased makes release overwrite what it pops with -1, so a frame
 // that reads popped memory fails loudly. Set by the package's tests only.
 var poisonReleased bool
+
+// level0 holds the finest level of a PartitionView call in one block, laid out
+// xadj | adjncy | adjwgt | vwgt | vsize, and is pooled apart from the
+// workspaces: one block per call in flight, reused by the next call it fits.
+// A block too small for a level is replaced by one of exactly its size. The
+// multilevel phases only read the finest level (see fromGraph), so nothing
+// but stream writes the block.
+type level0 struct {
+	buf []int32
+	top int // stream's bump pointer into buf
+	g   wgraph
+}
+
+var levelPool = sync.Pool{New: func() any { return new(level0) }}
+
+func (lv *level0) put() {
+	if poisonReleased {
+		for i := range lv.buf {
+			lv.buf[i] = -1
+		}
+	}
+	levelPool.Put(lv)
+}
+
+// stream writes the view's CSR, the vertex weights w (nil means 1 each) and
+// unit vertex sizes into the block and returns them as a working graph. A
+// weight outside [0, MaxInt32] fails with weights.Int32's error.
+func (lv *level0) stream(view *graph.MeshView, w []int64) (*wgraph, error) {
+	n := view.NumVertices()
+	if w != nil && len(w) != n {
+		return nil, fmt.Errorf("metis: %d vertex weights for %d vertices", len(w), n)
+	}
+	lv.top = 0
+	// carve takes StreamCSR's two arrays off the block and keeps 2n behind
+	// them for the weights and sizes; the replacement of a short block keeps
+	// the xadj already carved (complete before the second call).
+	carve := func(k int) []int32 {
+		if need := lv.top + k + 2*n; need > len(lv.buf) {
+			lv.buf = append(make([]int32, 0, need), lv.buf[:lv.top]...)[:need]
+		}
+		s := lv.buf[lv.top : lv.top+k : lv.top+k]
+		lv.top += k
+		return s
+	}
+	_, adj, ewgt, err := view.StreamCSR(carve)
+	if err != nil {
+		return nil, err
+	}
+	t := lv.top
+	vwgt, vsize := lv.buf[t:t+n:t+n], lv.buf[t+n:t+2*n:t+2*n]
+	for v := range vsize {
+		vsize[v] = 1
+	}
+	if w == nil {
+		copy(vwgt, vsize)
+	} else if err := weights.Int32Into(vwgt, w); err != nil {
+		return nil, err
+	}
+	lv.g = wgraph{xadj: lv.buf[: n+1 : n+1], adj: adj, ewgt: ewgt, vwgt: vwgt, vsize: vsize}
+	return &lv.g, nil
+}
 
 // wsMark is a position of the operand stack.
 type wsMark struct{ top, ngraph int }

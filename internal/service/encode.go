@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"math"
@@ -14,48 +15,78 @@ import (
 // before `,"assignment":[` (or before the closing brace without one). offs[c]
 // is the position of the `[` or `,` in front of assignment entry c*streamChunk
 // and the last element that of the `]`: chunk c is doc[offs[c]+1 : offs[c+1]].
-// length is len(doc) printed as the JSON endpoint's Content-Length value.
+// length is len(doc) printed as the JSON endpoint's Content-Length value, and
+// frame the NDJSON framing the stream endpoint puts around the ranges of doc
+// (writeStream).
 type entry struct {
 	doc    []byte
 	head   int
 	offs   []int
 	length []string
+	frame  []byte
 }
 
-// size is what the entry costs the cache: the document and its offsets.
-func (e entry) size() int64 { return int64(len(e.doc)) + 8*int64(len(e.offs)) }
+// size is what the entry costs the cache: the document, its offsets and the
+// stream framing.
+func (e entry) size() int64 { return int64(len(e.doc)) + 8*int64(len(e.offs)) + int64(len(e.frame)) }
 
-var streamLineEnd = []byte("]}\n")
-
-// writeStream writes the entry as NDJSON: doc[:head] closed by the chunk
-// layout, then per chunk `{"offset":K,"assignment":[`, the chunk's bytes of doc
-// and `]}`. Nothing proportional to K is built. It stops at a write error.
+// writeStream writes the entry as NDJSON: doc[:head], then the frame and the
+// chunks of doc in turn. The frame is the header line's tail
+// `,"chunks":N,"chunk_size":S}` and newline, each chunk's line prefix
+// `{"offset":K,"assignment":[` (after the first behind the previous line's
+// `]}` and newline) and the last line's end; a prefix is the frame up to its
+// next `[`. Nothing is built per reply. It stops at a write error.
 func (e entry) writeStream(w io.Writer) (err error) {
 	write := func(p []byte) {
 		if err == nil {
 			_, err = w.Write(p)
 		}
 	}
-	var frag [64]byte
-	chunks := max(len(e.offs)-1, 0)
-	f := strconv.AppendInt(append(frag[:0], `,"chunks":`...), int64(chunks), 10)
-	f = strconv.AppendInt(append(f, `,"chunk_size":`...), streamChunk, 10)
 	write(e.doc[:e.head])
-	write(append(f, "}\n"...))
-	for c := 0; c < chunks && err == nil; c++ {
-		f = strconv.AppendInt(append(frag[:0], `{"offset":`...), int64(c*streamChunk), 10)
-		write(append(f, `,"assignment":[`...))
+	f := e.frame
+	for c := 0; c+1 < len(e.offs) && err == nil; c++ {
+		i := bytes.IndexByte(f, '[') + 1
+		write(f[:i])
 		write(e.doc[e.offs[c]+1 : e.offs[c+1]])
-		write(streamLineEnd)
+		f = f[i:]
 	}
+	write(f)
 	return err
+}
+
+// frameLen is the number of bytes appendFrame writes for chunks chunks.
+func frameLen(chunks int) int {
+	n := len(`,"chunks":`) + digits(uint64(chunks)) + len(`,"chunk_size":`) + digits(streamChunk) + len("}\n")
+	for c := 0; c < chunks; c++ {
+		n += len(`{"offset":`) + digits(uint64(c*streamChunk)) + len(`,"assignment":[`) + len("]}\n")
+	}
+	return n
+}
+
+// appendFrame appends writeStream's frame for chunks chunks.
+func appendFrame(b []byte, chunks int) []byte {
+	b = strconv.AppendInt(append(b, `,"chunks":`...), int64(chunks), 10)
+	b = strconv.AppendInt(append(b, `,"chunk_size":`...), streamChunk, 10)
+	b = append(b, "}\n"...)
+	for c := 0; c < chunks; c++ {
+		if c > 0 {
+			b = append(b, "]}\n"...)
+		}
+		b = strconv.AppendInt(append(b, `{"offset":`...), int64(c*streamChunk), 10)
+		b = append(b, `,"assignment":[`...)
+	}
+	if chunks > 0 {
+		b = append(b, "]}\n"...)
+	}
+	return b
 }
 
 // encodeResponse prints r as json.Marshal(r) would — the tests keep it as the
 // oracle, so a field added to Response or partition.Stats has to be added here
-// in declaration order — into a buffer of exactly the document's size, and
-// notes where the stream endpoint will cut it. The scalar fields are staged
-// on the stack; the four integer arrays are measured by a digit count.
+// in declaration order — into a buffer of exactly the document's size and the
+// stream's frame behind it, and notes where the stream endpoint will cut it.
+// The scalar fields are staged on the stack; the four integer arrays and the
+// frame are measured by a digit count.
 func encodeResponse(r *Response) (entry, error) {
 	st := &r.Stats
 	for _, f := range [...]float64{st.LBNelemd, st.LBWeighted, st.LBSpcv} {
@@ -112,7 +143,8 @@ func encodeResponse(r *Response) (entry, error) {
 		n += len(assignKey) + intsLen(assign)
 		offs = make([]int, 0, (len(assign)+streamChunk-1)/streamChunk+1)
 	}
-	doc := make([]byte, 0, n)
+	chunks := (len(assign) + streamChunk - 1) / streamChunk
+	doc := make([]byte, 0, n+frameLen(chunks)) // the frame goes behind the document
 	doc = appendInts(append(doc, s[:cut0]...), st.Nelemd)
 	doc = appendInts(append(doc, s[cut0:cut1]...), st.PartWeights)
 	doc = appendInts(append(doc, s[cut1:cut2]...), st.Spcv)
@@ -129,7 +161,9 @@ func encodeResponse(r *Response) (entry, error) {
 		doc = append(doc, ']')
 	}
 	doc = append(doc, '}')
-	return entry{doc: doc, head: head, offs: offs, length: []string{strconv.Itoa(len(doc))}}, nil
+	frame := appendFrame(doc[len(doc):], chunks)
+	doc = doc[:len(doc):len(doc)]
+	return entry{doc: doc, head: head, offs: offs, length: []string{strconv.Itoa(len(doc))}, frame: frame}, nil
 }
 
 // appendString appends s as a JSON string: plain printable ASCII without the

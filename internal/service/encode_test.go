@@ -279,8 +279,11 @@ func TestEncodeChunkBoundaries(t *testing.T) {
 		if e.doc[e.offs[0]] != '[' || e.doc[e.offs[len(e.offs)-1]] != ']' || !bytes.HasSuffix(e.doc[:e.offs[0]], []byte(`,"assignment":`)) {
 			t.Errorf("k=%d: offsets do not bracket the assignment array", k)
 		}
-		if e.size() != int64(len(e.doc)+8*len(e.offs)) {
-			t.Errorf("k=%d: size %d does not count document and offsets", k, e.size())
+		if cap(e.frame) != len(e.frame) {
+			t.Errorf("k=%d: frame of %d bytes in %d: frameLen miscounts", k, len(e.frame), cap(e.frame))
+		}
+		if e.size() != int64(len(e.doc)+8*len(e.offs)+len(e.frame)) {
+			t.Errorf("k=%d: size %d does not count document, offsets and frame", k, e.size())
 		}
 	}
 }

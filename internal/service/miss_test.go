@@ -42,8 +42,9 @@ func TestSFCMissAllocationBudget(t *testing.T) {
 // registry as the daemon runs it, resolves nothing per request. The cache is
 // keyed by the canonical request, the status counter is a handle resolved on
 // first use, and the reply's header values are shared or kept on the entry.
-// What is left is the query parse, the status recorder and the stream's line
-// fragment: 9 objects for a JSON hit and 10 for a stream hit, against 27 and
+// The NDJSON framing is printed once with the entry. What is left is the
+// query parse and the status recorder: 9 objects on either endpoint, against
+// 10 for a stream hit while it built its line fragment per reply, and 27 and
 // 26 when every hit hashed its key and looked its counter up by labels.
 func TestHitAllocationBudget(t *testing.T) {
 	h := registryHandler(Config{})
@@ -51,7 +52,7 @@ func TestHitAllocationBudget(t *testing.T) {
 	for _, c := range []struct {
 		path   string
 		budget float64
-	}{{"/v1/partition", 9}, {"/v1/partition/stream", 10}} {
+	}{{"/v1/partition", 9}, {"/v1/partition/stream", 9}} {
 		r := httptest.NewRequest(http.MethodGet, c.path+"?ne=64&nparts=96&method=sfc&max_lb=-1", nil)
 		w.serve(h, r) // computes the entry or hits it, and resolves the handles
 		if got := testing.AllocsPerRun(50, func() { w.serve(h, r) }); got > c.budget {

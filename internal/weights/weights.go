@@ -299,11 +299,19 @@ func Int32(w []int64) ([]int32, error) {
 		return nil, nil
 	}
 	out := make([]int32, len(w))
-	for i, v := range w {
-		if v < 0 || v > math.MaxInt32 {
-			return nil, fmt.Errorf("weights: weight %d at position %d outside int32 range", v, i)
-		}
-		out[i] = int32(v)
+	if err := Int32Into(out, w); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// Int32Into is Int32 into dst, which is as long as w.
+func Int32Into(dst []int32, w []int64) error {
+	for i, v := range w {
+		if v < 0 || v > math.MaxInt32 {
+			return fmt.Errorf("weights: weight %d at position %d outside int32 range", v, i)
+		}
+		dst[i] = int32(v)
+	}
+	return nil
 }
