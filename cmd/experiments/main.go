@@ -19,20 +19,23 @@
 // heterogeneous element cost: the SFC curve is cut into equal-weight
 // segments and the METIS methods carry the same weights as vertex costs.
 //
-// The golden/golden-amr experiments compute the frozen partition-quality
-// metrics; with -out they write golden-metrics.json / golden-amr.json.
-// Every artifact of -run all, those two included, is committed under out/
-// and held byte for byte there; `experiments -run all -out out/` refreshes
-// them all (see TESTING.md for the refresh policy).
+// Every partition behind an artifact is audited where it is measured: the
+// experiments' cell holds it to internal/check's oracles (check.Audit) and
+// an experiment fails, naming the cell, if one rejects it. The golden and
+// golden-amr experiments are matrices of those cells whose oracle metrics
+// are frozen in golden-metrics.json / golden-amr.json; amr and golden-amr
+// run the one forest cell. Every artifact of -run all, those two included,
+// is committed under out/ and held byte for byte there; `experiments -run
+// all -out out/` refreshes them all (see TESTING.md for the refresh policy).
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 
-	"sfccube/internal/check"
 	"sfccube/internal/experiments"
 )
 
@@ -89,11 +92,11 @@ func runAll(run, out string, seed int64, weightSpec string) error {
 		{"fidelity", func() (any, error) { return experiments.ModelFidelity(seed) }},
 		{"amr", func() (any, error) { return experiments.AMRPartition(seed) }},
 		{"golden", func() (any, error) {
-			s, err := check.ComputeGoldenSuite(check.DefaultGoldenCases())
+			s, err := experiments.GoldenMetrics()
 			return jsonArtifact{s, "golden-metrics.json"}, err
 		}},
 		{"golden-amr", func() (any, error) {
-			s, err := check.ComputeAMRGoldenSuite(check.DefaultAMRGoldenCases())
+			s, err := experiments.GoldenAMR()
 			return jsonArtifact{s, "golden-amr.json"}, err
 		}},
 	}
@@ -117,9 +120,10 @@ func runAll(run, out string, seed int64, weightSpec string) error {
 	return nil
 }
 
-// jsonArtifact is a golden suite and the file -out writes it to.
+// jsonArtifact is a golden suite and the file -out writes it to, as
+// indented JSON with a trailing newline.
 type jsonArtifact struct {
-	suite interface{ JSON() ([]byte, error) }
+	suite any
 	file  string
 }
 
@@ -145,13 +149,13 @@ func emit(result any, out string) error {
 			}
 		}
 	case jsonArtifact:
-		b, err := r.suite.JSON()
+		b, err := json.MarshalIndent(r.suite, "", "  ")
 		if err != nil {
 			return err
 		}
-		fmt.Print(string(b))
+		fmt.Println(string(b))
 		if out != "" {
-			if err := writeFile(out, r.file, string(b)); err != nil {
+			if err := writeFile(out, r.file, string(b)+"\n"); err != nil {
 				return err
 			}
 		}

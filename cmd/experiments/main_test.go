@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/csv"
+	"encoding/json"
 	"fmt"
 	"math"
 	"os"
@@ -102,8 +103,8 @@ func clip(s string, col int) string {
 }
 
 // TestPaperClaims checks the paper's findings as EXPERIMENTS.md states them,
-// each a predicate over the committed out/ CSVs (which TestArtifactsMatchOut
-// holds equal to what the code computes), against the status EXPERIMENTS.md
+// each a predicate over the committed out/ CSVs or golden suite (which
+// TestArtifactsMatchOut holds equal to what the code computes), against the status EXPERIMENTS.md
 // gives it: "holds" or "known-miss". It fails when a predicate disagrees
 // with its status in either direction, so a regeneration of out/ that flips
 // a claim is visible. Flipping a status edits this table and the
@@ -181,6 +182,20 @@ func TestPaperClaims(t *testing.T) {
 		{"SFC LB(nelemd) = 0", "Table 2", func(t *testing.T) bool {
 			return metricRow(t, "table2.csv", "LB(nelemd)")["SFC"] == 0
 		}, holds},
+		{"golden: SFC LB(nelemd) = 0 wherever NProcs | K", "Table 2", goldenAll(func(k int, c map[string]experiments.GoldenCase) bool {
+			return k%c["SFC"].NProcs != 0 || c["SFC"].LBNelemd == 0
+		}), holds},
+		{"golden: RB LB(nelemd) within 0.02 of KWAY and TV", "Table 2", goldenAll(func(_ int, c map[string]experiments.GoldenCase) bool {
+			return c["RB"].LBNelemd <= min(c["KWAY"].LBNelemd, c["TV"].LBNelemd)+0.02
+		}), holds},
+		{"golden: KWAY edgecut <= 1.25x RB and TV", "Table 2", goldenAll(func(_ int, c map[string]experiments.GoldenCase) bool {
+			return float64(c["KWAY"].EdgeCut) <= 1.25*float64(min(c["RB"].EdgeCut, c["TV"].EdgeCut))
+		}), holds},
+		{"golden at 768: RB LB <= KWAY, TV; KWAY edgecut lowest", "Table 2", func(t *testing.T) bool {
+			c := goldenUnitCost(t)[768]
+			return c["RB"].LBNelemd <= min(c["KWAY"].LBNelemd, c["TV"].LBNelemd) &&
+				c["KWAY"].EdgeCut <= min(c["SFC"].EdgeCut, c["RB"].EdgeCut, c["TV"].EdgeCut)
+		}, holds},
 	}
 	for _, c := range claims {
 		if got := c.pred(t); got != (c.status == holds) {
@@ -246,6 +261,47 @@ func magnitude(name string, at float64) func(*testing.T) bool {
 		rows := figure(t, name)
 		last := rows[len(rows)-1]
 		return last.sfc/last.best-1 > at
+	}
+}
+
+// goldenUnitCost reads the unit-cost cases of the committed
+// out/golden-metrics.json, keyed by part count, then by method.
+func goldenUnitCost(t *testing.T) map[int]map[string]experiments.GoldenCase {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join(outDir, "golden-metrics.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var suite experiments.Suite[experiments.GoldenCase]
+	if err := json.Unmarshal(b, &suite); err != nil {
+		t.Fatal(err)
+	}
+	out := map[int]map[string]experiments.GoldenCase{}
+	for _, c := range suite.Cases {
+		if c.Weights != "" {
+			continue
+		}
+		if out[c.NProcs] == nil {
+			out[c.NProcs] = map[string]experiments.GoldenCase{}
+		}
+		out[c.NProcs][c.Method] = c
+	}
+	if len(out) == 0 {
+		t.Fatal("golden-metrics.json has no unit-cost cases")
+	}
+	return out
+}
+
+// goldenAll: pred holds at every unit-cost part count of the golden suite,
+// given the mesh's element count K and the cases by method.
+func goldenAll(pred func(k int, c map[string]experiments.GoldenCase) bool) func(*testing.T) bool {
+	return func(t *testing.T) bool {
+		for _, c := range goldenUnitCost(t) {
+			if !pred(6*c["SFC"].Ne*c["SFC"].Ne, c) {
+				return false
+			}
+		}
+		return true
 	}
 }
 

@@ -4,13 +4,18 @@
 // the hot paths cannot silently corrupt partition quality or curve
 // bijectivity.
 //
-// It provides three families of oracles:
+// It provides the oracles, each from first principles and sharing no code
+// with the path it checks:
 //
 //   - Partition oracles (partition.go): structural validity (every element
 //     assigned exactly once, part indices in range, part count respected)
 //     and quality metrics (load balance, edgecut, total communication
-//     volume) recomputed independently, from first principles, over the
-//     unique-edge list — then cross-checked against partition.ComputeStats.
+//     volume) recomputed over the unique-edge list — then compared with
+//     partition.ComputeStats (CrossCheckStats) or with the statistics a
+//     caller measured on its own path (Audit).
+//
+//   - Surface oracles (surface.go): the isoperimetric lower bound and the
+//     per-family compactness ceiling on every part's boundary.
 //
 //   - Curve oracles (curve.go): Hilbert / m-Peano / Hilbert-Peano
 //     index-coordinate bijectivity, adjacency of consecutive curve points
@@ -19,15 +24,12 @@
 //     validity for every admissible domain size Ne = 2^n * 3^m up to a
 //     bound.
 //
-//   - Differential harnesses (differential.go): run the SFC curves and the
-//     three METIS-style algorithms (RB, KWAY, TV) over a shared case matrix
-//     and assert the paper's signature orderings within tolerances — RB has
-//     the best computational balance, KWAY the lowest edgecut.
+//   - The DSS oracle (dss.go): black-box checks of the spectral-element
+//     assembly plan.
 //
-// golden.go and amr_golden.go compute the paper-table metrics (section 4)
-// and their adaptive-mesh twin that cmd/experiments writes to
-// out/golden-{metrics,amr}.json, where the byte gate on out/ holds them; see
-// TESTING.md at the repository root for how to refresh them. The same
+// Audit is the one entry the published experiments call: every partition
+// behind a table, figure, ablation or golden suite of cmd/experiments
+// passes it in the cell that measures it (internal/experiments). The same
 // oracles back the Go-native fuzz targets (FuzzCurveRoundTrip,
 // FuzzPartitionValid, FuzzDSSPlan in fuzz_test.go).
 package check

@@ -1,7 +1,6 @@
 package check
 
 import (
-	"bytes"
 	"testing"
 
 	"sfccube/internal/core"
@@ -15,17 +14,15 @@ import (
 //
 //  1. Swap two elements across distant parts. Part sizes are preserved, so
 //     the computational balance stays perfect — but each swapped element
-//     lands surrounded by foreign neighbours, so the edgecut must move, and
-//     so must the golden bytes it is frozen in.
+//     lands surrounded by foreign neighbours, so the edgecut must move.
 //  2. Move one element to another part. Now the balance itself breaks:
-//     LB(nelemd) must leave zero exactly, and the golden bytes must change.
+//     LB(nelemd) must leave zero exactly.
 //
 // Both mutants remain structurally valid partitions — the oracle must keep
 // accepting them structurally while rejecting their quality, proving the
-// two layers are independent and neither is vacuous. The golden check is
-// the byte gate on out/golden-metrics.json, so each moved metric is encoded
-// through GoldenSuite.JSON on its own, beside the pristine ones: a golden
-// that stopped carrying edgecut or lb_nelemd would encode both alike.
+// two layers are independent and neither is vacuous. That the golden bytes
+// carry each moved metric is held beside the suite, in internal/experiments
+// (TestGoldenBytesCarryMutations).
 func TestMutationOracleNotVacuous(t *testing.T) {
 	const ne, nprocs = 8, 16
 	res, err := core.PartitionCubedSphere(core.Config{Ne: ne, NProcs: nprocs})
@@ -48,16 +45,6 @@ func TestMutationOracleNotVacuous(t *testing.T) {
 	if before.LBNelemd != 0 {
 		t.Fatalf("pristine SFC partition has LB %g, want 0", before.LBNelemd)
 	}
-	encode := func(mt Metrics) []byte {
-		s := &GoldenSuite{Cases: []GoldenCase{goldenCase(Case{Ne: ne, NProcs: nprocs, Seed: 1}, "SFC", mt)}}
-		b, err := s.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	pristine := encode(before)
-
 	// Pick one interior element of part 0 and one of the last part: every
 	// neighbour is in the same part, so after the swap every incident edge
 	// is cut and the edgecut must strictly increase.
@@ -106,11 +93,6 @@ func TestMutationOracleNotVacuous(t *testing.T) {
 	if after.EdgeCut <= before.EdgeCut {
 		t.Errorf("swap of interior elements did not increase edgecut: %d -> %d", before.EdgeCut, after.EdgeCut)
 	}
-	edgeCutOnly := before
-	edgeCutOnly.EdgeCut = after.EdgeCut
-	if bytes.Equal(encode(edgeCutOnly), pristine) {
-		t.Errorf("golden bytes missed the edgecut change %d -> %d", before.EdgeCut, after.EdgeCut)
-	}
 	if err := CrossCheckStats(g, swapped); err != nil {
 		t.Errorf("stats cross-check must still agree on the mutant: %v", err)
 	}
@@ -127,10 +109,5 @@ func TestMutationOracleNotVacuous(t *testing.T) {
 	}
 	if afterMove.LBNelemd == 0 {
 		t.Error("moving an element across parts left LB(nelemd) at exactly 0")
-	}
-	lbOnly := before
-	lbOnly.LBNelemd = afterMove.LBNelemd
-	if bytes.Equal(encode(lbOnly), pristine) {
-		t.Errorf("golden bytes missed the LB change %g -> %g", before.LBNelemd, afterMove.LBNelemd)
 	}
 }

@@ -3,6 +3,7 @@ package check
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"sfccube/internal/graph"
 	"sfccube/internal/partition"
@@ -78,7 +79,7 @@ type Metrics struct {
 	// Surface-to-volume quality (see surface.go): unweighted cut edges
 	// incident to each part and the summary ratios Surface/sqrt(Volume).
 	// Cross-checked against the independent ComputeSurfaceToVolume oracle
-	// by the differential harness.
+	// by Audit.
 	Surface     []int64
 	SVMaxRatio  float64
 	SVMeanRatio float64
@@ -164,8 +165,7 @@ func ComputeMetrics(g *graph.Graph, p *partition.Partition) (Metrics, error) {
 
 // CrossCheckStats compares the independently recomputed Metrics against the
 // production partition.ComputeStats output for the same (g, p) pair and
-// returns an error describing the first divergence. Integer metrics must
-// match exactly; the load-balance ratios must agree to 1e-12.
+// returns an error describing the first divergence (see compareStats).
 func CrossCheckStats(g *graph.Graph, p *partition.Partition) error {
 	m, err := ComputeMetrics(g, p)
 	if err != nil {
@@ -175,12 +175,44 @@ func CrossCheckStats(g *graph.Graph, p *partition.Partition) error {
 	if err != nil {
 		return fmt.Errorf("check: ComputeStats: %w", err)
 	}
+	return compareStats(st, m)
+}
+
+// Audit is the oracle stack every published partition passes: it validates
+// p against g, recomputes the Metrics from first principles, requires st —
+// the statistics the caller measured on its own path (a mesh-view sweep, a
+// forest graph) — to agree with them field for field, and audits every
+// part's boundary against the surface-to-volume oracle: the isoperimetric
+// lower bound always, and the compactness ceiling of family's
+// DefaultSVCeilings entry (a family without one gets the lower bound only).
+// It returns the oracle Metrics.
+func Audit(g *graph.Graph, p *partition.Partition, st partition.Stats, family string) (Metrics, error) {
+	m, err := ComputeMetrics(g, p)
+	if err != nil {
+		return Metrics{}, err
+	}
+	if err := compareStats(st, m); err != nil {
+		return Metrics{}, err
+	}
+	if err := auditSurface(g, p, m, family); err != nil {
+		return Metrics{}, err
+	}
+	return m, nil
+}
+
+// compareStats holds measured statistics to the oracle Metrics of the same
+// partition. Integer metrics must match exactly; the load-balance ratios
+// must agree to 1e-12. Per-part weights are compared when st carries them.
+func compareStats(st partition.Stats, m Metrics) error {
 	if st.NParts != m.NParts {
 		return fmt.Errorf("check: NParts: stats=%d oracle=%d", st.NParts, m.NParts)
 	}
 	for q := 0; q < m.NParts; q++ {
 		if st.Nelemd[q] != m.Counts[q] {
 			return fmt.Errorf("check: Nelemd[%d]: stats=%d oracle=%d", q, st.Nelemd[q], m.Counts[q])
+		}
+		if st.PartWeights != nil && st.PartWeights[q] != m.Weighted[q] {
+			return fmt.Errorf("check: PartWeights[%d]: stats=%d oracle=%d", q, st.PartWeights[q], m.Weighted[q])
 		}
 		if st.Spcv[q] != m.Spcv[q] {
 			return fmt.Errorf("check: Spcv[%d]: stats=%d oracle=%d", q, st.Spcv[q], m.Spcv[q])
@@ -204,15 +236,7 @@ func CrossCheckStats(g *graph.Graph, p *partition.Partition) error {
 	if math.Abs(st.LBSpcv-m.LBSpcv) > 1e-12 {
 		return fmt.Errorf("check: LBSpcv: stats=%g oracle=%g", st.LBSpcv, m.LBSpcv)
 	}
-	minN, maxN := m.Counts[0], m.Counts[0]
-	for _, c := range m.Counts {
-		if c < minN {
-			minN = c
-		}
-		if c > maxN {
-			maxN = c
-		}
-	}
+	minN, maxN := slices.Min(m.Counts), slices.Max(m.Counts)
 	if st.MaxNelemd != maxN || st.MinNelemd != minN {
 		return fmt.Errorf("check: Nelemd range: stats=[%d..%d] oracle=[%d..%d]",
 			st.MinNelemd, st.MaxNelemd, minN, maxN)

@@ -29,7 +29,7 @@ import (
 //     segments, multilevel METIS) keep Surface/sqrt(Volume) bounded by a
 //     constant independent of Ne and NProcs, while strip-shaped partitions
 //     (serpentine) let it grow without bound. The ceiling constants are
-//     calibrated empirically over the differential matrix (see
+//     calibrated empirically over the golden matrix (see
 //     DefaultSVCeilings) with headroom, and the exact per-run maxima are
 //     frozen as golden metrics so any drift is caught far inside the
 //     ceiling.
@@ -150,10 +150,10 @@ type SVCeiling struct {
 	Additive float64 // flat allowance for O(1)-size parts
 }
 
-// DefaultSVCeilings maps each differential-harness method to its calibrated
-// compactness ceiling. A (k x k) square block exposes a Moore boundary of
-// about 8*sqrt(V)+4; Hilbert/Peano segments and multilevel METIS parts stay
-// within ~2.3x of square compactness across the differential matrix
+// DefaultSVCeilings maps each method family Audit is asked about to its
+// calibrated compactness ceiling. A (k x k) square block exposes a Moore
+// boundary of about 8*sqrt(V)+4; Hilbert/Peano segments and multilevel METIS
+// parts stay within ~2.3x of square compactness across the golden matrix
 // (measured maxima: SFC 16.7, RB 14.8, KWAY 18.3, TV 18.0, including the
 // weighted regimes, dominated by O(10)-element parts), so the compact
 // families get ceiling 26 with an additive 8 — about 40% headroom, yet low
@@ -170,4 +170,29 @@ var DefaultSVCeilings = map[string]SVCeiling{
 	"AMR:CURVE": {Ceiling: 26, Additive: 12},
 	"AMR:RB":    {Ceiling: 26, Additive: 12},
 	"AMR:KWAY":  {Ceiling: 26, Additive: 12},
+}
+
+// auditSurface runs the surface-to-volume oracle on one partition:
+// cross-checks the Metrics' own surface accounting against the independent
+// ComputeSurfaceToVolume pass, then applies the isoperimetric lower bound
+// and family's compactness ceiling.
+func auditSurface(g *graph.Graph, p *partition.Partition, mt Metrics, family string) error {
+	sv, err := ComputeSurfaceToVolume(g, p)
+	if err != nil {
+		return err
+	}
+	for q := 0; q < sv.NParts; q++ {
+		if sv.Volume[q] != mt.Counts[q] || sv.Surface[q] != mt.Surface[q] {
+			return fmt.Errorf("check: surface oracle disagrees on part %d: volume %d/%d surface %d/%d",
+				q, sv.Volume[q], mt.Counts[q], sv.Surface[q], mt.Surface[q])
+		}
+	}
+	if math.Abs(sv.MaxRatio-mt.SVMaxRatio) > 1e-9 {
+		return fmt.Errorf("check: surface oracle max ratio %.6f != metrics %.6f", sv.MaxRatio, mt.SVMaxRatio)
+	}
+	if err := sv.AuditLowerBound(g.NumVertices()); err != nil {
+		return err
+	}
+	c := DefaultSVCeilings[family]
+	return sv.AuditRatio(c.Ceiling, c.Additive)
 }

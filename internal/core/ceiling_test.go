@@ -59,10 +59,11 @@ func TestCurveRunMemoryCeiling(t *testing.T) {
 }
 
 // allocatedPerCall is the mean number of bytes one call of f allocates, one
-// call per problem, measured as the growth of the heap's running total.
+// call per problem, measured as the growth of the heap's running total. It
+// forces no collection: a test that measures warm pooled state collects
+// before its warm-up, not between the warm-up and the measurement.
 func allocatedPerCall(probs []*Problem, f func(*Problem)) int64 {
 	var before, after runtime.MemStats
-	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for _, p := range probs {
 		f(p)
@@ -113,40 +114,62 @@ func TestWeightedStatsMemoryCeiling(t *testing.T) {
 }
 
 // TestKWayRunMemoryCeiling pins what one warm kway run on a fresh Problem
-// allocates at Ne=32, on one P so the bisection tree runs on one workspace
-// and with the collector off so pooled memory stays pooled: the finest level
-// streams into metis's reused block and the coarse levels onto the workspace,
-// and what is left is the assignment (4 bytes an element), the stream's row
+// allocates at Ne=32, on one P so the bisection tree runs on one workspace:
+// the finest level streams into metis's reused block and the coarse levels
+// onto the workspace, both pooled, so what is left is the assignment, small
 // scratch and metis's fixed-size bookkeeping. The ceiling is 8 bytes an
 // element and 16 KiB; the dual graph built as a heap CSR (graph.FromMesh,
 // about 76 bytes an element) breaks it nine times over.
+//
+// Warm means warm: a collection empties the sync.Pools the workspace and
+// the block live in (the first moves them to the victim cache, the second
+// drops it), so the test collects and switches the collector off before the
+// warm-up, and nothing collects between the warm-up and the measurement.
+// The same runs with two forced collections in that span must break the
+// ceiling, which shows the ceiling reads the warm state.
 func TestKWayRunMemoryCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops pooled memory at random")
 	}
 	const ne, rounds = 32, 4
 	k, nparts := 6*ne*ne, 6*ne*ne/16
-	probs := make([]*Problem, rounds+2)
-	for i := range probs {
-		var err error
-		if probs[i], err = NewProblem(ne); err != nil {
-			t.Fatal(err)
-		}
-	}
 	run := func(p *Problem) {
 		if _, err := Run(context.Background(), "kway", p, nparts, 1, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	run(probs[rounds]) // the first two runs grow the workspace and the level-0 block
-	run(probs[rounds+1])
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// warm is the mean allocation of a run on a fresh Problem after two
+	// warm-up runs (they grow the workspace and the level-0 block), with gcs
+	// collections forced between the warm-up and the measurement.
+	warm := func(gcs int) int64 {
+		probs := make([]*Problem, rounds+2)
+		for i := range probs {
+			var err error
+			if probs[i], err = NewProblem(ne); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.GC()
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		run(probs[rounds])
+		run(probs[rounds+1])
+		for range gcs {
+			runtime.GC()
+		}
+		return allocatedPerCall(probs[:rounds], run)
+	}
 	ceiling := int64(8*k + 16<<10)
-	if perRun := allocatedPerCall(probs[:rounds], run); perRun > ceiling {
+	if perRun := warm(0); perRun > ceiling {
 		t.Errorf("Ne=%d: a warm kway run allocated %d bytes for K=%d elements (ceiling %d): the finest level is built on the heap again",
 			ne, perRun, k, ceiling)
 	} else {
 		t.Logf("Ne=%d: a warm kway run allocated %d bytes (%.1f an element), ceiling %d", ne, perRun, float64(perRun)/float64(k), ceiling)
+	}
+	if perRun := warm(2); perRun <= ceiling {
+		t.Errorf("Ne=%d: with two collections after the warm-up a kway run allocated %d bytes, within the ceiling %d: the ceiling no longer reads the warm state",
+			ne, perRun, ceiling)
+	} else {
+		t.Logf("Ne=%d: with two collections after the warm-up, %d bytes (%.1f an element)", ne, perRun, float64(perRun)/float64(k))
 	}
 }

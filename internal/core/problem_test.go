@@ -105,7 +105,7 @@ func TestPinnedAssignments(t *testing.T) {
 				t.Errorf("PartitionWithFallback: %s, want %s", got, want)
 			}
 
-			setup, err := experiments.NewWeightedSetup(c.Ne, c.Weights)
+			setup, err := experiments.NewWeightedSetup("pinned", c.Ne, c.Weights)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -23,7 +23,7 @@ func AblationOrder(seed int64) (*Table, error) {
 		{6, 54}, {12, 216}, {18, 486},
 	}
 	for _, c := range cases {
-		s, err := NewSetup(c.ne)
+		s, err := NewSetup("ablation-order", c.ne)
 		if err != nil {
 			return nil, err
 		}
@@ -32,7 +32,7 @@ func AblationOrder(seed int64) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			m, err := s.measure(res.Partition)
+			m, err := s.measure(o.String(), "SFC", res.Partition)
 			if err != nil {
 				return nil, err
 			}
@@ -61,11 +61,7 @@ func AblationCorners(seed int64) (*Table, error) {
 		Title:   "Ablation B: corner edges in the METIS graph",
 		Headers: []string{"Nproc", "graph", "method", "edgecut(w)", "LB(nelemd)", "time (usec)"},
 	}
-	s, err := NewSetup(16)
-	if err != nil {
-		return nil, err
-	}
-	full, err := s.Problem.Graph()
+	s, err := NewSetup("ablation-corners", 16)
 	if err != nil {
 		return nil, err
 	}
@@ -77,7 +73,7 @@ func AblationCorners(seed int64) (*Table, error) {
 		label string
 		g     *graph.Graph
 	}{
-		{"boundary+corner", full},
+		{"boundary+corner", s.oracle},
 		{"boundary-only", boundaryOnly},
 	}
 	for _, nproc := range []int{192, 768} {
@@ -89,7 +85,7 @@ func AblationCorners(seed int64) (*Table, error) {
 				}
 				// measure reads the setup's full (boundary+corner) mesh,
 				// so the numbers of both graphs are comparable.
-				m, err := s.measure(p)
+				m, err := s.measure(method.String()+" "+gc.label, method.String(), p)
 				if err != nil {
 					return nil, err
 				}
@@ -119,7 +115,7 @@ func AblationTV(seeds int) (*Table, error) {
 		Headers: []string{"seed", "KWAY TCV(vertex)", "TV TCV(vertex)", "KWAY TCV(MB)",
 			"TV TCV(MB)", "TV wins bytes"},
 	}
-	s, err := NewSetup(table2Ne)
+	s, err := NewSetup("ablation-tv", table2Ne)
 	if err != nil {
 		return nil, err
 	}

@@ -56,7 +56,7 @@ func DynamicRepartition(seed int64) (*Table, error) {
 		Headers: []string{"step", "SFC moved %", "SFC LB(w)", "KWAY moved %", "KWAY LB(w)"},
 	}
 	const ne, nproc, steps = 16, 96, 16
-	s, err := NewSetup(ne)
+	m, err := mesh.New(ne)
 	if err != nil {
 		return nil, err
 	}
@@ -67,7 +67,7 @@ func DynamicRepartition(seed int64) (*Table, error) {
 	var lastKway *partition.Partition
 	var sfcMovedTotal, kwayMovedTotal float64
 	for step := 0; step < steps; step++ {
-		weights := movingStormWeights(s.Mesh, float64(step)/float64(steps))
+		weights := movingStormWeights(m, float64(step)/float64(steps))
 
 		sfcPart, mig, err := rep.Update(nproc, weights, 0)
 		if err != nil {
@@ -75,7 +75,7 @@ func DynamicRepartition(seed int64) (*Table, error) {
 		}
 		// KWAY from scratch on the step's load model: a fresh problem (and
 		// weighted graph) over the shared mesh.
-		prob, err := core.ProblemFrom(ne, s.Mesh, nil)
+		prob, err := core.ProblemFrom(ne, m, nil)
 		if err != nil {
 			return nil, err
 		}

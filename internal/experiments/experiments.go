@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"sort"
 
+	"sfccube/internal/check"
 	"sfccube/internal/core"
+	"sfccube/internal/graph"
 	"sfccube/internal/machine"
 	"sfccube/internal/mesh"
 	"sfccube/internal/obs"
@@ -15,13 +17,18 @@ import (
 	"sfccube/internal/sfc"
 )
 
-// Method identifies a partitioning strategy in experiment outputs. The fixed
-// order (SFC, RB, KWAY, TV) also fixes the series colors of every figure.
+// methodNames is the paper's comparison: the SFC partitioner and the three
+// METIS-style algorithms. The fixed order (SFC, RB, KWAY, TV) also fixes the
+// series colors of every figure and the case order of the golden suite.
 var methodNames = []string{"SFC", "RB", "KWAY", "TV"}
 
 // Setup bundles the reusable pieces of one resolution's experiments. Mesh is
-// Problem's, surfaced for the many readers that need nothing else.
+// Problem's, surfaced for the many readers that need nothing else; name is
+// the experiment's, which an audit failure of one of its cells reports, and
+// oracle the Problem's CSR graph every cell's audit reads.
 type Setup struct {
+	name     string
+	oracle   *graph.Graph
 	Problem  *core.Problem
 	Mesh     *mesh.Mesh
 	Workload machine.Workload
@@ -30,21 +37,27 @@ type Setup struct {
 }
 
 // NewSetup prepares the unit-cost problem, workload and machine model for a
-// resolution.
-func NewSetup(ne int) (*Setup, error) { return NewWeightedSetup(ne, "") }
+// resolution, for the experiment called name.
+func NewSetup(name string, ne int) (*Setup, error) { return NewWeightedSetup(name, ne, "") }
 
 // NewWeightedSetup is NewSetup under a weight spec (package weights grammar):
 // the generated vector becomes the problem's load model, so the curve split
-// and the graph's vertex weights agree by construction. The mesh resolves
-// adjacency on demand and the dual graph is built only when a multilevel
-// method first asks for it (see core.Problem), so the sweep scales to the
-// million-element regime without holding any intermediate edge list.
-func NewWeightedSetup(ne int, spec string) (*Setup, error) {
+// and the graph's vertex weights agree by construction. No method reads the
+// CSR dual graph (see core.Problem); it is built here once, as the oracle
+// input of every cell's audit, and held to the CSR invariants.
+func NewWeightedSetup(name string, ne int, spec string) (*Setup, error) {
 	prob, err := core.NewProblem(ne)
 	if err != nil {
 		return nil, err
 	}
 	if err := prob.SetWeightSpec(spec); err != nil {
+		return nil, err
+	}
+	g, err := prob.Graph()
+	if err != nil {
+		return nil, err
+	}
+	if err := g.Validate(); err != nil {
 		return nil, err
 	}
 	w := machine.DefaultWorkload()
@@ -53,7 +66,7 @@ func NewWeightedSetup(ne int, spec string) (*Setup, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Setup{Problem: prob, Mesh: prob.Mesh(), Workload: w, Model: mod, Serial: serial}, nil
+	return &Setup{name: name, oracle: g, Problem: prob, Mesh: prob.Mesh(), Workload: w, Model: mod, Serial: serial}, nil
 }
 
 // Partition runs one method-table entry on the setup's problem; the
@@ -64,22 +77,46 @@ func (s *Setup) Partition(method string, nproc int, seed int64, reg *obs.Registr
 }
 
 // measured is one evaluated cell: a partition, its statistics under the
-// setup's load model and its modelled step on the machine model.
+// setup's load model, the oracle metrics they were audited against and its
+// modelled step on the machine model.
 type measured struct {
 	p   *partition.Partition
 	st  partition.Stats
+	mt  check.Metrics
 	rep machine.StepReport
 }
 
-// measure evaluates a partition of the setup's mesh. It is the one place an
-// experiment computes partition statistics and models a step.
-func (s *Setup) measure(p *partition.Partition) (measured, error) {
+// measure evaluates partition p of the setup's mesh, made by method. It is
+// the one place an experiment computes partition statistics, audits them
+// (see audit; family is the method's check.DefaultSVCeilings key) and models
+// a step.
+func (s *Setup) measure(method, family string, p *partition.Partition) (measured, error) {
 	st, err := s.Problem.Stats(p)
 	if err != nil {
 		return measured{}, err
 	}
+	mt, err := s.audit(method, family, p, st)
+	if err != nil {
+		return measured{}, err
+	}
 	rep, err := machine.SimulateStep(s.Mesh, p, s.Workload, s.Model, nil)
-	return measured{p, st, rep}, err
+	return measured{p, st, mt, rep}, err
+}
+
+// audit holds one measured pair (p, st) to check.Audit on the setup's
+// oracle graph.
+func (s *Setup) audit(method, family string, p *partition.Partition, st partition.Stats) (check.Metrics, error) {
+	mt, err := check.Audit(s.oracle, p, st, family)
+	if err != nil {
+		return mt, cellError(s.name, method, p.NumParts(), err)
+	}
+	return mt, nil
+}
+
+// cellError names the cell an audit failed in: its experiment, method and
+// part count.
+func cellError(exp, method string, nproc int, err error) error {
+	return fmt.Errorf("experiments: %s: %s nproc=%d: %w", exp, method, nproc, err)
 }
 
 // run is one cell: Partition followed by measure.
@@ -88,7 +125,7 @@ func (s *Setup) run(method string, nproc int, seed int64, reg *obs.Registry) (me
 	if err != nil {
 		return measured{}, err
 	}
-	return s.measure(p)
+	return s.measure(method, method, p)
 }
 
 // cells runs fn(i) for every cell i in [0, n) on par.ForBlocks and returns
@@ -173,7 +210,7 @@ var (
 // alongside the table, ready to be dumped next to the CSV artifact
 // (instrumentation does not perturb the partitions).
 func Table2(seed int64) (*Table, Telemetry, error) {
-	s, err := NewSetup(table2Ne)
+	s, err := NewSetup("table2", table2Ne)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -266,7 +303,7 @@ func sweepLines(labels []string, procs []int, y func(label string, nproc int) (f
 // plots pick(serial, step) of each cell's modelled step; the single-processor
 // point is the serial step itself.
 func figure(name, title, yLabel string, ne int, procs []int, seed int64, pick func(serial, rep machine.StepReport) float64) (*Figure, error) {
-	s, err := NewSetup(ne)
+	s, err := NewSetup(name, ne)
 	if err != nil {
 		return nil, err
 	}
@@ -351,7 +388,7 @@ func K1944(seed int64) (*Table, error) {
 		{18, 486, "Hilbert-Peano"},
 	}
 	for _, c := range cases {
-		s, err := NewSetup(c.ne)
+		s, err := NewSetup("k1944", c.ne)
 		if err != nil {
 			return nil, err
 		}

@@ -17,7 +17,7 @@ func ModelFidelity(seed int64) (*Table, error) {
 		Headers: []string{"method", "analytic us/step", "event-driven us/step", "ratio"},
 	}
 	const ne, nproc = 16, 768
-	s, err := NewSetup(ne)
+	s, err := NewSetup("fidelity", ne)
 	if err != nil {
 		return nil, err
 	}

@@ -25,7 +25,7 @@ const DefaultWeightSpec = "cfl"
 // headline row is LB(weight), equation (1) over per-part weight totals —
 // the balance each method was actually asked to optimise.
 func Table2Weighted(seed int64, spec string) (*Table, error) {
-	s, err := NewWeightedSetup(table2Ne, spec)
+	s, err := NewWeightedSetup("table2-weighted", table2Ne, spec)
 	if err != nil {
 		return nil, err
 	}
@@ -61,7 +61,7 @@ func Table2Weighted(seed int64, spec string) (*Table, error) {
 // gap weighted splitting exists to close. Every (method, nproc) pair is one
 // cell, and the output is byte-identical at any GOMAXPROCS.
 func WeightedSweep(ne, maxProc int, seed int64, spec string) (*Figure, error) {
-	s, err := NewWeightedSetup(ne, spec)
+	s, err := NewWeightedSetup("weighted-sweep", ne, spec)
 	if err != nil {
 		return nil, err
 	}
@@ -77,15 +77,17 @@ func WeightedSweep(ne, maxProc int, seed int64, spec string) (*Figure, error) {
 	lines, err := sweepLines(labels, procSweep(ne, maxProc), func(label string, np int) (float64, error) {
 		var p *partition.Partition
 		var err error
+		family := label
 		if label == "SFC-UNW" {
 			p, err = core.PartitionCurve(curve, np, nil)
+			family = "SFC"
 		} else {
 			p, err = s.Partition(label, np, seed, nil)
 		}
 		if err != nil {
 			return 0, fmt.Errorf("experiments: weighted sweep %s nproc=%d: %w", label, np, err)
 		}
-		m, err := s.measure(p)
+		m, err := s.measure(label, family, p)
 		return m.st.LBWeighted, err
 	})
 	if err != nil {

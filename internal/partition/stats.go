@@ -118,8 +118,8 @@ func ComputeStatsWeighted(g *graph.Graph, p *Partition, weights []int64) (Stats,
 // a cut edge contributes its weight to the communication volume of both
 // endpoints' parts. This accounting is cross-checked edge-for-edge against
 // an independent single-pass (u < v) recomputation by
-// internal/check.CrossCheckStats, which the differential, fuzz and mutation
-// suites run over every method, mesh and part count they touch.
+// internal/check (Audit in every published experiment cell, CrossCheckStats
+// in the fuzz and mutation suites).
 func StatsOver(mv *graph.MeshView, p *Partition, weights []int64) (Stats, error) {
 	return measure(mv.NumVertices(), nil, p, weights, func(s sweep, assign []int32, comps []int) sweep {
 		s.faces(mv, assign, comps)

@@ -267,7 +267,7 @@ func NewService(cfg Config) *Service {
 	reg.Help("partsrv_requests_total", "Partition requests accepted by the engine (all endpoints).")
 	reg.Help("partsrv_computations_total", "Partition computations actually executed (cache misses that won the singleflight).")
 	reg.Help("partsrv_cache_hits_total", "Requests answered from the content-addressed cache.")
-	reg.Help("partsrv_cache_misses_total", "Requests that missed the cache.")
+	reg.Help("partsrv_cache_misses_total", "Requests whose first cache lookup missed (a miss the flight's double-check answers is also a hit).")
 	reg.Help("partsrv_singleflight_shared_total", "Requests that joined another caller's in-flight computation.")
 	reg.Help("partsrv_degraded_total", "Responses produced under deadline pressure (fallback past the requested method).")
 	reg.Help("partsrv_failures_total", "Requests that failed after validation (exhausted chains, internal errors).")
@@ -411,7 +411,7 @@ func (s *Service) lookup(ctx context.Context, req Request) (entry, Meta, error) 
 		// Double-check under the flight: a previous flight for this request
 		// may have filled the cache between our Get and Do.
 		if e, ok := s.cache.Get(canon); ok {
-			return computed{entry: e}, nil
+			return computed{entry: e, hit: true}, nil
 		}
 		out, err := s.compute(ctx, canon, req.DeadlineMS)
 		if err != nil {
@@ -427,15 +427,20 @@ func (s *Service) lookup(ctx context.Context, req Request) (entry, Meta, error) 
 		}
 		return out, nil
 	})
-	if shared {
+	// Every request lands in exactly one outcome counter: a hit (above or
+	// by the double-check), a joined flight whatever its result, or the
+	// flight's own outcome — computed (counted in compute), shed (counted
+	// in admit) or failed.
+	switch {
+	case shared:
 		s.sfShared.Inc()
+	case err != nil && !isShed(err):
+		s.failures.Inc()
+	case err == nil && v.(computed).hit:
+		s.cacheHits.Inc()
+		return v.(computed).entry, Meta{CacheHit: true}, nil
 	}
 	if err != nil {
-		if !isShed(err) {
-			// Sheds are deliberate back-pressure, already counted under
-			// partsrv_shed_total; failures_total stays a true error signal.
-			s.failures.Inc()
-		}
 		return entry{}, Meta{Shared: shared}, err
 	}
 	out := v.(computed)
@@ -451,9 +456,10 @@ func (s *Service) lookup(ctx context.Context, req Request) (entry, Meta, error) 
 
 // computed is one computation's outcome as it travels through the
 // singleflight: the encoded response plus the transient-state markers that
-// veto caching.
+// veto caching, or the cached entry the flight's double-check found (hit).
 type computed struct {
 	entry          entry
+	hit            bool
 	degraded       bool
 	breakerSkipped []string
 }

@@ -7,6 +7,8 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -98,12 +100,11 @@ func TestThunderingHerd(t *testing.T) {
 	if got := counter(t, s, "partsrv_requests_total"); got != n {
 		t.Errorf("partsrv_requests_total = %v, want %d", got, n)
 	}
-	// Every non-computing caller was answered by the cache or by joining
-	// the flight; none may have slipped through to a second computation.
-	hits := counter(t, s, "partsrv_cache_hits_total")
-	shared := counter(t, s, "partsrv_singleflight_shared_total")
-	if hits+shared < n-1 {
-		t.Errorf("hits(%v) + shared(%v) < %d: some caller neither hit nor joined", hits, shared, n-1)
+	// Every non-computing caller was answered by the cache (first look or
+	// the flight's double-check) or by joining the flight: each request
+	// lands in exactly one outcome counter, whatever the interleaving.
+	if got := outcomes(t, s); got != n {
+		t.Errorf("outcome counters sum to %v, want %d requests", got, n)
 	}
 	validate(t, decodeResponse(t, payloads[0]))
 
@@ -117,6 +118,84 @@ func TestThunderingHerd(t *testing.T) {
 	}
 	if got := counter(t, s, "partsrv_computations_total"); got != 1 {
 		t.Errorf("follow-up recomputed: partsrv_computations_total = %v", got)
+	}
+}
+
+// outcomes sums the outcome counters — cache hits, joined flights,
+// computations, sheds and failures — which partsrv_requests_total equals.
+func outcomes(t *testing.T, s *Service) float64 {
+	t.Helper()
+	var sum float64
+	for name, v := range s.cfg.Registry.Snapshot() {
+		switch {
+		case name == "partsrv_cache_hits_total", name == "partsrv_singleflight_shared_total",
+			name == "partsrv_computations_total", name == "partsrv_failures_total",
+			strings.HasPrefix(name, "partsrv_shed_total{"):
+			sum += v
+		}
+	}
+	return sum
+}
+
+// TestDoubleCheckIsACacheHit reaches the flight's double-check
+// deterministically: the caller misses the cache, and the entry lands in
+// the cache before the caller enters the flight (the flight group's lock is
+// held across the Put), as when another flight finishes in between. The
+// answer comes from the cache, so the request is one cache hit, with the
+// hit in its reply metadata, and nothing is computed or joined.
+func TestDoubleCheckIsACacheHit(t *testing.T) {
+	req := Request{Ne: 4, NParts: 8, Method: "kway"}
+	donor := newTestService(t, Config{})
+	want, _, err := donor.Partition(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	canon, err := donor.canonicalize(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, ok := donor.cache.Get(canon)
+	if !ok {
+		t.Fatal("donor did not cache its answer")
+	}
+
+	s := newTestService(t, Config{})
+	s.flight.mu.Lock()
+	type answer struct {
+		payload []byte
+		meta    Meta
+		err     error
+	}
+	done := make(chan answer)
+	go func() {
+		p, m, err := s.Partition(context.Background(), req)
+		done <- answer{p, m, err}
+	}()
+	for counter(t, s, "partsrv_cache_misses_total") == 0 {
+		runtime.Gosched()
+	}
+	s.cache.Put(canon, e)
+	s.flight.mu.Unlock()
+	got := <-done
+	if got.err != nil {
+		t.Fatal(got.err)
+	}
+	if !bytes.Equal(got.payload, want) {
+		t.Error("double-check answer differs from the cached bytes")
+	}
+	if got.meta != (Meta{CacheHit: true}) {
+		t.Errorf("meta = %+v, want a cache hit", got.meta)
+	}
+	for name, want := range map[string]float64{
+		"partsrv_requests_total": 1, "partsrv_cache_hits_total": 1,
+		"partsrv_computations_total": 0, "partsrv_singleflight_shared_total": 0,
+	} {
+		if v := counter(t, s, name); v != want {
+			t.Errorf("%s = %v, want %v", name, v, want)
+		}
+	}
+	if got := outcomes(t, s); got != 1 {
+		t.Errorf("outcome counters sum to %v for one request", got)
 	}
 }
 
